@@ -14,6 +14,20 @@ let designate (pub : Setup.public) (raw : Ibs.t) ~verifier =
   let q_b = Setup.q_of_id pub verifier in
   { u = raw.Ibs.u; sigma = Tate.pairing_precomp prm raw.Ibs.v (Tate.precomp_for prm q_b) }
 
+type base = Tate.gt
+
+let base (pub : Setup.public) (key : Setup.identity_key) ~verifier =
+  let prm = pub.prm in
+  Tate.pairing_precomp prm key.Setup.sk
+    (Tate.precomp_for prm (Setup.q_of_id pub verifier))
+
+(* Bilinearity: ê(V, Q_B) = ê(e·sk_ID, Q_B) = ê(sk_ID, Q_B)^e, and both
+   sides are the unique reduced pairing value, so this equals
+   [designate] bit for bit without forming V. *)
+let sign (pub : Setup.public) key ~bytes_source (b_cs, b_da) msg =
+  let u, e = Ibs.sign_exponent pub key ~bytes_source msg in
+  u, Ibs.gt_pow_exponent pub b_cs e, Ibs.gt_pow_exponent pub b_da e
+
 let verify (pub : Setup.public) ~verifier_key ~signer ~msg { u; sigma } =
   let prm = pub.prm in
   Curve.on_curve prm.curve u

@@ -18,14 +18,23 @@ let h2 (pub : Setup.public) ~u ~msg =
   Hash_g1.hash_to_scalar prm
     (Encode.canonical [ "ibs-h2"; Curve.to_bytes prm.curve u; msg ])
 
-let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
+type exponent = Nat.t
+
+let sign_exponent (pub : Setup.public) (key : Setup.identity_key) ~bytes_source
+    msg =
   Telemetry.incr c_sign;
   let prm = pub.prm in
   let r = Params.random_scalar prm ~bytes_source in
   let u = Curve.mul_precomp prm.curve (Params.precomp_for prm key.q_id) r in
   let h = h2 pub ~u ~msg in
-  let v = Curve.mul prm.curve (Nat.rem (Nat.add r h) prm.q) key.sk in
-  { u; v }
+  u, Nat.rem (Nat.add r h) prm.q
+
+let gt_pow_exponent (pub : Setup.public) base (e : exponent) =
+  Tate.gt_pow pub.prm base e
+
+let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
+  let u, e = sign_exponent pub key ~bytes_source msg in
+  { u; v = Curve.mul pub.prm.curve e key.sk }
 
 (* U + h·Q_ID, the G1 element both verification flavours pair against.
    Q_ID is a fixed base per identity, so h·Q_ID runs over the cached

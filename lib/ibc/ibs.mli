@@ -22,6 +22,28 @@ val sign :
   string ->
   t
 
+type exponent
+(** The signing exponent e = (r + h) mod q, so that V = e·sk_ID.
+    Secret: for any Σ = ê(sk_ID, Q_B){^e} it recovers the base
+    ê(sk_ID, Q_B) as Σ{^e⁻¹}, and with it the power to forge
+    designated signatures for B.  Abstract so the typed lint can
+    track it. *)
+
+val sign_exponent :
+  Setup.public ->
+  Setup.identity_key ->
+  bytes_source:(int -> string) ->
+  string ->
+  Curve.point * exponent
+(** [(U, e)] of {!sign} without forming V = e·sk_ID: the same
+    randomness draw, so [fst] equals [(sign …).u] for the same
+    [bytes_source] state.  Counts one [ibs.sign]. *)
+
+val gt_pow_exponent :
+  Setup.public -> Sc_pairing.Tate.gt -> exponent -> Sc_pairing.Tate.gt
+(** [base{^e}] in GT, for designating a signature from its exponent
+    (see {!Dvs.sign}). *)
+
 val verify : Setup.public -> signer:string -> msg:string -> t -> bool
 (** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term
     {!Sc_pairing.Tate.multi_pairing} — a single shared Miller loop

@@ -14,6 +14,7 @@ let c_multi = Telemetry.counter "pairing.multi"
 let c_multi_terms = Telemetry.counter "pairing.multi_terms"
 let c_affine = Telemetry.counter "pairing.affine"
 let c_final_expo = Telemetry.counter "pairing.final_expo"
+let c_gt_pow = Telemetry.counter "pairing.gt_pow"
 
 type gt = Fp2.el
 
@@ -34,8 +35,6 @@ let gt_is_unitary (prm : Params.t) a = Fp.equal (Fp2.norm prm.fp a) Fp.one
    either way. *)
 let gt_inv (prm : Params.t) a =
   if gt_is_unitary prm a then Fp2.conj prm.fp a else Fp2.inv prm.fp a
-
-let gt_pow (prm : Params.t) a e = Fp2.pow prm.fp a e
 
 (* Evaluate the line through T (slope lam) at the distorted point
    φ(Q) = (−x_q, i·y_q):
@@ -130,6 +129,14 @@ let miller_affine (prm : Params.t) px py xq yq =
 
 module FpM = Fp.Mont
 module F2M = Fp2.Mont
+
+(* GT exponentiation runs in the Montgomery domain like the Miller
+   loop: one conversion each way around a square-and-multiply whose
+   every product is a single fused REDC — several times faster than
+   [Fp2.pow]'s Barrett reductions, with the same result. *)
+let gt_pow (prm : Params.t) a e =
+  Telemetry.incr c_gt_pow;
+  F2M.leave prm.fp (F2M.pow prm.fp (F2M.enter prm.fp a) e)
 
 (* Per-pair Miller state: fixed affine inputs plus the running
    Jacobian T.  Several states can share one f-squaring chain — that

@@ -80,6 +80,10 @@ val gt_inv : Params.t -> gt -> gt
     @raise Division_by_zero on zero. *)
 
 val gt_pow : Params.t -> gt -> Nat.t -> gt
+(** [gt_pow prm a e] is a{^e}, by square-and-multiply in the
+    Montgomery domain (equal to [Fp2.pow] on any F_p² element).  Counts
+    on the registry counter [pairing.gt_pow]; not a pairing, so
+    {!pairings_performed} does not move.  Variable-time in [e]. *)
 
 val pairings_performed : unit -> int
 (** Process-wide count of pairing evaluations — the evaluation section

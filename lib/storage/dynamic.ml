@@ -59,12 +59,13 @@ type server = {
 (* The owner keeps the O(log n) frontier — the perfect-subtree roots
    named by the binary representation of the block count — instead of
    a bare root: appends become local, and the root/count are derived
-   on demand.  Still no block data client-side. *)
+   on demand.  Still no block data client-side.  The designation
+   bases ê(sk_ID, Q_CS) and ê(sk_ID, Q_DA) are computed once at [init],
+   so a signed write pays two GT exponentiations and no pairing. *)
 type client = {
   pub : Setup.public;
   key : Setup.identity_key;
-  cs_id : string;
-  da_id : string;
+  bases : Dvs.base * Dvs.base;
   c_file : string;
   mutable c_frontier : Frontier.frontier;
   c_bytes : int -> string;
@@ -81,16 +82,11 @@ type read_proof = {
 
 let sign_entry client ~index ~version content =
   let msg = signing_message_c ~file:client.c_file ~index ~version content in
-  let raw = Ibs.sign client.pub client.key ~bytes_source:client.c_bytes msg in
-  let cs = Dvs.designate client.pub raw ~verifier:client.cs_id in
-  let da = Dvs.designate client.pub raw ~verifier:client.da_id in
-  {
-    content;
-    version;
-    u = raw.Ibs.u;
-    sigma_cs = cs.Dvs.sigma;
-    sigma_da = da.Dvs.sigma;
-  }
+  let u, sigma_cs, sigma_da =
+    Dvs.sign client.pub client.key ~bytes_source:client.c_bytes client.bases
+      msg
+  in
+  { content; version; u; sigma_cs; sigma_da }
 
 let entry_leaf_hash ~index (e : entry) =
   Dtree.leaf_hash (leaf_content_c ~index ~version:e.version e.content)
@@ -101,8 +97,9 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
     {
       pub;
       key;
-      cs_id;
-      da_id;
+      bases =
+        ( Dvs.base pub key ~verifier:cs_id,
+          Dvs.base pub key ~verifier:da_id );
       c_file = file;
       c_frontier = [];
       c_bytes = bytes_source;

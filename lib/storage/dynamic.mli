@@ -63,6 +63,8 @@ val init :
   string list ->
   client * server
 (** Sign every payload at version 0, build the tree on both sides.
+    The client keeps its two designation bases ({!Sc_ibc.Dvs.base},
+    one pairing each), so later writes sign without pairings.
     @raise Invalid_argument on an empty payload list. *)
 
 val root : client -> string

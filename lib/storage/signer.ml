@@ -1,5 +1,4 @@
 module Setup = Sc_ibc.Setup
-module Ibs = Sc_ibc.Ibs
 module Dvs = Sc_ibc.Dvs
 
 type signed_block = {
@@ -13,12 +12,15 @@ type upload = { file : string; owner : string; blocks : signed_block array }
 
 let sign_file pub (key : Setup.identity_key) ~bytes_source ~cs_id ~da_id ~file
     payloads =
+  let bases =
+    Dvs.base pub key ~verifier:cs_id, Dvs.base pub key ~verifier:da_id
+  in
   let sign_one index data =
     let block = { Block.file; index; data } in
-    let raw = Ibs.sign pub key ~bytes_source (Block.signing_message block) in
-    let cs = Dvs.designate pub raw ~verifier:cs_id in
-    let da = Dvs.designate pub raw ~verifier:da_id in
-    { block; u = raw.Ibs.u; sigma_cs = cs.Dvs.sigma; sigma_da = da.Dvs.sigma }
+    let u, sigma_cs, sigma_da =
+      Dvs.sign pub key ~bytes_source bases (Block.signing_message block)
+    in
+    { block; u; sigma_cs; sigma_da }
   in
   { file; owner = key.Setup.id; blocks = Array.of_list (List.mapi sign_one payloads) }
 

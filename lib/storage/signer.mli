@@ -1,10 +1,13 @@
 (** Client-side Data Signing (§V-B1).
 
-    For each block the user produces the raw identity-based signature
-    (U_i, V_i), then publishes the designated forms Σ_i = ê(V_i, Q_CS)
-    and Σ'_i = ê(V_i, Q_DA) and discards V_i — only the cloud server
-    and the designated agency can verify, which is the
-    privacy-cheating-discouragement mechanism. *)
+    For each block the user publishes U_i and the designated forms
+    Σ_i = ê(V_i, Q_CS) and Σ'_i = ê(V_i, Q_DA) of the raw
+    identity-based signature (U_i, V_i) — only the cloud server and
+    the designated agency can verify, which is the
+    privacy-cheating-discouragement mechanism.  V_i = (r_i+h_i)·sk_ID
+    is never formed: by bilinearity Σ_i = ê(sk_ID, Q_CS)^(r_i+h_i), so
+    a file costs two pairings (the bases, {!Sc_ibc.Dvs.base}) plus two
+    GT exponentiations per block ({!Sc_ibc.Dvs.sign}). *)
 
 type signed_block = {
   block : Block.t;

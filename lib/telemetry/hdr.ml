@@ -25,8 +25,11 @@ let buckets ?(min_value = min_us) ?(max_value = max_us)
   in
   Array.init n (fun i -> min_value *. (r ** float_of_int i))
 
-let default_bounds_ = lazy (buckets ())
-let default_bounds () = Lazy.force default_bounds_
+(* Computed at module initialisation, not lazily: forcing a [lazy]
+   from two domains at once raises [CamlinternalLazy.Undefined] on
+   OCaml 5, and the first span closes can race exactly so. *)
+let default_bounds_ = buckets ()
+let default_bounds () = default_bounds_
 
 let histogram name = Registry.histogram ~buckets:(default_bounds ()) name
 let quantile = Registry.quantile

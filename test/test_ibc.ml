@@ -214,6 +214,85 @@ let property_tests =
         individual = batch);
   ]
 
+(* Dvs.sign raises the bases ê(sk_ID, Q_B) to e = r + h instead of
+   forming V = e·sk_ID and pairing it: same outputs, checked against
+   the textbook [designate (Ibs.sign …)] from the same DRBG seed. *)
+let designation_tests =
+  let open Util in
+  let open QCheck2.Gen in
+  let gen_msg = string_size ~gen:printable (int_range 0 60) in
+  let gen_id = map (fun s -> "v:" ^ s) (string_size ~gen:printable (int_range 0 12)) in
+  let gen_seed = string_size ~gen:char (int_range 1 16) in
+  let curve = prm.Sc_pairing.Params.curve in
+  let same_dvs u sigma (d : Dvs.t) =
+    String.equal (Curve.to_bytes curve u) (Curve.to_bytes curve d.Dvs.u)
+    && String.equal
+         (Sc_pairing.Tate.gt_to_bytes prm sigma)
+         (Sc_pairing.Tate.gt_to_bytes prm d.Dvs.sigma)
+  in
+  let bases v1 v2 =
+    Dvs.base pub alice ~verifier:v1, Dvs.base pub alice ~verifier:v2
+  in
+  [
+    qcheck ~count:12 "Dvs.sign = designate (Ibs.sign …) bit for bit, and verifies"
+      (quad gen_msg gen_seed gen_id gen_id) (fun (msg, seed, v1, v2) ->
+        let u, s1, s2 =
+          Dvs.sign pub alice ~bytes_source:(fresh_bs seed) (bases v1 v2) msg
+        in
+        let raw = Ibs.sign pub alice ~bytes_source:(fresh_bs seed) msg in
+        same_dvs u s1 (Dvs.designate pub raw ~verifier:v1)
+        && same_dvs u s2 (Dvs.designate pub raw ~verifier:v2)
+        && Dvs.verify pub ~verifier_key:(Setup.extract sio v1) ~signer:"alice"
+             ~msg { Dvs.u; sigma = s1 }
+        && Dvs.verify pub ~verifier_key:(Setup.extract sio v2) ~signer:"alice"
+             ~msg { Dvs.u; sigma = s2 });
+    qcheck ~count:6 "Dvs.sign output passes Agg.verify_batch for both verifiers"
+      (pair gen_seed (list_size (int_range 1 5) gen_msg)) (fun (seed, msgs) ->
+        let bs = fresh_bs seed in
+        let b = bases "cloud-server" "agency" in
+        let signed =
+          List.mapi
+            (fun i m ->
+              let msg = Printf.sprintf "%d:%s" i m in
+              msg, Dvs.sign pub alice ~bytes_source:bs b msg)
+            msgs
+        in
+        let batch pick =
+          List.map
+            (fun (msg, s) -> { Agg.signer = "alice"; msg; dvs = pick s })
+            signed
+        in
+        Agg.verify_batch pub ~verifier_key:cs
+          (batch (fun (u, s, _) -> { Dvs.u; sigma = s }))
+        && Agg.verify_batch pub ~verifier_key:da
+             (batch (fun (u, _, s) -> { Dvs.u; sigma = s })));
+    qcheck ~count:12 "a flipped bit of the exponent r+h is rejected"
+      (triple gen_msg gen_seed (int_range 0 1000)) (fun (msg, seed, k) ->
+        let u, sigma, _ =
+          Dvs.sign pub alice ~bytes_source:(fresh_bs seed)
+            (bases "agency" "cloud-server") msg
+        in
+        (* Replay the signer's one DRBG draw to rebuild e = r + h. *)
+        let module Nat = Sc_bignum.Nat in
+        let q = prm.Sc_pairing.Params.q in
+        let r =
+          Sc_pairing.Params.random_scalar prm ~bytes_source:(fresh_bs seed)
+        in
+        let e = Nat.rem (Nat.add r (Ibs.h2 pub ~u ~msg)) q in
+        let k = k mod Nat.bit_length q in
+        let bit = Nat.shift_left Nat.one k in
+        let flipped =
+          if Nat.test_bit e k then Nat.sub e bit else Nat.add e bit
+        in
+        let base = Sc_pairing.Tate.pairing prm alice.Setup.sk da.Setup.q_id in
+        let verify sigma =
+          Dvs.verify pub ~verifier_key:da ~signer:"alice" ~msg { Dvs.u; sigma }
+        in
+        Sc_pairing.Tate.gt_equal sigma (Sc_pairing.Tate.gt_pow prm base e)
+        && verify sigma
+        && not (verify (Sc_pairing.Tate.gt_pow prm base flipped)));
+  ]
+
 let ibe_tests =
   let open Util in
   [
@@ -260,4 +339,4 @@ let ibe_tests =
           (Ibe.ciphertext_of_bytes pub "0000junk" = None));
   ]
 
-let suite = unit_tests @ property_tests @ ibe_tests
+let suite = unit_tests @ property_tests @ designation_tests @ ibe_tests

@@ -342,6 +342,37 @@ let typed_secret_flow =
         \  match k with Setup.Sio s -> print_endline (Sha256.digest_hex s)\n");
     no_typed_findings "plain public strings do not taint"
       "let show s = print_endline s\n";
+    case "printing a designation base (Dvs.base) is flagged" (fun () ->
+        let fs =
+          typed_lint
+            "module Dvs = struct type base = string end\n\
+             let debug (b : Dvs.base) = Printf.printf \"base %s\\n\" b\n"
+        in
+        check Alcotest.string "key" "debug>Printf.printf"
+          (find_rule "typed-secret-flow" fs).Finding.key);
+    case "a base encoded to bytes by a helper stays secret" (fun () ->
+        (* The helper's own summary loses the flow in its int code, as
+           [Tate.gt_to_bytes] does; its string result is still
+           tainted at the call site. *)
+        let fs =
+          typed_lint
+            "module Dvs = struct type base = int array end\n\
+             let to_bytes g =\n\
+            \  String.concat \",\" (Array.to_list (Array.map string_of_int g))\n\
+             let debug (b : Dvs.base) = print_endline (to_bytes b)\n"
+        in
+        check Alcotest.string "key" "debug>print_endline"
+          (find_rule "typed-secret-flow" fs).Finding.key);
+    case "wire-encoding a signing exponent (Ibs.exponent) is flagged"
+      (fun () ->
+        let fs =
+          typed_lint
+            "module Ibs = struct type exponent = string end\n\
+             module Wire = struct let encode (s : string) = s end\n\
+             let ship (e : Ibs.exponent) = Wire.encode e\n"
+        in
+        check Alcotest.string "key" "ship>Wire.encode"
+          (find_rule "typed-secret-flow" fs).Finding.key);
   ]
 
 let pool_stub =

@@ -184,6 +184,15 @@ let multi_pairing_tests =
         ignore (Tate.multi_pairing prm [ Curve.infinity, g ]);
         check Alcotest.int "all-skipped counts zero" 0
           (Tate.pairings_performed ()));
+    case "gt_pow counts on pairing.gt_pow, not as a pairing" (fun () ->
+        let e = Tate.pairing prm g g in
+        let c0 = Sc_telemetry.Telemetry.counter_value "pairing.gt_pow" in
+        let p0 = Tate.pairings_performed () in
+        ignore (Tate.gt_pow prm e Nat.two);
+        ignore (Tate.gt_pow prm e Nat.zero);
+        check Alcotest.int "two exponentiations" 2
+          (Sc_telemetry.Telemetry.counter_value "pairing.gt_pow" - c0);
+        check Alcotest.int "no pairing" p0 (Tate.pairings_performed ()));
     case "gt_inv inverts non-unitary elements too" (fun () ->
         (* 2 + 0i is not unitary; the guarded gt_inv must still return
            a true inverse rather than the conjugate. *)
@@ -210,6 +219,19 @@ let property_tests =
         let h = Hash_g1.hash_to_point prm "fixed" in
         Tate.gt_equal (Tate.pairing prm pa h)
           (Tate.gt_pow prm (Tate.pairing prm g h) a));
+    qcheck ~count:40 "gt_pow (Montgomery) = Fp2.pow (Barrett), any F_p2 element"
+      QCheck2.Gen.(
+        triple (string_size ~gen:char (return 32))
+          (string_size ~gen:char (return 32))
+          (string_size ~gen:char (int_range 0 40)))
+      (fun (re, im, e) ->
+        let module Fp = Sc_field.Fp in
+        let module Fp2 = Sc_field.Fp2 in
+        let fp = prm.Params.fp in
+        let el s = Fp.of_nat fp (Nat.rem (Nat.of_bytes_be s) prm.Params.p) in
+        let a = Fp2.make (el re) (el im) in
+        let e = Nat.of_bytes_be e in
+        Tate.gt_equal (Tate.gt_pow prm a e) (Fp2.pow fp a e));
     qcheck ~count:15 "gt_pow additive in exponent"
       (QCheck2.Gen.pair gen_scalar gen_scalar) (fun (a, b) ->
         let e = Tate.pairing prm g g in

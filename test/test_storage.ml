@@ -393,4 +393,70 @@ let dynamic_tests =
         check Alcotest.int "nothing allocated or sampled" 0 huge.D.sampled);
   ]
 
-let suite = block_tests @ signer_tests @ server_tests @ dynamic_tests
+(* Digests recorded with the textbook signer, which paired
+   V = (r+h)·sk_ID with each verifier's Q ([Dvs.designate]).  The
+   bilinearity signer ([Dvs.sign]) must reproduce them bit for bit. *)
+let pin_digests params =
+  let system =
+    Seccloud.System.create ~params ~seed:"pin-system" ~cs_ids:[ "cs-1" ]
+      ~da_id:"da" ()
+  in
+  let pub = Seccloud.System.public system in
+  let prm = pub.Sc_ibc.Setup.prm in
+  let owner = Seccloud.System.register_user system "owner" in
+  let payloads = List.init 8 (fun i -> Block.encode_ints [ i; 3 * i; 7 ]) in
+  let sig_parts u cs da =
+    [
+      Sc_ec.Curve.to_bytes prm.curve u;
+      Sc_pairing.Tate.gt_to_bytes prm cs;
+      Sc_pairing.Tate.gt_to_bytes prm da;
+    ]
+  in
+  let hex parts = Sc_hash.Sha256.hex_of_digest (Sc_hash.Encode.digest parts) in
+  let upload =
+    Signer.sign_file pub owner ~bytes_source:(Util.fresh_bs "pin-signer")
+      ~cs_id:"cs-1" ~da_id:"da" ~file:"pinned" payloads
+  in
+  let signer =
+    hex
+      (List.concat_map
+         (fun (sb : Signer.signed_block) ->
+           sig_parts sb.u sb.sigma_cs sb.sigma_da)
+         (Array.to_list upload.blocks))
+  in
+  let client, server =
+    Dynamic.init pub owner ~bytes_source:(Util.fresh_bs "pin-dynamic")
+      ~cs_id:"cs-1" ~da_id:"da" ~file:"pinned" payloads
+  in
+  let dynamic =
+    hex
+      (Dynamic.root client
+      :: List.concat_map
+           (fun i ->
+             match Dynamic.read server i with
+             | Some rp -> sig_parts rp.u rp.sigma_cs rp.sigma_da
+             | None -> [])
+           (List.init (Dynamic.count client) Fun.id))
+  in
+  signer, dynamic
+
+let pinned_tests =
+  let open Util in
+  let pinned name params ~signer ~dynamic =
+    case (name ^ ": sign_file and Dynamic.init match the textbook digests")
+      (fun () ->
+        let s, d = pin_digests params in
+        check Alcotest.string "Signer.sign_file" signer s;
+        check Alcotest.string "Dynamic.init" dynamic d)
+  in
+  [
+    pinned "toy" Sc_pairing.Params.toy
+      ~signer:"0592e32f5af26fb0d38daf0710a9046f08a53e779ba6a2b7fd58dec23d2bad3b"
+      ~dynamic:"d2622ea8d7bd26fe1fa8136ed38ce3170b356409d7a042c1e54aad29cac7009e";
+    pinned "small" Sc_pairing.Params.small
+      ~signer:"992fd8a93ed34be83084bf8ac4f6403d70d418437e5af44cd760019d657ac553"
+      ~dynamic:"770d3fb67bb2dc0b2ed53215a90c0ac5038bcd7096cf99a83f7d4c6cb0541ce3";
+  ]
+
+let suite =
+  block_tests @ signer_tests @ server_tests @ dynamic_tests @ pinned_tests

@@ -89,9 +89,12 @@ let string_like ty =
     | _ -> false)
   | _ -> false
 
-(* Types whose values are secrets wherever they appear. *)
+(* Types whose values are secrets wherever they appear.  [Dvs.base] is
+   ê(sk_ID, Q_B), which forges B-designated signatures; [Ibs.exponent]
+   is r + h, which recovers that base from any published Σ. *)
 let secret_type_names =
-  SSet.of_list [ "Setup.sio"; "Setup.identity_key"; "Drbg.t" ]
+  SSet.of_list
+    [ "Setup.sio"; "Setup.identity_key"; "Drbg.t"; "Dvs.base"; "Ibs.exponent" ]
 
 let rec secret_ty ~current ty depth =
   if depth > 3 then None
@@ -444,7 +447,10 @@ and scan_apply ctx e head args =
                       if List.mem i s.returns_params then t else None)
                     pairs
               in
-              narrow (match res with Some _ -> res | None -> by_type ())
+              (* A string built from a secret stays secret even when
+                 the callee's summary lost the flow inside numeric
+                 code (a GT element through [Tate.gt_to_bytes]). *)
+              narrow (match res with Some _ -> res | None -> default ())
             | None -> narrow (default ()))
           | None -> narrow (default ()))))
   | _ ->
