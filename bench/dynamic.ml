@@ -6,7 +6,6 @@
    Wired into `make bench-check` via `make dynamic-check`. *)
 
 module Dt = Sc_merkle.Dynamic_tree
-module Tree = Sc_merkle.Tree
 module Drbg = Sc_hash.Drbg
 
 let sizes = [ 16_384; 131_072; 1_048_576 ]
@@ -74,7 +73,7 @@ let () =
           if n > small * 8 then None
           else
             let hashes = Dt.leaf_hashes t in
-            Some (time_ns ~iters:5 (fun () -> Tree.build_of_hashes hashes))
+            Some (time_ns ~iters:5 (fun () -> Dt.of_leaf_hashes hashes))
         in
         (n, modify_ns, append_ns, proof_verify_ns, rebuild_ns))
       sizes

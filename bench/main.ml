@@ -219,19 +219,20 @@ let substrate_tests =
   let b = Nat.random ~bytes_source:bs ~bits:512 in
   let m = Nat.random ~bytes_source:bs ~bits:256 in
   let leaves = List.init 256 (Printf.sprintf "leaf-%d") in
-  let tree = Sc_merkle.Tree.build leaves in
-  let proof = Sc_merkle.Tree.proof tree 100 in
-  let root = Sc_merkle.Tree.root tree in
+  let tree = Sc_merkle.Dynamic_tree.build leaves in
+  let proof = Sc_merkle.Dynamic_tree.proof tree 100 in
+  let root = Sc_merkle.Dynamic_tree.root tree in
+  let leaf_hash = Sc_merkle.Dynamic_tree.leaf_hash "leaf-100" in
   [
     Test.make ~name:"substrate/nat_mul_512"
       (Staged.stage (fun () -> Nat.mul a b));
     Test.make ~name:"substrate/nat_divmod_1024_512"
       (Staged.stage (fun () -> Nat.divmod (Nat.mul a b) m));
     Test.make ~name:"substrate/merkle_build_256"
-      (Staged.stage (fun () -> Sc_merkle.Tree.build leaves));
+      (Staged.stage (fun () -> Sc_merkle.Dynamic_tree.build leaves));
     Test.make ~name:"substrate/merkle_proof_verify"
       (Staged.stage (fun () ->
-           Sc_merkle.Tree.verify_proof ~root ~leaf_payload:"leaf-100" proof));
+           Sc_merkle.Dynamic_tree.verify ~root ~leaf_hash proof));
     Test.make ~name:"substrate/hmac_drbg_32B"
       (Staged.stage (fun () -> Sc_hash.Drbg.generate drbg 32));
   ]

@@ -230,12 +230,13 @@ let () =
 
 (* --- Domain-pool fan-out: 1 domain vs N ------------------------------
 
-   Times the three rewired hot paths at both domain counts and — the
-   part `make bench-check` actually gates on — verifies the results
-   are value-identical, so parallelism can never change a root, a
-   verdict or a Monte-Carlo outcome. *)
+   Times three hot paths at both domain counts and — the part
+   `make bench-check` actually gates on — verifies the results are
+   value-identical, so parallelism can never change a root, a verdict
+   or a Monte-Carlo outcome.  The Merkle build is sequential; its row
+   is the control. *)
 
-module Merkle = Sc_merkle.Tree
+module Merkle = Sc_merkle.Dynamic_tree
 module Mc = Sc_sim.Montecarlo
 module Protocol = Sc_audit.Protocol
 module Batch = Sc_audit.Batch

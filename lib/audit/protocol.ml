@@ -1,6 +1,6 @@
 module Ibs = Sc_ibc.Ibs
 module Warrant = Sc_ibc.Warrant
-module Merkle = Sc_merkle.Tree
+module Merkle = Sc_merkle.Dynamic_tree
 module Executor = Sc_compute.Executor
 module Task = Sc_compute.Task
 module Signer = Sc_storage.Signer
@@ -82,38 +82,69 @@ let respond pub ~now execution chal =
   if not (Warrant.verify pub ~now chal.warrant) then None
   else Some (List.map (Executor.respond execution) chal.sample_indices)
 
-(* The three per-sample checks of Algorithm 1. *)
-let check_sample pub ~verifier_key ~role ~owner ~commitment
-    (resp : Executor.response) =
+let root_signature_ok pub commitment =
+  Ibs.verify pub ~signer:commitment.cs_id
+    ~msg:("root:" ^ commitment.root)
+    commitment.root_signature
+
+(* Everything in Algorithm 1 but the designated signature, which batch
+   verification aggregates instead of checking per sample. *)
+let non_signature_checks ~commitment (resp : Executor.response) =
   let i = resp.Executor.task_index in
-  let failures = ref [] in
-  let fail f = failures := f :: !failures in
-  Telemetry.incr c_samples_checked;
-  (match resp.Executor.read with
-  | None -> fail (Signature_wrong i)
-  | Some { Sc_storage.Server.claimed; signed } ->
-    (* 1. IsSignatureWrong: the designated signature must cover the
-       claimed (file, position, data). *)
-    if not (Signer.verify_block pub ~verifier_key ~role ~owner claimed signed)
-    then fail (Signature_wrong i);
-    (* 2. IsComputingWrong: recompute f_i on the claimed data. *)
-    Telemetry.incr c_blocks_recomputed;
-    (match Task.eval resp.Executor.request.Task.func claimed with
-    | Some y when y = resp.Executor.result -> ()
-    | Some _ | None -> fail (Computing_wrong i));
-    (* Consistency: the block must be claimed at the audited position. *)
-    if claimed.Sc_storage.Block.index <> resp.Executor.request.Task.position
-    then fail (Signature_wrong i));
-  (* 3. IsRootWrong: rebuild R* from the leaf and its siblings. *)
+  let request = resp.Executor.request in
+  (* 3. IsRootWrong: rebuild R* from the leaf and its siblings.  The
+     path must open the challenged slot [i] of an [n_tasks]-leaf tree;
+     another slot's honest path is a relocation. *)
+  let proof = resp.Executor.proof in
   let leaf =
     Executor.leaf_payload ~result:resp.Executor.result
-      ~position:resp.Executor.request.Task.position
+      ~position:request.Task.position
   in
-  if not
-       (Merkle.verify_proof ~root:commitment.root ~leaf_payload:leaf
-          resp.Executor.proof)
-  then fail (Root_wrong i);
-  !failures
+  let root_failures =
+    if
+      proof.Merkle.index = i
+      && proof.Merkle.total = commitment.n_tasks
+      && Merkle.verify ~root:commitment.root ~leaf_hash:(Merkle.leaf_hash leaf)
+           proof
+    then []
+    else [ Root_wrong i ]
+  in
+  let read_failures =
+    match resp.Executor.read with
+    | None -> [ Signature_wrong i ]
+    | Some { Sc_storage.Server.claimed; _ } ->
+      Telemetry.incr c_blocks_recomputed;
+      (* Consistency: the block must be claimed at the audited
+         position. *)
+      let position =
+        if claimed.Sc_storage.Block.index = request.Task.position then []
+        else [ Signature_wrong i ]
+      in
+      (* 2. IsComputingWrong: recompute f_i on the claimed data. *)
+      let computing =
+        match Task.eval request.Task.func claimed with
+        | Some y when y = resp.Executor.result -> []
+        | Some _ | None -> [ Computing_wrong i ]
+      in
+      position @ computing
+  in
+  root_failures @ read_failures
+
+let check_sample pub ~verifier_key ~role ~owner ~commitment
+    (resp : Executor.response) =
+  Telemetry.incr c_samples_checked;
+  (* 1. IsSignatureWrong: the designated signature must cover the
+     claimed (file, position, data). *)
+  let signature_failures =
+    match resp.Executor.read with
+    | Some { Sc_storage.Server.claimed; signed }
+      when not
+             (Signer.verify_block pub ~verifier_key ~role ~owner claimed signed)
+      ->
+      [ Signature_wrong resp.Executor.task_index ]
+    | Some _ | None -> []
+  in
+  non_signature_checks ~commitment resp @ signature_failures
 
 let verify pub ~verifier_key ~role ~owner commitment chal responses =
   Telemetry.incr c_rounds;
@@ -122,12 +153,7 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
   @@ fun () ->
   (* Root commitment authenticity: Sig_CS(R). *)
   let root_failures =
-    if
-      Ibs.verify pub ~signer:commitment.cs_id
-        ~msg:("root:" ^ commitment.root)
-        commitment.root_signature
-    then []
-    else [ Root_signature_wrong ]
+    if root_signature_ok pub commitment then [] else [ Root_signature_wrong ]
   in
   let by_index =
     List.fold_left

@@ -1,7 +1,7 @@
 module Server = Sc_storage.Server
 module Setup = Sc_ibc.Setup
 module Ibs = Sc_ibc.Ibs
-module Merkle = Sc_merkle.Tree
+module Merkle = Sc_merkle.Dynamic_tree
 module Telemetry = Sc_telemetry.Telemetry
 
 let c_executions = Telemetry.counter "compute.executions"

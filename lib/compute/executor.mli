@@ -26,7 +26,7 @@ type response = {
   request : Task.request;
   read : Sc_storage.Server.read_result option; (* data + signature *)
   result : int;
-  proof : Sc_merkle.Tree.proof;
+  proof : Sc_merkle.Dynamic_tree.proof;
 }
 
 type execution

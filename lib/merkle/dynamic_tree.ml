@@ -1,29 +1,27 @@
-(* Persistent, path-copying, rank-annotated Merkle tree.
+(* Persistent, path-copying Merkle tree (eq. 6 and Figure 3 of the
+   paper): the one tree behind computation commitments and dynamic
+   storage.
 
-   The array-of-levels {!Tree} is ideal for build-once workloads but
-   every mutation rebuilds all levels.  This module keeps the *same
-   canonical shape* as [Tree.build] — interior node = (perfect left
-   subtree of [split n] leaves, rest) where [split n] is the largest
-   power of two strictly below [n]; a trailing odd node promotes
-   unchanged — as an immutable pointer tree, so
+   Leaves are SHA-256 hashes of caller payloads; an interior node is
+   Omega(V) = H("node:" || Omega(left) || Omega(right)).  The shape is
+   canonical: a node over [n] leaves has a perfect left subtree of
+   [split n] leaves, the largest power of two strictly below [n], and
+   the rest on the right.  That is exactly the tree level-by-level
+   pairing produces (a trailing odd node promotes unchanged), so a
+   build-once commitment is just the degenerate case, and
 
    - [modify] / [append] copy one root-to-leaf path: O(log n) hashes,
      everything else is shared between versions;
    - [insert] / [delete] at position [i] share every node left of [i]
      and rebuild only the suffix whose pairing shifts (O(log n) at the
-     tail, O(n - i) hashes in the middle — re-pairing a shifted suffix
-     is a lower bound for any shape-canonical Merkle tree);
-   - every reachable root is bit-identical to [Tree.build] over the
-     same leaf sequence, so dynamic and rebuild-from-scratch verifiers
-     interoperate (the qcheck suite pins this at 1 and 4 domains).
+     tail, O(n - i) hashes in the middle -- re-pairing a shifted suffix
+     is a lower bound for any shape-canonical Merkle tree).
 
-   Every node carries its leaf count (rank, in the sense of the
-   Wang-style public-auditing data-dynamics line), and proofs export
-   the sibling ranks: because the shape is a function of the leaf
-   count alone, a verifier that knows the *signed* total can recompute
-   the expected turn directions and sibling sizes for a claimed index
-   and reject any path whose geometry disagrees — position binding
-   without trusting the server's ranks. *)
+   Every node carries its leaf count (rank).  Because the shape is a
+   function of the leaf count alone, a proof is just the claimed
+   (index, total) and the sibling hashes: the verifier derives each
+   sibling's side from the claim and rejects a path of the wrong
+   length, so position is bound as strongly as content. *)
 
 type node =
   | Leaf of string
@@ -33,14 +31,17 @@ type t = node
 
 module Telemetry = Sc_telemetry.Telemetry
 
+let c_builds = Telemetry.counter "merkle.builds"
+let c_leaves = Telemetry.counter "merkle.leaves_built"
+let c_proof_checks = Telemetry.counter "merkle.proof_checks"
 let c_modify = Telemetry.counter "merkle.dynamic.update"
 let c_insert = Telemetry.counter "merkle.dynamic.insert"
 let c_delete = Telemetry.counter "merkle.dynamic.delete"
 let c_append = Telemetry.counter "merkle.dynamic.append"
 let c_rank_checks = Telemetry.counter "merkle.dynamic.rank_checks"
 
-let leaf_hash = Tree.leaf_hash
-let node_hash = Tree.node_hash
+let leaf_hash payload = Sc_hash.Sha256.digest_concat [ "leaf:"; payload ]
+let node_hash left right = Sc_hash.Sha256.digest_concat [ "node:"; left; right ]
 let size = function Leaf _ -> 1 | Node { n; _ } -> n
 let hash = function Leaf h -> h | Node { h; _ } -> h
 let root = hash
@@ -49,10 +50,9 @@ let mk l r =
   Node { h = node_hash (hash l) (hash r); n = size l + size r; l; r }
 
 (* Largest power of two strictly below [n] (n >= 2): the canonical
-   left-subtree span, identical to the pairing [Tree.build_levels]
-   produces. *)
+   left-subtree span.  [p < n - p] is [2p < n] without overflow. *)
 let split n =
-  let rec go p = if p * 2 < n then go (p * 2) else p in
+  let rec go p = if p < n - p then go (p * 2) else p in
   go 1
 
 let is_pow2 n = n land (n - 1) = 0
@@ -64,9 +64,13 @@ let rec build_range arr lo n =
     mk (build_range arr lo s) (build_range arr (lo + s) (n - s))
 
 let of_leaf_hashes hashes =
-  if hashes = [] then invalid_arg "Dynamic_tree.of_leaf_hashes: empty";
+  if hashes = [] then invalid_arg "Dynamic_tree: empty leaf list";
   let arr = Array.of_list hashes in
-  build_range arr 0 (Array.length arr)
+  let n = Array.length arr in
+  Telemetry.incr c_builds;
+  Telemetry.add c_leaves n;
+  Telemetry.with_span ~name:"merkle.build" ~attrs:[ "leaves", string_of_int n ]
+    (fun () -> build_range arr 0 n)
 
 let build payloads = of_leaf_hashes (List.map leaf_hash payloads)
 
@@ -214,19 +218,14 @@ let apply_op t = function
    batch instead of one per mutation. *)
 let apply t ops = List.fold_left apply_op t ops
 
-(* --- rank proofs ---------------------------------------------------- *)
+(* --- proofs ----------------------------------------------------------- *)
 
 type side = L | R
 
-(* Leaf-to-root path; each step names the sibling's side, its rank
-   (leaf count) and its hash.  [total] is the tree's leaf count at
-   proof time, so the proof claims a position *within a stated
-   population* — exactly what a signed root statement also binds. *)
-type proof = {
-  index : int;
-  total : int;
-  path : (side * int * string) list;
-}
+(* [index] is the claimed leaf position among [total] leaves (the
+   population a signed root statement also binds); [path] holds only
+   the sibling hashes, bottom-up. *)
+type proof = { index : int; total : int; path : string list }
 
 let proof t i =
   if i < 0 || i >= size t then invalid_arg "Dynamic_tree.proof: out of bounds";
@@ -235,49 +234,42 @@ let proof t i =
     | Leaf _ -> acc
     | Node { l; r; _ } ->
       let sl = size l in
-      if i < sl then go l i ((R, size r, hash r) :: acc)
-      else go r (i - sl) ((L, sl, hash l) :: acc)
+      if i < sl then go l i (hash r :: acc) else go r (i - sl) (hash l :: acc)
   in
   { index = i; total = size t; path = go t i [] }
 
-(* Expected geometry of a canonical path for [index] within [total]
-   leaves, root-to-leaf: the shape is a function of [total] alone, so
-   sides and sibling ranks are pure arithmetic — a server cannot lie
-   about a leaf's position without breaking the hash chain. *)
+(* Bottom-up sibling sides for [index] among [total] leaves: the shape
+   is a function of [total] alone, so this is pure arithmetic. *)
 let expected_geometry ~total ~index =
+  if total < 1 || index < 0 || index >= total then
+    invalid_arg "Dynamic_tree.expected_geometry: index out of range";
   let rec go n i acc =
     if n = 1 then acc
     else
       let s = split n in
-      if i < s then go s i ((R, n - s) :: acc)
-      else go (n - s) (i - s) ((L, s) :: acc)
+      if i < s then go s i (R :: acc) else go (n - s) (i - s) (L :: acc)
   in
   go total index []
 
-let root_of_proof ~leaf_hash p =
-  List.fold_left
-    (fun acc (side, _, sib) ->
+let fold_sides ~leaf_hash sides path =
+  List.fold_left2
+    (fun acc side sib ->
       match side with L -> node_hash sib acc | R -> node_hash acc sib)
-    leaf_hash p.path
+    leaf_hash sides path
 
-let check_geometry p =
+let root_of_proof ~leaf_hash p =
   Telemetry.incr c_rank_checks;
-  p.total >= 1
-  && p.index >= 0
-  && p.index < p.total
-  &&
-  let geom = expected_geometry ~total:p.total ~index:p.index in
-  List.length geom = List.length p.path
-  && List.for_all2
-       (fun (side, rank) (side', rank', _) -> side = side' && rank = rank')
-       geom p.path
+  if p.total < 1 || p.index < 0 || p.index >= p.total then None
+  else
+    let sides = expected_geometry ~total:p.total ~index:p.index in
+    if List.compare_lengths sides p.path <> 0 then None
+    else Some (fold_sides ~leaf_hash sides p.path)
 
 let verify ~root:expected_root ~leaf_hash p =
-  check_geometry p
-  && String.equal expected_root (root_of_proof ~leaf_hash p)
-
-let verify_payload ~root ~leaf_payload p =
-  verify ~root ~leaf_hash:(leaf_hash leaf_payload) p
+  Telemetry.incr c_proof_checks;
+  match root_of_proof ~leaf_hash p with
+  | Some r -> String.equal expected_root r
+  | None -> false
 
 let equal_root a b = String.equal (root a) (root b)
 
@@ -325,30 +317,21 @@ module Frontier = struct
     in
     List.rev (merge ((1, h) :: List.rev f))
 
-  (* Fold a rank-proof path into the frontier: replacing the leaf at
+  (* Fold a proof path into the frontier: replacing the leaf at
      [p.index] with [leaf_hash] updates exactly one frontier piece (the
-     binary-representation block containing the index); the first
-     log2(block) path steps stay inside it.  O(log n), no server data
-     beyond the already-verified proof. *)
+     perfect binary-representation block containing the index).  The
+     block is itself a canonical tree, so the path's first steps are
+     the block's own proof for the in-block offset.  O(log n), no
+     server data beyond the already-verified proof. *)
   let modify (f : frontier) (p : proof) ~leaf_hash =
     let rec go acc before = function
       | [] -> invalid_arg "Frontier.modify: index out of range"
       | (n, h) :: rest ->
         if p.index < before + n then begin
-          let depth =
-            let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2) in
-            log2 n
-          in
+          let sides = expected_geometry ~total:n ~index:(p.index - before) in
+          let depth = List.length sides in
           let inner = List.filteri (fun i _ -> i < depth) p.path in
-          let h' =
-            List.fold_left
-              (fun acc (side, _, sib) ->
-                match side with
-                | L -> node_hash sib acc
-                | R -> node_hash acc sib)
-              leaf_hash inner
-          in
-          List.rev_append acc ((n, h') :: rest)
+          List.rev_append acc ((n, fold_sides ~leaf_hash sides inner) :: rest)
         end
         else go ((n, h) :: acc) (before + n) rest
     in

@@ -1,10 +1,15 @@
-(** Persistent, path-copying, rank-annotated Merkle tree.
+(** Merkle hash trees (eq. 6 and Figure 3 of the paper): one
+    persistent, path-copying, rank-annotated tree serves computation
+    commitments and dynamic storage alike.
 
-    Same leaf/node hashing and the same canonical shape as {!Tree}
-    (left child = largest power of two strictly below the leaf count),
-    so every reachable root is bit-identical to [Tree.build] over the
-    same leaf sequence — but mutations copy one path instead of
-    rebuilding every level:
+    Leaves are domain-separated SHA-256 hashes of caller payloads;
+    interior nodes are Omega(V) = H("node:" || Omega(left) ||
+    Omega(right)).  The shape is canonical (left child = largest power
+    of two strictly below the leaf count; equivalently, pair nodes level
+    by level and promote an odd last node unchanged), so a single-leaf
+    tree has root = leaf hash and a build-once commitment is the
+    degenerate case of the dynamic tree.  Mutations copy one path
+    instead of rebuilding every level:
 
     - {!modify} and {!append} are O(log n) hashes, all untouched nodes
       shared between versions;
@@ -13,9 +18,10 @@
       O(log n) at the tail, O(n - i) in the middle (a lower bound for
       any shape-canonical Merkle tree, since inserting shifts every
       later pairing);
-    - {!proof}s carry sibling ranks, and {!verify} recomputes the
-      expected path geometry from the (signed) total and claimed
-      index, so position is bound as strongly as content — the data
+    - a {!proof} is the claimed (index, total) plus the sibling hashes
+      -- the "sibling sets" the cloud server returns in the Audit
+      Response step.  {!verify} derives every sibling's side from the
+      claim, so position is bound as strongly as content: the data
       dynamics of Wang-style public auditing (arXiv:1405.6263,
       arXiv:1612.08029) on SecCloud's tree;
     - {!apply} folds a batch of ops into one root transition, so a
@@ -32,9 +38,7 @@ type side = L | R
 type proof = {
   index : int;  (** claimed leaf position *)
   total : int;  (** leaf count at proof time *)
-  path : (side * int * string) list;
-      (** bottom-up: sibling side, sibling rank (leaf count), sibling
-          hash *)
+  path : string list;  (** sibling hashes, bottom-up *)
 }
 
 type op =
@@ -42,10 +46,13 @@ type op =
   | Insert of { index : int; leaf : string }
   | Append of { leaf : string }
   | Delete of { index : int }
-(** [leaf] fields are leaf {e hashes} (see {!Tree.leaf_hash}). *)
+(** [leaf] fields are leaf {e hashes} (see {!leaf_hash}). *)
 
 val leaf_hash : string -> string
-(** = {!Tree.leaf_hash}. *)
+(** Domain-separated hash of a leaf payload. *)
+
+val node_hash : string -> string -> string
+(** Domain-separated interior-node hash, H("node:" || l || r). *)
 
 val build : string list -> t
 (** From leaf payloads. @raise Invalid_argument on the empty list. *)
@@ -82,28 +89,27 @@ val apply : t -> op list -> t
     version — one signed root statement for k mutations. *)
 
 val proof : t -> int -> proof
-(** Rank-annotated authentication path: O(log n).
+(** Authentication path for leaf [i]: O(log n).
     @raise Invalid_argument out of bounds. *)
 
-val root_of_proof : leaf_hash:string -> proof -> string
-(** Fold a (new) leaf hash through the path: the post-modify root. *)
+val expected_geometry : total:int -> index:int -> side list
+(** The bottom-up sibling sides the canonical shape dictates for
+    [index] among [total] leaves; its length is the number of hashes a
+    proof for that claim carries.
+    @raise Invalid_argument unless [0 <= index < total]. *)
 
-val check_geometry : proof -> bool
-(** Just the positional half of {!verify}: sides and sibling ranks
-    equal the canonical decomposition of [index] within [total]. *)
+val root_of_proof : leaf_hash:string -> proof -> string option
+(** Fold a leaf hash up the path along {!expected_geometry} for the
+    proof's claim: the root the proof yields, or [None] when the claim
+    is out of range or the hash count differs from the geometry depth.
+    Folding a {e new} leaf through an old path gives the post-modify
+    root. *)
 
 val verify : root:string -> leaf_hash:string -> proof -> bool
-(** Checks the path geometry (sides and sibling ranks must equal the
-    canonical decomposition of [proof.index] within [proof.total] —
-    pure arithmetic, so a lying server cannot relocate a leaf) and the
-    hash chain against [root].  The caller is expected to have bound
-    [proof.total] to a signed count. *)
-
-val verify_payload : root:string -> leaf_payload:string -> proof -> bool
-
-val expected_geometry : total:int -> index:int -> (side * int) list
-(** The bottom-up sibling (side, rank) sequence the canonical shape
-    dictates for [index] among [total] leaves; exposed for tests. *)
+(** [root_of_proof] lands on [root].  The sides are pure arithmetic on
+    ([index], [total]), so a lying server cannot relocate a leaf; the
+    caller is expected to bind [index] to the slot it asked for and
+    [total] to a signed count. *)
 
 val equal_root : t -> t -> bool
 

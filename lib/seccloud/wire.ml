@@ -4,7 +4,7 @@ module Server = Sc_storage.Server
 module Task = Sc_compute.Task
 module Executor = Sc_compute.Executor
 module Protocol = Sc_audit.Protocol
-module Merkle = Sc_merkle.Tree
+module Merkle = Sc_merkle.Dynamic_tree
 module Setup = Sc_ibc.Setup
 module Ibs = Sc_ibc.Ibs
 module Warrant = Sc_ibc.Warrant
@@ -161,27 +161,23 @@ let r_request r =
   { Task.func; position }
 
 let w_proof b (p : Merkle.proof) =
-  Codec.w_u32 b p.Merkle.leaf_index;
-  Codec.w_list b
-    (fun b (side, hash) ->
-      Codec.w_u8 b (match side with Merkle.L -> 0 | Merkle.R -> 1);
-      Codec.w_bytes b hash)
-    p.Merkle.path
+  Codec.w_u32 b p.Merkle.index;
+  Codec.w_u32 b p.Merkle.total;
+  Codec.w_list b Codec.w_bytes p.Merkle.path
 
+(* The claim is validated, and the hash count checked against the
+   depth it dictates (at most 32 for a u32 total), before anything is
+   sized by it. *)
 let r_proof r =
-  let leaf_index = Codec.r_u32 r in
-  let path =
-    Codec.r_list r (fun r ->
-        let side =
-          match Codec.r_u8 r with
-          | 0 -> Merkle.L
-          | 1 -> Merkle.R
-          | _ -> raise (Codec.Decode_error "invalid proof side")
-        in
-        let hash = Codec.r_bytes r in
-        side, hash)
-  in
-  { Merkle.leaf_index; path }
+  let index = Codec.r_u32 r in
+  let total = Codec.r_u32 r in
+  if total = 0 then raise (Codec.Decode_error "proof over zero leaves");
+  if index >= total then raise (Codec.Decode_error "proof index out of range");
+  let depth = List.length (Merkle.expected_geometry ~total ~index) in
+  if Codec.r_u32 r <> depth then
+    raise (Codec.Decode_error "proof length differs from its geometry");
+  let path = List.init depth (fun _ -> Codec.r_bytes r) in
+  { Merkle.index; total; path }
 
 let w_warrant pub b (w : Warrant.signed) =
   Codec.w_bytes b w.Warrant.warrant.Warrant.delegator;

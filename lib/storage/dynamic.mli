@@ -25,7 +25,7 @@
     - [batch] folds k mutations into one root transition so the owner
       signs a single root statement for the lot;
     - the DA audits against a client-signed root statement, checking
-      the designated signature, the version, and the rank-annotated
+      the designated signature, the version, and the position-bound
       Merkle path of each sampled block; the stated block count is
       validated against the server's entry range and a hard cap
       before any allocation. *)
@@ -83,7 +83,7 @@ type read_proof = {
 
 val read : server -> int -> read_proof option
 (** Server answers a read with the block, its signature material and
-    its rank-annotated authentication path. *)
+    its position-bound authentication path. *)
 
 val verify_read : client -> index:int -> read_proof -> bool
 (** Owner-side check of a read against the held root: Merkle path,
@@ -159,7 +159,7 @@ val audit :
     stated count against the server's entry range and
     {!audit_count_cap} {e before} sizing any allocation from it, then
     for each sampled index checks the designated signature
-    (version- and kind-bound) and the rank-annotated Merkle path —
+    (version- and kind-bound) and the position-bound Merkle path —
     position as well as content — against the stated root.  Any
     validation failure yields [intact = false] rather than an
     exception. *)

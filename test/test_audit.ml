@@ -580,7 +580,96 @@ let noninteractive_tests =
           ]);
   ]
 
+(* Relocation: against a commit-garbage execution, the server answers
+   every challenged slot with one honest slot's response relabelled to
+   the challenged index.  Data, signature and recomputation all check
+   out and the Merkle path is valid, but for another slot; only binding
+   the proof's position to the challenged index rejects it. *)
+let relocation_tests =
+  let open Util in
+  let module Ni = Sc_audit.Noninteractive in
+  let fixture =
+    lazy
+      (let execution =
+         setup_execution ~behaviour:(Executor.Commit_garbage_fraction 0.75) ()
+       in
+       let commitment = Protocol.commitment_of_execution execution in
+       let warrant = warrant () in
+       (* A slot whose own single-sample audit passes is honest. *)
+       let honest i =
+         (Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+            commitment
+            { Protocol.sample_indices = [ i ]; warrant }
+            [ Executor.respond execution i ])
+           .Protocol.valid
+       in
+       let src = List.find honest (List.init 16 Fun.id) in
+       let relocate i =
+         { (Executor.respond execution src) with Executor.task_index = i }
+       in
+       execution, commitment, warrant, src, relocate)
+  in
+  let names = List.map (Format.asprintf "%a" Protocol.pp_failure) in
+  (* Every challenged slot but the honest source is a relocation. *)
+  let expected src indices =
+    names
+      (List.filter_map
+         (fun i -> if i = src then None else Some (Protocol.Root_wrong i))
+         indices)
+  in
+  [
+    case "relocated answers fail Protocol.verify" (fun () ->
+        let execution, commitment, warrant, src, relocate =
+          Lazy.force fixture
+        in
+        let challenge =
+          { Protocol.sample_indices = List.init 16 Fun.id; warrant }
+        in
+        let verify responses =
+          Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+            commitment challenge responses
+        in
+        check Alcotest.bool "honest answers are caught" false
+          (verify (List.map (Executor.respond execution) (List.init 16 Fun.id)))
+            .Protocol.valid;
+        let v = verify (List.map relocate challenge.Protocol.sample_indices) in
+        check Alcotest.bool "invalid" false v.Protocol.valid;
+        check Alcotest.(list string) "Root_wrong at every other slot"
+          (expected src challenge.Protocol.sample_indices)
+          (names v.Protocol.failures));
+    case "relocated answers fail Batch.verify_jobs" (fun () ->
+        let _, commitment, warrant, src, relocate = Lazy.force fixture in
+        let challenge =
+          { Protocol.sample_indices = List.init 16 Fun.id; warrant }
+        in
+        let responses = List.map relocate challenge.Protocol.sample_indices in
+        let v =
+          Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
+            [ { Batch.owner = "alice"; commitment; challenge; responses } ]
+        in
+        check Alcotest.bool "invalid" false v.Protocol.valid;
+        check Alcotest.(list string) "Root_wrong at every other slot"
+          (expected src challenge.Protocol.sample_indices)
+          (names v.Protocol.failures));
+    case "relocated answers fail Noninteractive.verify" (fun () ->
+        let execution, _, _, src, relocate = Lazy.force fixture in
+        let proof = Ni.prove pub ~owner:"alice" ~epoch:3 ~samples:8 execution in
+        let indices =
+          List.map
+            (fun (r : Executor.response) -> r.Executor.task_index)
+            proof.Ni.responses
+        in
+        let forged = { proof with Ni.responses = List.map relocate indices } in
+        let v =
+          Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+            ~expected_epoch:3 ~samples:8 forged
+        in
+        check Alcotest.bool "invalid" false v.Protocol.valid;
+        check Alcotest.(list string) "Root_wrong at every other slot"
+          (expected src indices) (names v.Protocol.failures));
+  ]
+
 let suite =
   sampling_tests @ optimal_tests @ protocol_tests @ batch_tests
   @ batch_blame_tests @ trust_tests
-  @ noninteractive_tests
+  @ noninteractive_tests @ relocation_tests

@@ -1,7 +1,7 @@
 open Sc_compute
 module Block = Sc_storage.Block
 module Server = Sc_storage.Server
-module Merkle = Sc_merkle.Tree
+module Merkle = Sc_merkle.Dynamic_tree
 
 let system = Lazy.force Util.shared_system
 let pub = Seccloud.System.public system
@@ -112,8 +112,10 @@ let executor_tests =
               ~position:r.Executor.request.Task.position
           in
           check Alcotest.bool "path ok" true
-            (Merkle.verify_proof ~root:(Executor.root exec) ~leaf_payload:leaf
-               r.Executor.proof)
+            (Merkle.verify ~root:(Executor.root exec)
+               ~leaf_hash:(Merkle.leaf_hash leaf) r.Executor.proof);
+          check Alcotest.(pair int int) "claims slot i of 12" (i, 12)
+            (r.Executor.proof.Merkle.index, r.Executor.proof.Merkle.total)
         done);
     case "respond out of bounds raises" (fun () ->
         let server = make_server () in
@@ -165,8 +167,8 @@ let executor_tests =
             ~position:r.Executor.request.Task.position
         in
         check Alcotest.bool "root mismatch" false
-          (Merkle.verify_proof ~root:(Executor.root exec) ~leaf_payload:leaf
-             r.Executor.proof));
+          (Merkle.verify ~root:(Executor.root exec)
+             ~leaf_hash:(Merkle.leaf_hash leaf) r.Executor.proof));
     case "computing_confidence mapping" (fun () ->
         let close a b = Float.abs (a -. b) < 1e-9 in
         check Alcotest.bool "honest" true

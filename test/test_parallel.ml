@@ -6,7 +6,7 @@
    of the suite keeps its default behavior. *)
 
 module Telemetry = Sc_telemetry.Telemetry
-module Merkle = Sc_merkle.Tree
+module Merkle = Sc_merkle.Dynamic_tree
 module Mc = Sc_sim.Montecarlo
 
 let with_domains n f =

@@ -7,6 +7,8 @@
 module Wire = Seccloud.Wire
 module Task = Sc_compute.Task
 module Protocol = Sc_audit.Protocol
+module Executor = Sc_compute.Executor
+module Merkle = Sc_merkle.Dynamic_tree
 module Gen = QCheck2.Gen
 
 let system = Lazy.force Util.shared_system
@@ -129,6 +131,32 @@ let kind_coverage =
             Alcotest.failf "round trip changed a %s" (Wire.kind_name m))
         all)
 
+(* A proof's claimed (index, total) and its hash count are checked
+   before the decoder sizes anything by them: each doctored proof must
+   fail typed. *)
+let malformed_proofs =
+  let rejects name doctor =
+    Util.case ("audit response rejects " ^ name) (fun () ->
+        let r = List.hd responses in
+        let m =
+          Wire.Audit_response
+            [ { r with Executor.proof = doctor r.Executor.proof } ]
+        in
+        match Wire.decode pub (Wire.encode pub m) with
+        | _ -> Alcotest.fail "doctored proof decoded"
+        | exception Wire.Decode_error _ -> ())
+  in
+  [
+    rejects "a proof over zero leaves" (fun p ->
+        { p with Merkle.index = 0; total = 0 });
+    rejects "an index at the total" (fun p ->
+        { p with Merkle.index = p.Merkle.total });
+    rejects "one hash too many" (fun p ->
+        { p with Merkle.path = p.Merkle.path @ [ String.make 32 'x' ] });
+    rejects "one hash too few" (fun p ->
+        { p with Merkle.path = List.tl p.Merkle.path });
+  ]
+
 (* Trace-context envelope fixtures: the unsigned envelope in front of
    every wire message.  A corrupted context must be dropped without
    ever touching payload verification, and framing damage (bad flag,
@@ -222,3 +250,4 @@ let suite =
         | exception Wire.Decode_error _ -> true
         | exception _ -> false);
   ]
+  @ malformed_proofs
