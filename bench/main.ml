@@ -108,8 +108,8 @@ let table2_tests =
           fun () -> Sc_ibc.Ibs.verify_batch pub entries));
     Test.make ~name:"table2/dvs_verify"
       (Staged.stage (fun () ->
-           Sc_ibc.Dvs.verify pub ~verifier_key:da_key ~signer:"alice" ~msg:"msg"
-             dvs));
+           Sc_ibc.Dvs.verify pub ~verifier_key:da_key
+             ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") ~msg:"msg" dvs));
     Test.make ~name:"table2/batch_verify_10"
       (Staged.stage (fun () ->
            Sc_ibc.Agg.verify_batch pub ~verifier_key:da_key batch10));

@@ -151,8 +151,8 @@ let table2 preset sizes =
         time_of ~min_reps:1 (fun () ->
             List.for_all
               (fun (m, d) ->
-                Sc_ibc.Dvs.verify pub ~verifier_key:da_key ~signer:"alice"
-                  ~msg:m d)
+                Sc_ibc.Dvs.verify pub ~verifier_key:da_key
+                  ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") ~msg:m d)
               dvs_list)
       in
       row "Ours" "individual" t (string_of_int n) "2n pairings";
@@ -529,7 +529,8 @@ let ablation preset =
     (fun () ->
       List.for_all
         (fun e ->
-          Sc_ibc.Dvs.verify pub ~verifier_key:da_key ~signer:e.Sc_ibc.Agg.signer
+          Sc_ibc.Dvs.verify pub ~verifier_key:da_key
+            ~q_id:(Sc_ibc.Setup.q_of_id pub e.Sc_ibc.Agg.signer)
             ~msg:e.Sc_ibc.Agg.msg e.Sc_ibc.Agg.dvs)
         entries)
 
@@ -601,8 +602,8 @@ let costs preset =
         (fun e ->
           assert
             (Sc_ibc.Dvs.verify pub ~verifier_key:da_key
-               ~signer:e.Sc_ibc.Agg.signer ~msg:e.Sc_ibc.Agg.msg
-               e.Sc_ibc.Agg.dvs))
+               ~q_id:(Sc_ibc.Setup.q_of_id pub e.Sc_ibc.Agg.signer)
+               ~msg:e.Sc_ibc.Agg.msg e.Sc_ibc.Agg.dvs))
         dvs_entries);
   measure
     (Printf.sprintf "Agg.verify_batch (n=%d)" t)

@@ -30,15 +30,15 @@ let () =
   let raw = Ibs.sign pub alice ~bytes_source:bs secret_record in
   let designated = Dvs.designate pub raw ~verifier:"cloud-server" in
   Printf.printf "cloud server verifies alice's record: %b\n"
-    (Dvs.verify pub ~verifier_key:cloud ~signer:"alice" ~msg:secret_record
-       designated);
+    (Dvs.verify pub ~verifier_key:cloud ~q_id:alice.Setup.q_id
+       ~msg:secret_record designated);
 
   (* The compromised server leaks {record, signature} to a competitor.
      The competitor holds its own extracted key — but it is not the
      designated verifier, so verification fails. *)
   Printf.printf "competitor can verify the leaked transcript: %b\n"
-    (Dvs.verify pub ~verifier_key:competitor ~signer:"alice" ~msg:secret_record
-       designated);
+    (Dvs.verify pub ~verifier_key:competitor ~q_id:alice.Setup.q_id
+       ~msg:secret_record designated);
 
   (* Worse for the seller: the server can fabricate transcripts for
      records alice never signed, and they verify identically.  A buyer
@@ -50,7 +50,7 @@ let () =
   in
   Printf.printf
     "server-simulated signature on a record alice never signed verifies: %b\n"
-    (Dvs.verify pub ~verifier_key:cloud ~signer:"alice" ~msg:forged_record
+    (Dvs.verify pub ~verifier_key:cloud ~q_id:alice.Setup.q_id ~msg:forged_record
        forgery);
 
   (* Contrast: a plain (publicly verifiable) identity-based signature

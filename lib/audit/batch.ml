@@ -90,7 +90,11 @@ let verify_jobs pub ~verifier_key ~role jobs =
   let blame_failures =
     if Agg.verify_batch pub ~verifier_key agg_entries then []
     else begin
-      (* Attribute blame: re-check signatures individually. *)
+      (* Attribute blame: re-check signatures individually, hashing
+         each job's owner once. *)
+      let q_ids =
+        List.map (fun job -> job, Sc_ibc.Setup.q_of_id pub job.owner) jobs
+      in
       let blamed =
         List.filter_map
           (fun (job, (resp : Executor.response), _) ->
@@ -98,8 +102,8 @@ let verify_jobs pub ~verifier_key ~role jobs =
             | None -> None
             | Some { Sc_storage.Server.claimed; signed } ->
               if
-                Signer.verify_block pub ~verifier_key ~role ~owner:job.owner
-                  claimed signed
+                Signer.verify_block pub ~verifier_key ~role
+                  ~q_id:(List.assq job q_ids) claimed signed
               then None
               else Some (Protocol.Signature_wrong resp.Executor.task_index))
           entries

@@ -75,10 +75,11 @@ let verify pub ~verifier_key ~role ~owner ~expected_epoch ~samples proof =
         if Protocol.root_signature_ok pub proof.commitment then []
         else [ Protocol.Root_signature_wrong ]
       in
+      let q_id = Sc_ibc.Setup.q_of_id pub owner in
       let failures =
         root_failures
         @ List.concat_map
-            (Protocol.check_sample pub ~verifier_key ~role ~owner
+            (Protocol.check_sample pub ~verifier_key ~role ~q_id
                ~commitment:proof.commitment)
             proof.responses
       in

@@ -130,7 +130,7 @@ let non_signature_checks ~commitment (resp : Executor.response) =
   in
   root_failures @ read_failures
 
-let check_sample pub ~verifier_key ~role ~owner ~commitment
+let check_sample pub ~verifier_key ~role ~q_id ~commitment
     (resp : Executor.response) =
   Telemetry.incr c_samples_checked;
   (* 1. IsSignatureWrong: the designated signature must cover the
@@ -139,7 +139,7 @@ let check_sample pub ~verifier_key ~role ~owner ~commitment
     match resp.Executor.read with
     | Some { Sc_storage.Server.claimed; signed }
       when not
-             (Signer.verify_block pub ~verifier_key ~role ~owner claimed signed)
+             (Signer.verify_block pub ~verifier_key ~role ~q_id claimed signed)
       ->
       [ Signature_wrong resp.Executor.task_index ]
     | Some _ | None -> []
@@ -160,6 +160,7 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
       (fun acc (r : Executor.response) -> (r.Executor.task_index, r) :: acc)
       [] responses
   in
+  let q_id = Sc_ibc.Setup.q_of_id pub owner in
   (* Per-sample recomputation and signature checks are independent:
      fan them out across the domain pool.  Failures keep the sample
      order of the challenge, so verdicts are identical at any domain
@@ -170,7 +171,7 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
         match List.assoc_opt i by_index with
         | None -> [ Missing_response i ]
         | Some resp ->
-          check_sample pub ~verifier_key ~role ~owner ~commitment resp)
+          check_sample pub ~verifier_key ~role ~q_id ~commitment resp)
       chal.sample_indices
   in
   let failures = root_failures @ List.concat per_sample in

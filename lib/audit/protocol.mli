@@ -77,13 +77,14 @@ val check_sample :
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
-  owner:string ->
+  q_id:Sc_ec.Curve.point ->
   commitment:commitment ->
   Sc_compute.Executor.response ->
   failure list
 (** {!non_signature_checks} plus the designated signature on the
-    claimed block: every per-sample check of Algorithm 1.  The caller
-    matches [task_index] to the index it challenged. *)
+    claimed block: every per-sample check of Algorithm 1.  [q_id] is
+    the owner's {!Sc_ibc.Setup.q_of_id}, hashed once per audit.  The
+    caller matches [task_index] to the index it challenged. *)
 
 val verify :
   Sc_ibc.Setup.public ->

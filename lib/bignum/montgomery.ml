@@ -1,4 +1,6 @@
-let limb_bits = Nat.base_bits
+(* A literal, not [Nat.base_bits], so the shifts and masks in [mul]
+   compile to immediates; [create] checks that the two agree. *)
+let limb_bits = 26
 let base = 1 lsl limb_bits
 let mask = base - 1
 
@@ -26,11 +28,19 @@ let inv_limb a =
   done;
   !x land mask
 
+(* Every column of [mul] sums at most 2k products below 2^52, plus the
+   previous column's carry (below 2^35), in one OCaml int, whose
+   largest value is 2^62 - 1: k <= 256 keeps each column below 2^61. *)
+let max_limbs = 256
+
 let create m =
+  assert (limb_bits = Nat.base_bits);
   if Nat.compare m (Nat.of_int 3) < 0 || Nat.is_even m
   then invalid_arg "Montgomery.create: modulus must be odd and >= 3";
   let m_limbs = Nat.to_limbs m in
   let k = Array.length m_limbs in
+  if k > max_limbs
+  then invalid_arg "Montgomery.create: modulus wider than 256 limbs";
   let m' = (base - inv_limb m_limbs.(0)) land mask in
   let r_mod_m = Nat.rem (Nat.shift_left Nat.one (k * limb_bits)) m in
   (* Lazy (redundant) operands are only sound when 16m <= B^k: then a
@@ -41,107 +51,7 @@ let create m =
 
 let modulus ctx = ctx.m
 
-(* REDC on a scratch buffer of 2k+1 limbs holding T < m·B^k:
-   returns T·B^-k mod m as a k-limb array. *)
-let redc ctx t =
-  let k = ctx.k and m = ctx.m_limbs in
-  for i = 0 to k - 1 do
-    let u = t.(i) * ctx.m' land mask in
-    let carry = ref 0 in
-    for j = 0 to k - 1 do
-      let x = t.(i + j) + (u * m.(j)) + !carry in
-      t.(i + j) <- x land mask;
-      carry := x lsr limb_bits
-    done;
-    let j = ref (i + k) in
-    while !carry > 0 do
-      let x = t.(!j) + !carry in
-      t.(!j) <- x land mask;
-      carry := x lsr limb_bits;
-      incr j
-    done
-  done;
-  let out = Array.sub t k (k + 1) in
-  (* out < 2m, one conditional subtraction suffices. *)
-  let ge =
-    if out.(k) > 0 then true
-    else begin
-      let rec cmp i =
-        if i < 0 then true
-        else if out.(i) <> m.(i) then out.(i) > m.(i)
-        else cmp (i - 1)
-      in
-      cmp (k - 1)
-    end
-  in
-  if ge then begin
-    let borrow = ref 0 in
-    for i = 0 to k - 1 do
-      let d = out.(i) - m.(i) - !borrow in
-      if d < 0 then begin
-        out.(i) <- d + base;
-        borrow := 1
-      end
-      else begin
-        out.(i) <- d;
-        borrow := 0
-      end
-    done
-  end;
-  Array.sub out 0 k
-
-(* Multiply two k-limb operands into a fresh (2k+1)-limb buffer. *)
-let mul_into ctx a b =
-  let k = ctx.k in
-  let t = Array.make ((2 * k) + 1) 0 in
-  for i = 0 to k - 1 do
-    let ai = a.(i) in
-    if ai <> 0 then begin
-      let carry = ref 0 in
-      for j = 0 to k - 1 do
-        let x = t.(i + j) + (ai * b.(j)) + !carry in
-        t.(i + j) <- x land mask;
-        carry := x lsr limb_bits
-      done;
-      t.(i + k) <- t.(i + k) + !carry
-    end
-  done;
-  t
-
-let pad ctx limbs =
-  if Array.length limbs = ctx.k then limbs
-  else begin
-    let out = Array.make ctx.k 0 in
-    Array.blit limbs 0 out 0 (Array.length limbs);
-    out
-  end
-
-let to_mont ctx a =
-  let reduced = Nat.rem a ctx.m in
-  let shifted = Nat.rem (Nat.shift_left reduced (ctx.k * limb_bits)) ctx.m in
-  pad ctx (Nat.to_limbs shifted)
-
-let of_mont ctx (a : mont) =
-  let t = Array.make ((2 * ctx.k) + 1) 0 in
-  Array.blit a 0 t 0 ctx.k;
-  Nat.of_limbs (redc ctx t)
-
-let one ctx = pad ctx (Nat.to_limbs ctx.r_mod_m)
-let zero ctx = Array.make ctx.k 0
-let of_int ctx n = to_mont ctx (Nat.of_int n)
-let mul ctx a b = redc ctx (mul_into ctx a b)
-let sqr ctx a = mul ctx a a
-
-let is_zero (a : mont) =
-  let rec go i = i < 0 || (a.(i) = 0 && go (i - 1)) in
-  go (Array.length a - 1)
-
-(* Values are canonical (< m), so domain equality is limb equality. *)
-let equal (a : mont) (b : mont) =
-  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-  Array.length a = Array.length b && go (Array.length a - 1)
-
-(* out >= m, comparing the k-limb arrays from the top. *)
+(* a >= m, comparing the k-limb arrays from the top. *)
 let ge_mod ctx (a : mont) =
   let m = ctx.m_limbs in
   let rec cmp i =
@@ -149,7 +59,8 @@ let ge_mod ctx (a : mont) =
   in
   cmp (ctx.k - 1)
 
-(* In-place a <- a - m (no borrow out: caller ensures a >= m). *)
+(* In-place a <- a - m mod B^k.  The caller ensures a >= m, or that a
+   carry it dropped out of the top limb absorbs the final borrow. *)
 let sub_mod_inplace ctx (a : mont) =
   let m = ctx.m_limbs in
   let borrow = ref 0 in
@@ -164,6 +75,72 @@ let sub_mod_inplace ctx (a : mont) =
       borrow := 0
     end
   done
+
+(* Product-scanning (FIPS) Montgomery multiplication: a·b·B^-k mod m
+   in one pass over the 2k columns of a·b + u·m, where u is the REDC
+   quotient that clears the low k limbs.  Column i sums every
+   a_j·b_(i-j) and u_j·m_(i-j) into a single accumulator; in the low
+   half u_i is chosen so that column i ends in a zero limb.  The u_j
+   are parked in the output array: u_j is last read in column j+k-1,
+   and column j+k writes result limb j over it.  The result is below
+   2m whenever a·b < m·B^k (canonical operands, or lazy ones under
+   [lazy_ok]), so one conditional subtraction leaves it canonical. *)
+let mul ctx (a : mont) (b : mont) =
+  let k = ctx.k and m = ctx.m_limbs in
+  let out = Array.make k 0 in
+  let acc = ref 0 in
+  for i = 0 to k - 1 do
+    let s = ref (!acc + (a.(i) * b.(0))) in
+    for j = 0 to i - 1 do
+      s := !s + (a.(j) * b.(i - j)) + (out.(j) * m.(i - j))
+    done;
+    let u = (!s land mask) * ctx.m' land mask in
+    out.(i) <- u;
+    acc := (!s + (u * m.(0))) lsr limb_bits
+  done;
+  for i = k to (2 * k) - 1 do
+    let s = ref !acc in
+    for j = i - k + 1 to k - 1 do
+      s := !s + (a.(j) * b.(i - j)) + (out.(j) * m.(i - j))
+    done;
+    out.(i - k) <- !s land mask;
+    acc := !s lsr limb_bits
+  done;
+  (* The value is out + acc·B^k with acc <= 1. *)
+  if !acc > 0 || ge_mod ctx out then sub_mod_inplace ctx out;
+  out
+
+let sqr ctx a = mul ctx a a
+
+let pad ctx limbs =
+  if Array.length limbs = ctx.k then limbs
+  else begin
+    let out = Array.make ctx.k 0 in
+    Array.blit limbs 0 out 0 (Array.length limbs);
+    out
+  end
+
+let to_mont ctx a =
+  let reduced = Nat.rem a ctx.m in
+  let shifted = Nat.rem (Nat.shift_left reduced (ctx.k * limb_bits)) ctx.m in
+  pad ctx (Nat.to_limbs shifted)
+
+(* Leaving the domain is one multiplication by the plain integer 1:
+   (aR)·1·R^-1 = a. *)
+let of_mont ctx (a : mont) = Nat.of_limbs (mul ctx a (pad ctx [| 1 |]))
+
+let one ctx = pad ctx (Nat.to_limbs ctx.r_mod_m)
+let zero ctx = Array.make ctx.k 0
+let of_int ctx n = to_mont ctx (Nat.of_int n)
+
+let is_zero (a : mont) =
+  let rec go i = i < 0 || (a.(i) = 0 && go (i - 1)) in
+  go (Array.length a - 1)
+
+(* Values are canonical (< m), so domain equality is limb equality. *)
+let equal (a : mont) (b : mont) =
+  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+  Array.length a = Array.length b && go (Array.length a - 1)
 
 (* The Montgomery map is additive (aR + bR = (a+b)R), so modular
    add/sub/neg work directly on domain representatives. *)
@@ -262,7 +239,7 @@ let inv ctx (a : mont) =
 (* Montgomery's trick: n inversions for one [inv] and 3(n-1) [mul]s.
    Zero elements are rejected up front so the shared prefix product
    cannot silently absorb them. *)
-let batch_inv ctx (xs : mont array) =
+let batch_inv ctx ~inv (xs : mont array) =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
@@ -271,7 +248,7 @@ let batch_inv ctx (xs : mont array) =
     for i = 1 to n - 1 do
       prefix.(i) <- mul ctx prefix.(i - 1) xs.(i)
     done;
-    let acc = ref (inv ctx prefix.(n - 1)) in
+    let acc = ref (inv prefix.(n - 1)) in
     let out = Array.make n (zero ctx) in
     for i = n - 1 downto 1 do
       out.(i) <- mul ctx !acc prefix.(i - 1);
@@ -281,15 +258,14 @@ let batch_inv ctx (xs : mont array) =
     out
   end
 
-let pow ctx b e =
-  let b = to_mont ctx b in
-  let nbits = Nat.bit_length e in
-  if nbits = 0 then Nat.rem Nat.one ctx.m
-  else begin
-    let acc = ref (one ctx) in
-    for i = nbits - 1 downto 0 do
-      acc := sqr ctx !acc;
-      if Nat.test_bit e i then acc := mul ctx !acc b
-    done;
-    of_mont ctx !acc
-  end
+(* Left-to-right square-and-multiply inside the domain; it branches on
+   the bits of the exponent only. *)
+let pow_mont ctx (a : mont) e =
+  let acc = ref (one ctx) in
+  for i = Nat.bit_length e - 1 downto 0 do
+    acc := sqr ctx !acc;
+    if Nat.test_bit e i then acc := mul ctx !acc a
+  done;
+  !acc
+
+let pow ctx b e = of_mont ctx (pow_mont ctx (to_mont ctx b) e)

@@ -10,7 +10,9 @@
 type ctx
 
 val create : Nat.t -> ctx
-(** @raise Invalid_argument unless the modulus is odd and ≥ 3. *)
+(** @raise Invalid_argument unless the modulus is odd and ≥ 3, or if
+    it has more than 256 limbs (6656 bits), past which a column sum of
+    {!mul} could overflow its [int] accumulator. *)
 
 val modulus : ctx -> Nat.t
 
@@ -58,16 +60,23 @@ val sub_lazy : ctx -> mont -> mont -> mont
 
 val mul : ctx -> mont -> mont -> mont
 val sqr : ctx -> mont -> mont
+(** One product-scanning multiply-reduce; the result is canonical. *)
 
 val inv : ctx -> mont -> mont
 (** [mul ctx a (inv ctx a) = one ctx].
     @raise Not_found when the argument is not invertible (including
     zero). *)
 
-val batch_inv : ctx -> mont array -> mont array
-(** Montgomery's trick: inverts every element with a single {!inv}
-    and 3(n-1) multiplications.
-    @raise Not_found if any element is zero or not invertible. *)
+val batch_inv : ctx -> inv:(mont -> mont) -> mont array -> mont array
+(** Montgomery's trick: inverts every element with a single call of
+    [inv] (e.g. [inv ctx], or a Fermat ladder when m is prime) and
+    3(n-1) multiplications.
+    @raise Not_found if any element is zero; otherwise whatever [inv]
+    raises on a non-invertible product. *)
+
+val pow_mont : ctx -> mont -> Nat.t -> mont
+(** [pow_mont ctx a e] = a^e inside the domain.  The ladder branches
+    on the bits of [e] only, never on [a]. *)
 
 val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 (** [pow ctx b e] = b^e mod m, entirely inside the Montgomery domain.

@@ -5,6 +5,7 @@ type ctx = {
   mont : Montgomery.ctx option; (* None for even characteristic *)
   p : Nat.t;
   sqrt_exp : Nat.t option; (* (p+1)/4 when p ≡ 3 (mod 4) *)
+  inv_exp : Nat.t; (* p-2: a^(p-2) = a^-1 for prime p (Fermat) *)
 }
 
 type el = Nat.t
@@ -17,7 +18,7 @@ let create p =
     then Some (Nat.shift_right (Nat.add p Nat.one) 2)
     else None
   in
-  { modular; mont; p; sqrt_exp }
+  { modular; mont; p; sqrt_exp; inv_exp = Nat.sub p Nat.two }
 
 let characteristic ctx = ctx.p
 let zero = Nat.zero
@@ -38,11 +39,17 @@ let mul ctx = Modular.mul ctx.modular
 let sqr ctx = Modular.sqr ctx.modular
 let double ctx a = add ctx a a
 
-let inv ctx a =
-  match Modular.inv ctx.modular a with
-  | exception Not_found -> raise Division_by_zero
-  | r -> r
+(* Exponentiation runs in the Montgomery domain when the
+   characteristic is odd (always, for prime fields in practice) —
+   roughly twice as fast as the Barrett ladder. *)
+let pow ctx b e =
+  match ctx.mont with
+  | Some mont -> Montgomery.pow mont b e
+  | None -> Modular.pow ctx.modular b e
 
+(* Fermat: every inversion is one ladder with the public exponent p-2,
+   so it branches on nothing derived from its argument. *)
+let inv ctx a = if is_zero a then raise Division_by_zero else pow ctx a ctx.inv_exp
 let div ctx a b = mul ctx a (inv ctx b)
 
 (* Montgomery's trick over canonical residues: one [inv] plus 3(n-1)
@@ -65,14 +72,6 @@ let batch_inv ctx (xs : el array) =
     out.(0) <- !acc;
     out
   end
-
-(* Exponentiation runs in the Montgomery domain when the
-   characteristic is odd (always, for prime fields in practice) —
-   roughly twice as fast as the Barrett ladder. *)
-let pow ctx b e =
-  match ctx.mont with
-  | Some mont -> Montgomery.pow mont b e
-  | None -> Modular.pow ctx.modular b e
 
 (* The binary Jacobi symbol: for a prime characteristic this is the
    Legendre symbol, at a fraction of the cost of Euler's criterion. *)
@@ -123,12 +122,11 @@ module Mont = struct
   let equal = Montgomery.equal
 
   let inv ctx a =
-    match Montgomery.inv (mont_exn ctx) a with
-    | exception Not_found -> raise Division_by_zero
-    | r -> r
+    if Montgomery.is_zero a then raise Division_by_zero
+    else Montgomery.pow_mont (mont_exn ctx) a ctx.inv_exp
 
   let batch_inv ctx xs =
-    match Montgomery.batch_inv (mont_exn ctx) xs with
+    match Montgomery.batch_inv (mont_exn ctx) ~inv:(inv ctx) xs with
     | exception Not_found -> raise Division_by_zero
     | r -> r
 end

@@ -37,7 +37,9 @@ val sqr : ctx -> el -> el
 val double : ctx -> el -> el
 
 val inv : ctx -> el -> el
-(** @raise Division_by_zero on zero. *)
+(** Fermat's a^(p-2): one ladder whose branches depend on the public
+    characteristic only.  Correct only when p is prime.
+    @raise Division_by_zero on zero. *)
 
 val div : ctx -> el -> el -> el
 
@@ -98,7 +100,8 @@ module Mont : sig
   val sqr : ctx -> e -> e
 
   val inv : ctx -> e -> e
-  (** @raise Division_by_zero on zero. *)
+  (** Fermat's a^(p-2) without leaving the domain, like {!Fp.inv}.
+      @raise Division_by_zero on zero. *)
 
   val batch_inv : ctx -> e array -> e array
   (** @raise Division_by_zero if any element is zero. *)

@@ -28,11 +28,10 @@ let sign (pub : Setup.public) key ~bytes_source (b_cs, b_da) msg =
   let u, e = Ibs.sign_exponent pub key ~bytes_source msg in
   u, Ibs.gt_pow_exponent pub b_cs e, Ibs.gt_pow_exponent pub b_da e
 
-let verify (pub : Setup.public) ~verifier_key ~signer ~msg { u; sigma } =
+let verify (pub : Setup.public) ~verifier_key ~q_id ~msg { u; sigma } =
   let prm = pub.prm in
   Curve.on_curve prm.curve u
   &&
-  let q_id = Setup.q_of_id pub signer in
   let w = Ibs.verification_point pub ~q_id ~msg ~u in
   Tate.gt_equal sigma
     (Tate.pairing_precomp prm w (Tate.precomp_for prm verifier_key.Setup.sk))

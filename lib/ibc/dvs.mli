@@ -48,10 +48,13 @@ val sign :
 val verify :
   Setup.public ->
   verifier_key:Setup.identity_key ->
-  signer:string ->
+  q_id:Curve.point ->
   msg:string ->
   t ->
   bool
+(** [q_id] is the signer's {!Setup.q_of_id}.  Hashing an identity to
+    the curve costs about a fifth of a verification, so a caller
+    checking many blocks of one owner computes it once. *)
 
 val simulate :
   Setup.public ->

@@ -67,6 +67,7 @@ let audit_storage t cloud ~owner ~file ~samples =
     { sampled = 0; valid_blocks = 0; invalid_indices = []; intact = false;
       channel = None }
   | Some reads ->
+    let q_id = Sc_ibc.Setup.q_of_id pub owner in
     let checks =
       List.map
         (fun (i, read) ->
@@ -75,7 +76,7 @@ let audit_storage t cloud ~owner ~file ~samples =
           | Some { Server.claimed; signed } ->
             ( i,
               claimed.Block.index = i
-              && Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~owner
+              && Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id
                    claimed signed ))
         reads
     in
@@ -130,6 +131,7 @@ let audit_storage_batched t cloud ~owner ~file ~samples =
       }
     else begin
       (* Locate offenders individually. *)
+      let q_id = Sc_ibc.Setup.q_of_id pub owner in
       let checks =
         List.map
           (fun (i, read) ->
@@ -139,7 +141,7 @@ let audit_storage_batched t cloud ~owner ~file ~samples =
               ( i,
                 claimed.Block.index = i
                 && Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                     ~owner claimed signed ))
+                     ~q_id claimed signed ))
           reads
       in
       report_of_checks checks

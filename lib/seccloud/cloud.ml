@@ -23,11 +23,12 @@ let computing_confidence t = Executor.computing_confidence t.compute
 
 let accept_upload t (upload : Signer.upload) =
   let pub = System.public t.system in
+  let q_id = Sc_ibc.Setup.q_of_id pub upload.Signer.owner in
   let ok =
     Array.for_all
       (fun (sb : Signer.signed_block) ->
-        Signer.verify_block pub ~verifier_key:t.key ~role:`Cs
-          ~owner:upload.Signer.owner sb.Signer.block sb)
+        Signer.verify_block pub ~verifier_key:t.key ~role:`Cs ~q_id
+          sb.Signer.block sb)
       upload.Signer.blocks
   in
   if ok then Server.store t.server upload;

@@ -95,6 +95,7 @@ module Da = struct
     with
     | Error e -> fail (Some e)
     | Ok (Wire.Storage_response items) ->
+      let q_id = Sc_ibc.Setup.q_of_id pub owner in
       let checks =
         List.map
           (fun i ->
@@ -103,7 +104,7 @@ module Da = struct
               ( i,
                 claimed.Sc_storage.Block.index = i
                 && Sc_storage.Signer.verify_block pub ~verifier_key:da_key
-                     ~role:`Da ~owner claimed signed )
+                     ~role:`Da ~q_id claimed signed )
             | Some None | None -> i, false)
           indices
       in

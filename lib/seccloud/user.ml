@@ -33,5 +33,5 @@ let delegate_audit t ~now ~lifetime ~scope =
 
 let verify_own_block t ~role ~verifier_key
     { Sc_storage.Server.claimed; signed } =
-  Signer.verify_block (System.public t.system) ~verifier_key ~role ~owner:t.id
-    claimed signed
+  Signer.verify_block (System.public t.system) ~verifier_key ~role
+    ~q_id:t.key.Sc_ibc.Setup.q_id claimed signed

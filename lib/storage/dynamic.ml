@@ -317,6 +317,7 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
       else if count > audit_count_cap || count > server.s_count then failure
       else begin
         let samples = min samples count in
+        let q_id = Setup.q_of_id pub owner in
         let idx = Array.init count (fun i -> i) in
         for i = 0 to samples - 1 do
           let j = i + Sc_hash.Drbg.uniform_int drbg (count - i) in
@@ -347,7 +348,7 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
               signing_message_c ~file ~index ~version:rp.version rp.content
             in
             path_ok
-            && Dvs.verify pub ~verifier_key ~signer:owner ~msg
+            && Dvs.verify pub ~verifier_key ~q_id ~msg
                  { Dvs.u = rp.u; sigma = rp.sigma_da }
         in
         let results = List.init samples (fun i -> idx.(i), check idx.(i)) in

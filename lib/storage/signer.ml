@@ -29,7 +29,7 @@ let dvs_for role sb =
   | `Cs -> { Dvs.u = sb.u; sigma = sb.sigma_cs }
   | `Da -> { Dvs.u = sb.u; sigma = sb.sigma_da }
 
-let verify_block pub ~verifier_key ~role ~owner claimed sb =
-  Dvs.verify pub ~verifier_key ~signer:owner
+let verify_block pub ~verifier_key ~role ~q_id claimed sb =
+  Dvs.verify pub ~verifier_key ~q_id
     ~msg:(Block.signing_message claimed)
     (dvs_for role sb)

@@ -37,9 +37,11 @@ val verify_block :
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
-  owner:string ->
+  q_id:Sc_ec.Curve.point ->
   Block.t ->
   signed_block ->
   bool
 (** Equation (5)/(7): designated verification of one stored block
-    against the payload the server claims for it. *)
+    against the payload the server claims for it.  [q_id] is the
+    owner's {!Sc_ibc.Setup.q_of_id}, computed once per owner by the
+    caller. *)

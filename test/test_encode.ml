@@ -64,7 +64,7 @@ let encode_tests =
         (* Honest claim verifies... *)
         check Alcotest.bool "honest claim" true
           (Sc_storage.Signer.verify_block pub ~verifier_key:cs_key ~role:`Cs
-             ~owner:"enc-alice" sb.Sc_storage.Signer.block sb);
+             ~q_id:(Sc_ibc.Setup.q_of_id pub "enc-alice") sb.Sc_storage.Signer.block sb);
         (* ...the cross-bound claim (old encoding: same message!) fails. *)
         let forged = { Block.file = "f"; index = 1; data = "2|z" } in
         check Alcotest.string "old encodings agree"
@@ -72,7 +72,7 @@ let encode_tests =
           (old_block_message ~file:"f" ~index:1 ~data:"2|z");
         check Alcotest.bool "cross-bound claim rejected" false
           (Sc_storage.Signer.verify_block pub ~verifier_key:cs_key ~role:`Cs
-             ~owner:"enc-alice" forged sb));
+             ~q_id:(Sc_ibc.Setup.q_of_id pub "enc-alice") forged sb));
     case "decode round-trips edge cases" (fun () ->
         List.iter
           (fun parts ->

@@ -81,17 +81,17 @@ let unit_tests =
         let raw = Ibs.sign pub alice ~bytes_source:bs "designated" in
         let d = Dvs.designate pub raw ~verifier:"cloud-server" in
         check Alcotest.bool "CS verifies" true
-          (Dvs.verify pub ~verifier_key:cs ~signer:"alice" ~msg:"designated" d));
+          (Dvs.verify pub ~verifier_key:cs ~q_id:(Setup.q_of_id pub "alice") ~msg:"designated" d));
     case "DVS rejected by non-designated verifier" (fun () ->
         let raw = Ibs.sign pub alice ~bytes_source:bs "designated" in
         let d = Dvs.designate pub raw ~verifier:"cloud-server" in
         check Alcotest.bool "DA cannot verify CS-designated" false
-          (Dvs.verify pub ~verifier_key:da ~signer:"alice" ~msg:"designated" d));
+          (Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "alice") ~msg:"designated" d));
     case "DVS detects message tampering" (fun () ->
         let raw = Ibs.sign pub alice ~bytes_source:bs "original" in
         let d = Dvs.designate pub raw ~verifier:"agency" in
         check Alcotest.bool "tampered" false
-          (Dvs.verify pub ~verifier_key:da ~signer:"alice" ~msg:"tampered" d));
+          (Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "alice") ~msg:"tampered" d));
     case "DVS simulation: verifier can forge transcripts (privacy)" (fun () ->
         (* The designated verifier simulates a signature alice never
            produced; it passes its own verification, which is exactly
@@ -101,7 +101,7 @@ let unit_tests =
             ~msg:"alice never signed this" ~bytes_source:bs
         in
         check Alcotest.bool "accepted" true
-          (Dvs.verify pub ~verifier_key:da ~signer:"alice"
+          (Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "alice")
              ~msg:"alice never signed this" fake));
     case "batch verify accepts valid batch from multiple signers" (fun () ->
         let entries =
@@ -191,7 +191,7 @@ let property_tests =
     qcheck ~count:15 "DVS correct for random messages" gen_msg (fun m ->
         let raw = Ibs.sign pub bob ~bytes_source:bs m in
         let d = Dvs.designate pub raw ~verifier:"agency" in
-        Dvs.verify pub ~verifier_key:da ~signer:"bob" ~msg:m d);
+        Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "bob") ~msg:m d);
     qcheck ~count:10 "batch = conjunction of individual verifies"
       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 6) gen_msg)
       (fun msgs ->
@@ -206,7 +206,7 @@ let property_tests =
         let individual =
           List.for_all
             (fun e ->
-              Dvs.verify pub ~verifier_key:da ~signer:e.Agg.signer ~msg:e.Agg.msg
+              Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub e.Agg.signer) ~msg:e.Agg.msg
                 e.Agg.dvs)
             entries
         in
@@ -242,9 +242,9 @@ let designation_tests =
         let raw = Ibs.sign pub alice ~bytes_source:(fresh_bs seed) msg in
         same_dvs u s1 (Dvs.designate pub raw ~verifier:v1)
         && same_dvs u s2 (Dvs.designate pub raw ~verifier:v2)
-        && Dvs.verify pub ~verifier_key:(Setup.extract sio v1) ~signer:"alice"
+        && Dvs.verify pub ~verifier_key:(Setup.extract sio v1) ~q_id:(Setup.q_of_id pub "alice")
              ~msg { Dvs.u; sigma = s1 }
-        && Dvs.verify pub ~verifier_key:(Setup.extract sio v2) ~signer:"alice"
+        && Dvs.verify pub ~verifier_key:(Setup.extract sio v2) ~q_id:(Setup.q_of_id pub "alice")
              ~msg { Dvs.u; sigma = s2 });
     qcheck ~count:6 "Dvs.sign output passes Agg.verify_batch for both verifiers"
       (pair gen_seed (list_size (int_range 1 5) gen_msg)) (fun (seed, msgs) ->
@@ -286,7 +286,7 @@ let designation_tests =
         in
         let base = Sc_pairing.Tate.pairing prm alice.Setup.sk da.Setup.q_id in
         let verify sigma =
-          Dvs.verify pub ~verifier_key:da ~signer:"alice" ~msg { Dvs.u; sigma }
+          Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "alice") ~msg { Dvs.u; sigma }
         in
         Sc_pairing.Tate.gt_equal sigma (Sc_pairing.Tate.gt_pow prm base e)
         && verify sigma

@@ -335,7 +335,7 @@ let montgomery_lazy_tests =
           let xs = Array.of_list xs in
           (* m may be composite: batch_inv must raise exactly when some
              element has no inverse, and agree pointwise otherwise. *)
-          (match Montgomery.batch_inv ctx xs with
+          (match Montgomery.batch_inv ctx ~inv:(Montgomery.inv ctx) xs with
           | ys ->
             Array.for_all2
               (fun x y ->
@@ -354,10 +354,153 @@ let montgomery_lazy_tests =
         let ctx = Montgomery.create (Nat.of_int 1009) in
         Alcotest.check_raises "zero" Not_found (fun () ->
             ignore
-              (Montgomery.batch_inv ctx
+              (Montgomery.batch_inv ctx ~inv:(Montgomery.inv ctx)
                  [| Montgomery.one ctx; Montgomery.zero ctx |])));
   ]
+
+(* Edge values for the multiply kernel.  Random bytes rarely give a
+   limb of B-1, so this generator builds the worst cases on purpose:
+   moduli whose limbs are all B-1 (the largest column sums [mul] can
+   see) and the widest moduli that still have [lazy_ok] (every limb
+   B-1 under a top limb of 2^22-1), for 1 to 24 limbs; operands 0, 1,
+   R mod m and m-1; and, where [lazy_ok] holds, the redundant values
+   2m-2, 4m-4 and 4m-2 that lazy add/sub chains produce.  Operands are
+   named by the raw limb value they hold, so the residue they stand
+   for is raw·R^-1 mod m whichever way they were built. *)
+type edge_operand = Zero | Raw_one | Domain_one | Minus_one | Lazy_2m | Lazy_4m | Lazy_sub
+
+let edge_name = function
+  | Zero -> "0"
+  | Raw_one -> "1"
+  | Domain_one -> "R mod m"
+  | Minus_one -> "m-1"
+  | Lazy_2m -> "2m-2"
+  | Lazy_4m -> "4m-4"
+  | Lazy_sub -> "4m-2"
+
+let edge_modulus ~lazy_headroom k =
+  let bits = (k * Nat.base_bits) - if lazy_headroom then 4 else 0 in
+  Nat.sub (Nat.shift_left Nat.one bits) Nat.one
+
+let gen_edge =
+  let open QCheck2.Gen in
+  let* k = int_range 1 24 in
+  let* lazy_headroom = bool in
+  let ops =
+    [ Zero; Raw_one; Domain_one; Minus_one ]
+    @ if lazy_headroom then [ Lazy_2m; Lazy_4m; Lazy_sub ] else []
+  in
+  let* a = oneofl ops in
+  let* b = oneofl ops in
+  return (k, lazy_headroom, a, b)
+
+let print_edge (k, lazy_headroom, a, b) =
+  Printf.sprintf "k=%d %s a=%s b=%s" k
+    (if lazy_headroom then "headroom" else "all B-1")
+    (edge_name a) (edge_name b)
+
+(* Builds the operand through the public API and returns it with the
+   raw value it holds. *)
+let edge_value ctx mo ~r_inv m op =
+  let raw x = Montgomery.to_mont ctx (Modular.mul mo x r_inv) in
+  let mm1 = Nat.sub m Nat.one in
+  let two_m_2 = Montgomery.add_lazy ctx (raw mm1) (raw mm1) in
+  match op with
+  | Zero -> Montgomery.zero ctx, Nat.zero
+  | Raw_one -> raw Nat.one, Nat.one
+  | Domain_one -> Montgomery.one ctx, Modular.reduce mo (Nat.shift_left Nat.one (Nat.num_limbs m * Nat.base_bits))
+  | Minus_one -> raw mm1, mm1
+  | Lazy_2m -> two_m_2, Nat.add mm1 mm1
+  | Lazy_4m -> Montgomery.add_lazy ctx two_m_2 two_m_2, Nat.sub (Nat.shift_left m 2) (Nat.of_int 4)
+  | Lazy_sub ->
+    Montgomery.sub_lazy ctx two_m_2 (Montgomery.zero ctx), Nat.sub (Nat.shift_left m 2) Nat.two
+
+(* [mul] of raw values x, y must be the canonical x·y·R^-1 mod m:
+   leaving the domain gives x·y·R^-2, and the limbs equal those of
+   [to_mont] of that residue. *)
+let edge_mul_ok m a b =
+  let ctx = Montgomery.create m and mo = Modular.create m in
+  let r = Modular.reduce mo (Nat.shift_left Nat.one (Nat.num_limbs m * Nat.base_bits)) in
+  let r_inv = Modular.inv mo r in
+  let x, xv = edge_value ctx mo ~r_inv m a in
+  let y, yv = edge_value ctx mo ~r_inv m b in
+  let expected =
+    Modular.mul mo
+      (Modular.mul mo (Modular.reduce mo xv) (Modular.reduce mo yv))
+      (Modular.sqr mo r_inv)
+  in
+  let z = Montgomery.mul ctx x y in
+  Nat.equal (Montgomery.of_mont ctx z) expected
+  && Montgomery.equal z (Montgomery.to_mont ctx expected)
+
+let kernel_edge_tests =
+  let open Util in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~print:print_edge
+         ~name:"montgomery mul == Modular.mul on edge moduli and operands"
+         gen_edge (fun (k, lazy_headroom, a, b) ->
+           edge_mul_ok (edge_modulus ~lazy_headroom k) a b));
+    case "montgomery mul at the 256-limb bound, every limb B-1" (fun () ->
+        let m = edge_modulus ~lazy_headroom:false 256 in
+        List.iter
+          (fun (a, b) ->
+            check Alcotest.bool
+              (edge_name a ^ " * " ^ edge_name b)
+              true (edge_mul_ok m a b))
+          [ Minus_one, Minus_one; Minus_one, Domain_one; Raw_one, Minus_one ]);
+    case "montgomery rejects a 7000-bit modulus" (fun () ->
+        Alcotest.check_raises "7000 bits"
+          (Invalid_argument "Montgomery.create: modulus wider than 256 limbs")
+          (fun () ->
+            ignore
+              (Montgomery.create
+                 (Nat.sub (Nat.shift_left Nat.one 7000) Nat.one))));
+  ]
+
+(* Fermat inversion on the pairing primes against the egcd reference. *)
+let fermat_inversion_tests =
+  let open Util in
+  let module Fp = Sc_field.Fp in
+  let module Params = Sc_pairing.Params in
+  List.map
+    (fun (name, params) ->
+      case ("fermat Fp.inv / Mont.inv / batch_inv == Modular.inv on " ^ name)
+        (fun () ->
+          let p = (Lazy.force params).Params.p in
+          let fp = Fp.create p and mo = Modular.create p in
+          let bs = fresh_bs ("fermat/" ^ name) in
+          let xs =
+            [ Nat.one; Nat.two; Nat.sub p Nat.one; Nat.sub p Nat.two;
+              Nat.shift_right (Nat.add p Nat.one) 1 ]
+            @ List.init 6 (fun _ ->
+                  Nat.add Nat.one (Nat.random_below ~bytes_source:bs (Nat.sub p Nat.one)))
+          in
+          let expected = List.map (Modular.inv mo) xs in
+          List.iter2
+            (fun x e ->
+              check nat "Fp.inv" e (Fp.inv fp x);
+              check nat "Fp.Mont.inv" e
+                (Fp.Mont.leave fp (Fp.Mont.inv fp (Fp.Mont.enter fp x))))
+            xs expected;
+          let xa = Array.of_list xs in
+          check (Alcotest.list nat) "Fp.batch_inv" expected
+            (Array.to_list (Fp.batch_inv fp xa));
+          check (Alcotest.list nat) "Fp.Mont.batch_inv" expected
+            (Array.to_list
+               (Array.map (Fp.Mont.leave fp)
+                  (Fp.Mont.batch_inv fp (Array.map (Fp.Mont.enter fp) xa))));
+          Alcotest.check_raises "Fp.inv 0" Division_by_zero (fun () ->
+              ignore (Fp.inv fp Fp.zero));
+          Alcotest.check_raises "Fp.Mont.inv 0" Division_by_zero (fun () ->
+              ignore (Fp.Mont.inv fp (Fp.Mont.zero fp)));
+          Alcotest.check_raises "Fp.Mont.batch_inv with 0" Division_by_zero
+            (fun () ->
+              ignore
+                (Fp.Mont.batch_inv fp [| Fp.Mont.one fp; Fp.Mont.zero fp |]))))
+    [ "toy", Params.toy; "small", Params.small; "mid", Params.mid ]
 
 let suite =
   unit_tests @ property_tests @ montgomery_tests @ montgomery_arith_tests
   @ montgomery_lazy_tests @ montgomery_property_tests @ jacobi_tests
+  @ kernel_edge_tests @ fermat_inversion_tests

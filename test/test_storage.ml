@@ -56,30 +56,30 @@ let signer_tests =
           (fun (sb : Signer.signed_block) ->
             check Alcotest.bool "cs" true
               (Signer.verify_block pub ~verifier_key:cs_key ~role:`Cs
-                 ~owner:"alice" sb.Signer.block sb);
+                 ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") sb.Signer.block sb);
             check Alcotest.bool "da" true
               (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                 ~owner:"alice" sb.Signer.block sb))
+                 ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") sb.Signer.block sb))
           upload.Signer.blocks);
     case "verification fails for tampered payload" (fun () ->
         let upload = make_upload () in
         let sb = upload.Signer.blocks.(2) in
         let forged = { sb.Signer.block with Block.data = "other" } in
         check Alcotest.bool "tampered" false
-          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "alice")
              forged sb));
     case "verification fails for shifted position" (fun () ->
         let upload = make_upload () in
         let sb = upload.Signer.blocks.(2) in
         let moved = { sb.Signer.block with Block.index = 5 } in
         check Alcotest.bool "moved" false
-          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
+          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "alice")
              moved sb));
     case "verification fails for wrong owner" (fun () ->
         let upload = make_upload () in
         let sb = upload.Signer.blocks.(0) in
         check Alcotest.bool "wrong owner" false
-          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~owner:"bob"
+          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "bob")
              sb.Signer.block sb));
     case "role projection picks matching sigma" (fun () ->
         let upload = make_upload () in
@@ -100,7 +100,7 @@ let server_tests =
           | Some { Server.claimed; signed } ->
             check Alcotest.bool "verifies" true
               (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                 ~owner:"alice" claimed signed)
+                 ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
         done);
     case "unknown file and out-of-range index give None" (fun () ->
         let server = fresh_server Server.Honest in
@@ -118,7 +118,7 @@ let server_tests =
             if
               not
                 (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                   ~owner:"alice" claimed signed)
+                   ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
             then incr failures
         done;
         check Alcotest.bool "some deleted blocks detected" true (!failures > 0));
@@ -131,7 +131,7 @@ let server_tests =
             if
               not
                 (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                   ~owner:"alice" claimed signed)
+                   ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
             then incr failures
           | None -> incr failures
         done;
@@ -146,7 +146,7 @@ let server_tests =
                disagrees with what was signed. *)
             let sig_ok =
               Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                ~owner:"alice" claimed signed
+                ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed
             in
             if not sig_ok then incr mismatches
           | None -> incr mismatches
@@ -172,7 +172,7 @@ let server_tests =
           | Some { Server.claimed; signed } ->
             check Alcotest.bool "clean" true
               (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                 ~owner:"alice" claimed signed)
+                 ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
         done);
     case "storage_confidence reflects behaviour" (fun () ->
         let eps = 1e-9 in

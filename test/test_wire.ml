@@ -101,7 +101,7 @@ let message_tests =
           check Alcotest.bool "signature intact" true
             (Sc_storage.Signer.verify_block pub
                ~verifier_key:(Seccloud.System.da_key system) ~role:`Da
-               ~owner:"alice" sb.Sc_storage.Signer.block sb)
+               ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") sb.Sc_storage.Signer.block sb)
         | _ -> Alcotest.fail "wrong message");
     case "storage challenge/response round trip" (fun () ->
         (match roundtrip (Wire.Storage_challenge { file = "wf"; indices = [ 0; 2 ] }) with
