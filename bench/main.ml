@@ -241,14 +241,6 @@ let substrate_tests =
 
 let extension_tests =
   let data = String.concat "," (List.init 100 (Printf.sprintf "cell-%d")) in
-  let rs = Sc_erasure.Reed_solomon.create ~k:6 ~n:14 in
-  let shards = Sc_erasure.Reed_solomon.encode_string rs data in
-  let survivors = List.filteri (fun i _ -> i >= 8) (List.mapi (fun i s -> i, s) shards) in
-  let por_client, por_stored =
-    Sc_pdp.Por.encode ~key:"bench-key" ~k:6 ~n:14 ~sentinels:6 data
-  in
-  let por_drbg = Sc_hash.Drbg.create ~seed:"bench-por" in
-  let por_blocks = Array.map (fun b -> Some b) por_stored in
   let ibe_sio = Sc_ibc.Setup.create prm ~bytes_source:bs in
   let ibe_pub = Sc_ibc.Setup.public ibe_sio in
   let ibe_key = Sc_ibc.Setup.extract ibe_sio "bench" in
@@ -260,17 +252,6 @@ let extension_tests =
   in
   let counter = ref 0 in
   [
-    Test.make ~name:"ext/rs_encode_6of14"
-      (Staged.stage (fun () -> Sc_erasure.Reed_solomon.encode_string rs data));
-    Test.make ~name:"ext/rs_decode_6of14"
-      (Staged.stage (fun () -> Sc_erasure.Reed_solomon.decode_string rs survivors));
-    Test.make ~name:"ext/por_sentinel_audit"
-      (Staged.stage (fun () ->
-           let chal = Sc_pdp.Por.challenge por_client ~drbg:por_drbg ~count:3 in
-           Sc_pdp.Por.verify_response por_client
-             (List.map (fun pos -> pos, Some por_stored.(pos)) chal)));
-    Test.make ~name:"ext/por_extract"
-      (Staged.stage (fun () -> Sc_pdp.Por.extract por_client por_blocks));
     Test.make ~name:"ext/ibe_encrypt"
       (Staged.stage (fun () ->
            Sc_ibc.Ibe.encrypt ibe_pub ~to_identity:"bench" ~bytes_source:bs data));

@@ -130,6 +130,8 @@ let non_signature_checks ~commitment (resp : Executor.response) =
   in
   root_failures @ read_failures
 
+(* Every per-sample check of Algorithm 1: [non_signature_checks] plus
+   the designated signature.  [q_id] is hashed once per audit. *)
 let check_sample pub ~verifier_key ~role ~q_id ~commitment
     (resp : Executor.response) =
   Telemetry.incr c_samples_checked;

@@ -61,9 +61,6 @@ val respond :
 (** Server side: checks the warrant (expiry included) and returns the
     sampled responses; [None] when the warrant is rejected. *)
 
-val root_signature_ok : Sc_ibc.Setup.public -> commitment -> bool
-(** The server's signature Sig_CS(R) on the committed root. *)
-
 val non_signature_checks :
   commitment:commitment -> Sc_compute.Executor.response -> failure list
 (** Algorithm 1 for one response, minus the designated signature:
@@ -72,19 +69,6 @@ val non_signature_checks :
     tree and fold to the committed root; any other slot's path, however
     honest, is reported as [Root_wrong task_index].  Batch verification
     shares this half and aggregates the signatures instead. *)
-
-val check_sample :
-  Sc_ibc.Setup.public ->
-  verifier_key:Sc_ibc.Setup.identity_key ->
-  role:[ `Cs | `Da ] ->
-  q_id:Sc_ec.Curve.point ->
-  commitment:commitment ->
-  Sc_compute.Executor.response ->
-  failure list
-(** {!non_signature_checks} plus the designated signature on the
-    claimed block: every per-sample check of Algorithm 1.  [q_id] is
-    the owner's {!Sc_ibc.Setup.q_of_id}, hashed once per audit.  The
-    caller matches [task_index] to the index it challenged. *)
 
 val verify :
   Sc_ibc.Setup.public ->

@@ -447,139 +447,6 @@ let batch_blame_tests =
         && v.Protocol.failures = [ Protocol.Signature_wrong pos ]);
   ]
 
-let trust_tests =
-  let open Util in
-  let module Trust = Sc_audit.Trust in
-  [
-    case "unknown server has neutral estimate" (fun () ->
-        let t = Trust.create () in
-        check (Alcotest.float 1e-9) "prior" 0.5 (Trust.estimate t ~server:"new"));
-    case "estimate converges with clean history" (fun () ->
-        let t = Trust.create () in
-        for _ = 1 to 48 do
-          Trust.record t ~server:"good" ~passed:true
-        done;
-        check (Alcotest.float 1e-9) "49/50" (49.0 /. 50.0)
-          (Trust.estimate t ~server:"good");
-        check Alcotest.int "streak" 48 (Trust.clean_streak t ~server:"good"));
-    case "failure resets the streak and lowers the estimate" (fun () ->
-        let t = Trust.create () in
-        for _ = 1 to 10 do
-          Trust.record t ~server:"s" ~passed:true
-        done;
-        let before = Trust.estimate t ~server:"s" in
-        Trust.record t ~server:"s" ~passed:false;
-        check Alcotest.int "streak reset" 0 (Trust.clean_streak t ~server:"s");
-        check Alcotest.bool "estimate dropped" true
-          (Trust.estimate t ~server:"s" < before));
-    case "clean history earns smaller sample sizes" (fun () ->
-        let t = Trust.create () in
-        let p = Trust.default_policy in
-        let t0 = Trust.recommended_samples t p ~server:"s" in
-        for _ = 1 to 20 do
-          Trust.record t ~server:"s" ~passed:true
-        done;
-        let t20 = Trust.recommended_samples t p ~server:"s" in
-        check Alcotest.bool "monotone non-increasing" true (t20 <= t0);
-        check Alcotest.bool "strictly earned" true (t20 < t0);
-        (* a failure snaps back to the conservative value *)
-        Trust.record t ~server:"s" ~passed:false;
-        check Alcotest.int "snap back" t0 (Trust.recommended_samples t p ~server:"s"));
-    case "recommendation respects min/max clamps" (fun () ->
-        let t = Trust.create () in
-        let tight = { Sc_audit.Trust.default_policy with Sc_audit.Trust.max_samples = 5 } in
-        check Alcotest.bool "clamped high" true
-          (Trust.recommended_samples t tight ~server:"x" <= 5);
-        let loose =
-          { Sc_audit.Trust.default_policy with Sc_audit.Trust.min_samples = 50; eps = 0.5 }
-        in
-        check Alcotest.bool "clamped low" true
-          (Trust.recommended_samples t loose ~server:"x" >= 50));
-    case "persistent cheaters cross the drop threshold" (fun () ->
-        let t = Trust.create () in
-        for _ = 1 to 10 do
-          Trust.record t ~server:"evil" ~passed:false
-        done;
-        check Alcotest.bool "dropped" true (Trust.should_drop t ~server:"evil");
-        check Alcotest.bool "fresh servers kept" false
-          (Trust.should_drop t ~server:"fresh"));
-  ]
-
-let noninteractive_tests =
-  let open Util in
-  let module Ni = Sc_audit.Noninteractive in
-  [
-    case "derived indices are deterministic, distinct and in range" (fun () ->
-        let a = Ni.derive_indices ~root:"r" ~epoch:3 ~owner:"alice" ~n_tasks:40 ~samples:12 in
-        let b = Ni.derive_indices ~root:"r" ~epoch:3 ~owner:"alice" ~n_tasks:40 ~samples:12 in
-        check Alcotest.(list int) "deterministic" a b;
-        check Alcotest.int "distinct" 12 (List.length (List.sort_uniq compare a));
-        check Alcotest.bool "in range" true (List.for_all (fun i -> i >= 0 && i < 40) a));
-    case "derived indices differ across roots, epochs and owners" (fun () ->
-        let base = Ni.derive_indices ~root:"r" ~epoch:1 ~owner:"a" ~n_tasks:1000 ~samples:8 in
-        check Alcotest.bool "root matters" false
-          (base = Ni.derive_indices ~root:"s" ~epoch:1 ~owner:"a" ~n_tasks:1000 ~samples:8);
-        check Alcotest.bool "epoch matters" false
-          (base = Ni.derive_indices ~root:"r" ~epoch:2 ~owner:"a" ~n_tasks:1000 ~samples:8);
-        check Alcotest.bool "owner matters" false
-          (base = Ni.derive_indices ~root:"r" ~epoch:1 ~owner:"b" ~n_tasks:1000 ~samples:8));
-    case "samples clamp to n_tasks" (fun () ->
-        check Alcotest.int "clamped" 5
-          (List.length (Ni.derive_indices ~root:"r" ~epoch:0 ~owner:"a" ~n_tasks:5 ~samples:50)));
-    case "honest non-interactive proof verifies" (fun () ->
-        let execution = setup_execution () in
-        let proof = Ni.prove pub ~owner:"alice" ~epoch:7 ~samples:8 execution in
-        let v =
-          Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            ~expected_epoch:7 ~samples:8 proof
-        in
-        check Alcotest.bool "valid" true v.Protocol.valid);
-    case "stale epoch rejected (replay protection)" (fun () ->
-        let execution = setup_execution () in
-        let proof = Ni.prove pub ~owner:"alice" ~epoch:7 ~samples:6 execution in
-        let v =
-          Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            ~expected_epoch:8 ~samples:6 proof
-        in
-        check Alcotest.bool "rejected" false v.Protocol.valid);
-    case "server cannot choose its own indices" (fun () ->
-        let execution = setup_execution () in
-        let honest = Ni.prove pub ~owner:"alice" ~epoch:1 ~samples:6 execution in
-        (* Hand-pick different (still-valid) responses: verification
-           must notice the index set mismatch. *)
-        let forged =
-          { honest with Ni.responses = List.map (Executor.respond execution) [0;1;2;3;4;5] }
-        in
-        let honest_indices =
-          List.sort compare
-            (List.map (fun (r : Executor.response) -> r.Executor.task_index)
-               honest.Ni.responses)
-        in
-        if honest_indices = [ 0; 1; 2; 3; 4; 5 ] then ()
-        else begin
-          let v =
-            Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-              ~expected_epoch:1 ~samples:6 forged
-          in
-          check Alcotest.bool "rejected" false v.Protocol.valid
-        end);
-    case "cheating executions fail the non-interactive audit" (fun () ->
-        List.iter
-          (fun behaviour ->
-            let execution = setup_execution ~behaviour () in
-            let proof = Ni.prove pub ~owner:"alice" ~epoch:2 ~samples:12 execution in
-            let v =
-              Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-                ~expected_epoch:2 ~samples:12 proof
-            in
-            check Alcotest.bool "caught" false v.Protocol.valid)
-          [
-            Executor.Guess_fraction (1.0, 1 lsl 30);
-            Executor.Wrong_position_fraction 1.0;
-            Executor.Commit_garbage_fraction 1.0;
-          ]);
-  ]
-
 (* Relocation: against a commit-garbage execution, the server answers
    every challenged slot with one honest slot's response relabelled to
    the challenged index.  Data, signature and recomputation all check
@@ -587,7 +454,6 @@ let noninteractive_tests =
    the proof's position to the challenged index rejects it. *)
 let relocation_tests =
   let open Util in
-  let module Ni = Sc_audit.Noninteractive in
   let fixture =
     lazy
       (let execution =
@@ -651,25 +517,8 @@ let relocation_tests =
         check Alcotest.(list string) "Root_wrong at every other slot"
           (expected src challenge.Protocol.sample_indices)
           (names v.Protocol.failures));
-    case "relocated answers fail Noninteractive.verify" (fun () ->
-        let execution, _, _, src, relocate = Lazy.force fixture in
-        let proof = Ni.prove pub ~owner:"alice" ~epoch:3 ~samples:8 execution in
-        let indices =
-          List.map
-            (fun (r : Executor.response) -> r.Executor.task_index)
-            proof.Ni.responses
-        in
-        let forged = { proof with Ni.responses = List.map relocate indices } in
-        let v =
-          Ni.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            ~expected_epoch:3 ~samples:8 forged
-        in
-        check Alcotest.bool "invalid" false v.Protocol.valid;
-        check Alcotest.(list string) "Root_wrong at every other slot"
-          (expected src indices) (names v.Protocol.failures));
   ]
 
 let suite =
   sampling_tests @ optimal_tests @ protocol_tests @ batch_tests
-  @ batch_blame_tests @ trust_tests
-  @ noninteractive_tests @ relocation_tests
+  @ batch_blame_tests @ relocation_tests

@@ -18,7 +18,6 @@ let () =
       "wire", Test_wire.suite;
       "wire_fuzz", Test_wire_fuzz.suite;
       "transport", Test_transport.suite;
-      "erasure", Test_erasure.suite;
       "sim", Test_sim.suite;
       "service", Test_service.suite;
       "telemetry", Test_telemetry.suite;

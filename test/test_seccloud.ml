@@ -1,13 +1,39 @@
 (* End-to-end tests of the top-level orchestration API. *)
 
-let fresh_system tag =
+let fresh_system ?(cs_ids = [ "cs-1"; "cs-2" ]) tag =
   Seccloud.System.create ~params:Sc_pairing.Params.toy ~seed:("sys:" ^ tag)
-    ~cs_ids:[ "cs-1"; "cs-2" ] ~da_id:"da" ()
+    ~cs_ids ~da_id:"da" ()
 
 let payloads n =
   List.init n (fun i -> Sc_storage.Block.encode_ints [ i; i + 10; i * 2 ])
 
 let da_of system = Seccloud.Agency.create system
+
+(* Users alice, bob and carol each store a file on [cloud_of i], run an
+   8-task service there and delegate the audit; the DA then checks all
+   three executions in one batched verification. *)
+let batched_computation_audit system cloud_of =
+  let drbg = Sc_hash.Drbg.create ~seed:"svc2" in
+  let jobs =
+    List.mapi
+      (fun i name ->
+        let cloud = cloud_of i in
+        let user = Seccloud.User.create system ~id:name in
+        assert (Seccloud.User.store user cloud ~file:(name ^ "-f") (payloads 16));
+        let service =
+          Sc_compute.Task.random_service ~drbg ~n_positions:16 ~n_tasks:8
+        in
+        let execution =
+          Seccloud.Cloud.execute cloud ~owner:name ~file:(name ^ "-f") service
+        in
+        let warrant =
+          Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:100.0 ~scope:"t"
+        in
+        cloud, name, execution, warrant)
+      [ "alice"; "bob"; "carol" ]
+  in
+  Seccloud.Agency.audit_computation_batched (da_of system) jobs ~now:10.0
+    ~samples:5
 
 let unit_tests =
   let open Util in
@@ -110,132 +136,31 @@ let unit_tests =
         check Alcotest.bool "valid" true v.Sc_audit.Protocol.valid);
     case "multi-user batched computation audit" (fun () ->
         let system = fresh_system "multi" in
-        let da = Seccloud.Agency.create system in
         let cloud = Seccloud.Cloud.create system ~id:"cs-1" () in
-        let drbg = Sc_hash.Drbg.create ~seed:"svc2" in
-        let jobs =
-          List.map
-            (fun name ->
-              let user = Seccloud.User.create system ~id:name in
-              assert (Seccloud.User.store user cloud ~file:(name ^ "-f") (payloads 16));
-              let service =
-                Sc_compute.Task.random_service ~drbg ~n_positions:16 ~n_tasks:8
-              in
-              let execution =
-                Seccloud.Cloud.execute cloud ~owner:name ~file:(name ^ "-f") service
-              in
-              let warrant =
-                Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:100.0 ~scope:"t"
-              in
-              cloud, name, execution, warrant)
-            [ "alice"; "bob"; "carol" ]
-        in
-        let v = Seccloud.Agency.audit_computation_batched da jobs ~now:10.0 ~samples:5 in
+        let v = batched_computation_audit system (fun _ -> cloud) in
         check Alcotest.bool "valid" true v.Sc_audit.Protocol.valid);
+    case "one cheating cloud fails a batched audit across three clouds"
+      (fun () ->
+        let system = fresh_system ~cs_ids:[ "cs-1"; "cs-2"; "cs-3" ] "multi" in
+        let clouds =
+          [
+            Seccloud.Cloud.create system ~id:"cs-1" ();
+            Seccloud.Cloud.create system ~id:"cs-2"
+              ~compute:(Sc_compute.Executor.Guess_fraction (1.0, 1 lsl 30))
+              ();
+            Seccloud.Cloud.create system ~id:"cs-3" ();
+          ]
+        in
+        let v = batched_computation_audit system (List.nth clouds) in
+        check Alcotest.bool "invalid" false v.Sc_audit.Protocol.valid;
+        check Alcotest.bool "Computing_wrong reported" true
+          (List.exists
+             (function
+               | Sc_audit.Protocol.Computing_wrong _ -> true | _ -> false)
+             v.Sc_audit.Protocol.failures));
     case "choose_sample_size matches sampling module" (fun () ->
         check Alcotest.int "t=33-ish" 33
           (Seccloud.Agency.choose_sample_size ~range:2.0 ~csc:0.5 ~ssc:0.5 ()));
-  ]
-
-let distributed_tests =
-  let open Util in
-  let module D = Seccloud.Distributed in
-  let module Task = Sc_compute.Task in
-  let setup ?(cheat = None) tag n_clouds =
-    let ids = List.init n_clouds (Printf.sprintf "cs-%d") in
-    let system =
-      Seccloud.System.create ~params:Sc_pairing.Params.toy ~seed:("dist:" ^ tag)
-        ~cs_ids:ids ~da_id:"da" ()
-    in
-    let user = Seccloud.User.create system ~id:"alice" in
-    let clouds =
-      List.mapi
-        (fun i id ->
-          match cheat with
-          | Some (bad_index, compute) when i = bad_index ->
-            Seccloud.Cloud.create system ~id ~compute ()
-          | Some _ | None -> Seccloud.Cloud.create system ~id ())
-        ids
-    in
-    system, user, clouds
-  in
-  let payloads = List.init 20 (fun i -> Sc_storage.Block.encode_ints [ i; i + 1 ]) in
-  [
-    case "plan partitions every sub-task exactly once" (fun () ->
-        let _, _, clouds = setup "plan" 3 in
-        let service = List.init 10 (fun i -> { Task.func = Task.Sum; position = i }) in
-        let shards = D.plan ~clouds service in
-        check Alcotest.int "3 shards" 3 (List.length shards);
-        let all =
-          List.concat_map
-            (fun s -> Array.to_list s.D.original_indices)
-            shards
-        in
-        check Alcotest.(list int) "coverage" (List.init 10 Fun.id)
-          (List.sort compare all));
-    case "plan with more clouds than tasks drops idle clouds" (fun () ->
-        let _, _, clouds = setup "idle" 5 in
-        let service = List.init 2 (fun i -> { Task.func = Task.Sum; position = i }) in
-        check Alcotest.int "2 shards" 2 (List.length (D.plan ~clouds service)));
-    case "distributed results equal single-server results" (fun () ->
-        let _, user, clouds = setup "equal" 3 in
-        assert (D.store_replicated user clouds ~file:"d" payloads);
-        let service =
-          List.init 12 (fun i ->
-              { Task.func = (if i mod 2 = 0 then Task.Sum else Task.Max); position = i })
-        in
-        let dist = D.execute ~owner:"alice" ~file:"d" (D.plan ~clouds service) in
-        let single =
-          Seccloud.Cloud.execute (List.hd clouds) ~owner:"alice" ~file:"d" service
-        in
-        check Alcotest.(array int) "same results"
-          (Sc_compute.Executor.results single)
-          (D.results dist));
-    case "map_reduce computes the expected aggregate" (fun () ->
-        let _, user, clouds = setup "mr" 2 in
-        assert (D.store_replicated user clouds ~file:"d" payloads);
-        (* Sum of block sums over positions 0..9: block i holds
-           [i; i+1], so total = Σ (2i + 1) for i in 0..9 = 100. *)
-        match
-          D.map_reduce ~owner:"alice" ~file:"d" ~clouds ~map:Task.Sum
-            ~positions:(List.init 10 Fun.id) ~reduce:Task.Sum
-        with
-        | Ok (total, _) -> check Alcotest.int "total" 100 total
-        | Error e -> Alcotest.fail e);
-    case "batched audit passes over honest shards" (fun () ->
-        let system, user, clouds = setup "audit" 3 in
-        let da = Seccloud.Agency.create system in
-        assert (D.store_replicated user clouds ~file:"d" payloads);
-        let service = List.init 9 (fun i -> { Task.func = Task.Sum; position = i }) in
-        let dist = D.execute ~owner:"alice" ~file:"d" (D.plan ~clouds service) in
-        let warrant =
-          Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:1e9 ~scope:"d"
-        in
-        let v = D.audit da dist ~warrant ~now:1.0 ~samples_per_shard:3 in
-        check Alcotest.bool "valid" true v.Sc_audit.Protocol.valid);
-    case "one cheating shard fails the whole distributed audit" (fun () ->
-        let system, user, clouds =
-          setup
-            ~cheat:(Some (1, Sc_compute.Executor.Guess_fraction (1.0, 1 lsl 30)))
-            "cheat" 3
-        in
-        let da = Seccloud.Agency.create system in
-        assert (D.store_replicated user clouds ~file:"d" payloads);
-        let service = List.init 9 (fun i -> { Task.func = Task.Sum; position = i }) in
-        let dist = D.execute ~owner:"alice" ~file:"d" (D.plan ~clouds service) in
-        let warrant =
-          Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:1e9 ~scope:"d"
-        in
-        let v = D.audit da dist ~warrant ~now:1.0 ~samples_per_shard:3 in
-        check Alcotest.bool "invalid" false v.Sc_audit.Protocol.valid);
-    case "plan rejects degenerate inputs" (fun () ->
-        let _, _, clouds = setup "degenerate" 2 in
-        Alcotest.check_raises "no clouds"
-          (Invalid_argument "Distributed.plan: no clouds") (fun () ->
-            ignore (D.plan ~clouds:[] [ { Task.func = Task.Sum; position = 0 } ]));
-        Alcotest.check_raises "empty service"
-          (Invalid_argument "Distributed.plan: empty service") (fun () ->
-            ignore (D.plan ~clouds [])));
   ]
 
 (* Transport faults surfacing through the sharded service path: the
@@ -390,5 +315,5 @@ let service_channel_tests =
         | _ -> Alcotest.fail "expected a typed compute outcome");
   ]
 
-let suite = unit_tests @ distributed_tests @ service_channel_tests
+let suite = unit_tests @ service_channel_tests
 
