@@ -1,27 +1,22 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: build test test-slow lint lint-fast bench bench-check \
+.PHONY: build test test-slow lint bench bench-check \
 	metrics-check service-check dynamic-check repro clean
 
 build:
 	dune build
 
 # Static analysis: sc_lint over lib/, bin/ and test/ with the waiver
-# baseline in lint/waivers.sexp.  Fails on any unwaived finding or on
-# a waiver that no longer matches anything (--stale-waivers), so the
-# baseline can only shrink.  `dune build @check` first so every file
-# has a .cmt and the typed interprocedural rules (typed-secret-flow,
-# domain-capture, discarded-error, transitive-determinism) run at
-# full coverage.
+# baseline in lint/waivers.sexp — the same gate (Engine.gate) the
+# self-lint test runs under `dune runtest`.  `dune build @check` first
+# so every file has the .cmt the typed rules read; a file without one
+# is a no-cmt error.  Fails on any unwaived finding or on a waiver that
+# no longer matches anything (--stale-waivers), so the baseline can
+# only shrink.
 lint:
 	dune build @check tools/sc_lint/sc_lint.exe
 	dune exec tools/sc_lint/sc_lint.exe -- --root . --stale-waivers \
 	  lib bin test
-
-# Parsetree rules only (no build required): the same gate the @lint
-# dune alias enforces, for quick iteration.
-lint-fast:
-	dune build @lint
 
 test:
 	dune runtest

@@ -148,10 +148,7 @@ let () =
   let module Telemetry = Sc_telemetry.Telemetry in
   let module Labels = Sc_telemetry.Labels in
   let c_bench = Telemetry.counter "bench.telemetry.incr" in
-  let h_bench =
-    Telemetry.histogram ~buckets:(Telemetry.log_buckets ())
-      "bench.telemetry.observe"
-  in
+  let h_bench = Telemetry.histogram "bench.telemetry.observe" in
   let v_bench = Labels.counter_vec ~label:"kind" "bench.telemetry.labeled" in
   let inner = 1000 in
   let per_op ns = ns /. float_of_int inner in

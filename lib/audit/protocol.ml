@@ -60,16 +60,9 @@ let is_transport_failure = function
 
 let make_challenge ~drbg ~n_tasks ~samples ~warrant =
   Telemetry.with_span ~name:"audit.challenge" @@ fun () ->
-  let samples = min samples n_tasks in
-  Telemetry.add c_samples_drawn samples;
-  let idx = Array.init n_tasks (fun i -> i) in
-  for i = 0 to samples - 1 do
-    let j = i + Sc_hash.Drbg.uniform_int drbg (n_tasks - i) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  { sample_indices = List.init samples (fun i -> idx.(i)); warrant }
+  Telemetry.add c_samples_drawn (min samples n_tasks);
+  let idx = Sc_hash.Drbg.sample_prefix drbg ~n:n_tasks ~k:samples in
+  { sample_indices = Array.to_list idx; warrant }
 
 (* Challenge / proof / verification each get their own span
    ([audit.challenge] / [audit.respond] / [audit.verify]) so the trace

@@ -45,6 +45,17 @@ let uniform_int t n =
     draw ()
   end
 
+let sample_prefix t ~n ~k =
+  let k = min k n in
+  let idx = Array.init n Fun.id in
+  for i = 0 to k - 1 do
+    let j = i + uniform_int t (n - i) in
+    let tmp = idx.(i) in
+    idx.(i) <- idx.(j);
+    idx.(j) <- tmp
+  done;
+  Array.sub idx 0 k
+
 let float t =
   let s = generate t 7 in
   let v = ref 0 in

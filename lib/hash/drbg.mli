@@ -20,5 +20,11 @@ val uniform_int : t -> int -> int
 (** [uniform_int t n] draws uniformly from [\[0, n)] by rejection.
     @raise Invalid_argument if [n <= 0]. *)
 
+val sample_prefix : t -> n:int -> k:int -> int array
+(** [sample_prefix t ~n ~k] is the first [min k n] entries of 0..n−1
+    after a partial Fisher–Yates shuffle: [min k n] distinct indices,
+    drawn with one {!uniform_int} per entry, in draw order.  Bound [n]
+    before calling: it sizes an allocation. *)
+
 val float : t -> float
 (** Uniform in [\[0, 1)] with 53 bits of precision. *)

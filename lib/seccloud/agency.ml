@@ -25,26 +25,15 @@ type storage_report = {
          rather than block verification *)
 }
 
-let sample_indices t ~n ~samples =
-  let samples = min samples n in
-  let idx = Array.init n (fun i -> i) in
-  for i = 0 to samples - 1 do
-    let j = i + Sc_hash.Drbg.uniform_int t.drbg (n - i) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  List.init samples (fun i -> idx.(i))
-
 let read_samples t cloud ~file ~samples =
   match Server.file_size (Cloud.storage cloud) file with
   | None -> None
   | Some n ->
-    let indices = sample_indices t ~n ~samples in
+    let indices = Sc_hash.Drbg.sample_prefix t.drbg ~n ~k:samples in
     Some
       (List.map
          (fun i -> i, Server.read (Cloud.storage cloud) ~file ~index:i)
-         indices)
+         (Array.to_list indices))
 
 let report_of_checks checks =
   let sampled = List.length checks in
@@ -59,28 +48,29 @@ let report_of_checks checks =
     channel = None;
   }
 
+let check_blocks system ~owner reads =
+  let pub = System.public system in
+  let da_key = System.da_key system in
+  let q_id = Sc_ibc.Setup.q_of_id pub owner in
+  report_of_checks
+    (List.map
+       (fun (i, read) ->
+         ( i,
+           match read with
+           | None -> false
+           | Some { Server.claimed; signed } ->
+             claimed.Block.index = i
+             && Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id
+                  claimed signed ))
+       reads)
+
 let audit_storage t cloud ~owner ~file ~samples =
-  let pub = System.public t.system in
-  let da_key = System.da_key t.system in
   match read_samples t cloud ~file ~samples with
   | None ->
     { sampled = 0; valid_blocks = 0; invalid_indices = []; intact = false;
       channel = None }
   | Some reads ->
-    let q_id = Sc_ibc.Setup.q_of_id pub owner in
-    let checks =
-      List.map
-        (fun (i, read) ->
-          match read with
-          | None -> i, false
-          | Some { Server.claimed; signed } ->
-            ( i,
-              claimed.Block.index = i
-              && Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id
-                   claimed signed ))
-        reads
-    in
-    let report = report_of_checks checks in
+    let report = check_blocks t.system ~owner reads in
     Log.info (fun m ->
         m "storage audit %s/%s: %d/%d valid, intact=%b" owner file
           report.valid_blocks report.sampled report.intact);
@@ -129,23 +119,8 @@ let audit_storage_batched t cloud ~owner ~file ~samples =
         intact = true;
         channel = None;
       }
-    else begin
-      (* Locate offenders individually. *)
-      let q_id = Sc_ibc.Setup.q_of_id pub owner in
-      let checks =
-        List.map
-          (fun (i, read) ->
-            match read with
-            | None -> i, false
-            | Some { Server.claimed; signed } ->
-              ( i,
-                claimed.Block.index = i
-                && Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-                     ~q_id claimed signed ))
-          reads
-      in
-      report_of_checks checks
-    end
+    else (* Locate offenders individually. *)
+      check_blocks t.system ~owner reads
 
 let choose_sample_size ?(eps = 1e-4) ?(range = infinity) ~csc ~ssc () =
   match

@@ -17,6 +17,16 @@ type storage_report = {
           of block verification. *)
 }
 
+val check_blocks :
+  System.t ->
+  owner:string ->
+  (int * Sc_storage.Server.read_result option) list ->
+  storage_report
+(** Designated verification (eq. 7) of sampled reads: a block is valid
+    when the server returned one for its index, it claims that index,
+    and its DA signature verifies.  Every other index, a missing read
+    included, is reported invalid, in the given order. *)
+
 val audit_storage :
   t -> Cloud.t -> owner:string -> file:string -> samples:int -> storage_report
 (** Protocol II auditing: sample block positions, read them from the

@@ -79,8 +79,6 @@ module Da = struct
     { system; drbg = Sc_hash.Drbg.create ~seed:"da-endpoint" }
 
   let audit_storage_over_wire t ~transport ~owner ~file ~indices =
-    let pub = System.public t.system in
-    let da_key = System.da_key t.system in
     let fail channel =
       {
         Agency.sampled = List.length indices;
@@ -95,27 +93,9 @@ module Da = struct
     with
     | Error e -> fail (Some e)
     | Ok (Wire.Storage_response items) ->
-      let q_id = Sc_ibc.Setup.q_of_id pub owner in
-      let checks =
-        List.map
-          (fun i ->
-            match List.assoc_opt i items with
-            | Some (Some { Server_impl.claimed; signed }) ->
-              ( i,
-                claimed.Sc_storage.Block.index = i
-                && Sc_storage.Signer.verify_block pub ~verifier_key:da_key
-                     ~role:`Da ~q_id claimed signed )
-            | Some None | None -> i, false)
-          indices
-      in
-      let invalid = List.filter_map (fun (i, ok) -> if ok then None else Some i) checks in
-      {
-        Agency.sampled = List.length indices;
-        valid_blocks = List.length indices - List.length invalid;
-        invalid_indices = invalid;
-        intact = invalid = [];
-        channel = None;
-      }
+      (* an index the server omitted reads as missing, hence invalid *)
+      Agency.check_blocks t.system ~owner
+        (List.map (fun i -> i, Option.join (List.assoc_opt i items)) indices)
     | Ok _ ->
       (* The server answered (an error Ack): the channel worked, the
          audit simply failed. *)

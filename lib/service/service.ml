@@ -439,15 +439,7 @@ let do_audit sh tenant record ~file ~samples =
     Denied Unknown_file
   | Some blocks ->
     let indices =
-      let n = min samples blocks in
-      let arr = Array.init blocks Fun.id in
-      for i = 0 to n - 1 do
-        let j = i + Drbg.uniform_int sh.drbg (blocks - i) in
-        let v = arr.(i) in
-        arr.(i) <- arr.(j);
-        arr.(j) <- v
-      done;
-      Array.to_list (Array.sub arr 0 n)
+      Array.to_list (Drbg.sample_prefix sh.drbg ~n:blocks ~k:samples)
     in
     let tampers0 = Transport.injected_tampers sh.transport in
     let report =

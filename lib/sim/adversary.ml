@@ -42,24 +42,20 @@ let create ~drbg ~bound ~server_ids ?(catalogue = default_catalogue) () =
 
 let new_epoch t =
   t.epoch <- t.epoch + 1;
-  let n = Array.length t.server_ids in
-  let ids = Array.copy t.server_ids in
-  (* Fisher–Yates prefix: the first [k] entries are this epoch's
-     victims, where k ≤ bound is itself random (the adversary may not
-     use its full budget). *)
+  (* Fisher–Yates prefix: this epoch's k victims, where k ≤ bound is
+     itself random (the adversary may not use its full budget). *)
   let k = if t.bound = 0 then 0 else Sc_hash.Drbg.uniform_int t.drbg (t.bound + 1) in
-  for i = 0 to k - 1 do
-    let j = i + Sc_hash.Drbg.uniform_int t.drbg (n - i) in
-    let tmp = ids.(i) in
-    ids.(i) <- ids.(j);
-    ids.(j) <- tmp
-  done;
+  let victims =
+    Sc_hash.Drbg.sample_prefix t.drbg ~n:(Array.length t.server_ids) ~k
+  in
   t.current <-
-    List.init k (fun i ->
+    List.map
+      (fun i ->
         let c =
           t.catalogue.(Sc_hash.Drbg.uniform_int t.drbg (Array.length t.catalogue))
         in
-        ids.(i), c)
+        t.server_ids.(i), c)
+      (Array.to_list victims)
 
 let corruption_of t id = List.assoc_opt id t.current
 let corrupted t = List.map fst t.current

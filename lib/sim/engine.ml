@@ -76,17 +76,6 @@ type stats = {
    learning is the exact number of bytes the channel delivered,
    retries and duplicates included. *)
 
-let sample_indices ~drbg ~universe ~count =
-  let n = min count universe in
-  let arr = Array.init universe Fun.id in
-  for i = 0 to n - 1 do
-    let j = i + Sc_hash.Drbg.uniform_int drbg (universe - i) in
-    let t = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- t
-  done;
-  Array.to_list (Array.sub arr 0 n)
-
 (* The whole campaign runs under one [sim.campaign] root span: every
    epoch, audit and transport RPC (including server-side handler
    spans, via the envelope context) shares its trace id, and the
@@ -260,8 +249,9 @@ let run config =
             if Event_queue.now queue > Transport.now transport then
               Transport.set_now transport (Event_queue.now queue);
             let indices =
-              sample_indices ~drbg ~universe:config.blocks_per_file
-                ~count:config.samples_per_audit
+              Array.to_list
+                (Sc_hash.Drbg.sample_prefix drbg ~n:config.blocks_per_file
+                   ~k:config.samples_per_audit)
             in
             let t0 = Sys.time () in
             match commitment with

@@ -316,15 +316,8 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
       if not (String.equal stated_file file) then failure
       else if count > audit_count_cap || count > server.s_count then failure
       else begin
-        let samples = min samples count in
         let q_id = Setup.q_of_id pub owner in
-        let idx = Array.init count (fun i -> i) in
-        for i = 0 to samples - 1 do
-          let j = i + Sc_hash.Drbg.uniform_int drbg (count - i) in
-          let tmp = idx.(i) in
-          idx.(i) <- idx.(j);
-          idx.(j) <- tmp
-        done;
+        let idx = Sc_hash.Drbg.sample_prefix drbg ~n:count ~k:samples in
         let check index =
           match read server index with
           | None -> false
@@ -351,13 +344,13 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
             && Dvs.verify pub ~verifier_key ~q_id ~msg
                  { Dvs.u = rp.u; sigma = rp.sigma_da }
         in
-        let results = List.init samples (fun i -> idx.(i), check idx.(i)) in
+        let results = List.map (fun i -> i, check i) (Array.to_list idx) in
         let invalid =
           List.filter_map (fun (i, ok) -> if ok then None else Some i) results
         in
         {
-          sampled = samples;
-          valid = samples - List.length invalid;
+          sampled = Array.length idx;
+          valid = Array.length idx - List.length invalid;
           invalid_indices = invalid;
           intact = invalid = [];
         }

@@ -30,10 +30,3 @@ let buckets ?(min_value = min_us) ?(max_value = max_us)
    OCaml 5, and the first span closes can race exactly so. *)
 let default_bounds_ = buckets ()
 let default_bounds () = default_bounds_
-
-let histogram name = Registry.histogram ~buckets:(default_bounds ()) name
-let quantile = Registry.quantile
-
-let summary s =
-  [ "p50", quantile s 0.50; "p90", quantile s 0.90; "p99", quantile s 0.99;
-    "p999", quantile s 0.999 ]

@@ -39,9 +39,6 @@ let locked f =
     Mutex.unlock lock;
     raise e
 
-(* Microsecond-scaled latency buckets: 10 µs .. 10 s. *)
-let default_buckets = [| 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7 |]
-
 let kind_error name =
   invalid_arg
     (Printf.sprintf "Telemetry: metric %S already registered with another kind"
@@ -67,7 +64,7 @@ let gauge name =
     Hashtbl.add table name (G g);
     g
 
-let histogram ?(buckets = default_buckets) name =
+let histogram ?(buckets = Hdr.default_bounds ()) name =
   locked @@ fun () ->
   match Hashtbl.find_opt table name with
   | Some (H h) -> h

@@ -23,10 +23,8 @@ val counter : string -> counter
 val gauge : string -> gauge
 val histogram : ?buckets:float array -> string -> histogram
 (** [buckets] are strictly increasing upper bounds; an implicit
-    overflow bucket is appended.  Defaults to microsecond-scale
-    latency buckets 10¹..10⁷ µs. *)
-
-val default_buckets : float array
+    overflow bucket is appended.  Defaults to the HDR log buckets
+    {!Hdr.default_bounds} every span uses (0.01 µs .. 1e8 µs). *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -72,9 +72,7 @@ let close stack sp ~error =
   | _ -> (* unbalanced exit via exception deeper in the stack *) ());
   Atomic.decr open_count;
   let dur = Clock.elapsed_ns sp.start_ns in
-  Registry.observe
-    (Registry.histogram ~buckets:(Hdr.default_bounds ()) ("span." ^ sp.name))
-    (Clock.ns_to_us dur);
+  Registry.observe (Registry.histogram ("span." ^ sp.name)) (Clock.ns_to_us dur);
   if error then
     Registry.incr (Registry.counter ("span." ^ sp.name ^ ".errors"));
   emit_line sp dur ~error

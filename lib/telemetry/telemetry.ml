@@ -8,7 +8,6 @@ type histogram = Registry.histogram
 let counter = Registry.counter
 let gauge = Registry.gauge
 let histogram = Registry.histogram
-let default_buckets = Registry.default_buckets
 
 let incr = Registry.incr
 let add = Registry.add

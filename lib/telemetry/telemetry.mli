@@ -25,7 +25,6 @@ type histogram = Registry.histogram
 val counter : string -> counter
 val gauge : string -> gauge
 val histogram : ?buckets:float array -> string -> histogram
-val default_buckets : float array
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -59,7 +58,8 @@ val quantile : hist_snapshot -> float -> float
     {!Hdr.relative_error} for HDR-bucketed histograms. *)
 
 val log_buckets : unit -> float array
-(** {!Hdr.default_bounds} — the span-default HDR log buckets. *)
+(** {!Hdr.default_bounds} — the HDR log buckets every histogram
+    defaults to. *)
 
 val with_span : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 val set_sink : (string -> unit) option -> unit

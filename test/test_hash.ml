@@ -109,6 +109,20 @@ let unit_tests =
           let f = Sc_hash.Drbg.float d in
           if not (f >= 0.0 && f < 1.0) then Alcotest.fail "out of range"
         done);
+    case "DRBG sample_prefix draws the pinned audit challenge" (fun () ->
+        (* The indices Protocol.make_challenge draws for this seed.
+           Every audit sampler draws through sample_prefix, so a change
+           here moves every sample and every pinned digest. *)
+        let draw n k =
+          Array.to_list
+            (Sc_hash.Drbg.sample_prefix
+               (Sc_hash.Drbg.create ~seed:"sample-prefix")
+               ~n ~k)
+        in
+        check Alcotest.(list int) "n=32 k=8" [ 11; 9; 17; 8; 3; 19; 23; 24 ]
+          (draw 32 8);
+        check Alcotest.(list int) "k > n clamps to a permutation"
+          [ 3; 1; 0; 2; 4 ] (draw 5 9));
   ]
 
 let suite = unit_tests

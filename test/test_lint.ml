@@ -1,6 +1,7 @@
 (* sc_lint rule fixtures: one positive and one negative case per rule,
    waiver round-trips, and a self-lint pass over the real tree.  The
-   fixtures are fed as in-memory strings through Engine.lint_source, so
+   Parsetree fixtures are fed as in-memory strings through
+   Engine.lint_source, the typed ones are typechecked in-process, so
    the tests pin the rules' behaviour without touching the file
    system. *)
 
@@ -11,7 +12,7 @@ module Engine = Sc_lint_core.Engine
 open Util
 
 (* Lint [content] as if it lived at lib/<name> (lib/ enables the
-   determinism and no-mli rules). *)
+   no-mli rule). *)
 let lint_lib ?(has_mli = true) ?(name = "fixture.ml") content =
   Engine.lint_source { Engine.rel = "lib/" ^ name; content; has_mli }
 
@@ -82,38 +83,6 @@ let signing_encode =
       "let h a b = Sha256.digest (Sc_hash.Encode.canonical [ \"tag\"; a; b ])\n";
     no_findings "numeric-only sprintf cannot collide"
       "let h n = Sha256.digest (Printf.sprintf \"blk-%d\" n)\n";
-  ]
-
-let determinism =
-  [
-    case "Stdlib.Random in lib/ is flagged" (fun () ->
-        let fs = lint_lib "let roll () = Random.int 6\n" in
-        check Alcotest.bool "flagged" true (has_rule "determinism" fs));
-    case "Unix.gettimeofday in lib/ is flagged with a scoped key" (fun () ->
-        let fs = lint_lib "let now () = Unix.gettimeofday ()\n" in
-        let f = List.find (fun f -> f.Finding.rule = "determinism") fs in
-        check Alcotest.string "key" "now:Unix.gettimeofday" f.Finding.key);
-    case "the same source in bin/ is allowed" (fun () ->
-        let fs = lint_bin "let now () = Unix.gettimeofday ()\n" in
-        check Alcotest.bool "not flagged" false (has_rule "determinism" fs));
-    no_findings "DRBG-driven randomness is the sanctioned source"
-      "let roll drbg = Sc_hash.Drbg.uniform_int drbg 6\n";
-  ]
-
-let secret_flow =
-  [
-    case "printing a secret-named ident is flagged" (fun () ->
-        let fs =
-          lint_lib "let debug sk = Printf.printf \"sk=%s\\n\" sk\n"
-        in
-        check Alcotest.bool "flagged" true (has_rule "secret-flow" fs));
-    case "underscore-token match: msk reaching failwith" (fun () ->
-        let fs = lint_lib "let f master_sk = failwith master_sk\n" in
-        check Alcotest.bool "flagged" true (has_rule "secret-flow" fs));
-    no_findings "printing non-secret state is fine"
-      "let debug count = Printf.printf \"count=%d\\n\" count\n";
-    no_findings "risk (contains 'sk' mid-word) is not a secret token"
-      "let debug risk = Printf.printf \"risk=%s\\n\" risk\n";
   ]
 
 let exception_discipline =
@@ -492,28 +461,80 @@ let typed_transitive_determinism =
         | Ok ws ->
           let fs = typed_lint ~waivers:ws jitter_src in
           check Alcotest.bool "not flagged" false
-            (has_rule "transitive-determinism" fs));
+            (has_rule "transitive-determinism" fs);
+          let unwaived, _, stale = Waiver.apply ws fs in
+          check Alcotest.bool "direct use waived" false
+            (has_rule "determinism" unwaived);
+          check Alcotest.int "waiver not stale" 0 (List.length stale));
     no_typed_findings "deterministic helpers do not seed the closure"
       "let leaf n = n * 2\nlet outer n = leaf n + 1\n";
   ]
 
+(* The direct-use rule.  Unix is not on the fixtures' load path, so a
+   stub stands in for it; the rule matches the written path. *)
+let unix_stub = "module Unix = struct let gettimeofday () = 0.0 end\n"
+
+let typed_determinism =
+  [
+    case "Stdlib.Random in lib/ is flagged" (fun () ->
+        let fs = typed_lint "let roll () = Random.int 6\n" in
+        check Alcotest.bool "flagged" true (has_rule "determinism" fs));
+    case "Unix.gettimeofday in lib/ is flagged with a scoped key" (fun () ->
+        let fs = typed_lint (unix_stub ^ "let now () = Unix.gettimeofday ()\n") in
+        check Alcotest.string "key" "now:Unix.gettimeofday"
+          (find_rule "determinism" fs).Finding.key);
+    case "the same source in bin/ is allowed" (fun () ->
+        let fs =
+          typed_lint ~rel:"bin/fixture.ml"
+            (unix_stub ^ "let now () = Unix.gettimeofday ()\n")
+        in
+        check Alcotest.bool "not flagged" false (has_rule "determinism" fs));
+    no_typed_findings "DRBG-driven randomness is the sanctioned source"
+      "module Drbg = struct let uniform_int (_ : string) n = n - 1 end\n\
+       let roll drbg = Drbg.uniform_int drbg 6\n";
+    case "toplevel Random uses are flagged, anonymous bindings included"
+      (fun () ->
+        let fs =
+          typed_lint "let seed = Random.bits ()\nlet () = Random.self_init ()\n"
+        in
+        check
+          Alcotest.(list string)
+          "keys"
+          [ "seed:Random.bits"; "_:Random.self_init" ]
+          (List.map
+             (fun f -> f.Finding.key)
+             (List.filter (fun f -> f.Finding.rule = "determinism") fs)));
+    case "a nested-let Sys.time is keyed by its toplevel binding" (fun () ->
+        let fs =
+          typed_lint
+            "let measure f =\n\
+            \  let t0 = Sys.time () in\n\
+            \  f ();\n\
+            \  Sys.time () -. t0\n"
+        in
+        check
+          Alcotest.(list (pair string int))
+          "both uses, one key"
+          [ ("measure:Sys.time", 2); ("measure:Sys.time", 4) ]
+          (List.map
+             (fun f -> (f.Finding.key, f.Finding.line))
+             (List.filter (fun f -> f.Finding.rule = "determinism") fs)));
+  ]
+
 let typed_fallback =
   [
-    case "without cmts the Parsetree secret heuristic still runs" (fun () ->
+    case "a source without a cmt yields no-cmt" (fun () ->
         let src =
-          {
-            Engine.rel = "lib/fixture.ml";
-            content = "let debug sk = Printf.printf \"sk=%s\" sk\n";
-            has_mli = true;
-          }
+          { Engine.rel = "lib/fixture.ml"; content = "let x = 1\n"; has_mli = true }
         in
-        let findings, cmt_rels =
-          Engine.lint_all ~build_dir:"/nonexistent-cmt-dir" ~waivers:[]
-            [ src ]
+        let f =
+          find_rule "no-cmt"
+            (Engine.lint_all ~build_dir:"/nonexistent-cmt-dir" ~waivers:[]
+               [ src ])
         in
-        check Alcotest.(list string) "no cmt coverage" [] cmt_rels;
-        check Alcotest.bool "name-heuristic finding" true
-          (has_rule "secret-flow" findings));
+        check Alcotest.bool "error severity" true
+          (f.Finding.severity = Finding.Error);
+        check Alcotest.string "key is the file" "lib/fixture.ml" f.Finding.key);
     case "to_json escapes quotes and carries the waived flag" (fun () ->
         let f =
           {
@@ -548,19 +569,10 @@ let typed_fallback =
         check Alcotest.int "two distinct chains" 2 (List.length fs));
   ]
 
-(* The real tree must lint clean against the committed baseline, and
-   the baseline must contain no dead entries — the same gate
-   `make lint` applies, run in-process.  The typed pass rides along
-   when the surrounding _build has cmt files (it does under
-   `dune runtest`: the test links every library); if they are absent
-   the typed waivers are excluded from staleness, mirroring the
-   CLI. *)
-let typed_rule_names =
-  [
-    "typed-secret-flow"; "domain-capture"; "discarded-error";
-    "transitive-determinism";
-  ]
-
+(* The real tree must lint clean against the committed baseline, with
+   zero dead entries and every file typed — the same Engine.gate that
+   `make lint` runs.  The test's deps include the @check aliases, so
+   the cmts of lib/, bin/ and test/ sit next to the sources. *)
 let self_lint =
   [
     case "repo lints clean with zero stale waivers" (fun () ->
@@ -575,39 +587,30 @@ let self_lint =
         in
         match root with
         | None -> Alcotest.fail "lint/waivers.sexp not found from test cwd"
-        | Some root ->
-          let waiver_file = Filename.concat root "lint/waivers.sexp" in
-          let sources = Engine.collect_files ~root [ "lib"; "bin"; "test" ] in
-          check Alcotest.bool "collected a plausible tree" true
-            (List.length sources > 50);
-          match Waiver.parse (In_channel.with_open_text waiver_file In_channel.input_all) with
+        | Some root -> (
+          match
+            Engine.gate ~root
+              ~waivers:(Some (Filename.concat root "lint/waivers.sexp"))
+              [ "lib"; "bin"; "test" ]
+          with
           | Error e -> Alcotest.failf "waiver parse: %s" e
-          | Ok ws ->
-            let findings, cmt_rels =
-              Engine.lint_all ~build_dir:root ~waivers:ws sources
-            in
-            let unwaived, _, stale = Waiver.apply ws findings in
-            let stale =
-              List.filter
-                (fun w ->
-                  (not (List.mem w.Waiver.rule typed_rule_names))
-                  || List.mem w.Waiver.file cmt_rels)
-                stale
-            in
-            let errors =
-              List.filter
-                (fun f -> f.Finding.severity = Finding.Error)
-                unwaived
-            in
+          | Ok r ->
+            check Alcotest.bool "collected a plausible tree" true
+              (r.sources > 50);
+            check Alcotest.int "every source typed" r.sources r.typed;
             check Alcotest.(list string) "no unwaived errors" []
-              (List.map Finding.to_string errors);
+              (List.filter_map
+                 (fun f ->
+                   if f.Finding.severity = Finding.Error then
+                     Some (Finding.to_string f)
+                   else None)
+                 r.unwaived);
             check Alcotest.(list string) "no stale waivers" []
-              (List.map Waiver.to_string stale));
+              (List.map Waiver.to_string r.stale)));
   ]
 
 let suite =
-  domain_safety @ signing_encode @ determinism @ secret_flow
-  @ exception_discipline @ naive_scalar_mul @ dynamic_metric_name @ infra
-  @ waivers @ typed_secret_flow @ typed_domain_capture
-  @ typed_discarded_error @ typed_transitive_determinism @ typed_fallback
-  @ self_lint
+  domain_safety @ signing_encode @ exception_discipline @ naive_scalar_mul
+  @ dynamic_metric_name @ infra @ waivers @ typed_secret_flow
+  @ typed_domain_capture @ typed_discarded_error @ typed_determinism
+  @ typed_transitive_determinism @ typed_fallback @ self_lint

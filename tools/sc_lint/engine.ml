@@ -1,7 +1,7 @@
-(* Parsing, file discovery, and the informational no-mli rule.  The
-   AST rules live in [Rules]; this module turns paths/strings into
-   findings so both the CLI and the in-process fixture tests share one
-   entry point. *)
+(* Parsing, file discovery, the informational no-mli rule, and the
+   lint gate.  The AST rules live in [Rules], the typed ones in
+   [Typed_rules]; [gate] is the one entry point the CLI and the
+   self-lint test share, so the two cannot drift apart. *)
 
 type source = {
   rel : string; (* root-relative, '/'-separated *)
@@ -37,7 +37,7 @@ let lint_source (src : source) : Finding.t list =
   in
   let ast_findings =
     match structure with
-    | Ok str -> Rules.lint ~path:src.rel ~in_lib:(in_lib src.rel) str
+    | Ok str -> Rules.lint ~path:src.rel str
     | Error f -> [ f ]
   in
   let no_mli =
@@ -58,35 +58,39 @@ let lint_source (src : source) : Finding.t list =
   in
   ast_findings @ no_mli
 
-let lint_sources srcs =
-  List.sort Finding.compare (List.concat_map lint_source srcs)
+(* Every source must have a cmt: a file the typed rules cannot see is
+   an error, the same way a file the parser cannot read is. *)
+let no_cmt ~build_dir rel =
+  {
+    Finding.rule = "no-cmt";
+    file = rel;
+    line = 1;
+    severity = Finding.Error;
+    key = rel;
+    msg =
+      Printf.sprintf
+        "no .cmt for this file under %s, so the typed rules cannot run on \
+         it; build the cmts first (dune build @check)"
+        build_dir;
+  }
 
-(* Parse rules plus (when a build dir with cmts is given) the typed
-   pass.  For files with a cmt, the typed secret-flow analysis
-   replaces the name-heuristic secret-flow rule; files without stay on
-   the Parsetree fallback.  Returns the findings and the rels that had
-   a cmt, so the CLI can restrict stale-waiver checking of typed rules
-   to files that were actually analyzed. *)
-let lint_all ?build_dir ~waivers srcs =
-  let parse_findings = List.concat_map lint_source srcs in
-  match build_dir with
-  | None -> (List.sort_uniq Finding.compare parse_findings, [])
-  | Some dir ->
-    let entries =
-      Typed_load.scan ~build_dir:dir
-        ~rels:(List.map (fun (s : source) -> s.rel) srcs)
-    in
-    let cmt_rels = List.map (fun (e : Typed_load.entry) -> e.rel) entries in
-    let graph = Flow_graph.build entries in
-    let pass = Typed_rules.prepare graph ~waivers in
-    let typed = List.concat_map (Typed_rules.lint pass) entries in
-    let parse_findings =
-      List.filter
-        (fun (f : Finding.t) ->
-          not (f.rule = "secret-flow" && List.mem f.file cmt_rels))
-        parse_findings
-    in
-    (List.sort_uniq Finding.compare (typed @ parse_findings), cmt_rels)
+let lint_all ~build_dir ~waivers srcs =
+  let entries =
+    Typed_load.scan ~build_dir ~rels:(List.map (fun (s : source) -> s.rel) srcs)
+  in
+  let pass = Typed_rules.prepare (Flow_graph.build entries) ~waivers in
+  let missing =
+    List.filter_map
+      (fun (s : source) ->
+        if List.exists (fun (e : Typed_load.entry) -> e.rel = s.rel) entries
+        then None
+        else Some (no_cmt ~build_dir s.rel))
+      srcs
+  in
+  List.sort_uniq Finding.compare
+    (List.concat_map lint_source srcs
+    @ List.concat_map (Typed_rules.lint pass) entries
+    @ missing)
 
 (* ------------------------------------------------------------------ *)
 (* Filesystem walk                                                    *)
@@ -147,3 +151,50 @@ let collect_files ~root dirs : source list =
             })
           (walk abs))
     dirs
+
+(* ------------------------------------------------------------------ *)
+(* The gate                                                           *)
+
+type report = {
+  sources : int;
+  typed : int;
+  findings : Finding.t list;
+  unwaived : Finding.t list;
+  waived : Finding.t list;
+  stale : Waiver.t list;
+}
+
+(* dune's cmts live under <root>/_build/default; inside _build (where
+   the self-lint test runs) they sit next to the sources. *)
+let build_dir_of root =
+  let dir = Filename.concat root "_build/default" in
+  if Sys.file_exists dir && Sys.is_directory dir then dir else root
+
+let gate ~root ~waivers dirs =
+  let baseline =
+    match waivers with
+    | None -> Ok []
+    | Some path -> (
+      match read_file path with
+      | exception Sys_error msg -> Error msg
+      | content ->
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (Waiver.parse content))
+  in
+  Result.map
+    (fun ws ->
+      let srcs = collect_files ~root dirs in
+      let findings = lint_all ~build_dir:(build_dir_of root) ~waivers:ws srcs in
+      let unwaived, waived, stale = Waiver.apply ws findings in
+      let untyped =
+        List.length
+          (List.filter (fun (f : Finding.t) -> f.rule = "no-cmt") findings)
+      in
+      {
+        sources = List.length srcs;
+        typed = List.length srcs - untyped;
+        findings;
+        unwaived;
+        waived;
+        stale;
+      })
+    baseline

@@ -1,4 +1,7 @@
-(* The six AST rules, on the 5.1 Parsetree via [Ast_iterator].
+(* The Parsetree rules, on the 5.1 Parsetree via [Ast_iterator].  The
+   typed rules (secret flow, determinism, domain capture, discarded
+   errors) live in [Typed_rules]; these are the syntactic checks with
+   no typed counterpart.
 
    Rule ids:
      domain-safety      toplevel mutable state (ref / Hashtbl.create /
@@ -7,12 +10,6 @@
      signing-encode     sprintf / (^) / String.concat results with >= 2
                         unvalidated fragments flowing syntactically into
                         a hash / sign / KDF sink instead of Sc_hash.Encode
-     determinism        Stdlib.Random, Unix.gettimeofday, Unix.time,
-                        Sys.time in lib/ (randomness: Sc_hash.Drbg; time:
-                        the simulated clock)
-     secret-flow        secret-named identifiers (msk, sk, priv, secret,
-                        master_secret, ...) in telemetry label arguments,
-                        Printf/Format output, or wire-payload construction
      exception-swallow  catch-all [with _ ->] / [with e ->] handlers that
                         neither use the exception nor re-raise
      naive-scalar-mul   (informational) hand-rolled double-and-add scalar
@@ -32,7 +29,6 @@ module SMap = Map.Make (String)
 
 type ctx = {
   path : string; (* root-relative *)
-  in_lib : bool;
   mutable_fields : SSet.t; (* mutable record labels declared in this file *)
   mutable producers : int SMap.t;
       (* file-local functions whose body is a tainted concatenation,
@@ -103,33 +99,6 @@ let encode_sinks =
 (* digest_concat / mac_concat take fragment *lists*: a literal list of
    raw fragments is exactly the ambiguity Encode.frame exists for. *)
 let concat_sinks = SSet.of_list [ "Sha256.digest_concat"; "Hmac.mac_concat" ]
-
-let determinism_forbidden p =
-  match p with
-  | "Random" :: _ :: _ | "Stdlib" :: "Random" :: _ :: _ -> true
-  | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] -> true
-  | _ -> false
-
-let secret_tokens = [ "sk"; "msk"; "priv"; "private"; "secret" ]
-
-let is_secret_name n =
-  let toks = String.split_on_char '_' (String.lowercase_ascii n) in
-  List.exists (fun t -> List.mem t secret_tokens) toks
-
-(* Sinks where a secret-named identifier is an immediate break:
-   telemetry metric names / span attrs, textual output, and wire
-   payload construction. *)
-let secret_sink p =
-  List.exists (fun seg -> seg = "Telemetry" || seg = "Registry" || seg = "Span")
-    p
-  || (match tail1 p with
-     | Some
-         ( "printf" | "eprintf" | "fprintf" | "sprintf" | "asprintf"
-         | "print_string" | "print_endline" | "prerr_endline" | "failwith"
-         | "invalid_arg" ) ->
-       true
-     | _ -> false)
-  || tail2 p = Some "Wire.encode"
 
 (* Fragment producers that cannot introduce framing ambiguity: decimal
    renderings of scalars contain no attacker bytes, and Encode output
@@ -312,32 +281,6 @@ let check_handler_case ctx ~enclosing (case : case) =
         "catch-all handler silently swallows the exception; match specific \
          exceptions, use the bound exception, or re-raise"
   end
-
-let scan_secret_idents ctx ~enclosing ~sink e =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          match e.pexp_desc with
-          | Pexp_fun _ | Pexp_function _ ->
-            () (* span bodies etc. are not label arguments *)
-          | Pexp_ident { txt; _ } | Pexp_field (_, { txt; _ }) ->
-            (match tail1 (flat txt) with
-            | Some n when is_secret_name n ->
-              emit ctx ~rule:"secret-flow" ~loc:e.pexp_loc
-                ~key:(enclosing ^ ":" ^ n)
-                (Printf.sprintf
-                   "secret-named identifier %S reaches %s; secrets must never \
-                    be logged, labelled, or serialized outside \
-                    encrypt/sign sites"
-                   n sink)
-            | _ -> ());
-            Ast_iterator.default_iterator.expr it e
-          | _ -> Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e
 
 let check_encode_sink ctx env ~enclosing ~sink (label, arg) =
   ignore label;
@@ -597,16 +540,6 @@ let lint_structure ctx (str : structure) =
               vbs;
             it.expr it body;
             env := saved_env
-          | Pexp_ident { txt; _ } ->
-            let p = flat txt in
-            if ctx.in_lib && determinism_forbidden p then
-              emit ctx ~rule:"determinism" ~loc:e.pexp_loc
-                ~key:(!enclosing ^ ":" ^ path_string p)
-                (Printf.sprintf
-                   "%s in lib/ breaks 1-vs-N-domain value identity; use \
-                    Sc_hash.Drbg for randomness and the simulated clock for \
-                    time"
-                   (path_string p))
           | Pexp_apply (f, args) ->
             (match path_of f with
             | Some p ->
@@ -614,12 +547,6 @@ let lint_structure ctx (str : structure) =
               | Some sink when SSet.mem sink encode_sinks ->
                 List.iter (check_encode_sink ctx !env ~enclosing:!enclosing ~sink) args
               | _ -> ());
-              if secret_sink p then
-                List.iter
-                  (fun (_, a) ->
-                    scan_secret_idents ctx ~enclosing:!enclosing
-                      ~sink:(path_string p) a)
-                  args;
               rule_dynamic_metric_name ctx ~enclosing:!enclosing
                 ~loc:e.pexp_loc p args
             | None -> ());
@@ -673,11 +600,10 @@ let lint_structure ctx (str : structure) =
   in
   structure ~toplevel:true str
 
-let lint ~path ~in_lib (str : structure) : Finding.t list =
+let lint ~path (str : structure) : Finding.t list =
   let ctx =
     {
       path;
-      in_lib;
       mutable_fields = collect_mutable_fields str;
       producers = SMap.empty;
       out = [];

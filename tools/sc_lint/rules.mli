@@ -1,18 +1,8 @@
-(** The AST lint rules (domain-safety, signing-encode, determinism,
-    secret-flow, exception-swallow, naive-scalar-mul,
-    dynamic-metric-name) over a parsed implementation. *)
+(** The Parsetree lint rules (domain-safety, signing-encode,
+    exception-swallow, naive-scalar-mul, dynamic-metric-name) over a
+    parsed implementation. *)
 
-val lint : path:string -> in_lib:bool -> Parsetree.structure -> Finding.t list
-(** [lint ~path ~in_lib str] returns the findings for one file.
-    [path] is the root-relative path recorded in findings (and matched
-    by waivers); [in_lib] enables the lib/-only determinism rule. *)
-
-val determinism_forbidden : string list -> bool
-(** Whether a dotted name (as segments) is a forbidden source of
-    nondeterminism (Random, wall clocks).  Shared with the typed
-    transitive-determinism rule. *)
-
-val secret_sink : string list -> bool
-(** Whether a dotted name (as segments) is a secret sink: telemetry
-    names/attrs, printf-family output, wire payload construction.
-    Shared with the typed secret-flow rule. *)
+val lint : path:string -> Parsetree.structure -> Finding.t list
+(** [lint ~path str] returns the findings for one file.  [path] is the
+    root-relative path recorded in findings (and matched by
+    waivers). *)

@@ -1,20 +1,13 @@
 (* CLI: sc_lint [--root DIR] [--waivers FILE] [--stale-waivers]
-                [--no-waivers] [--typed] [--no-typed] [--build DIR]
-                [--json] [DIR ...]
+                [--no-waivers] [--json] [DIR ...]
 
    Lints every .ml under the given directories (default: lib bin test,
-   relative to --root), applies the waiver baseline, and prints the
-   remaining findings as "file:line rule severity message".
-
-   Typed pass: by default sc_lint looks for cmt files under
-   <root>/_build/default (falling back to <root> itself, which is the
-   layout when running in place inside _build) and runs the
-   interprocedural rules over every file that has one; --build DIR
-   points it elsewhere, --no-typed disables it (Parsetree rules only,
-   as on a tree that has not been built), --typed merely asserts the
-   default.  Stale-waiver checking only considers a typed rule's
-   waiver when its file actually had a cmt, so a Parsetree-only run
-   does not report typed waivers as stale.
+   relative to --root) with the Parsetree and typed rules, applies the
+   waiver baseline, and prints the remaining findings as
+   "file:line rule severity message".  The typed rules read the cmts
+   under <root>/_build/default (or <root> itself when it is a build
+   tree); a file without one is a no-cmt error, so build with
+   `dune build @check` first.
 
    --json emits every finding (waived ones flagged) as a JSON array on
    stdout — stable order, schema in DESIGN.md §4l — with the usual
@@ -29,22 +22,14 @@ open Sc_lint_core
 let usage () =
   prerr_endline
     "usage: sc_lint [--root DIR] [--waivers FILE] [--stale-waivers] \
-     [--no-waivers] [--typed] [--no-typed] [--build DIR] [--json] [DIR ...]";
+     [--no-waivers] [--json] [DIR ...]";
   exit 2
-
-let typed_rules =
-  [
-    "typed-secret-flow"; "domain-capture"; "discarded-error";
-    "transitive-determinism";
-  ]
 
 let () =
   let root = ref "." in
   let waivers_file = ref None in
   let use_waivers = ref true in
   let check_stale = ref false in
-  let typed = ref `Auto in
-  let build = ref None in
   let json = ref false in
   let dirs = ref [] in
   let rec parse = function
@@ -60,15 +45,6 @@ let () =
       parse rest
     | "--no-waivers" :: rest ->
       use_waivers := false;
-      parse rest
-    | "--typed" :: rest ->
-      typed := `On;
-      parse rest
-    | "--no-typed" :: rest ->
-      typed := `Off;
-      parse rest
-    | "--build" :: v :: rest ->
-      build := Some v;
       parse rest
     | "--json" :: rest ->
       json := true;
@@ -88,77 +64,48 @@ let () =
     | Some p -> p
     | None -> Filename.concat !root "lint/waivers.sexp"
   in
-  let waivers =
-    if (not !use_waivers) || not (Sys.file_exists waiver_path) then []
-    else
-      let content =
-        let ic = open_in_bin waiver_path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Waiver.parse content with
-      | Ok ws -> ws
-      | Error msg ->
-        Printf.eprintf "sc_lint: %s: %s\n" waiver_path msg;
-        exit 2
-  in
-  let build_dir =
-    match (!typed, !build) with
-    | `Off, _ -> None
-    | _, Some dir -> Some dir
-    | (`Auto | `On), None ->
-      let default = Filename.concat !root "_build/default" in
-      if Sys.file_exists default && Sys.is_directory default then Some default
-      else Some !root
-  in
-  let sources = Engine.collect_files ~root:!root dirs in
-  let findings, cmt_rels = Engine.lint_all ?build_dir ~waivers sources in
-  let unwaived, waived, stale = Waiver.apply waivers findings in
-  let stale =
-    (* a typed rule's waiver is only checkable when its file was
-       actually analyzed with a cmt *)
-    List.filter
-      (fun (w : Waiver.t) ->
-        (not (List.mem w.rule typed_rules)) || List.mem w.file cmt_rels)
-      stale
+  let r =
+    match
+      Engine.gate ~root:!root
+        ~waivers:(if !use_waivers then Some waiver_path else None)
+        dirs
+    with
+    | Ok r -> r
+    | Error msg ->
+      Printf.eprintf "sc_lint: %s\n" msg;
+      exit 2
   in
   if !json then begin
-    (* [findings] is already sorted by Finding.compare (the stable
+    (* [r.findings] is already sorted by Finding.compare (the stable
        order the schema documents); just tag each with its waiver
        status *)
-    let all =
-      List.map
-        (fun f -> (f, List.exists (fun w -> Waiver.matches w f) waivers))
-        findings
-    in
     print_string "[";
     List.iteri
-      (fun i (f, w) ->
+      (fun i f ->
         if i > 0 then print_string ",";
         print_string "\n  ";
-        print_string (Finding.to_json ~waived:w f))
-      all;
-    if all <> [] then print_string "\n";
+        print_string (Finding.to_json ~waived:(List.mem f r.waived) f))
+      r.findings;
+    if r.findings <> [] then print_string "\n";
     print_endline "]"
   end
-  else List.iter (fun f -> print_endline (Finding.to_string f)) unwaived;
+  else List.iter (fun f -> print_endline (Finding.to_string f)) r.unwaived;
   if !check_stale then
     List.iter
       (fun w ->
         Printf.eprintf "%s: stale waiver %s\n" waiver_path (Waiver.to_string w))
-      stale;
+      r.stale;
   let errors =
-    List.filter (fun f -> f.Finding.severity = Finding.Error) unwaived
+    List.filter (fun f -> f.Finding.severity = Finding.Error) r.unwaived
   in
   Printf.eprintf
     "sc_lint: %d file(s), %d with cmt, %d finding(s): %d error(s) unwaived, \
      %d waived, %d informational%s\n"
-    (List.length sources) (List.length cmt_rels) (List.length findings)
-    (List.length errors) (List.length waived)
+    r.sources r.typed (List.length r.findings) (List.length errors)
+    (List.length r.waived)
     (List.length
-       (List.filter (fun f -> f.Finding.severity = Finding.Info) unwaived))
+       (List.filter (fun f -> f.Finding.severity = Finding.Info) r.unwaived))
     (if !check_stale then
-       Printf.sprintf ", %d stale waiver(s)" (List.length stale)
+       Printf.sprintf ", %d stale waiver(s)" (List.length r.stale)
      else "");
-  if errors <> [] || (!check_stale && stale <> []) then exit 1
+  if errors <> [] || (!check_stale && r.stale <> []) then exit 1

@@ -1,10 +1,11 @@
-(* The four typed, interprocedural rules over loaded cmts:
+(* The five typed rules over loaded cmts:
 
    - typed-secret-flow: taint by *type* (IBC setup secrets, identity
      keys, DRBG states) plus keystream sources, propagated through
      lets, tuples, records, matches and resolved calls (per-function
-     leak summaries, fixpointed over the whole graph) into the same
-     sink set the name-heuristic rule uses, plus Format printers.
+     leak summaries, fixpointed over the whole graph) into telemetry
+     names/attrs, printf-family output, wire payloads and Format
+     printers.
    - domain-capture: closures submitted to the Sc_parallel pool that
      capture mutable state (known from types, not names) without
      Atomic/Mutex, modulo the position-addressed-array idiom the
@@ -12,10 +13,13 @@
    - discarded-error: ignore/wildcard/let _ swallowing a typed
      failure the protocols depend on surfacing (Overloaded, Diverged,
      Transport errors, audit verdicts).
-   - transitive-determinism: the wall-clock/Random rule pushed
-     through the call graph, reporting the full chain at each lib/
-     entry point.  Waivers block propagation: an accepted direct use
-     (telemetry clock) does not contaminate its callers.
+   - determinism: every direct Stdlib.Random / wall-clock use in a
+     lib/ binding (randomness belongs to Sc_hash.Drbg, time to the
+     simulated clock), keyed by the enclosing toplevel binding.
+   - transitive-determinism: the same sources pushed through the call
+     graph, reporting the full chain at each lib/ entry point.
+     Waivers block propagation: an accepted direct use (telemetry
+     clock) does not contaminate its callers.
 
    All keys are line-free and chain-stable so the waiver baseline
    survives reformatting. *)
@@ -144,12 +148,26 @@ let rec monitored_ty ~current ty depth =
 (* ------------------------------------------------------------------ *)
 (* Sinks, sources, sanitizers                                         *)
 
+(* Sinks where a secret is an immediate break: telemetry metric names
+   / span attrs, textual output, and wire payload construction. *)
+let secret_sink segs =
+  List.exists (fun seg -> seg = "Telemetry" || seg = "Registry" || seg = "Span")
+    segs
+  || (match last1 segs with
+     | Some
+         ( "printf" | "eprintf" | "fprintf" | "sprintf" | "asprintf"
+         | "print_string" | "print_endline" | "prerr_endline" | "failwith"
+         | "invalid_arg" ) ->
+       true
+     | _ -> false)
+  || last2 segs = Some "Wire.encode"
+
 let sink_name segs =
   let s = strip_stdlib segs in
   let short () =
     match last2 s with Some n -> n | None -> String.concat "." s
   in
-  if Rules.secret_sink s then Some (short ())
+  if secret_sink s then Some (short ())
   else if List.mem "Format" s then
     match last1 s with
     | Some f
@@ -520,7 +538,7 @@ let compute_summaries pass =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Transitive determinism                                             *)
+(* Determinism, direct and transitive                                 *)
 
 let waived pass ~rule ~file ~key =
   List.exists
@@ -529,10 +547,14 @@ let waived pass ~rule ~file ~key =
 
 let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 
+(* Forbidden sources of nondeterminism: Random (randomness belongs to
+   Sc_hash.Drbg) and the wall clocks (time to the simulated clock). *)
 let nondet_prim segs =
-  let segs = strip_stdlib segs in
-  if Rules.determinism_forbidden segs then Some (String.concat "." segs)
-  else None
+  match strip_stdlib segs with
+  | ("Random" :: _ :: _ | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ])
+    as segs ->
+    Some (String.concat "." segs)
+  | _ -> None
 
 let compute_nondet pass =
   let fns =
@@ -601,6 +623,35 @@ let compute_nondet pass =
         (Option.value ~default:[] (Hashtbl.find_opt rev fq))
     | _ -> ()
   done
+
+(* Each direct use is a chain of length 1, reported under its own rule
+   id; every binding counts, anonymous toplevel ones ([let () = ...])
+   included. *)
+let direct_determinism (entry : Typed_load.entry) =
+  let findings = ref [] in
+  List.iter
+    (fun (qname, _, body) ->
+      let name = last_seg qname in
+      iter_exprs
+        (fun e ->
+          match e.exp_desc with
+          | Texp_ident (path, _, _) -> (
+            match nondet_prim (Flow_graph.path_segs path) with
+            | Some prim ->
+              findings :=
+                finding ~rule:"determinism" ~file:entry.rel
+                  ~line:(line_of_expr e) ~key:(name ^ ":" ^ prim)
+                  (Printf.sprintf
+                     "%s in lib/ breaks 1-vs-N-domain value identity; use \
+                      Sc_hash.Drbg for randomness and the simulated clock \
+                      for time"
+                     prim)
+                :: !findings
+            | None -> ())
+          | _ -> ())
+        body)
+    (Flow_graph.top_bindings entry);
+  !findings
 
 let transitive_determinism pass (entry : Typed_load.entry) =
   List.filter_map
@@ -927,6 +978,9 @@ let lint pass (entry : Typed_load.entry) =
   let fs =
     secret_flow pass entry @ domain_capture pass entry
     @ discarded_error pass entry
-    @ (if in_lib entry.rel then transitive_determinism pass entry else [])
+    @
+    if in_lib entry.rel then
+      direct_determinism entry @ transitive_determinism pass entry
+    else []
   in
   List.sort_uniq Finding.compare fs

@@ -1,6 +1,6 @@
-(** The typed, interprocedural rules (typed-secret-flow,
-    domain-capture, discarded-error, transitive-determinism) over a
-    built {!Flow_graph}. *)
+(** The typed rules (typed-secret-flow, domain-capture,
+    discarded-error, determinism, transitive-determinism) over a built
+    {!Flow_graph}. *)
 
 type pass
 
