@@ -733,6 +733,34 @@ let costs preset =
       match Sc_storage.Dynamic.update client server ~index:3 "rewritten" with
       | Ok () -> ()
       | Error _ -> invalid_arg "costs: dynamic update rejected")
+  ;
+  (* Upload check: the server folds every block's designated signature
+     into one small-exponent batch (Agg.verify_batch): one pairing
+     against a GT membership test and a short multi-exponentiation term
+     per block, and one multi-scalar-multiplication term per block.
+     The upload is signed from its own DRBG and checked by a fresh
+     server, so no stream above moves. *)
+  Printf.printf "\n%-42s %8s %8s %8s %8s   %s\n"
+    "operation (verifier side, batched)" "pairing" "gt_memb" "gt_mexp" "msm"
+    "paper prediction";
+  let upload =
+    Sc_storage.Signer.sign_file pub key
+      ~bytes_source:(Sc_hash.Drbg.bytes_source (Sc_hash.Drbg.create ~seed:"costs-upload"))
+      ~cs_id:"cs-1" ~da_id:"da" ~file:"upload" payloads
+  in
+  let checker = Seccloud.Cloud.create system ~id:"cs-1" () in
+  let count () =
+    ( Tate.pairings_performed (),
+      Telemetry.counter_value "pairing.gt_member",
+      Telemetry.counter_value "pairing.gt_multi_exp_terms",
+      Telemetry.counter_value "curve.msm.terms" )
+  in
+  let p0, g0, m0, s0 = count () in
+  assert (Seccloud.Cloud.accept_upload checker upload);
+  let p1, g1, m1, s1 = count () in
+  Printf.printf "%-42s %8d %8d %8d %8d   %s\n"
+    (Printf.sprintf "Cloud.accept_upload (%d blocks)" n)
+    (p1 - p0) (g1 - g0) (m1 - m0) (s1 - s0) "n pairings (1 per block)"
 
 (* ------------------------------------------------------------------ *)
 (* Command line.                                                       *)

@@ -433,7 +433,9 @@ let stats_workload preset seed ~drop ~tamper =
   (* Protocol II: signed upload, charged over the wire. *)
   let upload = Seccloud.User.sign_file user ~cs_id:"cs-1" ~file:"ledger" payloads in
   ignore (Seccloud.Wire.encode pub (Seccloud.Wire.Upload upload));
+  let p0 = Tate.pairings_performed () in
   assert (Seccloud.Cloud.accept_upload cloud upload);
+  let upload_pairings = Tate.pairings_performed () - p0 in
   (* Protocol I probe: pairings for one designated IBS verification. *)
   let probe_key = Seccloud.System.register_user system "probe" in
   let s = Sc_ibc.Ibs.sign pub probe_key ~bytes_source:bs "probe-msg" in
@@ -579,12 +581,22 @@ let stats_workload preset seed ~drop ~tamper =
       wire_report.Seccloud.Agency.intact wire_verdict.Sc_audit.Protocol.valid
       (Telemetry.counter_value "transport.retry")
   in
-  ibs_pairings, ibs_precomp_misses, List.length jobs, batch_pairings, wire_summary
+  ( upload_pairings,
+    ibs_pairings,
+    ibs_precomp_misses,
+    List.length jobs,
+    batch_pairings,
+    wire_summary )
 
 let stats verbose preset seed drop tamper trace openmetrics check =
   setup_logging verbose;
   let run () = stats_workload preset seed ~drop ~tamper in
-  let ibs_pairings, ibs_precomp_misses, batch_jobs, batch_pairings, wire_summary =
+  let ( upload_pairings,
+        ibs_pairings,
+        ibs_precomp_misses,
+        batch_jobs,
+        batch_pairings,
+        wire_summary ) =
     match trace with
     | Some path -> Telemetry.with_trace_file path run
     | None -> run ()
@@ -614,6 +626,7 @@ let stats verbose preset seed drop tamper trace openmetrics check =
       Printf.printf "  %-52s %d (bound %d) %s\n" name measured bound
         (if ok then "ok" else "FAIL")
     in
+    invariant "upload verification pairings per upload" upload_pairings 1;
     invariant "Ibs.verify pairings per signature" ibs_pairings 1;
     invariant "Ibs.verify precomputation misses after warm-up"
       ibs_precomp_misses 0;

@@ -2,7 +2,6 @@ module Ibs = Sc_ibc.Ibs
 module Agg = Sc_ibc.Agg
 module Executor = Sc_compute.Executor
 module Signer = Sc_storage.Signer
-module Block = Sc_storage.Block
 module Telemetry = Sc_telemetry.Telemetry
 
 let c_batch_rounds = Telemetry.counter "audit.batch.rounds"
@@ -16,15 +15,10 @@ type job = {
 }
 
 let dvs_entry role job (resp : Executor.response) =
-  match resp.Executor.read with
-  | None -> None
-  | Some { Sc_storage.Server.claimed; signed } ->
-    Some
-      {
-        Agg.signer = job.owner;
-        msg = Block.signing_message claimed;
-        dvs = Signer.dvs_for role signed;
-      }
+  Option.map
+    (fun { Sc_storage.Server.claimed; signed } ->
+      Signer.agg_entry role ~owner:job.owner claimed signed)
+    resp.Executor.read
 
 let verify_jobs pub ~verifier_key ~role jobs =
   Telemetry.incr c_batch_rounds;
@@ -108,12 +102,10 @@ let verify_jobs pub ~verifier_key ~role jobs =
               else Some (Protocol.Signature_wrong resp.Executor.task_index))
           entries
       in
-      (* A batch that fails aggregation but passes every individual
-         check indicates an inconsistent aggregate (e.g. a mauled Σ):
-         record it against the whole batch. *)
-      if blamed = [] && root_failures = [] && check_failures = [] then
-        [ Protocol.Root_signature_wrong ]
-      else blamed
+      (* Agg.verify_batch rejects only batches with an entry that
+         fails Dvs.verify, so a failed batch always blames at least
+         one signature here. *)
+      blamed
     end
   in
   let failures = root_failures @ check_failures @ blame_failures in

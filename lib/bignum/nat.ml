@@ -236,6 +236,43 @@ let test_bit a i =
   let limb = i / base_bits and off = i mod base_bits in
   limb < Array.length a && (a.(limb) lsr off) land 1 = 1
 
+(* Width-w NAF read straight off the bits, with a carry standing in
+   for the additions and subtractions of the textbook recoding: at a
+   position where the running value r = ⌊k/2^i⌋ + carry is odd, the
+   digit is r mod 2^w taken into (−2^(w−1), 2^(w−1)), the next w − 1
+   digits are zero, and a negative digit carries one into position
+   i + w.  At an even position the carry passes on unchanged (bit i
+   equals it). *)
+let wnaf ~width k =
+  if width < 2 || width > 20 then invalid_arg "Nat.wnaf: width";
+  let n = bit_length k in
+  let digits = Array.make (n + 1) 0 in
+  let window i =
+    let v = ref 0 in
+    for j = width - 1 downto 0 do
+      v := (!v lsl 1) lor (if test_bit k (i + j) then 1 else 0)
+    done;
+    !v
+  in
+  let full = 1 lsl width and half = 1 lsl (width - 1) in
+  let rec go i carry =
+    if i <= n then begin
+      if (if test_bit k i then 1 else 0) = carry then go (i + 1) carry
+      else begin
+        let v = (window i + carry) land (full - 1) in
+        let d = if v >= half then v - full else v in
+        digits.(i) <- d;
+        go (i + width) (if d < 0 then 1 else 0)
+      end
+    end
+  in
+  go 0 0;
+  let len = ref (n + 1) in
+  while !len > 0 && digits.(!len - 1) = 0 do
+    decr len
+  done;
+  Array.sub digits 0 !len
+
 (* Division by a single limb; returns (quotient, remainder). *)
 let divmod_limb a d =
   if d = 0 then raise Division_by_zero;

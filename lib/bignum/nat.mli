@@ -72,6 +72,15 @@ val bit_length : t -> int
 
 val test_bit : t -> int -> bool
 
+val wnaf : width:int -> t -> int array
+(** Width-[width] non-adjacent form, least significant digit first:
+    every non-zero digit is odd and below 2{^(width−1)} in absolute
+    value, any [width] consecutive digits hold at most one non-zero,
+    and Σ d{_i}·2{^i} is the input.  The array is empty for zero and at
+    most one longer than {!bit_length}.  Reads the bits with no
+    bignum arithmetic.
+    @raise Invalid_argument unless [2 <= width <= 20]. *)
+
 val num_limbs : t -> int
 
 val to_limbs : t -> int array

@@ -3,6 +3,8 @@ open Sc_field
 module M = Fp.Mont
 
 let c_mul_wnaf = Sc_telemetry.Telemetry.counter "curve.mul.wnaf"
+let c_msm = Sc_telemetry.Telemetry.counter "curve.msm"
+let c_msm_terms = Sc_telemetry.Telemetry.counter "curve.msm.terms"
 
 type t = {
   fld : Fp.ctx;
@@ -278,73 +280,65 @@ let mjac_batch_affine f jacs =
 
 let wnaf_window = 5
 
-(* Most-significant digit first. *)
-let wnaf_digits k =
-  let tw = 1 lsl wnaf_window and hw = 1 lsl (wnaf_window - 1) in
-  let digits = ref [] in
-  let n = ref k in
-  while not (Nat.is_zero !n) do
-    let d =
-      if Nat.test_bit !n 0 then begin
-        let r = Nat.rem_int !n tw in
-        if r >= hw then begin
-          n := Nat.add !n (Nat.of_int (tw - r));
-          r - tw
-        end
-        else begin
-          n := Nat.sub !n (Nat.of_int r);
-          r
-        end
-      end
-      else 0
-    in
-    digits := d :: !digits;
-    n := Nat.shift_right !n 1
-  done;
-  !digits
+(* Odd multiples P, 3P, …, (2^(w−1) − 1)·P of each base, as
+   Montgomery-affine points.  Two shared inversions serve every base:
+   one normalizes all the 2P, one all the table entries.  An entry is
+   None where a small-order base reaches O mid-chain; when 2P = O (a
+   2-torsion base) every odd multiple is P itself. *)
+let wnaf_tables f ma ~width bases =
+  let size = 1 lsl (width - 2) in
+  let doubles =
+    Array.map (fun (x, y) -> mjdouble f ma { mx = x; my = y; mz = M.one f }) bases
+  in
+  let doubles = mjac_batch_affine f doubles in
+  let njac =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun b (x, y) ->
+              let row = Array.make size { mx = x; my = y; mz = M.one f } in
+              (match doubles.(b) with
+               | None -> ()
+               | Some (tx, ty) ->
+                 for i = 1 to size - 1 do
+                   row.(i) <- mjadd_mixed f ma row.(i - 1) tx ty
+                 done);
+              row)
+            bases))
+  in
+  let affs = mjac_batch_affine f njac in
+  Array.init (Array.length bases) (fun b -> Array.sub affs (b * size) size)
 
-(* Odd multiples P, 3P, …, 15P as Montgomery-affine points (one
-   inversion to normalize 2P, one batched inversion for the table).
-   None for the whole table when 2P = O (2-torsion base): the wNAF
-   recoding identity dP = P then needs no table at all, so the caller
-   falls back to the plain ladder. *)
-let wnaf_table f ma px py =
-  let p2 = mjdouble f ma { mx = px; my = py; mz = M.one f } in
-  if M.is_zero p2.mz then None
-  else begin
-    let zi = M.inv f p2.mz in
-    let zi2 = M.sqr f zi in
-    let tx = M.mul f p2.mx zi2 in
-    let ty = M.mul f p2.my (M.mul f zi2 zi) in
-    let njac = Array.make 8 { mx = px; my = py; mz = M.one f } in
-    for i = 1 to 7 do
-      (* (2i+1)·P = (2i-1)·P + 2P; mid-chain infinity (small-order
-         bases) is handled by the batch normalizer returning None. *)
-      njac.(i) <- mjadd_mixed f ma njac.(i - 1) tx ty
-    done;
-    Some (mjac_batch_affine f njac)
-  end
-
-let mul_wnaf c k px py =
+(* Interleaved (Straus) wNAF ladder: one doubling chain shared by every
+   term, plus a mixed addition per non-zero digit of each scalar. *)
+let straus c ~width terms =
   let f = c.fld in
   let ma = Lazy.force c.ma in
-  match wnaf_table f ma (M.enter f px) (M.enter f py) with
-  | None -> mul_naive c k (Affine (px, py))
-  | Some table ->
-    Sc_telemetry.Telemetry.incr c_mul_wnaf;
-    let acc = ref (mjac_infinity f) in
-    List.iter
-      (fun d ->
-        acc := mjdouble f ma !acc;
-        if d <> 0 then begin
-          match table.((abs d - 1) / 2) with
+  let tables =
+    wnaf_tables f ma ~width
+      (Array.map (fun (_, (x, y)) -> M.enter f x, M.enter f y) terms)
+  in
+  let digits = Array.map (fun (k, _) -> Nat.wnaf ~width k) terms in
+  let len = Array.fold_left (fun m d -> max m (Array.length d)) 0 digits in
+  let acc = ref (mjac_infinity f) in
+  for i = len - 1 downto 0 do
+    acc := mjdouble f ma !acc;
+    Array.iteri
+      (fun b ds ->
+        let d = if i < Array.length ds then ds.(i) else 0 in
+        if d <> 0 then
+          match tables.(b).((abs d - 1) / 2) with
           | None -> ()
           | Some (tx, ty) ->
             let ty = if d < 0 then M.neg f ty else ty in
-            acc := mjadd_mixed f ma !acc tx ty
-        end)
-      (wnaf_digits k);
-    point_of_mjac c !acc
+            acc := mjadd_mixed f ma !acc tx ty)
+      digits
+  done;
+  point_of_mjac c !acc
+
+let mul_wnaf c k px py =
+  Sc_telemetry.Telemetry.incr c_mul_wnaf;
+  straus c ~width:wnaf_window [| k, (px, py) |]
 
 let mul c k p =
   match p with
@@ -356,6 +350,23 @@ let mul c k p =
 
 let mul_int c k p =
   if k < 0 then neg c (mul c (Nat.of_int (-k)) p) else mul c (Nat.of_int k) p
+
+(* Width 4 minimizes table plus addition cost for the 64- to 160-bit
+   scalars the batch verifiers combine with. *)
+let msm c terms =
+  let live =
+    List.filter_map
+      (function
+        | k, Affine (x, y) when not (Nat.is_zero k) -> Some (k, (x, y))
+        | _, (Infinity | Affine _) -> None)
+      terms
+  in
+  match live with
+  | [] -> Infinity
+  | _ ->
+    Sc_telemetry.Telemetry.incr c_msm;
+    Sc_telemetry.Telemetry.add c_msm_terms (List.length live);
+    straus c ~width:4 (Array.of_list live)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-base comb: table.(w).(d) = d·16^w·P in affine form, so a

@@ -42,6 +42,14 @@ val mul_naive : t -> Nat.t -> point -> point
 
 val mul_int : t -> int -> point -> point
 
+val msm : t -> (Nat.t * point) list -> point
+(** [msm c [(k1, P1); …]] is Σ k{_i}·P{_i}, by one interleaved
+    width-4 wNAF ladder: a single doubling chain as long as the widest
+    scalar, the odd-multiple tables of all bases normalized by shared
+    batch inversions, and one final inversion.  Counts one [curve.msm]
+    and its live terms on [curve.msm.terms]; never [curve.mul.wnaf].
+    Odd characteristic only, like the Montgomery field it runs in. *)
+
 type precomp
 (** Precomputed window tables for a fixed base point. *)
 

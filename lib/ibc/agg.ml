@@ -1,40 +1,75 @@
+open Sc_bignum
 open Sc_ec
 module Tate = Sc_pairing.Tate
+module Encode = Sc_hash.Encode
+module Hmac = Sc_hash.Hmac
+module Telemetry = Sc_telemetry.Telemetry
+
+let c_verify_batch = Telemetry.counter "agg.verify_batch"
+let c_verify_batch_sigs = Telemetry.counter "agg.verify_batch_sigs"
 
 type entry = { signer : string; msg : string; dvs : Dvs.t }
 
-let verify_batch (pub : Setup.public) ~verifier_key entries =
+let delta_bytes = 8
+
+(* The δ_i: one HMAC keyed by sk_B over the canonical transcript, then
+   counter-mode HMAC blocks under that tag, cut into 64-bit words.  No
+   DRBG is drawn from, so no caller's random stream moves. *)
+let coefficients (pub : Setup.public) ~verifier_key entries =
   let prm = pub.prm in
-  let well_formed e = Sc_pairing.Params.in_subgroup prm e.dvs.Dvs.u in
-  List.for_all well_formed entries
-  &&
-  (* Q_ID lookups are memoized: a batch typically has few signers. *)
-  let q_cache = Hashtbl.create 8 in
-  let q_of signer =
-    match Hashtbl.find_opt q_cache signer with
-    | Some q -> q
-    | None ->
-      let q = Setup.q_of_id pub signer in
-      Hashtbl.add q_cache signer q;
-      q
+  let transcript =
+    Encode.canonical
+      ("agg-batch"
+      :: List.concat_map
+           (fun e ->
+             [
+               e.signer;
+               e.msg;
+               Curve.to_bytes prm.curve e.dvs.Dvs.u;
+               Tate.gt_to_bytes prm e.dvs.Dvs.sigma;
+             ])
+           entries)
   in
-  let u_agg, sigma_agg =
-    List.fold_left
-      (fun (u_acc, s_acc) e ->
-        let q_id = q_of e.signer in
-        let w = Ibs.verification_point pub ~q_id ~msg:e.msg ~u:e.dvs.Dvs.u in
-        Curve.add prm.curve u_acc w, Tate.gt_mul prm s_acc e.dvs.Dvs.sigma)
-      (Curve.infinity, Tate.gt_one) entries
+  let prk =
+    Hmac.mac ~key:(Curve.to_bytes prm.curve verifier_key.Setup.sk) transcript
   in
-  (* The aggregate Σ lives in GT, so only the U_A side is a Miller
-     term; routing it through the precomputed multi-pairing keeps the
-     whole audit layer on the shared-Miller entry point (and its
-     one-per-equation pairing count), replaying the verifier key's
-     cached line tables. *)
-  Tate.gt_equal
-    (Tate.multi_pairing_precomp prm
-       [ u_agg, Tate.precomp_for prm verifier_key.Setup.sk ])
-    sigma_agg
+  let n = List.length entries in
+  let stream =
+    String.concat ""
+      (List.init
+         (((n * delta_bytes) + 31) / 32)
+         (fun j -> Hmac.mac ~key:prk (string_of_int j)))
+  in
+  List.init n (fun i ->
+      Nat.of_bytes_be (String.sub stream (i * delta_bytes) delta_bytes))
+
+let verify_batch (pub : Setup.public) ~verifier_key entries =
+  entries = []
+  ||
+  (Telemetry.incr c_verify_batch;
+   Telemetry.add c_verify_batch_sigs (List.length entries);
+   Telemetry.with_span ~name:"agg.verify_batch"
+     ~attrs:[ "sigs", string_of_int (List.length entries) ]
+   @@ fun () ->
+   let prm = pub.prm in
+   List.for_all
+     (fun e ->
+       Curve.on_curve prm.curve e.dvs.Dvs.u
+       && Tate.gt_in_group prm e.dvs.Dvs.sigma)
+     entries
+   &&
+   let deltas = coefficients pub ~verifier_key entries in
+   let w =
+     Ibs.combined_verification_point pub
+       (List.map2 (fun d e -> d, e.signer, e.msg, e.dvs.Dvs.u) deltas entries)
+   in
+   (* Same orientation as Dvs.verify, ê(sk_B, ·) replayed from the
+      verifier key's cached line tables. *)
+   Tate.gt_equal
+     (Tate.multi_pairing_precomp prm
+        [ w, Tate.precomp_for prm verifier_key.Setup.sk ])
+     (Tate.gt_multi_exp prm
+        (List.map2 (fun d e -> e.dvs.Dvs.sigma, d) deltas entries)))
 
 let aggregate_size_bytes (pub : Setup.public) entries =
   let prm = pub.prm in

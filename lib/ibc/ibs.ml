@@ -89,6 +89,31 @@ let of_bytes (pub : Setup.public) s =
       | Some u, Some v -> Some { u; v }
       | None, _ | _, None -> None)
 
+module SMap = Map.Make (String)
+
+(* Σ c_i·(U_i + h_i·Q_IDi) as one multi-scalar multiplication over the
+   U_i plus one fixed-base comb per distinct signer for
+   (Σ c_i·h_i mod q)·Q_ID — exact because Q_ID has order q. *)
+let combined_verification_point (pub : Setup.public) terms =
+  let prm = pub.prm in
+  let ch_sums =
+    List.fold_left
+      (fun sums (c, signer, msg, u) ->
+        let ch = Nat.mul c (h2 pub ~u ~msg) in
+        SMap.update signer
+          (fun s -> Some (Nat.add ch (Option.value s ~default:Nat.zero)))
+          sums)
+      SMap.empty terms
+  in
+  SMap.fold
+    (fun signer ch acc ->
+      let q_id = Setup.q_of_id pub signer in
+      Curve.add prm.curve acc
+        (Curve.mul_precomp prm.curve (Params.precomp_for prm q_id)
+           (Nat.rem ch prm.q)))
+    ch_sums
+    (Curve.msm prm.curve (List.map (fun (c, _, _, u) -> c, u) terms))
+
 (* Batched public verification of t signatures with one 2-term
    multi-pairing: since every signature pairs against the same fixed
    points P and P_pub, Π ê(c_i·V_i, P)·ê(−c_i·W_i, P_pub) collapses to
@@ -119,20 +144,19 @@ let verify_batch (pub : Setup.public) entries =
          (fun (signer, msg, s) -> [ signer; msg; to_bytes pub s ])
          entries)
   in
-  let v_sum, w_sum, _ =
-    List.fold_left
-      (fun (v_acc, w_acc, i) (signer, msg, { u; v }) ->
-        let c =
-          Hash_g1.hash_to_scalar prm
-            (Encode.canonical [ "ibs-batch"; string_of_int i; transcript ])
-        in
-        let q_id = Setup.q_of_id pub signer in
-        let w = verification_point pub ~q_id ~msg ~u in
-        ( Curve.add prm.curve v_acc (Curve.mul prm.curve c v),
-          Curve.add prm.curve w_acc (Curve.mul prm.curve c w),
-          i + 1 ))
-      (Curve.infinity, Curve.infinity, 0)
+  let coeffs =
+    List.mapi
+      (fun i _ ->
+        Hash_g1.hash_to_scalar prm
+          (Encode.canonical [ "ibs-batch"; string_of_int i; transcript ]))
       entries
+  in
+  let v_sum =
+    Curve.msm prm.curve (List.map2 (fun c (_, _, s) -> c, s.v) coeffs entries)
+  in
+  let w_sum =
+    combined_verification_point pub
+      (List.map2 (fun c (signer, msg, s) -> c, signer, msg, s.u) coeffs entries)
   in
    Tate.gt_is_one
      (Tate.multi_pairing_precomp prm

@@ -51,8 +51,9 @@ val verify : Setup.public -> signer:string -> msg:string -> t -> bool
 
 val verify_batch : Setup.public -> (string * string * t) list -> bool
 (** [verify_batch pub [(signer, msg, sig); …]] verifies every
-    signature with one 2-term multi-pairing total (plus two scalar
-    multiplications per entry), using batch-transcript-derived
+    signature with one 2-term multi-pairing total (plus two
+    multi-scalar multiplications, see {!combined_verification_point}),
+    using batch-transcript-derived
     combining coefficients to prevent cross-signature cancellation.
     Accepts the empty batch.  A [true] verdict is overwhelmingly (not
     absolutely) sound, as usual for small-exponent batch tests; on
@@ -63,6 +64,14 @@ val verification_point :
   Setup.public -> q_id:Curve.point -> msg:string -> u:Curve.point -> Curve.point
 (** [U + H2(U‖m)·Q_ID] — the G1 element all verification flavours
     (public, designated, aggregated) pair against. *)
+
+val combined_verification_point :
+  Setup.public -> (Nat.t * string * string * Curve.point) list -> Curve.point
+(** [combined_verification_point pub [(c, signer, msg, u); …]] is
+    Σ c·(U + H2(U‖m)·Q_signer): one {!Curve.msm} over the U and one
+    fixed-base multiplication per distinct signer, instead of one
+    {!verification_point} per entry.  The combine step of both batch
+    verifiers ({!verify_batch} and [Agg.verify_batch]). *)
 
 val to_bytes : Setup.public -> t -> string
 val of_bytes : Setup.public -> string -> t option

@@ -40,10 +40,12 @@ val of_hex : p:string -> q:string -> cofactor:string -> gx:string -> gy:string -
     @raise Invalid_argument on inconsistent values. *)
 
 val toy : t lazy_t
-(** 64-bit q / ~80-bit p: fast, for unit tests only. *)
+(** 64-bit q / 71-bit p (cofactor 96): fast, for unit tests only. *)
 
 val small : t lazy_t
-(** 112-bit q / ~160-bit p: quick demos. *)
+(** 112-bit q / 119-bit p (cofactor 196 = 2²·7²): quick demos and the
+    default of [Seccloud.System.create].  Both sizes follow from the
+    smallest cofactor that makes p prime; only {!mid} sizes p. *)
 
 val mid : t lazy_t
 (** 160-bit q / 512-bit p — the classic MIRACL-era size the paper's

@@ -15,6 +15,9 @@ let c_multi_terms = Telemetry.counter "pairing.multi_terms"
 let c_affine = Telemetry.counter "pairing.affine"
 let c_final_expo = Telemetry.counter "pairing.final_expo"
 let c_gt_pow = Telemetry.counter "pairing.gt_pow"
+let c_gt_member = Telemetry.counter "pairing.gt_member"
+let c_gt_multi_exp = Telemetry.counter "pairing.gt_multi_exp"
+let c_gt_multi_exp_terms = Telemetry.counter "pairing.gt_multi_exp_terms"
 
 type gt = Fp2.el
 
@@ -137,6 +140,71 @@ module F2M = Fp2.Mont
 let gt_pow (prm : Params.t) a e =
   Telemetry.incr c_gt_pow;
   F2M.leave prm.fp (F2M.pow prm.fp (F2M.enter prm.fp a) e)
+
+(* GT is the order-q subgroup of the unitary group, whose order is
+   p + 1 = c·q.  A unitary a is a root of x² − t·x + 1 with trace
+   t = 2·re(a), so the Lucas sequence V_k = a^k + a^(−k) over F_p,
+   run as a ladder on (V_k, V_(k+1)) with V_2k = V_k² − 2 and
+   V_(2k+1) = V_k·V_(k+1) − t, gives V_q = 2 exactly when a^q = 1: one
+   F_p square and one product per bit of q, where an F_p² square and
+   multiply would cost several. *)
+let gt_in_group (prm : Params.t) a =
+  Telemetry.incr c_gt_member;
+  gt_is_unitary prm a
+  &&
+  let fp = prm.fp in
+  let two = FpM.of_int fp 2 in
+  let t = FpM.enter fp (Fp.double fp a.Fp2.re) in
+  let v0 = ref two and v1 = ref t in
+  for i = Nat.bit_length prm.q - 1 downto 0 do
+    let mid = FpM.sub fp (FpM.mul fp !v0 !v1) t in
+    if Nat.test_bit prm.q i then begin
+      v0 := mid;
+      v1 := FpM.sub fp (FpM.sqr fp !v1) two
+    end
+    else begin
+      v0 := FpM.sub fp (FpM.sqr fp !v0) two;
+      v1 := mid
+    end
+  done;
+  FpM.equal !v0 two
+
+(* Simultaneous width-4 wNAF exponentiation: one squaring chain as long
+   as the widest exponent, and per base the odd powers a, a³, a⁵, a⁷.
+   Negative digits multiply by conjugates, which invert unitary bases
+   only — hence the precondition. *)
+let gt_multi_exp (prm : Params.t) terms =
+  let fp = prm.fp in
+  if not (List.for_all (fun (a, _) -> gt_is_unitary prm a) terms) then
+    invalid_arg "Tate.gt_multi_exp: base not unitary";
+  Telemetry.incr c_gt_multi_exp;
+  Telemetry.add c_gt_multi_exp_terms (List.length terms);
+  let width = 4 in
+  let powers =
+    Array.of_list
+      (List.map
+         (fun (a, e) ->
+           let a = F2M.enter fp a in
+           let a2 = F2M.sqr fp a in
+           let odd = Array.make (1 lsl (width - 2)) a in
+           for i = 1 to Array.length odd - 1 do
+             odd.(i) <- F2M.mul fp odd.(i - 1) a2
+           done;
+           odd, Array.map (F2M.conj fp) odd, Nat.wnaf ~width e)
+         terms)
+  in
+  let len = Array.fold_left (fun m (_, _, d) -> max m (Array.length d)) 0 powers in
+  let acc = ref (F2M.one fp) in
+  for i = len - 1 downto 0 do
+    acc := F2M.sqr fp !acc;
+    Array.iter
+      (fun (odd, inv, ds) ->
+        let d = if i < Array.length ds then ds.(i) else 0 in
+        if d > 0 then acc := F2M.mul fp !acc odd.((d - 1) / 2)
+        else if d < 0 then acc := F2M.mul fp !acc inv.((-d - 1) / 2))
+      powers
+  done;
+  F2M.leave fp !acc
 
 (* Per-pair Miller state: fixed affine inputs plus the running
    Jacobian T.  Several states can share one f-squaring chain — that

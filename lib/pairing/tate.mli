@@ -85,6 +85,19 @@ val gt_pow : Params.t -> gt -> Nat.t -> gt
     on the registry counter [pairing.gt_pow]; not a pairing, so
     {!pairings_performed} does not move.  Variable-time in [e]. *)
 
+val gt_in_group : Params.t -> gt -> bool
+(** Membership in GT: unitary and a{^q} = 1, by a Lucas ladder on the
+    trace (two F_p operations per bit of q).  Every pairing value
+    passes; so does no element with a component of order dividing the
+    cofactor.  Counts on [pairing.gt_member]. *)
+
+val gt_multi_exp : Params.t -> (gt * Nat.t) list -> gt
+(** [gt_multi_exp prm [(a1, e1); …]] is Π a{_i}{^e{_i}}, by one
+    interleaved width-4 wNAF ladder over a shared squaring chain.
+    Counts one [pairing.gt_multi_exp] and its terms on
+    [pairing.gt_multi_exp_terms].  Variable-time in the exponents.
+    @raise Invalid_argument if a base is not unitary. *)
+
 val pairings_performed : unit -> int
 (** Process-wide count of pairing evaluations — the evaluation section
     compares schemes by pairing counts, so the library keeps a tally.

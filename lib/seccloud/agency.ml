@@ -103,12 +103,7 @@ let audit_storage_batched t cloud ~owner ~file ~samples =
     in
     let entries =
       List.map
-        (fun (_, claimed, signed) ->
-          {
-            Agg.signer = owner;
-            msg = Block.signing_message claimed;
-            dvs = Signer.dvs_for `Da signed;
-          })
+        (fun (_, claimed, signed) -> Signer.agg_entry `Da ~owner claimed signed)
         well_formed
     in
     if missing = [] && Agg.verify_batch pub ~verifier_key:da_key entries then

@@ -21,15 +21,16 @@ let storage t = t.server
 let storage_confidence t = Server.storage_confidence t.server
 let computing_confidence t = Executor.computing_confidence t.compute
 
+(* One small-exponent batch over every block: it accepts exactly when
+   each block's designated signature verifies, and an upload is
+   accepted or rejected whole, so no per-block fallback is needed. *)
 let accept_upload t (upload : Signer.upload) =
-  let pub = System.public t.system in
-  let q_id = Sc_ibc.Setup.q_of_id pub upload.Signer.owner in
   let ok =
-    Array.for_all
-      (fun (sb : Signer.signed_block) ->
-        Signer.verify_block pub ~verifier_key:t.key ~role:`Cs ~q_id
-          sb.Signer.block sb)
-      upload.Signer.blocks
+    Sc_ibc.Agg.verify_batch (System.public t.system) ~verifier_key:t.key
+      (List.map
+         (fun (sb : Signer.signed_block) ->
+           Signer.agg_entry `Cs ~owner:upload.Signer.owner sb.Signer.block sb)
+         (Array.to_list upload.Signer.blocks))
   in
   if ok then Server.store t.server upload;
   ok

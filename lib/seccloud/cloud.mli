@@ -24,8 +24,10 @@ val computing_confidence : t -> float
 
 val accept_upload : t -> Sc_storage.Signer.upload -> bool
 (** Protocol II server side: verifies every designated block signature
-    (the server is a designated verifier) before storing.  Returns
-    whether the upload was accepted. *)
+    (the server is a designated verifier) before storing, as one
+    {!Sc_ibc.Agg.verify_batch} — one pairing per upload, and accepted
+    exactly when every block verifies.  Returns whether the upload was
+    accepted. *)
 
 val accept_upload_unchecked : t -> Sc_storage.Signer.upload -> unit
 (** Stores without verification (used to model lazy servers). *)

@@ -29,6 +29,13 @@ let dvs_for role sb =
   | `Cs -> { Dvs.u = sb.u; sigma = sb.sigma_cs }
   | `Da -> { Dvs.u = sb.u; sigma = sb.sigma_da }
 
+let agg_entry role ~owner claimed sb =
+  {
+    Sc_ibc.Agg.signer = owner;
+    msg = Block.signing_message claimed;
+    dvs = dvs_for role sb;
+  }
+
 let verify_block pub ~verifier_key ~role ~q_id claimed sb =
   Dvs.verify pub ~verifier_key ~q_id
     ~msg:(Block.signing_message claimed)

@@ -33,6 +33,12 @@ val sign_file :
 val dvs_for : [ `Cs | `Da ] -> signed_block -> Sc_ibc.Dvs.t
 (** Project the stored designated signature for one verifier. *)
 
+val agg_entry :
+  [ `Cs | `Da ] -> owner:string -> Block.t -> signed_block -> Sc_ibc.Agg.entry
+(** The batch-verification entry for one stored block against the
+    payload claimed for it: {!verify_block}'s check, in the form
+    {!Sc_ibc.Agg.verify_batch} folds into one equation. *)
+
 val verify_block :
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->

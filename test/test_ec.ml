@@ -166,6 +166,41 @@ let wnaf_tests =
                 (Curve.mul c23 (Nat.of_int k) pt)
             done)
           (all_points c23 p23 23));
+    case "msm = sum of double-and-add terms on every point of F_23"
+      (fun () ->
+        let pts = Array.of_list (all_points c23 p23 23) in
+        let n = Array.length pts in
+        for i = 0 to 60 do
+          let terms =
+            List.init (1 + (i mod 5)) (fun j ->
+                Nat.of_int ((i * 7) + (j * 13)), pts.(((i * 5) + (j * 11)) mod n))
+          in
+          Alcotest.(check point)
+            (Printf.sprintf "case %d" i)
+            (List.fold_left
+               (fun acc (k, pt) -> Curve.add c23 acc (Curve.mul_naive c23 k pt))
+               Curve.infinity terms)
+            (Curve.msm c23 terms)
+        done);
+    case "msm of wide scalars = sum of double-and-add (toy)" (fun () ->
+        let prm = Lazy.force Util.toy_params in
+        let curve = prm.Sc_pairing.Params.curve in
+        let bs = Util.fresh_bs "msm-toy" in
+        for i = 1 to 10 do
+          let terms =
+            List.init i (fun _ ->
+                Nat.of_bytes_be (bs 12), Curve.random curve ~bytes_source:bs)
+          in
+          let terms = (Nat.zero, Curve.random curve ~bytes_source:bs) :: (Nat.one, Curve.infinity) :: terms in
+          if
+            not
+              (Curve.equal (Curve.msm curve terms)
+                 (List.fold_left
+                    (fun acc (k, pt) -> Curve.add curve acc (Curve.mul_naive curve k pt))
+                    Curve.infinity terms))
+          then Alcotest.failf "mismatch at %d terms" i
+        done;
+        Alcotest.(check point) "empty" Curve.infinity (Curve.msm curve []));
     case "comb precomp = double-and-add on the generator" (fun () ->
         let prm = Lazy.force Util.toy_params in
         let curve = prm.Sc_pairing.Params.curve in

@@ -146,6 +146,26 @@ let unit_tests =
         assert (Agg.verify_batch pub ~verifier_key:da entries);
         check Alcotest.int "1 pairing for 10 sigs" 1
           (Sc_pairing.Tate.pairings_performed ()));
+    case "batch verification counts on agg.* under its own span" (fun () ->
+        let module Telemetry = Sc_telemetry.Telemetry in
+        let entries =
+          List.init 3 (fun i ->
+              let m = Printf.sprintf "tel-%d" i in
+              let raw = Ibs.sign pub alice ~bytes_source:bs m in
+              { Agg.signer = "alice"; msg = m; dvs = Dvs.designate pub raw ~verifier:"agency" })
+        in
+        let b0 = Telemetry.counter_value "agg.verify_batch" in
+        let s0 = Telemetry.counter_value "agg.verify_batch_sigs" in
+        let span_count () =
+          match Telemetry.find "span.agg.verify_batch" with
+          | Some (Telemetry.Histogram h) -> h.Telemetry.count
+          | Some _ | None -> 0
+        in
+        let n0 = span_count () in
+        assert (Agg.verify_batch pub ~verifier_key:da entries);
+        check Alcotest.int "batches" 1 (Telemetry.counter_value "agg.verify_batch" - b0);
+        check Alcotest.int "sigs" 3 (Telemetry.counter_value "agg.verify_batch_sigs" - s0);
+        check Alcotest.int "span" 1 (span_count () - n0));
     case "aggregate size is constant in batch size" (fun () ->
         let make n =
           List.init n (fun i ->
@@ -192,26 +212,121 @@ let property_tests =
         let raw = Ibs.sign pub bob ~bytes_source:bs m in
         let d = Dvs.designate pub raw ~verifier:"agency" in
         Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "bob") ~msg:m d);
-    qcheck ~count:10 "batch = conjunction of individual verifies"
-      (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 6) gen_msg)
-      (fun msgs ->
-        let entries =
-          List.mapi
-            (fun i m ->
-              let m = Printf.sprintf "%d:%s" i m in
-              let raw = Ibs.sign pub alice ~bytes_source:bs m in
-              { Agg.signer = "alice"; msg = m; dvs = Dvs.designate pub raw ~verifier:"agency" })
-            msgs
+  ]
+
+(* Agg.verify_batch must accept exactly the batches whose every entry
+   passes Dvs.verify.  Honest batches alone cannot show that, so each
+   case perturbs an honest batch the way a cheating signer or server
+   could, and both verdicts are compared with the one the perturbation
+   must produce.  An unweighted product of the Σ_i accepts the swap,
+   shift and two-entry twist cases; a G1 check on U rejects the
+   signer-made torsion case that Dvs.verify accepts.  Runs on
+   [small], whose cofactor 196 = 2²·7² has elements of order 2 and 7
+   in both the unitary group and the curve. *)
+let perturbation_tests =
+  let open Util in
+  let module Tate = Sc_pairing.Tate in
+  let module Params = Sc_pairing.Params in
+  let module Nat = Sc_bignum.Nat in
+  let module Fp = Sc_field.Fp in
+  let module Fp2 = Sc_field.Fp2 in
+  let prm = Lazy.force Params.small in
+  let sio = Setup.create prm ~bytes_source:(fresh_bs "ibc-perturb-sio") in
+  let pub = Setup.public sio in
+  let keys = [ Setup.extract sio "alice"; Setup.extract sio "bob" ] in
+  let verifier = Setup.extract sio "verifier" in
+  let curve = prm.Params.curve and fp = prm.Params.fp in
+  (* p + 1 = cofactor·q: the unitary group and E(F_p) both have order
+     p + 1, so raising to (p + 1)/ℓ lands in the order-ℓ part. *)
+  let order = Nat.add prm.Params.p Nat.one in
+  let rec unitary_of_order l bs =
+    let a = Fp2.make (Fp.random fp ~bytes_source:bs) (Fp.random fp ~bytes_source:bs) in
+    if Fp2.is_zero a then unitary_of_order l bs
+    else
+      let z = Tate.gt_pow prm (Fp2.div fp (Fp2.conj fp a) a) (Nat.div order (Nat.of_int l)) in
+      if Fp2.is_one z then unitary_of_order l bs else z
+  in
+  let rec torsion_point bs =
+    let t = Curve.mul curve prm.Params.q (Curve.random curve ~bytes_source:bs) in
+    if Curve.is_infinity t then torsion_point bs else t
+  in
+  let dvs_ok (e : Agg.entry) =
+    Dvs.verify pub ~verifier_key:verifier ~q_id:(Setup.q_of_id pub e.Agg.signer)
+      ~msg:e.Agg.msg e.Agg.dvs
+  in
+  let with_sigma (e : Agg.entry) sigma = { e with Agg.dvs = { e.Agg.dvs with Dvs.sigma } } in
+  let times (e : Agg.entry) x = with_sigma e (Tate.gt_mul prm e.Agg.dvs.Dvs.sigma x) in
+  let with_u (e : Agg.entry) u = { e with Agg.dvs = { e.Agg.dvs with Dvs.u } } in
+  let set i x es = List.mapi (fun j e -> if j = i then x else e) es in
+  let gen = QCheck2.Gen.(pair (string_size ~gen:char (int_range 1 16)) (int_range 3 5)) in
+  [
+    qcheck ~count:12 "batch = for_all Dvs.verify on perturbed batches" gen
+      (fun (seed, n) ->
+        let bs = fresh_bs ("ibc-perturb:" ^ seed) in
+        (* Entries alternate alice, bob, alice, …: 0 and 2 share a
+           signer, 0 and 1 do not. *)
+        let key i = List.nth keys (i mod 2) in
+        let es =
+          List.init n (fun i ->
+              let k = key i in
+              let msg = Printf.sprintf "block-%d:%s" i seed in
+              {
+                Agg.signer = k.Setup.id;
+                msg;
+                dvs = Dvs.designate pub (Ibs.sign pub k ~bytes_source:bs msg) ~verifier:"verifier";
+              })
         in
-        let individual =
-          List.for_all
-            (fun e ->
-              Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub e.Agg.signer) ~msg:e.Agg.msg
-                e.Agg.dvs)
-            entries
+        let e i = List.nth es i in
+        let sigma i = (e i).Agg.dvs.Dvs.sigma in
+        let x = Tate.gt_pow prm (sigma 0) (Params.random_scalar prm ~bytes_source:bs) in
+        let x_inv = Tate.gt_inv prm x in
+        let minus_one = Fp2.of_base (Fp.neg fp Fp.one) in
+        let z7 = unitary_of_order 7 bs in
+        let t = torsion_point bs in
+        (* A signer may pick U = r·Q_ID + T itself: h is then taken over
+           that U, and ê(sk_B, ·) maps T to 1, so the signature
+           verifies. *)
+        let signer_torsion =
+          let k = key 0 and msg = (e 0).Agg.msg in
+          let r = Params.random_scalar prm ~bytes_source:bs in
+          let u = Curve.add curve (Curve.mul curve r k.Setup.q_id) t in
+          let ex = Nat.rem (Nat.add r (Ibs.h2 pub ~u ~msg)) prm.Params.q in
+          let v = Curve.mul curve ex k.Setup.sk in
+          { (e 0) with Agg.dvs = Dvs.designate pub { Ibs.u; v } ~verifier:"verifier" }
         in
-        let batch = Agg.verify_batch pub ~verifier_key:da entries in
-        individual = batch);
+        let cases =
+          [
+            "honest", true, es;
+            "swap sigma, two signers", false,
+            set 0 (with_sigma (e 0) (sigma 1)) (set 1 (with_sigma (e 1) (sigma 0)) es);
+            "swap sigma, one signer", false,
+            set 0 (with_sigma (e 0) (sigma 2)) (set 2 (with_sigma (e 2) (sigma 0)) es);
+            "X/X^-1 shift, one signer", false, set 0 (times (e 0) x) (set 2 (times (e 2) x_inv) es);
+            "X/X^-1 shift, two signers", false, set 0 (times (e 0) x) (set 1 (times (e 1) x_inv) es);
+            "twist -1, one entry", false, set 0 (times (e 0) minus_one) es;
+            "twist -1, two entries", false,
+            set 0 (times (e 0) minus_one) (set 1 (times (e 1) minus_one) es);
+            "twist order 7, one entry", false, set 0 (times (e 0) z7) es;
+            "twist order 7 and its inverse", false,
+            set 0 (times (e 0) z7) (set 1 (times (e 1) (Tate.gt_inv prm z7)) es);
+            "U of another entry", false, set 0 (with_u (e 0) (e 1).Agg.dvs.Dvs.u) es;
+            "(U, sigma) of another entry", false, set 0 { (e 0) with Agg.dvs = (e 1).Agg.dvs } es;
+            "third party adds torsion to U", false,
+            set 0 (with_u (e 0) (Curve.add curve (e 0).Agg.dvs.Dvs.u t)) es;
+            "signer-made U + T", true, set 0 signer_torsion es;
+          ]
+        in
+        let wrong =
+          List.filter_map
+            (fun (name, expected, batch) ->
+              let individual = List.for_all dvs_ok batch in
+              let agg = Agg.verify_batch pub ~verifier_key:verifier batch in
+              if individual = expected && agg = expected then None
+              else Some (Printf.sprintf "%s (batch %b, entries %b)" name agg individual))
+            cases
+        in
+        wrong = []
+        || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " wrong));
   ]
 
 (* Dvs.sign raises the bases ê(sk_ID, Q_B) to e = r + h instead of
@@ -339,4 +454,5 @@ let ibe_tests =
           (Ibe.ciphertext_of_bytes pub "0000junk" = None));
   ]
 
-let suite = unit_tests @ property_tests @ designation_tests @ ibe_tests
+let suite =
+  unit_tests @ property_tests @ perturbation_tests @ designation_tests @ ibe_tests

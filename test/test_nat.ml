@@ -160,6 +160,28 @@ let property_tests =
         Nat.compare a (Nat.shift_left Nat.one n) < 0
         && Nat.compare a (Nat.shift_left Nat.one (n - 1)) >= 0);
     qcheck "sqr = mul self" gen_nat (fun a -> Nat.equal (Nat.sqr a) (Nat.mul a a));
+    qcheck "wnaf: odd bounded non-adjacent digits summing to the input"
+      QCheck2.Gen.(pair gen_nat (int_range 2 6))
+      (fun (a, w) ->
+        let ds = Nat.wnaf ~width:w a in
+        let n = Array.length ds in
+        let value =
+          Array.fold_right
+            (fun d (pos, neg) ->
+              let pos = Nat.shift_left pos 1 and neg = Nat.shift_left neg 1 in
+              if d >= 0 then Nat.add_int pos d, neg else pos, Nat.add_int neg (-d))
+            ds (Nat.zero, Nat.zero)
+        in
+        let ok_digit i d =
+          d = 0
+          || d land 1 = 1
+             && abs d < 1 lsl (w - 1)
+             && Array.for_all (( = ) 0) (Array.sub ds (i + 1) (min (w - 1) (n - i - 1)))
+        in
+        Nat.equal (Nat.sub (fst value) (snd value)) a
+        && n <= Nat.bit_length a + 1
+        && (n = 0 || ds.(n - 1) <> 0)
+        && Array.for_all Fun.id (Array.mapi ok_digit ds));
   ]
 
 let suite = unit_tests @ property_tests

@@ -193,6 +193,11 @@ let multi_pairing_tests =
         check Alcotest.int "two exponentiations" 2
           (Sc_telemetry.Telemetry.counter_value "pairing.gt_pow" - c0);
         check Alcotest.int "no pairing" p0 (Tate.pairings_performed ()));
+    case "gt_multi_exp rejects a non-unitary base" (fun () ->
+        let two = Sc_field.Fp2.of_base (Sc_field.Fp.of_int prm.Params.fp 2) in
+        Alcotest.check_raises "raises"
+          (Invalid_argument "Tate.gt_multi_exp: base not unitary") (fun () ->
+            ignore (Tate.gt_multi_exp prm [ two, Nat.one ])));
     case "gt_inv inverts non-unitary elements too" (fun () ->
         (* 2 + 0i is not unitary; the guarded gt_inv must still return
            a true inverse rather than the conjugate. *)
@@ -232,6 +237,41 @@ let property_tests =
         let a = Fp2.make (el re) (el im) in
         let e = Nat.of_bytes_be e in
         Tate.gt_equal (Tate.gt_pow prm a e) (Fp2.pow fp a e));
+    qcheck ~count:40 "gt_in_group = unitary and a^q = 1, any F_p2 element"
+      QCheck2.Gen.(
+        triple (string_size ~gen:char (return 32))
+          (string_size ~gen:char (return 32))
+          (int_range 0 3))
+      (fun (re, im, shape) ->
+        let module Fp = Sc_field.Fp in
+        let module Fp2 = Sc_field.Fp2 in
+        let fp = prm.Params.fp in
+        let el s = Fp.of_nat fp (Nat.rem (Nat.of_bytes_be s) prm.Params.p) in
+        let a = Fp2.make (el re) (el im) in
+        (* Raw, unitary (conj(a)/a), in GT (unitary^cofactor), and GT
+           times −1. *)
+        let a =
+          if Fp2.is_zero a || shape = 0 then a
+          else
+            let u = Fp2.div fp (Fp2.conj fp a) a in
+            match shape with
+            | 1 -> u
+            | 2 -> Fp2.pow fp u prm.Params.cofactor
+            | _ -> Fp2.neg fp (Fp2.pow fp u prm.Params.cofactor)
+        in
+        Tate.gt_in_group prm a
+        = (Tate.gt_is_unitary prm a && Tate.gt_is_one (Tate.gt_pow prm a prm.Params.q)));
+    qcheck ~count:15 "gt_multi_exp = product of gt_pow"
+      QCheck2.Gen.(list_size (int_range 0 6) (pair gen_scalar (string_size ~gen:char (int_range 0 20))))
+      (fun terms ->
+        let e = Tate.pairing prm g g in
+        let terms =
+          List.map (fun (a, x) -> Tate.gt_pow prm e a, Nat.of_bytes_be x) terms
+        in
+        Tate.gt_equal (Tate.gt_multi_exp prm terms)
+          (List.fold_left
+             (fun acc (b, x) -> Tate.gt_mul prm acc (Tate.gt_pow prm b x))
+             Tate.gt_one terms));
     qcheck ~count:15 "gt_pow additive in exponent"
       (QCheck2.Gen.pair gen_scalar gen_scalar) (fun (a, b) ->
         let e = Tate.pairing prm g g in

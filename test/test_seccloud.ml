@@ -119,6 +119,14 @@ let unit_tests =
           { sb with Sc_storage.Signer.block =
               { sb.Sc_storage.Signer.block with Sc_storage.Block.data = "evil" } };
         check Alcotest.bool "rejected" false (Seccloud.Cloud.accept_upload cloud upload));
+    case "accept_upload checks all blocks with one pairing" (fun () ->
+        let system = fresh_system "upload-pairings" in
+        let user = Seccloud.User.create system ~id:"alice" in
+        let cloud = Seccloud.Cloud.create system ~id:"cs-1" () in
+        let upload = Seccloud.User.sign_file user ~cs_id:"cs-1" ~file:"f" (payloads 16) in
+        let p0 = Sc_pairing.Tate.pairings_performed () in
+        check Alcotest.bool "accepted" true (Seccloud.Cloud.accept_upload cloud upload);
+        check Alcotest.int "one pairing" 1 (Sc_pairing.Tate.pairings_performed () - p0));
     case "computation audit end-to-end honest" (fun () ->
         let system = fresh_system "comp" in
         let user = Seccloud.User.create system ~id:"alice" in
