@@ -121,6 +121,23 @@ let () =
         "fp_inv(small)", time_ns ~iters:500 (fun () -> Fp.inv fp_small x_small);
       ]
   in
+  (* The signer's GT work: one comb build per designation base, then
+     one comb exponentiation per block and verifier, at a full-width
+     exponent below q; gt_pow is the square-and-multiply it replaces. *)
+  let gt_small = Tate.pairing prm_small gs var_point in
+  let comb_small = Tate.gt_comb prm_small gt_small in
+  let results =
+    results
+    @ [
+        ( "gt_pow(small)",
+          time_ns ~iters:200 (fun () -> Tate.gt_pow prm_small gt_small scalar_small) );
+        ( "gt_comb_build(small)",
+          time_ns ~iters:200 (fun () -> Tate.gt_comb prm_small gt_small) );
+        ( "gt_comb_exp(small)",
+          time_ns ~iters:500 (fun () ->
+              Tate.gt_comb_exp prm_small comb_small scalar_small) );
+      ]
+  in
   (* The designated-verifier auditing hot path: pairings per Ibs.verify
      (the seed needed 2; the multi-pairing rewrite needs 1). *)
   let sio = Sc_ibc.Setup.create prm ~bytes_source:bs in
@@ -320,8 +337,7 @@ let () =
         ~drbg:(Sc_hash.Drbg.create ~seed:("bench-server:" ^ tag))
     in
     Sc_storage.Server.store server
-      (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs ~cs_id:"cs-1"
-         ~da_id:"da" ~file:"data" blocks);
+      (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs ~bases:(Sc_storage.Signer.bases pub alice ~cs_id:"cs-1" ~da_id:"da") ~file:"data" blocks);
     let drbg = Sc_hash.Drbg.create ~seed:("bench-exec:" ^ tag) in
     let service =
       List.init 16 (fun i -> { Task.func = Task.Sum; position = i mod 20 })

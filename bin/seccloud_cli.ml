@@ -462,10 +462,12 @@ let stats_workload preset seed ~drop ~tamper =
       ~scope:"audit ledger"
   in
   let audit_round cloud file samples =
+    let p0 = Tate.pairings_performed () in
     let upload =
       Seccloud.User.sign_file user ~cs_id:(Seccloud.Cloud.id cloud) ~file
         payloads
     in
+    let signer_pairings = Tate.pairings_performed () - p0 in
     assert (Seccloud.Cloud.accept_upload cloud upload);
     let service =
       Sc_compute.Task.random_service ~drbg ~n_positions:16 ~n_tasks:8
@@ -489,9 +491,12 @@ let stats_workload preset seed ~drop ~tamper =
         (Seccloud.Wire.encode pub
            (Seccloud.Wire.Audit_challenge { owner = "alice"; file; challenge }));
       ignore (Seccloud.Wire.encode pub (Seccloud.Wire.Audit_response responses));
-      { Sc_audit.Batch.owner = "alice"; commitment; challenge; responses }
+      ( { Sc_audit.Batch.owner = "alice"; commitment; challenge; responses },
+        signer_pairings )
   in
-  let job = audit_round cloud "ledger" 4 in
+  (* alice uploaded "ledger" to cs-1 above, so this upload reuses her
+     designation bases for cs-1. *)
+  let job, returning_signer_pairings = audit_round cloud "ledger" 4 in
   let verdict =
     Sc_audit.Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
       job.Sc_audit.Batch.commitment job.Sc_audit.Batch.challenge
@@ -499,7 +504,7 @@ let stats_workload preset seed ~drop ~tamper =
   in
   assert verdict.Sc_audit.Protocol.valid;
   (* Batched audit: two jobs, one round of aggregate equations. *)
-  let jobs = [ job; audit_round cloud2 "ledger-2" 4 ] in
+  let jobs = [ job; fst (audit_round cloud2 "ledger-2" 4) ] in
   let p0 = Tate.pairings_performed () in
   let batch_verdict =
     Sc_audit.Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs
@@ -582,6 +587,7 @@ let stats_workload preset seed ~drop ~tamper =
       (Telemetry.counter_value "transport.retry")
   in
   ( upload_pairings,
+    returning_signer_pairings,
     ibs_pairings,
     ibs_precomp_misses,
     List.length jobs,
@@ -592,6 +598,7 @@ let stats verbose preset seed drop tamper trace openmetrics check =
   setup_logging verbose;
   let run () = stats_workload preset seed ~drop ~tamper in
   let ( upload_pairings,
+        returning_signer_pairings,
         ibs_pairings,
         ibs_precomp_misses,
         batch_jobs,
@@ -627,6 +634,8 @@ let stats verbose preset seed drop tamper trace openmetrics check =
         (if ok then "ok" else "FAIL")
     in
     invariant "upload verification pairings per upload" upload_pairings 1;
+    invariant "signer pairings for a returning owner's upload"
+      returning_signer_pairings 0;
     invariant "Ibs.verify pairings per signature" ibs_pairings 1;
     invariant "Ibs.verify precomputation misses after warm-up"
       ibs_precomp_misses 0;

@@ -258,6 +258,31 @@ let batch_inv ctx ~inv (xs : mont array) =
     out
   end
 
+(* All ones when i = j, else zero, with no branch: d lor (-d) has its
+   sign bit set exactly when d <> 0. *)
+let eq_mask i j =
+  let d = i lxor j in
+  lnot ((d lor (-d)) asr (Sys.int_size - 1))
+
+(* Entry j occupies limbs [j·width, (j+1)·width) of one flat array. *)
+type table = { width : int; limbs : int array }
+
+let table (entries : mont array) =
+  { width = Array.length entries.(0); limbs = Array.concat (Array.to_list entries) }
+
+(* Every limb of every entry is read and masked, so the memory trace
+   and the operation count do not depend on the index. *)
+let select t i =
+  let k = t.width in
+  let out = Array.make k 0 in
+  for j = 0 to (Array.length t.limbs / k) - 1 do
+    let m = eq_mask i j in
+    for l = 0 to k - 1 do
+      out.(l) <- out.(l) lor (t.limbs.((j * k) + l) land m)
+    done
+  done;
+  out
+
 (* Left-to-right square-and-multiply inside the domain; it branches on
    the bits of the exponent only. *)
 let pow_mont ctx (a : mont) e =

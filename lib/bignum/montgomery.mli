@@ -74,6 +74,19 @@ val batch_inv : ctx -> inv:(mont -> mont) -> mont array -> mont array
     @raise Not_found if any element is zero; otherwise whatever [inv]
     raises on a non-invertible product. *)
 
+type table
+(** A lookup table of residues of one context, stored as one flat limb
+    array. *)
+
+val table : mont array -> table
+(** @raise Invalid_argument on an empty array. *)
+
+val select : table -> int -> mont
+(** [select (table entries) i] is a fresh copy of [entries.(i)], read
+    by a masked scan over every limb of every entry: no branch and no
+    memory access depends on [i].  An [i] outside the table selects
+    zero. *)
+
 val pow_mont : ctx -> mont -> Nat.t -> mont
 (** [pow_mont ctx a e] = a^e inside the domain.  The ladder branches
     on the bits of [e] only, never on [a]. *)

@@ -439,36 +439,52 @@ let comb_digit k w =
   lor (bit ((4 * w) + 1) lsl 1)
   lor bit (4 * w)
 
-let mul_precomp c pc k =
+let check_range ~bits k =
+  if Nat.bit_length k > bits then
+    invalid_arg "Curve.mul_precomp: scalar exceeds precomputed range"
+
+(* Every scalar runs its own Jacobian comb; the Montgomery results are
+   then normalized together, so n scalars cost one field inversion. *)
+let mul_precomp_batch c pc ks =
   match pc with
   | Comb_mont { mbits; mtables } ->
-    if Nat.bit_length k > mbits then
-      invalid_arg "Curve.mul_precomp: scalar exceeds precomputed range";
+    Array.iter (check_range ~bits:mbits) ks;
     let f = c.fld in
     let ma = Lazy.force c.ma in
-    let acc = ref (mjac_infinity f) in
-    for w = 0 to Array.length mtables - 1 do
-      let d = comb_digit k w in
-      if d <> 0 then begin
-        match mtables.(w).(d) with
-        | None -> ()
-        | Some (x, y) -> acc := mjadd_mixed f ma !acc x y
-      end
-    done;
-    point_of_mjac c !acc
+    let comb k =
+      let acc = ref (mjac_infinity f) in
+      for w = 0 to Array.length mtables - 1 do
+        let d = comb_digit k w in
+        if d <> 0 then begin
+          match mtables.(w).(d) with
+          | None -> ()
+          | Some (x, y) -> acc := mjadd_mixed f ma !acc x y
+        end
+      done;
+      !acc
+    in
+    Array.map
+      (function
+        | None -> Infinity
+        | Some (x, y) -> Affine (M.leave f x, M.leave f y))
+      (mjac_batch_affine f (Array.map comb ks))
   | Comb_affine { bits; tables } ->
-    if Nat.bit_length k > bits then
-      invalid_arg "Curve.mul_precomp: scalar exceeds precomputed range";
-    let acc = ref jac_infinity in
-    for w = 0 to Array.length tables - 1 do
-      let d = comb_digit k w in
-      if d <> 0 then begin
-        match tables.(w).(d) with
-        | Infinity -> ()
-        | Affine (x, y) -> acc := jadd_mixed c !acc x y
-      end
-    done;
-    point_of_jac c !acc
+    Array.iter (check_range ~bits) ks;
+    let comb k =
+      let acc = ref jac_infinity in
+      for w = 0 to Array.length tables - 1 do
+        let d = comb_digit k w in
+        if d <> 0 then begin
+          match tables.(w).(d) with
+          | Infinity -> ()
+          | Affine (x, y) -> acc := jadd_mixed c !acc x y
+        end
+      done;
+      point_of_jac c !acc
+    in
+    Array.map comb ks
+
+let mul_precomp c pc k = (mul_precomp_batch c pc [| k |]).(0)
 
 let lift_x c x =
   match Fp.sqrt c.fld (rhs c x) with

@@ -60,8 +60,18 @@ val precompute : t -> bits:int -> point -> precomp
     mixed additions and no doublings. *)
 
 val mul_precomp : t -> precomp -> Nat.t -> point
-(** Scalar multiplication against the precomputed base.
+(** Scalar multiplication against the precomputed base: the
+    one-scalar case of {!mul_precomp_batch}.
     @raise Invalid_argument if the scalar exceeds the table's range. *)
+
+val mul_precomp_batch : t -> precomp -> Nat.t array -> point array
+(** [mul_precomp_batch c pc ks] is [Array.map (mul_precomp c pc) ks]:
+    each scalar runs the comb in Jacobian form, and over an odd
+    characteristic one shared batch inversion normalizes every result.
+    A scalar whose multiple is the point at infinity (0, or the base's
+    order) gives {!Infinity}.
+    @raise Invalid_argument if any scalar exceeds the table's range,
+    before any work is done. *)
 
 val lift_x : t -> Fp.el -> point option
 (** A point with the given x-coordinate (the even-y root is chosen

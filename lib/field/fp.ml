@@ -121,6 +121,11 @@ module Mont = struct
   let is_zero = Montgomery.is_zero
   let equal = Montgomery.equal
 
+  type table = Montgomery.table
+
+  let table = Montgomery.table
+  let select = Montgomery.select
+
   let inv ctx a =
     if Montgomery.is_zero a then raise Division_by_zero
     else Montgomery.pow_mont (mont_exn ctx) a ctx.inv_exp

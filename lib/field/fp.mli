@@ -108,4 +108,12 @@ module Mont : sig
 
   val is_zero : e -> bool
   val equal : e -> e -> bool
+
+  type table
+
+  val table : e array -> table
+  (** @raise Invalid_argument on an empty array. *)
+
+  val select : table -> int -> e
+  (** Constant-time table read, see {!Sc_bignum.Montgomery.select}. *)
 end

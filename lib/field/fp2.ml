@@ -92,6 +92,16 @@ module Mont = struct
   let conj ctx a = { a with im = M.neg ctx a.im }
   let norm ctx a = M.add ctx (M.sqr ctx a.re) (M.sqr ctx a.im)
 
+  type table = { res : M.table; ims : M.table }
+
+  let table (entries : e array) =
+    {
+      res = M.table (Array.map (fun a -> a.re) entries);
+      ims = M.table (Array.map (fun a -> a.im) entries);
+    }
+
+  let select t i = { re = M.select t.res i; im = M.select t.ims i }
+
   let inv ctx a =
     let n = norm ctx a in
     if M.is_zero n then raise Division_by_zero;

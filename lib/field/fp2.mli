@@ -64,6 +64,18 @@ module Mont : sig
   val conj : Fp.ctx -> e -> e
   val norm : Fp.ctx -> e -> Fp.Mont.e
 
+  type table
+  (** A lookup table of elements, stored as two {!Fp.Mont.table}s of
+      components. *)
+
+  val table : e array -> table
+  (** @raise Invalid_argument on an empty array. *)
+
+  val select : table -> int -> e
+  (** Constant-time table read: both components by
+      {!Fp.Mont.select}, so every entry is scanned whatever the
+      index. *)
+
   val inv : Fp.ctx -> e -> e
   (** @raise Division_by_zero on zero. *)
 

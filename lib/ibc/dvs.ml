@@ -1,6 +1,7 @@
 open Sc_ec
 module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate
+module Telemetry = Sc_telemetry.Telemetry
 
 type t = { u : Curve.point; sigma : Tate.gt }
 
@@ -14,19 +15,28 @@ let designate (pub : Setup.public) (raw : Ibs.t) ~verifier =
   let q_b = Setup.q_of_id pub verifier in
   { u = raw.Ibs.u; sigma = Tate.pairing_precomp prm raw.Ibs.v (Tate.precomp_for prm q_b) }
 
-type base = Tate.gt
+type base = Tate.gt_comb
 
 let base (pub : Setup.public) (key : Setup.identity_key) ~verifier =
+  Telemetry.with_span ~name:"dvs.base" @@ fun () ->
   let prm = pub.prm in
-  Tate.pairing_precomp prm key.Setup.sk
-    (Tate.precomp_for prm (Setup.q_of_id pub verifier))
+  Tate.gt_comb prm
+    (Tate.pairing_precomp prm key.Setup.sk
+       (Tate.precomp_for prm (Setup.q_of_id pub verifier)))
 
 (* Bilinearity: ê(V, Q_B) = ê(e·sk_ID, Q_B) = ê(sk_ID, Q_B)^e, and both
    sides are the unique reduced pairing value, so this equals
    [designate] bit for bit without forming V. *)
-let sign (pub : Setup.public) key ~bytes_source (b_cs, b_da) msg =
-  let u, e = Ibs.sign_exponent pub key ~bytes_source msg in
-  u, Ibs.gt_pow_exponent pub b_cs e, Ibs.gt_pow_exponent pub b_da e
+let sign_batch (pub : Setup.public) key ~bytes_source (b_cs, b_da) msgs =
+  let prm = pub.prm in
+  List.map
+    (fun (u, e) ->
+      let e = (e : Ibs.exponent :> Sc_bignum.Nat.t) in
+      u, Tate.gt_comb_exp prm b_cs e, Tate.gt_comb_exp prm b_da e)
+    (Ibs.sign_exponents pub key ~bytes_source msgs)
+
+let sign pub key ~bytes_source bases msg =
+  List.hd (sign_batch pub key ~bytes_source bases [ msg ])
 
 let verify (pub : Setup.public) ~verifier_key ~q_id ~msg { u; sigma } =
   let prm = pub.prm in

@@ -20,17 +20,27 @@ let h2 (pub : Setup.public) ~u ~msg =
 
 type exponent = Nat.t
 
-let sign_exponent (pub : Setup.public) (key : Setup.identity_key) ~bytes_source
-    msg =
-  Telemetry.incr c_sign;
+(* Every r_i is drawn first, in message order — the DRBG stream of n
+   one-message calls — so that all U_i = r_i·Q_ID leave the comb
+   together and share one inversion. *)
+let sign_exponents (pub : Setup.public) (key : Setup.identity_key)
+    ~bytes_source msgs =
+  Telemetry.add c_sign (List.length msgs);
   let prm = pub.prm in
-  let r = Params.random_scalar prm ~bytes_source in
-  let u = Curve.mul_precomp prm.curve (Params.precomp_for prm key.q_id) r in
-  let h = h2 pub ~u ~msg in
-  u, Nat.rem (Nat.add r h) prm.q
+  let rs =
+    Array.map (fun _ -> Params.random_scalar prm ~bytes_source) (Array.of_list msgs)
+  in
+  let us =
+    Curve.mul_precomp_batch prm.curve (Params.precomp_for prm key.q_id) rs
+  in
+  List.mapi
+    (fun i msg ->
+      let u = us.(i) in
+      u, Nat.rem (Nat.add rs.(i) (h2 pub ~u ~msg)) prm.q)
+    msgs
 
-let gt_pow_exponent (pub : Setup.public) base (e : exponent) =
-  Tate.gt_pow pub.prm base e
+let sign_exponent pub key ~bytes_source msg =
+  List.hd (sign_exponents pub key ~bytes_source [ msg ])
 
 let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
   let u, e = sign_exponent pub key ~bytes_source msg in

@@ -22,12 +22,26 @@ val sign :
   string ->
   t
 
-type exponent
+type exponent = private Nat.t
 (** The signing exponent e = (r + h) mod q, so that V = e·sk_ID.
     Secret: for any Σ = ê(sk_ID, Q_B){^e} it recovers the base
     ê(sk_ID, Q_B) as Σ{^e⁻¹}, and with it the power to forge
-    designated signatures for B.  Abstract so the typed lint can
-    track it. *)
+    designated signatures for B.  Private, so only {!sign_exponents}
+    makes one and the typed lint tracks it by name; a designating
+    signer coerces it to raise its bases ({!Dvs.sign}). *)
+
+val sign_exponents :
+  Setup.public ->
+  Setup.identity_key ->
+  bytes_source:(int -> string) ->
+  string list ->
+  (Curve.point * exponent) list
+(** [(U_i, e_i)] of {!sign} for each message, without forming any
+    V = e·sk_ID.  The r_i are drawn in message order, so the DRBG
+    stream is that of one {!sign} per message in turn, and [U_i] equals
+    their [u]; the U_i come out of one {!Curve.mul_precomp_batch},
+    which normalizes them with a single field inversion.  Counts one
+    [ibs.sign] per message. *)
 
 val sign_exponent :
   Setup.public ->
@@ -35,14 +49,7 @@ val sign_exponent :
   bytes_source:(int -> string) ->
   string ->
   Curve.point * exponent
-(** [(U, e)] of {!sign} without forming V = e·sk_ID: the same
-    randomness draw, so [fst] equals [(sign …).u] for the same
-    [bytes_source] state.  Counts one [ibs.sign]. *)
-
-val gt_pow_exponent :
-  Setup.public -> Sc_pairing.Tate.gt -> exponent -> Sc_pairing.Tate.gt
-(** [base{^e}] in GT, for designating a signature from its exponent
-    (see {!Dvs.sign}). *)
+(** The one-message case of {!sign_exponents}. *)
 
 val verify : Setup.public -> signer:string -> msg:string -> t -> bool
 (** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term

@@ -15,6 +15,8 @@ let c_multi_terms = Telemetry.counter "pairing.multi_terms"
 let c_affine = Telemetry.counter "pairing.affine"
 let c_final_expo = Telemetry.counter "pairing.final_expo"
 let c_gt_pow = Telemetry.counter "pairing.gt_pow"
+let c_gt_comb_build = Telemetry.counter "pairing.gt_comb_build"
+let c_gt_comb_exp = Telemetry.counter "pairing.gt_comb_exp"
 let c_gt_member = Telemetry.counter "pairing.gt_member"
 let c_gt_multi_exp = Telemetry.counter "pairing.gt_multi_exp"
 let c_gt_multi_exp_terms = Telemetry.counter "pairing.gt_multi_exp_terms"
@@ -140,6 +142,54 @@ module F2M = Fp2.Mont
 let gt_pow (prm : Params.t) a e =
   Telemetry.incr c_gt_pow;
   F2M.leave prm.fp (F2M.pow prm.fp (F2M.enter prm.fp a) e)
+
+(* Fixed-base Lim–Lee comb of height h = 4.  An exponent of at most
+   h·d bits, d = ⌈bit_length q / h⌉, is read as h rows of d bits:
+   e = Σ_k e_k·2^(k·d).  Entry j of the table is
+   Π_(bit k of j set) a^(2^(k·d)), with entry 0 = 1, so column c of
+   the exponent (bit c of every row) picks one entry, and
+   a^e = Π_c T[j_c]^(2^c) costs d squarings and d multiplications —
+   against bit_length q squarings for square-and-multiply.  Every
+   column squares and multiplies, including by T[0] = 1, and reads the
+   table by a full masked scan ({!Fp2.Mont.select}), so neither the
+   operation sequence nor the memory trace depends on the exponent. *)
+let comb_height = 4
+
+type gt_comb = { cols : int; table : F2M.table }
+
+let gt_comb (prm : Params.t) a =
+  Telemetry.incr c_gt_comb_build;
+  let fp = prm.fp in
+  let cols = (Nat.bit_length prm.q + comb_height - 1) / comb_height in
+  let table = Array.make (1 lsl comb_height) (F2M.one fp) in
+  let row = ref (F2M.enter fp a) in
+  for k = 0 to comb_height - 1 do
+    if k > 0 then
+      for _ = 1 to cols do
+        row := F2M.sqr fp !row
+      done;
+    let bit = 1 lsl k in
+    table.(bit) <- !row;
+    for j = 1 to bit - 1 do
+      table.(bit lor j) <- F2M.mul fp table.(j) !row
+    done
+  done;
+  { cols; table = F2M.table table }
+
+let gt_comb_exp (prm : Params.t) { cols; table } e =
+  if Nat.bit_length e > comb_height * cols then
+    invalid_arg "Tate.gt_comb_exp: exponent wider than the comb";
+  Telemetry.incr c_gt_comb_exp;
+  let fp = prm.fp in
+  let acc = ref (F2M.one fp) in
+  for c = cols - 1 downto 0 do
+    let j = ref 0 in
+    for k = comb_height - 1 downto 0 do
+      j := (!j lsl 1) lor Bool.to_int (Nat.test_bit e ((k * cols) + c))
+    done;
+    acc := F2M.mul fp (F2M.sqr fp !acc) (F2M.select table !j)
+  done;
+  F2M.leave fp !acc
 
 (* GT is the order-q subgroup of the unitary group, whose order is
    p + 1 = c·q.  A unitary a is a root of x² − t·x + 1 with trace

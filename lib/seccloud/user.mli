@@ -9,7 +9,9 @@ val key : t -> Sc_ibc.Setup.identity_key
 
 val sign_file : t -> cs_id:string -> file:string -> string list -> Sc_storage.Signer.upload
 (** Data Signing for every block, designated to the given server and
-    to the system's DA. *)
+    to the system's DA.  The user keeps the designation bases it
+    builds for each server ({!Sc_storage.Signer.bases}, two pairings),
+    so a returning owner's file to the same server costs no pairing. *)
 
 val store : t -> Cloud.t -> file:string -> string list -> bool
 (** Sign and upload in one step; returns the server's accept flag. *)

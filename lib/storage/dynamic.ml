@@ -60,12 +60,12 @@ type server = {
    named by the binary representation of the block count — instead of
    a bare root: appends become local, and the root/count are derived
    on demand.  Still no block data client-side.  The designation
-   bases ê(sk_ID, Q_CS) and ê(sk_ID, Q_DA) are computed once at [init],
-   so a signed write pays two GT exponentiations and no pairing. *)
+   bases ê(sk_ID, Q_CS) and ê(sk_ID, Q_DA) are built once at [init],
+   so a signed write pays two comb exponentiations and no pairing. *)
 type client = {
   pub : Setup.public;
   key : Setup.identity_key;
-  bases : Dvs.base * Dvs.base;
+  bases : Signer.bases;
   c_file : string;
   mutable c_frontier : Frontier.frontier;
   c_bytes : int -> string;
@@ -80,13 +80,24 @@ type read_proof = {
   proof : Dtree.proof;
 }
 
-let sign_entry client ~index ~version content =
-  let msg = signing_message_c ~file:client.c_file ~index ~version content in
-  let u, sigma_cs, sigma_da =
-    Dvs.sign client.pub client.key ~bytes_source:client.c_bytes client.bases
-      msg
+(* Signs (index, version, content) triples as one batch: the initial
+   file is one batch, a single write the one-entry case. *)
+let sign_entries client items =
+  let signed =
+    Dvs.sign_batch client.pub client.key ~bytes_source:client.c_bytes
+      client.bases
+      (List.map
+         (fun (index, version, content) ->
+           signing_message_c ~file:client.c_file ~index ~version content)
+         items)
   in
-  { content; version; u; sigma_cs; sigma_da }
+  List.map2
+    (fun (_, version, content) (u, sigma_cs, sigma_da) ->
+      { content; version; u; sigma_cs; sigma_da })
+    items signed
+
+let sign_entry client ~index ~version content =
+  List.hd (sign_entries client [ index, version, content ])
 
 let entry_leaf_hash ~index (e : entry) =
   Dtree.leaf_hash (leaf_content_c ~index ~version:e.version e.content)
@@ -97,9 +108,7 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
     {
       pub;
       key;
-      bases =
-        ( Dvs.base pub key ~verifier:cs_id,
-          Dvs.base pub key ~verifier:da_id );
+      bases = Signer.bases pub key ~cs_id ~da_id;
       c_file = file;
       c_frontier = [];
       c_bytes = bytes_source;
@@ -107,10 +116,8 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
   in
   let entries =
     Array.of_list
-      (List.mapi
-         (fun index payload ->
-           sign_entry client ~index ~version:0 (Data payload))
-         payloads)
+      (sign_entries client
+         (List.mapi (fun index payload -> index, 0, Data payload) payloads))
   in
   let tree =
     Dtree.of_leaf_hashes

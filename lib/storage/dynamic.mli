@@ -62,9 +62,11 @@ val init :
   file:string ->
   string list ->
   client * server
-(** Sign every payload at version 0, build the tree on both sides.
-    The client keeps its two designation bases ({!Sc_ibc.Dvs.base},
-    one pairing each), so later writes sign without pairings.
+(** Sign every payload at version 0 as one batch
+    ({!Sc_ibc.Dvs.sign_batch}), build the tree on both sides.  The
+    client keeps its two designation bases ({!Signer.bases}, one
+    pairing and one comb build each), so each later write signs with
+    two comb exponentiations and no pairing.
     @raise Invalid_argument on an empty payload list. *)
 
 val root : client -> string

@@ -10,19 +10,30 @@ type signed_block = {
 
 type upload = { file : string; owner : string; blocks : signed_block array }
 
-let sign_file pub (key : Setup.identity_key) ~bytes_source ~cs_id ~da_id ~file
+type bases = Dvs.base * Dvs.base
+
+let bases pub key ~cs_id ~da_id =
+  Dvs.base pub key ~verifier:cs_id, Dvs.base pub key ~verifier:da_id
+
+let sign_file pub (key : Setup.identity_key) ~bytes_source ~bases ~file
     payloads =
-  let bases =
-    Dvs.base pub key ~verifier:cs_id, Dvs.base pub key ~verifier:da_id
+  Sc_telemetry.Telemetry.with_span ~name:"signer.sign_blocks"
+    ~attrs:[ "blocks", string_of_int (List.length payloads) ]
+  @@ fun () ->
+  let blocks = List.mapi (fun index data -> { Block.file; index; data }) payloads in
+  let signed =
+    Dvs.sign_batch pub key ~bytes_source bases
+      (List.map Block.signing_message blocks)
   in
-  let sign_one index data =
-    let block = { Block.file; index; data } in
-    let u, sigma_cs, sigma_da =
-      Dvs.sign pub key ~bytes_source bases (Block.signing_message block)
-    in
-    { block; u; sigma_cs; sigma_da }
-  in
-  { file; owner = key.Setup.id; blocks = Array.of_list (List.mapi sign_one payloads) }
+  {
+    file;
+    owner = key.Setup.id;
+    blocks =
+      Array.of_list
+        (List.map2
+           (fun block (u, sigma_cs, sigma_da) -> { block; u; sigma_cs; sigma_da })
+           blocks signed);
+  }
 
 let dvs_for role sb =
   match role with

@@ -195,12 +195,12 @@ let layer_of name =
     | None -> name
   in
   match prefix with
-  | "pairing" | "tate" | "ibs" | "ec" -> "pairing"
+  | "pairing" | "tate" | "ibs" | "dvs" | "ec" -> "pairing"
   | "merkle" | "hash" | "sha256" -> "hash"
   | "transport" | "endpoint" | "wire" -> "transport"
   | "audit" | "agency" -> "audit"
   | "compute" | "cloud" -> "compute"
-  | "user" | "storage" -> "storage"
+  | "user" | "storage" | "signer" -> "storage"
   | "sim" | "stats" | "parallel" -> "queueing"
   | _ -> "other"
 

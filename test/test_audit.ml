@@ -158,8 +158,7 @@ let setup_execution ?(behaviour = Executor.Honest) ?(n_tasks = 16) () =
   in
   let server = Server.create Server.Honest ~drbg:(Sc_hash.Drbg.create ~seed:"as") in
   Server.store server
-    (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs ~cs_id:"cs-1"
-       ~da_id:"da" ~file:"data" payloads);
+    (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs ~bases:(Sc_storage.Signer.bases pub alice ~cs_id:"cs-1" ~da_id:"da") ~file:"data" payloads);
   let drbg = Sc_hash.Drbg.create ~seed:"audit-exec" in
   let service =
     List.init n_tasks (fun i -> { Task.func = Task.Sum; position = i mod 20 })

@@ -14,8 +14,7 @@ let payloads = List.init 20 (fun i -> Block.encode_ints [ i; 2 * i; 3 * i ])
 let make_server () =
   let server = Server.create Server.Honest ~drbg:(Sc_hash.Drbg.create ~seed:"x") in
   Server.store server
-    (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs ~cs_id:"cs-1"
-       ~da_id:"da" ~file:"data" payloads);
+    (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs ~bases:(Sc_storage.Signer.bases pub alice ~cs_id:"cs-1" ~da_id:"da") ~file:"data" payloads);
   server
 
 let sum_service n = List.init n (fun i -> { Task.func = Task.Sum; position = i })

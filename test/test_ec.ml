@@ -119,6 +119,44 @@ let precomp_tests =
         Alcotest.check_raises "too large"
           (Invalid_argument "Curve.mul_precomp: scalar exceeds precomputed range")
           (fun () -> ignore (Curve.mul_precomp curve pc (Nat.of_int 256))));
+    case "batched fixed-base multiply = per-scalar multiplies, Infinity included"
+      (fun () ->
+        let pc = Curve.precompute curve ~bits:(Nat.bit_length q) g in
+        let bs = Util.fresh_bs "pc-batch" in
+        let ks =
+          Array.append
+            [| Nat.zero; Nat.one; q; Nat.sub q Nat.one; Nat.zero |]
+            (Array.init 11 (fun _ ->
+                 Sc_pairing.Params.random_scalar prm ~bytes_source:bs))
+        in
+        let got = Curve.mul_precomp_batch curve pc ks in
+        Array.iteri
+          (fun i k ->
+            Alcotest.(check point) (Printf.sprintf "scalar %d" i)
+              (Curve.mul curve k g) got.(i))
+          ks;
+        Alcotest.(check point) "q·G" Curve.infinity got.(2);
+        Alcotest.(check int) "empty batch" 0
+          (Array.length (Curve.mul_precomp_batch curve pc [||]));
+        Alcotest.check_raises "one scalar out of range"
+          (Invalid_argument "Curve.mul_precomp: scalar exceeds precomputed range")
+          (fun () ->
+            ignore
+              (Curve.mul_precomp_batch curve pc
+                 [| Nat.one; Nat.shift_left Nat.one (Nat.bit_length q) |])));
+    case "batched fixed-base multiply on every point of F_23" (fun () ->
+        (* Small-order bases reach O inside the comb tables and inside
+           the batch, which the shared inversion must skip. *)
+        let ks = Array.init 30 Nat.of_int in
+        List.iter
+          (fun pt ->
+            let pc = Curve.precompute c23 ~bits:5 pt in
+            Array.iteri
+              (fun k r ->
+                Alcotest.(check point) (Printf.sprintf "%dP" k)
+                  (Curve.mul_naive c23 (Nat.of_int k) pt) r)
+              (Curve.mul_precomp_batch c23 pc ks))
+          (all_points c23 p23 23));
     case "Params.mul_g equals Curve.mul on the generator" (fun () ->
         let bs = Util.fresh_bs "mulg" in
         for _ = 1 to 15 do

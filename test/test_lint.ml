@@ -319,6 +319,14 @@ let typed_secret_flow =
         in
         check Alcotest.string "key" "debug>Printf.printf"
           (find_rule "typed-secret-flow" fs).Finding.key);
+    case "printing a comb entry (Tate.gt_comb) is flagged" (fun () ->
+        let fs =
+          typed_lint
+            "module Tate = struct type gt_comb = { table : string array } end\n\
+             let debug (c : Tate.gt_comb) = print_endline c.Tate.table.(1)\n"
+        in
+        check Alcotest.string "key" "debug>print_endline"
+          (find_rule "typed-secret-flow" fs).Finding.key);
     case "a base encoded to bytes by a helper stays secret" (fun () ->
         (* The helper's own summary loses the flow in its int code, as
            [Tate.gt_to_bytes] does; its string result is still

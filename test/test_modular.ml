@@ -500,7 +500,34 @@ let fermat_inversion_tests =
                 (Fp.Mont.batch_inv fp [| Fp.Mont.one fp; Fp.Mont.zero fp |]))))
     [ "toy", Params.toy; "small", Params.small; "mid", Params.mid ]
 
+(* The comb's constant-time table read against a plain index, on the
+   5-limb small-parameter prime. *)
+let select_tests =
+  let open Util in
+  [
+    case "masked select = direct index, every index of 1-, 2-, 16-entry tables"
+      (fun () ->
+        let p = (Lazy.force Sc_pairing.Params.small).Sc_pairing.Params.p in
+        let ctx = Montgomery.create p in
+        let bs = fresh_bs "montgomery-select" in
+        List.iter
+          (fun n ->
+            let entries =
+              Array.init n (fun _ ->
+                  Montgomery.to_mont ctx (Nat.random_below ~bytes_source:bs p))
+            in
+            let t = Montgomery.table entries in
+            Array.iteri
+              (fun i e ->
+                check nat
+                  (Printf.sprintf "entry %d of %d" i n)
+                  (Montgomery.of_mont ctx e)
+                  (Montgomery.of_mont ctx (Montgomery.select t i)))
+              entries)
+          [ 1; 2; 16 ]);
+  ]
+
 let suite =
   unit_tests @ property_tests @ montgomery_tests @ montgomery_arith_tests
   @ montgomery_lazy_tests @ montgomery_property_tests @ jacobi_tests
-  @ kernel_edge_tests @ fermat_inversion_tests
+  @ kernel_edge_tests @ fermat_inversion_tests @ select_tests

@@ -381,6 +381,67 @@ let precomp_tests =
           (Telemetry.counter_value "pairing.precomp.miss" - m0));
   ]
 
+(* The signer's fixed-base GT comb against square-and-multiply, on both
+   preset sizes: random exponents below q, the extremes, and the
+   exponents whose set bit sits at the bottom or top of a comb row. *)
+let comb_tests =
+  let open Util in
+  let module Fp = Sc_field.Fp in
+  let module Fp2 = Sc_field.Fp2 in
+  List.concat_map
+    (fun (name, params) ->
+      let prm = Lazy.force params in
+      let q = prm.Params.q in
+      let cols = (Nat.bit_length q + 3) / 4 in
+      let pow2 i = Nat.shift_left Nat.one i in
+      let agrees a e =
+        Tate.gt_equal (Tate.gt_comb_exp prm (Tate.gt_comb prm a) e) (Tate.gt_pow prm a e)
+      in
+      let base = Tate.pairing prm prm.Params.g (Hash_g1.hash_to_point prm "comb") in
+      [
+        qcheck ~count:20 ("gt_comb_exp = gt_pow, random e < q (" ^ name ^ ")")
+          QCheck2.Gen.(
+            pair
+              (pair (string_size ~gen:char (return 32)) (string_size ~gen:char (return 32)))
+              (string_size ~gen:char (return 32)))
+          (fun ((re, im), e) ->
+            let el s = Fp.of_nat prm.Params.fp (Nat.of_bytes_be s) in
+            agrees (Fp2.make (el re) (el im)) (Nat.rem (Nat.of_bytes_be e) q)
+            && agrees base (Nat.rem (Nat.of_bytes_be e) q));
+        case ("gt_comb_exp = gt_pow at 0, 1, q-1 and every row edge (" ^ name ^ ")")
+          (fun () ->
+            let edges =
+              [ Nat.zero; Nat.one; Nat.sub q Nat.one; Nat.sub (pow2 (4 * cols)) Nat.one ]
+              @ List.concat_map
+                  (fun k -> [ pow2 (k * cols); pow2 ((k * cols) + cols - 1) ])
+                  [ 0; 1; 2; 3 ]
+            in
+            List.iter
+              (fun e -> check Alcotest.bool (Nat.to_hex e) true (agrees base e))
+              edges;
+            Alcotest.check_raises "exponent wider than the table"
+              (Invalid_argument "Tate.gt_comb_exp: exponent wider than the comb")
+              (fun () ->
+                ignore (Tate.gt_comb_exp prm (Tate.gt_comb prm base) (pow2 (4 * cols)))));
+      ])
+    [ "toy", Params.toy; "small", Params.small ]
+  @ [
+      case "comb builds and exponentiations count apart from gt_pow" (fun () ->
+          let module Telemetry = Sc_telemetry.Telemetry in
+          let v = Telemetry.counter_value in
+          let b0 = v "pairing.gt_comb_build" and x0 = v "pairing.gt_comb_exp" in
+          let g0 = v "pairing.gt_pow" and p0 = Tate.pairings_performed () in
+          let comb = Tate.gt_comb prm (Tate.pairing prm g g) in
+          let p1 = Tate.pairings_performed () in
+          ignore (Tate.gt_comb_exp prm comb Nat.two);
+          ignore (Tate.gt_comb_exp prm comb Nat.zero);
+          check Alcotest.int "builds" 1 (v "pairing.gt_comb_build" - b0);
+          check Alcotest.int "exponentiations" 2 (v "pairing.gt_comb_exp" - x0);
+          check Alcotest.int "gt_pow" 0 (v "pairing.gt_pow" - g0);
+          check Alcotest.int "no pairing beyond the base" 1 (p1 - p0);
+          check Alcotest.int "none after it" p1 (Tate.pairings_performed ()));
+    ]
+
 let suite =
   unit_tests @ cross_validation_tests @ multi_pairing_tests @ precomp_tests
-  @ property_tests
+  @ property_tests @ comb_tests

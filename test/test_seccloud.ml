@@ -127,6 +127,44 @@ let unit_tests =
         let p0 = Sc_pairing.Tate.pairings_performed () in
         check Alcotest.bool "accepted" true (Seccloud.Cloud.accept_upload cloud upload);
         check Alcotest.int "one pairing" 1 (Sc_pairing.Tate.pairings_performed () - p0));
+    case "a returning owner signs with no pairing, bit for bit as Signer" (fun () ->
+        (* Same seed, so both systems hand alice the same key and the
+           same DRBG stream; building bases draws nothing from it. *)
+        let cached = fresh_system "returning" and fresh = fresh_system "returning" in
+        let user = Seccloud.User.create cached ~id:"alice" in
+        let key = Seccloud.System.register_user fresh "alice" in
+        let pub = Seccloud.System.public fresh in
+        let prm = pub.Sc_ibc.Setup.prm in
+        let bytes (up : Sc_storage.Signer.upload) =
+          String.concat ""
+            (Array.to_list
+               (Array.map
+                  (fun (sb : Sc_storage.Signer.signed_block) ->
+                    sb.block.Sc_storage.Block.data
+                    ^ Sc_ec.Curve.to_bytes prm.Sc_pairing.Params.curve sb.u
+                    ^ Sc_pairing.Tate.gt_to_bytes prm sb.sigma_cs
+                    ^ Sc_pairing.Tate.gt_to_bytes prm sb.sigma_da)
+                  up.blocks))
+        in
+        let by_user cs_id file =
+          let p0 = Sc_pairing.Tate.pairings_performed () in
+          let up = Seccloud.User.sign_file user ~cs_id ~file (payloads 8) in
+          up, Sc_pairing.Tate.pairings_performed () - p0
+        in
+        let by_signer cs_id file =
+          Sc_storage.Signer.sign_file pub key
+            ~bytes_source:(Seccloud.System.bytes_source fresh)
+            ~bases:(Sc_storage.Signer.bases pub key ~cs_id ~da_id:"da")
+            ~file (payloads 8)
+        in
+        List.iter
+          (fun (cs_id, file, pairings) ->
+            let up, spent = by_user cs_id file in
+            check Alcotest.int (file ^ ": signer pairings") pairings spent;
+            check Alcotest.string (file ^ ": bytes") (bytes (by_signer cs_id file))
+              (bytes up))
+          [ "cs-1", "first", 2; "cs-1", "second", 0; "cs-2", "elsewhere", 2;
+            "cs-1", "third", 0 ]);
     case "computation audit end-to-end honest" (fun () ->
         let system = fresh_system "comp" in
         let user = Seccloud.User.create system ~id:"alice" in

@@ -10,7 +10,7 @@ let bs = Util.fresh_bs "storage-tests"
 let payloads = List.init 16 (fun i -> Block.encode_ints [ i; i + 1; i + 2 ])
 
 let make_upload () =
-  Signer.sign_file pub alice ~bytes_source:bs ~cs_id:"cs-1" ~da_id:"da"
+  Signer.sign_file pub alice ~bytes_source:bs ~bases:(Signer.bases pub alice ~cs_id:"cs-1" ~da_id:"da")
     ~file:"doc" payloads
 
 let fresh_server behaviour =
@@ -415,7 +415,7 @@ let pin_digests params =
   let hex parts = Sc_hash.Sha256.hex_of_digest (Sc_hash.Encode.digest parts) in
   let upload =
     Signer.sign_file pub owner ~bytes_source:(Util.fresh_bs "pin-signer")
-      ~cs_id:"cs-1" ~da_id:"da" ~file:"pinned" payloads
+      ~bases:(Signer.bases pub owner ~cs_id:"cs-1" ~da_id:"da") ~file:"pinned" payloads
   in
   let signer =
     hex

@@ -94,11 +94,16 @@ let string_like ty =
   | _ -> false
 
 (* Types whose values are secrets wherever they appear.  [Dvs.base] is
-   ê(sk_ID, Q_B), which forges B-designated signatures; [Ibs.exponent]
-   is r + h, which recovers that base from any published Σ. *)
+   ê(sk_ID, Q_B), which forges B-designated signatures; [Tate.gt_comb]
+   is the comb table a base is held as, whose entry 1 is the base
+   itself; [Ibs.exponent] is r + h, which recovers that base from any
+   published Σ. *)
 let secret_type_names =
   SSet.of_list
-    [ "Setup.sio"; "Setup.identity_key"; "Drbg.t"; "Dvs.base"; "Ibs.exponent" ]
+    [
+      "Setup.sio"; "Setup.identity_key"; "Drbg.t"; "Dvs.base"; "Tate.gt_comb";
+      "Ibs.exponent";
+    ]
 
 let rec secret_ty ~current ty depth =
   if depth > 3 then None
