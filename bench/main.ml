@@ -175,10 +175,6 @@ let fig5_tests =
       (Staged.stage (fun () ->
            Seccloud.Agency.audit_storage da cloud ~owner:"alice" ~file:"bench"
              ~samples:8));
-    Test.make ~name:"fig5/storage_audit_batched_8"
-      (Staged.stage (fun () ->
-           Seccloud.Agency.audit_storage_batched da cloud ~owner:"alice"
-             ~file:"bench" ~samples:8));
     Test.make ~name:"fig5/computation_audit_8"
       (Staged.stage (fun () ->
            Seccloud.Agency.audit_computation da cloud ~owner:"alice" ~execution

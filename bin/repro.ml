@@ -619,7 +619,7 @@ let costs preset =
   let da = Seccloud.Agency.create system in
   let samples = 4 in
   measure
-    (Printf.sprintf "storage audit, batched (t=%d)" samples)
+    (Printf.sprintf "storage audit (t=%d)" samples)
     "2t pairings naive; 1 aggregate eq. here"
     (fun () ->
       let indices = List.init samples (fun i -> i) in
@@ -634,8 +634,8 @@ let costs preset =
            (Seccloud.Wire.Storage_challenge { file = "ledger"; indices }));
       ignore (Seccloud.Wire.encode pub (Seccloud.Wire.Storage_response reads));
       let report =
-        Seccloud.Agency.audit_storage_batched da cloud ~owner:"alice"
-          ~file:"ledger" ~samples
+        Seccloud.Agency.audit_storage da cloud ~owner:"alice" ~file:"ledger"
+          ~samples
       in
       assert report.Seccloud.Agency.intact);
   (* Protocol III: computation audit (Algorithm 1), wire-charged. *)

@@ -450,11 +450,16 @@ let stats_workload preset seed ~drop ~tamper =
   let ibs_precomp_misses =
     Telemetry.counter_value "pairing.precomp.miss" - m0
   in
-  (* Storage audit: batched designated verification. *)
+  (* Storage audit: t=8 designated signatures in one batch.  Every
+     identity it needs was hashed by the upload above, so from here
+     on no identity is hashed again. *)
+  let h0 = Telemetry.counter_value "pairing.id_hash" in
+  let p0 = Tate.pairings_performed () in
   let report =
-    Seccloud.Agency.audit_storage_batched da cloud ~owner:"alice" ~file:"ledger"
+    Seccloud.Agency.audit_storage da cloud ~owner:"alice" ~file:"ledger"
       ~samples:8
   in
+  let storage_audit_pairings = Tate.pairings_performed () - p0 in
   assert report.Seccloud.Agency.intact;
   (* Protocol III + Algorithm 1 audit round, wire-charged. *)
   let warrant =
@@ -497,11 +502,14 @@ let stats_workload preset seed ~drop ~tamper =
   (* alice uploaded "ledger" to cs-1 above, so this upload reuses her
      designation bases for cs-1. *)
   let job, returning_signer_pairings = audit_round cloud "ledger" 4 in
+  let p0 = Tate.pairings_performed () in
   let verdict =
     Sc_audit.Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
       job.Sc_audit.Batch.commitment job.Sc_audit.Batch.challenge
       job.Sc_audit.Batch.responses
   in
+  let algorithm1_pairings = Tate.pairings_performed () - p0 in
+  let warm_id_hashes = Telemetry.counter_value "pairing.id_hash" - h0 in
   assert verdict.Sc_audit.Protocol.valid;
   (* Batched audit: two jobs, one round of aggregate equations. *)
   let jobs = [ job; fst (audit_round cloud2 "ledger-2" 4) ] in
@@ -590,6 +598,9 @@ let stats_workload preset seed ~drop ~tamper =
     returning_signer_pairings,
     ibs_pairings,
     ibs_precomp_misses,
+    storage_audit_pairings,
+    algorithm1_pairings,
+    warm_id_hashes,
     List.length jobs,
     batch_pairings,
     wire_summary )
@@ -601,6 +612,9 @@ let stats verbose preset seed drop tamper trace openmetrics check =
         returning_signer_pairings,
         ibs_pairings,
         ibs_precomp_misses,
+        storage_audit_pairings,
+        algorithm1_pairings,
+        warm_id_hashes,
         batch_jobs,
         batch_pairings,
         wire_summary ) =
@@ -639,6 +653,10 @@ let stats verbose preset seed drop tamper trace openmetrics check =
     invariant "Ibs.verify pairings per signature" ibs_pairings 1;
     invariant "Ibs.verify precomputation misses after warm-up"
       ibs_precomp_misses 0;
+    invariant "honest t=8 storage audit pairings" storage_audit_pairings 1;
+    invariant "honest Algorithm 1 round pairings (batch + root)"
+      algorithm1_pairings 2;
+    invariant "identity hashes after warm-up" warm_id_hashes 0;
     invariant
       (Printf.sprintf "batched audit pairings for k=%d jobs (<= k+1)"
          batch_jobs)

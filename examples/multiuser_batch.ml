@@ -4,8 +4,10 @@
 
    Several users outsource computations to the same provider; the DA
    audits all of them in one aggregated designated-verifier equation
-   and the pairing counter shows the §VI saving: the signature check
-   costs one pairing for the whole batch instead of one per sample. *)
+   and the pairing counter shows the §VI saving.  A single audit
+   already checks its sampled signatures in one equation, so it pays
+   one pairing for them and one for the root signature; the batch
+   pays those two once for all users (each warrant still costs one). *)
 
 let () =
   let users = [ "alice"; "bob"; "carol"; "dave"; "erin" ] in

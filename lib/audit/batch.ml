@@ -1,7 +1,6 @@
 module Ibs = Sc_ibc.Ibs
 module Agg = Sc_ibc.Agg
 module Executor = Sc_compute.Executor
-module Signer = Sc_storage.Signer
 module Telemetry = Sc_telemetry.Telemetry
 
 let c_batch_rounds = Telemetry.counter "audit.batch.rounds"
@@ -13,12 +12,6 @@ type job = {
   challenge : Protocol.challenge;
   responses : Executor.response list;
 }
-
-let dvs_entry role job (resp : Executor.response) =
-  Option.map
-    (fun { Sc_storage.Server.claimed; signed } ->
-      Signer.agg_entry role ~owner:job.owner claimed signed)
-    resp.Executor.read
 
 let verify_jobs pub ~verifier_key ~role jobs =
   Telemetry.incr c_batch_rounds;
@@ -46,69 +39,38 @@ let verify_jobs pub ~verifier_key ~role jobs =
   in
   (* Per-job recompute/root/position checks are independent: fan the
      jobs out across the domain pool.  Signature material is only
-     *collected* here; the aggregate equation below (and the
-     sequential, deterministic blame fallback) is unchanged, and both
-     failure and entry order match the sequential run exactly. *)
+     *collected* here, for one {!Agg.verify_each} over every sampled
+     signature of every job; failure and entry order match the
+     sequential run exactly. *)
   let per_job =
     Sc_parallel.parallel_map
       (fun job ->
-        let by_index =
-          List.fold_left
-            (fun acc (r : Executor.response) ->
-              (r.Executor.task_index, r) :: acc)
-            [] job.responses
+        let check =
+          Protocol.sample_checks ~role ~owner:job.owner
+            ~commitment:job.commitment job.responses
         in
         List.map
-          (fun i ->
-            match List.assoc_opt i by_index with
-            | None -> [ Protocol.Missing_response i ], None
-            | Some resp ->
-              let fs =
-                Protocol.non_signature_checks
-                  ~commitment:job.commitment resp
-              in
-              let entry =
-                Option.map
-                  (fun e -> job, resp, e)
-                  (dvs_entry role job resp)
-              in
-              fs, entry)
+          (fun i -> i, check i)
           job.challenge.Protocol.sample_indices)
       jobs
   in
   let flat = List.concat per_job in
-  let check_failures = List.concat_map fst flat in
-  let entries = List.rev (List.filter_map snd flat) in
-  (* One aggregate equation covers every sampled signature. *)
-  let agg_entries = List.map (fun (_, _, e) -> e) entries in
-  let blame_failures =
-    if Agg.verify_batch pub ~verifier_key agg_entries then []
-    else begin
-      (* Attribute blame: re-check signatures individually, hashing
-         each job's owner once. *)
-      let q_ids =
-        List.map (fun job -> job, Sc_ibc.Setup.q_of_id pub job.owner) jobs
-      in
-      let blamed =
-        List.filter_map
-          (fun (job, (resp : Executor.response), _) ->
-            match resp.Executor.read with
-            | None -> None
-            | Some { Sc_storage.Server.claimed; signed } ->
-              if
-                Signer.verify_block pub ~verifier_key ~role
-                  ~q_id:(List.assq job q_ids) claimed signed
-              then None
-              else Some (Protocol.Signature_wrong resp.Executor.task_index))
-          entries
-      in
-      (* Agg.verify_batch rejects only batches with an entry that
-         fails Dvs.verify, so a failed batch always blames at least
-         one signature here. *)
-      blamed
-    end
+  let check_failures = List.concat_map (fun (_, (fs, _)) -> fs) flat in
+  (* Signature failures come last, in reverse sample order. *)
+  let signed =
+    List.rev
+      (List.filter_map
+         (fun (i, (_, entry)) -> Option.map (fun e -> i, e) entry)
+         flat)
   in
-  let failures = root_failures @ check_failures @ blame_failures in
+  let signature_failures =
+    List.concat
+      (List.map2
+         (fun (i, _) ok -> if ok then [] else [ Protocol.Signature_wrong i ])
+         signed
+         (Agg.verify_each pub ~verifier_key (List.map snd signed)))
+  in
+  let failures = root_failures @ check_failures @ signature_failures in
   { Protocol.valid = failures = []; failures }
 
 (* Fold channel-level outcomes into a batch verdict: servers that

@@ -19,9 +19,10 @@ val verify_jobs :
   job list ->
   Protocol.verdict
 (** One aggregated signature verification for the whole batch; Merkle
-    and recomputation checks run per sample as in Algorithm 1.  When
-    the aggregate rejects, the batch falls back to individual checks
-    to attribute blame, so the failure list still names indices. *)
+    and recomputation checks run per sample as in Algorithm 1.  The
+    sampled signatures go through one {!Sc_ibc.Agg.verify_each}, so
+    when the aggregate rejects, the failure list still names the bad
+    indices. *)
 
 val flag_unresponsive :
   Protocol.verdict ->

@@ -1,4 +1,5 @@
 module Ibs = Sc_ibc.Ibs
+module Agg = Sc_ibc.Agg
 module Warrant = Sc_ibc.Warrant
 module Merkle = Sc_merkle.Dynamic_tree
 module Executor = Sc_compute.Executor
@@ -80,8 +81,8 @@ let root_signature_ok pub commitment =
     ~msg:("root:" ^ commitment.root)
     commitment.root_signature
 
-(* Everything in Algorithm 1 but the designated signature, which batch
-   verification aggregates instead of checking per sample. *)
+(* Everything in Algorithm 1 but the designated signature, which is
+   checked in one batch over all samples instead. *)
 let non_signature_checks ~commitment (resp : Executor.response) =
   let i = resp.Executor.task_index in
   let request = resp.Executor.request in
@@ -123,23 +124,22 @@ let non_signature_checks ~commitment (resp : Executor.response) =
   in
   root_failures @ read_failures
 
-(* Every per-sample check of Algorithm 1: [non_signature_checks] plus
-   the designated signature.  [q_id] is hashed once per audit. *)
-let check_sample pub ~verifier_key ~role ~q_id ~commitment
-    (resp : Executor.response) =
-  Telemetry.incr c_samples_checked;
-  (* 1. IsSignatureWrong: the designated signature must cover the
-     claimed (file, position, data). *)
-  let signature_failures =
-    match resp.Executor.read with
-    | Some { Sc_storage.Server.claimed; signed }
-      when not
-             (Signer.verify_block pub ~verifier_key ~role ~q_id claimed signed)
-      ->
-      [ Signature_wrong resp.Executor.task_index ]
-    | Some _ | None -> []
+let sample_checks ~role ~owner ~commitment responses =
+  let by_index =
+    List.fold_left
+      (fun acc (r : Executor.response) -> (r.Executor.task_index, r) :: acc)
+      [] responses
   in
-  non_signature_checks ~commitment resp @ signature_failures
+  fun i ->
+    match List.assoc_opt i by_index with
+    | None -> [ Missing_response i ], None
+    | Some resp ->
+      Telemetry.incr c_samples_checked;
+      ( non_signature_checks ~commitment resp,
+        Option.map
+          (fun { Sc_storage.Server.claimed; signed } ->
+            Signer.agg_entry role ~owner claimed signed)
+          resp.Executor.read )
 
 let verify pub ~verifier_key ~role ~owner commitment chal responses =
   Telemetry.incr c_rounds;
@@ -150,24 +150,26 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
   let root_failures =
     if root_signature_ok pub commitment then [] else [ Root_signature_wrong ]
   in
-  let by_index =
-    List.fold_left
-      (fun acc (r : Executor.response) -> (r.Executor.task_index, r) :: acc)
-      [] responses
-  in
-  let q_id = Sc_ibc.Setup.q_of_id pub owner in
-  (* Per-sample recomputation and signature checks are independent:
-     fan them out across the domain pool.  Failures keep the sample
-     order of the challenge, so verdicts are identical at any domain
-     count. *)
+  (* Per-sample recomputation and path checks are independent: fan
+     them out across the domain pool.  Then 1. IsSignatureWrong for
+     every sample at once: the designated signature must cover the
+     claimed (file, position, data).  Each sample's signature failure
+     follows its other failures, in the sample order of the challenge,
+     so verdicts are identical at any domain count. *)
+  let check = sample_checks ~role ~owner ~commitment responses in
   let per_sample =
-    Sc_parallel.parallel_map
-      (fun i ->
-        match List.assoc_opt i by_index with
-        | None -> [ Missing_response i ]
-        | Some resp ->
-          check_sample pub ~verifier_key ~role ~q_id ~commitment resp)
-      chal.sample_indices
+    Sc_parallel.parallel_map (fun i -> i, check i) chal.sample_indices
   in
-  let failures = root_failures @ List.concat per_sample in
+  let signatures_ok =
+    Agg.verify_each_opt pub ~verifier_key
+      (List.map (fun (_, (_, entry)) -> entry) per_sample)
+  in
+  let failures =
+    root_failures
+    @ List.concat
+        (List.map2
+           (fun (i, (fs, _)) ok ->
+             if ok = Some false then fs @ [ Signature_wrong i ] else fs)
+           per_sample signatures_ok)
+  in
   { valid = failures = []; failures }

@@ -61,14 +61,23 @@ val respond :
 (** Server side: checks the warrant (expiry included) and returns the
     sampled responses; [None] when the warrant is rejected. *)
 
-val non_signature_checks :
-  commitment:commitment -> Sc_compute.Executor.response -> failure list
-(** Algorithm 1 for one response, minus the designated signature:
-    the recomputation, the block's claimed position, and the Merkle
-    path.  The path must open slot [task_index] of an [n_tasks]-leaf
-    tree and fold to the committed root; any other slot's path, however
-    honest, is reported as [Root_wrong task_index].  Batch verification
-    shares this half and aggregates the signatures instead. *)
+val sample_checks :
+  role:[ `Cs | `Da ] ->
+  owner:string ->
+  commitment:commitment ->
+  Sc_compute.Executor.response list ->
+  int ->
+  failure list * Sc_ibc.Agg.entry option
+(** [sample_checks ~role ~owner ~commitment responses i] runs Algorithm
+    1 for challenged index [i], minus the signature equation.  The
+    failures are [Missing_response i] when no response has that index.
+    Otherwise they come from the recomputation, the block's claimed
+    position and the Merkle path.  The path must open slot [i] of an
+    [n_tasks]-leaf tree and fold to the committed root; any other
+    slot's path, however honest, is reported as [Root_wrong i].  The
+    entry is the designated signature the server returned, if any,
+    left for one {!Sc_ibc.Agg.verify_each} over all samples.  Counts
+    each answered index on [audit.samples_checked]. *)
 
 val verify :
   Sc_ibc.Setup.public ->
@@ -82,4 +91,7 @@ val verify :
 (** Algorithm 1.  [role] selects which designated signature component
     the verifier can open (the DA uses [`Da]).  All sampled checks are
     run — the verdict accumulates every failure rather than stopping
-    at the first, which the simulator uses for diagnosis. *)
+    at the first, which the simulator uses for diagnosis.  The root
+    signature costs one pairing; the t sampled designated signatures
+    go through one {!Sc_ibc.Agg.verify_each}, one pairing when all
+    are good and 1 + t when the batch rejects. *)

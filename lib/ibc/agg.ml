@@ -7,6 +7,7 @@ module Telemetry = Sc_telemetry.Telemetry
 
 let c_verify_batch = Telemetry.counter "agg.verify_batch"
 let c_verify_batch_sigs = Telemetry.counter "agg.verify_batch_sigs"
+let c_verify_each_rejects = Telemetry.counter "agg.verify_each.rejects"
 
 type entry = { signer : string; msg : string; dvs : Dvs.t }
 
@@ -70,6 +71,31 @@ let verify_batch (pub : Setup.public) ~verifier_key entries =
         [ w, Tate.precomp_for prm verifier_key.Setup.sk ])
      (Tate.gt_multi_exp prm
         (List.map2 (fun d e -> e.dvs.Dvs.sigma, d) deltas entries)))
+
+(* A batch that accepts vouches for every entry; only a rejected one
+   pays for the singles that say which entries are bad. *)
+let verify_each (pub : Setup.public) ~verifier_key entries =
+  if verify_batch pub ~verifier_key entries then List.map (fun _ -> true) entries
+  else begin
+    Telemetry.incr c_verify_each_rejects;
+    Telemetry.with_span ~name:"agg.blame"
+      ~attrs:[ "sigs", string_of_int (List.length entries) ]
+    @@ fun () ->
+    List.map
+      (fun e ->
+        Dvs.verify pub ~verifier_key ~q_id:(Setup.q_of_id pub e.signer)
+          ~msg:e.msg e.dvs)
+      entries
+  end
+
+let verify_each_opt pub ~verifier_key slots =
+  let rec put_back slots oks =
+    match slots, oks with
+    | None :: slots, oks -> None :: put_back slots oks
+    | Some _ :: slots, ok :: oks -> Some ok :: put_back slots oks
+    | [], _ | Some _ :: _, [] -> []
+  in
+  put_back slots (verify_each pub ~verifier_key (List.filter_map Fun.id slots))
 
 let aggregate_size_bytes (pub : Setup.public) entries =
   let prm = pub.prm in

@@ -68,9 +68,8 @@ val verify :
   msg:string ->
   t ->
   bool
-(** [q_id] is the signer's {!Setup.q_of_id}.  Hashing an identity to
-    the curve costs about a fifth of a verification, so a caller
-    checking many blocks of one owner computes it once. *)
+(** [q_id] is the signer's {!Setup.q_of_id}.  One pairing; a caller
+    checking many signatures at once uses {!Agg.verify_each}. *)
 
 val simulate :
   Setup.public ->

@@ -21,7 +21,8 @@ let extract sio id =
   let q_id = Hash_g1.hash_to_point prm ("id:" ^ id) in
   { id; q_id; sk = Curve.mul prm.curve sio.s q_id }
 
-let q_of_id pub id = Hash_g1.hash_to_point pub.prm ("id:" ^ id)
+let q_of_id pub id =
+  Params.id_point pub.prm id (fun id -> Hash_g1.hash_to_point pub.prm ("id:" ^ id))
 
 (* ê(sk, P) = ê(Q_ID, P_pub), checked as a one-Miller-loop 2-term
    multi-pairing ê(sk, P)·ê(−Q_ID, P_pub) = 1, replayed from the

@@ -24,10 +24,15 @@ val public : sio -> public
 val master_secret : sio -> Nat.t
 
 val extract : sio -> string -> identity_key
-(** Registers an identity and derives its secret key. *)
+(** Registers an identity and derives its secret key.  Hashes the
+    identity afresh and leaves the {!q_of_id} memo alone, so admitting
+    many users does not grow it. *)
 
 val q_of_id : public -> string -> Curve.point
-(** The public key H1(ID) of any identity — no secret needed. *)
+(** The public key H1(ID) of any identity — no secret needed.  The
+    hash-to-point (a square root and a cofactor multiplication) runs
+    once per identity and parameter set; later calls read the memo
+    ({!Sc_pairing.Params.id_point}). *)
 
 val valid_key : public -> identity_key -> bool
 (** Checks ê(sk_ID, P) = ê(Q_ID, P_pub), letting a user validate the

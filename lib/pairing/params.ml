@@ -5,6 +5,8 @@ module Telemetry = Sc_telemetry.Telemetry
 
 let c_precomp_hit = Telemetry.counter "pairing.precomp.hit"
 let c_precomp_miss = Telemetry.counter "pairing.precomp.miss"
+let c_id_hit = Telemetry.counter "pairing.id_memo.hit"
+let c_id_hash = Telemetry.counter "pairing.id_hash"
 
 module SMap = Map.Make (String)
 
@@ -12,10 +14,17 @@ module SMap = Map.Make (String)
    Reads are lock-free (an immutable map behind an [Atomic]); misses
    take the lock, re-check, compute, and publish — the same
    double-check shape as {!force_precomp} below.  A plain [Hashtbl]
-   would not do: concurrent reads during a resize are undefined. *)
-type 'a cache = { map : 'a SMap.t Atomic.t; lock : Mutex.t }
+   would not do: concurrent reads during a resize are undefined.  Each
+   cache counts its own hits and misses. *)
+type 'a cache = {
+  map : 'a SMap.t Atomic.t;
+  lock : Mutex.t;
+  hit : Telemetry.counter;
+  miss : Telemetry.counter;
+}
 
-let cache_create () = { map = Atomic.make SMap.empty; lock = Mutex.create () }
+let cache_create ~hit ~miss =
+  { map = Atomic.make SMap.empty; lock = Mutex.create (); hit; miss }
 
 type t = {
   p : Nat.t;
@@ -27,6 +36,7 @@ type t = {
   g_precomp : Curve.precomp Lazy.t;
   comb_cache : Curve.precomp cache;
   miller_cache : Miller.precomp cache;
+  id_cache : Curve.point cache;
 }
 
 let build ~p ~q ~cofactor ~g_of_curve =
@@ -50,8 +60,9 @@ let build ~p ~q ~cofactor ~g_of_curve =
     curve;
     g;
     g_precomp;
-    comb_cache = cache_create ();
-    miller_cache = cache_create ();
+    comb_cache = cache_create ~hit:c_precomp_hit ~miss:c_precomp_miss;
+    miller_cache = cache_create ~hit:c_precomp_hit ~miss:c_precomp_miss;
+    id_cache = cache_create ~hit:c_id_hit ~miss:c_id_hash;
   }
 
 let find_generator curve cofactor ~bytes_source _fp =
@@ -144,7 +155,7 @@ let mul_g t k = Curve.mul_precomp t.curve (force_precomp t) (Nat.rem k t.q)
 let cache_get cache key compute =
   match SMap.find_opt key (Atomic.get cache.map) with
   | Some v ->
-    Telemetry.incr c_precomp_hit;
+    Telemetry.incr cache.hit;
     v
   | None ->
     locked cache.lock (fun () ->
@@ -152,10 +163,10 @@ let cache_get cache key compute =
            the entry between the lock-free read and the acquisition. *)
         match SMap.find_opt key (Atomic.get cache.map) with
         | Some v ->
-          Telemetry.incr c_precomp_hit;
+          Telemetry.incr cache.hit;
           v
         | None ->
-          Telemetry.incr c_precomp_miss;
+          Telemetry.incr cache.miss;
           let v = compute () in
           Atomic.set cache.map (SMap.add key v (Atomic.get cache.map));
           v)
@@ -167,3 +178,5 @@ let precomp_for t pt =
 let miller_precomp_for t pt =
   cache_get t.miller_cache (Curve.to_bytes t.curve pt) (fun () ->
       Miller.precompute ~fp:t.fp ~curve:t.curve ~order:t.q pt)
+
+let id_point t id hash = cache_get t.id_cache id (fun () -> hash id)

@@ -12,8 +12,8 @@ open Sc_field
 open Sc_ec
 
 type 'a cache
-(** Domain-safe point-keyed precomputation cache: lock-free hits over
-    an immutable map, double-check-locked misses. *)
+(** Domain-safe string-keyed memo: lock-free hits over an immutable
+    map, double-check-locked misses. *)
 
 type t = private {
   p : Nat.t; (* field characteristic, ≡ 3 mod 4 *)
@@ -25,6 +25,7 @@ type t = private {
   g_precomp : Curve.precomp Lazy.t; (* fixed-base tables for g *)
   comb_cache : Curve.precomp cache; (* fixed-base comb tables by point *)
   miller_cache : Miller.precomp cache; (* Miller line tables by point *)
+  id_cache : Curve.point cache; (* H1(ID) by identity *)
 }
 
 val generate :
@@ -74,3 +75,10 @@ val miller_precomp_for : t -> Curve.point -> Miller.precomp
 (** Miller line tables (see {!Miller.precompute}) for a fixed pairing
     argument, cached like {!precomp_for} and sharing the same
     hit/miss counters. *)
+
+val id_point : t -> string -> (string -> Curve.point) -> Curve.point
+(** [id_point t id hash] is [hash id], computed once per identity and
+    parameter set and then read back like {!precomp_for}.  Hits count
+    on [pairing.id_memo.hit] and computations on [pairing.id_hash], not
+    on the [pairing.precomp.*] counters.  One point per identity ever
+    asked for; an identity's table in {!precomp_for} is far larger. *)

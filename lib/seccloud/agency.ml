@@ -48,21 +48,24 @@ let report_of_checks checks =
     channel = None;
   }
 
+(* A read that claims its own index goes into one batch; any other,
+   a missing read included, is invalid without a signature check. *)
 let check_blocks system ~owner reads =
-  let pub = System.public system in
-  let da_key = System.da_key system in
-  let q_id = Sc_ibc.Setup.q_of_id pub owner in
+  let slots =
+    List.map
+      (fun (i, read) ->
+        match read with
+        | Some { Server.claimed; signed } when claimed.Block.index = i ->
+          Some (Signer.agg_entry `Da ~owner claimed signed)
+        | Some _ | None -> None)
+      reads
+  in
   report_of_checks
-    (List.map
-       (fun (i, read) ->
-         ( i,
-           match read with
-           | None -> false
-           | Some { Server.claimed; signed } ->
-             claimed.Block.index = i
-             && Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id
-                  claimed signed ))
-       reads)
+    (List.map2
+       (fun (i, _) ok -> i, ok = Some true)
+       reads
+       (Agg.verify_each_opt (System.public system)
+          ~verifier_key:(System.da_key system) slots))
 
 let audit_storage t cloud ~owner ~file ~samples =
   match read_samples t cloud ~file ~samples with
@@ -75,47 +78,6 @@ let audit_storage t cloud ~owner ~file ~samples =
         m "storage audit %s/%s: %d/%d valid, intact=%b" owner file
           report.valid_blocks report.sampled report.intact);
     report
-
-let audit_storage_batched t cloud ~owner ~file ~samples =
-  let pub = System.public t.system in
-  let da_key = System.da_key t.system in
-  match read_samples t cloud ~file ~samples with
-  | None ->
-    { sampled = 0; valid_blocks = 0; invalid_indices = []; intact = false;
-      channel = None }
-  | Some reads ->
-    let well_formed =
-      List.filter_map
-        (fun (i, read) ->
-          match read with
-          | Some { Server.claimed; signed } when claimed.Block.index = i ->
-            Some (i, claimed, signed)
-          | Some _ | None -> None)
-        reads
-    in
-    let missing =
-      List.filter_map
-        (fun (i, read) ->
-          match read with
-          | Some { Server.claimed; _ } when claimed.Block.index = i -> None
-          | Some _ | None -> Some i)
-        reads
-    in
-    let entries =
-      List.map
-        (fun (_, claimed, signed) -> Signer.agg_entry `Da ~owner claimed signed)
-        well_formed
-    in
-    if missing = [] && Agg.verify_batch pub ~verifier_key:da_key entries then
-      {
-        sampled = List.length reads;
-        valid_blocks = List.length reads;
-        invalid_indices = [];
-        intact = true;
-        channel = None;
-      }
-    else (* Locate offenders individually. *)
-      check_blocks t.system ~owner reads
 
 let choose_sample_size ?(eps = 1e-4) ?(range = infinity) ~csc ~ssc () =
   match

@@ -25,18 +25,15 @@ val check_blocks :
 (** Designated verification (eq. 7) of sampled reads: a block is valid
     when the server returned one for its index, it claims that index,
     and its DA signature verifies.  Every other index, a missing read
-    included, is reported invalid, in the given order. *)
+    included, is reported invalid, in the given order.  The signatures
+    of the reads that claim their index are checked together by
+    {!Sc_ibc.Agg.verify_each}: one pairing when all t are good, 1 + t
+    when the batch rejects. *)
 
 val audit_storage :
   t -> Cloud.t -> owner:string -> file:string -> samples:int -> storage_report
 (** Protocol II auditing: sample block positions, read them from the
-    server and run designated verification (eq. 7) on each. *)
-
-val audit_storage_batched :
-  t -> Cloud.t -> owner:string -> file:string -> samples:int -> storage_report
-(** Same decision, but all sampled signatures verified in one
-    aggregate equation (§VI).  On aggregate failure it falls back to
-    per-block checks to locate the bad indices. *)
+    server and run {!check_blocks} on them. *)
 
 val choose_sample_size :
   ?eps:float -> ?range:float -> csc:float -> ssc:float -> unit -> int

@@ -323,11 +323,12 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
       if not (String.equal stated_file file) then failure
       else if count > audit_count_cap || count > server.s_count then failure
       else begin
-        let q_id = Setup.q_of_id pub owner in
         let idx = Sc_hash.Drbg.sample_prefix drbg ~n:count ~k:samples in
-        let check index =
+        (* The designated signature of a block whose path checks out,
+           or [None] when the block already fails. *)
+        let signature index =
           match read server index with
-          | None -> false
+          | None -> None
           | Some rp ->
             let leaf =
               leaf_content_c ~index ~version:rp.version rp.content
@@ -344,14 +345,25 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
                       rp.proof)
                  = Some root_hex
             in
-            let msg =
-              signing_message_c ~file ~index ~version:rp.version rp.content
-            in
-            path_ok
-            && Dvs.verify pub ~verifier_key ~q_id ~msg
-                 { Dvs.u = rp.u; sigma = rp.sigma_da }
+            if not path_ok then None
+            else
+              Some
+                {
+                  Sc_ibc.Agg.signer = owner;
+                  msg =
+                    signing_message_c ~file ~index ~version:rp.version
+                      rp.content;
+                  dvs = { Dvs.u = rp.u; sigma = rp.sigma_da };
+                }
         in
-        let results = List.map (fun i -> i, check i) (Array.to_list idx) in
+        let indices = Array.to_list idx in
+        let results =
+          List.map2
+            (fun i ok -> i, ok = Some true)
+            indices
+            (Sc_ibc.Agg.verify_each_opt pub ~verifier_key
+               (List.map signature indices))
+        in
         let invalid =
           List.filter_map (fun (i, ok) -> if ok then None else Some i) results
         in
@@ -377,4 +389,18 @@ let corrupt_entry server index =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
       server.s_entries.(index) <-
         { e with content = Data (Bytes.to_string b) }
+  end
+
+(* Simulated misplacement for tests: entry [index] serves what entry
+   [from] stores — the whole block, or only its U or its Σ_DA — again
+   without touching the tree. *)
+let serve_from server ~index ~from part =
+  if index >= 0 && index < server.s_count && from >= 0 && from < server.s_count
+  then begin
+    let e = server.s_entries.(index) and d = server.s_entries.(from) in
+    server.s_entries.(index) <-
+      (match part with
+      | `Block -> d
+      | `U -> { e with u = d.u }
+      | `Sigma_da -> { e with sigma_da = d.sigma_da })
   end

@@ -160,11 +160,13 @@ val audit :
 (** DA-side audit: verifies the owner's root statement, validates the
     stated count against the server's entry range and
     {!audit_count_cap} {e before} sizing any allocation from it, then
-    for each sampled index checks the designated signature
-    (version- and kind-bound) and the position-bound Merkle path —
-    position as well as content — against the stated root.  Any
-    validation failure yields [intact = false] rather than an
-    exception. *)
+    for each sampled index checks the position-bound Merkle path —
+    position as well as content — against the stated root and the
+    designated signature (version- and kind-bound).  Any validation
+    failure yields [intact = false] rather than an exception.  The
+    signatures of the samples whose path checks out go through one
+    {!Sc_ibc.Agg.verify_each}: one pairing when all are good, 1 + t
+    when the batch rejects, beside the statement's own {!Sc_ibc.Ibs.verify}. *)
 
 val make_lazy : server -> unit
 (** Simulated misbehaviour for tests and campaigns: subsequent
@@ -175,3 +177,10 @@ val make_lazy : server -> unit
 val corrupt_entry : server -> int -> unit
 (** Simulated storage rot for campaigns: flip one payload byte of a
     stored data block without touching the tree. *)
+
+val serve_from :
+  server -> index:int -> from:int -> [ `Block | `U | `Sigma_da ] -> unit
+(** Simulated misbehaviour for tests: entry [index] serves entry
+    [from]'s whole stored block (a relocation), or only its U, or only
+    its Σ_DA, without touching the tree.  Out-of-range indices are
+    ignored. *)

@@ -65,5 +65,4 @@ val verify_block :
   bool
 (** Equation (5)/(7): designated verification of one stored block
     against the payload the server claims for it.  [q_id] is the
-    owner's {!Sc_ibc.Setup.q_of_id}, computed once per owner by the
-    caller. *)
+    owner's {!Sc_ibc.Setup.q_of_id}. *)

@@ -195,13 +195,13 @@ let layer_of name =
     | None -> name
   in
   match prefix with
-  | "pairing" | "tate" | "ibs" | "dvs" | "ec" -> "pairing"
+  | "pairing" | "tate" | "ibs" | "dvs" | "agg" | "ec" -> "pairing"
   | "merkle" | "hash" | "sha256" -> "hash"
   | "transport" | "endpoint" | "wire" -> "transport"
   | "audit" | "agency" -> "audit"
   | "compute" | "cloud" -> "compute"
-  | "user" | "storage" | "signer" -> "storage"
-  | "sim" | "stats" | "parallel" -> "queueing"
+  | "user" | "storage" | "signer" | "dynamic" -> "storage"
+  | "sim" | "stats" | "parallel" | "service" -> "queueing"
   | _ -> "other"
 
 let layers spans =

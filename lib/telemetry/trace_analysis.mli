@@ -89,6 +89,11 @@ type report = {
           rooted trace *)
 }
 
+val layer_of : string -> string
+(** The subsystem a span name's prefix (up to the first '.') belongs
+    to: [pairing], [hash], [transport], [audit], [compute], [storage]
+    or [queueing]; [other] for an unknown prefix. *)
+
 val analyze : ?skipped_lines:int -> span list -> report
 
 val by_name : span list -> name_stats list

@@ -14,6 +14,7 @@ let () =
       "storage", Test_storage.suite;
       "compute", Test_compute.suite;
       "audit", Test_audit.suite;
+      "differential", Test_differential.suite;
       "seccloud", Test_seccloud.suite;
       "wire", Test_wire.suite;
       "wire_fuzz", Test_wire_fuzz.suite;

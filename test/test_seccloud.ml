@@ -69,8 +69,29 @@ let unit_tests =
         check Alcotest.int "sampled" 10 r.Seccloud.Agency.sampled);
     case "batched storage audit agrees with individual" (fun () ->
         let system = fresh_system "batchagree" in
+        let pub = Seccloud.System.public system in
+        let da_key = Seccloud.System.da_key system in
         let user = Seccloud.User.create system ~id:"alice" in
         let da = Seccloud.Agency.create system in
+        let q_id = Sc_ibc.Setup.q_of_id pub "alice" in
+        (* Cheating is sticky per position, so reading every block again
+           sees what the audit saw.  A block is good when it claims its
+           index and its own Dvs.verify accepts it. *)
+        let reference cloud =
+          List.filter
+            (fun i ->
+              match
+                Sc_storage.Server.read (Seccloud.Cloud.storage cloud) ~file:"f"
+                  ~index:i
+              with
+              | Some { Sc_storage.Server.claimed; signed }
+                when claimed.Sc_storage.Block.index = i ->
+                not
+                  (Sc_storage.Signer.verify_block pub ~verifier_key:da_key
+                     ~role:`Da ~q_id claimed signed)
+              | Some _ | None -> true)
+            (List.init 24 Fun.id)
+        in
         List.iter
           (fun storage ->
             let cloud = Seccloud.Cloud.create system ~id:"cs-1" ~storage () in
@@ -80,13 +101,17 @@ let unit_tests =
               Seccloud.Agency.audit_storage da cloud ~owner:"alice" ~file:"f"
                 ~samples:24
             in
-            let b =
-              Seccloud.Agency.audit_storage_batched da cloud ~owner:"alice"
-                ~file:"f" ~samples:24
-            in
-            check Alcotest.bool "same verdict" a.Seccloud.Agency.intact
-              b.Seccloud.Agency.intact)
-          [ Sc_storage.Server.Honest; Sc_storage.Server.Corrupt_fraction 0.4 ]);
+            let expected = reference cloud in
+            check Alcotest.(list int) "same invalid blocks" expected
+              (List.sort compare a.Seccloud.Agency.invalid_indices);
+            check Alcotest.bool "same verdict" (expected = [])
+              a.Seccloud.Agency.intact)
+          [
+            Sc_storage.Server.Honest;
+            Sc_storage.Server.Corrupt_fraction 0.4;
+            Sc_storage.Server.Delete_fraction 0.3;
+            Sc_storage.Server.Substitute_fraction 0.3;
+          ]);
     case "corrupting server fails storage audit" (fun () ->
         let system = fresh_system "corrupt" in
         let user = Seccloud.User.create system ~id:"alice" in

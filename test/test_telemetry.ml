@@ -216,7 +216,7 @@ let e2e =
         let samples = 8 in
         let p0 = Tate.pairings_performed () in
         let report =
-          Seccloud.Agency.audit_storage_batched da cloud ~owner:"tel-owner"
+          Seccloud.Agency.audit_storage da cloud ~owner:"tel-owner"
             ~file:"tel-file" ~samples
         in
         check Alcotest.bool "intact" true report.Seccloud.Agency.intact;
@@ -485,6 +485,77 @@ let json_parser =
           [ "{"; "{\"a\":}"; "[1,"; "\"unterminated"; "{\"a\":1,}"; "nope" ]);
   ]
 
+(* Every span a library opens must land in a named layer: a span whose
+   prefix maps to [other] hides its self time from the per-layer cost
+   model.  Lists each literal [~name:"…"] (or the literal head of a
+   [~name:("prefix." ^ …)]) in every .ml under lib/. *)
+let layers =
+  let rec ml_files dir =
+    Array.fold_left
+      (fun acc entry ->
+        let path = Filename.concat dir entry in
+        if Sys.is_directory path then ml_files path @ acc
+        else if Filename.check_suffix entry ".ml" then path :: acc
+        else acc)
+      [] (Sys.readdir dir)
+  in
+  let read_file path = In_channel.with_open_bin path In_channel.input_all in
+  (* The string literal opening at or after [i] (past blanks and one
+     parenthesis), if that is what follows. *)
+  let literal_at src i =
+    let n = String.length src in
+    let rec skip i =
+      if i < n && (src.[i] = ' ' || src.[i] = '(') then skip (i + 1) else i
+    in
+    let i = skip i in
+    if i < n && src.[i] = '"' then
+      Option.map
+        (fun j -> String.sub src (i + 1) (j - i - 1))
+        (String.index_from_opt src (i + 1) '"')
+    else None
+  in
+  let span_names src =
+    let key = "~name:" in
+    let rec go from acc =
+      if from + String.length key > String.length src then acc
+      else if String.sub src from (String.length key) = key then
+        let j = from + String.length key in
+        go j (match literal_at src j with Some name -> name :: acc | None -> acc)
+      else go (from + 1) acc
+    in
+    go 0 []
+  in
+  [
+    case "agg spans price as pairing, dynamic spans as storage" (fun () ->
+        check Alcotest.string "agg" "pairing"
+          (Sc_telemetry.Trace_analysis.layer_of "agg.verify_batch");
+        check Alcotest.string "dynamic" "storage"
+          (Sc_telemetry.Trace_analysis.layer_of "dynamic.audit");
+        check Alcotest.string "unknown" "other"
+          (Sc_telemetry.Trace_analysis.layer_of "nope.span"));
+    case "no span name under lib/ maps to the other layer" (fun () ->
+        let lib =
+          List.find_opt
+            (fun r -> Sys.file_exists (Filename.concat r "lib/telemetry/trace_analysis.ml"))
+            [ "."; ".."; "../.."; "../../.." ]
+        in
+        match lib with
+        | None -> Alcotest.fail "lib/ not found from test cwd"
+        | Some root ->
+          let names =
+            List.sort_uniq compare
+              (List.concat_map
+                 (fun f -> span_names (read_file f))
+                 (ml_files (Filename.concat root "lib")))
+          in
+          check Alcotest.bool "found the library's spans" true
+            (List.mem "agg.verify_batch" names && List.mem "dynamic.audit" names);
+          check Alcotest.(list string) "spans in the other layer" []
+            (List.filter
+               (fun n -> Sc_telemetry.Trace_analysis.layer_of n = "other")
+               names));
+  ]
+
 let suite =
   counters @ histograms @ spans @ quantiles @ labels @ openmetrics @ tracing
-  @ json_parser @ e2e
+  @ json_parser @ e2e @ layers
