@@ -14,7 +14,10 @@ let () =
       "storage", Test_storage.suite;
       "compute", Test_compute.suite;
       "audit", Test_audit.suite;
-      "differential", Test_differential.suite;
+      (* Alcotest sizes its name column by the longest suite name and
+         cuts test names to fit; a suite name longer than 9 characters
+         would shorten every printed test name. *)
+      "reference", Test_differential.suite;
       "seccloud", Test_seccloud.suite;
       "wire", Test_wire.suite;
       "wire_fuzz", Test_wire_fuzz.suite;
