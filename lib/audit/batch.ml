@@ -57,18 +57,15 @@ let verify_jobs pub ~verifier_key ~role jobs =
   let flat = List.concat per_job in
   let check_failures = List.concat_map (fun (_, (fs, _)) -> fs) flat in
   (* Signature failures come last, in reverse sample order. *)
-  let signed =
-    List.rev
-      (List.filter_map
-         (fun (i, (_, entry)) -> Option.map (fun e -> i, e) entry)
-         flat)
-  in
+  let rev_flat = List.rev flat in
   let signature_failures =
     List.concat
       (List.map2
-         (fun (i, _) ok -> if ok then [] else [ Protocol.Signature_wrong i ])
-         signed
-         (Agg.verify_each pub ~verifier_key (List.map snd signed)))
+         (fun (i, _) ok ->
+           if ok = Some false then [ Protocol.Signature_wrong i ] else [])
+         rev_flat
+         (Agg.verify_each pub ~verifier_key
+            (List.map (fun (_, (_, entry)) -> entry) rev_flat)))
   in
   let failures = root_failures @ check_failures @ signature_failures in
   { Protocol.valid = failures = []; failures }

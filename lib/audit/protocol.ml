@@ -134,7 +134,6 @@ let sample_checks ~role ~owner ~commitment responses =
     match List.assoc_opt i by_index with
     | None -> [ Missing_response i ], None
     | Some resp ->
-      Telemetry.incr c_samples_checked;
       ( non_signature_checks ~commitment resp,
         Option.map
           (fun { Sc_storage.Server.claimed; signed } ->
@@ -160,8 +159,14 @@ let verify pub ~verifier_key ~role ~owner commitment chal responses =
   let per_sample =
     Sc_parallel.parallel_map (fun i -> i, check i) chal.sample_indices
   in
+  (* [Missing_response] comes only from an unanswered index. *)
+  Telemetry.add c_samples_checked
+    (List.length
+       (List.filter
+          (function _, ([ Missing_response _ ], None) -> false | _ -> true)
+          per_sample));
   let signatures_ok =
-    Agg.verify_each_opt pub ~verifier_key
+    Agg.verify_each pub ~verifier_key
       (List.map (fun (_, (_, entry)) -> entry) per_sample)
   in
   let failures =

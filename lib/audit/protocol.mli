@@ -76,8 +76,7 @@ val sample_checks :
     [n_tasks]-leaf tree and fold to the committed root; any other
     slot's path, however honest, is reported as [Root_wrong i].  The
     entry is the designated signature the server returned, if any,
-    left for one {!Sc_ibc.Agg.verify_each} over all samples.  Counts
-    each answered index on [audit.samples_checked]. *)
+    left for one {!Sc_ibc.Agg.verify_each} over all samples. *)
 
 val verify :
   Sc_ibc.Setup.public ->
@@ -94,4 +93,5 @@ val verify :
     at the first, which the simulator uses for diagnosis.  The root
     signature costs one pairing; the t sampled designated signatures
     go through one {!Sc_ibc.Agg.verify_each}, one pairing when all
-    are good and 1 + t when the batch rejects. *)
+    are good and 1 + t when the batch rejects.  Counts each answered
+    index on [audit.samples_checked]. *)

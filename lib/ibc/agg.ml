@@ -74,7 +74,7 @@ let verify_batch (pub : Setup.public) ~verifier_key entries =
 
 (* A batch that accepts vouches for every entry; only a rejected one
    pays for the singles that say which entries are bad. *)
-let verify_each (pub : Setup.public) ~verifier_key entries =
+let verify_all (pub : Setup.public) ~verifier_key entries =
   if verify_batch pub ~verifier_key entries then List.map (fun _ -> true) entries
   else begin
     Telemetry.incr c_verify_each_rejects;
@@ -88,14 +88,14 @@ let verify_each (pub : Setup.public) ~verifier_key entries =
       entries
   end
 
-let verify_each_opt pub ~verifier_key slots =
+let verify_each pub ~verifier_key slots =
   let rec put_back slots oks =
     match slots, oks with
     | None :: slots, oks -> None :: put_back slots oks
     | Some _ :: slots, ok :: oks -> Some ok :: put_back slots oks
     | [], _ | Some _ :: _, [] -> []
   in
-  put_back slots (verify_each pub ~verifier_key (List.filter_map Fun.id slots))
+  put_back slots (verify_all pub ~verifier_key (List.filter_map Fun.id slots))
 
 let aggregate_size_bytes (pub : Setup.public) entries =
   let prm = pub.prm in

@@ -41,21 +41,18 @@ val verify_batch :
     and [agg.verify_batch_sigs], under span [agg.verify_batch]. *)
 
 val verify_each :
-  Setup.public -> verifier_key:Setup.identity_key -> entry list -> bool list
-(** Batch then blame: one {!verify_batch} over all entries, and only
-    when it rejects, one {!Dvs.verify} per entry (under span
-    [agg.blame], counted on [agg.verify_each.rejects]).  The answers
-    are {!Dvs.verify}'s, entry by entry, except with probability at
-    most 2⁻⁶⁴ per batch that holds a bad entry (see above).  Costs one
-    pairing when every entry is good and 1 + t when one is not. *)
-
-val verify_each_opt :
   Setup.public ->
   verifier_key:Setup.identity_key ->
   entry option list ->
   bool option list
-(** {!verify_each} over the [Some] slots, each answer put back in its
-    slot; a [None] slot (nothing to check) stays [None]. *)
+(** Batch then blame, slot by slot: a [Some] slot holds an entry to
+    check and gets its answer back in place; a [None] slot (nothing to
+    check) stays [None].  One {!verify_batch} runs over all entries,
+    and only when it rejects one {!Dvs.verify} per entry (under span
+    [agg.blame], counted on [agg.verify_each.rejects]).  The answers
+    are {!Dvs.verify}'s, entry by entry, except with probability at
+    most 2⁻⁶⁴ per batch that holds a bad entry (see above).  Costs one
+    pairing when every entry is good and 1 + t when one is not. *)
 
 val aggregate_size_bytes : Setup.public -> entry list -> int
 (** Wire size of the unweighted aggregate (Σ W_i, Π Σ_i) of the

@@ -16,14 +16,13 @@ let create prm ~bytes_source =
 let public sio = sio.pub
 let master_secret sio = sio.s
 
-let hash_id prm id = Hash_g1.hash_to_point prm ("id:" ^ id)
+let q_of_id pub id =
+  Params.id_point pub.prm id (fun id ->
+      Hash_g1.hash_to_point pub.prm ("id:" ^ id))
 
 let extract sio id =
-  let prm = sio.pub.prm in
-  let q_id = hash_id prm id in
-  { id; q_id; sk = Curve.mul prm.curve sio.s q_id }
-
-let q_of_id pub id = Params.id_point pub.prm id (hash_id pub.prm)
+  let q_id = q_of_id sio.pub id in
+  { id; q_id; sk = Curve.mul sio.pub.prm.curve sio.s q_id }
 
 (* ê(sk, P) = ê(Q_ID, P_pub), checked as a one-Miller-loop 2-term
    multi-pairing ê(sk, P)·ê(−Q_ID, P_pub) = 1, replayed from the

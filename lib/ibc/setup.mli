@@ -24,9 +24,9 @@ val public : sio -> public
 val master_secret : sio -> Nat.t
 
 val extract : sio -> string -> identity_key
-(** Registers an identity and derives its secret key.  Hashes the
-    identity afresh and leaves the {!q_of_id} memo alone, so admitting
-    many users does not grow it. *)
+(** Registers an identity and derives its secret key from
+    {!q_of_id}'s point, so a registered signer's Q_ID is already in
+    the memo when a verifier first asks for it. *)
 
 val q_of_id : public -> string -> Curve.point
 (** The public key H1(ID) of any identity — no secret needed.  The

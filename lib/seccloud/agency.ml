@@ -64,7 +64,7 @@ let check_blocks system ~owner reads =
     (List.map2
        (fun (i, _) ok -> i, ok = Some true)
        reads
-       (Agg.verify_each_opt (System.public system)
+       (Agg.verify_each (System.public system)
           ~verifier_key:(System.da_key system) slots))
 
 let audit_storage t cloud ~owner ~file ~samples =

@@ -361,7 +361,7 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
           List.map2
             (fun i ok -> i, ok = Some true)
             indices
-            (Sc_ibc.Agg.verify_each_opt pub ~verifier_key
+            (Sc_ibc.Agg.verify_each pub ~verifier_key
                (List.map signature indices))
         in
         let invalid =

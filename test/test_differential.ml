@@ -275,26 +275,36 @@ let protocol_tests =
              }
            in
            let responses = responses execution samples in
+           let checked () =
+             Sc_telemetry.Telemetry.counter_value "audit.samples_checked"
+           in
+           let c0 = checked () in
            let single =
              Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner commitment
                challenge responses
            in
+           let c1 = checked () in
            let batch =
              Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
                [ { Batch.owner; commitment; challenge; responses } ]
            in
+           (* Protocol.verify counts each answered sample once; the
+              multi-job batch counts none. *)
+           let counted = c1 - c0, checked () - c1 in
            let expected = reference_verify commitment challenge responses in
            let expected_batch = reference_batch commitment challenge responses in
            single.Protocol.failures = expected
            && single.Protocol.valid = (expected = [])
            && batch.Protocol.failures = expected_batch
            && batch.Protocol.valid = (expected_batch = [])
+           && counted = (List.length responses, 0)
            || QCheck2.Test.fail_reportf
-                "verify [%s] vs [%s]; batch [%s] vs [%s]"
+                "verify [%s] vs [%s]; batch [%s] vs [%s]; counted (%d, %d)"
                 (String.concat "; " (names single.Protocol.failures))
                 (String.concat "; " (names expected))
                 (String.concat "; " (names batch.Protocol.failures))
-                (String.concat "; " (names expected_batch))));
+                (String.concat "; " (names expected_batch))
+                (fst counted) (snd counted)));
   ]
 
 (* --- Dynamic.audit ------------------------------------------------- *)

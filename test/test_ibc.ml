@@ -22,6 +22,15 @@ let unit_tests =
           (Curve.equal (Setup.q_of_id pub "alice") alice.Setup.q_id);
         check Alcotest.bool "distinct" false
           (Curve.equal alice.Setup.q_id bob.Setup.q_id));
+    case "extraction hashes an identity once, shared with q_of_id" (fun () ->
+        let hashes () = Sc_telemetry.Telemetry.counter_value "pairing.id_hash" in
+        let h0 = hashes () in
+        let carol = Setup.extract sio "carol-memo" in
+        let h1 = hashes () in
+        let q = Setup.q_of_id pub "carol-memo" in
+        check Alcotest.int "extract hashes" 1 (h1 - h0);
+        check Alcotest.int "q_of_id reads the memo" 0 (hashes () - h1);
+        check Alcotest.bool "same point" true (q == carol.Setup.q_id));
     case "a foreign secret key fails validation" (fun () ->
         let forged = { alice with Setup.sk = bob.Setup.sk } in
         check Alcotest.bool "invalid" false (Setup.valid_key pub forged));
