@@ -1,16 +1,22 @@
-type t = { mutable key : string; mutable value : string }
+(* [key] is K, kept prepared: each K serves the generate loop and the
+   first MAC of the next [update]. *)
+type t = { mutable key : Hmac.key; mutable value : string }
 
 (* HMAC_DRBG update function (SP 800-90A section 10.1.2.2). *)
 let update t provided =
-  t.key <- Hmac.mac_concat ~key:t.key [ t.value; "\x00"; provided ];
-  t.value <- Hmac.mac ~key:t.key t.value;
+  t.key <-
+    Hmac.prepare (Hmac.mac_prepared t.key [ t.value; "\x00"; provided ]);
+  t.value <- Hmac.mac_prepared t.key [ t.value ];
   if String.length provided > 0 then begin
-    t.key <- Hmac.mac_concat ~key:t.key [ t.value; "\x01"; provided ];
-    t.value <- Hmac.mac ~key:t.key t.value
+    t.key <-
+      Hmac.prepare (Hmac.mac_prepared t.key [ t.value; "\x01"; provided ]);
+    t.value <- Hmac.mac_prepared t.key [ t.value ]
   end
 
 let create ~seed =
-  let t = { key = String.make 32 '\000'; value = String.make 32 '\x01' } in
+  let t =
+    { key = Hmac.prepare (String.make 32 '\000'); value = String.make 32 '\x01' }
+  in
   update t seed;
   t
 
@@ -20,7 +26,7 @@ let generate t n =
   if n < 0 then invalid_arg "Drbg.generate: negative length";
   let buf = Buffer.create n in
   while Buffer.length buf < n do
-    t.value <- Hmac.mac ~key:t.key t.value;
+    t.value <- Hmac.mac_prepared t.key [ t.value ];
     Buffer.add_string buf t.value
   done;
   update t "";

@@ -1,6 +1,7 @@
-(* 32-bit words live in native ints; every arithmetic result is masked
-   back with [m32].  Rotations therefore need the mask only after the
-   left-shift half. *)
+(* 32-bit words live in native 63-bit ints.  A rotation reads one
+   32-bit window of the doubled word [x lor (x lsl 32)], so each Σ/σ is
+   three shifts, two xors and one mask.  Sums that feed a masked result
+   run unmasked: five 32-bit terms fit in 35 bits. *)
 
 let m32 = 0xFFFFFFFF
 
@@ -24,6 +25,12 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+let iv =
+  [|
+    0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+    0x1f83d9ab; 0x5be0cd19;
+  |]
+
 type ctx = {
   h : int array; (* 8 chaining words *)
   block : Bytes.t; (* 64-byte buffer *)
@@ -33,57 +40,55 @@ type ctx = {
   mutable finalized : bool;
 }
 
-let init () =
+let create h total =
   {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
+    h;
     block = Bytes.create 64;
     fill = 0;
-    total = 0;
+    total;
     w = Array.make 64 0;
     finalized = false;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+let init () = create (Array.copy iv) 0
+
+(* The prefix block's bytes count toward the length padding and, at
+   finalize, toward hash.sha256.bytes. *)
+let resume chain off = create (Array.sub chain off 8) 64
 
 let compress ctx =
-  let w = ctx.w and b = ctx.block in
+  let w = ctx.w and blk = ctx.block in
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get b (4 * t)) lsl 24)
-      lor (Char.code (Bytes.get b ((4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get b ((4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get b ((4 * t) + 3))
+    w.(t) <- Int32.to_int (Bytes.get_int32_be blk (4 * t)) land m32
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land m32 in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10)) land m32 in
     w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b' = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b') lxor (!a land !c) lxor (!b' land !c) in
-    let t2 = (s0 + maj) land m32 in
+    let ee = !e lor (!e lsl 32) and aa = !a lor (!a lsl 32) in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land m32 in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land m32 in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
     e := (!d + t1) land m32;
     d := !c;
-    c := !b';
-    b' := !a;
-    a := (t1 + t2) land m32
+    c := !b;
+    b := !a;
+    a := (t1 + s0 + maj) land m32
   done;
   h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !b') land m32;
+  h.(1) <- (h.(1) + !b) land m32;
   h.(2) <- (h.(2) + !c) land m32;
   h.(3) <- (h.(3) + !d) land m32;
   h.(4) <- (h.(4) + !e) land m32;
@@ -110,35 +115,35 @@ let feed_bytes ctx ?(off = 0) ?len src =
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s)
 
+let absorb_block blk dst off =
+  if String.length blk <> 64 then
+    invalid_arg "Sha256.absorb_block: not 64 bytes";
+  let ctx = init () in
+  feed ctx blk;
+  Array.blit ctx.h 0 dst off 8
+
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: already finalized";
   Sc_telemetry.Telemetry.incr c_digests;
   Sc_telemetry.Telemetry.add c_bytes ctx.total;
-  let bit_len = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
-  done;
-  (* Bypass the total counter: feed_bytes would distort it. *)
-  let total = ctx.total in
-  feed_bytes ctx pad;
-  ctx.total <- total;
   ctx.finalized <- true;
+  (* Padding in place: 0x80, zeros, then the 64-bit big-endian bit
+     length in the last 8 bytes of the final block. *)
+  let blk = ctx.block and fill = ctx.fill in
+  Bytes.set blk fill '\x80';
+  if fill >= 56 then begin
+    Bytes.fill blk (fill + 1) (63 - fill) '\000';
+    compress ctx;
+    Bytes.fill blk 0 56 '\000'
+  end
+  else Bytes.fill blk (fill + 1) (55 - fill) '\000';
+  Bytes.set_int64_be blk 56 (Int64.of_int (ctx.total * 8));
+  compress ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

@@ -32,14 +32,15 @@ let coefficients (pub : Setup.public) ~verifier_key entries =
            entries)
   in
   let prk =
-    Hmac.mac ~key:(Curve.to_bytes prm.curve verifier_key.Setup.sk) transcript
+    Hmac.prepare
+      (Hmac.mac ~key:(Curve.to_bytes prm.curve verifier_key.Setup.sk) transcript)
   in
   let n = List.length entries in
   let stream =
     String.concat ""
       (List.init
          (((n * delta_bytes) + 31) / 32)
-         (fun j -> Hmac.mac ~key:prk (string_of_int j)))
+         (fun j -> Hmac.mac_prepared prk [ string_of_int j ]))
   in
   List.init n (fun i ->
       Nat.of_bytes_be (String.sub stream (i * delta_bytes) delta_bytes))

@@ -1,0 +1,98 @@
+(* Reference SHA-256 for the differential tests in test_hash.ml: the
+   straightforward kernel the library shipped before its rotations
+   moved to the doubled-word form.  Byte-wise word loads, a rotation as
+   two shifts and a mask, every sum masked, a separate padding buffer.
+   Slow and obviously FIPS 180-4; counts nothing. *)
+
+let m32 = 0xFFFFFFFF
+
+let k =
+  [|
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+  |]
+
+let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+
+let compress h b =
+  let w = Array.make 64 0 in
+  for t = 0 to 15 do
+    w.(t) <-
+      (Char.code (Bytes.get b (4 * t)) lsl 24)
+      lor (Char.code (Bytes.get b ((4 * t) + 1)) lsl 16)
+      lor (Char.code (Bytes.get b ((4 * t) + 2)) lsl 8)
+      lor Char.code (Bytes.get b ((4 * t) + 3))
+  done;
+  for t = 16 to 63 do
+    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
+    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m32
+  done;
+  let a = ref h.(0) and b' = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for t = 0 to 63 do
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land m32 in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = (!a land !b') lxor (!a land !c) lxor (!b' land !c) in
+    let t2 = (s0 + maj) land m32 in
+    hh := !g;
+    g := !f;
+    f := !e;
+    e := (!d + t1) land m32;
+    d := !c;
+    c := !b';
+    b' := !a;
+    a := (t1 + t2) land m32
+  done;
+  List.iteri
+    (fun i v -> h.(i) <- (h.(i) + v) land m32)
+    [ !a; !b'; !c; !d; !e; !f; !g; !hh ]
+
+(* Pad the whole message (0x80, zeros, 64-bit big-endian bit length)
+   and compress it block by block. *)
+let digest msg =
+  let h =
+    [|
+      0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+      0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
+    |]
+  in
+  let len = String.length msg in
+  let pad_len =
+    let rem = (len + 1 + 8) mod 64 in
+    if rem = 0 then 1 else 1 + (64 - rem)
+  in
+  let padded = Bytes.make (len + pad_len + 8) '\000' in
+  Bytes.blit_string msg 0 padded 0 len;
+  Bytes.set padded len '\x80';
+  for i = 0 to 7 do
+    Bytes.set padded (len + pad_len + i)
+      (Char.chr (((len * 8) lsr (8 * (7 - i))) land 0xFF))
+  done;
+  for blk = 0 to (Bytes.length padded / 64) - 1 do
+    compress h (Bytes.sub padded (64 * blk) 64)
+  done;
+  String.init 32 (fun i ->
+      Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+
+(* RFC 2104 over the reference digest: hash a long key, zero-pad, xor
+   the pads, two passes. *)
+let hmac ~key msg =
+  let key = if String.length key > 64 then digest key else key in
+  let pad byte =
+    String.init 64 (fun i ->
+        let c = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (c lxor byte))
+  in
+  digest (pad 0x5C ^ digest (pad 0x36 ^ msg))

@@ -1,5 +1,6 @@
-(* SHA-256 / HMAC against FIPS-180-4 and RFC 4231 vectors; DRBG
-   determinism. *)
+(* SHA-256 / HMAC against FIPS-180-4 and RFC 4231 vectors, against the
+   reference kernel in Sha256_ref, and DRBG determinism with pinned
+   streams. *)
 
 let sha_vectors =
   [
@@ -123,6 +124,93 @@ let unit_tests =
           (draw 32 8);
         check Alcotest.(list int) "k > n clamps to a permutation"
           [ 3; 1; 0; 2; 4 ] (draw 5 9));
+    case "DRBG and HMAC known answers and counter deltas" (fun () ->
+        (* Values of the straightforward kernel with unprepared keys.
+           The other DRBG cases compare two streams with each other, so
+           only these catch a changed stream. *)
+        let counter = Sc_telemetry.Telemetry.counter_value in
+        let d0 = counter "hash.sha256.digests" in
+        let b0 = counter "hash.sha256.bytes" in
+        let d = Sc_hash.Drbg.create ~seed:"seed" in
+        let first = Sc_hash.Drbg.generate d 100 in
+        Sc_hash.Drbg.reseed d "entropy";
+        let second = Sc_hash.Drbg.generate d 77 in
+        let tag = Sc_hash.Hmac.mac ~key:"k" "msg" in
+        let digests = counter "hash.sha256.digests" - d0 in
+        let bytes = counter "hash.sha256.bytes" - b0 in
+        check Alcotest.string "generate 100"
+          "c687a13b9b3cc44e9cc9c33d4ff07438570fd43253179e84f361cc3da2c97b7f"
+          (Sc_hash.Sha256.digest_hex first);
+        check Alcotest.string "reseed, generate 77"
+          "078a38f81f07ef0fa66c455c2f72af1e0d67d142da6595727c210ff7008f0eb2"
+          (Sc_hash.Sha256.digest_hex second);
+        check Alcotest.string "mac k msg"
+          "bf1a0c1242929b6464a6c0a9ac6298a67e09bd1cd4ef1f182ce0141691fc17a0"
+          (Sc_hash.Sha256.hex_of_digest tag);
+        check Alcotest.int "digests" 40 digests;
+        check Alcotest.int "bytes, key pads included" 3839 bytes);
   ]
 
-let suite = unit_tests
+(* Message lengths around the padding boundaries (55/56 and 119/120
+   bytes change the block count) and block edges, plus uniform 0..300. *)
+let gen_message =
+  QCheck2.Gen.(
+    let* len =
+      oneof [ oneofl [ 0; 55; 56; 63; 64; 119; 120 ]; int_range 0 300 ]
+    in
+    string_size ~gen:char (return len))
+
+(* Feed [msg] in random cuts, alternating [feed] on a substring with
+   [feed_bytes ~off ~len] into a buffer that holds the message at a
+   nonzero offset. *)
+let digest_in_cuts msg cuts =
+  let n = String.length msg in
+  let buf = Bytes.of_string ("##" ^ msg ^ "##") in
+  let ctx = Sc_hash.Sha256.init () in
+  let rec go off cuts via_bytes =
+    if off < n then begin
+      let len, rest =
+        match cuts with c :: rest -> (min c (n - off), rest) | [] -> (n - off, [])
+      in
+      if via_bytes then Sc_hash.Sha256.feed_bytes ctx ~off:(off + 2) ~len buf
+      else Sc_hash.Sha256.feed ctx (String.sub msg off len);
+      go (off + len) rest (not via_bytes)
+    end
+  in
+  go 0 cuts false;
+  Sc_hash.Sha256.finalize ctx
+
+let differential =
+  let open Util in
+  let hex = Sc_hash.Sha256.hex_of_digest in
+  [
+    qcheck ~count:300 "digest equals the reference kernel" gen_message
+      (fun msg -> Sc_hash.Sha256.digest msg = Sha256_ref.digest msg);
+    qcheck ~count:300 "chunked feed and feed_bytes equal the reference"
+      QCheck2.Gen.(pair gen_message (list_size (int_range 0 8) (int_range 0 80)))
+      (fun (msg, cuts) ->
+        let got = digest_in_cuts msg cuts and want = Sha256_ref.digest msg in
+        got = want
+        || QCheck2.Test.fail_reportf "len=%d got %s want %s" (String.length msg)
+             (hex got) (hex want));
+    qcheck ~count:200 "prepared-key MAC equals Hmac.mac and the reference"
+      QCheck2.Gen.(
+        triple
+          (string_size ~gen:char (int_range 0 200))
+          gen_message (int_range 0 3))
+      (fun (key, msg, cut) ->
+        (* Split the message in [cut + 1] fragments to cover the list form. *)
+        let n = String.length msg in
+        let parts =
+          List.init (cut + 1) (fun i ->
+              let lo = i * n / (cut + 1) and hi = (i + 1) * n / (cut + 1) in
+              String.sub msg lo (hi - lo))
+        in
+        let prepared =
+          Sc_hash.Hmac.mac_prepared (Sc_hash.Hmac.prepare key) parts
+        in
+        prepared = Sc_hash.Hmac.mac ~key msg
+        && prepared = Sha256_ref.hmac ~key msg);
+  ]
+
+let suite = unit_tests @ differential

@@ -77,6 +77,14 @@ let signing_encode =
              let h a b = Sha256.digest (encode a b)\n"
         in
         check Alcotest.bool "flagged" true (has_rule "signing-encode" fs));
+    case "literal raw-fragment list into Hmac.mac_prepared is flagged"
+      (fun () ->
+        let fs = lint_lib "let t key a b = Hmac.mac_prepared key [ a; b ]\n" in
+        let f = List.find (fun f -> f.Finding.rule = "signing-encode") fs in
+        check Alcotest.string "key names fn and sink" "t:Hmac.mac_prepared"
+          f.Finding.key);
+    no_findings "Encode.frame into Hmac.mac_prepared is the sanctioned path"
+      "let t key a b = Hmac.mac_prepared key (Sc_hash.Encode.frame [ a; b ])\n";
     no_findings "single dynamic fragment with a literal prefix is injective"
       "let h id = Sha256.digest (\"id:\" ^ id)\n";
     no_findings "Encode.canonical framing is the sanctioned path"

@@ -90,15 +90,19 @@ let encode_sinks =
       "Hmac.mac";
       "Hmac.mac_hex";
       "Hmac.mac_concat";
+      "Hmac.mac_prepared";
       "Hash_g1.hash_to_point";
       "Hash_g1.hash_to_scalar";
       "Ibs.sign";
       "Drbg.create";
     ]
 
-(* digest_concat / mac_concat take fragment *lists*: a literal list of
-   raw fragments is exactly the ambiguity Encode.frame exists for. *)
-let concat_sinks = SSet.of_list [ "Sha256.digest_concat"; "Hmac.mac_concat" ]
+(* digest_concat / mac_concat / mac_prepared take fragment *lists*: a
+   literal list of raw fragments is exactly the ambiguity Encode.frame
+   exists for. *)
+let concat_sinks =
+  SSet.of_list
+    [ "Sha256.digest_concat"; "Hmac.mac_concat"; "Hmac.mac_prepared" ]
 
 (* Fragment producers that cannot introduce framing ambiguity: decimal
    renderings of scalars contain no attacker bytes, and Encode output

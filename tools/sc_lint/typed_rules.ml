@@ -193,6 +193,7 @@ let sanitizers =
       "Hmac.mac";
       "Hmac.mac_hex";
       "Hmac.mac_concat";
+      "Hmac.mac_prepared";
       "Hash_g1.hash_to_point";
       "Hash_g1.hash_to_scalar";
     ]
