@@ -524,12 +524,20 @@ let stats_workload preset seed ~drop ~tamper =
      endpoint. *)
   let server_ep = Seccloud.Endpoint.Server.create system cloud in
   let da_ep = Seccloud.Endpoint.Da.create system in
+  (* Pairings spent inside the server's handler, so that a round's
+     cost splits into the server's share and the DA's. *)
+  let server_pairings = ref 0 in
   let transport =
     Seccloud.Transport.create
       ~faults:(Seccloud.Transport.lossy ~drop ~tamper ())
       ~drbg:(Sc_hash.Drbg.create ~seed:("stats-transport:" ^ seed))
       ~peer:"cs-1" ~public:pub
-      ~handler:(Seccloud.Endpoint.Server.handle server_ep) ()
+      ~handler:(fun ~now data ->
+        let p0 = Tate.pairings_performed () in
+        let reply = Seccloud.Endpoint.Server.handle server_ep ~now data in
+        server_pairings := !server_pairings + Tate.pairings_performed () - p0;
+        reply)
+      ()
   in
   let uploaded =
     Seccloud.User.store_over user ~transport ~cs_id:"cs-1" ~file:"wire-ledger"
@@ -576,12 +584,37 @@ let stats_workload preset seed ~drop ~tamper =
         ~now:(Seccloud.Transport.now transport)
         ~samples:4
   in
+  (* The same audit again, same warrant and commitment: the server's
+     warrant memo and the DA's root memo answer both signatures.  What
+     the DA pays beyond its designated batches (one pairing each when
+     honest) is the root signature's cost. *)
+  let repeat_server_pairings, repeat_root_pairings, repeat_valid =
+    match wire_commitment with
+    | Error _ -> 0, 0, false
+    | Ok commitment ->
+      server_pairings := 0;
+      let p0 = Tate.pairings_performed () in
+      let b0 = Telemetry.counter_value "agg.verify_batch" in
+      let verdict =
+        Seccloud.Endpoint.Da.audit_computation_over_wire da_ep ~transport
+          ~owner:"alice" ~file:"wire-ledger" ~commitment ~warrant
+          ~now:(Seccloud.Transport.now transport)
+          ~samples:4
+      in
+      let da_pairings =
+        Tate.pairings_performed () - p0 - !server_pairings
+      in
+      ( !server_pairings,
+        da_pairings - (Telemetry.counter_value "agg.verify_batch" - b0),
+        verdict.Sc_audit.Protocol.valid )
+  in
   if drop = 0.0 && tamper = 0.0 then begin
     (* On a perfect channel the over-the-wire round must agree with
        the direct one. *)
     assert (uploaded = Ok true);
     assert wire_report.Seccloud.Agency.intact;
-    assert wire_verdict.Sc_audit.Protocol.valid
+    assert wire_verdict.Sc_audit.Protocol.valid;
+    assert repeat_valid
   end;
   let wire_summary =
     Printf.sprintf
@@ -603,6 +636,8 @@ let stats_workload preset seed ~drop ~tamper =
     warm_id_hashes,
     List.length jobs,
     batch_pairings,
+    repeat_server_pairings,
+    repeat_root_pairings,
     wire_summary )
 
 let stats verbose preset seed drop tamper trace openmetrics check =
@@ -617,6 +652,8 @@ let stats verbose preset seed drop tamper trace openmetrics check =
         warm_id_hashes,
         batch_jobs,
         batch_pairings,
+        repeat_server_pairings,
+        repeat_root_pairings,
         wire_summary ) =
     match trace with
     | Some path -> Telemetry.with_trace_file path run
@@ -661,6 +698,13 @@ let stats verbose preset seed drop tamper trace openmetrics check =
       (Printf.sprintf "batched audit pairings for k=%d jobs (<= k+1)"
          batch_jobs)
       batch_pairings (batch_jobs + 1);
+    if drop = 0.0 && tamper = 0.0 then begin
+      (* On a lossy channel the first round may never have reached
+         the server, or reached it mangled: a miss there is correct. *)
+      invariant "repeated warrant: server pairings" repeat_server_pairings 0;
+      invariant "re-audited commitment: DA root-signature pairings"
+        repeat_root_pairings 0
+    end;
     invariant "pairing count matches single+multi+affine breakdown"
       (abs
          (Telemetry.counter_value "pairing.count"

@@ -13,29 +13,26 @@ type job = {
   responses : Executor.response list;
 }
 
-let verify_jobs pub ~verifier_key ~role jobs =
+let verify_jobs ?memo pub ~verifier_key ~role jobs =
   Telemetry.incr c_batch_rounds;
   Telemetry.add c_batch_jobs (List.length jobs);
   Telemetry.with_span ~name:"audit.batch_verify"
     ~attrs:[ "jobs", string_of_int (List.length jobs) ]
   @@ fun () ->
-  (* Root commitment signatures across all jobs are checked with one
-     batched multi-pairing equation; only when that fails are jobs
-     re-checked individually to attribute blame. *)
-  let root_sig_of job =
-    ( job.commitment.Protocol.cs_id,
-      "root:" ^ job.commitment.Protocol.root,
-      job.commitment.Protocol.root_signature )
-  in
+  (* Root commitment signatures across all jobs: one batch over those
+     the verifier's memo does not hold, blame only if it rejects. *)
   let root_failures =
-    if Ibs.verify_batch pub (List.map root_sig_of jobs) then []
-    else
-      List.filter_map
-        (fun job ->
-          let signer, msg, s = root_sig_of job in
-          if Ibs.verify pub ~signer ~msg s then None
-          else Some Protocol.Root_signature_wrong)
-        jobs
+    List.filter_map
+      (fun ok ->
+        if ok = Some false then Some Protocol.Root_signature_wrong else None)
+      (Ibs.verify_each ?memo pub
+         (List.map
+            (fun job ->
+              Some
+                ( job.commitment.Protocol.cs_id,
+                  "root:" ^ job.commitment.Protocol.root,
+                  job.commitment.Protocol.root_signature ))
+            jobs))
   in
   (* Per-job recompute/root/position checks are independent: fan the
      jobs out across the domain pool.  Signature material is only

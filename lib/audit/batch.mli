@@ -13,6 +13,7 @@ type job = {
 }
 
 val verify_jobs :
+  ?memo:Sc_ibc.Ibs.Memo.t ->
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
@@ -20,9 +21,11 @@ val verify_jobs :
   Protocol.verdict
 (** One aggregated signature verification for the whole batch; Merkle
     and recomputation checks run per sample as in Algorithm 1.  The
-    sampled signatures go through one {!Sc_ibc.Agg.verify_each}, so
-    when the aggregate rejects, the failure list still names the bad
-    indices. *)
+    root signatures go through one {!Sc_ibc.Ibs.verify_each}, which
+    skips those the verifier's [memo] holds; the sampled signatures
+    through one {!Sc_ibc.Agg.verify_each}.  When a batch rejects, the
+    failure list still names the bad jobs and indices, in the same
+    order with or without a memo. *)
 
 val flag_unresponsive :
   Protocol.verdict ->

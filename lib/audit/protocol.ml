@@ -69,15 +69,15 @@ let make_challenge ~drbg ~n_tasks ~samples ~warrant =
    ([audit.challenge] / [audit.respond] / [audit.verify]) so the trace
    analyzer can attribute per-phase cost, the axis the auditing
    literature reports. *)
-let respond pub ~now execution chal =
+let respond ?memo pub ~now execution chal =
   Telemetry.with_span ~name:"audit.respond"
     ~attrs:[ "samples", string_of_int (List.length chal.sample_indices) ]
   @@ fun () ->
-  if not (Warrant.verify pub ~now chal.warrant) then None
+  if not (Warrant.verify ?memo pub ~now chal.warrant) then None
   else Some (List.map (Executor.respond execution) chal.sample_indices)
 
-let root_signature_ok pub commitment =
-  Ibs.verify pub ~signer:commitment.cs_id
+let root_signature_ok ?memo pub commitment =
+  Ibs.verify ?memo pub ~signer:commitment.cs_id
     ~msg:("root:" ^ commitment.root)
     commitment.root_signature
 
@@ -140,14 +140,15 @@ let sample_checks ~role ~owner ~commitment responses =
             Signer.agg_entry role ~owner claimed signed)
           resp.Executor.read )
 
-let verify pub ~verifier_key ~role ~owner commitment chal responses =
+let verify ?memo pub ~verifier_key ~role ~owner commitment chal responses =
   Telemetry.incr c_rounds;
   Telemetry.with_span ~name:"audit.verify"
     ~attrs:[ "samples", string_of_int (List.length chal.sample_indices) ]
   @@ fun () ->
   (* Root commitment authenticity: Sig_CS(R). *)
   let root_failures =
-    if root_signature_ok pub commitment then [] else [ Root_signature_wrong ]
+    if root_signature_ok ?memo pub commitment then []
+    else [ Root_signature_wrong ]
   in
   (* Per-sample recomputation and path checks are independent: fan
      them out across the domain pool.  Then 1. IsSignatureWrong for

@@ -53,13 +53,17 @@ val make_challenge :
     [n_tasks]. *)
 
 val respond :
+  ?memo:Sc_ibc.Ibs.Memo.t ->
   Sc_ibc.Setup.public ->
   now:float ->
   Sc_compute.Executor.execution ->
   challenge ->
   Sc_compute.Executor.response list option
 (** Server side: checks the warrant (expiry included) and returns the
-    sampled responses; [None] when the warrant is rejected. *)
+    sampled responses; [None] when the warrant is rejected.  The
+    warrant's signature is looked up in the server's [memo] first (see
+    {!Sc_ibc.Warrant.verify}).  Whose warrant it is, and for whom, is
+    the caller's check ([Cloud.respond_to_audit]). *)
 
 val sample_checks :
   role:[ `Cs | `Da ] ->
@@ -79,6 +83,7 @@ val sample_checks :
     left for one {!Sc_ibc.Agg.verify_each} over all samples. *)
 
 val verify :
+  ?memo:Sc_ibc.Ibs.Memo.t ->
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
@@ -91,7 +96,8 @@ val verify :
     the verifier can open (the DA uses [`Da]).  All sampled checks are
     run — the verdict accumulates every failure rather than stopping
     at the first, which the simulator uses for diagnosis.  The root
-    signature costs one pairing; the t sampled designated signatures
-    go through one {!Sc_ibc.Agg.verify_each}, one pairing when all
-    are good and 1 + t when the batch rejects.  Counts each answered
-    index on [audit.samples_checked]. *)
+    signature costs one pairing, or none when the verifier's [memo]
+    already holds it (see {!Sc_ibc.Ibs.verify}); the t sampled
+    designated signatures go through one {!Sc_ibc.Agg.verify_each},
+    one pairing when all are good and 1 + t when the batch rejects.
+    Counts each answered index on [audit.samples_checked]. *)

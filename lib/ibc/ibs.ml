@@ -5,11 +5,15 @@ module Tate = Sc_pairing.Tate
 module Hash_g1 = Sc_pairing.Hash_g1
 module Encode = Sc_hash.Encode
 module Telemetry = Sc_telemetry.Telemetry
+module Labels = Sc_telemetry.Labels
 
 let c_sign = Telemetry.counter "ibs.sign"
 let c_verify = Telemetry.counter "ibs.verify"
 let c_verify_batch = Telemetry.counter "ibs.verify_batch"
 let c_verify_batch_sigs = Telemetry.counter "ibs.verify_batch_sigs"
+let c_verify_each_rejects = Telemetry.counter "ibs.verify_each.rejects"
+let v_memo_hit = Labels.counter_vec ~label:"memo" "ibs.memo.hit"
+let v_memo_miss = Labels.counter_vec ~label:"memo" "ibs.memo.miss"
 
 type t = { u : Curve.point; v : Curve.point }
 
@@ -55,6 +59,47 @@ let verification_point (pub : Setup.public) ~q_id ~msg ~u =
   Curve.add prm.curve u
     (Curve.mul_precomp prm.curve (Params.precomp_for prm q_id) h)
 
+let to_bytes (pub : Setup.public) { u; v } =
+  let c = pub.prm.curve in
+  let su = Curve.to_bytes c u in
+  Printf.sprintf "%04d" (String.length su) ^ su ^ Curve.to_bytes c v
+
+module Memo = struct
+  let capacity = 256
+
+  type t = {
+    seen : (string, unit) Hashtbl.t;
+    hit : Telemetry.counter;
+    miss : Telemetry.counter;
+  }
+
+  let create name =
+    {
+      seen = Hashtbl.create 16;
+      hit = Labels.counter v_memo_hit name;
+      miss = Labels.counter v_memo_miss name;
+    }
+
+  let size t = Hashtbl.length t.seen
+
+  (* SHA-256 of the canonical (signer, message, signature bytes): a
+     fixed 32 bytes per entry whatever the message length. *)
+  let key pub ~signer ~msg s =
+    Sc_hash.Sha256.digest
+      (Encode.canonical [ "ibs-memo"; signer; msg; to_bytes pub s ])
+
+  let lookup t key =
+    let known = Hashtbl.mem t.seen key in
+    Telemetry.incr (if known then t.hit else t.miss);
+    known
+
+  (* Full: start over rather than track an eviction order.  A party
+     re-verifies at most [capacity] signatures it had already seen. *)
+  let add t key =
+    if Hashtbl.length t.seen >= capacity then Hashtbl.reset t.seen;
+    Hashtbl.replace t.seen key ()
+end
+
 (* ê(V, P) = ê(W, P_pub) is checked as ê(V, P)·ê(−W, P_pub) = 1: a
    single 2-term multi-pairing (one shared Miller chain, one final
    exponentiation) instead of two full pairings, replayed from the
@@ -64,7 +109,7 @@ let verification_point (pub : Setup.public) ~q_id ~msg ~u =
    untrusted signature points (U, V), which also rules out the
    cofactor-component malleability the swapped evaluation would not
    see. *)
-let verify (pub : Setup.public) ~signer ~msg { u; v } =
+let verify_full (pub : Setup.public) ~signer ~msg { u; v } =
   Telemetry.incr c_verify;
   Telemetry.with_span ~name:"ibs.verify" (fun () ->
       let prm = pub.prm in
@@ -80,10 +125,16 @@ let verify (pub : Setup.public) ~signer ~msg { u; v } =
              Curve.neg prm.curve w, Tate.precomp_for prm pub.p_pub;
            ]))
 
-let to_bytes (pub : Setup.public) { u; v } =
-  let c = pub.prm.curve in
-  let su = Curve.to_bytes c u in
-  Printf.sprintf "%04d" (String.length su) ^ su ^ Curve.to_bytes c v
+let verify ?memo pub ~signer ~msg s =
+  match memo with
+  | None -> verify_full pub ~signer ~msg s
+  | Some m ->
+    let key = Memo.key pub ~signer ~msg s in
+    Memo.lookup m key
+    ||
+    let ok = verify_full pub ~signer ~msg s in
+    if ok then Memo.add m key;
+    ok
 
 let of_bytes (pub : Setup.public) s =
   let c = pub.prm.curve in
@@ -174,3 +225,44 @@ let verify_batch (pub : Setup.public) entries =
           v_sum, Tate.precomp_for prm prm.g;
           Curve.neg prm.curve w_sum, Tate.precomp_for prm pub.p_pub;
         ]))
+
+(* Batch then blame, as [Agg.verify_each]: memo hits are answered
+   without a check, the rest go through one {!verify_batch}, and only a
+   rejected batch pays one {!verify_full} per entry.  Every accepted
+   entry is remembered. *)
+let verify_each ?memo pub slots =
+  let tagged =
+    List.map
+      (Option.map (fun ((signer, msg, s) as entry) ->
+           match memo with
+           | None -> entry, false, ignore
+           | Some m ->
+             let key = Memo.key pub ~signer ~msg s in
+             entry, Memo.lookup m key, fun () -> Memo.add m key))
+      slots
+  in
+  let fresh =
+    List.filter_map
+      (function Some (entry, false, _) -> Some entry | Some _ | None -> None)
+      tagged
+  in
+  let oks =
+    if verify_batch pub fresh then List.map (fun _ -> true) fresh
+    else begin
+      Telemetry.incr c_verify_each_rejects;
+      Telemetry.with_span ~name:"ibs.blame"
+        ~attrs:[ "sigs", string_of_int (List.length fresh) ]
+      @@ fun () ->
+      List.map (fun (signer, msg, s) -> verify_full pub ~signer ~msg s) fresh
+    end
+  in
+  let rec put_back tagged oks =
+    match tagged, oks with
+    | None :: tagged, oks -> None :: put_back tagged oks
+    | Some (_, true, _) :: tagged, oks -> Some true :: put_back tagged oks
+    | Some (_, false, remember) :: tagged, ok :: oks ->
+      if ok then remember ();
+      Some ok :: put_back tagged oks
+    | [], _ | Some (_, false, _) :: _, [] -> []
+  in
+  put_back tagged oks

@@ -51,10 +51,40 @@ val sign_exponent :
   Curve.point * exponent
 (** The one-message case of {!sign_exponents}. *)
 
-val verify : Setup.public -> signer:string -> msg:string -> t -> bool
+module Memo : sig
+  (** Signatures one party has already verified, so that it checks a
+      signature it sees again only once.  A set of SHA-256 digests of
+      the canonical (signer, message, signature bytes): 32 bytes per
+      entry.  It holds at most {!capacity} entries and starts over
+      when full.  Only {!verify} and {!verify_each} add to it, and only
+      signatures they accepted, so a memo never changes a verdict.
+
+      There is no shared instance: each party owns its own.  A
+      caller that passes none pays the full check, so the protocol
+      cost counts of Table II do not depend on what ran before.  Not
+      domain-safe: an owner that runs on several domains keeps one per
+      domain. *)
+
+  type t
+
+  val capacity : int
+  (** 256. *)
+
+  val create : string -> t
+  (** [create name]: [name] labels the [ibs.memo.hit] /
+      [ibs.memo.miss] counters each lookup bumps. *)
+
+  val size : t -> int
+end
+
+val verify :
+  ?memo:Memo.t -> Setup.public -> signer:string -> msg:string -> t -> bool
 (** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term
     {!Sc_pairing.Tate.multi_pairing} — a single shared Miller loop
-    instead of the two pairings of the textbook equation. *)
+    instead of the two pairings of the textbook equation.  With a
+    [memo], a signature it holds is accepted without the check (and
+    without counting [ibs.verify]); one that passes the check is
+    added. *)
 
 val verify_batch : Setup.public -> (string * string * t) list -> bool
 (** [verify_batch pub [(signer, msg, sig); …]] verifies every
@@ -64,8 +94,22 @@ val verify_batch : Setup.public -> (string * string * t) list -> bool
     combining coefficients to prevent cross-signature cancellation.
     Accepts the empty batch.  A [true] verdict is overwhelmingly (not
     absolutely) sound, as usual for small-exponent batch tests; on
-    [false], re-check individually with {!verify} to attribute
+    [false], {!verify_each} re-checks individually to attribute
     blame. *)
+
+val verify_each :
+  ?memo:Memo.t ->
+  Setup.public ->
+  (string * string * t) option list ->
+  bool option list
+(** Batch then blame, slot by slot, as {!Agg.verify_each}: a [Some
+    (signer, msg, sig)] slot gets its answer back in place, a [None]
+    slot stays [None].  Entries the [memo] holds are answered [true]
+    unchecked.  The rest go through one {!verify_batch}, and only when
+    it rejects one {!verify} each (under span [ibs.blame], counted on
+    [ibs.verify_each.rejects]).  Every accepted entry is added to the
+    [memo].  The answers are {!verify}'s, entry by entry, up to the
+    soundness bound of {!verify_batch}. *)
 
 val verification_point :
   Setup.public -> q_id:Curve.point -> msg:string -> u:Curve.point -> Curve.point

@@ -38,6 +38,8 @@ let issue pub (key : Setup.identity_key) ~bytes_source ~delegatee ~now ~lifetime
 
 let expired ~now w = now > w.expires_at || now < w.issued_at
 
-let verify pub ~now { warrant; signature } =
+(* Expiry first: a memo remembers signatures, never time. *)
+let verify ?memo pub ~now { warrant; signature } =
   (not (expired ~now warrant))
-  && Ibs.verify pub ~signer:warrant.delegator ~msg:(encode warrant) signature
+  && Ibs.verify ?memo pub ~signer:warrant.delegator ~msg:(encode warrant)
+       signature

@@ -26,8 +26,10 @@ val issue :
   scope:string ->
   signed
 
-val verify : Setup.public -> now:float -> signed -> bool
+val verify : ?memo:Ibs.Memo.t -> Setup.public -> now:float -> signed -> bool
 (** Checks the signature *and* that the warrant has not expired and
-    was not used before issuance. *)
+    was not used before issuance.  The time window is checked on every
+    call; the signature is looked up in [memo] first (see
+    {!Ibs.verify}). *)
 
 val expired : now:float -> t -> bool

@@ -10,10 +10,18 @@ let src = Logs.Src.create "seccloud.agency" ~doc:"Designated-agency audit events
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type t = { system : System.t; drbg : Sc_hash.Drbg.t }
+type t = {
+  system : System.t;
+  drbg : Sc_hash.Drbg.t;
+  roots : Sc_ibc.Ibs.Memo.t;  (* commitment root signatures accepted *)
+}
 
 let create system =
-  { system; drbg = Sc_hash.Drbg.create ~seed:"designated-agency" }
+  {
+    system;
+    drbg = Sc_hash.Drbg.create ~seed:"designated-agency";
+    roots = Sc_ibc.Ibs.Memo.create "root";
+  }
 
 type storage_report = {
   sampled : int;
@@ -94,13 +102,13 @@ let audit_computation t cloud ~owner ~execution ~warrant ~now ~samples =
     Protocol.make_challenge ~drbg:t.drbg ~n_tasks:commitment.Protocol.n_tasks
       ~samples ~warrant
   in
-  match Cloud.respond_to_audit cloud ~now execution challenge with
+  match Cloud.respond_to_audit cloud ~now ~owner execution challenge with
   | None ->
     { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
   | Some responses ->
     let verdict =
-      Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner commitment
-        challenge responses
+      Protocol.verify ~memo:t.roots pub ~verifier_key:da_key ~role:`Da ~owner
+        commitment challenge responses
     in
     Log.info (fun m ->
         m "computation audit %s (t=%d): valid=%b, %d failures" owner samples
@@ -119,7 +127,9 @@ let audit_computation_batched t jobs ~now ~samples =
           Protocol.make_challenge ~drbg:t.drbg
             ~n_tasks:commitment.Protocol.n_tasks ~samples ~warrant
         in
-        match Cloud.respond_to_audit cloud ~now execution challenge with
+        match
+          Cloud.respond_to_audit cloud ~now ~owner execution challenge
+        with
         | None -> None
         | Some responses ->
           Some { Batch.owner; commitment; challenge; responses })
@@ -127,4 +137,6 @@ let audit_computation_batched t jobs ~now ~samples =
   in
   if List.length prepared < List.length jobs then
     { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
-  else Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da prepared
+  else
+    Batch.verify_jobs ~memo:t.roots pub ~verifier_key:da_key ~role:`Da
+      prepared

@@ -5,6 +5,12 @@
 type t
 
 val create : System.t -> t
+(** A DA with its own challenge DRBG and its own memo of accepted
+    commitment root signatures ({!Sc_ibc.Ibs.Memo}, counted as
+    [memo="root"]): a commitment it audits again costs no root
+    check.  The memo belongs to this one party; callers that want the
+    protocol's cost counts (Table II) call {!Sc_audit.Protocol} and
+    {!Sc_audit.Batch} without one. *)
 
 type storage_report = {
   sampled : int;
@@ -50,7 +56,10 @@ val audit_computation :
   samples:int ->
   Sc_audit.Protocol.verdict
 (** Protocol III auditing: challenge, collect responses, run
-    Algorithm 1. *)
+    Algorithm 1.  [Warrant_invalid] when the server refuses the
+    challenge ({!Cloud.respond_to_audit}): the warrant is not
+    [owner]'s, not delegated to this system's DA, expired, or
+    forged. *)
 
 val audit_computation_batched :
   t ->

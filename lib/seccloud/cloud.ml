@@ -9,12 +9,23 @@ type t = {
   server : Server.t;
   compute : Executor.behaviour;
   drbg : Sc_hash.Drbg.t;
+  warrants : Sc_ibc.Ibs.Memo.t;
+      (* warrant signatures this server has verified; see
+         [respond_to_audit] *)
 }
 
 let create system ~id ?(storage = Server.Honest) ?(compute = Executor.Honest) () =
   let key = System.cs_key system id in
   let drbg = Sc_hash.Drbg.create ~seed:("cloud-server:" ^ id) in
-  { system; id; key; server = Server.create storage ~drbg; compute; drbg }
+  {
+    system;
+    id;
+    key;
+    server = Server.create storage ~drbg;
+    compute;
+    drbg;
+    warrants = Sc_ibc.Ibs.Memo.create "warrant";
+  }
 
 let id t = t.id
 let storage t = t.server
@@ -41,5 +52,16 @@ let execute t ~owner ~file service =
   Executor.run (System.public t.system) ~cs_key:t.key ~server:t.server
     ~behaviour:t.compute ~drbg:t.drbg ~owner ~file service
 
-let respond_to_audit t ~now execution challenge =
-  Sc_audit.Protocol.respond (System.public t.system) ~now execution challenge
+(* The warrant must be the challenged owner's, delegated to the DA;
+   that and its expiry are checked on every request, and only its
+   signature is looked up in the memo. *)
+let respond_to_audit t ~now ~owner execution
+    (challenge : Sc_audit.Protocol.challenge) =
+  let w = challenge.Sc_audit.Protocol.warrant.Sc_ibc.Warrant.warrant in
+  if
+    w.Sc_ibc.Warrant.delegator = owner
+    && w.Sc_ibc.Warrant.delegatee = System.da_id t.system
+  then
+    Sc_audit.Protocol.respond ~memo:t.warrants (System.public t.system) ~now
+      execution challenge
+  else None

@@ -50,7 +50,9 @@ module Server = struct
       (match Hashtbl.find_opt t.executions (owner, file) with
       | None -> err t "no execution for this owner/file"
       | Some execution ->
-        (match Cloud.respond_to_audit t.cloud ~now execution challenge with
+        (match
+           Cloud.respond_to_audit t.cloud ~now ~owner execution challenge
+         with
         | None -> err t "warrant rejected"
         | Some responses -> reply t (Wire.Audit_response responses)))
     | Wire.Storage_response _ | Wire.Compute_commitment _
@@ -73,10 +75,18 @@ module Server = struct
 end
 
 module Da = struct
-  type t = { system : System.t; drbg : Sc_hash.Drbg.t }
+  type t = {
+    system : System.t;
+    drbg : Sc_hash.Drbg.t;
+    roots : Sc_ibc.Ibs.Memo.t;  (* commitment root signatures accepted *)
+  }
 
   let create system =
-    { system; drbg = Sc_hash.Drbg.create ~seed:"da-endpoint" }
+    {
+      system;
+      drbg = Sc_hash.Drbg.create ~seed:"da-endpoint";
+      roots = Sc_ibc.Ibs.Memo.create "root";
+    }
 
   let audit_storage_over_wire t ~transport ~owner ~file ~indices =
     let fail channel =
@@ -132,8 +142,8 @@ module Da = struct
     | _, Error `Refused ->
       { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
     | challenge, Ok responses ->
-      Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner commitment
-        challenge responses
+      Protocol.verify ~memo:t.roots pub ~verifier_key:da_key ~role:`Da ~owner
+        commitment challenge responses
 
   type batch_target = {
     transport : Transport.t;
@@ -169,7 +179,8 @@ module Da = struct
         | _, Error `Refused -> incr refused)
       targets;
     let verdict =
-      Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da (List.rev !jobs)
+      Batch.verify_jobs ~memo:t.roots pub ~verifier_key:da_key ~role:`Da
+        (List.rev !jobs)
     in
     let verdict =
       (* Servers that answered but refused the challenge fail the

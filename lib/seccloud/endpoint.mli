@@ -15,6 +15,9 @@ module Server : sig
   type t
 
   val create : System.t -> Cloud.t -> t
+  (** The server's retained executions, like the warrant memo of its
+      {!Cloud.t} ({!Cloud.respond_to_audit}), belong to this one
+      server; the service layer keeps one per shard. *)
 
   val handle : t -> now:float -> string -> string
   (** Process one encoded request and return the encoded reply:
@@ -22,8 +25,11 @@ module Server : sig
       - [Storage_challenge] → [Storage_response];
       - [Compute_request] → [Compute_commitment] (the execution is
         retained, keyed by owner and file, for later audits);
-      - [Audit_challenge] → [Audit_response] or an [Ack] error when
-        the warrant is rejected or no execution matches.
+      - [Audit_challenge] → [Audit_response], or a "warrant rejected"
+        [Ack] error when {!Cloud.respond_to_audit} refuses the
+        challenge's warrant (not the owner's, not for the DA,
+        expired or forged), or an [Ack] error when no execution
+        matches.
       Malformed input or unexpected message kinds yield an error
       [Ack] rather than an exception.  Partially applied,
       [handle server] is exactly the handler a {!Transport.create}
@@ -34,6 +40,9 @@ module Da : sig
   type t
 
   val create : System.t -> t
+  (** A DA endpoint with its own challenge DRBG and its own memo of
+      accepted commitment root signatures, as {!Agency.create}; the
+      service layer keeps one per shard. *)
 
   val audit_storage_over_wire :
     t ->

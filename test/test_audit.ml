@@ -518,6 +518,157 @@ let relocation_tests =
           (names v.Protocol.failures));
   ]
 
+(* --- warrant binding and verified-signature memos ------------------- *)
+
+let memo_count kind memo =
+  Sc_telemetry.Telemetry.counter_value
+    (Printf.sprintf "ibs.memo.%s{memo=\"%s\"}" kind memo)
+
+(* A server that holds alice's data, an execution over it, and an
+   agency that audits it: each with memos of its own. *)
+let in_process () =
+  let cloud = Seccloud.Cloud.create system ~id:"cs-1" () in
+  assert (
+    Seccloud.Cloud.accept_upload cloud
+      (Sc_storage.Signer.sign_file pub alice ~bytes_source:bs
+         ~bases:(Sc_storage.Signer.bases pub alice ~cs_id:"cs-1" ~da_id:"da")
+         ~file:"data"
+         (List.init 20 (fun i -> Sc_storage.Block.encode_ints [ i; i * 2; i * 3 ]))));
+  let execution =
+    Seccloud.Cloud.execute cloud ~owner:"alice" ~file:"data"
+      (List.init 16 (fun i -> { Task.func = Task.Sum; position = i }))
+  in
+  let agency = Seccloud.Agency.create system in
+  let audit ?(now = 1.0) warrant =
+    Seccloud.Agency.audit_computation agency cloud ~owner:"alice" ~execution
+      ~warrant ~now ~samples:4
+  in
+  cloud, execution, agency, audit
+
+let refused v = v.Protocol.failures = [ Protocol.Warrant_invalid ]
+
+let memo_tests =
+  let open Util in
+  let bob = Seccloud.System.register_user system "bob" in
+  let cs2 = Seccloud.System.cs_key system "cs-2" in
+  (* One honest audit round, answered, for the DA-side cases. *)
+  let round () =
+    let execution = setup_execution () in
+    let commitment = Protocol.commitment_of_execution execution in
+    let challenge =
+      Protocol.make_challenge ~drbg:(Sc_hash.Drbg.create ~seed:"memo-chal")
+        ~n_tasks:commitment.Protocol.n_tasks ~samples:4 ~warrant:(warrant ())
+    in
+    commitment, challenge, Option.get (Protocol.respond pub ~now:1.0 execution challenge)
+  in
+  (* Algorithm 1 and the batch over the round's answers, under
+     commitment [c] and the DA memo [memo]. *)
+  let da_verdicts memo (_, challenge, responses) c =
+    ( Protocol.verify ~memo pub ~verifier_key:da_key ~role:`Da ~owner:"alice" c
+        challenge responses,
+      Batch.verify_jobs ~memo pub ~verifier_key:da_key ~role:`Da
+        [ { Batch.owner = "alice"; commitment = c; challenge; responses } ] )
+  in
+  let root_refused (single, batch) =
+    List.mem Protocol.Root_signature_wrong single.Protocol.failures
+    && List.mem Protocol.Root_signature_wrong batch.Protocol.failures
+  in
+  [
+    case "server refuses another owner's warrant and one for another delegatee"
+      (fun () ->
+        let cloud, execution, agency, audit = in_process () in
+        let bobs =
+          Sc_ibc.Warrant.issue pub bob ~bytes_source:bs ~delegatee:"da" ~now:0.0
+            ~lifetime:1e9 ~scope:"bob's"
+        in
+        let elsewhere =
+          Sc_ibc.Warrant.issue pub alice ~bytes_source:bs ~delegatee:"cs-2"
+            ~now:0.0 ~lifetime:1e9 ~scope:"not the DA"
+        in
+        check Alcotest.bool "another owner's warrant" true (refused (audit bobs));
+        check Alcotest.bool "delegated to another party" true
+          (refused (audit elsewhere));
+        check Alcotest.bool "batched: another owner's warrant" true
+          (refused
+             (Seccloud.Agency.audit_computation_batched agency
+                [ cloud, "alice", execution, bobs ]
+                ~now:1.0 ~samples:4));
+        check Alcotest.bool "the owner's own warrant for the DA" true
+          (audit (warrant ())).Protocol.valid);
+    case "a cached warrant past its expiry is refused" (fun () ->
+        let _, _, _, audit = in_process () in
+        let short =
+          Sc_ibc.Warrant.issue pub alice ~bytes_source:bs ~delegatee:"da"
+            ~now:0.0 ~lifetime:10.0 ~scope:"short"
+        in
+        check Alcotest.bool "valid while fresh" true (audit ~now:1.0 short).Protocol.valid;
+        let h0 = memo_count "hit" "warrant" in
+        check Alcotest.bool "valid again" true (audit ~now:2.0 short).Protocol.valid;
+        check Alcotest.int "answered from the memo" (h0 + 1) (memo_count "hit" "warrant");
+        check Alcotest.bool "refused once expired" true (refused (audit ~now:11.0 short)));
+    case "a cached warrant body under mauled signature bytes is refused" (fun () ->
+        let _, _, _, audit = in_process () in
+        let w = warrant () in
+        check Alcotest.bool "valid" true (audit w).Protocol.valid;
+        let m0 = memo_count "miss" "warrant" in
+        check Alcotest.bool "mauled bytes refused" true (refused (audit (maul pub w)));
+        check Alcotest.int "re-verified" (m0 + 1) (memo_count "miss" "warrant");
+        check Alcotest.bool "the original still valid" true (audit w).Protocol.valid);
+    case "a remembered root under another signature or cs_id is refused"
+      (fun () ->
+        let ((commitment, _, _) as r) = round () in
+        let memo = Sc_ibc.Ibs.Memo.create "test-root" in
+        let single, batch = da_verdicts memo r commitment in
+        check Alcotest.bool "honest round valid" true
+          (single.Protocol.valid && batch.Protocol.valid);
+        let h0 = memo_count "hit" "test-root" in
+        ignore (da_verdicts memo r commitment);
+        check Alcotest.int "root answered from the memo" (h0 + 2)
+          (memo_count "hit" "test-root");
+        let other_signature =
+          {
+            commitment with
+            Protocol.root_signature =
+              Sc_ibc.Ibs.sign pub cs2 ~bytes_source:bs
+                ("root:" ^ commitment.Protocol.root);
+          }
+        in
+        check Alcotest.bool "another server's signature" true
+          (root_refused (da_verdicts memo r other_signature));
+        check Alcotest.bool "another cs_id" true
+          (root_refused
+             (da_verdicts memo r { commitment with Protocol.cs_id = "cs-2" })));
+    case "a rejected root signature never enters the memo" (fun () ->
+        let ((commitment, _, _) as r) = round () in
+        let memo = Sc_ibc.Ibs.Memo.create "test-root" in
+        let forged = { commitment with Protocol.cs_id = "cs-2" } in
+        check Alcotest.bool "refused" true (root_refused (da_verdicts memo r forged));
+        check Alcotest.bool "refused again" true
+          (root_refused (da_verdicts memo r forged));
+        check Alcotest.int "memo empty" 0 (Sc_ibc.Ibs.Memo.size memo));
+    case "past capacity the memo stays bounded and verdicts unchanged" (fun () ->
+        let memo = Sc_ibc.Ibs.Memo.create "test-bound" in
+        let warrants =
+          List.init (Sc_ibc.Ibs.Memo.capacity + 44) (fun i ->
+              Sc_ibc.Warrant.issue pub alice ~bytes_source:bs ~delegatee:"da"
+                ~now:0.0 ~lifetime:1e9 ~scope:(string_of_int i))
+        in
+        let pass () =
+          List.iter
+            (fun w ->
+              check Alcotest.bool "same verdict"
+                (Sc_ibc.Warrant.verify pub ~now:1.0 w)
+                (Sc_ibc.Warrant.verify ~memo pub ~now:1.0 w);
+              check Alcotest.bool "mauled refused" false
+                (Sc_ibc.Warrant.verify ~memo pub ~now:1.0 (maul pub w));
+              check Alcotest.bool "bounded" true
+                (Sc_ibc.Ibs.Memo.size memo <= Sc_ibc.Ibs.Memo.capacity))
+            warrants
+        in
+        pass ();
+        pass ());
+  ]
+
 let suite =
   sampling_tests @ optimal_tests @ protocol_tests @ batch_tests
-  @ batch_blame_tests @ relocation_tests
+  @ batch_blame_tests @ relocation_tests @ memo_tests

@@ -6,7 +6,11 @@
    Each reference below is the per-sample loop the batch replaces: one
    [Dvs.verify] per sample, in sample order.  The answers are fed
    honest, data-corrupted, Σ-swapped, U-perturbed, missing and
-   relocated reads, and must match index for index. *)
+   relocated reads, and must match index for index.
+
+   The verified-signature memos get the same treatment: a server and a
+   DA that keep their memos across a seeded script of audits must
+   answer every step as a fresh party without one. *)
 
 module Server = Sc_storage.Server
 module Signer = Sc_storage.Signer
@@ -386,4 +390,112 @@ let dynamic_tests =
                 (show expected)));
   ]
 
-let suite = storage_tests @ protocol_tests @ dynamic_tests
+(* --- verified-signature memos --------------------------------------- *)
+
+let other_key = Seccloud.System.register_user system "diff-other"
+
+(* The owner's warrant; one that expires before the script's late
+   steps; the first under mauled bytes; another owner's; one delegated
+   to a server instead of the DA. *)
+let script_warrants =
+  lazy
+    (let issue key ~delegatee ~lifetime scope =
+       Sc_ibc.Warrant.issue pub key
+         ~bytes_source:(Util.fresh_bs ("diff-script:" ^ scope))
+         ~delegatee ~now:0.0 ~lifetime ~scope
+     in
+     [|
+       Lazy.force warrant;
+       issue owner_key ~delegatee:"da" ~lifetime:100.0 "short";
+       Util.maul pub (Lazy.force warrant);
+       issue other_key ~delegatee:"da" ~lifetime:1e9 "other owner";
+       issue owner_key ~delegatee:"cs-2" ~lifetime:1e9 "other delegatee";
+     |])
+
+(* The honest commitment, the same under another server's id, and the
+   same root under another server's signature. *)
+let script_commitment commitment = function
+  | 0 -> commitment
+  | 1 -> { commitment with Protocol.cs_id = "cs-2" }
+  | _ ->
+    let root = commitment.Protocol.root in
+    {
+      commitment with
+      Protocol.root_signature =
+        Sc_ibc.Ibs.sign pub
+          (Seccloud.System.cs_key system "cs-2")
+          ~bytes_source:(Util.fresh_bs ("diff-root:" ^ root))
+          ("root:" ^ root);
+    }
+
+(* (execution, warrant, commitment variant, late, samples) *)
+let gen_step =
+  QCheck2.Gen.(
+    tup5 (int_bound 3) (int_bound 4) (int_bound 2) bool
+      (list_size (int_range 1 4)
+         (pair (int_bound (n_tasks - 1))
+            (int_bound (Array.length perturbations - 1)))))
+
+let print_step =
+  QCheck2.Print.(tup5 int int int bool print_samples)
+
+let memo_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:25
+         ~print:QCheck2.Print.(list print_step)
+         ~name:"a server and a DA with memos answer as fresh parties without"
+         QCheck2.Gen.(list_size (int_range 2 8) gen_step)
+         (fun script ->
+           let server = Seccloud.Cloud.create system ~id:"cs-1" () in
+           let memo = Sc_ibc.Ibs.Memo.create "diff-root" in
+           let previous = ref [] in
+           List.for_all
+             (fun (e, w, c, late, samples) ->
+               let execution = List.nth (Lazy.force executions) e in
+               let commitment =
+                 script_commitment (Protocol.commitment_of_execution execution) c
+               in
+               let samples =
+                 List.sort_uniq (fun (a, _) (b, _) -> compare a b) samples
+               in
+               let challenge =
+                 {
+                   Protocol.sample_indices = List.map fst samples;
+                   warrant = (Lazy.force script_warrants).(w);
+                 }
+               in
+               let now = if late then 500.0 else 1.0 in
+               let answered cloud =
+                 Seccloud.Cloud.respond_to_audit cloud ~now ~owner execution
+                   challenge
+                 <> None
+               in
+               let fresh = Seccloud.Cloud.create system ~id:"cs-1" () in
+               let responses = responses execution samples in
+               let jobs =
+                 { Batch.owner; commitment; challenge; responses } :: !previous
+               in
+               previous := [ List.hd jobs ];
+               let single ?memo () =
+                 Protocol.verify ?memo pub ~verifier_key:da_key ~role:`Da ~owner
+                   commitment challenge responses
+               in
+               let batch ?memo () =
+                 Batch.verify_jobs ?memo pub ~verifier_key:da_key ~role:`Da jobs
+               in
+               let served = answered server and reference = answered fresh in
+               let s = single ~memo () and s_ref = single () in
+               let b = batch ~memo () and b_ref = batch () in
+               served = reference && s = s_ref && b = b_ref
+               || QCheck2.Test.fail_reportf
+                    "answered %b vs %b; verify [%s] vs [%s]; batch [%s] vs [%s]"
+                    served reference
+                    (String.concat "; " (names s.Protocol.failures))
+                    (String.concat "; " (names s_ref.Protocol.failures))
+                    (String.concat "; " (names b.Protocol.failures))
+                    (String.concat "; " (names b_ref.Protocol.failures)))
+             script));
+  ]
+
+let suite = storage_tests @ protocol_tests @ dynamic_tests @ memo_tests

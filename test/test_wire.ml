@@ -340,6 +340,61 @@ let endpoint_tests =
             ~owner:"alice" ~file:"ef" ~commitment ~warrant ~now:3.0 ~samples:6
         in
         check Alcotest.bool "invalid" false verdict.Protocol.valid);
+    case "server refuses another owner's warrant and one for another delegatee"
+      (fun () ->
+        let sys, user, server, da = fresh "bind" () in
+        assert (upload_via_wire sys user server);
+        let p = Seccloud.System.public sys in
+        let service =
+          List.init 6 (fun i -> { Task.func = Task.Sum; position = i })
+        in
+        let commitment =
+          match
+            call_direct server ~now:2.0 p
+              (Wire.Compute_request { owner = "alice"; file = "ef"; service })
+          with
+          | Wire.Compute_commitment { commitment; _ } -> commitment
+          | _ -> Alcotest.fail "expected commitment"
+        in
+        let bobs =
+          Seccloud.User.delegate_audit (Seccloud.User.create sys ~id:"bob")
+            ~now:0.0 ~lifetime:1e9 ~scope:"bob's"
+        in
+        let elsewhere =
+          Sc_ibc.Warrant.issue p (Seccloud.System.register_user sys "alice")
+            ~bytes_source:bs ~delegatee:"cs" ~now:0.0 ~lifetime:1e9
+            ~scope:"not the DA"
+        in
+        let audit warrant =
+          E.Da.audit_computation_over_wire da ~transport:(wire_to sys server)
+            ~owner:"alice" ~file:"ef" ~commitment ~warrant ~now:3.0 ~samples:4
+        in
+        List.iter
+          (fun (name, warrant) ->
+            check
+              Alcotest.(list string)
+              name [ "warrant invalid or expired" ]
+              (List.map
+                 (Format.asprintf "%a" Protocol.pp_failure)
+                 (audit warrant).Protocol.failures);
+            match
+              call_direct server ~now:3.0 p
+                (Wire.Audit_challenge
+                   {
+                     owner = "alice";
+                     file = "ef";
+                     challenge = { Protocol.sample_indices = [ 0 ]; warrant };
+                   })
+            with
+            | Wire.Ack { ok; detail } ->
+              check Alcotest.bool (name ^ ": error ack") false ok;
+              check Alcotest.string (name ^ ": detail") "warrant rejected" detail
+            | _ -> Alcotest.fail "expected ack")
+          [ "another owner's warrant", bobs; "delegated to the server", elsewhere ];
+        check Alcotest.bool "the owner's warrant for the DA" true
+          (audit
+             (Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:1e9 ~scope:"ep"))
+            .Protocol.valid);
     case "server answers garbage bytes with an error Ack" (fun () ->
         let sys, _, server, _ = fresh "garbage" () in
         let p = Seccloud.System.public sys in

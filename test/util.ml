@@ -16,6 +16,22 @@ let shared_system =
     (Seccloud.System.create ~params:toy_params ~seed:"test-system"
        ~cs_ids:[ "cs-1"; "cs-2" ] ~da_id:"da" ())
 
+(* (U, V + P): the warrant body under signature bytes that do not
+   verify. *)
+let maul (pub : Sc_ibc.Setup.public) (w : Sc_ibc.Warrant.signed) =
+  let prm = pub.Sc_ibc.Setup.prm in
+  let s = w.Sc_ibc.Warrant.signature in
+  {
+    w with
+    Sc_ibc.Warrant.signature =
+      {
+        s with
+        Sc_ibc.Ibs.v =
+          Sc_ec.Curve.add prm.Sc_pairing.Params.curve s.Sc_ibc.Ibs.v
+            prm.Sc_pairing.Params.g;
+      };
+  }
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
