@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: build test test-slow lint bench bench-check \
+.PHONY: build test test-slow lint bench-check \
 	metrics-check service-check dynamic-check repro clean
 
 build:
@@ -26,10 +26,6 @@ test:
 # campaigns (ALCOTEST_QUICK_TESTS explicitly unset).
 test-slow:
 	env -u ALCOTEST_QUICK_TESTS dune exec test/test_main.exe
-
-# Full bechamel microbenchmark run (slow).
-bench:
-	dune exec bench/main.exe
 
 # One command between you and a perf regression: build, run the suite
 # including the slow conformance cases, then the quick bench (writes

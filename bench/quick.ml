@@ -1,7 +1,8 @@
 (* Quick, machine-readable perf tracking: times the pairing hot path
    and writes BENCH_pairing.json (ns/op per benchmark) so the perf
-   trajectory is comparable across PRs.  Much faster than the full
-   bechamel run in main.ml — wired into `make bench-check`. *)
+   trajectory is comparable across commits; wired into
+   `make bench-check`.  Operation counts per protocol are
+   `seccloud_cli stats`, the paper's tables `repro`. *)
 
 module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate

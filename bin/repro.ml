@@ -27,12 +27,6 @@ let time_of ?(min_reps = 3) ?(min_seconds = 0.2) f =
   | [ _; median; _ ] -> median
   | other -> List.nth other (List.length other / 2)
 
-let params_of_name = function
-  | "toy" -> Params.toy
-  | "small" -> Params.small
-  | "mid" -> Params.mid
-  | s -> invalid_arg (Printf.sprintf "unknown params preset %S" s)
-
 let ms t = t *. 1000.0
 
 let header title =
@@ -42,8 +36,8 @@ let header title =
 (* Table I: cryptographic operation execution times.                   *)
 (* ------------------------------------------------------------------ *)
 
-let table1 preset =
-  let prm = Lazy.force (params_of_name preset) in
+let table1 (preset, params) =
+  let prm = Lazy.force params in
   header
     (Printf.sprintf
        "Table I: cryptographic operation execution time (params=%s, |p|=%d \
@@ -71,8 +65,8 @@ let table1 preset =
 (* Table II: signature schemes, individual vs batch verification.      *)
 (* ------------------------------------------------------------------ *)
 
-let table2 preset sizes =
-  let prm = Lazy.force (params_of_name preset) in
+let table2 (preset, params) sizes =
+  let prm = Lazy.force params in
   header
     (Printf.sprintf "Table II: individual vs batch verification (params=%s)"
        preset);
@@ -83,7 +77,7 @@ let table2 preset sizes =
   let ecdsa_kp = Sc_ecdsa.Ecdsa.generate prm ~bytes_source:bs in
   let bls_kp = Sc_bls.Bls.generate prm ~bytes_source:bs in
   let system =
-    Seccloud.System.create ~params:(params_of_name preset) ~seed:"table2-sys"
+    Seccloud.System.create ~params ~seed:"table2-sys"
       ~cs_ids:[ "cs" ] ~da_id:"da" ()
   in
   let pub = Seccloud.System.public system in
@@ -222,8 +216,8 @@ let fig4 eps steps =
 (* Figure 5: verification cost vs number of cloud users.               *)
 (* ------------------------------------------------------------------ *)
 
-let fig5 preset max_users step =
-  let prm = Lazy.force (params_of_name preset) in
+let fig5 (preset, params) max_users step =
+  let prm = Lazy.force params in
   header
     (Printf.sprintf
        "Figure 5: verification cost vs cloud users (params=%s).  Series: \
@@ -261,7 +255,7 @@ let fig5 preset max_users step =
   (* Wall-clock validation at a few sizes with the real protocols. *)
   header "Figure 5 wall-clock validation (real executions)";
   let system =
-    Seccloud.System.create ~params:(params_of_name preset) ~seed:"fig5-sys"
+    Seccloud.System.create ~params ~seed:"fig5-sys"
       ~cs_ids:[ "cs" ] ~da_id:"da" ()
   in
   let pub = Seccloud.System.public system in
@@ -469,8 +463,8 @@ let detection trials =
 (* suite for the equality checks).                                     *)
 (* ------------------------------------------------------------------ *)
 
-let ablation preset =
-  let prm = Lazy.force (params_of_name preset) in
+let ablation (preset, params) =
+  let prm = Lazy.force params in
   header
     (Printf.sprintf "Ablations (params=%s, |p|=%d bits)" preset
        (Nat.bit_length prm.Params.p));
@@ -511,7 +505,7 @@ let ablation preset =
     (fun () -> Sc_bignum.Modular.pow barrett base e);
   (* Verification: one aggregate equation vs per-signature pairings. *)
   let system =
-    Seccloud.System.create ~params:(params_of_name preset) ~seed:"ablation-sys"
+    Seccloud.System.create ~params ~seed:"ablation-sys"
       ~cs_ids:[ "cs" ] ~da_id:"da" ()
   in
   let pub = Seccloud.System.public system in
@@ -535,267 +529,37 @@ let ablation preset =
         entries)
 
 (* ------------------------------------------------------------------ *)
-(* Per-protocol cost report: measured pairings / hashes / wire bytes   *)
-(* per verification, next to the paper's Table II operation-count      *)
-(* predictions.  Counts come from the telemetry registry, bytes from   *)
-(* the wire codec's tx accounting.                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Telemetry = Sc_telemetry.Telemetry
-
-let costs preset =
-  header
-    (Printf.sprintf
-       "Per-protocol measured costs vs paper predictions (params=%s)" preset);
-  let system =
-    Seccloud.System.create ~params:(params_of_name preset) ~seed:"costs-sys"
-      ~cs_ids:[ "cs-1"; "cs-2" ] ~da_id:"da" ()
-  in
-  let pub = Seccloud.System.public system in
-  let da_key = Seccloud.System.da_key system in
-  let drbg = Sc_hash.Drbg.create ~seed:"costs" in
-  let bs = Sc_hash.Drbg.bytes_source drbg in
-  let user = Seccloud.User.create system ~id:"alice" in
-  let cloud = Seccloud.Cloud.create system ~id:"cs-1" () in
-  let cloud2 = Seccloud.Cloud.create system ~id:"cs-2" () in
-  Printf.printf "%-42s %8s %8s %8s   %s\n" "operation (verifier side)" "pairing"
-    "sha256" "wire B" "paper prediction";
-  let measure name paper f =
-    let p0 = Tate.pairings_performed () in
-    let h0 = Telemetry.counter_value "hash.sha256.digests" in
-    let b0 = Telemetry.counter_value "wire.tx.bytes" in
-    f ();
-    Printf.printf "%-42s %8d %8d %8d   %s\n" name
-      (Tate.pairings_performed () - p0)
-      (Telemetry.counter_value "hash.sha256.digests" - h0)
-      (Telemetry.counter_value "wire.tx.bytes" - b0)
-      paper
-  in
-  (* Protocol I: identity-based signatures. *)
-  let key = Seccloud.System.register_user system "alice" in
-  let s = Sc_ibc.Ibs.sign pub key ~bytes_source:bs "cost-probe" in
-  measure "Ibs.verify (1 sig)" "2 pairings"
-    (fun () -> assert (Sc_ibc.Ibs.verify pub ~signer:"alice" ~msg:"cost-probe" s));
-  let t = 8 in
-  let batch =
-    List.init t (fun i ->
-        let m = Printf.sprintf "m-%d" i in
-        "alice", m, Sc_ibc.Ibs.sign pub key ~bytes_source:bs m)
-  in
-  measure
-    (Printf.sprintf "Ibs.verify_batch (t=%d)" t)
-    "2t pairings"
-    (fun () -> assert (Sc_ibc.Ibs.verify_batch pub batch));
-  (* Table II "Ours": designated-verifier individual vs aggregate. *)
-  let dvs_entries =
-    List.init t (fun i ->
-        let m = Printf.sprintf "dvs-%d" i in
-        let raw = Sc_ibc.Ibs.sign pub key ~bytes_source:bs m in
-        { Sc_ibc.Agg.signer = "alice"; msg = m;
-          dvs = Sc_ibc.Dvs.designate pub raw ~verifier:"da" })
-  in
-  measure
-    (Printf.sprintf "Dvs.verify x%d (individual)" t)
-    "2n pairings"
-    (fun () ->
-      List.iter
-        (fun e ->
-          assert
-            (Sc_ibc.Dvs.verify pub ~verifier_key:da_key
-               ~q_id:(Sc_ibc.Setup.q_of_id pub e.Sc_ibc.Agg.signer)
-               ~msg:e.Sc_ibc.Agg.msg e.Sc_ibc.Agg.dvs))
-        dvs_entries);
-  measure
-    (Printf.sprintf "Agg.verify_batch (n=%d)" t)
-    "2 pairings"
-    (fun () -> assert (Sc_ibc.Agg.verify_batch pub ~verifier_key:da_key dvs_entries));
-  (* Protocol II: storage audit over the wire. *)
-  let payloads =
-    List.init 16 (fun i ->
-        Sc_storage.Block.encode_ints
-          (List.init 8 (fun j -> i + j + Sc_hash.Drbg.uniform_int drbg 50)))
-  in
-  assert (Seccloud.User.store user cloud ~file:"ledger" payloads);
-  let da = Seccloud.Agency.create system in
-  let samples = 4 in
-  measure
-    (Printf.sprintf "storage audit (t=%d)" samples)
-    "2t pairings naive; 1 aggregate eq. here"
-    (fun () ->
-      let indices = List.init samples (fun i -> i) in
-      let reads =
-        List.map
-          (fun i ->
-            i, Sc_storage.Server.read (Seccloud.Cloud.storage cloud) ~file:"ledger" ~index:i)
-          indices
-      in
-      ignore
-        (Seccloud.Wire.encode pub
-           (Seccloud.Wire.Storage_challenge { file = "ledger"; indices }));
-      ignore (Seccloud.Wire.encode pub (Seccloud.Wire.Storage_response reads));
-      let report =
-        Seccloud.Agency.audit_storage da cloud ~owner:"alice" ~file:"ledger"
-          ~samples
-      in
-      assert report.Seccloud.Agency.intact);
-  (* Protocol III: computation audit (Algorithm 1), wire-charged. *)
-  let warrant =
-    Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:3600.0 ~scope:"audit"
-  in
-  let audit_job cloud file =
-    assert (Seccloud.User.store user cloud ~file payloads);
-    let service =
-      Sc_compute.Task.random_service ~drbg ~n_positions:16 ~n_tasks:8
-    in
-    let execution = Seccloud.Cloud.execute cloud ~owner:"alice" ~file service in
-    let commitment = Sc_audit.Protocol.commitment_of_execution execution in
-    let challenge =
-      Sc_audit.Protocol.make_challenge ~drbg
-        ~n_tasks:commitment.Sc_audit.Protocol.n_tasks ~samples ~warrant
-    in
-    match Sc_audit.Protocol.respond pub ~now:1.0 execution challenge with
-    | None -> invalid_arg "costs: warrant rejected"
-    | Some responses ->
-      execution, { Sc_audit.Batch.owner = "alice"; commitment; challenge; responses }
-  in
-  let execution, job = audit_job cloud "ledger-c" in
-  measure
-    (Printf.sprintf "computation audit, Algorithm 1 (t=%d)" samples)
-    "t+1 pairings (root sig + t sampled sigs)"
-    (fun () ->
-      ignore
-        (Seccloud.Wire.encode pub
-           (Seccloud.Wire.Compute_commitment
-              {
-                results = Sc_compute.Executor.results execution;
-                commitment = job.Sc_audit.Batch.commitment;
-              }));
-      ignore
-        (Seccloud.Wire.encode pub
-           (Seccloud.Wire.Audit_challenge
-              {
-                owner = "alice";
-                file = "ledger-c";
-                challenge = job.Sc_audit.Batch.challenge;
-              }));
-      ignore
-        (Seccloud.Wire.encode pub
-           (Seccloud.Wire.Audit_response job.Sc_audit.Batch.responses));
-      let verdict =
-        Sc_audit.Protocol.verify pub ~verifier_key:da_key ~role:`Da
-          ~owner:"alice" job.Sc_audit.Batch.commitment
-          job.Sc_audit.Batch.challenge job.Sc_audit.Batch.responses
-      in
-      assert verdict.Sc_audit.Protocol.valid);
-  let _, job2 = audit_job cloud2 "ledger-d" in
-  measure "batched audit, k=2 jobs" "<= k+1 pairings (2 aggregate eqs. here)"
-    (fun () ->
-      let verdict =
-        Sc_audit.Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
-          [ job; job2 ]
-      in
-      assert verdict.Sc_audit.Protocol.valid);
-  Printf.printf
-    "\n(measured on this build: the multi-pairing rewrite folds the paper's \
-     2-pairing equations\n into one shared-Miller evaluation, so measured \
-     counts undercut the predictions)\n";
-  (* Signer side: Σ_B = ê(sk_ID, Q_B)^(r+h) by bilinearity, so signing
-     pays two pairings per owner and server (the bases, each kept as a
-     fixed-base GT comb) and two comb exponentiations per block, where
-     the paper pairs V_i with Q_CS and Q_DA per block. *)
-  Printf.printf "\n%-42s %8s %8s %8s %8s   %s\n" "operation (signer side)"
-    "pairing" "gt_pow" "comb_exp" "wnaf" "paper prediction";
-  let measure_signer name paper f =
-    let count () =
-      ( Tate.pairings_performed (),
-        Telemetry.counter_value "pairing.gt_pow",
-        Telemetry.counter_value "pairing.gt_comb_exp",
-        Telemetry.counter_value "curve.mul.wnaf" )
-    in
-    let p0, g0, c0, w0 = count () in
-    f ();
-    let p1, g1, c1, w1 = count () in
-    Printf.printf "%-42s %8d %8d %8d %8d   %s\n" name (p1 - p0) (g1 - g0)
-      (c1 - c0) (w1 - w0) paper
-  in
-  let n = List.length payloads in
-  measure_signer
-    (Printf.sprintf "Signer.sign_file (%d blocks)" n)
-    "2n pairings"
-    (fun () ->
-      ignore
-        (Sc_storage.Signer.sign_file pub key ~bytes_source:bs
-           ~bases:(Sc_storage.Signer.bases pub key ~cs_id:"cs-1" ~da_id:"da")
-           ~file:"signed" payloads));
-  let client, server =
-    Sc_storage.Dynamic.init pub key ~bytes_source:bs ~cs_id:"cs-1" ~da_id:"da"
-      ~file:"dyn" payloads
-  in
-  measure_signer "Dynamic update (1 block)" "2 pairings (re-sign 1 block)"
-    (fun () ->
-      match Sc_storage.Dynamic.update client server ~index:3 "rewritten" with
-      | Ok () -> ()
-      | Error _ -> invalid_arg "costs: dynamic update rejected");
-  (* alice has uploaded to cs-1 above, so her bases are already built;
-     the system DRBG this draws from feeds nothing below. *)
-  measure_signer
-    (Printf.sprintf "User.sign_file, returning owner (%d blocks)" n)
-    "2n pairings"
-    (fun () ->
-      ignore (Seccloud.User.sign_file user ~cs_id:"cs-1" ~file:"again" payloads));
-  (* Upload check: the server folds every block's designated signature
-     into one small-exponent batch (Agg.verify_batch): one pairing
-     against a GT membership test and a short multi-exponentiation term
-     per block, and one multi-scalar-multiplication term per block.
-     The upload is signed from its own DRBG and checked by a fresh
-     server, so no stream above moves. *)
-  Printf.printf "\n%-42s %8s %8s %8s %8s   %s\n"
-    "operation (verifier side, batched)" "pairing" "gt_memb" "gt_mexp" "msm"
-    "paper prediction";
-  let upload =
-    Sc_storage.Signer.sign_file pub key
-      ~bytes_source:(Sc_hash.Drbg.bytes_source (Sc_hash.Drbg.create ~seed:"costs-upload"))
-      ~bases:(Sc_storage.Signer.bases pub key ~cs_id:"cs-1" ~da_id:"da")
-      ~file:"upload" payloads
-  in
-  let checker = Seccloud.Cloud.create system ~id:"cs-1" () in
-  let count () =
-    ( Tate.pairings_performed (),
-      Telemetry.counter_value "pairing.gt_member",
-      Telemetry.counter_value "pairing.gt_multi_exp_terms",
-      Telemetry.counter_value "curve.msm.terms" )
-  in
-  let p0, g0, m0, s0 = count () in
-  assert (Seccloud.Cloud.accept_upload checker upload);
-  let p1, g1, m1, s1 = count () in
-  Printf.printf "%-42s %8d %8d %8d %8d   %s\n"
-    (Printf.sprintf "Cloud.accept_upload (%d blocks)" n)
-    (p1 - p0) (g1 - g0) (m1 - m0) (s1 - s0) "n pairings (1 per block)"
-
-(* ------------------------------------------------------------------ *)
 (* Command line.                                                       *)
 (* ------------------------------------------------------------------ *)
 
 open Cmdliner
 
+(* A preset is its name and its parameters; names differ, so
+   [Arg.enum] compares two presets by name alone. *)
 let params_arg =
   let doc = "Pairing parameter preset: toy, small or mid." in
-  Arg.(value & opt string "small" & info [ "params" ] ~docv:"PRESET" ~doc)
+  let presets =
+    List.map
+      (fun ((name, _) as preset) -> name, preset)
+      Params.[ "toy", toy; "small", small; "mid", mid ]
+  in
+  Arg.(
+    value
+    & opt (enum presets) (List.assoc "small" presets)
+    & info [ "params" ] ~docv:"PRESET" ~doc)
 
 let table1_cmd =
-  let run preset = table1 preset in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I (crypto op timings)")
-    Term.(const run $ params_arg)
+    Term.(const table1 $ params_arg)
 
 let table2_cmd =
   let sizes =
     let doc = "Batch sizes to measure." in
     Arg.(value & opt (list int) [ 1; 10; 20; 50 ] & info [ "sizes" ] ~doc)
   in
-  let run preset sizes = table2 preset sizes in
   Cmd.v
     (Cmd.info "table2" ~doc:"Reproduce Table II (signature scheme comparison)")
-    Term.(const run $ params_arg $ sizes)
+    Term.(const table2 $ params_arg $ sizes)
 
 let fig4_cmd =
   let eps =
@@ -819,10 +583,9 @@ let fig5_cmd =
     let doc = "User count step for the analytic series." in
     Arg.(value & opt int 7 & info [ "step" ] ~doc)
   in
-  let run preset max_users step = fig5 preset max_users step in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Reproduce Figure 5 (verification cost vs users)")
-    Term.(const run $ params_arg $ max_users $ step)
+    Term.(const fig5 $ params_arg $ max_users $ step)
 
 let optimal_cmd =
   Cmd.v
@@ -845,12 +608,6 @@ let ablation_cmd =
        ~doc:"Measure each implementation choice against its naive alternative")
     Term.(const ablation $ params_arg)
 
-let costs_cmd =
-  Cmd.v
-    (Cmd.info "costs"
-       ~doc:"Measured per-protocol pairing/hash/byte costs vs Table II")
-    Term.(const costs $ params_arg)
-
 let all_cmd =
   let run preset =
     table1 preset;
@@ -859,8 +616,7 @@ let all_cmd =
     fig5 preset 50 7;
     optimal ();
     detection 100_000;
-    ablation preset;
-    costs preset
+    ablation preset
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every reproduction") Term.(const run $ params_arg)
 
@@ -871,4 +627,4 @@ let () =
   in
   exit (Cmd.eval (Cmd.group info
                     [ table1_cmd; table2_cmd; fig4_cmd; fig5_cmd; optimal_cmd;
-                      detection_cmd; ablation_cmd; costs_cmd; all_cmd ]))
+                      detection_cmd; ablation_cmd; all_cmd ]))

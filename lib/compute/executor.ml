@@ -31,6 +31,7 @@ type execution = {
   tree : Merkle.t;
   root_signature : Ibs.t;
   cs_id : string;
+  owner : string; (* whose stored file the execution read *)
 }
 
 let computing_confidence = function
@@ -46,7 +47,6 @@ let leaf_payload ~result ~position = Printf.sprintf "%d|%d" result position
 let cheat_decision ~drbg fraction = Sc_hash.Drbg.float drbg < fraction
 
 let run pub ~cs_key ~server ~behaviour ~drbg ~owner ~file requests =
-  ignore owner;
   let service_arr = Array.of_list requests in
   let n = Array.length service_arr in
   if n = 0 then invalid_arg "Executor.run: empty service";
@@ -147,12 +147,21 @@ let run pub ~cs_key ~server ~behaviour ~drbg ~owner ~file requests =
       ~bytes_source:(Sc_hash.Drbg.bytes_source drbg)
       ("root:" ^ Merkle.root tree)
   in
-  { service_arr; reads; answers; tree; root_signature; cs_id = cs_key.Setup.id }
+  {
+    service_arr;
+    reads;
+    answers;
+    tree;
+    root_signature;
+    cs_id = cs_key.Setup.id;
+    owner;
+  }
 
 let results e = Array.copy e.answers
 let root e = Merkle.root e.tree
 let root_signature e = e.root_signature
 let server_id e = e.cs_id
+let owner e = e.owner
 let service e = Array.to_list e.service_arr
 
 let respond e i =

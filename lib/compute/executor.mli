@@ -51,6 +51,10 @@ val results : execution -> int array
 val root : execution -> string
 val root_signature : execution -> Sc_ibc.Ibs.t
 val server_id : execution -> string
+
+val owner : execution -> string
+(** The [~owner] the execution was {!run} for: whose file it read. *)
+
 val service : execution -> Task.service
 
 val leaf_payload : result:int -> position:int -> string

@@ -102,7 +102,7 @@ let audit_computation t cloud ~owner ~execution ~warrant ~now ~samples =
     Protocol.make_challenge ~drbg:t.drbg ~n_tasks:commitment.Protocol.n_tasks
       ~samples ~warrant
   in
-  match Cloud.respond_to_audit cloud ~now ~owner execution challenge with
+  match Cloud.respond_to_audit cloud ~now execution challenge with
   | None ->
     { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
   | Some responses ->
@@ -128,7 +128,7 @@ let audit_computation_batched t jobs ~now ~samples =
             ~n_tasks:commitment.Protocol.n_tasks ~samples ~warrant
         in
         match
-          Cloud.respond_to_audit cloud ~now ~owner execution challenge
+          Cloud.respond_to_audit cloud ~now execution challenge
         with
         | None -> None
         | Some responses ->

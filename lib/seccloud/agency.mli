@@ -57,9 +57,9 @@ val audit_computation :
   Sc_audit.Protocol.verdict
 (** Protocol III auditing: challenge, collect responses, run
     Algorithm 1.  [Warrant_invalid] when the server refuses the
-    challenge ({!Cloud.respond_to_audit}): the warrant is not
-    [owner]'s, not delegated to this system's DA, expired, or
-    forged. *)
+    challenge ({!Cloud.respond_to_audit}): the warrant is not from
+    the owner [execution] was run for, not delegated to this system's
+    DA, expired, or forged. *)
 
 val audit_computation_batched :
   t ->

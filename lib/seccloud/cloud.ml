@@ -52,14 +52,14 @@ let execute t ~owner ~file service =
   Executor.run (System.public t.system) ~cs_key:t.key ~server:t.server
     ~behaviour:t.compute ~drbg:t.drbg ~owner ~file service
 
-(* The warrant must be the challenged owner's, delegated to the DA;
-   that and its expiry are checked on every request, and only its
-   signature is looked up in the memo. *)
-let respond_to_audit t ~now ~owner execution
+(* The warrant must be from the owner whose data the execution read,
+   delegated to the DA; that and its expiry are checked on every
+   request, and only its signature is looked up in the memo. *)
+let respond_to_audit t ~now execution
     (challenge : Sc_audit.Protocol.challenge) =
   let w = challenge.Sc_audit.Protocol.warrant.Sc_ibc.Warrant.warrant in
   if
-    w.Sc_ibc.Warrant.delegator = owner
+    w.Sc_ibc.Warrant.delegator = Executor.owner execution
     && w.Sc_ibc.Warrant.delegatee = System.da_id t.system
   then
     Sc_audit.Protocol.respond ~memo:t.warrants (System.public t.system) ~now

@@ -44,14 +44,13 @@ val execute :
 val respond_to_audit :
   t ->
   now:float ->
-  owner:string ->
   Sc_compute.Executor.execution ->
   Sc_audit.Protocol.challenge ->
   Sc_compute.Executor.response list option
 (** Checks the warrant, then returns sampled responses; [None] refuses
-    the challenge.  The warrant must be [owner]'s, delegated to the
-    system's DA, and unexpired at [now]: these are checked on every
-    request.  Its signature is verified once per server: the server's
+    the challenge.  The warrant must be from the execution's owner
+    ({!Sc_compute.Executor.owner}), delegated to the system's DA, and
+    unexpired at [now]: these are checked on every request.  Its signature is verified once per server: the server's
     own memo ({!Sc_ibc.Ibs.Memo}, counted as [memo="warrant"]) answers
     a warrant it has already accepted.  Shared by {!Endpoint.Server}
     and the in-process {!Agency}. *)

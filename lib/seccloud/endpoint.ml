@@ -51,7 +51,7 @@ module Server = struct
       | None -> err t "no execution for this owner/file"
       | Some execution ->
         (match
-           Cloud.respond_to_audit t.cloud ~now ~owner execution challenge
+           Cloud.respond_to_audit t.cloud ~now execution challenge
          with
         | None -> err t "warrant rejected"
         | Some responses -> reply t (Wire.Audit_response responses)))

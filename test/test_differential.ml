@@ -467,7 +467,7 @@ let memo_tests =
                in
                let now = if late then 500.0 else 1.0 in
                let answered cloud =
-                 Seccloud.Cloud.respond_to_audit cloud ~now ~owner execution
+                 Seccloud.Cloud.respond_to_audit cloud ~now execution
                    challenge
                  <> None
                in

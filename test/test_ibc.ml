@@ -295,13 +295,15 @@ let perturbation_tests =
         (* A signer may pick U = r·Q_ID + T itself: h is then taken over
            that U, and ê(sk_B, ·) maps T to 1, so the signature
            verifies. *)
-        let signer_torsion =
+        let torsion_sig =
           let k = key 0 and msg = (e 0).Agg.msg in
           let r = Params.random_scalar prm ~bytes_source:bs in
           let u = Curve.add curve (Curve.mul curve r k.Setup.q_id) t in
           let ex = Nat.rem (Nat.add r (Ibs.h2 pub ~u ~msg)) prm.Params.q in
-          let v = Curve.mul curve ex k.Setup.sk in
-          { (e 0) with Agg.dvs = Dvs.designate pub { Ibs.u; v } ~verifier:"verifier" }
+          { Ibs.u; v = Curve.mul curve ex k.Setup.sk }
+        in
+        let signer_torsion =
+          { (e 0) with Agg.dvs = Dvs.designate pub torsion_sig ~verifier:"verifier" }
         in
         let cases =
           [
@@ -334,8 +336,39 @@ let perturbation_tests =
               else Some (Printf.sprintf "%s (batch %b, entries %b)" name agg individual))
             cases
         in
-        wrong = []
-        || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " wrong));
+        (* The torsion cases on plain IBS signatures (U, V) over the
+           same messages, through all three public verifiers.  Each
+           checks U and V for order q, so every one rejects, the
+           signer-made U + T included. *)
+        let ibs =
+          List.init n (fun i ->
+              (key i).Setup.id, (e i).Agg.msg,
+              Ibs.sign pub (key i) ~bytes_source:bs (e i).Agg.msg)
+        in
+        let signer0, msg0, s0 = List.hd ibs in
+        let ibs_cases =
+          [
+            "IBS honest", true, s0;
+            "IBS V + T", false, { s0 with Ibs.v = Curve.add curve s0.Ibs.v t };
+            "IBS third party adds torsion to U", false,
+            { s0 with Ibs.u = Curve.add curve s0.Ibs.u t };
+            "IBS signer-made U + T", false, torsion_sig;
+          ]
+        in
+        let ibs_wrong =
+          List.filter_map
+            (fun (name, expected, s) ->
+              let batch = set 0 (signer0, msg0, s) ibs in
+              let single = Ibs.verify pub ~signer:signer0 ~msg:msg0 s in
+              let batched = Ibs.verify_batch pub batch in
+              let each = Ibs.verify_each pub (List.map Option.some batch) in
+              let each_expected = List.mapi (fun i _ -> Some (i > 0 || expected)) batch in
+              if single = expected && batched = expected && each = each_expected then None
+              else Some (Printf.sprintf "%s (verify %b, batch %b)" name single batched))
+            ibs_cases
+        in
+        wrong @ ibs_wrong = []
+        || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " (wrong @ ibs_wrong)));
   ]
 
 (* Dvs.sign raises the bases ê(sk_ID, Q_B) to e = r + h instead of

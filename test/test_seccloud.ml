@@ -205,6 +205,25 @@ let unit_tests =
             ~warrant ~now:50.0 ~samples:8
         in
         check Alcotest.bool "valid" true v.Sc_audit.Protocol.valid);
+    case "a warrant only opens executions over its delegator's data"
+      (fun () ->
+        let system = fresh_system "owner-bound" in
+        let alice = Seccloud.User.create system ~id:"alice" in
+        let bob = Seccloud.User.create system ~id:"bob" in
+        let cloud = Seccloud.Cloud.create system ~id:"cs-1" () in
+        assert (Seccloud.User.store alice cloud ~file:"f" (payloads 8));
+        let drbg = Sc_hash.Drbg.create ~seed:"svc" in
+        let service = Sc_compute.Task.random_service ~drbg ~n_positions:8 ~n_tasks:4 in
+        let execution = Seccloud.Cloud.execute cloud ~owner:"alice" ~file:"f" service in
+        check Alcotest.string "owner kept" "alice" (Sc_compute.Executor.owner execution);
+        let warrant = Seccloud.User.delegate_audit bob ~now:0.0 ~lifetime:100.0 ~scope:"t" in
+        let v =
+          Seccloud.Agency.audit_computation (da_of system) cloud ~owner:"bob" ~execution
+            ~warrant ~now:10.0 ~samples:4
+        in
+        check Alcotest.bool "invalid" false v.Sc_audit.Protocol.valid;
+        check Alcotest.bool "refused as Warrant_invalid" true
+          (v.Sc_audit.Protocol.failures = [ Sc_audit.Protocol.Warrant_invalid ]));
     case "multi-user batched computation audit" (fun () ->
         let system = fresh_system "multi" in
         let cloud = Seccloud.Cloud.create system ~id:"cs-1" () in

@@ -487,8 +487,9 @@ let json_parser =
 
 (* Every span a library opens must land in a named layer: a span whose
    prefix maps to [other] hides its self time from the per-layer cost
-   model.  Lists each literal [~name:"…"] (or the literal head of a
-   [~name:("prefix." ^ …)]) in every .ml under lib/. *)
+   model.  Lists the literal [~name:"…"] (or the literal head of a
+   [~name:("prefix." ^ …)]) of each [with_span] call in every .ml
+   under lib/. *)
 let layers =
   let rec ml_files dir =
     Array.fold_left
@@ -514,13 +515,27 @@ let layers =
         (String.index_from_opt src (i + 1) '"')
     else None
   in
+  (* The [~name:] argument of each [with_span] call, which may sit on
+     the next line; other labelled [~name]s are not span names. *)
   let span_names src =
-    let key = "~name:" in
+    let n = String.length src in
+    let at i key = i + String.length key <= n && String.sub src i (String.length key) = key in
+    let rec skip_blanks i =
+      if i < n && (src.[i] = ' ' || src.[i] = '\n') then skip_blanks (i + 1) else i
+    in
+    let call = "with_span" and label = "~name:" in
     let rec go from acc =
-      if from + String.length key > String.length src then acc
-      else if String.sub src from (String.length key) = key then
-        let j = from + String.length key in
-        go j (match literal_at src j with Some name -> name :: acc | None -> acc)
+      if from >= n then acc
+      else if at from call then
+        let j = skip_blanks (from + String.length call) in
+        let acc =
+          if at j label then
+            match literal_at src (j + String.length label) with
+            | Some name -> name :: acc
+            | None -> acc
+          else acc
+        in
+        go j acc
       else go (from + 1) acc
     in
     go 0 []
@@ -553,7 +568,11 @@ let layers =
           check Alcotest.(list string) "spans in the other layer" []
             (List.filter
                (fun n -> Sc_telemetry.Trace_analysis.layer_of n = "other")
-               names));
+               names);
+          check Alcotest.(list string) "a memo label is no span" []
+            (span_names {|let m = Memo.create ~name:"warrant" in|});
+          check Alcotest.(list string) "a span name on the next line" [ "x.y" ]
+            (span_names "Telemetry.with_span\n      ~name:\"x.y\"\n  @@ fun () -> ()"));
   ]
 
 let suite =
