@@ -8,11 +8,13 @@ build:
 
 # Static analysis: sc_lint over lib/, bin/ and test/ with the waiver
 # baseline in lint/waivers.sexp — the same gate (Engine.gate) the
-# self-lint test runs under `dune runtest`.  `dune build @check` first
-# so every file has the .cmt the typed rules read; a file without one
-# is a no-cmt error.  Fails on any unwaived finding or on a waiver that
-# no longer matches anything (--stale-waivers), so the baseline can
-# only shrink.
+# self-lint test runs under `dune runtest`.  The dead-export rule also
+# reads the cmts of bench/, perfbench/ and examples/ as callers of
+# lib/.  `dune build @check` first, over the whole tree, so every file
+# has the .cmt the typed rules read; a file without one, linted or
+# caller, is a no-cmt error.  Fails on any unwaived finding or on a
+# waiver that no longer matches anything (--stale-waivers), so the
+# baseline can only shrink.
 lint:
 	dune build @check tools/sc_lint/sc_lint.exe
 	dune exec tools/sc_lint/sc_lint.exe -- --root . --stale-waivers \

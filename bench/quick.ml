@@ -8,6 +8,7 @@ module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate
 module Curve = Sc_ec.Curve
 module Nat = Sc_bignum.Nat
+module Json = Sc_telemetry.Json
 
 let drbg = Sc_hash.Drbg.create ~seed:"bench-quick"
 let bs = Sc_hash.Drbg.bytes_source drbg
@@ -28,36 +29,18 @@ let time_ns ?(iters = 100) f =
    baseline (`make bench-check` surfaces regressions that way). *)
 let baseline =
   match open_in "BENCH_pairing.json" with
-  | exception Sys_error _ -> []
+  | exception Sys_error _ -> None
   | ic ->
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    List.filter_map
-      (fun line ->
-        match String.index_opt line '"' with
-        | None -> None
-        | Some i -> (
-          match String.index_from_opt line (i + 1) '"' with
-          | None -> None
-          | Some j ->
-            let key = String.sub line (i + 1) (j - i - 1) in
-            let buf = Buffer.create 16 in
-            String.iter
-              (fun c ->
-                match c with
-                | '0' .. '9' | '.' | '-' -> Buffer.add_char buf c
-                | _ -> ())
-              (String.sub line (j + 1) (String.length line - j - 1));
-            Option.map
-              (fun v -> key, v)
-              (float_of_string_opt (Buffer.contents buf))))
-      (String.split_on_char '\n' content)
+    Json.parse
+      (Fun.protect
+         ~finally:(fun () -> close_in_noerr ic)
+         (fun () -> really_input_string ic (in_channel_length ic)))
+
+let baseline_of name =
+  Option.bind baseline (fun v -> Json.to_float (Json.member name v))
 
 let vs_baseline name ns =
-  match List.assoc_opt name baseline with
+  match baseline_of name with
   | Some old when old > 0. && ns > 0. ->
     Printf.sprintf "  (baseline %10.1f us, x%.2f)" (old /. 1e3) (old /. ns)
   | _ -> ""
@@ -237,18 +220,13 @@ let () =
     ]
   in
   let json =
-    Printf.sprintf "{\n%s,\n%s\n}\n"
-      (String.concat ",\n"
-         (List.map
-            (fun (name, ns) -> Printf.sprintf "  %S: %.0f" name ns)
-            results))
-      (String.concat ",\n"
-         (List.map
-            (fun (name, v) -> Printf.sprintf "  %S: %d" name v)
-            counters))
+    Json.obj
+      (List.map (fun (name, ns) -> name, Json.float (Float.round ns)) results
+      @ List.map (fun (name, v) -> name, Json.int v) counters)
   in
   let oc = open_out "BENCH_pairing.json" in
   output_string oc json;
+  output_char oc '\n';
   close_out oc;
   List.iter
     (fun (name, ns) ->
@@ -258,7 +236,7 @@ let () =
   List.iter
     (fun (name, v) ->
       let old =
-        match List.assoc_opt name baseline with
+        match baseline_of name with
         | Some o when int_of_float o <> v ->
           Printf.sprintf "  (baseline %d)" (int_of_float o)
         | _ -> ""

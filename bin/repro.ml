@@ -458,77 +458,6 @@ let detection trials =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Ablations: measure each implementation choice against its naive     *)
-(* alternative (all pairs compute identical results; see the test      *)
-(* suite for the equality checks).                                     *)
-(* ------------------------------------------------------------------ *)
-
-let ablation (preset, params) =
-  let prm = Lazy.force params in
-  header
-    (Printf.sprintf "Ablations (params=%s, |p|=%d bits)" preset
-       (Nat.bit_length prm.Params.p));
-  let drbg = Sc_hash.Drbg.create ~seed:"ablation" in
-  let bs = Sc_hash.Drbg.bytes_source drbg in
-  let g = prm.Params.g in
-  let s = Params.random_scalar prm ~bytes_source:bs in
-  let row name fast slow =
-    let tf = time_of fast and ts = time_of slow in
-    Printf.printf "%-44s %9.2f ms vs %9.2f ms  (%.1fx)\n" name (ms tf) (ms ts)
-      (ts /. tf)
-  in
-  (* Miller loop: projective (inversion-free) vs affine reference. *)
-  row "pairing: projective vs affine Miller"
-    (fun () -> Tate.pairing prm g g)
-    (fun () -> Tate.pairing_affine prm g g);
-  (* Scalar multiplication: Jacobian ladder vs affine double-and-add. *)
-  let affine_mul () =
-    let nbits = Nat.bit_length s in
-    let acc = ref Curve.Infinity in
-    for i = nbits - 1 downto 0 do
-      acc := Curve.double prm.Params.curve !acc;
-      if Nat.test_bit s i then acc := Curve.add prm.Params.curve !acc g
-    done;
-    !acc
-  in
-  row "point mul: Jacobian vs affine ladder"
-    (fun () -> Curve.mul prm.Params.curve s g)
-    affine_mul;
-  (* Exponentiation: Montgomery domain vs Barrett ladder. *)
-  let p = prm.Params.p in
-  let base = Sc_bignum.Nat.random ~bytes_source:bs ~bits:(Nat.bit_length p - 1) in
-  let e = Sc_bignum.Nat.random ~bytes_source:bs ~bits:(Nat.bit_length p - 1) in
-  let mont = Sc_bignum.Montgomery.create p in
-  let barrett = Sc_bignum.Modular.create p in
-  row "modpow: Montgomery vs Barrett"
-    (fun () -> Sc_bignum.Montgomery.pow mont base e)
-    (fun () -> Sc_bignum.Modular.pow barrett base e);
-  (* Verification: one aggregate equation vs per-signature pairings. *)
-  let system =
-    Seccloud.System.create ~params ~seed:"ablation-sys"
-      ~cs_ids:[ "cs" ] ~da_id:"da" ()
-  in
-  let pub = Seccloud.System.public system in
-  let da_key = Seccloud.System.da_key system in
-  let key = Seccloud.System.register_user system "u" in
-  let entries =
-    List.init 10 (fun i ->
-        let m = Printf.sprintf "abl-%d" i in
-        let raw = Sc_ibc.Ibs.sign pub key ~bytes_source:bs m in
-        { Sc_ibc.Agg.signer = "u"; msg = m;
-          dvs = Sc_ibc.Dvs.designate pub raw ~verifier:"da" })
-  in
-  row "verify 10 sigs: batch vs individual"
-    (fun () -> Sc_ibc.Agg.verify_batch pub ~verifier_key:da_key entries)
-    (fun () ->
-      List.for_all
-        (fun e ->
-          Sc_ibc.Dvs.verify pub ~verifier_key:da_key
-            ~q_id:(Sc_ibc.Setup.q_of_id pub e.Sc_ibc.Agg.signer)
-            ~msg:e.Sc_ibc.Agg.msg e.Sc_ibc.Agg.dvs)
-        entries)
-
-(* ------------------------------------------------------------------ *)
 (* Command line.                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -541,7 +470,7 @@ let params_arg =
   let presets =
     List.map
       (fun ((name, _) as preset) -> name, preset)
-      Params.[ "toy", toy; "small", small; "mid", mid ]
+      Params.presets
   in
   Arg.(
     value
@@ -602,12 +531,6 @@ let detection_cmd =
        ~doc:"Validate detection rates against eqs. (10)-(14)")
     Term.(const detection $ trials)
 
-let ablation_cmd =
-  Cmd.v
-    (Cmd.info "ablation"
-       ~doc:"Measure each implementation choice against its naive alternative")
-    Term.(const ablation $ params_arg)
-
 let all_cmd =
   let run preset =
     table1 preset;
@@ -615,8 +538,7 @@ let all_cmd =
     fig4 1e-4 10;
     fig5 preset 50 7;
     optimal ();
-    detection 100_000;
-    ablation preset
+    detection 100_000
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every reproduction") Term.(const run $ params_arg)
 
@@ -627,4 +549,4 @@ let () =
   in
   exit (Cmd.eval (Cmd.group info
                     [ table1_cmd; table2_cmd; fig4_cmd; fig5_cmd; optimal_cmd;
-                      detection_cmd; ablation_cmd; all_cmd ]))
+                      detection_cmd; all_cmd ]))

@@ -567,27 +567,25 @@ let stats_workload (_, params) seed ~drop ~tamper =
     (fun () ->
       assert (Sc_storage.Dynamic.update client server ~index:3 "rewritten"
               = Ok ()));
-  (* Storage audits, charged over the wire.  Every identity from here
-     on was hashed above, so none is hashed again. *)
+  (* Storage audits, charged over the wire: each row is
+     Agency.audit_storage with the challenge and response for the
+     blocks it samples encoded in between.  Every identity from here on
+     was hashed above, so none is hashed again. *)
   let h0 = Telemetry.counter_value "pairing.id_hash" in
   let storage_audit ?gate samples =
     verifier ?gate (Printf.sprintf "storage audit (t=%d)" samples)
       "2t pairings naive; 1 aggregate eq. here" (fun () ->
-        let indices = List.init samples Fun.id in
-        let read i =
-          i, Sc_storage.Server.read (Seccloud.Cloud.storage cloud)
-               ~file:"ledger" ~index:i
+        let reads =
+          Option.get
+            (Seccloud.Agency.read_samples da cloud ~file:"ledger" ~samples)
         in
         ignore
           (Seccloud.Wire.encode pub
-             (Seccloud.Wire.Storage_challenge { file = "ledger"; indices }));
+             (Seccloud.Wire.Storage_challenge
+                { file = "ledger"; indices = List.map fst reads }));
         ignore
-          (Seccloud.Wire.encode pub
-             (Seccloud.Wire.Storage_response (List.map read indices)));
-        let report =
-          Seccloud.Agency.audit_storage da cloud ~owner:"alice"
-            ~file:"ledger" ~samples
-        in
+          (Seccloud.Wire.encode pub (Seccloud.Wire.Storage_response reads));
+        let report = Seccloud.Agency.check_blocks system ~owner:"alice" reads in
         assert report.Seccloud.Agency.intact)
   in
   storage_audit samples;
@@ -781,10 +779,8 @@ let registry_checks ~perfect =
   let v = Telemetry.counter_value in
   let retries = v "transport.retry" in
   [
-    check "pairing count matches single+multi+affine breakdown"
-      (abs
-         (v "pairing.count"
-         - (v "pairing.single" + v "pairing.multi" + v "pairing.affine")))
+    check "pairing count matches single+multi breakdown"
+      (abs (v "pairing.count" - (v "pairing.single" + v "pairing.multi")))
       0;
     check "transport attempts reconcile with rpc + retry"
       (abs (v "transport.attempts" - (v "transport.rpc" + retries)))
@@ -902,7 +898,7 @@ let preset_arg =
   let presets =
     List.map
       (fun ((name, _) as preset) -> name, preset)
-      Sc_pairing.Params.[ "toy", toy; "small", small; "mid", mid ]
+      Sc_pairing.Params.presets
   in
   Arg.(
     value

@@ -81,8 +81,3 @@ let flag_unresponsive verdict ~timed_out ~tampered =
       Protocol.valid = false;
       failures = extra @ verdict.Protocol.failures;
     }
-
-let pairings_used pub ~verifier_key ~role jobs =
-  let before = Sc_pairing.Tate.pairings_performed () in
-  let verdict = verify_jobs pub ~verifier_key ~role jobs in
-  verdict, Sc_pairing.Tate.pairings_performed () - before

@@ -36,12 +36,3 @@ val flag_unresponsive :
     contributes a typed [Transport_timeout] / [Transport_tampered]
     failure and invalidates the verdict, so unresponsive servers are
     flagged exactly like failed verifications. *)
-
-val pairings_used :
-  Sc_ibc.Setup.public ->
-  verifier_key:Sc_ibc.Setup.identity_key ->
-  role:[ `Cs | `Da ] ->
-  job list ->
-  Protocol.verdict * int
-(** Runs {!verify_jobs} and reports how many pairings it evaluated —
-    the quantity Table II and Figure 5 compare. *)

@@ -54,6 +54,3 @@ let figure4_grid ?(sig_forge = 1e-9) ?(steps = 10) ~eps ~range () =
              let csc = float_of_int j /. float_of_int steps in
              let t = required_samples ~csc ~ssc ~range ~sig_forge ~eps () in
              { ssc; csc; t })))
-
-let detection_probability ~csc ~ssc ~range ~sig_forge ~t =
-  1.0 -. pr_cheat ~csc ~ssc ~range ~sig_forge ~t

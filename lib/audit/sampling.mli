@@ -43,7 +43,3 @@ val figure4_grid :
 (** The Figure 4 surface: required t over an SSC × CSC grid in
     [0, 0.9] (default 10 steps), ε and |R| as given, Pr[SigForge]
     defaulting to 1e−9. *)
-
-val detection_probability :
-  csc:float -> ssc:float -> range:float -> sig_forge:float -> t:int -> float
-(** 1 − Pr[cheat]: what a Monte-Carlo experiment should observe. *)

@@ -14,8 +14,6 @@ let create m =
   let mu = Nat.div b2k m in
   { m; k; mu; bk1_bits = (k + 1) * limb_bits }
 
-let modulus ctx = ctx.m
-
 (* Keep the low (k+1) limbs of [x]. *)
 let trunc ctx x =
   let hi = Nat.shift_right x ctx.bk1_bits in
@@ -77,10 +75,6 @@ let egcd a b =
     end
   in
   go a Signed.one Signed.zero b Signed.zero Signed.one
-
-let gcd a b =
-  let g, _, _ = egcd a b in
-  g
 
 let jacobi a n =
   if Nat.is_zero n || Nat.is_even n then

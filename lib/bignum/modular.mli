@@ -10,8 +10,6 @@ type ctx
 val create : Nat.t -> ctx
 (** @raise Invalid_argument if the modulus is zero or one. *)
 
-val modulus : ctx -> Nat.t
-
 val reduce : ctx -> Nat.t -> Nat.t
 (** Full reduction of any natural (falls back to division when the
     argument exceeds the Barrett range [B^2k]). *)
@@ -28,8 +26,6 @@ val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 
 val egcd : Nat.t -> Nat.t -> Nat.t * Signed.t * Signed.t
 (** [egcd a b = (g, x, y)] with [a*x + b*y = g = gcd(a, b)]. *)
-
-val gcd : Nat.t -> Nat.t -> Nat.t
 
 val jacobi : Nat.t -> Nat.t -> int
 (** [jacobi a n] for odd positive [n]: the Jacobi symbol (a|n) ∈

@@ -49,8 +49,6 @@ let create m =
   let lazy_ok = Nat.bit_length m + 4 <= k * limb_bits in
   { m; m_limbs; k; m'; r_mod_m; lazy_ok }
 
-let modulus ctx = ctx.m
-
 (* a >= m, comparing the k-limb arrays from the top. *)
 let ge_mod ctx (a : mont) =
   let m = ctx.m_limbs in

@@ -14,8 +14,6 @@ val create : Nat.t -> ctx
     it has more than 256 limbs (6656 bits), past which a column sum of
     {!mul} could overflow its [int] accumulator. *)
 
-val modulus : ctx -> Nat.t
-
 type mont
 (** A residue in the Montgomery domain. *)
 

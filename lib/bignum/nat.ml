@@ -115,25 +115,6 @@ let sub a b =
 let add_int a k =
   if k < 0 then sub a (of_int (-k)) else add a (of_int k)
 
-let sub_int a k =
-  if k < 0 then add a (of_int (-k)) else sub a (of_int k)
-
-let mul_int a k =
-  if k < 0 || k >= base then invalid_arg "Nat.mul_int: factor out of range";
-  if k = 0 || is_zero a then zero
-  else begin
-    let la = Array.length a in
-    let r = Array.make (la + 1) 0 in
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
-      let p = (a.(i) * k) + !carry in
-      r.(i) <- p land limb_mask;
-      carry := p lsr base_bits
-    done;
-    r.(la) <- !carry;
-    normalize r
-  end
-
 let mul_school a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
@@ -421,20 +402,6 @@ let to_hex a =
     then String.sub s 1 (String.length s - 1)
     else s
   end
-
-let of_decimal s =
-  if String.length s = 0 then invalid_arg "Nat.of_decimal: empty";
-  let acc = ref zero in
-  String.iter
-    (fun c ->
-      if c <> '_' then begin
-        match c with
-        | '0' .. '9' ->
-          acc := add_int (mul_int !acc 10) (Char.code c - Char.code '0')
-        | _ -> invalid_arg "Nat.of_decimal: invalid character"
-      end)
-    s;
-  !acc
 
 let to_decimal a =
   if is_zero a then "0"

@@ -20,9 +20,6 @@ val of_int : int -> t
 (** [of_int n] converts a non-negative native integer.
     @raise Invalid_argument if [n < 0]. *)
 
-val to_int_opt : t -> int option
-(** [to_int_opt n] is [Some i] when [n] fits a native [int]. *)
-
 val to_int_exn : t -> int
 (** @raise Failure when the value exceeds native [int] range. *)
 
@@ -34,22 +31,14 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val add : t -> t -> t
-val add_int : t -> int -> t
 
 val sub : t -> t -> t
 (** [sub a b] is [a - b].
     @raise Invalid_argument if [b > a]. *)
 
-val sub_int : t -> int -> t
-
 val mul : t -> t -> t
 (** Schoolbook multiplication below {!karatsuba_threshold} limbs,
     Karatsuba above. *)
-
-val mul_int : t -> int -> t
-(** [mul_int a k] with [0 <= k < 2^26]. *)
-
-val karatsuba_threshold : int
 
 val sqr : t -> t
 
@@ -99,11 +88,6 @@ val of_hex : string -> t
     @raise Invalid_argument on other characters. *)
 
 val to_hex : t -> string
-
-val of_decimal : string -> t
-(** @raise Invalid_argument on non-digit characters. *)
-
-val to_decimal : t -> string
 
 val of_bytes_be : string -> t
 (** Big-endian unsigned byte-string decoding. *)

@@ -6,21 +6,12 @@ let make sign mag = if Nat.is_zero mag then { sign = 1; mag } else { sign; mag }
 
 let zero = { sign = 1; mag = Nat.zero }
 let one = { sign = 1; mag = Nat.one }
-let minus_one = { sign = -1; mag = Nat.one }
 
 let of_nat mag = { sign = 1; mag }
-
-let of_int n =
-  if n >= 0 then { sign = 1; mag = Nat.of_int n }
-  else { sign = -1; mag = Nat.of_int (-n) }
-
-let to_nat_exn a =
-  if a.sign < 0 then invalid_arg "Signed.to_nat_exn: negative" else a.mag
 
 let neg a = make (-a.sign) a.mag
 let abs a = a.mag
 let sign a = if Nat.is_zero a.mag then 0 else a.sign
-let is_zero a = Nat.is_zero a.mag
 
 let add a b =
   if a.sign = b.sign then make a.sign (Nat.add a.mag b.mag)
@@ -33,16 +24,3 @@ let add a b =
 
 let sub a b = add a (neg b)
 let mul a b = make (a.sign * b.sign) (Nat.mul a.mag b.mag)
-let mul_nat a n = make a.sign (Nat.mul a.mag n)
-
-let equal a b = sign a = sign b && Nat.equal a.mag b.mag
-
-let compare a b =
-  match sign a, sign b with
-  | sa, sb when sa <> sb -> Stdlib.compare sa sb
-  | -1, _ -> Nat.compare b.mag a.mag
-  | _, _ -> Nat.compare a.mag b.mag
-
-let pp fmt a =
-  if sign a < 0 then Format.pp_print_char fmt '-';
-  Nat.pp fmt a.mag

@@ -6,26 +6,12 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_nat : Nat.t -> t
-val of_int : int -> t
 
-val to_nat_exn : t -> Nat.t
-(** @raise Invalid_argument on negative values. *)
-
-val neg : t -> t
 val abs : t -> Nat.t
 val sign : t -> int
 (** [-1], [0] or [1]. *)
 
-val is_zero : t -> bool
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_nat : t -> Nat.t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -13,7 +13,6 @@ open Sc_ec
 type keypair = { x : Nat.t; pk : Curve.point }
 
 val generate : Sc_pairing.Params.t -> bytes_source:(int -> string) -> keypair
-val hash_msg : Sc_pairing.Params.t -> string -> Curve.point
 val sign : Sc_pairing.Params.t -> keypair -> string -> Curve.point
 val verify : Sc_pairing.Params.t -> Curve.point -> string -> Curve.point -> bool
 

@@ -34,25 +34,6 @@ let rec apply f xs =
 let eval f (b : Sc_storage.Block.t) =
   Option.map (apply f) (Sc_storage.Block.decode_ints b.Sc_storage.Block.data)
 
-let rec range_estimate = function
-  | Sum | Dot _ | Polynomial _ -> infinity
-  | Average -> infinity
-  | Max | Min -> 1024.0 (* bounded by the payload value domain *)
-  | Count -> 64.0 (* payload lengths are small *)
-  | Compose (outer, _) -> range_estimate outer
-
-let rec describe = function
-  | Sum -> "sum"
-  | Average -> "average"
-  | Max -> "max"
-  | Min -> "min"
-  | Count -> "count"
-  | Dot ws -> Printf.sprintf "dot[%s]" (String.concat ";" (List.map string_of_int ws))
-  | Polynomial cs ->
-    Printf.sprintf "poly[%s]" (String.concat ";" (List.map string_of_int cs))
-  | Compose (outer, inners) ->
-    Printf.sprintf "%s(%s)" (describe outer) (String.concat "," (List.map describe inners))
-
 let random_func ~drbg =
   match Sc_hash.Drbg.uniform_int drbg 7 with
   | 0 -> Sum

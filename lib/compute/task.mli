@@ -26,19 +26,9 @@ type request = { func : func; position : int }
 
 type service = request list
 
-val apply : func -> int list -> int
-(** Evaluate on a block payload.  Total: empty payloads yield 0. *)
-
 val eval : func -> Sc_storage.Block.t -> int option
 (** Decodes the block payload and applies; [None] if the payload is
     not numeric. *)
-
-val range_estimate : func -> float
-(** A coarse |R| estimate: how many outcomes a guessing server
-    chooses among (∞ is approximated by [infinity]).  Used by the
-    sampling analysis; see eq. (10). *)
-
-val describe : func -> string
 
 val random_service :
   drbg:Sc_hash.Drbg.t -> n_positions:int -> n_tasks:int -> service

@@ -29,18 +29,10 @@ let create fld ~a ~b =
   let has_mont = not (Nat.is_even (Fp.characteristic fld)) in
   { fld; a; b; coord_bytes; has_mont; ma = lazy (M.enter fld a) }
 
-let field c = c.fld
 let coeff_a c = c.a
-let coeff_b c = c.b
 let infinity = Infinity
 
 let is_infinity = function Infinity -> true | Affine _ -> false
-
-let equal p q =
-  match p, q with
-  | Infinity, Infinity -> true
-  | Affine (x1, y1), Affine (x2, y2) -> Fp.equal x1 x2 && Fp.equal y1 y2
-  | Infinity, Affine _ | Affine _, Infinity -> false
 
 (* x³ + ax + b *)
 let rhs c x =
@@ -85,8 +77,6 @@ let add c p q =
       Affine (x3, y3)
     end
 
-let sub c p q = add c p (neg c q)
-
 (* Jacobian coordinates (X : Y : Z) with x = X/Z², y = Y/Z³; Z = 0
    encodes the point at infinity.  Scalar multiplication runs in
    Jacobian form so that the whole ladder needs a single field
@@ -94,10 +84,6 @@ let sub c p q = add c p (neg c q)
 type jac = { jx : Fp.el; jy : Fp.el; jz : Fp.el }
 
 let jac_infinity = { jx = Fp.one; jy = Fp.one; jz = Fp.zero }
-
-let jac_of_point = function
-  | Infinity -> jac_infinity
-  | Affine (x, y) -> { jx = x; jy = y; jz = Fp.one }
 
 let point_of_jac c j =
   let f = c.fld in
@@ -164,24 +150,6 @@ let jadd_mixed c j x2 y2 =
       { jx = x3; jy = y3; jz = z3 }
     end
   end
-
-let mul_naive c k p =
-  match p with
-  | Infinity -> Infinity
-  | Affine (px, py) ->
-    if Nat.is_zero k then Infinity
-    else begin
-      let nbits = Nat.bit_length k in
-      let rec go acc i =
-        if i < 0 then acc
-        else begin
-          let acc = jdouble c acc in
-          let acc = if Nat.test_bit k i then jadd_mixed c acc px py else acc in
-          go acc (i - 1)
-        end
-      in
-      point_of_jac c (go (jac_of_point p) (nbits - 2))
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Montgomery-resident Jacobian machinery: the same dbl-2007-bl /
@@ -346,10 +314,7 @@ let mul c k p =
   | Affine (px, py) ->
     if Nat.is_zero k then Infinity
     else if c.has_mont then mul_wnaf c k px py
-    else mul_naive c k p
-
-let mul_int c k p =
-  if k < 0 then neg c (mul c (Nat.of_int (-k)) p) else mul c (Nat.of_int k) p
+    else invalid_arg "Curve.mul: even characteristic"
 
 (* Width 4 minimizes table plus addition cost for the 64- to 160-bit
    scalars the batch verifiers combine with. *)
@@ -528,7 +493,3 @@ let of_bytes c s =
     end
   end
   else None
-
-let pp fmt = function
-  | Infinity -> Format.pp_print_string fmt "O"
-  | Affine (x, y) -> Format.fprintf fmt "(%a, %a)" Fp.pp x Fp.pp y

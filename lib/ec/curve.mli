@@ -15,32 +15,21 @@ val create : Fp.ctx -> a:Fp.el -> b:Fp.el -> t
 (** @raise Invalid_argument when the curve is singular
     (4a³ + 27b² = 0). *)
 
-val field : t -> Fp.ctx
 val coeff_a : t -> Fp.el
-val coeff_b : t -> Fp.el
 
 val infinity : point
 val is_infinity : point -> bool
-val equal : point -> point -> bool
 
 val on_curve : t -> point -> bool
 
 val neg : t -> point -> point
 val add : t -> point -> point -> point
-val double : t -> point -> point
-val sub : t -> point -> point -> point
 
 val mul : t -> Nat.t -> point -> point
-(** Scalar multiplication.  Over an odd characteristic this runs a
-    width-5 windowed-NAF ladder in the Montgomery domain (counter
-    [curve.mul.wnaf]); otherwise it falls back to {!mul_naive}. *)
-
-val mul_naive : t -> Nat.t -> point -> point
-(** Plain left-to-right double-and-add in Barrett-domain Jacobian
-    coordinates — the reference implementation {!mul} is validated
-    against. *)
-
-val mul_int : t -> int -> point -> point
+(** Scalar multiplication by a width-5 windowed-NAF ladder in the
+    Montgomery domain (counter [curve.mul.wnaf]).
+    @raise Invalid_argument over an even characteristic, which no
+    parameter set has. *)
 
 val msm : t -> (Nat.t * point) list -> point
 (** [msm c [(k1, P1); …]] is Σ k{_i}·P{_i}, by one interleaved
@@ -86,5 +75,3 @@ val to_bytes : t -> point -> string
 
 val of_bytes : t -> string -> point option
 (** Decodes and validates curve membership. *)
-
-val pp : Format.formatter -> point -> unit

@@ -73,12 +73,6 @@ let batch_inv ctx (xs : el array) =
     out
   end
 
-(* The binary Jacobi symbol: for a prime characteristic this is the
-   Legendre symbol, at a fraction of the cost of Euler's criterion. *)
-let legendre ctx a = if is_zero a then 0 else Modular.jacobi a ctx.p
-
-let is_square ctx a = is_zero a || legendre ctx a = 1
-
 let sqrt ctx a =
   match ctx.sqrt_exp with
   | None -> invalid_arg "Fp.sqrt: characteristic is not 3 mod 4"
@@ -90,7 +84,6 @@ let sqrt ctx a =
     end
 
 let random ctx ~bytes_source = Nat.random_below ~bytes_source ctx.p
-let pp = Nat.pp
 
 let mont_exn ctx =
   match ctx.mont with

@@ -48,20 +48,11 @@ val batch_inv : ctx -> el array -> el array
     and 3(n-1) multiplications.
     @raise Division_by_zero if any element is zero. *)
 
-val pow : ctx -> el -> Nat.t -> el
-
-val legendre : ctx -> el -> int
-(** [-1], [0], or [1]; requires p odd prime. *)
-
-val is_square : ctx -> el -> bool
-
 val sqrt : ctx -> el -> el option
 (** Square root for p ≡ 3 (mod 4) via the [(p+1)/4] exponent.
     @raise Invalid_argument when p ≢ 3 (mod 4). *)
 
 val random : ctx -> bytes_source:(int -> string) -> el
-
-val pp : Format.formatter -> el -> unit
 
 (** Montgomery-resident field elements.
 

@@ -6,17 +6,10 @@ let check_ctx ctx =
   if Nat.rem_int (Fp.characteristic ctx) 4 <> 3
   then invalid_arg "Fp2: characteristic must be 3 mod 4 for i^2 = -1"
 
-let zero = { re = Fp.zero; im = Fp.zero }
 let one = { re = Fp.one; im = Fp.zero }
 let make re im = { re; im }
-let of_base re = { re; im = Fp.zero }
 let equal a b = Fp.equal a.re b.re && Fp.equal a.im b.im
-let is_zero a = Fp.is_zero a.re && Fp.is_zero a.im
 let is_one a = Fp.equal a.re Fp.one && Fp.is_zero a.im
-
-let add ctx a b = { re = Fp.add ctx a.re b.re; im = Fp.add ctx a.im b.im }
-let sub ctx a b = { re = Fp.sub ctx a.re b.re; im = Fp.sub ctx a.im b.im }
-let neg ctx a = { re = Fp.neg ctx a.re; im = Fp.neg ctx a.im }
 
 (* (a + bi)(c + di) = (ac − bd) + (ad + bc)i, three base squarings or
    four multiplications; schoolbook is fine at our sizes. *)
@@ -40,22 +33,6 @@ let inv ctx a =
   let ninv = Fp.inv ctx n in
   { re = Fp.mul ctx a.re ninv; im = Fp.neg ctx (Fp.mul ctx a.im ninv) }
 
-let div ctx a b = mul ctx a (inv ctx b)
-
-let pow ctx b e =
-  let nbits = Nat.bit_length e in
-  let rec go acc i =
-    if i < 0 then acc
-    else begin
-      let acc = sqr ctx acc in
-      let acc = if Nat.test_bit e i then mul ctx acc b else acc in
-      go acc (i - 1)
-    end
-  in
-  if nbits = 0 then one else go one (nbits - 1)
-
-let pp fmt a = Format.fprintf fmt "(%a + %a*i)" Fp.pp a.re Fp.pp a.im
-
 (* Montgomery-resident mirror of the arithmetic above, componentwise
    over Fp.Mont — the pairing layer runs its whole hot path here. *)
 module Mont = struct
@@ -67,13 +44,8 @@ module Mont = struct
 
   let leave ctx a : el = { re = M.leave ctx a.re; im = M.leave ctx a.im }
   let make re im = { re; im }
-  let zero ctx = { re = M.zero ctx; im = M.zero ctx }
   let one ctx = { re = M.one ctx; im = M.zero ctx }
   let is_zero a = M.is_zero a.re && M.is_zero a.im
-  let equal a b = M.equal a.re b.re && M.equal a.im b.im
-  let add ctx a b = { re = M.add ctx a.re b.re; im = M.add ctx a.im b.im }
-  let sub ctx a b = { re = M.sub ctx a.re b.re; im = M.sub ctx a.im b.im }
-  let neg ctx a = { re = M.neg ctx a.re; im = M.neg ctx a.im }
 
   (* Karatsuba over i² = -1: three base multiplications instead of
      four.  The two operand sums are lazy (< 2m each), which REDC

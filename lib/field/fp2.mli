@@ -10,19 +10,13 @@ type el = { re : Fp.el; im : Fp.el }
 val check_ctx : Fp.ctx -> unit
 (** @raise Invalid_argument unless the characteristic is ≡ 3 (mod 4). *)
 
-val zero : el
 val one : el
 
 val make : Fp.el -> Fp.el -> el
-val of_base : Fp.el -> el
 
 val equal : el -> el -> bool
-val is_zero : el -> bool
 val is_one : el -> bool
 
-val add : Fp.ctx -> el -> el -> el
-val sub : Fp.ctx -> el -> el -> el
-val neg : Fp.ctx -> el -> el
 val mul : Fp.ctx -> el -> el -> el
 val sqr : Fp.ctx -> el -> el
 
@@ -36,11 +30,6 @@ val norm : Fp.ctx -> el -> Fp.el
 val inv : Fp.ctx -> el -> el
 (** @raise Division_by_zero on zero. *)
 
-val div : Fp.ctx -> el -> el -> el
-val pow : Fp.ctx -> el -> Nat.t -> el
-
-val pp : Format.formatter -> el -> unit
-
 (** F_p² arithmetic over Montgomery-resident components
     ({!Fp.Mont.e}) — the representation the pairing hot path lives
     in.  Semantics mirror the top-level functions exactly. *)
@@ -51,18 +40,12 @@ module Mont : sig
   val leave : Fp.ctx -> e -> el
 
   val make : Fp.Mont.e -> Fp.Mont.e -> e
-  val zero : Fp.ctx -> e
   val one : Fp.ctx -> e
   val is_zero : e -> bool
-  val equal : e -> e -> bool
 
-  val add : Fp.ctx -> e -> e -> e
-  val sub : Fp.ctx -> e -> e -> e
-  val neg : Fp.ctx -> e -> e
   val mul : Fp.ctx -> e -> e -> e
   val sqr : Fp.ctx -> e -> e
   val conj : Fp.ctx -> e -> e
-  val norm : Fp.ctx -> e -> Fp.Mont.e
 
   type table
   (** A lookup table of elements, stored as two {!Fp.Mont.table}s of

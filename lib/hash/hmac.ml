@@ -26,4 +26,3 @@ let mac_prepared key parts =
 
 let mac_concat ~key parts = mac_prepared (prepare key) parts
 let mac ~key msg = mac_concat ~key [ msg ]
-let mac_hex ~key msg = Sha256.hex_of_digest (mac ~key msg)

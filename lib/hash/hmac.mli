@@ -19,8 +19,3 @@ val mac_prepared : key -> string list -> string
 
 val mac : key:string -> string -> string
 (** Raw 32-byte tag. *)
-
-val mac_concat : key:string -> string list -> string
-(** Tag over the concatenation of the fragments. *)
-
-val mac_hex : key:string -> string -> string

@@ -159,5 +159,3 @@ let hex_of_digest d =
   let buf = Buffer.create (2 * String.length d) in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
   Buffer.contents buf
-
-let digest_hex s = hex_of_digest (digest s)

@@ -36,6 +36,3 @@ val digest_concat : string list -> string
     intermediate string. *)
 
 val hex_of_digest : string -> string
-
-val digest_hex : string -> string
-(** One-shot digest in lowercase hex. *)

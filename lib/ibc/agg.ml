@@ -97,16 +97,3 @@ let verify_each pub ~verifier_key slots =
     | [], _ | Some _ :: _, [] -> []
   in
   put_back slots (verify_all pub ~verifier_key (List.filter_map Fun.id slots))
-
-let aggregate_size_bytes (pub : Setup.public) entries =
-  let prm = pub.prm in
-  let u_agg, sigma_agg =
-    List.fold_left
-      (fun (u_acc, s_acc) (e : entry) ->
-        let q_id = Setup.q_of_id pub e.signer in
-        let w = Ibs.verification_point pub ~q_id ~msg:e.msg ~u:e.dvs.Dvs.u in
-        Curve.add prm.curve u_acc w, Tate.gt_mul prm s_acc e.dvs.Dvs.sigma)
-      (Curve.infinity, Tate.gt_one) entries
-  in
-  String.length (Curve.to_bytes prm.curve u_agg)
-  + String.length (Tate.gt_to_bytes prm sigma_agg)

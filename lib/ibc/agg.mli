@@ -53,7 +53,3 @@ val verify_each :
     are {!Dvs.verify}'s, entry by entry, except with probability at
     most 2⁻⁶⁴ per batch that holds a bad entry (see above).  Costs one
     pairing when every entry is good and 1 + t when one is not. *)
-
-val aggregate_size_bytes : Setup.public -> entry list -> int
-(** Wire size of the unweighted aggregate (Σ W_i, Π Σ_i) of the
-    paper's §VI: constant in the batch size. *)

@@ -35,9 +35,6 @@ let sign_batch (pub : Setup.public) key ~bytes_source (b_cs, b_da) msgs =
       u, Tate.gt_comb_exp prm b_cs e, Tate.gt_comb_exp prm b_da e)
     (Ibs.sign_exponents pub key ~bytes_source msgs)
 
-let sign pub key ~bytes_source bases msg =
-  List.hd (sign_batch pub key ~bytes_source bases [ msg ])
-
 let verify (pub : Setup.public) ~verifier_key ~q_id ~msg { u; sigma } =
   let prm = pub.prm in
   Curve.on_curve prm.curve u

@@ -52,15 +52,6 @@ val sign_batch :
     message.  Protocol II always designates to two verifiers: the
     cloud server and the agency. *)
 
-val sign :
-  Setup.public ->
-  Setup.identity_key ->
-  bytes_source:(int -> string) ->
-  base * base ->
-  string ->
-  Curve.point * Sc_pairing.Tate.gt * Sc_pairing.Tate.gt
-(** The one-message case of {!sign_batch}. *)
-
 val verify :
   Setup.public ->
   verifier_key:Setup.identity_key ->

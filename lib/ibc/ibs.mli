@@ -28,7 +28,7 @@ type exponent = private Nat.t
     ê(sk_ID, Q_B) as Σ{^e⁻¹}, and with it the power to forge
     designated signatures for B.  Private, so only {!sign_exponents}
     makes one and the typed lint tracks it by name; a designating
-    signer coerces it to raise its bases ({!Dvs.sign}). *)
+    signer coerces it to raise its bases ({!Dvs.sign_batch}). *)
 
 val sign_exponents :
   Setup.public ->
@@ -42,14 +42,6 @@ val sign_exponents :
     their [u]; the U_i come out of one {!Curve.mul_precomp_batch},
     which normalizes them with a single field inversion.  Counts one
     [ibs.sign] per message. *)
-
-val sign_exponent :
-  Setup.public ->
-  Setup.identity_key ->
-  bytes_source:(int -> string) ->
-  string ->
-  Curve.point * exponent
-(** The one-message case of {!sign_exponents}. *)
 
 module Memo : sig
   (** Signatures one party has already verified, so that it checks a

@@ -1,7 +1,6 @@
 open Sc_bignum
 open Sc_ec
 module Params = Sc_pairing.Params
-module Tate = Sc_pairing.Tate
 module Hash_g1 = Sc_pairing.Hash_g1
 
 type public = { prm : Params.t; p_pub : Curve.point }
@@ -14,7 +13,6 @@ let create prm ~bytes_source =
   { pub = { prm; p_pub }; s }
 
 let public sio = sio.pub
-let master_secret sio = sio.s
 
 let q_of_id pub id =
   Params.id_point pub.prm id (fun id ->
@@ -29,12 +27,3 @@ let extract sio id =
    cached line tables of the fixed P / P_pub.  The replayed product
    relies on pairing symmetry, so the untrusted sk is checked into the
    subgroup first (Q_ID is in it by construction). *)
-let valid_key pub (key : identity_key) =
-  let prm = pub.prm in
-  Params.in_subgroup prm key.sk
-  && Tate.gt_is_one
-       (Tate.multi_pairing_precomp prm
-          [
-            key.sk, Tate.precomp_for prm prm.g;
-            Curve.neg prm.curve key.q_id, Tate.precomp_for prm pub.p_pub;
-          ])

@@ -3,7 +3,6 @@
     The SIO holds the master secret s, publishes P_pub = s·P, and
     extracts per-identity secret keys sk_ID = s·H1(ID) — eq. (4). *)
 
-open Sc_bignum
 open Sc_ec
 
 type sio
@@ -21,7 +20,6 @@ type identity_key = {
 
 val create : Sc_pairing.Params.t -> bytes_source:(int -> string) -> sio
 val public : sio -> public
-val master_secret : sio -> Nat.t
 
 val extract : sio -> string -> identity_key
 (** Registers an identity and derives its secret key from
@@ -33,7 +31,3 @@ val q_of_id : public -> string -> Curve.point
     hash-to-point (a square root and a cofactor multiplication) runs
     once per identity and parameter set; later calls read the memo
     ({!Sc_pairing.Params.id_point}). *)
-
-val valid_key : public -> identity_key -> bool
-(** Checks ê(sk_ID, P) = ê(Q_ID, P_pub), letting a user validate the
-    key received from the SIO. *)

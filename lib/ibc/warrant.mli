@@ -13,9 +13,6 @@ type t = {
 
 type signed = { warrant : t; signature : Ibs.t }
 
-val encode : t -> string
-(** Canonical byte encoding covered by the signature. *)
-
 val issue :
   Setup.public ->
   Setup.identity_key ->
@@ -31,5 +28,3 @@ val verify : ?memo:Ibs.Memo.t -> Setup.public -> now:float -> signed -> bool
     was not used before issuance.  The time window is checked on every
     call; the signature is looked up in [memo] first (see
     {!Ibs.verify}). *)
-
-val expired : now:float -> t -> bool

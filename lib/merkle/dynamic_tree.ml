@@ -271,8 +271,6 @@ let verify ~root:expected_root ~leaf_hash p =
   | Some r -> String.equal expected_root r
   | None -> false
 
-let equal_root a b = String.equal (root a) (root b)
-
 (* --- append-only frontier ------------------------------------------- *)
 
 (* The canonical tree over [n] leaves is the right-fold of the perfect

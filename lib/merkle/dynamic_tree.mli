@@ -51,9 +51,6 @@ type op =
 val leaf_hash : string -> string
 (** Domain-separated hash of a leaf payload. *)
 
-val node_hash : string -> string -> string
-(** Domain-separated interior-node hash, H("node:" || l || r). *)
-
 val build : string list -> t
 (** From leaf payloads. @raise Invalid_argument on the empty list. *)
 
@@ -62,7 +59,6 @@ val of_leaf_hashes : string list -> t
     @raise Invalid_argument on the empty list. *)
 
 val root : t -> string
-val size : t -> int
 
 val leaf : t -> int -> string
 (** Stored hash of leaf [i]. @raise Invalid_argument out of bounds. *)
@@ -74,7 +70,7 @@ val modify : t -> int -> string -> t
     @raise Invalid_argument out of bounds. *)
 
 val append : t -> string -> t
-(** Add a leaf hash at index [size t]: O(log n). *)
+(** Add a leaf hash at the end: O(log n). *)
 
 val insert : t -> at:int -> string -> t
 (** Insert a leaf hash so it lands at index [at] (0 <= at <= size).
@@ -110,8 +106,6 @@ val verify : root:string -> leaf_hash:string -> proof -> bool
     ([index], [total]), so a lying server cannot relocate a leaf; the
     caller is expected to bind [index] to the slot it asked for and
     [total] to a signed count. *)
-
-val equal_root : t -> t -> bool
 
 (** Owner-side append state: the <= log2(n)+1 perfect-subtree roots
     named by the binary representation of the leaf count.  The

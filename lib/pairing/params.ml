@@ -126,6 +126,7 @@ let preset ?bits_p ~seed ~bits_q () =
 let toy = preset ~seed:"seccloud-toy-params-v1" ~bits_q:64 ()
 let small = preset ~seed:"seccloud-small-params-v1" ~bits_q:112 ()
 let mid = preset ~seed:"seccloud-mid-params-v1" ~bits_q:160 ~bits_p:512 ()
+let presets = [ ("toy", toy); ("small", small); ("mid", mid) ]
 
 let in_subgroup t pt =
   Curve.on_curve t.curve pt

@@ -52,6 +52,10 @@ val mid : t lazy_t
 (** 160-bit q / 512-bit p — the classic MIRACL-era size the paper's
     Table I was measured with. *)
 
+val presets : (string * t lazy_t) list
+(** {!toy}, {!small} and {!mid} by name, smallest first: the
+    [--params] choices of the command-line tools. *)
+
 val in_subgroup : t -> Curve.point -> bool
 (** Membership test for G1 (on curve and q·P = O). *)
 

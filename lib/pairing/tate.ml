@@ -12,7 +12,6 @@ let c_pairings = Telemetry.counter "pairing.count"
 let c_single = Telemetry.counter "pairing.single"
 let c_multi = Telemetry.counter "pairing.multi"
 let c_multi_terms = Telemetry.counter "pairing.multi_terms"
-let c_affine = Telemetry.counter "pairing.affine"
 let c_final_expo = Telemetry.counter "pairing.final_expo"
 let c_gt_pow = Telemetry.counter "pairing.gt_pow"
 let c_gt_comb_build = Telemetry.counter "pairing.gt_comb_build"
@@ -40,78 +39,6 @@ let gt_is_unitary (prm : Params.t) a = Fp.equal (Fp2.norm prm.fp a) Fp.one
    either way. *)
 let gt_inv (prm : Params.t) a =
   if gt_is_unitary prm a then Fp2.conj prm.fp a else Fp2.inv prm.fp a
-
-(* Evaluate the line through T (slope lam) at the distorted point
-   φ(Q) = (−x_q, i·y_q):
-     l = i·y_q − y_t − lam·(−x_q − x_t)
-       = (lam·(x_q + x_t) − y_t)  +  i·y_q
-   Both components stay in F_p. *)
-let line_eval fp ~lam ~xt ~yt ~xq ~yq =
-  let re = Fp.sub fp (Fp.mul fp lam (Fp.add fp xq xt)) yt in
-  Fp2.make re yq
-
-(* Reference implementation: affine Miller loop (one field inversion
-   per iteration).  Kept for cross-validation of the projective loop
-   below and for the ablation benchmark. *)
-let miller_affine (prm : Params.t) px py xq yq =
-  let fp = prm.fp in
-  let three = Fp.of_int fp 3 in
-  let a = Curve.coeff_a prm.curve in
-  let f = ref Fp2.one in
-  let tx = ref px and ty = ref py in
-  let t_inf = ref false in
-  let nbits = Nat.bit_length prm.q in
-  for i = nbits - 2 downto 0 do
-    (* Doubling step. *)
-    f := Fp2.sqr fp !f;
-    if not !t_inf then begin
-      if Fp.is_zero !ty then
-        (* Vertical tangent: contributes an F_p factor only. *)
-        t_inf := true
-      else begin
-        let lam =
-          Fp.div fp
-            (Fp.add fp (Fp.mul fp three (Fp.sqr fp !tx)) a)
-            (Fp.double fp !ty)
-        in
-        f := Fp2.mul fp !f (line_eval fp ~lam ~xt:!tx ~yt:!ty ~xq ~yq);
-        let x3 = Fp.sub fp (Fp.sqr fp lam) (Fp.double fp !tx) in
-        let y3 = Fp.sub fp (Fp.mul fp lam (Fp.sub fp !tx x3)) !ty in
-        tx := x3;
-        ty := y3
-      end
-    end;
-    (* Addition step. *)
-    if Nat.test_bit prm.q i && not !t_inf then begin
-      if Fp.equal !tx px then begin
-        if Fp.equal !ty py then begin
-          (* T = P: tangent line. *)
-          let lam =
-            Fp.div fp
-              (Fp.add fp (Fp.mul fp three (Fp.sqr fp !tx)) a)
-              (Fp.double fp !ty)
-          in
-          f := Fp2.mul fp !f (line_eval fp ~lam ~xt:!tx ~yt:!ty ~xq ~yq);
-          let x3 = Fp.sub fp (Fp.sqr fp lam) (Fp.double fp !tx) in
-          let y3 = Fp.sub fp (Fp.mul fp lam (Fp.sub fp !tx x3)) !ty in
-          tx := x3;
-          ty := y3
-        end
-        else
-          (* T = −P: vertical chord, eliminated factor; T becomes O. *)
-          t_inf := true
-      end
-      else begin
-        let lam = Fp.div fp (Fp.sub fp !ty py) (Fp.sub fp !tx px) in
-        f := Fp2.mul fp !f (line_eval fp ~lam ~xt:!tx ~yt:!ty ~xq ~yq);
-        let x3 = Fp.sub fp (Fp.sub fp (Fp.sqr fp lam) !tx) px in
-        let y3 = Fp.sub fp (Fp.mul fp lam (Fp.sub fp !tx x3)) !ty in
-        tx := x3;
-        ty := y3
-      end
-    end
-  done;
-  !f
 
 (* --- Montgomery-domain projective Miller machinery ----------------
 
@@ -390,15 +317,7 @@ let miller_projective prm px py xq yq =
   miller_shared prm [| mstate prm.fp px py xq yq |]
 
 (* f^((p² − 1)/q) = (f^(p−1))^c = (conj(f)·f⁻¹)^c, using that
-   conjugation is the p-power Frobenius when p ≡ 3 (mod 4).  Kept in
-   the standard (Barrett) domain for the affine oracle path. *)
-let final_expo (prm : Params.t) f =
-  Telemetry.incr c_final_expo;
-  let fp = prm.fp in
-  let g = Fp2.mul fp (Fp2.conj fp f) (Fp2.inv fp f) in
-  Fp2.pow fp g prm.cofactor
-
-(* Same map, Montgomery-resident end to end. *)
+   conjugation is the p-power Frobenius when p ≡ 3 (mod 4). *)
 let final_expo_mont (prm : Params.t) f =
   Telemetry.incr c_final_expo;
   let fp = prm.fp in
@@ -532,15 +451,6 @@ let multi_pairing_precomp (prm : Params.t) terms =
     Telemetry.add c_multi_terms (List.length finite);
     let f = miller_replay_shared prm (Array.of_list finite) in
     if F2M.is_zero f then gt_one else F2M.leave prm.fp (final_expo_mont prm f)
-
-let pairing_affine prm p q =
-  Telemetry.incr c_pairings;
-  Telemetry.incr c_affine;
-  match p, q with
-  | Curve.Infinity, _ | _, Curve.Infinity -> gt_one
-  | Curve.Affine (px, py), Curve.Affine (qx, qy) ->
-    let f = miller_affine prm px py qx qy in
-    if Fp2.is_zero f then gt_one else final_expo prm f
 
 let gt_to_bytes (prm : Params.t) (g : gt) =
   let n = (Nat.bit_length prm.p + 7) / 8 in

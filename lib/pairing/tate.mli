@@ -29,11 +29,6 @@ val multi_pairing : Params.t -> (Curve.point * Curve.point) list -> gt
     evaluation in {!pairings_performed} (zero when every pair is
     skipped). *)
 
-val pairing_affine : Params.t -> Curve.point -> Curve.point -> gt
-(** Reference implementation with an affine Miller loop (one field
-    inversion per iteration) — slower, used to cross-validate
-    {!pairing} and in the ablation benchmarks. *)
-
 type precomp = Miller.precomp
 (** Precomputed Miller line tables for a fixed pairing argument. *)
 
@@ -64,11 +59,6 @@ val gt_one : gt
 val gt_is_one : gt -> bool
 val gt_equal : gt -> gt -> bool
 val gt_mul : Params.t -> gt -> gt -> gt
-
-val gt_is_unitary : Params.t -> gt -> bool
-(** Norm-1 (unitary subgroup) membership — holds for every element
-    that went through the final exponentiation.  This is the fast
-    path {!gt_inv} tests before falling back to a full inversion. *)
 
 val gt_inv : Params.t -> gt -> gt
 (** Total inversion on F_p²*.  Conjugation inverts only {e unitary}
@@ -127,7 +117,7 @@ val pairings_performed : unit -> int
     compares schemes by pairing counts, so the library keeps a tally.
     Thin shim over the telemetry registry counter [pairing.count]
     (siblings [pairing.single]/[pairing.multi]/[pairing.multi_terms]/
-    [pairing.affine]/[pairing.final_expo] break the total down). *)
+    [pairing.final_expo] break the total down). *)
 
 val reset_pairing_count : unit -> unit
 (** Zeroes [pairing.count] only; the breakdown counters are reset via

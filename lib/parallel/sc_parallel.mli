@@ -33,9 +33,6 @@ val parallel_iter : ?min_chunk:int -> ('a -> unit) -> 'a list -> unit
 (** Effect-only fan-out; per-element effects must be independent (or
     synchronized by the callee, as telemetry counters are). *)
 
-val map_array : ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [Array.map], fanned out in chunks. *)
-
 val iter_ranges : ?min_chunk:int -> int -> (int -> int -> unit) -> unit
 (** [iter_ranges n body] partitions [0, n) into contiguous chunks of
     at least [min_chunk] indices and calls [body lo hi] (hi exclusive)

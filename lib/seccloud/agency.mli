@@ -36,10 +36,18 @@ val check_blocks :
     {!Sc_ibc.Agg.verify_each}: one pairing when all t are good, 1 + t
     when the batch rejects. *)
 
+val read_samples :
+  t ->
+  Cloud.t ->
+  file:string ->
+  samples:int ->
+  (int * Sc_storage.Server.read_result option) list option
+(** [samples] block positions drawn from the agency's DRBG, each with
+    the server's read; [None] when the server has no such file. *)
+
 val audit_storage :
   t -> Cloud.t -> owner:string -> file:string -> samples:int -> storage_report
-(** Protocol II auditing: sample block positions, read them from the
-    server and run {!check_blocks} on them. *)
+(** Protocol II auditing: {!check_blocks} over {!read_samples}. *)
 
 val choose_sample_size :
   ?eps:float -> ?range:float -> csc:float -> ssc:float -> unit -> int

@@ -29,8 +29,6 @@ let create system ~id ?(storage = Server.Honest) ?(compute = Executor.Honest) ()
 
 let id t = t.id
 let storage t = t.server
-let storage_confidence t = Server.storage_confidence t.server
-let computing_confidence t = Executor.computing_confidence t.compute
 
 (* One small-exponent batch over every block: it accepts exactly when
    each block's designated signature verifies, and an upload is

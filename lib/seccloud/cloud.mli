@@ -16,12 +16,6 @@ val create :
 val id : t -> string
 val storage : t -> Sc_storage.Server.t
 
-val storage_confidence : t -> float
-(** The server's SSC. *)
-
-val computing_confidence : t -> float
-(** The server's CSC. *)
-
 val accept_upload : t -> Sc_storage.Signer.upload -> bool
 (** Protocol II server side: verifies every designated block signature
     (the server is a designated verifier) before storing, as one

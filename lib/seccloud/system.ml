@@ -73,5 +73,4 @@ let register_user t id =
     Log.info (fun m -> m "registered user %s" id);
     key
 
-let drbg t = t.drbg
 let bytes_source t = Sc_hash.Drbg.bytes_source t.drbg

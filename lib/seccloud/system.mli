@@ -32,7 +32,4 @@ val register_user : t -> string -> Sc_ibc.Setup.identity_key
     tenants concurrently; extraction is a pure function of the
     identity, so the result never depends on the schedule. *)
 
-val drbg : t -> Sc_hash.Drbg.t
-(** The system-wide deterministic randomness source. *)
-
 val bytes_source : t -> int -> string

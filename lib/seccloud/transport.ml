@@ -49,7 +49,6 @@ end
 type error = Timeout | Tampered
 
 let error_to_string = function Timeout -> "timeout" | Tampered -> "tampered"
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 type t = {
   faults : faults;
@@ -229,5 +228,3 @@ let call t ~expect msg =
   if not (List.mem expect Wire.kinds) then
     invalid_arg (Printf.sprintf "Transport.call: unknown kind %S" expect);
   call_gen t ~accept:(fun kind -> kind = expect || kind = "ack") msg
-
-let rpc t msg = call_gen t ~accept:(fun _ -> true) msg

@@ -71,7 +71,6 @@ type error =
           in-flight corruption *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 type t
 
@@ -128,6 +127,3 @@ val call : t -> expect:string -> Wire.msg -> (Wire.msg, error) result
 
     @raise Invalid_argument if [expect] is not a member of
     {!Wire.kinds}. *)
-
-val rpc : t -> Wire.msg -> (Wire.msg, error) result
-(** {!call} accepting any reply kind. *)

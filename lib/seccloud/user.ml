@@ -19,7 +19,6 @@ let create system ~id =
   { system; id; key = System.register_user system id; bases = Atomic.make SMap.empty }
 
 let id t = t.id
-let key t = t.key
 
 let bases t ~cs_id =
   match SMap.find_opt cs_id (Atomic.get t.bases) with
@@ -60,8 +59,3 @@ let delegate_audit t ~now ~lifetime ~scope =
   Warrant.issue (System.public t.system) t.key
     ~bytes_source:(System.bytes_source t.system)
     ~delegatee:(System.da_id t.system) ~now ~lifetime ~scope
-
-let verify_own_block t ~role ~verifier_key
-    { Sc_storage.Server.claimed; signed } =
-  Signer.verify_block (System.public t.system) ~verifier_key ~role
-    ~q_id:t.key.Sc_ibc.Setup.q_id claimed signed

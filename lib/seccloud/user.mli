@@ -5,7 +5,6 @@ type t
 
 val create : System.t -> id:string -> t
 val id : t -> string
-val key : t -> Sc_ibc.Setup.identity_key
 
 val sign_file : t -> cs_id:string -> file:string -> string list -> Sc_storage.Signer.upload
 (** Data Signing for every block, designated to the given server and
@@ -35,11 +34,3 @@ val delegate_audit :
   scope:string ->
   Sc_ibc.Warrant.signed
 (** Issues the audit warrant naming the DA (§V-D). *)
-
-val verify_own_block :
-  t ->
-  role:[ `Cs | `Da ] ->
-  verifier_key:Sc_ibc.Setup.identity_key ->
-  Sc_storage.Server.read_result ->
-  bool
-(** Convenience: check a read result against the owner's identity. *)

@@ -4,7 +4,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Bqueue.create: capacity < 1";
   { q = Queue.create (); capacity }
 
-let capacity t = t.capacity
 let length t = Queue.length t.q
 let is_empty t = Queue.is_empty t.q
 

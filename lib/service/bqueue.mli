@@ -16,7 +16,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

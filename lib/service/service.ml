@@ -230,8 +230,6 @@ let create ?(config = default_config) ?params ~seed () =
     generation = 0;
   }
 
-let config t = t.config
-let system t = t.system
 let shard_of t id = Router.shard_of ~shards:t.config.shards id
 let pending t = t.depth
 

@@ -151,12 +151,6 @@ val create :
     @raise Invalid_argument on a non-positive [shards],
     [queue_capacity] or [drain_quantum]. *)
 
-val config : t -> config
-val system : t -> Seccloud.System.t
-
-val shard_of : t -> string -> int
-(** The shard that owns this identity. *)
-
 val submit : t -> tenant:string -> request -> (unit, error) result
 (** Enqueue on the owning shard; captures the current trace context
     so the eventual [service.<op>] span joins the submitter's trace.

@@ -59,4 +59,3 @@ let new_epoch t =
 
 let corruption_of t id = List.assoc_opt id t.current
 let corrupted t = List.map fst t.current
-let epoch t = t.epoch

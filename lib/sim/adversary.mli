@@ -21,8 +21,6 @@ val create :
 (** @raise Invalid_argument if [bound] exceeds the server count.
     The default catalogue covers every attack of §III-B. *)
 
-val default_catalogue : corruption list
-
 val new_epoch : t -> unit
 (** Re-sample the corrupted set and their behaviours. *)
 
@@ -30,4 +28,3 @@ val corruption_of : t -> string -> corruption option
 (** [None] means the server is honest this epoch. *)
 
 val corrupted : t -> string list
-val epoch : t -> int

@@ -146,12 +146,6 @@ type service_stats = {
 
 val run_service : service_config -> service_stats
 
-val service_metrics : service_config -> service_stats -> (string * float) list
-(** The flat numeric namespace shared by {!service_stats_json} and
-    {!check_service_slos}: ledger fields, classification counters,
-    throughput figures and per-protocol ["count(service.store)"] /
-    ["p50_us(...)"] / ["p99_us(...)"] entries. *)
-
 val service_stats_json :
   ?slos:Sc_telemetry.Slo.check list ->
   service_config ->

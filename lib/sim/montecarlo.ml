@@ -49,16 +49,6 @@ let all_pass t sample_survives d =
   let rec go k = k = 0 || (sample_survives d && go (k - 1)) in
   go t
 
-let fcs_experiment ~drbg ~csc ~range ~t ~trials =
-  run_trials drbg ~trials
-    ~predicted:(Sc_audit.Sampling.pr_fcs ~csc ~range ~t)
-    (all_pass t (fun d -> fcs_sample_survives d ~csc ~range))
-
-let pcs_experiment ~drbg ~ssc ~sig_forge ~t ~trials =
-  run_trials drbg ~trials
-    ~predicted:(Sc_audit.Sampling.pr_pcs ~ssc ~sig_forge ~t)
-    (all_pass t (fun d -> pcs_sample_survives d ~ssc ~sig_forge))
-
 let combined_experiment ~drbg ~csc ~ssc ~range ~sig_forge ~t ~trials =
   (* The adversary mounts one of the two attacks per audit; eq. (14)
      upper-bounds the union, so we play both and count survival of

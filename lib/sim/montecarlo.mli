@@ -13,26 +13,6 @@ type result = {
   predicted : float; (* the closed-form value *)
 }
 
-val fcs_experiment :
-  drbg:Sc_hash.Drbg.t ->
-  csc:float ->
-  range:float ->
-  t:int ->
-  trials:int ->
-  result
-(** The server guesses uncomputed results from a range of size
-    [range]; a sampled guess survives with probability 1/range. *)
-
-val pcs_experiment :
-  drbg:Sc_hash.Drbg.t ->
-  ssc:float ->
-  sig_forge:float ->
-  t:int ->
-  trials:int ->
-  result
-(** The server serves wrong-position data and must forge a signature
-    to survive a sample. *)
-
 val combined_experiment :
   drbg:Sc_hash.Drbg.t ->
   csc:float ->

@@ -28,7 +28,6 @@ let record_transfer t ~bytes =
   transfer_time t ~bytes
 
 let total_bytes t = t.bytes
-let total_cost t = t.cost
 let transfers t = t.count
 
 let reset t =

@@ -16,13 +16,11 @@ val default_config : config
 
 val create : config -> t
 
-val transfer_time : t -> bytes:int -> float
 val transfer_cost : t -> bytes:int -> float
 
 val record_transfer : t -> bytes:int -> float
 (** Accounts the transfer and returns its duration. *)
 
 val total_bytes : t -> int
-val total_cost : t -> float
 val transfers : t -> int
 val reset : t -> unit

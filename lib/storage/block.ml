@@ -23,5 +23,3 @@ let decode_ints s =
     in
     convert [] parts
   end
-
-let of_ints ~file ~index ints = { file; index; data = encode_ints ints }

@@ -16,5 +16,3 @@ val encode_ints : int list -> string
 
 val decode_ints : string -> int list option
 (** Inverse of {!encode_ints}; [None] on malformed payloads. *)
-
-val of_ints : file:string -> index:int -> int list -> t

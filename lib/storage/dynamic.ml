@@ -133,7 +133,6 @@ let init pub key ~bytes_source ~cs_id ~da_id ~file payloads =
 let root client = Frontier.root client.c_frontier
 let count client = Frontier.total client.c_frontier
 let server_root server = Dtree.root server.s_tree
-let server_count server = server.s_count
 let make_lazy server = server.s_lazy <- true
 
 let read server index =

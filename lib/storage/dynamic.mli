@@ -72,7 +72,6 @@ val init :
 val root : client -> string
 val count : client -> int
 val server_root : server -> string
-val server_count : server -> int
 
 type read_proof = {
   content : content;

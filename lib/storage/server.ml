@@ -20,7 +20,6 @@ type t = {
 }
 
 let create behaviour ~drbg = { behaviour; drbg; files = Hashtbl.create 8 }
-let behaviour t = t.behaviour
 
 let storage_confidence t =
   match t.behaviour with

@@ -27,7 +27,6 @@ type read_result = {
 }
 
 val create : behaviour -> drbg:Sc_hash.Drbg.t -> t
-val behaviour : t -> behaviour
 
 val storage_confidence : t -> float
 (** The SSC this behaviour induces. *)

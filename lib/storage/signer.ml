@@ -46,8 +46,3 @@ let agg_entry role ~owner claimed sb =
     msg = Block.signing_message claimed;
     dvs = dvs_for role sb;
   }
-
-let verify_block pub ~verifier_key ~role ~q_id claimed sb =
-  Dvs.verify pub ~verifier_key ~q_id
-    ~msg:(Block.signing_message claimed)
-    (dvs_for role sb)

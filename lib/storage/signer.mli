@@ -54,15 +54,3 @@ val agg_entry :
 (** The batch-verification entry for one stored block against the
     payload claimed for it: {!verify_block}'s check, in the form
     {!Sc_ibc.Agg.verify_batch} folds into one equation. *)
-
-val verify_block :
-  Sc_ibc.Setup.public ->
-  verifier_key:Sc_ibc.Setup.identity_key ->
-  role:[ `Cs | `Da ] ->
-  q_id:Sc_ec.Curve.point ->
-  Block.t ->
-  signed_block ->
-  bool
-(** Equation (5)/(7): designated verification of one stored block
-    against the payload the server claims for it.  [q_id] is the
-    owner's {!Sc_ibc.Setup.q_of_id}. *)

@@ -8,7 +8,6 @@
    allocation). *)
 
 let relative_error = 0.05
-let ratio = (1.0 +. relative_error) *. (1.0 +. relative_error)
 
 (* Default span range: 10 ns .. ~100 s, in microseconds. *)
 let min_us = 1e-2

@@ -1,6 +1,5 @@
 (** Tiny JSON string builders for the exporters (no external deps). *)
 
-val escape : string -> string
 val str : string -> string
 val int : int -> string
 val float : float -> string
@@ -19,9 +18,6 @@ type value =
   | Object of (string * value) list
 
 exception Parse_error of string
-
-val parse_exn : string -> value
-(** @raise Parse_error on malformed input. *)
 
 val parse : string -> value option
 

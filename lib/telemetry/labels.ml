@@ -49,10 +49,6 @@ let make_vec ~max_cells ~label family make =
 let counter_vec ?(max_cells = 32) ~label family =
   make_vec ~max_cells ~label family Registry.counter
 
-let histogram_vec ?(max_cells = 32) ?buckets ~label family =
-  make_vec ~max_cells ~label family (fun name ->
-      Registry.histogram ?buckets name)
-
 (* Lock order: vec lock, then (inside Registry) the registry lock —
    never the reverse, so no deadlock. *)
 let cell t v =
@@ -84,16 +80,11 @@ let cell t v =
     raise e
 
 let counter (t : counter_vec) v = cell t v
-let histogram (t : histogram_vec) v = cell t v
 let incr t v = Registry.incr (cell t v)
 let add t v n = Registry.add (cell t v) n
-let observe t v x = Registry.observe (cell t v) x
 
 let cardinality t =
   Mutex.lock t.lock;
   let n = List.length t.cells in
   Mutex.unlock t.lock;
   n
-
-let family t = t.family
-let label t = t.label

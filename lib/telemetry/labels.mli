@@ -25,25 +25,12 @@ val counter_vec : ?max_cells:int -> label:string -> string -> counter_vec
     registry metrics, vecs are not interned by name: create once at
     module level. *)
 
-val histogram_vec :
-  ?max_cells:int -> ?buckets:float array -> label:string -> string ->
-  histogram_vec
-
 val counter : counter_vec -> string -> Registry.counter
 (** Find-or-create the cell for a label value (overflow cell once the
     cardinality bound is hit). *)
 
-val histogram : histogram_vec -> string -> Registry.histogram
-
 val incr : counter_vec -> string -> unit
 val add : counter_vec -> string -> int -> unit
-val observe : histogram_vec -> string -> float -> unit
 
 val cardinality : 'a vec -> int
 (** Distinct non-overflow label values seen so far. *)
-
-val family : 'a vec -> string
-val label : 'a vec -> string
-
-val overflow_value : string
-(** ["other"] — the label value of the shared overflow cell. *)

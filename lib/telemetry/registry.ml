@@ -13,11 +13,10 @@
    fast path stays cheap: an uncontended lock/unlock pair and no
    allocation on [incr]/[add]/[observe]. *)
 
-type counter = { cname : string; mutable c : int }
-type gauge = { gname : string; mutable g : float }
+type counter = { mutable c : int }
+type gauge = { mutable g : float }
 
 type histogram = {
-  hname : string;
   bounds : float array; (* strictly increasing upper bounds *)
   counts : int array; (* length bounds + 1; last bucket is overflow *)
   mutable sum : float;
@@ -50,7 +49,7 @@ let counter name =
   | Some (C c) -> c
   | Some _ -> kind_error name
   | None ->
-    let c = { cname = name; c = 0 } in
+    let c = { c = 0 } in
     Hashtbl.add table name (C c);
     c
 
@@ -60,7 +59,7 @@ let gauge name =
   | Some (G g) -> g
   | Some _ -> kind_error name
   | None ->
-    let g = { gname = name; g = 0.0 } in
+    let g = { g = 0.0 } in
     Hashtbl.add table name (G g);
     g
 
@@ -77,7 +76,7 @@ let histogram ?(buckets = Hdr.default_bounds ()) name =
           invalid_arg "Telemetry.histogram: buckets must be strictly increasing")
       bounds;
     let h =
-      { hname = name; bounds; counts = Array.make (Array.length bounds + 1) 0;
+      { bounds; counts = Array.make (Array.length bounds + 1) 0;
         sum = 0.0; n = 0 }
     in
     Hashtbl.add table name (H h);
@@ -104,8 +103,6 @@ let reset_counter c =
   c.c <- 0;
   Mutex.unlock lock
 
-let counter_name c = c.cname
-
 let set g v =
   Mutex.lock lock;
   g.g <- v;
@@ -116,8 +113,6 @@ let gauge_value g =
   let v = g.g in
   Mutex.unlock lock;
   v
-
-let gauge_name g = g.gname
 
 (* First bucket whose upper bound admits v; the trailing bucket
    catches everything above the last bound.  Binary search: the
@@ -145,8 +140,6 @@ let observe h v =
   h.sum <- h.sum +. v;
   h.n <- h.n + 1;
   Mutex.unlock lock
-
-let histogram_name h = h.hname
 
 let reset_histogram h =
   Mutex.lock lock;

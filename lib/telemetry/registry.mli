@@ -30,14 +30,11 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 val reset_counter : counter -> unit
-val counter_name : counter -> string
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val observe : histogram -> float -> unit
-val histogram_name : histogram -> string
 val reset_histogram : histogram -> unit
 (** Zero one histogram's buckets/sum/count (the registration stays). *)
 

@@ -16,9 +16,6 @@ type check = {
   pass : bool;  (** a NaN actual always fails *)
 }
 
-val compare_op : string -> float -> float -> bool
-(** [compare_op cmp actual bound]; false for an unknown operator. *)
-
 val check :
   lookup:(string -> (float, string) result) ->
   string ->

@@ -25,10 +25,6 @@ val with_span : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 
 val set_sink : (string -> unit) option -> unit
 (** Install/remove the JSONL line consumer. *)
 
-val with_trace_channel : out_channel -> (unit -> 'a) -> 'a
-(** Route span lines to the channel for the duration of the thunk,
-    restoring the previous sink afterwards. *)
-
 val with_trace_file : string -> (unit -> 'a) -> 'a
 (** [with_trace_file path f] truncates [path] and streams span JSONL
     lines into it while [f] runs. *)

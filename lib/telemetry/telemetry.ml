@@ -41,7 +41,6 @@ let log_buckets () = Hdr.default_bounds ()
 
 let with_span = Span.with_span
 let set_sink = Span.set_sink
-let with_trace_channel = Span.with_trace_channel
 let with_trace_file = Span.with_trace_file
 let current_depth = Span.current_depth
 let open_spans = Span.open_spans

@@ -63,7 +63,6 @@ val log_buckets : unit -> float array
 
 val with_span : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 val set_sink : (string -> unit) option -> unit
-val with_trace_channel : out_channel -> (unit -> 'a) -> 'a
 val with_trace_file : string -> (unit -> 'a) -> 'a
 val current_depth : unit -> int
 

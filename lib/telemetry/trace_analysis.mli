@@ -44,14 +44,7 @@ type trace = {
   size : int;
 }
 
-val assemble : span list -> trace list
-(** Group spans by trace id and link children (sorted by start time);
-    largest trace first. *)
-
 type path_step = { step : span; self_us : float }
-
-val critical_path : node -> path_step list
-(** Root-to-leaf chain following the longest-duration child. *)
 
 (** {2 Reports} *)
 
@@ -95,8 +88,6 @@ val layer_of : string -> string
     or [queueing]; [other] for an unknown prefix. *)
 
 val analyze : ?skipped_lines:int -> span list -> report
-
-val by_name : span list -> name_stats list
 
 (** {2 SLOs} *)
 

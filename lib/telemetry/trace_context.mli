@@ -11,16 +11,12 @@ type t = {
   span : int;  (** id of the propagating parent span *)
 }
 
-val trace_bytes : int
-(** Raw size of a trace id (16). *)
-
 val ctx_bytes : int
 (** Raw size of {!to_bytes} output: trace id + 8-byte span id (24). *)
 
 val fresh_trace : unit -> string
 (** A new process-unique trace id ({!trace_bytes} raw bytes). *)
 
-val is_valid_trace : string -> bool
 val to_hex : string -> string
 
 (** {2 Ambient remote context}

@@ -71,13 +71,6 @@ let sampling_tests =
         let ts = List.filter_map (fun g -> g.Sampling.t) row in
         check Alcotest.bool "monotone" true
           (List.sort compare ts = ts));
-    case "detection_probability complements pr_cheat" (fun () ->
-        let d =
-          Sampling.detection_probability ~csc:0.5 ~ssc:0.5 ~range:2.0
-            ~sig_forge:0.0 ~t:10
-        in
-        let p = Sampling.pr_cheat ~csc:0.5 ~ssc:0.5 ~range:2.0 ~sig_forge:0.0 ~t:10 in
-        check Alcotest.bool "complement" true (close 1.0 (d +. p)));
   ]
 
 let optimal_tests =
@@ -311,8 +304,11 @@ let batch_tests =
            count and the per-job sample count (the seed needed
            2 per job + 1). *)
         let jobs = [ make_job "p1"; make_job "p2" ] in
-        let _, pairings = Batch.pairings_used pub ~verifier_key:da_key ~role:`Da jobs in
-        check Alcotest.int "2 jobs" 2 pairings);
+        let before = Sc_pairing.Tate.pairings_performed () in
+        let v = Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs in
+        check Alcotest.int "2 jobs" 2
+          (Sc_pairing.Tate.pairings_performed () - before);
+        check Alcotest.bool "valid" true v.Protocol.valid);
     case "batched verification catches a cheating job and names it" (fun () ->
         let jobs =
           [

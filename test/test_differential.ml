@@ -3,8 +3,9 @@
    Storage audits ([Agency.check_blocks]), Algorithm 1
    ([Protocol.verify], [Batch.verify_jobs]) and [Dynamic.audit] check
    their sampled designated signatures with one [Agg.verify_each].
-   Each reference below is the per-sample loop the batch replaces: one
-   [Dvs.verify] per sample, in sample order.  The answers are fed
+   Each reference ([Reference], test/reference.ml) is the per-sample
+   loop the batch replaces: one [Dvs.verify] per sample, in sample
+   order.  The answers are fed
    honest, data-corrupted, Σ-swapped, U-perturbed, missing and
    relocated reads, and must match index for index.
 
@@ -36,11 +37,6 @@ let upload file =
     ~bytes_source:(Util.fresh_bs ("diff-sign:" ^ file))
     ~bases:(Lazy.force bases) ~file
     (List.init n_blocks (fun i -> Block.encode_ints [ i; 5 * i; 11 ]))
-
-(* The per-sample designated check every reference runs. *)
-let dvs_ok claimed signed =
-  Signer.verify_block pub ~verifier_key:da_key ~role:`Da
-    ~q_id:(Sc_ibc.Setup.q_of_id pub owner) claimed signed
 
 type perturbation =
   | Honest
@@ -118,16 +114,6 @@ let storage_reads samples =
       i, perturb perturbations.(k) ~i (honest_read i) (honest_read ((i + 1) mod n_blocks)))
     samples
 
-let reference_invalid reads =
-  List.filter_map
-    (fun (i, read) ->
-      match read with
-      | Some { Server.claimed; signed }
-        when claimed.Block.index = i && dvs_ok claimed signed ->
-        None
-      | Some _ | None -> Some i)
-    reads
-
 let storage_tests =
   let open Util in
   [
@@ -137,7 +123,9 @@ let storage_tests =
          gen_samples (fun samples ->
            let reads = storage_reads samples in
            let r = Seccloud.Agency.check_blocks system ~owner reads in
-           let expected = reference_invalid reads in
+           let expected =
+             Reference.storage_invalid pub ~verifier_key:da_key ~owner reads
+           in
            r.Seccloud.Agency.invalid_indices = expected
            && r.Seccloud.Agency.sampled = List.length reads
            && r.Seccloud.Agency.valid_blocks
@@ -204,51 +192,6 @@ let responses execution samples =
       | _, None, _ | _, _, None -> Some r)
     samples
 
-let root_failures commitment =
-  if
-    Sc_ibc.Ibs.verify pub ~signer:commitment.Protocol.cs_id
-      ~msg:("root:" ^ commitment.Protocol.root)
-      commitment.Protocol.root_signature
-  then []
-  else [ Protocol.Root_signature_wrong ]
-
-(* Per sample: its non-signature failures, and whether its designated
-   signature fails on its own. *)
-let reference_samples commitment challenge responses =
-  let check = Protocol.sample_checks ~role:`Da ~owner ~commitment responses in
-  List.map
-    (fun i ->
-      let fs, entry = check i in
-      ( i,
-        fs,
-        match entry with
-        | Some e ->
-          not
-            (Sc_ibc.Dvs.verify pub ~verifier_key:da_key
-               ~q_id:(Sc_ibc.Setup.q_of_id pub e.Sc_ibc.Agg.signer)
-               ~msg:e.Sc_ibc.Agg.msg e.Sc_ibc.Agg.dvs)
-        | None -> false ))
-    challenge.Protocol.sample_indices
-
-(* The per-sample loop Protocol.verify used to run: a sample's
-   signature failure follows its other failures. *)
-let reference_verify commitment challenge responses =
-  root_failures commitment
-  @ List.concat_map
-      (fun (i, fs, bad) -> if bad then fs @ [ Protocol.Signature_wrong i ] else fs)
-      (reference_samples commitment challenge responses)
-
-(* Batch.verify_jobs' order for one job: every non-signature failure,
-   then the signature failures in reverse sample order. *)
-let reference_batch commitment challenge responses =
-  let samples = reference_samples commitment challenge responses in
-  root_failures commitment
-  @ List.concat_map (fun (_, fs, _) -> fs) samples
-  @ List.rev
-      (List.filter_map
-         (fun (i, _, bad) -> if bad then Some (Protocol.Signature_wrong i) else None)
-         samples)
-
 let names = List.map (Format.asprintf "%a" Protocol.pp_failure)
 
 let protocol_tests =
@@ -295,8 +238,14 @@ let protocol_tests =
            (* Protocol.verify counts each answered sample once; the
               multi-job batch counts none. *)
            let counted = c1 - c0, checked () - c1 in
-           let expected = reference_verify commitment challenge responses in
-           let expected_batch = reference_batch commitment challenge responses in
+           let expected =
+             Reference.protocol_verify pub ~verifier_key:da_key ~owner
+               commitment challenge responses
+           in
+           let expected_batch =
+             Reference.protocol_batch pub ~verifier_key:da_key ~owner
+               commitment challenge responses
+           in
            single.Protocol.failures = expected
            && single.Protocol.valid = (expected = [])
            && batch.Protocol.failures = expected_batch
@@ -312,33 +261,6 @@ let protocol_tests =
   ]
 
 (* --- Dynamic.audit ------------------------------------------------- *)
-
-(* The per-sample loop Dynamic.audit used to run, for a statement that
-   holds the client's current root: a sample is good when its path
-   opens its own slot of that root and its Dvs.verify accepts. *)
-let reference_dynamic client server ~file ~seed ~samples =
-  let idx =
-    Array.to_list
-      (Sc_hash.Drbg.sample_prefix (Sc_hash.Drbg.create ~seed)
-         ~n:(Dynamic.count client) ~k:samples)
-  in
-  let good index =
-    match Dynamic.read server index with
-    | Some ({ Dynamic.content = Dynamic.Data payload; _ } as rp) ->
-      Dynamic.verify_read client ~index rp
-      && Sc_ibc.Dvs.verify pub ~verifier_key:da_key
-           ~q_id:(Sc_ibc.Setup.q_of_id pub owner)
-           ~msg:(Dynamic.signing_message ~file ~index ~version:rp.Dynamic.version ~payload)
-           { Sc_ibc.Dvs.u = rp.Dynamic.u; sigma = rp.Dynamic.sigma_da }
-    | Some _ | None -> false
-  in
-  let invalid = List.filter (fun i -> not (good i)) idx in
-  {
-    Dynamic.sampled = List.length idx;
-    valid = List.length idx - List.length invalid;
-    invalid_indices = invalid;
-    intact = invalid = [];
-  }
 
 let dynamic_tests =
   let gen =
@@ -384,7 +306,10 @@ let dynamic_tests =
                ~root_statement:statement server
                ~drbg:(Sc_hash.Drbg.create ~seed) ~samples
            in
-           let expected = reference_dynamic client server ~file ~seed ~samples in
+           let expected =
+             Reference.dynamic_audit pub ~verifier_key:da_key ~owner client
+               server ~file ~seed ~samples
+           in
            got = expected
            || QCheck2.Test.fail_reportf "got %s, reference %s" (show got)
                 (show expected)));

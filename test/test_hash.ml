@@ -1,6 +1,9 @@
 (* SHA-256 / HMAC against FIPS-180-4 and RFC 4231 vectors, against the
-   reference kernel in Sha256_ref, and DRBG determinism with pinned
-   streams. *)
+   reference kernel in Reference.Sha256, and DRBG determinism with
+   pinned streams. *)
+
+let digest_hex s = Sc_hash.Sha256.hex_of_digest (Sc_hash.Sha256.digest s)
+let mac_hex ~key msg = Sc_hash.Sha256.hex_of_digest (Sc_hash.Hmac.mac ~key msg)
 
 let sha_vectors =
   [
@@ -20,12 +23,12 @@ let unit_tests =
         List.iter
           (fun (msg, expected) ->
             check Alcotest.string (String.sub expected 0 8) expected
-              (Sc_hash.Sha256.digest_hex msg))
+              (digest_hex msg))
           sha_vectors);
     case "million a's" (fun () ->
         check Alcotest.string "1M x 'a'"
           "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-          (Sc_hash.Sha256.digest_hex (String.make 1_000_000 'a')));
+          (digest_hex (String.make 1_000_000 'a')));
     case "incremental = one-shot across chunkings" (fun () ->
         let msg = String.init 1000 (fun i -> Char.chr (i mod 256)) in
         let expected = Sc_hash.Sha256.digest msg in
@@ -54,25 +57,25 @@ let unit_tests =
     case "digest_concat equals digest of concatenation" (fun () ->
         let parts = [ "a"; "bc"; ""; "def"; String.make 100 'x' ] in
         check Alcotest.string "concat"
-          (Sc_hash.Sha256.digest_hex (String.concat "" parts))
+          (digest_hex (String.concat "" parts))
           (Sc_hash.Sha256.hex_of_digest (Sc_hash.Sha256.digest_concat parts)));
     case "HMAC RFC 4231 test case 1" (fun () ->
         check Alcotest.string "tc1"
           "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-          (Sc_hash.Hmac.mac_hex ~key:(String.make 20 '\x0b') "Hi There"));
+          (mac_hex ~key:(String.make 20 '\x0b') "Hi There"));
     case "HMAC RFC 4231 test case 2" (fun () ->
         check Alcotest.string "tc2"
           "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-          (Sc_hash.Hmac.mac_hex ~key:"Jefe" "what do ya want for nothing?"));
+          (mac_hex ~key:"Jefe" "what do ya want for nothing?"));
     case "HMAC RFC 4231 test case 3" (fun () ->
         check Alcotest.string "tc3"
           "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-          (Sc_hash.Hmac.mac_hex ~key:(String.make 20 '\xaa')
+          (mac_hex ~key:(String.make 20 '\xaa')
              (String.make 50 '\xdd')));
     case "HMAC long key (hashed) RFC 4231 test case 6" (fun () ->
         check Alcotest.string "tc6"
           "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-          (Sc_hash.Hmac.mac_hex ~key:(String.make 131 '\xaa')
+          (mac_hex ~key:(String.make 131 '\xaa')
              "Test Using Larger Than Block-Size Key - Hash Key First"));
     case "DRBG determinism" (fun () ->
         let a = Sc_hash.Drbg.create ~seed:"seed" in
@@ -140,10 +143,10 @@ let unit_tests =
         let bytes = counter "hash.sha256.bytes" - b0 in
         check Alcotest.string "generate 100"
           "c687a13b9b3cc44e9cc9c33d4ff07438570fd43253179e84f361cc3da2c97b7f"
-          (Sc_hash.Sha256.digest_hex first);
+          (digest_hex first);
         check Alcotest.string "reseed, generate 77"
           "078a38f81f07ef0fa66c455c2f72af1e0d67d142da6595727c210ff7008f0eb2"
-          (Sc_hash.Sha256.digest_hex second);
+          (digest_hex second);
         check Alcotest.string "mac k msg"
           "bf1a0c1242929b6464a6c0a9ac6298a67e09bd1cd4ef1f182ce0141691fc17a0"
           (Sc_hash.Sha256.hex_of_digest tag);
@@ -185,11 +188,11 @@ let differential =
   let hex = Sc_hash.Sha256.hex_of_digest in
   [
     qcheck ~count:300 "digest equals the reference kernel" gen_message
-      (fun msg -> Sc_hash.Sha256.digest msg = Sha256_ref.digest msg);
+      (fun msg -> Sc_hash.Sha256.digest msg = Reference.Sha256.digest msg);
     qcheck ~count:300 "chunked feed and feed_bytes equal the reference"
       QCheck2.Gen.(pair gen_message (list_size (int_range 0 8) (int_range 0 80)))
       (fun (msg, cuts) ->
-        let got = digest_in_cuts msg cuts and want = Sha256_ref.digest msg in
+        let got = digest_in_cuts msg cuts and want = Reference.Sha256.digest msg in
         got = want
         || QCheck2.Test.fail_reportf "len=%d got %s want %s" (String.length msg)
              (hex got) (hex want));
@@ -210,7 +213,7 @@ let differential =
           Sc_hash.Hmac.mac_prepared (Sc_hash.Hmac.prepare key) parts
         in
         prepared = Sc_hash.Hmac.mac ~key msg
-        && prepared = Sha256_ref.hmac ~key msg);
+        && prepared = Reference.Sha256.hmac ~key msg);
   ]
 
 let suite = unit_tests @ differential

@@ -15,13 +15,13 @@ let unit_tests =
   [
     case "extracted keys validate against P_pub" (fun () ->
         List.iter
-          (fun k -> check Alcotest.bool k.Setup.id true (Setup.valid_key pub k))
+          (fun k -> check Alcotest.bool k.Setup.id true (Reference.valid_key pub k))
           [ alice; bob; cs; da ]);
     case "q_of_id matches extraction and is identity-specific" (fun () ->
         check Alcotest.bool "match" true
-          (Curve.equal (Setup.q_of_id pub "alice") alice.Setup.q_id);
+          (Util.point_equal (Setup.q_of_id pub "alice") alice.Setup.q_id);
         check Alcotest.bool "distinct" false
-          (Curve.equal alice.Setup.q_id bob.Setup.q_id));
+          (Util.point_equal alice.Setup.q_id bob.Setup.q_id));
     case "extraction hashes an identity once, shared with q_of_id" (fun () ->
         let hashes () = Sc_telemetry.Telemetry.counter_value "pairing.id_hash" in
         let h0 = hashes () in
@@ -33,7 +33,7 @@ let unit_tests =
         check Alcotest.bool "same point" true (q == carol.Setup.q_id));
     case "a foreign secret key fails validation" (fun () ->
         let forged = { alice with Setup.sk = bob.Setup.sk } in
-        check Alcotest.bool "invalid" false (Setup.valid_key pub forged));
+        check Alcotest.bool "invalid" false (Reference.valid_key pub forged));
     case "IBS sign/verify round trip" (fun () ->
         let s = Ibs.sign pub alice ~bytes_source:bs "hello world" in
         check Alcotest.bool "verifies" true
@@ -49,7 +49,7 @@ let unit_tests =
     case "IBS signatures are randomized" (fun () ->
         let s1 = Ibs.sign pub alice ~bytes_source:bs "m" in
         let s2 = Ibs.sign pub alice ~bytes_source:bs "m" in
-        check Alcotest.bool "distinct U" false (Curve.equal s1.Ibs.u s2.Ibs.u);
+        check Alcotest.bool "distinct U" false (Util.point_equal s1.Ibs.u s2.Ibs.u);
         check Alcotest.bool "both verify" true
           (Ibs.verify pub ~signer:"alice" ~msg:"m" s1
           && Ibs.verify pub ~signer:"alice" ~msg:"m" s2));
@@ -57,8 +57,8 @@ let unit_tests =
         let s = Ibs.sign pub alice ~bytes_source:bs "serialize me" in
         match Ibs.of_bytes pub (Ibs.to_bytes pub s) with
         | Some s' ->
-          check Alcotest.bool "u" true (Curve.equal s.Ibs.u s'.Ibs.u);
-          check Alcotest.bool "v" true (Curve.equal s.Ibs.v s'.Ibs.v)
+          check Alcotest.bool "u" true (Util.point_equal s.Ibs.u s'.Ibs.u);
+          check Alcotest.bool "v" true (Util.point_equal s.Ibs.v s'.Ibs.v)
         | None -> Alcotest.fail "decode failed");
     case "IBS of_bytes rejects garbage" (fun () ->
         check Alcotest.bool "garbage" true (Ibs.of_bytes pub "zz" = None);
@@ -175,16 +175,6 @@ let unit_tests =
         check Alcotest.int "batches" 1 (Telemetry.counter_value "agg.verify_batch" - b0);
         check Alcotest.int "sigs" 3 (Telemetry.counter_value "agg.verify_batch_sigs" - s0);
         check Alcotest.int "span" 1 (span_count () - n0));
-    case "aggregate size is constant in batch size" (fun () ->
-        let make n =
-          List.init n (fun i ->
-              let m = Printf.sprintf "sz-%d" i in
-              let raw = Ibs.sign pub alice ~bytes_source:bs m in
-              { Agg.signer = "alice"; msg = m; dvs = Dvs.designate pub raw ~verifier:"agency" })
-        in
-        check Alcotest.int "same size"
-          (Agg.aggregate_size_bytes pub (make 2))
-          (Agg.aggregate_size_bytes pub (make 20)));
     case "warrant verify within lifetime" (fun () ->
         let w =
           Warrant.issue pub alice ~bytes_source:bs ~delegatee:"agency" ~now:1000.0
@@ -250,9 +240,9 @@ let perturbation_tests =
   let order = Nat.add prm.Params.p Nat.one in
   let rec unitary_of_order l bs =
     let a = Fp2.make (Fp.random fp ~bytes_source:bs) (Fp.random fp ~bytes_source:bs) in
-    if Fp2.is_zero a then unitary_of_order l bs
+    if Fp2.equal a Reference.fp2_zero then unitary_of_order l bs
     else
-      let z = Tate.gt_pow prm (Fp2.div fp (Fp2.conj fp a) a) (Nat.div order (Nat.of_int l)) in
+      let z = Tate.gt_pow prm (Fp2.mul fp (Fp2.conj fp a) (Fp2.inv fp a)) (Nat.div order (Nat.of_int l)) in
       if Fp2.is_one z then unitary_of_order l bs else z
   in
   let rec torsion_point bs =
@@ -289,7 +279,7 @@ let perturbation_tests =
         let sigma i = (e i).Agg.dvs.Dvs.sigma in
         let x = Tate.gt_pow prm (sigma 0) (Params.random_scalar prm ~bytes_source:bs) in
         let x_inv = Tate.gt_inv prm x in
-        let minus_one = Fp2.of_base (Fp.neg fp Fp.one) in
+        let minus_one = Fp2.make (Fp.neg fp Fp.one) Fp.zero in
         let z7 = unitary_of_order 7 bs in
         let t = torsion_point bs in
         (* A signer may pick U = r·Q_ID + T itself: h is then taken over
@@ -371,7 +361,7 @@ let perturbation_tests =
         || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " (wrong @ ibs_wrong)));
   ]
 
-(* Dvs.sign raises the bases ê(sk_ID, Q_B) to e = r + h instead of
+(* Dvs.sign_batch raises the bases ê(sk_ID, Q_B) to e = r + h instead of
    forming V = e·sk_ID and pairing it: same outputs, checked against
    the textbook [designate (Ibs.sign …)] from the same DRBG seed. *)
 let designation_tests =
@@ -394,7 +384,9 @@ let designation_tests =
     qcheck ~count:12 "Dvs.sign = designate (Ibs.sign …) bit for bit, and verifies"
       (quad gen_msg gen_seed gen_id gen_id) (fun (msg, seed, v1, v2) ->
         let u, s1, s2 =
-          Dvs.sign pub alice ~bytes_source:(fresh_bs seed) (bases v1 v2) msg
+          List.hd
+            (Dvs.sign_batch pub alice ~bytes_source:(fresh_bs seed) (bases v1 v2)
+               [ msg ])
         in
         let raw = Ibs.sign pub alice ~bytes_source:(fresh_bs seed) msg in
         same_dvs u s1 (Dvs.designate pub raw ~verifier:v1)
@@ -411,7 +403,7 @@ let designation_tests =
           List.mapi
             (fun i m ->
               let msg = Printf.sprintf "%d:%s" i m in
-              msg, Dvs.sign pub alice ~bytes_source:bs b msg)
+              msg, List.hd (Dvs.sign_batch pub alice ~bytes_source:bs b [ msg ]))
             msgs
         in
         let batch pick =
@@ -426,8 +418,9 @@ let designation_tests =
     qcheck ~count:12 "a flipped bit of the exponent r+h is rejected"
       (triple gen_msg gen_seed (int_range 0 1000)) (fun (msg, seed, k) ->
         let u, sigma, _ =
-          Dvs.sign pub alice ~bytes_source:(fresh_bs seed)
-            (bases "agency" "cloud-server") msg
+          List.hd
+            (Dvs.sign_batch pub alice ~bytes_source:(fresh_bs seed)
+               (bases "agency" "cloud-server") [ msg ])
         in
         (* Replay the signer's one DRBG draw to rebuild e = r + h. *)
         let module Nat = Sc_bignum.Nat in
@@ -450,51 +443,5 @@ let designation_tests =
         && not (verify (Sc_pairing.Tate.gt_pow prm base flipped)));
   ]
 
-let ibe_tests =
-  let open Util in
-  [
-    case "IBE encrypt/decrypt round trip" (fun () ->
-        let msg = "confidential ledger entry #42" in
-        let ct = Ibe.encrypt pub ~to_identity:"alice" ~bytes_source:bs msg in
-        check Alcotest.(option string) "decrypts" (Some msg)
-          (Ibe.decrypt pub ~key:alice ct));
-    case "IBE wrong identity cannot decrypt" (fun () ->
-        let ct = Ibe.encrypt pub ~to_identity:"alice" ~bytes_source:bs "secret" in
-        check Alcotest.(option string) "bob rejected" None
-          (Ibe.decrypt pub ~key:bob ct));
-    case "IBE detects tampered body and tag" (fun () ->
-        let ct = Ibe.encrypt pub ~to_identity:"alice" ~bytes_source:bs "secret-12" in
-        let flip s i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s in
-        check Alcotest.(option string) "body" None
-          (Ibe.decrypt pub ~key:alice { ct with Ibe.body = flip ct.Ibe.body 3 });
-        check Alcotest.(option string) "tag" None
-          (Ibe.decrypt pub ~key:alice { ct with Ibe.tag = flip ct.Ibe.tag 0 }));
-    case "IBE ciphertexts are randomized" (fun () ->
-        let c1 = Ibe.encrypt pub ~to_identity:"alice" ~bytes_source:bs "same" in
-        let c2 = Ibe.encrypt pub ~to_identity:"alice" ~bytes_source:bs "same" in
-        check Alcotest.bool "different bodies" false
-          (String.equal c1.Ibe.body c2.Ibe.body));
-    case "IBE handles empty and large messages" (fun () ->
-        List.iter
-          (fun msg ->
-            let ct = Ibe.encrypt pub ~to_identity:"bob" ~bytes_source:bs msg in
-            check Alcotest.(option string)
-              (Printf.sprintf "len %d" (String.length msg))
-              (Some msg)
-              (Ibe.decrypt pub ~key:bob ct))
-          [ ""; String.make 5000 'z' ]);
-    case "IBE ciphertext serialization round trip" (fun () ->
-        let ct = Ibe.encrypt pub ~to_identity:"alice" ~bytes_source:bs "wire me" in
-        match Ibe.ciphertext_of_bytes pub (Ibe.ciphertext_to_bytes pub ct) with
-        | Some ct' ->
-          check Alcotest.(option string) "still decrypts" (Some "wire me")
-            (Ibe.decrypt pub ~key:alice ct')
-        | None -> Alcotest.fail "decode failed");
-    case "IBE of_bytes rejects garbage" (fun () ->
-        check Alcotest.bool "garbage" true (Ibe.ciphertext_of_bytes pub "xx" = None);
-        check Alcotest.bool "bad length" true
-          (Ibe.ciphertext_of_bytes pub "0000junk" = None));
-  ]
-
 let suite =
-  unit_tests @ property_tests @ perturbation_tests @ designation_tests @ ibe_tests
+  unit_tests @ property_tests @ perturbation_tests @ designation_tests

@@ -546,11 +546,19 @@ let typed_fallback =
         let f =
           find_rule "no-cmt"
             (Engine.lint_all ~build_dir:"/nonexistent-cmt-dir" ~waivers:[]
+               ~callers:[]
                [ src ])
         in
         check Alcotest.bool "error severity" true
           (f.Finding.severity = Finding.Error);
         check Alcotest.string "key is the file" "lib/fixture.ml" f.Finding.key);
+    case "a dead-export caller without a cmt yields no-cmt" (fun () ->
+        let fs =
+          Engine.lint_all ~build_dir:"/nonexistent-cmt-dir" ~waivers:[]
+            ~callers:[ "bench/quick.ml" ] []
+        in
+        check Alcotest.(list string) "keys" [ "bench/quick.ml" ]
+          (List.map (fun f -> f.Finding.key) fs));
     case "to_json escapes quotes and carries the waived flag" (fun () ->
         let f =
           {
@@ -585,10 +593,94 @@ let typed_fallback =
         check Alcotest.int "two distinct chains" 2 (List.length fs));
   ]
 
+(* dead-export: an interface, its implementation and callers, each
+   typechecked in-process.  A caller reaches the export through a stub
+   module of the same name, the way the typed fixtures above stub the
+   repo's modules. *)
+
+let dead_export_intf =
+  "val hook : int -> int\nval helper : int -> int\nval api : int -> int\n"
+
+let dead_export_impl =
+  "let hook x = x\nlet helper x = x + 1\nlet api x = helper x\n"
+
+let typed_entry ~rel ~modname content =
+  match Typed_load.typecheck ~include_dirs:[] ~modname ~rel content with
+  | Ok e -> e
+  | Error e -> Alcotest.failf "fixture did not typecheck:\n%s" e
+
+let dead_exports ?(intf = dead_export_intf) ?caller () =
+  let intf =
+    match
+      Typed_load.typecheck_intf ~include_dirs:[] ~modname:"Fixture"
+        ~rel:"lib/fixture.mli" intf
+    with
+    | Ok i -> i
+    | Error e -> Alcotest.failf "interface did not typecheck:\n%s" e
+  in
+  let impl =
+    typed_entry ~rel:"lib/fixture.ml" ~modname:"Fixture" dead_export_impl
+  in
+  let callers =
+    impl
+    :: Option.to_list
+         (Option.map (typed_entry ~rel:"bin/caller.ml" ~modname:"Caller") caller)
+  in
+  Typed_rules.dead_exports [ intf ] ~callers
+
+let dead_keys fs =
+  List.filter_map
+    (fun f -> if f.Finding.rule = "dead-export" then Some f.Finding.key else None)
+    fs
+
+let hook_waiver =
+  "((rule dead-export) (file lib/fixture.mli) (key hook)\n\
+  \ (justification \"fixture: a test drives it\"))"
+
+let typed_dead_export =
+  [
+    case "an exported value nothing references is flagged" (fun () ->
+        let fs = dead_exports () in
+        check Alcotest.bool "hook flagged" true (List.mem "hook" (dead_keys fs));
+        check Alcotest.bool "api flagged" true (List.mem "api" (dead_keys fs));
+        let f = List.find (fun f -> f.Finding.key = "hook") fs in
+        check Alcotest.string "file" "lib/fixture.mli" f.Finding.file;
+        check Alcotest.int "line of the val" 1 f.Finding.line);
+    case "the same value referenced from bin/ is not flagged" (fun () ->
+        let fs =
+          dead_exports
+            ~caller:
+              "module Fixture = struct let api x = x end\n\
+               let main () = Fixture.api 1\n"
+            ()
+        in
+        check Alcotest.bool "api used" false (List.mem "api" (dead_keys fs));
+        check Alcotest.bool "hook still dead" true (List.mem "hook" (dead_keys fs)));
+    case "a value used only inside its own module is flagged" (fun () ->
+        let f = List.find (fun f -> f.Finding.key = "helper") (dead_exports ()) in
+        check Alcotest.bool "says only its module uses it" true
+          (contains f.Finding.msg "only Fixture itself uses it"));
+    case "a waived hook is suppressed, and the waiver goes stale once it is deleted"
+      (fun () ->
+        match Waiver.parse hook_waiver with
+        | Error e -> Alcotest.failf "waiver parse: %s" e
+        | Ok ws ->
+          let unwaived, waived, stale = Waiver.apply ws (dead_exports ()) in
+          check Alcotest.bool "suppressed" false (List.mem "hook" (dead_keys unwaived));
+          check Alcotest.(list string) "waived" [ "hook" ] (dead_keys waived);
+          check Alcotest.int "not stale" 0 (List.length stale);
+          let deleted =
+            dead_exports ~intf:"val helper : int -> int\nval api : int -> int\n" ()
+          in
+          let _, _, stale = Waiver.apply ws deleted in
+          check Alcotest.int "stale" 1 (List.length stale));
+  ]
+
 (* The real tree must lint clean against the committed baseline, with
    zero dead entries and every file typed — the same Engine.gate that
    `make lint` runs.  The test's deps include the @check aliases, so
-   the cmts of lib/, bin/ and test/ sit next to the sources. *)
+   the cmts of lib/, bin/ and test/, and of the dead-export callers in
+   bench/, perfbench/ and examples/, sit next to the sources. *)
 let self_lint =
   [
     case "repo lints clean with zero stale waivers" (fun () ->
@@ -629,4 +721,5 @@ let suite =
   domain_safety @ signing_encode @ exception_discipline @ naive_scalar_mul
   @ dynamic_metric_name @ infra @ waivers @ typed_secret_flow
   @ typed_domain_capture @ typed_discarded_error @ typed_determinism
-  @ typed_transitive_determinism @ typed_fallback @ self_lint
+  @ typed_transitive_determinism @ typed_dead_export @ typed_fallback
+  @ self_lint

@@ -1,19 +1,5 @@
 module T = Sc_merkle.Dynamic_tree
 
-(* Naive reference: hash the leaves, then pair adjacent nodes level by
-   level, promoting an odd last node unchanged. *)
-let rec naive_root_of_hashes = function
-  | [] -> invalid_arg "naive_root_of_hashes: empty"
-  | [ h ] -> h
-  | level ->
-    let rec pair = function
-      | a :: b :: rest -> T.node_hash a b :: pair rest
-      | rest -> rest
-    in
-    naive_root_of_hashes (pair level)
-
-let naive_root payloads = naive_root_of_hashes (List.map T.leaf_hash payloads)
-
 let verify_payload t payload proof =
   T.verify ~root:(T.root t) ~leaf_hash:(T.leaf_hash payload) proof
 
@@ -27,16 +13,17 @@ let unit_tests =
     case "single leaf: root = leaf hash" (fun () ->
         let t = T.build [ "only" ] in
         check Alcotest.string "root" (T.leaf_hash "only") (T.root t);
-        check Alcotest.int "size" 1 (T.size t);
+        check Alcotest.int "size" 1 (List.length (T.leaf_hashes t));
         let p = T.proof t 0 in
         check Alcotest.int "no siblings" 0 (List.length p.T.path);
         check Alcotest.bool "proof verifies" true (verify_payload t "only" p));
     case "deterministic roots" (fun () ->
         let leaves = List.init 9 (Printf.sprintf "leaf-%d") in
-        check Alcotest.bool "same" true (T.equal_root (T.build leaves) (T.build leaves)));
+        check Alcotest.bool "same" true
+          (String.equal (T.root (T.build leaves)) (T.root (T.build leaves))));
     case "order sensitivity" (fun () ->
         let a = T.build [ "x"; "y" ] and b = T.build [ "y"; "x" ] in
-        check Alcotest.bool "different" false (T.equal_root a b));
+        check Alcotest.bool "different" false (String.equal (T.root a) (T.root b)));
     case "leaf/node domain separation" (fun () ->
         (* A two-leaf tree's root must differ from the leaf hash of the
            concatenation (no second-preimage shortcut). *)
@@ -98,7 +85,7 @@ let unit_tests =
     case "modify changes root and proofs" (fun () ->
         let t = T.build [ "a"; "b"; "c"; "d"; "e" ] in
         let t' = T.modify t 3 (T.leaf_hash "D") in
-        check Alcotest.bool "root changed" false (T.equal_root t t');
+        check Alcotest.bool "root changed" false (String.equal (T.root t) (T.root t'));
         check Alcotest.bool "new proof ok" true (verify_payload t' "D" (T.proof t' 3));
         check Alcotest.bool "old payload fails" false
           (verify_payload t' "d" (T.proof t' 3));
@@ -126,10 +113,11 @@ let property_tests =
         let t = T.build leaves in
         let tampered = List.mapi (fun j l -> if j = i then l ^ "~" else l) leaves in
         let t' = T.build tampered in
-        not (T.equal_root t t'));
+        not (String.equal (T.root t) (T.root t')));
     qcheck ~count:60 "of_leaf_hashes agrees with build" gen_leaves (fun leaves ->
-        T.equal_root (T.build leaves)
-          (T.of_leaf_hashes (List.map T.leaf_hash leaves)));
+        String.equal
+          (T.root (T.build leaves))
+          (T.root (T.of_leaf_hashes (List.map T.leaf_hash leaves))));
   ]
 
 (* --- mutations, rank geometry and the frontier ---------------------- *)
@@ -138,23 +126,7 @@ let dyn_sizes = [ 1; 2; 3; 5; 7; 8; 9; 15; 16; 17; 31; 32; 33 ]
 
 let payloads tag n = List.init n (Printf.sprintf "%s-%d-%d" tag n)
 
-let same_root payloads dt = String.equal (naive_root payloads) (T.root dt)
-
-(* Sibling sides by naive level pairing: a node is a right child when
-   its level index is odd, a left child when it has a right neighbour,
-   and promoted (no sibling) otherwise. *)
-let naive_sides ~total ~index =
-  let rec go n i acc =
-    if n = 1 then List.rev acc
-    else
-      let acc =
-        if i land 1 = 1 then T.L :: acc
-        else if i + 1 < n then T.R :: acc
-        else acc
-      in
-      go ((n + 1) / 2) (i / 2) acc
-  in
-  go total index []
+let same_root payloads dt = String.equal (Reference.merkle_root payloads) (T.root dt)
 
 let with_domains n f =
   let saved = Sc_parallel.domain_count () in
@@ -191,7 +163,7 @@ let dynamic_unit_tests =
             let t = T.build (payloads "geo" n) in
             for i = 0 to n - 1 do
               let geom = T.expected_geometry ~total:n ~index:i in
-              if geom <> naive_sides ~total:n ~index:i then
+              if geom <> Reference.merkle_sides ~total:n ~index:i then
                 Alcotest.failf "size %d index %d sides" n i;
               if List.length (T.proof t i).T.path <> List.length geom then
                 Alcotest.failf "size %d index %d depth" n i
@@ -285,7 +257,7 @@ let dynamic_unit_tests =
         in
         let batched = T.apply t ops in
         let stepped = List.fold_left (fun t op -> T.apply t [ op ]) t ops in
-        check Alcotest.bool "same root" true (T.equal_root batched stepped));
+        check Alcotest.bool "same root" true (String.equal (T.root batched) (T.root stepped)));
     case "dynamic: frontier tracks every root" (fun () ->
         List.iter
           (fun n ->
@@ -347,7 +319,7 @@ let dynamic_property_tests =
             T.apply t [ T.Delete { index = at } ] )
     in
     let check_state (model, t) =
-      same_root model t && T.size t = List.length model
+      same_root model t && List.length (T.leaf_hashes t) = List.length model
     in
     let final =
       List.fold_left
@@ -382,7 +354,7 @@ let dynamic_property_tests =
     qcheck ~count:60 "dynamic: of_leaf_hashes agrees with the naive reference"
       gen_leaves (fun leaves ->
         let hs = List.map T.leaf_hash leaves in
-        String.equal (naive_root_of_hashes hs) (T.root (T.of_leaf_hashes hs)));
+        String.equal (Reference.merkle_root_of_hashes hs) (T.root (T.of_leaf_hashes hs)));
   ]
 
 let suite =

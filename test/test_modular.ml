@@ -24,9 +24,9 @@ let unit_tests =
         Alcotest.check_raises "one" (Invalid_argument "Modular.create: modulus < 2")
           (fun () -> ignore (Modular.create Nat.one)));
     case "reduce idempotent and below modulus" (fun () ->
-        let m = Nat.of_decimal "1000003" in
+        let m = Util.nat_of_decimal "1000003" in
         let ctx = Modular.create m in
-        let x = Nat.of_decimal "123456789123456789" in
+        let x = Util.nat_of_decimal "123456789123456789" in
         let r = Modular.reduce ctx x in
         check Alcotest.bool "below" true (Nat.compare r m < 0);
         check nat "idempotent" r (Modular.reduce ctx r));
@@ -49,7 +49,7 @@ let unit_tests =
           [ 2, 10; 3, 100; 1008, 57; 17, 0; 0, 5 ]);
     case "fermat little theorem" (fun () ->
         (* a^(p-1) = 1 mod p for prime p. *)
-        let p = Nat.of_decimal "1000000007" in
+        let p = Util.nat_of_decimal "1000000007" in
         let ctx = Modular.create p in
         List.iter
           (fun a ->
@@ -57,9 +57,9 @@ let unit_tests =
               (Modular.pow ctx (Nat.of_int a) (Nat.sub p Nat.one)))
           [ 2; 3; 65537; 999999999 ]);
     case "inverse times value is one" (fun () ->
-        let p = Nat.of_decimal "32416190071" in
+        let p = Util.nat_of_decimal "32416190071" in
         let ctx = Modular.create p in
-        let a = Nat.of_decimal "31415926535" in
+        let a = Util.nat_of_decimal "31415926535" in
         let ai = Modular.inv ctx a in
         check nat "a * a^-1" Nat.one (Modular.mul ctx a ai));
     case "inverse of non-coprime raises" (fun () ->
@@ -67,16 +67,21 @@ let unit_tests =
         Alcotest.check_raises "gcd != 1" Not_found (fun () ->
             ignore (Modular.inv ctx (Nat.of_int 10))));
     case "egcd bezout identity" (fun () ->
-        let a = Nat.of_decimal "240" and b = Nat.of_decimal "46" in
+        let a = Util.nat_of_decimal "240" and b = Util.nat_of_decimal "46" in
         let g, x, y = Modular.egcd a b in
         check nat "gcd" (Nat.of_int 2) g;
-        let lhs = Signed.add (Signed.mul (Signed.of_nat a) x)
-            (Signed.mul (Signed.of_nat b) y) in
-        check Alcotest.bool "bezout" true (Signed.equal lhs (Signed.of_nat g)));
+        (* a·x − g = −(b·y) *)
+        let ax = Signed.mul (Signed.of_nat a) x
+        and by = Signed.mul (Signed.of_nat b) y in
+        check Alcotest.int "bezout" 0
+          (Signed.sign
+             (Signed.sub (Signed.sub ax (Signed.of_nat g))
+                (Signed.sub Signed.zero by))));
     case "of_signed maps negatives" (fun () ->
         let ctx = Modular.create (Nat.of_int 7) in
-        check nat "-1 mod 7" (Nat.of_int 6) (Modular.of_signed ctx (Signed.of_int (-1)));
-        check nat "-15 mod 7" (Nat.of_int 6) (Modular.of_signed ctx (Signed.of_int (-15))))
+        let minus n = Signed.sub Signed.zero (Signed.of_nat (Nat.of_int n)) in
+        check nat "-1 mod 7" (Nat.of_int 6) (Modular.of_signed ctx (minus 1));
+        check nat "-15 mod 7" (Nat.of_int 6) (Modular.of_signed ctx (minus 15)))
   ]
 
 let property_tests =
@@ -135,7 +140,7 @@ let montgomery_tests =
           (Invalid_argument "Montgomery.create: modulus must be odd and >= 3")
           (fun () -> ignore (Montgomery.create Nat.one)));
     case "montgomery round trip through the domain" (fun () ->
-        let m = Nat.of_decimal "1000000007" in
+        let m = Util.nat_of_decimal "1000000007" in
         let ctx = Montgomery.create m in
         List.iter
           (fun v ->
@@ -144,7 +149,7 @@ let montgomery_tests =
               (Montgomery.of_mont ctx (Montgomery.to_mont ctx v)))
           [ 0; 1; 999999999; 123456789 ]);
     case "montgomery one is the domain image of 1" (fun () ->
-        let m = Nat.of_decimal "32416190071" in
+        let m = Util.nat_of_decimal "32416190071" in
         let ctx = Montgomery.create m in
         check nat "one" Nat.one (Montgomery.of_mont ctx (Montgomery.one ctx)));
     case "montgomery pow known values" (fun () ->
@@ -159,7 +164,7 @@ let montgomery_arith_tests =
   let open Util in
   [
     case "montgomery add/sub/neg/double at the edges (0, 1, p-1)" (fun () ->
-        let p = Nat.of_decimal "1000000007" in
+        let p = Util.nat_of_decimal "1000000007" in
         let pm1 = Nat.sub p Nat.one in
         let ctx = Montgomery.create p in
         let m v = Montgomery.to_mont ctx v in
@@ -192,7 +197,7 @@ let montgomery_arith_tests =
         check Alcotest.bool "distinct" false
           (Montgomery.equal (Montgomery.of_int ctx 1) (Montgomery.of_int ctx 2)));
     case "montgomery inv at the edges and against mul" (fun () ->
-        let p = Nat.of_decimal "32416190071" in
+        let p = Util.nat_of_decimal "32416190071" in
         let pm1 = Nat.sub p Nat.one in
         let ctx = Montgomery.create p in
         let m v = Montgomery.to_mont ctx v in
@@ -201,7 +206,7 @@ let montgomery_arith_tests =
         (* p-1 is its own inverse: (p-1)^2 = 1 mod p. *)
         check nat "inv (p-1) = p-1" pm1
           (Montgomery.of_mont ctx (Montgomery.inv ctx (m pm1)));
-        let a = m (Nat.of_decimal "31415926535") in
+        let a = m (Util.nat_of_decimal "31415926535") in
         check nat "a * inv a = 1" Nat.one
           (Montgomery.of_mont ctx (Montgomery.mul ctx a (Montgomery.inv ctx a)));
         Alcotest.check_raises "inv 0" Not_found (fun () ->
@@ -245,7 +250,8 @@ let montgomery_property_tests =
         match Montgomery.inv mc am with
         | ai -> Nat.is_one (Montgomery.of_mont mc (Montgomery.mul mc am ai))
         | exception Not_found ->
-          not (Nat.is_one (Modular.gcd (Nat.rem a m) m)));
+          let g, _, _ = Modular.egcd (Nat.rem a m) m in
+          not (Nat.is_one g));
   ]
 
 let jacobi_tests =
@@ -267,7 +273,7 @@ let jacobi_tests =
     case "jacobi of composite: (2|15) = 1 though 2 is not a QR" (fun () ->
         check Alcotest.int "(2|15)" 1 (Modular.jacobi Nat.two (Nat.of_int 15)));
     case "jacobi equals euler criterion on a prime" (fun () ->
-        let p = Nat.of_decimal "1000000007" in
+        let p = Util.nat_of_decimal "1000000007" in
         let ctx = Modular.create p in
         let e = Nat.shift_right (Nat.sub p Nat.one) 1 in
         let bs = Util.fresh_bs "jacobi" in
@@ -279,7 +285,7 @@ let jacobi_tests =
             else -1
           in
           if Modular.jacobi a p <> euler then
-            Alcotest.failf "mismatch at %s" (Nat.to_decimal a)
+            Alcotest.failf "mismatch at %s" (Util.nat_to_decimal a)
         done);
     case "jacobi multiplicativity in the numerator" (fun () ->
         let n = Nat.of_int 1009 in

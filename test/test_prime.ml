@@ -27,13 +27,13 @@ let unit_tests =
         List.iter
           (fun p ->
             check Alcotest.bool p true
-              (Prime.is_probably_prime ~bytes_source:bs (Nat.of_decimal p)))
+              (Prime.is_probably_prime ~bytes_source:bs (Util.nat_of_decimal p)))
           known_primes);
     case "known composites rejected" (fun () ->
         List.iter
           (fun c ->
             check Alcotest.bool c false
-              (Prime.is_probably_prime ~bytes_source:bs (Nat.of_decimal c)))
+              (Prime.is_probably_prime ~bytes_source:bs (Util.nat_of_decimal c)))
           known_composites);
     case "zero and one are not prime" (fun () ->
         check Alcotest.bool "0" false

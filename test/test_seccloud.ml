@@ -42,9 +42,9 @@ let unit_tests =
         let system = fresh_system "setup" in
         let pub = Seccloud.System.public system in
         check Alcotest.bool "da key valid" true
-          (Sc_ibc.Setup.valid_key pub (Seccloud.System.da_key system));
+          (Reference.valid_key pub (Seccloud.System.da_key system));
         check Alcotest.bool "cs key valid" true
-          (Sc_ibc.Setup.valid_key pub (Seccloud.System.cs_key system "cs-1"));
+          (Reference.valid_key pub (Seccloud.System.cs_key system "cs-1"));
         check Alcotest.(list string) "cs ids" [ "cs-1"; "cs-2" ]
           (Seccloud.System.cs_ids system));
     case "register_user is idempotent" (fun () ->
@@ -52,7 +52,7 @@ let unit_tests =
         let k1 = Seccloud.System.register_user system "alice" in
         let k2 = Seccloud.System.register_user system "alice" in
         check Alcotest.bool "same key" true
-          (Sc_ec.Curve.equal k1.Sc_ibc.Setup.sk k2.Sc_ibc.Setup.sk));
+          (Util.point_equal k1.Sc_ibc.Setup.sk k2.Sc_ibc.Setup.sk));
     case "unknown server id raises" (fun () ->
         let system = fresh_system "unknown" in
         Alcotest.check_raises "not found" Not_found (fun () ->
@@ -67,6 +67,32 @@ let unit_tests =
         let r = Seccloud.Agency.audit_storage da cloud ~owner:"alice" ~file:"f" ~samples:10 in
         check Alcotest.bool "intact" true r.Seccloud.Agency.intact;
         check Alcotest.int "sampled" 10 r.Seccloud.Agency.sampled);
+    case "a charged storage challenge names exactly the audited blocks"
+      (fun () ->
+        (* Two agencies of one system draw the same positions; against a
+           server that corrupts every block, audit_storage reports each
+           position it audited as invalid, in order. *)
+        let system = fresh_system "charged" in
+        let user = Seccloud.User.create system ~id:"alice" in
+        let storage = Sc_storage.Server.Corrupt_fraction 1.0 in
+        let cloud = Seccloud.Cloud.create system ~id:"cs-1" ~storage () in
+        Seccloud.Cloud.accept_upload_unchecked cloud
+          (Seccloud.User.sign_file user ~cs_id:"cs-1" ~file:"f" (payloads 24));
+        let charged = Seccloud.Agency.create system
+        and audited = Seccloud.Agency.create system in
+        let indices =
+          match Seccloud.Agency.read_samples charged cloud ~file:"f" ~samples:6 with
+          | Some reads -> List.map fst reads
+          | None -> Alcotest.fail "file not found"
+        in
+        let r =
+          Seccloud.Agency.audit_storage audited cloud ~owner:"alice" ~file:"f"
+            ~samples:6
+        in
+        check Alcotest.(list int) "challenge = audited blocks"
+          r.Seccloud.Agency.invalid_indices indices;
+        check Alcotest.bool "not the first t blocks" true
+          (indices <> List.init 6 Fun.id));
     case "batched storage audit agrees with individual" (fun () ->
         let system = fresh_system "batchagree" in
         let pub = Seccloud.System.public system in
@@ -87,7 +113,7 @@ let unit_tests =
               | Some { Sc_storage.Server.claimed; signed }
                 when claimed.Sc_storage.Block.index = i ->
                 not
-                  (Sc_storage.Signer.verify_block pub ~verifier_key:da_key
+                  (Reference.verify_block pub ~verifier_key:da_key
                      ~role:`Da ~q_id claimed signed)
               | Some _ | None -> true)
             (List.init 24 Fun.id)

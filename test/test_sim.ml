@@ -152,17 +152,21 @@ let montecarlo_tests =
         let drbg = Sc_hash.Drbg.create ~seed:"mc-fcs" in
         List.iter
           (fun (csc, range, t) ->
-            let r = Mc.fcs_experiment ~drbg ~csc ~range ~t ~trials:60_000 in
-            if not (tolerance r.Mc.rate r.Mc.predicted 60_000)
+            let rate = Reference.fcs_rate ~drbg ~csc ~range ~t ~trials:60_000 in
+            let predicted = Sc_audit.Sampling.pr_fcs ~csc ~range ~t in
+            if not (tolerance rate predicted 60_000)
             then Alcotest.failf "csc=%f range=%f t=%d: %f vs %f" csc range t
-                r.Mc.rate r.Mc.predicted)
+                rate predicted)
           [ 0.5, 2.0, 5; 0.3, 4.0, 8; 0.0, 2.0, 3; 0.9, infinity, 20 ]);
     case "pcs experiment matches eq. 12" (fun () ->
         let drbg = Sc_hash.Drbg.create ~seed:"mc-pcs" in
         List.iter
           (fun (ssc, t) ->
-            let r = Mc.pcs_experiment ~drbg ~ssc ~sig_forge:0.0 ~t ~trials:60_000 in
-            if not (tolerance r.Mc.rate r.Mc.predicted 60_000)
+            let rate =
+              Reference.pcs_rate ~drbg ~ssc ~sig_forge:0.0 ~t ~trials:60_000
+            in
+            let predicted = Sc_audit.Sampling.pr_pcs ~ssc ~sig_forge:0.0 ~t in
+            if not (tolerance rate predicted 60_000)
             then Alcotest.failf "ssc=%f t=%d" ssc t)
           [ 0.5, 5; 0.7, 10; 0.2, 3 ]);
     case "combined experiment bounded by eq. 14" (fun () ->
@@ -198,25 +202,19 @@ let montecarlo_conformance_tests =
         let drbg = Sc_hash.Drbg.create ~seed:"mc-conf-fcs" in
         List.iter
           (fun (csc, range, t) ->
-            let r = Mc.fcs_experiment ~drbg ~csc ~range ~t ~trials in
-            check (Alcotest.float 1e-12) "closed form"
-              (Sc_audit.Sampling.pr_fcs ~csc ~range ~t)
-              r.Mc.predicted;
             within_3_sigma
               (Printf.sprintf "fcs csc=%.1f range=%.1f t=%d" csc range t)
-              r.Mc.rate r.Mc.predicted)
+              (Reference.fcs_rate ~drbg ~csc ~range ~t ~trials)
+              (Sc_audit.Sampling.pr_fcs ~csc ~range ~t))
           [ 0.5, 2.0, 10; 0.3, 4.0, 6; 0.8, infinity, 12 ]);
     slow_case "PCS survival conforms to eq. 12 within 3 sigma" (fun () ->
         let drbg = Sc_hash.Drbg.create ~seed:"mc-conf-pcs" in
         List.iter
           (fun (ssc, sig_forge, t) ->
-            let r = Mc.pcs_experiment ~drbg ~ssc ~sig_forge ~t ~trials in
-            check (Alcotest.float 1e-12) "closed form"
-              (Sc_audit.Sampling.pr_pcs ~ssc ~sig_forge ~t)
-              r.Mc.predicted;
             within_3_sigma
               (Printf.sprintf "pcs ssc=%.1f forge=%g t=%d" ssc sig_forge t)
-              r.Mc.rate r.Mc.predicted)
+              (Reference.pcs_rate ~drbg ~ssc ~sig_forge ~t ~trials)
+              (Sc_audit.Sampling.pr_pcs ~ssc ~sig_forge ~t))
           [ 0.6, 1e-3, 8; 0.5, 0.0, 8 ]);
     slow_case "combined survival conforms to eq. 14 within 3 sigma" (fun () ->
         let drbg = Sc_hash.Drbg.create ~seed:"mc-conf-comb" in

@@ -55,10 +55,10 @@ let signer_tests =
         Array.iter
           (fun (sb : Signer.signed_block) ->
             check Alcotest.bool "cs" true
-              (Signer.verify_block pub ~verifier_key:cs_key ~role:`Cs
+              (Reference.verify_block pub ~verifier_key:cs_key ~role:`Cs
                  ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") sb.Signer.block sb);
             check Alcotest.bool "da" true
-              (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
+              (Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                  ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") sb.Signer.block sb))
           upload.Signer.blocks);
     case "verification fails for tampered payload" (fun () ->
@@ -66,20 +66,20 @@ let signer_tests =
         let sb = upload.Signer.blocks.(2) in
         let forged = { sb.Signer.block with Block.data = "other" } in
         check Alcotest.bool "tampered" false
-          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "alice")
+          (Reference.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "alice")
              forged sb));
     case "verification fails for shifted position" (fun () ->
         let upload = make_upload () in
         let sb = upload.Signer.blocks.(2) in
         let moved = { sb.Signer.block with Block.index = 5 } in
         check Alcotest.bool "moved" false
-          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "alice")
+          (Reference.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "alice")
              moved sb));
     case "verification fails for wrong owner" (fun () ->
         let upload = make_upload () in
         let sb = upload.Signer.blocks.(0) in
         check Alcotest.bool "wrong owner" false
-          (Signer.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "bob")
+          (Reference.verify_block pub ~verifier_key:da_key ~role:`Da ~q_id:(Sc_ibc.Setup.q_of_id pub "bob")
              sb.Signer.block sb));
     case "role projection picks matching sigma" (fun () ->
         let upload = make_upload () in
@@ -99,7 +99,7 @@ let server_tests =
           | None -> Alcotest.fail "missing block"
           | Some { Server.claimed; signed } ->
             check Alcotest.bool "verifies" true
-              (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
+              (Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                  ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
         done);
     case "unknown file and out-of-range index give None" (fun () ->
@@ -117,7 +117,7 @@ let server_tests =
           | Some { Server.claimed; signed } ->
             if
               not
-                (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
+                (Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                    ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
             then incr failures
         done;
@@ -130,7 +130,7 @@ let server_tests =
           | Some { Server.claimed; signed } ->
             if
               not
-                (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
+                (Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                    ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
             then incr failures
           | None -> incr failures
@@ -145,7 +145,7 @@ let server_tests =
             (* Either the signature fails outright or the claimed index
                disagrees with what was signed. *)
             let sig_ok =
-              Signer.verify_block pub ~verifier_key:da_key ~role:`Da
+              Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                 ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed
             in
             if not sig_ok then incr mismatches
@@ -171,7 +171,7 @@ let server_tests =
           | None -> Alcotest.fail "missing"
           | Some { Server.claimed; signed } ->
             check Alcotest.bool "clean" true
-              (Signer.verify_block pub ~verifier_key:da_key ~role:`Da
+              (Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                  ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
         done);
     case "storage_confidence reflects behaviour" (fun () ->
@@ -395,7 +395,7 @@ let dynamic_tests =
 
 (* Digests recorded with the textbook signer, which paired
    V = (r+h)·sk_ID with each verifier's Q ([Dvs.designate]).  The
-   bilinearity signer ([Dvs.sign]) must reproduce them bit for bit. *)
+   bilinearity signer ([Dvs.sign_batch]) must reproduce them bit for bit. *)
 let pin_digests params =
   let system =
     Seccloud.System.create ~params ~seed:"pin-system" ~cs_ids:[ "cs-1" ]

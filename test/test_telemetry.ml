@@ -227,9 +227,8 @@ let e2e =
         let parts =
           Telemetry.counter_value "pairing.single"
           + Telemetry.counter_value "pairing.multi"
-          + Telemetry.counter_value "pairing.affine"
         in
-        check Alcotest.int "total = single + multi + affine" total parts);
+        check Alcotest.int "total = single + multi" total parts);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -124,7 +124,8 @@ let fault_tests =
             ~handler:(fun ~now:_ _ -> "garbage") ()
         in
         let result, delta =
-          counter_deltas (fun () -> T.rpc tr (Wire.Ack { ok = true; detail = "" }))
+          counter_deltas (fun () ->
+              T.call tr ~expect:"ack" (Wire.Ack { ok = true; detail = "" }))
         in
         check Alcotest.bool "tampered" true (result = Error T.Tampered);
         check Alcotest.int "every attempt detected" (delta "transport.attempts")
@@ -140,7 +141,8 @@ let fault_tests =
             ()
         in
         let result, _ =
-          counter_deltas (fun () -> T.rpc tr (Wire.Ack { ok = true; detail = "" }))
+          counter_deltas (fun () ->
+              T.call tr ~expect:"ack" (Wire.Ack { ok = true; detail = "" }))
         in
         check Alcotest.bool "tampered" true (result = Error T.Tampered));
     case "clock never moves backwards" (fun () ->

@@ -74,22 +74,39 @@ let no_cmt ~build_dir rel =
         build_dir;
   }
 
-let lint_all ~build_dir ~waivers srcs =
-  let entries =
-    Typed_load.scan ~build_dir ~rels:(List.map (fun (s : source) -> s.rel) srcs)
-  in
-  let pass = Typed_rules.prepare (Flow_graph.build entries) ~waivers in
-  let missing =
+(* The typed pass reads three kinds of cmt: the linted sources', the
+   .cmti of each linted lib/ interface, and those of the callers
+   dead-export counts.  Any of them missing is a no-cmt error, so an
+   unbuilt caller cannot make an export look dead or alive. *)
+let lint_all ~build_dir ~waivers ~callers srcs =
+  let rels = List.map (fun (s : source) -> s.rel) srcs in
+  let intf_rels =
     List.filter_map
       (fun (s : source) ->
-        if List.exists (fun (e : Typed_load.entry) -> e.rel = s.rel) entries
-        then None
-        else Some (no_cmt ~build_dir s.rel))
+        if in_lib s.rel && s.has_mli then Some (s.rel ^ "i") else None)
       srcs
+  in
+  let caller_rels = List.filter (fun r -> not (List.mem r rels)) callers in
+  let entries, intfs =
+    Typed_load.scan ~build_dir ~rels:(rels @ intf_rels @ caller_rels)
+  in
+  let linted =
+    List.filter (fun (e : Typed_load.entry) -> List.mem e.rel rels) entries
+  in
+  let pass = Typed_rules.prepare (Flow_graph.build linted) ~waivers in
+  let found =
+    List.map (fun (e : Typed_load.entry) -> e.rel) entries
+    @ List.map (fun (i : Typed_load.intf) -> i.irel) intfs
+  in
+  let missing =
+    List.filter_map
+      (fun rel -> if List.mem rel found then None else Some (no_cmt ~build_dir rel))
+      (rels @ intf_rels @ caller_rels)
   in
   List.sort_uniq Finding.compare
     (List.concat_map lint_source srcs
-    @ List.concat_map (Typed_rules.lint pass) entries
+    @ List.concat_map (Typed_rules.lint pass) linted
+    @ Typed_rules.dead_exports intfs ~callers:entries
     @ missing)
 
 (* ------------------------------------------------------------------ *)
@@ -183,7 +200,14 @@ let gate ~root ~waivers dirs =
   Result.map
     (fun ws ->
       let srcs = collect_files ~root dirs in
-      let findings = lint_all ~build_dir:(build_dir_of root) ~waivers:ws srcs in
+      let callers =
+        List.map
+          (fun (s : source) -> s.rel)
+          (collect_files ~root Typed_rules.caller_roots)
+      in
+      let findings =
+        lint_all ~build_dir:(build_dir_of root) ~waivers:ws ~callers srcs
+      in
       let unwaived, waived, stale = Waiver.apply ws findings in
       let untyped =
         List.length

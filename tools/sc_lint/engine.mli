@@ -12,10 +12,16 @@ val lint_source : source -> Finding.t list
 (** The Parsetree rules and no-mli for one source. *)
 
 val lint_all :
-  build_dir:string -> waivers:Waiver.t list -> source list -> Finding.t list
+  build_dir:string ->
+  waivers:Waiver.t list ->
+  callers:string list ->
+  source list ->
+  Finding.t list
 (** Parse rules plus the typed pass ({!Typed_rules}) over the cmts
-    under [build_dir], sorted.  A source without a cmt yields an Error
-    finding [no-cmt]. *)
+    under [build_dir], sorted.  [callers] are the root-relative [.ml]
+    paths whose cmts dead-export counts as references.  A source, a
+    lib/ interface or a caller without its cmt yields an Error finding
+    [no-cmt]. *)
 
 val collect_files : root:string -> string list -> source list
 (** [collect_files ~root dirs] reads every [.ml] under [root/dir] for
@@ -32,7 +38,8 @@ type report = {
 
 val gate : root:string -> waivers:string option -> string list -> (report, string) result
 (** [gate ~root ~waivers dirs] parses the waiver file [waivers] (none
-    when [None]), lints every [.ml] under [dirs] with the cmts of
+    when [None]), lints every [.ml] under [dirs] (callers: every [.ml]
+    under {!Typed_rules.caller_roots}) with the cmts of
     [root/_build/default] (or of [root] itself, when it is a build
     tree) and applies the baseline.  [Error] when the waiver file is
     unreadable or malformed. *)

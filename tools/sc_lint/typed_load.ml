@@ -20,6 +20,12 @@ type entry = {
   structure : Typedtree.structure;
 }
 
+type intf = {
+  irel : string; (* "lib/hash/drbg.mli" *)
+  imodname : string;
+  signature : Typedtree.signature;
+}
+
 (* "Sc_hash__Drbg" -> "Sc_hash.Drbg"; dune's separator is a literal
    double underscore, which cannot appear in a single OCaml module
    name dune generates. *)
@@ -56,31 +62,42 @@ let rec walk_cmts dir acc =
       (fun acc name ->
         let path = Filename.concat dir name in
         if Sys.is_directory path then walk_cmts path acc
-        else if Filename.check_suffix name ".cmt" then path :: acc
+        else if
+          Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
+        then path :: acc
         else acc)
       acc entries
 
-let scan ~build_dir ~rels : entry list =
+(* .cmt files carry implementations, .cmti files interfaces; both are
+   keyed by their [cmt_sourcefile]. *)
+let scan ~build_dir ~rels =
   let wanted = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace wanted r ()) rels;
   let seen = Hashtbl.create 64 in
-  let entries =
+  let entries, intfs =
     List.fold_left
-      (fun acc path ->
+      (fun ((es, is) as acc) path ->
         match Cmt_format.read_cmt path with
         | exception _ -> acc
         | cmt -> (
-          match (cmt.Cmt_format.cmt_sourcefile, cmt.cmt_annots) with
-          | Some src, Cmt_format.Implementation structure
-            when Hashtbl.mem wanted src && not (Hashtbl.mem seen src) ->
-            Hashtbl.replace seen src ();
-            { rel = src; modname = normalize_modname cmt.cmt_modname; structure }
-            :: acc
+          match cmt.Cmt_format.cmt_sourcefile with
+          | Some src when Hashtbl.mem wanted src && not (Hashtbl.mem seen src)
+            -> (
+            let modname = normalize_modname cmt.cmt_modname in
+            match cmt.cmt_annots with
+            | Cmt_format.Implementation structure ->
+              Hashtbl.replace seen src ();
+              ({ rel = src; modname; structure } :: es, is)
+            | Cmt_format.Interface signature ->
+              Hashtbl.replace seen src ();
+              (es, { irel = src; imodname = modname; signature } :: is)
+            | _ -> acc)
           | _ -> acc))
-      []
+      ([], [])
       (walk_cmts build_dir [])
   in
-  List.sort (fun a b -> String.compare a.rel b.rel) entries
+  ( List.sort (fun a b -> String.compare a.rel b.rel) entries,
+    List.sort (fun a b -> String.compare a.irel b.irel) intfs )
 
 (* ------------------------------------------------------------------ *)
 (* In-process typechecking for fixture tests                          *)
@@ -117,7 +134,7 @@ let include_dirs ~root =
       [] subdirs
     |> List.rev
 
-let typecheck ~include_dirs ~modname ~rel content : (entry, string) result =
+let front_end ~include_dirs ~modname ~rel content type_it =
   Clflags.include_dirs := include_dirs;
   (* fixtures deliberately contain unused/partial code; silence every
      warning so only type errors surface *)
@@ -127,11 +144,8 @@ let typecheck ~include_dirs ~modname ~rel content : (entry, string) result =
   let env = Compmisc.initial_env () in
   let lexbuf = Lexing.from_string content in
   Location.init lexbuf rel;
-  match
-    let parsetree = Parse.implementation lexbuf in
-    Typemod.type_structure env parsetree
-  with
-  | structure, _sig, _names, _shape, _env -> Ok { rel; modname; structure }
+  match type_it env lexbuf with
+  | r -> Ok r
   | exception exn -> (
     match Location.error_of_exn exn with
     | Some (`Ok report) ->
@@ -141,3 +155,15 @@ let typecheck ~include_dirs ~modname ~rel content : (entry, string) result =
       Format.pp_print_flush fmt ();
       Error (Buffer.contents buf)
     | _ -> Error (Printexc.to_string exn))
+
+let typecheck ~include_dirs ~modname ~rel content =
+  front_end ~include_dirs ~modname ~rel content (fun env lexbuf ->
+      let structure, _, _, _, _ =
+        Typemod.type_structure env (Parse.implementation lexbuf)
+      in
+      { rel; modname; structure })
+
+let typecheck_intf ~include_dirs ~modname ~rel content =
+  front_end ~include_dirs ~modname ~rel content (fun env lexbuf ->
+      let signature = Typemod.transl_signature env (Parse.interface lexbuf) in
+      { irel = rel; imodname = modname; signature })

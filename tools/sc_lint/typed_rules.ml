@@ -204,8 +204,8 @@ let is_sanitizer segs =
   | None -> false
 
 (* Calls whose *result* is secret even though its type is a plain
-   string: the DRBG keystream and the IBC master secret. *)
-let secret_sources = SSet.of_list [ "Drbg.generate"; "Setup.master_secret" ]
+   string: the DRBG keystream. *)
+let secret_sources = SSet.of_list [ "Drbg.generate" ]
 
 let secret_source segs =
   match last2 (strip_stdlib segs) with
@@ -968,6 +968,211 @@ let secret_flow pass (entry : Typed_load.entry) =
         body)
     (Flow_graph.top_bindings entry);
   !findings
+
+(* ------------------------------------------------------------------ *)
+(* Dead exports                                                       *)
+
+(* The roots whose cmts count as callers of a lib/ export.  test/ is
+   not one: a value only the tests reach is dead, a test oracle, or a
+   hook waived by name. *)
+let caller_roots = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
+
+let under_caller_root rel =
+  List.exists
+    (fun root ->
+      let r = root ^ "/" in
+      String.length rel > String.length r
+      && String.sub rel 0 (String.length r) = r)
+    caller_roots
+
+(* A module path as plain dotted segments, local aliases expanded.
+   dune's "Lib__Mod" splits into "Lib"; "Mod", and its alias module
+   "Lib__" leaves an empty segment that is dropped. *)
+let rec module_segs aliases = function
+  | Path.Pident id -> (
+    match Hashtbl.find_opt aliases (Ident.unique_name id) with
+    | Some segs -> segs
+    | None ->
+      List.filter (( <> ) "")
+        (String.split_on_char '.'
+           (Typed_load.normalize_modname (Ident.name id))))
+  | Path.Pdot (p, s) -> module_segs aliases p @ [ s ]
+  | Path.Papply (p, _) | Path.Pextra_ty (p, _) -> module_segs aliases p
+
+(* The file's own structure-level values, nested modules included:
+   Ident.unique_name -> qualified name.  A bare identifier outside this
+   table is a local variable, not a reference to an export. *)
+let own_values (entry : Typed_load.entry) =
+  let tbl = Hashtbl.create 64 in
+  let add prefix id =
+    Hashtbl.replace tbl (Ident.unique_name id) (prefix ^ "." ^ Ident.name id)
+  in
+  let rec items prefix (str : structure) =
+    List.iter
+      (fun (it : structure_item) ->
+        match it.str_desc with
+        | Tstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              match vb.vb_pat.pat_desc with
+              | Tpat_var (id, _) | Tpat_alias (_, id, _) -> add prefix id
+              | _ -> ())
+            vbs
+        | Tstr_primitive vd -> add prefix vd.val_id
+        | Tstr_module { mb_name = { txt = Some m; _ }; mb_expr; _ } ->
+          module_expr (prefix ^ "." ^ m) mb_expr
+        | _ -> ())
+      str.str_items
+  and module_expr prefix me =
+    match me.mod_desc with
+    | Tmod_structure str -> items prefix str
+    | Tmod_constraint (me, _, _, _) -> module_expr prefix me
+    | _ -> ()
+  in
+  items entry.modname entry.structure;
+  tbl
+
+(* The value paths one file references, and the module paths it uses
+   whole (include, functor argument, packing), as dotted strings.  An
+   alias binding ([module T = Sc_pairing.Tate]) and an [open] name a
+   module without using all of it. *)
+let references (entry : Typed_load.entry) =
+  let own = own_values entry in
+  let aliases = Hashtbl.create 8 in
+  let values = ref [] and modules = ref [] in
+  let rec alias_target (me : module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (me, _, _, _) -> alias_target me
+    | _ -> None
+  in
+  let alias id me =
+    match (id, alias_target me) with
+    | Some id, Some p ->
+      Hashtbl.replace aliases (Ident.unique_name id) (module_segs aliases p);
+      true
+    | _ -> false
+  in
+  let modname p = String.concat "." (module_segs aliases p) in
+  let default = Tast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      expr =
+        (fun it e ->
+          match e.exp_desc with
+          | Texp_ident (Path.Pident id, _, _) -> (
+            match Hashtbl.find_opt own (Ident.unique_name id) with
+            | Some q -> values := q :: !values
+            | None -> ())
+          | Texp_ident (Path.Pdot (p, v), _, _) ->
+            values := (modname p ^ "." ^ v) :: !values
+          | Texp_letmodule (id, _, _, me, body) when alias id me ->
+            it.expr it body
+          | _ -> default.expr it e);
+      structure_item =
+        (fun it si ->
+          match si.str_desc with
+          | Tstr_module mb when alias mb.mb_id mb.mb_expr -> ()
+          | _ -> default.structure_item it si);
+      open_declaration =
+        (fun it od ->
+          match od.open_expr.mod_desc with
+          | Tmod_ident _ -> ()
+          | _ -> default.open_declaration it od);
+      module_expr =
+        (fun it me ->
+          (match me.mod_desc with
+          | Tmod_ident (p, _) -> modules := modname p :: !modules
+          | _ -> ());
+          default.module_expr it me);
+    }
+  in
+  it.structure it entry.structure;
+  (!values, !modules)
+
+(* Every [val] of an interface, nested signatures included, as
+   (path inside the module, line). *)
+let exported_values (intf : Typed_load.intf) =
+  let rec sig_items prefix items =
+    List.concat_map
+      (fun (it : signature_item) ->
+        match it.sig_desc with
+        | Tsig_value vd ->
+          [ (prefix ^ vd.val_name.txt, vd.val_loc.Location.loc_start.Lexing.pos_lnum) ]
+        | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } -> (
+          match md_type.mty_desc with
+          | Tmty_signature sg -> sig_items (prefix ^ m ^ ".") sg.sig_items
+          | _ -> [])
+        | _ -> [])
+      items
+  in
+  sig_items "" intf.signature.sig_items
+
+let dead_exports (intfs : Typed_load.intf list) ~(callers : Typed_load.entry list) =
+  let lib_intfs = List.filter (fun (i : Typed_load.intf) -> in_lib i.irel) intfs in
+  (* qualified export -> (owning module, used inside it, used outside) *)
+  let uses = Hashtbl.create 512 in
+  List.iter
+    (fun (i : Typed_load.intf) ->
+      List.iter
+        (fun (path, _) ->
+          Hashtbl.replace uses (i.imodname ^ "." ^ path) (i.imodname, ref false, ref false))
+        (exported_values i))
+    lib_intfs;
+  let mark ~current q =
+    match Hashtbl.find_opt uses q with
+    | Some (owner, inside, outside) ->
+      if owner = current then inside := true else outside := true
+    | None -> ()
+  in
+  List.iter
+    (fun (e : Typed_load.entry) ->
+      if under_caller_root e.rel then begin
+        let values, modules = references e in
+        let current = e.modname in
+        List.iter
+          (fun v ->
+            mark ~current v;
+            mark ~current (current ^ "." ^ v))
+          values;
+        List.iter
+          (fun m ->
+            List.iter
+              (fun m ->
+                let pfx = m ^ "." in
+                let n = String.length pfx in
+                Hashtbl.iter
+                  (fun q _ ->
+                    if String.length q > n && String.sub q 0 n = pfx then
+                      mark ~current q)
+                  uses)
+              [ m; current ^ "." ^ m ])
+          modules
+      end)
+    callers;
+  List.concat_map
+    (fun (i : Typed_load.intf) ->
+      List.filter_map
+        (fun (path, line) ->
+          let _, inside, outside = Hashtbl.find uses (i.imodname ^ "." ^ path) in
+          if !outside then None
+          else
+            Some
+              (finding ~rule:"dead-export" ~file:i.irel ~line ~key:path
+                 (if !inside then
+                    Printf.sprintf
+                      "%s is exported but only %s itself uses it; drop it \
+                       from the interface"
+                      path i.imodname
+                  else
+                    Printf.sprintf
+                      "%s is exported but nothing outside %s and test/ \
+                       references it (callers: %s); delete it, move it to \
+                       test/reference.ml, or waive it as a test hook"
+                      path i.imodname (String.concat " " caller_roots))))
+        (exported_values i))
+    lib_intfs
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                       *)
