@@ -445,22 +445,27 @@ let stats_workload (_, params) seed ~drop ~tamper =
   Telemetry.reset ();
   Telemetry.with_span ~name:"stats.workload" @@ fun () ->
   let rows = ref [] in
-  (* Runs [f] as one row; [gate] bounds its pairings (column 0). *)
-  let measure section ?gate op paper f =
+  (* Runs [f] as one row; [gate] bounds its pairings (column 0) and
+     [wnaf_gate], in a check row of its own, its wNAF multiplications
+     (the last column). *)
+  let measure section ?gate ?wnaf_gate op paper f =
     let snapshot () =
       Array.map (fun (c, _) -> Telemetry.counter_value c) columns
     in
     let before = snapshot () in
     let result = f () in
     let after = snapshot () in
-    let bound =
-      Option.map (fun (name, b) -> name, after.(0) - before.(0), b) gate
-    in
+    let delta i = after.(i) - before.(i) in
+    let bound = Option.map (fun (name, b) -> name, delta 0, b) gate in
     rows := { section; op; counts = Some (before, after); paper; bound }
             :: !rows;
+    Option.iter
+      (fun (name, b) ->
+        rows := check name (delta (Array.length columns - 1)) b :: !rows)
+      wnaf_gate;
     result
   in
-  let verifier ?gate op = measure "verifier side" ?gate op in
+  let verifier ?gate ?wnaf_gate op = measure "verifier side" ?gate ?wnaf_gate op in
   let signer ?gate op = measure "signer side" ?gate op in
   let system =
     Seccloud.System.create ~params ~seed ~cs_ids:[ "cs-1"; "cs-2" ]
@@ -508,7 +513,10 @@ let stats_workload (_, params) seed ~drop ~tamper =
   let probe () =
     assert (Sc_ibc.Ibs.verify pub ~signer:"probe" ~msg:"probe-msg" s)
   in
+  (* Of the signature points only V is subgroup-checked (one wNAF
+     multiplication each): torsion on U cannot change a verdict. *)
   verifier ~gate:("Ibs.verify pairings per signature", 1)
+    ~wnaf_gate:("Ibs.verify subgroup multiplications per signature", 1)
     "Ibs.verify (1 sig)" "2 pairings" probe;
   (* That verification warmed every fixed-base table it needs (Miller
      lines for P and P_pub, comb for the signer's Q_ID), so verifying
@@ -525,7 +533,10 @@ let stats_workload (_, params) seed ~drop ~tamper =
         let m = Printf.sprintf "m-%d" i in
         "alice", m, Sc_ibc.Ibs.sign pub key ~bytes_source:cost_bs m)
   in
-  verifier (Printf.sprintf "Ibs.verify_batch (t=%d)" t) "2t pairings"
+  verifier
+    ~wnaf_gate:
+      (Printf.sprintf "Ibs.verify_batch (t=%d) subgroup multiplications" t, t)
+    (Printf.sprintf "Ibs.verify_batch (t=%d)" t) "2t pairings"
     (fun () -> assert (Sc_ibc.Ibs.verify_batch pub batch));
   (* Table II "Ours": designated-verifier individual vs aggregate. *)
   let dvs_entries =

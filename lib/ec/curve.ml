@@ -77,86 +77,15 @@ let add c p q =
       Affine (x3, y3)
     end
 
-(* Jacobian coordinates (X : Y : Z) with x = X/Z², y = Y/Z³; Z = 0
-   encodes the point at infinity.  Scalar multiplication runs in
-   Jacobian form so that the whole ladder needs a single field
-   inversion, instead of one per group operation. *)
-type jac = { jx : Fp.el; jy : Fp.el; jz : Fp.el }
-
-let jac_infinity = { jx = Fp.one; jy = Fp.one; jz = Fp.zero }
-
-let point_of_jac c j =
-  let f = c.fld in
-  if Fp.is_zero j.jz then Infinity
-  else begin
-    let zinv = Fp.inv f j.jz in
-    let zinv2 = Fp.sqr f zinv in
-    Affine (Fp.mul f j.jx zinv2, Fp.mul f j.jy (Fp.mul f zinv2 zinv))
-  end
-
-(* dbl-2007-bl, valid for any curve coefficient a. *)
-let jdouble c j =
-  let f = c.fld in
-  if Fp.is_zero j.jz || Fp.is_zero j.jy then jac_infinity
-  else begin
-    let xx = Fp.sqr f j.jx in
-    let yy = Fp.sqr f j.jy in
-    let yyyy = Fp.sqr f yy in
-    let zz = Fp.sqr f j.jz in
-    let s =
-      Fp.double f
-        (Fp.sub f (Fp.sub f (Fp.sqr f (Fp.add f j.jx yy)) xx) yyyy)
-    in
-    let m =
-      Fp.add f
-        (Fp.add f (Fp.double f xx) xx)
-        (Fp.mul f c.a (Fp.sqr f zz))
-    in
-    let t = Fp.sub f (Fp.sqr f m) (Fp.double f s) in
-    let y3 =
-      Fp.sub f
-        (Fp.mul f m (Fp.sub f s t))
-        (Fp.double f (Fp.double f (Fp.double f yyyy)))
-    in
-    let z3 = Fp.sub f (Fp.sub f (Fp.sqr f (Fp.add f j.jy j.jz)) yy) zz in
-    { jx = t; jy = y3; jz = z3 }
-  end
-
-(* madd-2007-bl: mixed addition with an affine second operand. *)
-let jadd_mixed c j x2 y2 =
-  let f = c.fld in
-  if Fp.is_zero j.jz then { jx = x2; jy = y2; jz = Fp.one }
-  else begin
-    let z1z1 = Fp.sqr f j.jz in
-    let u2 = Fp.mul f x2 z1z1 in
-    let s2 = Fp.mul f y2 (Fp.mul f j.jz z1z1) in
-    if Fp.equal u2 j.jx then begin
-      if Fp.equal s2 j.jy then jdouble c j else jac_infinity
-    end
-    else begin
-      let h = Fp.sub f u2 j.jx in
-      let hh = Fp.sqr f h in
-      let i = Fp.double f (Fp.double f hh) in
-      let jj = Fp.mul f h i in
-      let r = Fp.double f (Fp.sub f s2 j.jy) in
-      let v = Fp.mul f j.jx i in
-      let x3 = Fp.sub f (Fp.sub f (Fp.sqr f r) jj) (Fp.double f v) in
-      let y3 =
-        Fp.sub f
-          (Fp.mul f r (Fp.sub f v x3))
-          (Fp.double f (Fp.mul f j.jy jj))
-      in
-      let z3 = Fp.sub f (Fp.sub f (Fp.sqr f (Fp.add f j.jz h)) z1z1) hh in
-      { jx = x3; jy = y3; jz = z3 }
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Montgomery-resident Jacobian machinery: the same dbl-2007-bl /
-   madd-2007-bl formulas as above, but over Fp.Mont so every field
-   multiplication is a single fused REDC.  All operations here stay
-   strict (canonical outputs) because the group law compares
-   coordinates for the doubling/inverse cases. *)
+(* Jacobian coordinates (X : Y : Z) with x = X/Z², y = Y/Z³; Z = 0
+   encodes the point at infinity, in the Montgomery domain so every
+   field multiplication is a single fused REDC.  Scalar multiplication
+   runs in this form so that the whole ladder needs a single field
+   inversion, instead of one per group operation.  The formulas are
+   dbl-2007-bl and madd-2007-bl, valid for any curve coefficient a.
+   All operations here stay strict (canonical outputs) because the
+   group law compares coordinates for the doubling/inverse cases. *)
 
 type mjac = { mx : M.e; my : M.e; mz : M.e }
 
@@ -302,11 +231,11 @@ let straus c ~width terms =
             acc := mjadd_mixed f ma !acc tx ty)
       digits
   done;
-  point_of_mjac c !acc
+  !acc
 
 let mul_wnaf c k px py =
   Sc_telemetry.Telemetry.incr c_mul_wnaf;
-  straus c ~width:wnaf_window [| k, (px, py) |]
+  point_of_mjac c (straus c ~width:wnaf_window [| k, (px, py) |])
 
 let mul c k p =
   match p with
@@ -316,51 +245,20 @@ let mul c k p =
     else if c.has_mont then mul_wnaf c k px py
     else invalid_arg "Curve.mul: even characteristic"
 
-(* Width 4 minimizes table plus addition cost for the 64- to 160-bit
-   scalars the batch verifiers combine with. *)
-let msm c terms =
-  let live =
-    List.filter_map
-      (function
-        | k, Affine (x, y) when not (Nat.is_zero k) -> Some (k, (x, y))
-        | _, (Infinity | Affine _) -> None)
-      terms
-  in
-  match live with
-  | [] -> Infinity
-  | _ ->
-    Sc_telemetry.Telemetry.incr c_msm;
-    Sc_telemetry.Telemetry.add c_msm_terms (List.length live);
-    straus c ~width:4 (Array.of_list live)
-
 (* ------------------------------------------------------------------ *)
-(* Fixed-base comb: table.(w).(d) = d·16^w·P in affine form, so a
-   b-bit scalar costs ⌈b/4⌉ mixed additions and zero doublings.  With
-   an odd characteristic the tables are Montgomery-resident and built
-   with one batched inversion per window (instead of one inversion per
-   affine addition); the Barrett variant remains as the fallback. *)
-type precomp =
-  | Comb_mont of { mbits : int; mtables : (M.e * M.e) option array array }
-  | Comb_affine of { bits : int; tables : point array array }
+(* Fixed-base comb: table.(w).(d) = d·16^w·P in Montgomery affine
+   form, so a b-bit scalar costs ⌈b/4⌉ mixed additions and zero
+   doublings.  Each window's entries are built with one batched
+   inversion (instead of one inversion per affine addition). *)
+type precomp = { bits : int; tables : (M.e * M.e) option array array }
 
-let precompute_affine c ~bits p =
-  let nwindows = (bits + 3) / 4 in
-  let tables = Array.init nwindows (fun _ -> Array.make 16 Infinity) in
-  let base = ref p in
-  for w = 0 to nwindows - 1 do
-    for d = 1 to 15 do
-      tables.(w).(d) <- add c tables.(w).(d - 1) !base
-    done;
-    (* advance base to 16^(w+1)·P *)
-    base := double c (double c (double c (double c !base)))
-  done;
-  Comb_affine { tables; bits }
-
-let precompute_mont c ~bits p =
+let precompute c ~bits p =
+  if bits <= 0 then invalid_arg "Curve.precompute: bits <= 0";
+  if not c.has_mont then invalid_arg "Curve.precompute: even characteristic";
   let f = c.fld in
   let ma = Lazy.force c.ma in
   let nwindows = (bits + 3) / 4 in
-  let mtables = Array.init nwindows (fun _ -> Array.make 16 None) in
+  let tables = Array.init nwindows (fun _ -> Array.make 16 None) in
   (match p with
    | Infinity -> ()
    | Affine (x, y) ->
@@ -382,7 +280,7 @@ let precompute_mont c ~bits p =
        jentries.(16) <- !nb;
        let affs = mjac_batch_affine f jentries in
        for d = 1 to 15 do
-         mtables.(!w).(d) <- affs.(d)
+         tables.(!w).(d) <- affs.(d)
        done;
        (match affs.(16) with
         | Some (nx, ny) ->
@@ -391,11 +289,7 @@ let precompute_mont c ~bits p =
         | None -> exhausted := true (* 16·B = O: all later windows are O *));
        incr w
      done);
-  Comb_mont { mbits = bits; mtables }
-
-let precompute c ~bits p =
-  if bits <= 0 then invalid_arg "Curve.precompute: bits <= 0";
-  if c.has_mont then precompute_mont c ~bits p else precompute_affine c ~bits p
+  { bits; tables }
 
 let comb_digit k w =
   let bit i = if Nat.test_bit k i then 1 else 0 in
@@ -404,52 +298,76 @@ let comb_digit k w =
   lor (bit ((4 * w) + 1) lsl 1)
   lor bit (4 * w)
 
-let check_range ~bits k =
-  if Nat.bit_length k > bits then
+let check_range pc k =
+  if Nat.bit_length k > pc.bits then
     invalid_arg "Curve.mul_precomp: scalar exceeds precomputed range"
 
-(* Every scalar runs its own Jacobian comb; the Montgomery results are
-   then normalized together, so n scalars cost one field inversion. *)
+(* acc + k·B on a Jacobian accumulator: one mixed addition per
+   non-zero window digit.  Starting from a point other than O fuses
+   that addition into the comb, with no normalization of its own. *)
+let comb_into f ma pc acc k =
+  let acc = ref acc in
+  for w = 0 to Array.length pc.tables - 1 do
+    let d = comb_digit k w in
+    if d <> 0 then begin
+      match pc.tables.(w).(d) with
+      | None -> ()
+      | Some (x, y) -> acc := mjadd_mixed f ma !acc x y
+    end
+  done;
+  !acc
+
+let mjac_of_point f = function
+  | Infinity -> mjac_infinity f
+  | Affine (x, y) -> { mx = M.enter f x; my = M.enter f y; mz = M.one f }
+
+(* Every row runs its own Jacobian comb from its start point; the
+   results are then normalized together, so n rows cost one field
+   inversion. *)
+let add_mul_precomp_batch c rows =
+  Array.iter (fun (_, pc, k) -> check_range pc k) rows;
+  let f = c.fld in
+  let ma = Lazy.force c.ma in
+  Array.map
+    (function
+      | None -> Infinity
+      | Some (x, y) -> Affine (M.leave f x, M.leave f y))
+    (mjac_batch_affine f
+       (Array.map (fun (p, pc, k) -> comb_into f ma pc (mjac_of_point f p) k) rows))
+
 let mul_precomp_batch c pc ks =
-  match pc with
-  | Comb_mont { mbits; mtables } ->
-    Array.iter (check_range ~bits:mbits) ks;
-    let f = c.fld in
-    let ma = Lazy.force c.ma in
-    let comb k =
-      let acc = ref (mjac_infinity f) in
-      for w = 0 to Array.length mtables - 1 do
-        let d = comb_digit k w in
-        if d <> 0 then begin
-          match mtables.(w).(d) with
-          | None -> ()
-          | Some (x, y) -> acc := mjadd_mixed f ma !acc x y
-        end
-      done;
-      !acc
-    in
-    Array.map
-      (function
-        | None -> Infinity
-        | Some (x, y) -> Affine (M.leave f x, M.leave f y))
-      (mjac_batch_affine f (Array.map comb ks))
-  | Comb_affine { bits; tables } ->
-    Array.iter (check_range ~bits) ks;
-    let comb k =
-      let acc = ref jac_infinity in
-      for w = 0 to Array.length tables - 1 do
-        let d = comb_digit k w in
-        if d <> 0 then begin
-          match tables.(w).(d) with
-          | Infinity -> ()
-          | Affine (x, y) -> acc := jadd_mixed c !acc x y
-        end
-      done;
-      point_of_jac c !acc
-    in
-    Array.map comb ks
+  add_mul_precomp_batch c (Array.map (fun k -> Infinity, pc, k) ks)
 
 let mul_precomp c pc k = (mul_precomp_batch c pc [| k |]).(0)
+
+(* Width 4 minimizes table plus addition cost for the 64- to 160-bit
+   scalars the batch verifiers combine with.  The [fixed] terms run
+   their combs on the ladder's Jacobian accumulator, so the whole sum
+   pays one inversion. *)
+let msm c ?(fixed = []) terms =
+  List.iter (fun (pc, k) -> check_range pc k) fixed;
+  let live =
+    List.filter_map
+      (function
+        | k, Affine (x, y) when not (Nat.is_zero k) -> Some (k, (x, y))
+        | _, (Infinity | Affine _) -> None)
+      terms
+  in
+  match live, fixed with
+  | [], [] -> Infinity
+  | _ ->
+    let f = c.fld in
+    let ma = Lazy.force c.ma in
+    let acc =
+      match live with
+      | [] -> mjac_infinity f
+      | _ ->
+        Sc_telemetry.Telemetry.incr c_msm;
+        Sc_telemetry.Telemetry.add c_msm_terms (List.length live);
+        straus c ~width:4 (Array.of_list live)
+    in
+    point_of_mjac c
+      (List.fold_left (fun acc (pc, k) -> comb_into f ma pc acc k) acc fixed)
 
 let lift_x c x =
   match Fp.sqrt c.fld (rhs c x) with

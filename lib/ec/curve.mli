@@ -31,14 +31,6 @@ val mul : t -> Nat.t -> point -> point
     @raise Invalid_argument over an even characteristic, which no
     parameter set has. *)
 
-val msm : t -> (Nat.t * point) list -> point
-(** [msm c [(k1, P1); …]] is Σ k{_i}·P{_i}, by one interleaved
-    width-4 wNAF ladder: a single doubling chain as long as the widest
-    scalar, the odd-multiple tables of all bases normalized by shared
-    batch inversions, and one final inversion.  Counts one [curve.msm]
-    and its live terms on [curve.msm.terms]; never [curve.mul.wnaf].
-    Odd characteristic only, like the Montgomery field it runs in. *)
-
 type precomp
 (** Precomputed window tables for a fixed base point. *)
 
@@ -46,7 +38,9 @@ val precompute : t -> bits:int -> point -> precomp
 (** Tables covering scalars up to [bits] bits (4-bit fixed windows,
     entries normalized to affine).  Costs ~4·bits point operations
     once; each subsequent {!mul_precomp} then needs only ~bits/4
-    mixed additions and no doublings. *)
+    mixed additions and no doublings.
+    @raise Invalid_argument over an even characteristic, like
+    {!mul}. *)
 
 val mul_precomp : t -> precomp -> Nat.t -> point
 (** Scalar multiplication against the precomputed base: the
@@ -55,12 +49,34 @@ val mul_precomp : t -> precomp -> Nat.t -> point
 
 val mul_precomp_batch : t -> precomp -> Nat.t array -> point array
 (** [mul_precomp_batch c pc ks] is [Array.map (mul_precomp c pc) ks]:
-    each scalar runs the comb in Jacobian form, and over an odd
-    characteristic one shared batch inversion normalizes every result.
-    A scalar whose multiple is the point at infinity (0, or the base's
+    {!add_mul_precomp_batch} with every start point at infinity.  A
+    scalar whose multiple is the point at infinity (0, or the base's
     order) gives {!Infinity}.
     @raise Invalid_argument if any scalar exceeds the table's range,
     before any work is done. *)
+
+val add_mul_precomp_batch : t -> (point * precomp * Nat.t) array -> point array
+(** [add_mul_precomp_batch c [|(P, pc, k); …|]] is
+    [add c P (mul_precomp c pc k)] for each row, the rows free to use
+    different bases.  Each comb starts from its P in Jacobian form, so
+    the addition costs one mixed addition and no inversion of its own,
+    and one shared batch inversion normalizes every result.
+    @raise Invalid_argument if any scalar exceeds its table's range,
+    before any work is done. *)
+
+val msm : t -> ?fixed:(precomp * Nat.t) list -> (Nat.t * point) list -> point
+(** [msm c ~fixed:[(pc1, s1); …] [(k1, P1); …]] is
+    Σ k{_i}·P{_i} + Σ s{_j}·B{_j}, B{_j} the base of [pc{_j}]: one
+    interleaved width-4 wNAF ladder over the P{_i} (a single doubling
+    chain as long as the widest scalar, the odd-multiple tables of all
+    bases normalized by shared batch inversions), then one comb per
+    [fixed] term on the same Jacobian accumulator, and one final
+    inversion.  Counts one [curve.msm] and its live (non-zero scalar,
+    finite point) terms on [curve.msm.terms] when there are any;
+    never [curve.mul.wnaf].  Odd characteristic only, like the
+    Montgomery field it runs in.
+    @raise Invalid_argument if a [fixed] scalar exceeds its table's
+    range. *)
 
 val lift_x : t -> Fp.el -> point option
 (** A point with the given x-coordinate (the even-y root is chosen

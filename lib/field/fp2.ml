@@ -9,7 +9,6 @@ let check_ctx ctx =
 let one = { re = Fp.one; im = Fp.zero }
 let make re im = { re; im }
 let equal a b = Fp.equal a.re b.re && Fp.equal a.im b.im
-let is_one a = Fp.equal a.re Fp.one && Fp.is_zero a.im
 
 (* (a + bi)(c + di) = (ac − bd) + (ad + bc)i, three base squarings or
    four multiplications; schoolbook is fine at our sizes. *)

@@ -15,7 +15,6 @@ val one : el
 val make : Fp.el -> Fp.el -> el
 
 val equal : el -> el -> bool
-val is_one : el -> bool
 
 val mul : Fp.ctx -> el -> el -> el
 val sqr : Fp.ctx -> el -> el

@@ -67,14 +67,14 @@ let verify_batch (pub : Setup.public) ~verifier_key entries =
    in
    (* Same orientation as Dvs.verify, ê(sk_B, ·) replayed from the
       verifier key's cached line tables. *)
-   Tate.gt_equal
-     (Tate.multi_pairing_precomp prm
-        [ w, Tate.precomp_for prm verifier_key.Setup.sk ])
+   Tate.multi_pairing_precomp_equal prm
+     [ w, Tate.precomp_for prm verifier_key.Setup.sk ]
      (Tate.gt_multi_exp prm
         (List.map2 (fun d e -> e.dvs.Dvs.sigma, d) deltas entries)))
 
 (* A batch that accepts vouches for every entry; only a rejected one
-   pays for the singles that say which entries are bad. *)
+   pays for the singles that say which entries are bad, whose
+   verification points share one inversion. *)
 let verify_all (pub : Setup.public) ~verifier_key entries =
   if verify_batch pub ~verifier_key entries then List.map (fun _ -> true) entries
   else begin
@@ -82,11 +82,8 @@ let verify_all (pub : Setup.public) ~verifier_key entries =
     Telemetry.with_span ~name:"agg.blame"
       ~attrs:[ "sigs", string_of_int (List.length entries) ]
     @@ fun () ->
-    List.map
-      (fun e ->
-        Dvs.verify pub ~verifier_key ~q_id:(Setup.q_of_id pub e.signer)
-          ~msg:e.msg e.dvs)
-      entries
+    Dvs.verify_all pub ~verifier_key
+      (List.map (fun e -> Setup.q_of_id pub e.signer, e.msg, e.dvs) entries)
   end
 
 let verify_each pub ~verifier_key slots =

@@ -35,13 +35,29 @@ let sign_batch (pub : Setup.public) key ~bytes_source (b_cs, b_da) msgs =
       u, Tate.gt_comb_exp prm b_cs e, Tate.gt_comb_exp prm b_da e)
     (Ibs.sign_exponents pub key ~bytes_source msgs)
 
-let verify (pub : Setup.public) ~verifier_key ~q_id ~msg { u; sigma } =
+(* The points of the entries whose U is on the curve come out of one
+   {!Ibs.verification_points}, so n entries share one inversion. *)
+let verify_all (pub : Setup.public) ~verifier_key entries =
   let prm = pub.prm in
-  Curve.on_curve prm.curve u
-  &&
-  let w = Ibs.verification_point pub ~q_id ~msg ~u in
-  Tate.gt_equal sigma
-    (Tate.pairing_precomp prm w (Tate.precomp_for prm verifier_key.Setup.sk))
+  let on_curve s = Curve.on_curve prm.curve s.u in
+  let ws =
+    Ibs.verification_points pub
+      (List.filter_map
+         (fun (q_id, msg, s) -> if on_curve s then Some (q_id, msg, s.u) else None)
+         entries)
+  in
+  let pc = Tate.precomp_for prm verifier_key.Setup.sk in
+  let rec answer entries ws =
+    match entries, ws with
+    | (_, _, s) :: entries, w :: ws when on_curve s ->
+      Tate.pairing_precomp_equal prm w pc s.sigma :: answer entries ws
+    | _ :: entries, ws -> false :: answer entries ws
+    | [], _ -> []
+  in
+  answer entries ws
+
+let verify pub ~verifier_key ~q_id ~msg s =
+  List.hd (verify_all pub ~verifier_key [ q_id, msg, s ])
 
 let simulate (pub : Setup.public) ~verifier_key ~signer ~msg ~bytes_source =
   let prm = pub.prm in

@@ -59,8 +59,21 @@ val verify :
   msg:string ->
   t ->
   bool
-(** [q_id] is the signer's {!Setup.q_of_id}.  One pairing; a caller
-    checking many signatures at once uses {!Agg.verify_each}. *)
+(** [q_id] is the signer's {!Setup.q_of_id}.  One pairing, checked
+    by {!Sc_pairing.Tate.pairing_precomp_equal}; a caller checking
+    many signatures at once uses {!Agg.verify_each}. *)
+
+val verify_all :
+  Setup.public ->
+  verifier_key:Setup.identity_key ->
+  (Curve.point * string * t) list ->
+  bool list
+(** [verify_all pub ~verifier_key [(q_id, msg, s); …]] is {!verify}'s
+    answer for each entry, the entries free to have different signers:
+    one pairing per entry whose U is on the curve, and one shared field
+    inversion for all their verification points
+    ({!Ibs.verification_points}).  The blame step of
+    {!Agg.verify_each}. *)
 
 val simulate :
   Setup.public ->

@@ -50,14 +50,21 @@ let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
   let u, e = sign_exponent pub key ~bytes_source msg in
   { u; v = Curve.mul pub.prm.curve e key.sk }
 
-(* U + h·Q_ID, the G1 element both verification flavours pair against.
-   Q_ID is a fixed base per identity, so h·Q_ID runs over the cached
-   comb tables. *)
-let verification_point (pub : Setup.public) ~q_id ~msg ~u =
+(* U + h·Q_ID, the G1 element every verification flavour pairs
+   against.  Q_ID is a fixed base per identity, so h·Q_ID runs over
+   its cached comb tables, started at U: one normalization per point,
+   shared by all the points of one call. *)
+let verification_points (pub : Setup.public) rows =
   let prm = pub.prm in
-  let h = h2 pub ~u ~msg in
-  Curve.add prm.curve u
-    (Curve.mul_precomp prm.curve (Params.precomp_for prm q_id) h)
+  Array.to_list
+    (Curve.add_mul_precomp_batch prm.curve
+       (Array.of_list
+          (List.map
+             (fun (q_id, msg, u) -> u, Params.precomp_for prm q_id, h2 pub ~u ~msg)
+             rows)))
+
+let verification_point pub ~q_id ~msg ~u =
+  List.hd (verification_points pub [ q_id, msg, u ])
 
 let to_bytes (pub : Setup.public) { u; v } =
   let c = pub.prm.curve in
@@ -105,25 +112,27 @@ end
    exponentiation) instead of two full pairings, replayed from the
    precomputed line tables of the fixed arguments P and P_pub.  The
    precomputed form evaluates ê(P, V)·ê(P_pub, −W), equal by pairing
-   symmetry on the order-q subgroup — hence the subgroup check on the
-   untrusted signature points (U, V), which also rules out the
-   cofactor-component malleability the swapped evaluation would not
-   see. *)
+   symmetry on the order-q subgroup and blind to cofactor torsion on V
+   and W.  Torsion on V would let anyone turn an accepted (U, V) into
+   an accepted (U, V + T), so V is subgroup-checked.  Torsion on U is
+   harmless: a third party's U + T changes h = H2(U‖m) and fails, and
+   a signer who picks U = r·Q_ID + T signs validly, as it could with
+   T = O.  So U is only checked to be on the curve. *)
 let verify_full (pub : Setup.public) ~signer ~msg { u; v } =
   Telemetry.incr c_verify;
   Telemetry.with_span ~name:"ibs.verify" (fun () ->
       let prm = pub.prm in
-      Params.in_subgroup prm u
+      Curve.on_curve prm.curve u
       && Params.in_subgroup prm v
       &&
       let q_id = Setup.q_of_id pub signer in
       let w = verification_point pub ~q_id ~msg ~u in
-      Tate.gt_is_one
-        (Tate.multi_pairing_precomp prm
-           [
-             v, Tate.precomp_for prm prm.g;
-             Curve.neg prm.curve w, Tate.precomp_for prm pub.p_pub;
-           ]))
+      Tate.multi_pairing_precomp_equal prm
+        [
+          v, Tate.precomp_for prm prm.g;
+          Curve.neg prm.curve w, Tate.precomp_for prm pub.p_pub;
+        ]
+        Tate.gt_one)
 
 let verify ?memo pub ~signer ~msg s =
   match memo with
@@ -154,7 +163,8 @@ module SMap = Map.Make (String)
 
 (* Σ c_i·(U_i + h_i·Q_IDi) as one multi-scalar multiplication over the
    U_i plus one fixed-base comb per distinct signer for
-   (Σ c_i·h_i mod q)·Q_ID — exact because Q_ID has order q. *)
+   (Σ c_i·h_i mod q)·Q_ID — exact because Q_ID has order q — all on
+   one Jacobian accumulator, normalized once. *)
 let combined_verification_point (pub : Setup.public) terms =
   let prm = pub.prm in
   let ch_sums =
@@ -166,14 +176,13 @@ let combined_verification_point (pub : Setup.public) terms =
           sums)
       SMap.empty terms
   in
-  SMap.fold
-    (fun signer ch acc ->
-      let q_id = Setup.q_of_id pub signer in
-      Curve.add prm.curve acc
-        (Curve.mul_precomp prm.curve (Params.precomp_for prm q_id)
-           (Nat.rem ch prm.q)))
-    ch_sums
-    (Curve.msm prm.curve (List.map (fun (c, _, _, u) -> c, u) terms))
+  Curve.msm prm.curve
+    ~fixed:
+      (List.map
+         (fun (signer, ch) ->
+           Params.precomp_for prm (Setup.q_of_id pub signer), Nat.rem ch prm.q)
+         (SMap.bindings ch_sums))
+    (List.map (fun (c, _, _, u) -> c, u) terms)
 
 (* Batched public verification of t signatures with one 2-term
    multi-pairing: since every signature pairs against the same fixed
@@ -192,9 +201,10 @@ let verify_batch (pub : Setup.public) entries =
      ~attrs:[ "sigs", string_of_int (List.length entries) ]
    @@ fun () ->
    let prm = pub.prm in
+   (* The checks of {!verify_full}: V in the subgroup, U on the curve. *)
    List.for_all
     (fun (_, _, { u; v }) ->
-      Params.in_subgroup prm u && Params.in_subgroup prm v)
+      Curve.on_curve prm.curve u && Params.in_subgroup prm v)
     entries
   &&
   (* Flat canonical encoding: each entry contributes exactly three
@@ -219,12 +229,12 @@ let verify_batch (pub : Setup.public) entries =
     combined_verification_point pub
       (List.map2 (fun c (signer, msg, s) -> c, signer, msg, s.u) coeffs entries)
   in
-   Tate.gt_is_one
-     (Tate.multi_pairing_precomp prm
-        [
-          v_sum, Tate.precomp_for prm prm.g;
-          Curve.neg prm.curve w_sum, Tate.precomp_for prm pub.p_pub;
-        ]))
+   Tate.multi_pairing_precomp_equal prm
+     [
+       v_sum, Tate.precomp_for prm prm.g;
+       Curve.neg prm.curve w_sum, Tate.precomp_for prm pub.p_pub;
+     ]
+     Tate.gt_one)
 
 (* Batch then blame, as [Agg.verify_each]: memo hits are answered
    without a check, the rest go through one {!verify_batch}, and only a

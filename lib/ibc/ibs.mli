@@ -5,7 +5,19 @@
     - verify: ê(V, P) = ê(U + h·Q_ID, P_pub)
 
     The raw (U, V) pair is publicly verifiable; the designated-verifier
-    transform of {!Dvs} is what the protocol actually publishes. *)
+    transform of {!Dvs} is what the protocol actually publishes.
+
+    Which signatures the verifiers ({!verify}, {!verify_batch},
+    {!verify_each}) accept, for T a point of order dividing the
+    cofactor:
+    - a signer-made U + T, with U = r·Q_ID + T and h taken over that
+      U: yes.  The pairing against the fixed P_pub maps T to 1, and
+      only the signer, who could sign the message anyway, can make
+      one;
+    - a third party's (U + T, V): no, since h = H2(U + T‖m) changes;
+    - (U, V + T): no.  V is subgroup-checked, so no one can derive a
+      second accepted signature from an accepted one.
+    U is only checked to lie on the curve. *)
 
 open Sc_bignum
 open Sc_ec
@@ -72,17 +84,18 @@ end
 val verify :
   ?memo:Memo.t -> Setup.public -> signer:string -> msg:string -> t -> bool
 (** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term
-    {!Sc_pairing.Tate.multi_pairing} — a single shared Miller loop
-    instead of the two pairings of the textbook equation.  With a
+    {!Sc_pairing.Tate.multi_pairing_precomp_equal} — a single shared
+    Miller loop instead of the two pairings of the textbook equation —
+    after one subgroup multiplication on V.  With a
     [memo], a signature it holds is accepted without the check (and
     without counting [ibs.verify]); one that passes the check is
     added. *)
 
 val verify_batch : Setup.public -> (string * string * t) list -> bool
 (** [verify_batch pub [(signer, msg, sig); …]] verifies every
-    signature with one 2-term multi-pairing total (plus two
-    multi-scalar multiplications, see {!combined_verification_point}),
-    using batch-transcript-derived
+    signature with one 2-term multi-pairing total (plus one subgroup
+    multiplication per V and two multi-scalar multiplications, see
+    {!combined_verification_point}), using batch-transcript-derived
     combining coefficients to prevent cross-signature cancellation.
     Accepts the empty batch.  A [true] verdict is overwhelmingly (not
     absolutely) sound, as usual for small-exponent batch tests; on
@@ -106,14 +119,24 @@ val verify_each :
 val verification_point :
   Setup.public -> q_id:Curve.point -> msg:string -> u:Curve.point -> Curve.point
 (** [U + H2(U‖m)·Q_ID] — the G1 element all verification flavours
-    (public, designated, aggregated) pair against. *)
+    (public, designated, aggregated) pair against.  The comb over Q_ID's
+    cached tables starts at U ({!Sc_ec.Curve.add_mul_precomp_batch}),
+    so the point costs one field inversion. *)
+
+val verification_points :
+  Setup.public -> (Curve.point * string * Curve.point) list -> Curve.point list
+(** [verification_points pub [(q_id, msg, u); …]] is
+    [verification_point pub ~q_id ~msg ~u] for each row, the rows free
+    to have different signers, normalized with one shared field
+    inversion. *)
 
 val combined_verification_point :
   Setup.public -> (Nat.t * string * string * Curve.point) list -> Curve.point
 (** [combined_verification_point pub [(c, signer, msg, u); …]] is
-    Σ c·(U + H2(U‖m)·Q_signer): one {!Curve.msm} over the U and one
-    fixed-base multiplication per distinct signer, instead of one
-    {!verification_point} per entry.  The combine step of both batch
+    Σ c·(U + H2(U‖m)·Q_signer): one {!Curve.msm} over the U, with one
+    fixed-base comb per distinct signer on the same accumulator and one
+    field inversion in all, instead of one {!verification_point} per
+    entry.  The combine step of both batch
     verifiers ({!verify_batch} and [Agg.verify_batch]). *)
 
 val to_bytes : Setup.public -> t -> string

@@ -23,7 +23,6 @@ let c_gt_multi_exp_terms = Telemetry.counter "pairing.gt_multi_exp_terms"
 type gt = Fp2.el
 
 let gt_one = Fp2.one
-let gt_is_one = Fp2.is_one
 let gt_equal = Fp2.equal
 let gt_mul (prm : Params.t) a b = Fp2.mul prm.fp a b
 
@@ -371,9 +370,12 @@ let multi_pairing (prm : Params.t) pairs =
    subgroup points, which is how verification call sites use it: the
    *fixed* argument (generator, system key) carries the precomp, the
    variable argument is only evaluated.  For points outside the
-   order-q subgroup the two sides may differ — ê(A, ·) annihilates the
-   cofactor component — so callers that accept untrusted points must
-   subgroup-check them first (all IBC call sites do). *)
+   order-q subgroup the two sides may differ: ê(A, ·) annihilates the
+   cofactor component.  Torsion on a point that is also hashed into the
+   equation (the IBS and DVS U, inside h = H2(U‖m)) cannot help a third
+   party, so no IBC call site checks U.  Torsion on a point that is not
+   hashed can: anyone could turn an IBS (U, V) into (U, V + T), so V is
+   the one point the IBS verifiers subgroup-check. *)
 
 type precomp = Miller.precomp
 
@@ -425,16 +427,17 @@ let rstate (prm : Params.t) (pc : Miller.precomp) bx by =
     eyq = FpM.enter prm.fp by;
   }
 
-let pairing_precomp (prm : Params.t) b (pc : precomp) =
+(* The Miller value of one replayed term, or [None] when the pairing
+   is 1 without a loop (an infinity argument). *)
+let miller_single (prm : Params.t) b (pc : precomp) =
   Telemetry.incr c_pairings;
   Telemetry.incr c_single;
   match b, pc.Miller.base with
-  | Curve.Infinity, _ | _, Curve.Infinity -> gt_one
+  | Curve.Infinity, _ | _, Curve.Infinity -> None
   | Curve.Affine (bx, by), _ ->
-    let f = miller_replay_shared prm [| rstate prm pc bx by |] in
-    if F2M.is_zero f then gt_one else F2M.leave prm.fp (final_expo_mont prm f)
+    Some (miller_replay_shared prm [| rstate prm pc bx by |])
 
-let multi_pairing_precomp (prm : Params.t) terms =
+let miller_multi (prm : Params.t) terms =
   let finite =
     List.filter_map
       (fun (b, (pc : precomp)) ->
@@ -444,13 +447,35 @@ let multi_pairing_precomp (prm : Params.t) terms =
       terms
   in
   match finite with
-  | [] -> gt_one
+  | [] -> None
   | _ ->
     Telemetry.incr c_pairings;
     Telemetry.incr c_multi;
     Telemetry.add c_multi_terms (List.length finite);
-    let f = miller_replay_shared prm (Array.of_list finite) in
-    if F2M.is_zero f then gt_one else F2M.leave prm.fp (final_expo_mont prm f)
+    Some (miller_replay_shared prm (Array.of_list finite))
+
+let reduce (prm : Params.t) = function
+  | Some f when not (F2M.is_zero f) -> F2M.leave prm.fp (final_expo_mont prm f)
+  | Some _ | None -> gt_one
+
+(* Whether the reduced value equals [t], without the inversion of
+   {!final_expo_mont}: with g = f^c, f^((p² − 1)/q) = conj(g)/g, so
+   the value is t exactly when conj(g) = t·g (g ≠ 0 since f ≠ 0). *)
+let reduces_to (prm : Params.t) t = function
+  | Some f when not (F2M.is_zero f) ->
+    Telemetry.incr c_final_expo;
+    let fp = prm.fp in
+    let g = F2M.pow fp f prm.cofactor in
+    let lhs = F2M.conj fp g and rhs = F2M.mul fp (F2M.enter fp t) g in
+    FpM.equal lhs.F2M.re rhs.F2M.re && FpM.equal lhs.F2M.im rhs.F2M.im
+  | Some _ | None -> gt_equal t gt_one
+
+let pairing_precomp prm b pc = reduce prm (miller_single prm b pc)
+let multi_pairing_precomp prm terms = reduce prm (miller_multi prm terms)
+let pairing_precomp_equal prm b pc t = reduces_to prm t (miller_single prm b pc)
+
+let multi_pairing_precomp_equal prm terms t =
+  reduces_to prm t (miller_multi prm terms)
 
 let gt_to_bytes (prm : Params.t) (g : gt) =
   let n = (Nat.bit_length prm.p + 7) / 8 in

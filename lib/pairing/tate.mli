@@ -43,10 +43,13 @@ val pairing_precomp : Params.t -> Curve.point -> precomp -> gt
 (** [pairing_precomp prm b pc] replays [pc]'s line sequence at [b],
     computing ê(base, b) without any Jacobian arithmetic — several
     times faster than {!pairing}.  For points of the order-q subgroup
-    this equals [pairing prm b pc.base] by symmetry; callers passing
-    untrusted points must subgroup-check them first, since ê(base, ·)
-    annihilates cofactor components that {!pairing} with swapped
-    arguments would see.  Counts one pairing evaluation.
+    this equals [pairing prm b pc.base] by symmetry.  ê(base, ·)
+    annihilates the cofactor component of [b], which {!pairing} with
+    swapped arguments would see: a caller whose verdict must not
+    survive torsion added to [b] subgroup-checks [b] first.  The IBS
+    verifiers do so for V, the one signature point a third party can
+    shift without changing the hash it is checked against.  Counts one pairing
+    evaluation.
     @raise Invalid_argument if the precomp was built for a parameter
     set with a different subgroup order width. *)
 
@@ -55,8 +58,21 @@ val multi_pairing_precomp : Params.t -> (Curve.point * precomp) list -> gt
     final exponentiation, like {!multi_pairing}; terms whose point or
     base is infinity contribute 1 and are skipped. *)
 
+val pairing_precomp_equal : Params.t -> Curve.point -> precomp -> gt -> bool
+(** [pairing_precomp_equal prm b pc t] is
+    [gt_equal (pairing_precomp prm b pc) t] for every [t] in F_p²,
+    unitary or not, and counts exactly as {!pairing_precomp} does.  It
+    never forms the pairing value: the final exponentiation stops at
+    g = f{^c} and tests conj(g) = t·g, which saves its field
+    inversion. *)
+
+val multi_pairing_precomp_equal :
+  Params.t -> (Curve.point * precomp) list -> gt -> bool
+(** [multi_pairing_precomp_equal prm terms t] is
+    [gt_equal (multi_pairing_precomp prm terms) t], checked and counted
+    as {!pairing_precomp_equal} for {!multi_pairing_precomp}. *)
+
 val gt_one : gt
-val gt_is_one : gt -> bool
 val gt_equal : gt -> gt -> bool
 val gt_mul : Params.t -> gt -> gt -> gt
 

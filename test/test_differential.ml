@@ -423,4 +423,67 @@ let memo_tests =
              script));
   ]
 
-let suite = storage_tests @ protocol_tests @ dynamic_tests @ memo_tests
+(* --- torsion on the commitment root signature ------------------------
+
+   The IBS verifiers subgroup-check V only.  A third party's torsion on
+   U (which changes h) or on V must still fail both Algorithm 1
+   verifiers and stay out of the DA's root memo; the server's own
+   signature with U = r·Q_ID + T is a valid signature and passes. *)
+
+let torsion_tests =
+  let open Util in
+  [
+    case "root signatures with torsion: third party rejected, signer accepted"
+      (fun () ->
+        let bs = fresh_bs "diff-torsion" in
+        let execution = List.hd (Lazy.force executions) in
+        let commitment = Protocol.commitment_of_execution execution in
+        let t = torsion_point prm bs in
+        let s = commitment.Protocol.root_signature in
+        let curve = prm.Sc_pairing.Params.curve in
+        let samples = [ 0, 0; 5, 0; 9, 0 ] in
+        let challenge =
+          {
+            Protocol.sample_indices = List.map fst samples;
+            warrant = Lazy.force warrant;
+          }
+        in
+        let responses = responses execution samples in
+        List.iter
+          (fun (name, signature, accepted) ->
+            let commitment = { commitment with Protocol.root_signature = signature } in
+            let memo = Sc_ibc.Ibs.Memo.create "diff-torsion" in
+            let batch_memo = Sc_ibc.Ibs.Memo.create "diff-torsion-batch" in
+            let single =
+              Protocol.verify ~memo pub ~verifier_key:da_key ~role:`Da ~owner
+                commitment challenge responses
+            in
+            let batch =
+              Batch.verify_jobs ~memo:batch_memo pub ~verifier_key:da_key
+                ~role:`Da
+                [ { Batch.owner; commitment; challenge; responses } ]
+            in
+            let expected = if accepted then [] else [ Protocol.Root_signature_wrong ] in
+            check Alcotest.(list string) (name ^ ": Protocol.verify") (names expected)
+              (names single.Protocol.failures);
+            check Alcotest.(list string) (name ^ ": Batch.verify_jobs") (names expected)
+              (names batch.Protocol.failures);
+            List.iter
+              (fun m ->
+                check Alcotest.int (name ^ ": root memo entries")
+                  (if accepted then 1 else 0)
+                  (Sc_ibc.Ibs.Memo.size m))
+              [ memo; batch_memo ])
+          [
+            "honest", s, true;
+            "third party's U + T", { s with Sc_ibc.Ibs.u = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.u t }, false;
+            "V + T", { s with Sc_ibc.Ibs.v = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.v t }, false;
+            "signer-made U + T",
+            torsion_signature pub cs_key ~bytes_source:bs t
+              ("root:" ^ commitment.Protocol.root),
+            true;
+          ]);
+  ]
+
+let suite =
+  storage_tests @ protocol_tests @ dynamic_tests @ memo_tests @ torsion_tests

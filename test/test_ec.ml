@@ -160,6 +160,99 @@ let precomp_tests =
                   (Reference.mul_naive c23 (Nat.of_int k) pt) r)
               (Curve.mul_precomp_batch c23 pc ks))
           (all_points c23 p23 23));
+    case "fused U + k·B = Curve.add U (mul_precomp k), O and doubling included"
+      (fun () ->
+        (* Mixed bases in one batch, start points with and without a
+           cofactor component, and the two cases the comb's mixed
+           addition must catch: U = −k·B (sum O) and U = k·B
+           (doubling). *)
+        let bs = Util.fresh_bs "pc-fused" in
+        let h = Curve.random curve ~bytes_source:bs in
+        let pcs = [| Curve.precompute curve ~bits:(Nat.bit_length q) g;
+                     Curve.precompute curve ~bits:(Nat.bit_length q) h |] in
+        let bases = [| g; h |] in
+        let rows =
+          List.concat
+            (List.init 8 (fun i ->
+                 let b = i mod 2 in
+                 let k = Sc_pairing.Params.random_scalar prm ~bytes_source:bs in
+                 let kb = Curve.mul curve k bases.(b) in
+                 [
+                   Curve.random curve ~bytes_source:bs, b, k;
+                   Curve.mul curve (Sc_pairing.Params.random_scalar prm ~bytes_source:bs) g, b, k;
+                   Curve.neg curve kb, b, k;
+                   kb, b, k;
+                   Curve.infinity, b, k;
+                   Curve.random curve ~bytes_source:bs, b, Nat.zero;
+                 ]))
+          (* A one-window scalar: the comb's only addition meets U
+             itself, or its negation. *)
+          @ (let five = Nat.of_int 5 in
+             let p5 = Curve.mul curve five g in
+             [ p5, 0, five; Curve.neg curve p5, 0, five ])
+        in
+        let got =
+          Curve.add_mul_precomp_batch curve
+            (Array.of_list (List.map (fun (u, b, k) -> u, pcs.(b), k) rows))
+        in
+        List.iteri
+          (fun i (u, b, k) ->
+            Alcotest.(check point) (Printf.sprintf "row %d" i)
+              (Curve.add curve u (Curve.mul_precomp curve pcs.(b) k))
+              got.(i))
+          rows;
+        Alcotest.(check point) "U = -k·B gives O" Curve.infinity got.(2);
+        Alcotest.check_raises "one scalar out of range"
+          (Invalid_argument "Curve.mul_precomp: scalar exceeds precomputed range")
+          (fun () ->
+            ignore
+              (Curve.add_mul_precomp_batch curve
+                 [| g, pcs.(0), Nat.shift_left Nat.one (Nat.bit_length q) |])));
+    case "fused U + k·P on every pair of points of F_23" (fun () ->
+        let pts = all_points c23 p23 23 in
+        List.iter
+          (fun base ->
+            let pc = Curve.precompute c23 ~bits:5 base in
+            let rows =
+              Array.of_list
+                (List.concat_map
+                   (fun u -> List.init 25 (fun k -> u, pc, Nat.of_int k))
+                   pts)
+            in
+            Array.iteri
+              (fun i r ->
+                let u, _, k = rows.(i) in
+                Alcotest.(check point) (Printf.sprintf "row %d" i)
+                  (Curve.add c23 u (Reference.mul_naive c23 k base)) r)
+              (Curve.add_mul_precomp_batch c23 rows))
+          pts);
+    case "msm ~fixed = msm plus the fixed-base multiples" (fun () ->
+        let bs = Util.fresh_bs "msm-fixed" in
+        let h = Curve.random curve ~bytes_source:bs in
+        let pc_g = Curve.precompute curve ~bits:(Nat.bit_length q) g in
+        let pc_h = Curve.precompute curve ~bits:(Nat.bit_length q) h in
+        let scalar () = Sc_pairing.Params.random_scalar prm ~bytes_source:bs in
+        let sum terms fixed =
+          List.fold_left
+            (fun acc (pc, k) -> Curve.add curve acc (Curve.mul_precomp curve pc k))
+            (Curve.msm curve terms) fixed
+        in
+        for i = 0 to 5 do
+          let terms =
+            List.init i (fun _ ->
+                Nat.of_bytes_be (bs 8), Curve.random curve ~bytes_source:bs)
+          in
+          let fixed = [ pc_g, scalar (); pc_h, scalar () ] in
+          Alcotest.(check point) (Printf.sprintf "%d terms" i)
+            (sum terms fixed) (Curve.msm curve ~fixed terms)
+        done;
+        (* The fixed part cancels the ladder's: the sum is O. *)
+        let k = scalar () in
+        Alcotest.(check point) "cancelling" Curve.infinity
+          (Curve.msm curve ~fixed:[ pc_g, k ]
+             [ Nat.sub q Nat.one, Curve.mul curve k g ]);
+        Alcotest.(check point) "fixed only" (Curve.mul curve k g)
+          (Curve.msm curve ~fixed:[ pc_g, k ] []));
     case "Params.mul_g equals Curve.mul on the generator" (fun () ->
         let bs = Util.fresh_bs "mulg" in
         for _ = 1 to 15 do

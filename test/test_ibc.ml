@@ -243,11 +243,7 @@ let perturbation_tests =
     if Fp2.equal a Reference.fp2_zero then unitary_of_order l bs
     else
       let z = Tate.gt_pow prm (Fp2.mul fp (Fp2.conj fp a) (Fp2.inv fp a)) (Nat.div order (Nat.of_int l)) in
-      if Fp2.is_one z then unitary_of_order l bs else z
-  in
-  let rec torsion_point bs =
-    let t = Curve.mul curve prm.Params.q (Curve.random curve ~bytes_source:bs) in
-    if Curve.is_infinity t then torsion_point bs else t
+      if Fp2.equal z Fp2.one then unitary_of_order l bs else z
   in
   let dvs_ok (e : Agg.entry) =
     Dvs.verify pub ~verifier_key:verifier ~q_id:(Setup.q_of_id pub e.Agg.signer)
@@ -281,16 +277,12 @@ let perturbation_tests =
         let x_inv = Tate.gt_inv prm x in
         let minus_one = Fp2.make (Fp.neg fp Fp.one) Fp.zero in
         let z7 = unitary_of_order 7 bs in
-        let t = torsion_point bs in
+        let t = torsion_point prm bs in
         (* A signer may pick U = r·Q_ID + T itself: h is then taken over
            that U, and ê(sk_B, ·) maps T to 1, so the signature
            verifies. *)
         let torsion_sig =
-          let k = key 0 and msg = (e 0).Agg.msg in
-          let r = Params.random_scalar prm ~bytes_source:bs in
-          let u = Curve.add curve (Curve.mul curve r k.Setup.q_id) t in
-          let ex = Nat.rem (Nat.add r (Ibs.h2 pub ~u ~msg)) prm.Params.q in
-          { Ibs.u; v = Curve.mul curve ex k.Setup.sk }
+          torsion_signature pub (key 0) ~bytes_source:bs t (e 0).Agg.msg
         in
         let signer_torsion =
           { (e 0) with Agg.dvs = Dvs.designate pub torsion_sig ~verifier:"verifier" }
@@ -328,8 +320,9 @@ let perturbation_tests =
         in
         (* The torsion cases on plain IBS signatures (U, V) over the
            same messages, through all three public verifiers.  Each
-           checks U and V for order q, so every one rejects, the
-           signer-made U + T included. *)
+           checks V for order q and U only for lying on the curve: a
+           third party's U + T changes h and fails, while the signer's
+           own U + T verifies, as for Dvs.verify above. *)
         let ibs =
           List.init n (fun i ->
               (key i).Setup.id, (e i).Agg.msg,
@@ -342,7 +335,7 @@ let perturbation_tests =
             "IBS V + T", false, { s0 with Ibs.v = Curve.add curve s0.Ibs.v t };
             "IBS third party adds torsion to U", false,
             { s0 with Ibs.u = Curve.add curve s0.Ibs.u t };
-            "IBS signer-made U + T", false, torsion_sig;
+            "IBS signer-made U + T", true, torsion_sig;
           ]
         in
         let ibs_wrong =
@@ -359,6 +352,69 @@ let perturbation_tests =
         in
         wrong @ ibs_wrong = []
         || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " (wrong @ ibs_wrong)));
+    (* Blame forms every verification point of a rejected batch with
+       one shared inversion, across signers: its answers must be the
+       per-entry ones, against the textbook check (affine U + h·Q_ID,
+       then a pairing) and Dvs.verify alike. *)
+    qcheck ~count:8 "blame = per-entry Dvs.verify on mixed-signer batches"
+      QCheck2.Gen.(pair (string_size ~gen:char (int_range 1 16)) (list_size (int_range 2 6) (int_bound 6)))
+      (fun (seed, kinds) ->
+        let bs = fresh_bs ("ibc-blame:" ^ seed) in
+        let pc_sk = Tate.precompute prm verifier.Setup.sk in
+        let t = torsion_point prm bs in
+        let n = List.length kinds in
+        let entry i =
+          let k = List.nth keys (i mod 2) in
+          let msg = Printf.sprintf "blame-%d:%s" i seed in
+          {
+            Agg.signer = k.Setup.id;
+            msg;
+            dvs = Dvs.designate pub (Ibs.sign pub k ~bytes_source:bs msg) ~verifier:"verifier";
+          }
+        in
+        let es = List.init n entry in
+        let perturb i kind (e : Agg.entry) =
+          let u = e.Agg.dvs.Dvs.u in
+          match kind with
+          | 0 -> with_sigma e (List.nth es ((i + 1) mod n)).Agg.dvs.Dvs.sigma
+          | 1 -> with_u e (Curve.add curve u prm.Params.g)
+          | 2 -> with_u e (Curve.add curve u t)
+          | 3 ->
+            let k = List.nth keys (i mod 2) in
+            { e with
+              Agg.dvs =
+                Dvs.designate pub
+                  (torsion_signature pub k ~bytes_source:bs t e.Agg.msg)
+                  ~verifier:"verifier" }
+          | 4 -> (
+            match u with
+            | Curve.Affine (x, y) -> with_u e (Curve.Affine (x, Fp.add fp y Fp.one))
+            | Curve.Infinity -> e)
+          | 5 -> times e (Fp2.make (Fp.neg fp Fp.one) Fp.zero)
+          | _ -> e
+        in
+        let batch = List.mapi (fun i (kind, e) -> perturb i kind e) (List.combine kinds es) in
+        let textbook (e : Agg.entry) =
+          let u = e.Agg.dvs.Dvs.u in
+          Curve.on_curve curve u
+          &&
+          let q_id = Setup.q_of_id pub e.Agg.signer in
+          let w = Curve.add curve u (Curve.mul curve (Ibs.h2 pub ~u ~msg:e.Agg.msg) q_id) in
+          Tate.gt_equal e.Agg.dvs.Dvs.sigma (Tate.pairing_precomp prm w pc_sk)
+        in
+        let expected = List.map textbook batch in
+        let got = Agg.verify_each pub ~verifier_key:verifier (List.map Option.some batch) in
+        let all =
+          Dvs.verify_all pub ~verifier_key:verifier
+            (List.map (fun (e : Agg.entry) -> Setup.q_of_id pub e.Agg.signer, e.Agg.msg, e.Agg.dvs) batch)
+        in
+        let show l = String.concat "" (List.map (fun b -> if b then "1" else "0") l) in
+        (got = List.map Option.some expected
+         && all = expected
+         && List.map dvs_ok batch = expected)
+        || QCheck2.Test.fail_reportf "kinds [%s]: blame %s, verify_all %s, textbook %s"
+             (String.concat ";" (List.map string_of_int kinds))
+             (show (List.map (Option.value ~default:false) got)) (show all) (show expected));
   ]
 
 (* Dvs.sign_batch raises the bases ê(sk_ID, Q_B) to e = r + h instead of

@@ -26,7 +26,7 @@ let unit_tests =
           (Params.in_subgroup prm g));
     case "non-degeneracy: e(G,G) != 1" (fun () ->
         check Alcotest.bool "nondegen" false
-          (Tate.gt_is_one (Tate.pairing prm g g)));
+          (Tate.gt_equal Tate.gt_one (Tate.pairing prm g g)));
     case "pairing with infinity is 1" (fun () ->
         check gt "e(O,G)" Tate.gt_one (Tate.pairing prm Curve.infinity g);
         check gt "e(G,O)" Tate.gt_one (Tate.pairing prm g Curve.infinity));
@@ -35,7 +35,7 @@ let unit_tests =
         check gt "e^q = 1" Tate.gt_one (Tate.gt_pow prm e prm.Params.q);
         (* and not smaller obvious order *)
         check Alcotest.bool "e^2 != 1" false
-          (Tate.gt_is_one (Tate.gt_pow prm e Nat.two)));
+          (Tate.gt_equal Tate.gt_one (Tate.gt_pow prm e Nat.two)));
     case "symmetry: e(aG, bG) = e(bG, aG)" (fun () ->
         let a = Params.random_scalar prm ~bytes_source:bs in
         let b = Params.random_scalar prm ~bytes_source:bs in
@@ -77,7 +77,7 @@ let unit_tests =
         let h1 = Hash_g1.hash_to_point prm "a" in
         let h2 = Hash_g1.hash_to_point prm "b" in
         check Alcotest.bool "nontrivial" false
-          (Tate.gt_is_one (Tate.pairing prm h1 h2)));
+          (Tate.gt_equal Tate.gt_one (Tate.pairing prm h1 h2)));
     case "pairing counter increments" (fun () ->
         Tate.reset_pairing_count ();
         ignore (Tate.pairing prm g g);
@@ -92,7 +92,7 @@ let unit_tests =
         check Alcotest.int "p bits" 96 (Nat.bit_length p.Params.p);
         check Alcotest.int "q bits" 48 (Nat.bit_length p.Params.q);
         check Alcotest.bool "pairing works" false
-          (Tate.gt_is_one (Tate.pairing p p.Params.g p.Params.g)));
+          (Tate.gt_equal Tate.gt_one (Tate.pairing p p.Params.g p.Params.g)));
     case "projective Miller loop matches affine reference" (fun () ->
         for i = 1 to 8 do
           let a = Params.random_scalar prm ~bytes_source:bs in
@@ -263,7 +263,7 @@ let property_tests =
         in
         Tate.gt_in_group prm a
         = (Fp.equal (Fp2.norm fp a) Fp.one
-          && Tate.gt_is_one (Tate.gt_pow prm a prm.Params.q)));
+          && Tate.gt_equal Tate.gt_one (Tate.gt_pow prm a prm.Params.q)));
     qcheck ~count:15 "gt_multi_exp = product of gt_pow"
       QCheck2.Gen.(list_size (int_range 0 6) (pair gen_scalar (string_size ~gen:char (int_range 0 20))))
       (fun terms ->
@@ -325,6 +325,70 @@ let precomp_tests =
           (Tate.multi_pairing prm terms)
           (Tate.multi_pairing_precomp prm
              (List.map (fun (x, y) -> x, Tate.precomp_for prm y) terms)));
+    case "pairing equality checks = gt_equal of the value, counters included"
+      (fun () ->
+        (* 1-3 terms, finite or with an infinity point or base, against
+           the honest product, 1, 0, a random F_p² element (almost
+           surely not unitary), a non-unitary multiple of the product
+           and the product off by the order-2 unitary element −1. *)
+        let module Telemetry = Sc_telemetry.Telemetry in
+        let module Fp = Sc_field.Fp in
+        let module Fp2 = Sc_field.Fp2 in
+        let bs = fresh_bs "pairing-equal" in
+        let fp = prm.Params.fp and curve = prm.Params.curve in
+        let counters =
+          [ "pairing.count"; "pairing.single"; "pairing.multi";
+            "pairing.multi_terms"; "pairing.final_expo" ]
+        in
+        let counted f =
+          let before = List.map Telemetry.counter_value counters in
+          let r = f () in
+          r, List.map2 (fun c b -> Telemetry.counter_value c - b) counters before
+        in
+        let pc_inf = Tate.precompute prm Curve.infinity in
+        let term k =
+          let pt () = Curve.random curve ~bytes_source:bs in
+          match k mod 4 with
+          | 0 -> Curve.infinity, Tate.precompute prm (pt ())
+          | 1 -> pt (), pc_inf
+          | _ -> pt (), Tate.precompute prm (pt ())
+        in
+        let minus_one = Fp2.make (Fp.neg fp Fp.one) Fp.zero in
+        let targets value =
+          [
+            "honest", value;
+            "one", Tate.gt_one;
+            "zero", Fp2.make Fp.zero Fp.zero;
+            "random", Fp2.make (Fp.random fp ~bytes_source:bs) (Fp.random fp ~bytes_source:bs);
+            "non-unitary", Fp2.mul fp value (Fp2.make (Fp.of_int fp 2) Fp.zero);
+            "off by torsion", Fp2.mul fp value minus_one;
+          ]
+        in
+        for i = 0 to 23 do
+          let n = 1 + (i mod 3) in
+          let terms = List.init n (fun j -> term (i + j + (i / 3))) in
+          let value, c_value = counted (fun () -> Tate.multi_pairing_precomp prm terms) in
+          List.iter
+            (fun (name, t) ->
+              let ok, c_ok =
+                counted (fun () -> Tate.multi_pairing_precomp_equal prm terms t)
+              in
+              check Alcotest.bool (Printf.sprintf "%d terms, %s" n name)
+                (Tate.gt_equal value t) ok;
+              check Alcotest.(list int) (Printf.sprintf "%d terms, %s counters" n name)
+                c_value c_ok)
+            (targets value);
+          let b, pc = List.hd terms in
+          let value, c_value = counted (fun () -> Tate.pairing_precomp prm b pc) in
+          List.iter
+            (fun (name, t) ->
+              let ok, c_ok =
+                counted (fun () -> Tate.pairing_precomp_equal prm b pc t)
+              in
+              check Alcotest.bool ("single, " ^ name) (Tate.gt_equal value t) ok;
+              check Alcotest.(list int) ("single, " ^ name ^ " counters") c_value c_ok)
+            (targets value)
+        done);
     case "precomp caches count one miss then hits" (fun () ->
         let bs = fresh_bs "precomp-counters" in
         let fresh =

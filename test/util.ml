@@ -61,6 +61,31 @@ let maul (pub : Sc_ibc.Setup.public) (w : Sc_ibc.Warrant.signed) =
       };
   }
 
+(* T = q·R for random R until T ≠ O: a point of order dividing the
+   cofactor, outside the order-q subgroup. *)
+let rec torsion_point (prm : Sc_pairing.Params.t) bs =
+  let curve = prm.Sc_pairing.Params.curve in
+  let t =
+    Sc_ec.Curve.mul curve prm.Sc_pairing.Params.q
+      (Sc_ec.Curve.random curve ~bytes_source:bs)
+  in
+  if Sc_ec.Curve.is_infinity t then torsion_point prm bs else t
+
+(* The IBS signature a signer makes with U = r·Q_ID + T: h is taken
+   over that U, so the signature verifies (ê(P_pub, ·) maps T to 1). *)
+let torsion_signature (pub : Sc_ibc.Setup.public) (key : Sc_ibc.Setup.identity_key)
+    ~bytes_source t msg =
+  let prm = pub.Sc_ibc.Setup.prm in
+  let curve = prm.Sc_pairing.Params.curve in
+  let r = Sc_pairing.Params.random_scalar prm ~bytes_source in
+  let u = Sc_ec.Curve.add curve (Sc_ec.Curve.mul curve r key.Sc_ibc.Setup.q_id) t in
+  let e =
+    Sc_bignum.Nat.rem
+      (Sc_bignum.Nat.add r (Sc_ibc.Ibs.h2 pub ~u ~msg))
+      prm.Sc_pairing.Params.q
+  in
+  { Sc_ibc.Ibs.u; v = Sc_ec.Curve.mul curve e key.Sc_ibc.Setup.sk }
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

@@ -102,38 +102,6 @@ let scan ~build_dir ~rels =
 (* ------------------------------------------------------------------ *)
 (* In-process typechecking for fixture tests                          *)
 
-(* The directories holding the repo's .cmi files: lib/<d>/.<lib>.objs/byte
-   under [root] (which is _build/default when the tests run in place). *)
-let include_dirs ~root =
-  let lib = Filename.concat root "lib" in
-  match Sys.readdir lib with
-  | exception Sys_error _ -> []
-  | subdirs ->
-    Array.sort String.compare subdirs;
-    Array.fold_left
-      (fun acc d ->
-        let dir = Filename.concat lib d in
-        if not (Sys.is_directory dir) then acc
-        else
-          match Sys.readdir dir with
-          | exception Sys_error _ -> acc
-          | entries ->
-            Array.sort String.compare entries;
-            Array.fold_left
-              (fun acc e ->
-                let byte = Filename.concat (Filename.concat dir e) "byte" in
-                if
-                  Filename.check_suffix e ".objs"
-                  && String.length e > 0
-                  && e.[0] = '.'
-                  && Sys.file_exists byte
-                  && Sys.is_directory byte
-                then byte :: acc
-                else acc)
-              acc entries)
-      [] subdirs
-    |> List.rev
-
 let front_end ~include_dirs ~modname ~rel content type_it =
   Clflags.include_dirs := include_dirs;
   (* fixtures deliberately contain unused/partial code; silence every

@@ -22,10 +22,6 @@ val scan : build_dir:string -> rels:string list -> entry list * intf list
     in [rels] (first wins), each list sorted by path.  Unreadable or
     foreign cmts are skipped; the caller reports what is missing. *)
 
-val include_dirs : root:string -> string list
-(** The [lib/<d>/.<lib>.objs/byte] directories under [root] — where
-    dune keeps the repo's .cmi files. *)
-
 val typecheck :
   include_dirs:string list ->
   modname:string ->
