@@ -465,7 +465,9 @@ let stats_workload (_, params) seed ~drop ~tamper =
       wnaf_gate;
     result
   in
-  let verifier ?gate ?wnaf_gate op = measure "verifier side" ?gate ?wnaf_gate op in
+  let verifier ?gate ?wnaf_gate op =
+    measure "verifier side" ?gate ?wnaf_gate op
+  in
   let signer ?gate op = measure "signer side" ?gate op in
   let system =
     Seccloud.System.create ~params ~seed ~cs_ids:[ "cs-1"; "cs-2" ]

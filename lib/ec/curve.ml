@@ -333,7 +333,9 @@ let add_mul_precomp_batch c rows =
       | None -> Infinity
       | Some (x, y) -> Affine (M.leave f x, M.leave f y))
     (mjac_batch_affine f
-       (Array.map (fun (p, pc, k) -> comb_into f ma pc (mjac_of_point f p) k) rows))
+       (Array.map
+          (fun (p, pc, k) -> comb_into f ma pc (mjac_of_point f p) k)
+          rows))
 
 let mul_precomp_batch c pc ks =
   add_mul_precomp_batch c (Array.map (fun k -> Infinity, pc, k) ks)

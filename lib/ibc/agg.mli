@@ -49,7 +49,8 @@ val verify_each :
     check and gets its answer back in place; a [None] slot (nothing to
     check) stays [None].  One {!verify_batch} runs over all entries,
     and only when it rejects one {!Dvs.verify_all} over the entries
-    (under span [agg.blame], counted on [agg.verify_each.rejects]).  The answers
-    are {!Dvs.verify}'s, entry by entry, except with probability at
-    most 2⁻⁶⁴ per batch that holds a bad entry (see above).  Costs one
+    (under span [agg.blame], counted on [agg.verify_each.rejects]).
+    The answers are {!Dvs.verify}'s, entry by entry, except with
+    probability at most 2⁻⁶⁴ per batch that holds a bad entry (see
+    above).  Costs one
     pairing when every entry is good and 1 + t when one is not. *)

@@ -43,7 +43,8 @@ let verify_all (pub : Setup.public) ~verifier_key entries =
   let ws =
     Ibs.verification_points pub
       (List.filter_map
-         (fun (q_id, msg, s) -> if on_curve s then Some (q_id, msg, s.u) else None)
+         (fun (q_id, msg, s) ->
+           if on_curve s then Some (q_id, msg, s.u) else None)
          entries)
   in
   let pc = Tate.precomp_for prm verifier_key.Setup.sk in

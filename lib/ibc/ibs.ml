@@ -60,7 +60,8 @@ let verification_points (pub : Setup.public) rows =
     (Curve.add_mul_precomp_batch prm.curve
        (Array.of_list
           (List.map
-             (fun (q_id, msg, u) -> u, Params.precomp_for prm q_id, h2 pub ~u ~msg)
+             (fun (q_id, msg, u) ->
+               u, Params.precomp_for prm q_id, h2 pub ~u ~msg)
              rows)))
 
 let verification_point pub ~q_id ~msg ~u =

@@ -86,10 +86,9 @@ val verify :
 (** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term
     {!Sc_pairing.Tate.multi_pairing_precomp_equal} — a single shared
     Miller loop instead of the two pairings of the textbook equation —
-    after one subgroup multiplication on V.  With a
-    [memo], a signature it holds is accepted without the check (and
-    without counting [ibs.verify]); one that passes the check is
-    added. *)
+    after one subgroup multiplication on V.  With a [memo], a
+    signature it holds is accepted without the check (and without
+    counting [ibs.verify]); one that passes the check is added. *)
 
 val verify_batch : Setup.public -> (string * string * t) list -> bool
 (** [verify_batch pub [(signer, msg, sig); …]] verifies every
@@ -136,8 +135,8 @@ val combined_verification_point :
     Σ c·(U + H2(U‖m)·Q_signer): one {!Curve.msm} over the U, with one
     fixed-base comb per distinct signer on the same accumulator and one
     field inversion in all, instead of one {!verification_point} per
-    entry.  The combine step of both batch
-    verifiers ({!verify_batch} and [Agg.verify_batch]). *)
+    entry.  The combine step of both batch verifiers ({!verify_batch}
+    and [Agg.verify_batch]). *)
 
 val to_bytes : Setup.public -> t -> string
 val of_bytes : Setup.public -> string -> t option

@@ -451,7 +451,9 @@ let torsion_tests =
         let responses = responses execution samples in
         List.iter
           (fun (name, signature, accepted) ->
-            let commitment = { commitment with Protocol.root_signature = signature } in
+            let commitment =
+              { commitment with Protocol.root_signature = signature }
+            in
             let memo = Sc_ibc.Ibs.Memo.create "diff-torsion" in
             let batch_memo = Sc_ibc.Ibs.Memo.create "diff-torsion-batch" in
             let single =
@@ -463,10 +465,12 @@ let torsion_tests =
                 ~role:`Da
                 [ { Batch.owner; commitment; challenge; responses } ]
             in
-            let expected = if accepted then [] else [ Protocol.Root_signature_wrong ] in
-            check Alcotest.(list string) (name ^ ": Protocol.verify") (names expected)
+            let expected =
+              names (if accepted then [] else [ Protocol.Root_signature_wrong ])
+            in
+            check Alcotest.(list string) (name ^ ": Protocol.verify") expected
               (names single.Protocol.failures);
-            check Alcotest.(list string) (name ^ ": Batch.verify_jobs") (names expected)
+            check Alcotest.(list string) (name ^ ": Batch.verify_jobs") expected
               (names batch.Protocol.failures);
             List.iter
               (fun m ->
@@ -476,8 +480,12 @@ let torsion_tests =
               [ memo; batch_memo ])
           [
             "honest", s, true;
-            "third party's U + T", { s with Sc_ibc.Ibs.u = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.u t }, false;
-            "V + T", { s with Sc_ibc.Ibs.v = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.v t }, false;
+            "third party's U + T",
+            { s with Sc_ibc.Ibs.u = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.u t },
+            false;
+            "V + T",
+            { s with Sc_ibc.Ibs.v = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.v t },
+            false;
             "signer-made U + T",
             torsion_signature pub cs_key ~bytes_source:bs t
               ("root:" ^ commitment.Protocol.root),

@@ -179,7 +179,7 @@ let precomp_tests =
                  let kb = Curve.mul curve k bases.(b) in
                  [
                    Curve.random curve ~bytes_source:bs, b, k;
-                   Curve.mul curve (Sc_pairing.Params.random_scalar prm ~bytes_source:bs) g, b, k;
+                   Curve.mul curve (Nat.of_bytes_be (bs 8)) g, b, k;
                    Curve.neg curve kb, b, k;
                    kb, b, k;
                    Curve.infinity, b, k;

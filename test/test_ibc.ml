@@ -357,7 +357,10 @@ let perturbation_tests =
        per-entry ones, against the textbook check (affine U + h·Q_ID,
        then a pairing) and Dvs.verify alike. *)
     qcheck ~count:8 "blame = per-entry Dvs.verify on mixed-signer batches"
-      QCheck2.Gen.(pair (string_size ~gen:char (int_range 1 16)) (list_size (int_range 2 6) (int_bound 6)))
+      QCheck2.Gen.(
+        pair
+          (string_size ~gen:char (int_range 1 16))
+          (list_size (int_range 2 6) (int_bound 6)))
       (fun (seed, kinds) ->
         let bs = fresh_bs ("ibc-blame:" ^ seed) in
         let pc_sk = Tate.precompute prm verifier.Setup.sk in
@@ -369,7 +372,9 @@ let perturbation_tests =
           {
             Agg.signer = k.Setup.id;
             msg;
-            dvs = Dvs.designate pub (Ibs.sign pub k ~bytes_source:bs msg) ~verifier:"verifier";
+            dvs =
+              Dvs.designate pub (Ibs.sign pub k ~bytes_source:bs msg)
+                ~verifier:"verifier";
           }
         in
         let es = List.init n entry in
@@ -393,28 +398,40 @@ let perturbation_tests =
           | 5 -> times e (Fp2.make (Fp.neg fp Fp.one) Fp.zero)
           | _ -> e
         in
-        let batch = List.mapi (fun i (kind, e) -> perturb i kind e) (List.combine kinds es) in
+        let batch =
+          List.mapi (fun i (kind, e) -> perturb i kind e) (List.combine kinds es)
+        in
         let textbook (e : Agg.entry) =
           let u = e.Agg.dvs.Dvs.u in
           Curve.on_curve curve u
           &&
           let q_id = Setup.q_of_id pub e.Agg.signer in
-          let w = Curve.add curve u (Curve.mul curve (Ibs.h2 pub ~u ~msg:e.Agg.msg) q_id) in
+          let h = Ibs.h2 pub ~u ~msg:e.Agg.msg in
+          let w = Curve.add curve u (Curve.mul curve h q_id) in
           Tate.gt_equal e.Agg.dvs.Dvs.sigma (Tate.pairing_precomp prm w pc_sk)
         in
         let expected = List.map textbook batch in
-        let got = Agg.verify_each pub ~verifier_key:verifier (List.map Option.some batch) in
+        let got =
+          Agg.verify_each pub ~verifier_key:verifier (List.map Option.some batch)
+        in
         let all =
           Dvs.verify_all pub ~verifier_key:verifier
-            (List.map (fun (e : Agg.entry) -> Setup.q_of_id pub e.Agg.signer, e.Agg.msg, e.Agg.dvs) batch)
+            (List.map
+               (fun (e : Agg.entry) ->
+                 Setup.q_of_id pub e.Agg.signer, e.Agg.msg, e.Agg.dvs)
+               batch)
         in
-        let show l = String.concat "" (List.map (fun b -> if b then "1" else "0") l) in
+        let show l =
+          String.concat "" (List.map (fun b -> if b then "1" else "0") l)
+        in
         (got = List.map Option.some expected
          && all = expected
          && List.map dvs_ok batch = expected)
-        || QCheck2.Test.fail_reportf "kinds [%s]: blame %s, verify_all %s, textbook %s"
+        || QCheck2.Test.fail_reportf
+             "kinds [%s]: blame %s, verify_all %s, textbook %s"
              (String.concat ";" (List.map string_of_int kinds))
-             (show (List.map (Option.value ~default:false) got)) (show all) (show expected));
+             (show (List.map (Option.value ~default:false) got))
+             (show all) (show expected));
   ]
 
 (* Dvs.sign_batch raises the bases ê(sk_ID, Q_B) to e = r + h instead of

@@ -359,7 +359,9 @@ let precomp_tests =
             "honest", value;
             "one", Tate.gt_one;
             "zero", Fp2.make Fp.zero Fp.zero;
-            "random", Fp2.make (Fp.random fp ~bytes_source:bs) (Fp.random fp ~bytes_source:bs);
+            ( "random",
+              Fp2.make (Fp.random fp ~bytes_source:bs)
+                (Fp.random fp ~bytes_source:bs) );
             "non-unitary", Fp2.mul fp value (Fp2.make (Fp.of_int fp 2) Fp.zero);
             "off by torsion", Fp2.mul fp value minus_one;
           ]
@@ -367,7 +369,9 @@ let precomp_tests =
         for i = 0 to 23 do
           let n = 1 + (i mod 3) in
           let terms = List.init n (fun j -> term (i + j + (i / 3))) in
-          let value, c_value = counted (fun () -> Tate.multi_pairing_precomp prm terms) in
+          let value, c_value =
+            counted (fun () -> Tate.multi_pairing_precomp prm terms)
+          in
           List.iter
             (fun (name, t) ->
               let ok, c_ok =
@@ -375,7 +379,8 @@ let precomp_tests =
               in
               check Alcotest.bool (Printf.sprintf "%d terms, %s" n name)
                 (Tate.gt_equal value t) ok;
-              check Alcotest.(list int) (Printf.sprintf "%d terms, %s counters" n name)
+              check Alcotest.(list int)
+                (Printf.sprintf "%d terms, %s counters" n name)
                 c_value c_ok)
             (targets value);
           let b, pc = List.hd terms in
@@ -386,7 +391,9 @@ let precomp_tests =
                 counted (fun () -> Tate.pairing_precomp_equal prm b pc t)
               in
               check Alcotest.bool ("single, " ^ name) (Tate.gt_equal value t) ok;
-              check Alcotest.(list int) ("single, " ^ name ^ " counters") c_value c_ok)
+              check Alcotest.(list int)
+                ("single, " ^ name ^ " counters")
+                c_value c_ok)
             (targets value)
         done);
     case "precomp caches count one miss then hits" (fun () ->
