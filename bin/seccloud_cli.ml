@@ -417,7 +417,8 @@ let columns =
 type row = {
   section : string;
   op : string;
-  counts : (int array * int array) option; (* [columns] before, after *)
+  counts : (int array * int array) option;
+      (* [columns], then minor words, before and after *)
   paper : string;
   bound : (string * int * int) option; (* invariant, measured, bound *)
 }
@@ -449,8 +450,13 @@ let stats_workload (_, params) seed ~drop ~tamper =
      [wnaf_gate], in a check row of its own, its wNAF multiplications
      (the last column). *)
   let measure section ?gate ?wnaf_gate op paper f =
+    (* Minor words are counted per domain: this one's, which is all of
+       them when SECCLOUD_DOMAINS=1. *)
     let snapshot () =
-      Array.map (fun (c, _) -> Telemetry.counter_value c) columns
+      let words = Gc.minor_words () in
+      Array.append
+        (Array.map (fun (c, _) -> Telemetry.counter_value c) columns)
+        [| int_of_float words |]
     in
     let before = snapshot () in
     let result = f () in
@@ -598,11 +604,97 @@ let stats_workload (_, params) seed ~drop ~tamper =
                 { file = "ledger"; indices = List.map fst reads }));
         ignore
           (Seccloud.Wire.encode pub (Seccloud.Wire.Storage_response reads));
-        let report = Seccloud.Agency.check_blocks system ~owner:"alice" reads in
+        let report =
+          Seccloud.Agency.check_blocks system ~server:"cs-1" ~owner:"alice"
+            reads
+        in
         assert report.Seccloud.Agency.intact)
   in
   storage_audit samples;
   storage_audit ~gate:("honest t=8 storage audit pairings", 1) t;
+  (* A caught server: t = 8 storage audits of cs-1 serving k bad
+     blocks, by one DA that keeps its suspect set.  The first audit
+     pays the batch and the blame (1 + t pairings).  From then on the
+     server's entries skip the batch (t pairings), until an audit finds
+     all of them good; the audit after that is back on the batch. *)
+  let ledger_reads =
+    List.init t (fun i ->
+        i, Sc_storage.Server.read (Seccloud.Cloud.storage cloud) ~file:"ledger"
+             ~index:i)
+  in
+  let corrupted k =
+    List.map
+      (fun (i, read) ->
+        ( i,
+          if i >= k then read
+          else
+            Option.map
+              (fun (r : Sc_storage.Server.read_result) ->
+                { r with
+                  claimed =
+                    { r.claimed with
+                      Sc_storage.Block.data = r.claimed.Sc_storage.Block.data ^ "!" } })
+              read ))
+      ledger_reads
+  in
+  List.iter
+    (fun k ->
+      let suspects = Sc_ibc.Agg.Suspects.create () in
+      let audit ?gate ?batch_gate what bad =
+        let b0 = Telemetry.counter_value "agg.verify_batch" in
+        verifier ?gate
+          (Printf.sprintf "caught k=%d/%d, storage audit: %s" k t what)
+          "2t pairings naive" (fun () ->
+            let report =
+              Seccloud.Agency.check_blocks ~suspects system ~server:"cs-1"
+                ~owner:"alice" (corrupted bad)
+            in
+            assert (report.Seccloud.Agency.invalid_indices = List.init bad Fun.id));
+        Option.iter
+          (fun name ->
+            rows :=
+              check name (Telemetry.counter_value "agg.verify_batch" - b0) 0
+              :: !rows)
+          batch_gate
+      in
+      let name = Printf.sprintf "caught server, k=%d/%d: %s" k t in
+      audit ~gate:(name "first audit pairings (<= 1+t)", 1 + t) "fresh DA" k;
+      audit
+        ~gate:(name "repeat audit pairings (<= t)", t)
+        ~batch_gate:(name "repeat audit batches")
+        "repeat" k;
+      audit "honest, clears" 0;
+      audit ~gate:(name "next honest audit pairings", 1) "honest again" 0)
+    [ 1; t ];
+  (* Server ids are untrusted, so the set is bounded: more caught
+     servers than its capacity, each with one entry whose U is off the
+     curve (rejected without a pairing), leave it within the bound. *)
+  let suspect_bound =
+    let suspects = Sc_ibc.Agg.Suspects.create () in
+    let e = List.hd dvs_entries in
+    let off_curve =
+      match e.Sc_ibc.Agg.dvs.Sc_ibc.Dvs.u with
+      | Sc_ec.Curve.Affine (x, y) ->
+        Sc_ec.Curve.Affine
+          (x, Sc_field.Fp.add pub.Sc_ibc.Setup.prm.Sc_pairing.Params.fp y
+                Sc_field.Fp.one)
+      | Sc_ec.Curve.Infinity -> invalid_arg "stats: signature U at infinity"
+    in
+    let bad =
+      { e with Sc_ibc.Agg.dvs = { e.Sc_ibc.Agg.dvs with Sc_ibc.Dvs.u = off_curve } }
+    in
+    for i = 1 to Sc_ibc.Agg.Suspects.capacity + 44 do
+      assert (
+        Sc_ibc.Agg.verify_each pub ~verifier_key:da_key ~suspects
+          [ Some (Printf.sprintf "caught-%d" i, bad) ]
+        = [ Some false ])
+    done;
+    check
+      (Printf.sprintf "suspect set entries after %d caught servers"
+         (Sc_ibc.Agg.Suspects.capacity + 44))
+      (Sc_ibc.Agg.Suspects.size suspects)
+      Sc_ibc.Agg.Suspects.capacity
+  in
   (* Protocol III + Algorithm 1 audit round. *)
   let warrant =
     Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:3600.0
@@ -783,6 +875,7 @@ let stats_workload (_, params) seed ~drop ~tamper =
   in
   ( List.rev_append !rows
       (warm_misses
+      :: suspect_bound
       :: check "identity hashes after warm-up" warm_id_hashes 0
       :: repeat_checks),
     wire_summary )
@@ -831,10 +924,15 @@ let print_table rows =
            if r.section <> section then begin
              Printf.printf "\n%-*s" width (header r.section);
              Array.iter (fun (_, label) -> Printf.printf " %8s" label) columns;
-             Printf.printf " %6s   %s\n" "bound" "paper prediction"
+             Printf.printf " %10s %6s   %s\n" "words" "bound" "paper prediction"
            end;
            Printf.printf "%-*s" width r.op;
-           Array.iteri (fun i b -> Printf.printf " %8d" (after.(i) - b)) before;
+           Array.iteri
+             (fun i b ->
+               Printf.printf
+                 (if i < Array.length columns then " %8d" else " %10d")
+                 (after.(i) - b))
+             before;
            Printf.printf " %6s   %s\n"
              (match r.bound with
              | Some (_, _, b) -> Printf.sprintf "<= %d" b

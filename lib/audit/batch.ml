@@ -13,7 +13,7 @@ type job = {
   responses : Executor.response list;
 }
 
-let verify_jobs ?memo pub ~verifier_key ~role jobs =
+let verify_jobs ?memo ?suspects pub ~verifier_key ~role jobs =
   Telemetry.incr c_batch_rounds;
   Telemetry.add c_batch_jobs (List.length jobs);
   Telemetry.with_span ~name:"audit.batch_verify"
@@ -46,8 +46,11 @@ let verify_jobs ?memo pub ~verifier_key ~role jobs =
           Protocol.sample_checks ~role ~owner:job.owner
             ~commitment:job.commitment job.responses
         in
+        let server = job.commitment.Protocol.cs_id in
         List.map
-          (fun i -> i, check i)
+          (fun i ->
+            let fs, entry = check i in
+            i, (fs, Option.map (fun e -> server, e) entry))
           job.challenge.Protocol.sample_indices)
       jobs
   in
@@ -61,7 +64,7 @@ let verify_jobs ?memo pub ~verifier_key ~role jobs =
          (fun (i, _) ok ->
            if ok = Some false then [ Protocol.Signature_wrong i ] else [])
          rev_flat
-         (Agg.verify_each pub ~verifier_key
+         (Agg.verify_each pub ~verifier_key ?suspects
             (List.map (fun (_, (_, entry)) -> entry) rev_flat)))
   in
   let failures = root_failures @ check_failures @ signature_failures in

@@ -140,7 +140,8 @@ let sample_checks ~role ~owner ~commitment responses =
             Signer.agg_entry role ~owner claimed signed)
           resp.Executor.read )
 
-let verify ?memo pub ~verifier_key ~role ~owner commitment chal responses =
+let verify ?memo ?suspects pub ~verifier_key ~role ~owner commitment chal
+    responses =
   Telemetry.incr c_rounds;
   Telemetry.with_span ~name:"audit.verify"
     ~attrs:[ "samples", string_of_int (List.length chal.sample_indices) ]
@@ -167,8 +168,11 @@ let verify ?memo pub ~verifier_key ~role ~owner commitment chal responses =
           (function _, ([ Missing_response _ ], None) -> false | _ -> true)
           per_sample));
   let signatures_ok =
-    Agg.verify_each pub ~verifier_key
-      (List.map (fun (_, (_, entry)) -> entry) per_sample)
+    Agg.verify_each pub ~verifier_key ?suspects
+      (List.map
+         (fun (_, (_, entry)) ->
+           Option.map (fun e -> commitment.cs_id, e) entry)
+         per_sample)
   in
   let failures =
     root_failures

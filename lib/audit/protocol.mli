@@ -84,6 +84,7 @@ val sample_checks :
 
 val verify :
   ?memo:Sc_ibc.Ibs.Memo.t ->
+  ?suspects:Sc_ibc.Agg.Suspects.t ->
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
@@ -98,6 +99,8 @@ val verify :
     at the first, which the simulator uses for diagnosis.  The root
     signature costs one pairing, or none when the verifier's [memo]
     already holds it (see {!Sc_ibc.Ibs.verify}); the t sampled
-    designated signatures go through one {!Sc_ibc.Agg.verify_each},
-    one pairing when all are good and 1 + t when the batch rejects.
+    designated signatures go through one {!Sc_ibc.Agg.verify_each}
+    as entries of the server [commitment.cs_id]: one pairing when all
+    are good, 1 + t when the batch rejects, and t, with no batch, when
+    that server is in the verifier's [suspects] (a caught server).
     Counts each answered index on [audit.samples_checked]. *)

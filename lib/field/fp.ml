@@ -103,14 +103,16 @@ module Mont = struct
     if n >= 0 then Montgomery.of_int m n
     else Montgomery.neg m (Montgomery.of_int m (-n))
 
-  let add ctx = Montgomery.add (mont_exn ctx)
-  let sub ctx = Montgomery.sub (mont_exn ctx)
-  let add_lazy ctx = Montgomery.add_lazy (mont_exn ctx)
-  let sub_lazy ctx = Montgomery.sub_lazy (mont_exn ctx)
-  let neg ctx = Montgomery.neg (mont_exn ctx)
-  let double ctx = Montgomery.double (mont_exn ctx)
-  let mul ctx = Montgomery.mul (mont_exn ctx)
-  let sqr ctx = Montgomery.sqr (mont_exn ctx)
+  (* Eta-expanded: without flambda, [let mul ctx = Montgomery.mul m]
+     builds a closure on every call. *)
+  let add ctx a b = Montgomery.add (mont_exn ctx) a b
+  let sub ctx a b = Montgomery.sub (mont_exn ctx) a b
+  let add_lazy ctx a b = Montgomery.add_lazy (mont_exn ctx) a b
+  let sub_lazy ctx a b = Montgomery.sub_lazy (mont_exn ctx) a b
+  let neg ctx a = Montgomery.neg (mont_exn ctx) a
+  let double ctx a = Montgomery.double (mont_exn ctx) a
+  let mul ctx a b = Montgomery.mul (mont_exn ctx) a b
+  let sqr ctx a = Montgomery.sqr (mont_exn ctx) a
   let is_zero = Montgomery.is_zero
   let equal = Montgomery.equal
 

@@ -9,6 +9,9 @@ let c_verify_batch = Telemetry.counter "agg.verify_batch"
 let c_verify_batch_sigs = Telemetry.counter "agg.verify_batch_sigs"
 let c_verify_each_rejects = Telemetry.counter "agg.verify_each.rejects"
 
+let c_verify_each_suspect_sigs =
+  Telemetry.counter "agg.verify_each.suspect_sigs"
+
 type entry = { signer : string; msg : string; dvs : Dvs.t }
 
 let delta_bytes = 8
@@ -72,6 +75,10 @@ let verify_batch (pub : Setup.public) ~verifier_key entries =
      (Tate.gt_multi_exp prm
         (List.map2 (fun d e -> e.dvs.Dvs.sigma, d) deltas entries)))
 
+let singles (pub : Setup.public) ~verifier_key entries =
+  Dvs.verify_all pub ~verifier_key
+    (List.map (fun e -> Setup.q_of_id pub e.signer, e.msg, e.dvs) entries)
+
 (* A batch that accepts vouches for every entry; only a rejected one
    pays for the singles that say which entries are bad, whose
    verification points share one inversion. *)
@@ -81,16 +88,89 @@ let verify_all (pub : Setup.public) ~verifier_key entries =
     Telemetry.incr c_verify_each_rejects;
     Telemetry.with_span ~name:"agg.blame"
       ~attrs:[ "sigs", string_of_int (List.length entries) ]
-    @@ fun () ->
-    Dvs.verify_all pub ~verifier_key
-      (List.map (fun e -> Setup.q_of_id pub e.signer, e.msg, e.dvs) entries)
+    @@ fun () -> singles pub ~verifier_key entries
   end
 
-let verify_each pub ~verifier_key slots =
+module Suspects = struct
+  let capacity = 256
+
+  type t = (string, unit) Hashtbl.t
+
+  let create () : t = Hashtbl.create 16
+  let size = Hashtbl.length
+
+  (* A server id is untrusted input of any length, so the set holds
+     its SHA-256: a fixed 32 bytes per suspect. *)
+  let key server = Sc_hash.Sha256.digest server
+
+  (* Full: start over, as [Ibs.Memo] does.  A forgotten suspect costs
+     one more batch that fails, never a different answer. *)
+  let add t key =
+    if not (Hashtbl.mem t key) then begin
+      if Hashtbl.length t >= capacity then Hashtbl.reset t;
+      Hashtbl.replace t key ()
+    end
+end
+
+(* A suspect's entries skip the batch they would make fail: they go
+   straight to the singles, the rest through [verify_all].  Then a
+   server with a failing entry becomes suspect, and one whose every
+   entry passed stops being one. *)
+let verify_each pub ~verifier_key ?suspects slots =
+  let entries = List.filter_map Fun.id slots in
+  (* Each distinct server once: its key, and whether it is suspect. *)
+  let servers =
+    match suspects with
+    | None -> []
+    | Some set ->
+      List.map
+        (fun server ->
+          let key = Suspects.key server in
+          server, (key, Hashtbl.mem set key))
+        (List.sort_uniq String.compare (List.map fst entries))
+  in
+  let tagged =
+    List.map
+      (fun (server, e) ->
+        e, List.exists (fun (s, (_, flagged)) -> flagged && s = server) servers)
+      entries
+  in
+  let picked flag =
+    List.filter_map (fun (e, s) -> if s = flag then Some e else None) tagged
+  in
+  let suspect_oks =
+    match picked true with
+    | [] -> []
+    | es ->
+      Telemetry.add c_verify_each_suspect_sigs (List.length es);
+      Telemetry.with_span ~name:"agg.suspect"
+        ~attrs:[ "sigs", string_of_int (List.length es) ]
+      @@ fun () -> singles pub ~verifier_key es
+  in
+  let rec merge tagged suspect_oks other_oks =
+    match tagged, suspect_oks, other_oks with
+    | (_, true) :: tagged, ok :: suspect_oks, other_oks
+    | (_, false) :: tagged, suspect_oks, ok :: other_oks ->
+      ok :: merge tagged suspect_oks other_oks
+    | _ -> []
+  in
+  let oks =
+    merge tagged suspect_oks (verify_all pub ~verifier_key (picked false))
+  in
+  Option.iter
+    (fun set ->
+      let answered = List.map2 (fun (server, _) ok -> server, ok) entries oks in
+      List.iter
+        (fun (server, (key, _)) ->
+          if List.for_all (fun (s, ok) -> ok || s <> server) answered then
+            Hashtbl.remove set key
+          else Suspects.add set key)
+        servers)
+    suspects;
   let rec put_back slots oks =
     match slots, oks with
     | None :: slots, oks -> None :: put_back slots oks
     | Some _ :: slots, ok :: oks -> Some ok :: put_back slots oks
     | [], _ | Some _ :: _, [] -> []
   in
-  put_back slots (verify_all pub ~verifier_key (List.filter_map Fun.id slots))
+  put_back slots oks

@@ -73,7 +73,8 @@ val verify_all :
     one pairing per entry whose U is on the curve, and one shared field
     inversion for all their verification points
     ({!Ibs.verification_points}).  The blame step of
-    {!Agg.verify_each}. *)
+    {!Agg.verify_each}, and its check of a suspect server's
+    entries. *)
 
 val simulate :
   Setup.public ->

@@ -118,22 +118,43 @@ end
    an accepted (U, V + T), so V is subgroup-checked.  Torsion on U is
    harmless: a third party's U + T changes h = H2(U‖m) and fails, and
    a signer who picks U = r·Q_ID + T signs validly, as it could with
-   T = O.  So U is only checked to be on the curve. *)
-let verify_full (pub : Setup.public) ~signer ~msg { u; v } =
-  Telemetry.incr c_verify;
-  Telemetry.with_span ~name:"ibs.verify" (fun () ->
-      let prm = pub.prm in
-      Curve.on_curve prm.curve u
-      && Params.in_subgroup prm v
-      &&
-      let q_id = Setup.q_of_id pub signer in
-      let w = verification_point pub ~q_id ~msg ~u in
+   T = O.  So U is only checked to be on the curve.  The entries whose
+   points pass get their W from one {!verification_points}, so n
+   entries share one inversion. *)
+let verify_all (pub : Setup.public) entries =
+  let prm = pub.prm in
+  let checked =
+    List.map
+      (fun ((_, _, { u; v }) as entry) ->
+        entry, Curve.on_curve prm.curve u && Params.in_subgroup prm v)
+      entries
+  in
+  let ws =
+    verification_points pub
+      (List.filter_map
+         (fun ((signer, msg, s), ok) ->
+           if ok then Some (Setup.q_of_id pub signer, msg, s.u) else None)
+         checked)
+  in
+  let rec answer checked ws =
+    match checked, ws with
+    | ((_, _, s), true) :: checked, w :: ws ->
       Tate.multi_pairing_precomp_equal prm
         [
-          v, Tate.precomp_for prm prm.g;
+          s.v, Tate.precomp_for prm prm.g;
           Curve.neg prm.curve w, Tate.precomp_for prm pub.p_pub;
         ]
-        Tate.gt_one)
+        Tate.gt_one
+      :: answer checked ws
+    | (_, false) :: checked, ws -> false :: answer checked ws
+    | [], _ | (_, true) :: _, [] -> []
+  in
+  answer checked ws
+
+let verify_full pub ~signer ~msg s =
+  Telemetry.incr c_verify;
+  Telemetry.with_span ~name:"ibs.verify" (fun () ->
+      List.hd (verify_all pub [ signer, msg, s ]))
 
 let verify ?memo pub ~signer ~msg s =
   match memo with
@@ -239,7 +260,7 @@ let verify_batch (pub : Setup.public) entries =
 
 (* Batch then blame, as [Agg.verify_each]: memo hits are answered
    without a check, the rest go through one {!verify_batch}, and only a
-   rejected batch pays one {!verify_full} per entry.  Every accepted
+   rejected batch pays one {!verify_all} over them.  Every accepted
    entry is remembered. *)
 let verify_each ?memo pub slots =
   let tagged =
@@ -261,10 +282,10 @@ let verify_each ?memo pub slots =
     if verify_batch pub fresh then List.map (fun _ -> true) fresh
     else begin
       Telemetry.incr c_verify_each_rejects;
+      Telemetry.add c_verify (List.length fresh);
       Telemetry.with_span ~name:"ibs.blame"
         ~attrs:[ "sigs", string_of_int (List.length fresh) ]
-      @@ fun () ->
-      List.map (fun (signer, msg, s) -> verify_full pub ~signer ~msg s) fresh
+      @@ fun () -> verify_all pub fresh
     end
   in
   let rec put_back tagged oks =

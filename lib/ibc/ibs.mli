@@ -110,8 +110,10 @@ val verify_each :
     (signer, msg, sig)] slot gets its answer back in place, a [None]
     slot stays [None].  Entries the [memo] holds are answered [true]
     unchecked.  The rest go through one {!verify_batch}, and only when
-    it rejects one {!verify} each (under span [ibs.blame], counted on
-    [ibs.verify_each.rejects]).  Every accepted entry is added to the
+    it rejects one {!verify}'s check each, all their verification
+    points formed with one shared inversion (under span [ibs.blame],
+    counted on [ibs.verify_each.rejects]; each entry also counts on
+    [ibs.verify]).  Every accepted entry is added to the
     [memo].  The answers are {!verify}'s, entry by entry, up to the
     soundness bound of {!verify_batch}. *)
 

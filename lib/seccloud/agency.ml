@@ -14,6 +14,7 @@ type t = {
   system : System.t;
   drbg : Sc_hash.Drbg.t;
   roots : Sc_ibc.Ibs.Memo.t;  (* commitment root signatures accepted *)
+  suspects : Agg.Suspects.t;  (* servers caught with a bad entry *)
 }
 
 let create system =
@@ -21,6 +22,7 @@ let create system =
     system;
     drbg = Sc_hash.Drbg.create ~seed:"designated-agency";
     roots = Sc_ibc.Ibs.Memo.create "root";
+    suspects = Agg.Suspects.create ();
   }
 
 type storage_report = {
@@ -58,13 +60,13 @@ let report_of_checks checks =
 
 (* A read that claims its own index goes into one batch; any other,
    a missing read included, is invalid without a signature check. *)
-let check_blocks system ~owner reads =
+let check_blocks ?suspects system ~server ~owner reads =
   let slots =
     List.map
       (fun (i, read) ->
         match read with
         | Some { Server.claimed; signed } when claimed.Block.index = i ->
-          Some (Signer.agg_entry `Da ~owner claimed signed)
+          Some (server, Signer.agg_entry `Da ~owner claimed signed)
         | Some _ | None -> None)
       reads
   in
@@ -73,7 +75,7 @@ let check_blocks system ~owner reads =
        (fun (i, _) ok -> i, ok = Some true)
        reads
        (Agg.verify_each (System.public system)
-          ~verifier_key:(System.da_key system) slots))
+          ~verifier_key:(System.da_key system) ?suspects slots))
 
 let audit_storage t cloud ~owner ~file ~samples =
   match read_samples t cloud ~file ~samples with
@@ -81,7 +83,10 @@ let audit_storage t cloud ~owner ~file ~samples =
     { sampled = 0; valid_blocks = 0; invalid_indices = []; intact = false;
       channel = None }
   | Some reads ->
-    let report = check_blocks t.system ~owner reads in
+    let report =
+      check_blocks ~suspects:t.suspects t.system ~server:(Cloud.id cloud)
+        ~owner reads
+    in
     Log.info (fun m ->
         m "storage audit %s/%s: %d/%d valid, intact=%b" owner file
           report.valid_blocks report.sampled report.intact);
@@ -107,8 +112,8 @@ let audit_computation t cloud ~owner ~execution ~warrant ~now ~samples =
     { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
   | Some responses ->
     let verdict =
-      Protocol.verify ~memo:t.roots pub ~verifier_key:da_key ~role:`Da ~owner
-        commitment challenge responses
+      Protocol.verify ~memo:t.roots ~suspects:t.suspects pub
+        ~verifier_key:da_key ~role:`Da ~owner commitment challenge responses
     in
     Log.info (fun m ->
         m "computation audit %s (t=%d): valid=%b, %d failures" owner samples
@@ -138,5 +143,5 @@ let audit_computation_batched t jobs ~now ~samples =
   if List.length prepared < List.length jobs then
     { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
   else
-    Batch.verify_jobs ~memo:t.roots pub ~verifier_key:da_key ~role:`Da
-      prepared
+    Batch.verify_jobs ~memo:t.roots ~suspects:t.suspects pub
+      ~verifier_key:da_key ~role:`Da prepared

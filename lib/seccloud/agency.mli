@@ -5,12 +5,15 @@
 type t
 
 val create : System.t -> t
-(** A DA with its own challenge DRBG and its own memo of accepted
+(** A DA with its own challenge DRBG, its own memo of accepted
     commitment root signatures ({!Sc_ibc.Ibs.Memo}, counted as
     [memo="root"]): a commitment it audits again costs no root
-    check.  The memo belongs to this one party; callers that want the
+    check, and its own set of suspect servers
+    ({!Sc_ibc.Agg.Suspects}): a server caught with a bad entry has
+    its entries checked one by one until an audit finds all of them
+    good.  Both belong to this one party; callers that want the
     protocol's cost counts (Table II) call {!Sc_audit.Protocol} and
-    {!Sc_audit.Batch} without one. *)
+    {!Sc_audit.Batch} without them. *)
 
 type storage_report = {
   sampled : int;
@@ -24,17 +27,20 @@ type storage_report = {
 }
 
 val check_blocks :
+  ?suspects:Sc_ibc.Agg.Suspects.t ->
   System.t ->
+  server:string ->
   owner:string ->
   (int * Sc_storage.Server.read_result option) list ->
   storage_report
-(** Designated verification (eq. 7) of sampled reads: a block is valid
-    when the server returned one for its index, it claims that index,
-    and its DA signature verifies.  Every other index, a missing read
-    included, is reported invalid, in the given order.  The signatures
-    of the reads that claim their index are checked together by
-    {!Sc_ibc.Agg.verify_each}: one pairing when all t are good, 1 + t
-    when the batch rejects. *)
+(** Designated verification (eq. 7) of sampled reads from [server]: a
+    block is valid when the server returned one for its index, it
+    claims that index, and its DA signature verifies.  Every other
+    index, a missing read included, is reported invalid, in the given
+    order.  The signatures of the reads that claim their index are
+    checked by {!Sc_ibc.Agg.verify_each}: one pairing when all t are
+    good, 1 + t when the batch rejects, and t, with no batch, when
+    [server] is in [suspects] (a caught server). *)
 
 val read_samples :
   t ->
@@ -47,7 +53,8 @@ val read_samples :
 
 val audit_storage :
   t -> Cloud.t -> owner:string -> file:string -> samples:int -> storage_report
-(** Protocol II auditing: {!check_blocks} over {!read_samples}. *)
+(** Protocol II auditing: {!check_blocks} over {!read_samples}, with
+    the agency's suspect set and the cloud's id as the server. *)
 
 val choose_sample_size :
   ?eps:float -> ?range:float -> csc:float -> ssc:float -> unit -> int

@@ -79,6 +79,7 @@ module Da = struct
     system : System.t;
     drbg : Sc_hash.Drbg.t;
     roots : Sc_ibc.Ibs.Memo.t;  (* commitment root signatures accepted *)
+    suspects : Sc_ibc.Agg.Suspects.t;  (* servers caught with a bad entry *)
   }
 
   let create system =
@@ -86,6 +87,7 @@ module Da = struct
       system;
       drbg = Sc_hash.Drbg.create ~seed:"da-endpoint";
       roots = Sc_ibc.Ibs.Memo.create "root";
+      suspects = Sc_ibc.Agg.Suspects.create ();
     }
 
   let audit_storage_over_wire t ~transport ~owner ~file ~indices =
@@ -104,7 +106,8 @@ module Da = struct
     | Error e -> fail (Some e)
     | Ok (Wire.Storage_response items) ->
       (* an index the server omitted reads as missing, hence invalid *)
-      Agency.check_blocks t.system ~owner
+      Agency.check_blocks ~suspects:t.suspects t.system
+        ~server:(Transport.peer transport) ~owner
         (List.map (fun i -> i, Option.join (List.assoc_opt i items)) indices)
     | Ok _ ->
       (* The server answered (an error Ack): the channel worked, the
@@ -142,8 +145,8 @@ module Da = struct
     | _, Error `Refused ->
       { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
     | challenge, Ok responses ->
-      Protocol.verify ~memo:t.roots pub ~verifier_key:da_key ~role:`Da ~owner
-        commitment challenge responses
+      Protocol.verify ~memo:t.roots ~suspects:t.suspects pub
+        ~verifier_key:da_key ~role:`Da ~owner commitment challenge responses
 
   type batch_target = {
     transport : Transport.t;
@@ -179,8 +182,8 @@ module Da = struct
         | _, Error `Refused -> incr refused)
       targets;
     let verdict =
-      Batch.verify_jobs ~memo:t.roots pub ~verifier_key:da_key ~role:`Da
-        (List.rev !jobs)
+      Batch.verify_jobs ~memo:t.roots ~suspects:t.suspects pub
+        ~verifier_key:da_key ~role:`Da (List.rev !jobs)
     in
     let verdict =
       (* Servers that answered but refused the challenge fail the

@@ -40,9 +40,11 @@ module Da : sig
   type t
 
   val create : System.t -> t
-  (** A DA endpoint with its own challenge DRBG and its own memo of
-      accepted commitment root signatures, as {!Agency.create}; the
-      service layer keeps one per shard. *)
+  (** A DA endpoint with its own challenge DRBG, its own memo of
+      accepted commitment root signatures and its own suspect set, as
+      {!Agency.create}; the service layer keeps one per shard.  A
+      storage audit names the server by {!Transport.peer}, a
+      computation or batch audit by each commitment's [cs_id]. *)
 
   val audit_storage_over_wire :
     t ->

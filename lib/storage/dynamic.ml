@@ -346,14 +346,17 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
             in
             if not path_ok then None
             else
+              (* One server holds [file]; with no suspect set kept
+                 here, the label only groups its entries. *)
               Some
-                {
-                  Sc_ibc.Agg.signer = owner;
-                  msg =
-                    signing_message_c ~file ~index ~version:rp.version
-                      rp.content;
-                  dvs = { Dvs.u = rp.u; sigma = rp.sigma_da };
-                }
+                ( file,
+                  {
+                    Sc_ibc.Agg.signer = owner;
+                    msg =
+                      signing_message_c ~file ~index ~version:rp.version
+                        rp.content;
+                    dvs = { Dvs.u = rp.u; sigma = rp.sigma_da };
+                  } )
         in
         let indices = Array.to_list idx in
         let results =

@@ -333,13 +333,20 @@ let protocol_verify pub ~verifier_key ~owner commitment challenge responses =
         if bad then fs @ [ Protocol.Signature_wrong i ] else fs)
       (protocol_samples pub ~verifier_key ~owner commitment challenge responses)
 
-(* [Batch.verify_jobs]' order for one job: every non-signature failure,
-   then the signature failures in reverse sample order. *)
-let protocol_batch pub ~verifier_key ~owner commitment challenge responses =
+(* [Batch.verify_jobs]' order: every job's root failure, every
+   non-signature failure, then the signature failures of all jobs in
+   reverse sample order. *)
+let protocol_jobs pub ~verifier_key (jobs : Sc_audit.Batch.job list) =
   let samples =
-    protocol_samples pub ~verifier_key ~owner commitment challenge responses
+    List.concat_map
+      (fun (j : Sc_audit.Batch.job) ->
+        protocol_samples pub ~verifier_key ~owner:j.owner j.commitment
+          j.challenge j.responses)
+      jobs
   in
-  root_failures pub commitment
+  List.concat_map
+    (fun (j : Sc_audit.Batch.job) -> root_failures pub j.commitment)
+    jobs
   @ List.concat_map (fun (_, fs, _) -> fs) samples
   @ List.rev
       (List.filter_map

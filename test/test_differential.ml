@@ -122,7 +122,7 @@ let storage_tests =
          ~name:"check_blocks reports the per-block reference's invalid indices"
          gen_samples (fun samples ->
            let reads = storage_reads samples in
-           let r = Seccloud.Agency.check_blocks system ~owner reads in
+           let r = Seccloud.Agency.check_blocks system ~server:"cs-1" ~owner reads in
            let expected =
              Reference.storage_invalid pub ~verifier_key:da_key ~owner reads
            in
@@ -139,7 +139,7 @@ let storage_tests =
       (fun () ->
         let pairings reads =
           let p0 = Sc_pairing.Tate.pairings_performed () in
-          ignore (Seccloud.Agency.check_blocks system ~owner reads);
+          ignore (Seccloud.Agency.check_blocks system ~server:"cs-1" ~owner reads);
           Sc_pairing.Tate.pairings_performed () - p0
         in
         let honest = storage_reads (List.init 8 (fun i -> i, 0)) in
@@ -243,8 +243,8 @@ let protocol_tests =
                commitment challenge responses
            in
            let expected_batch =
-             Reference.protocol_batch pub ~verifier_key:da_key ~owner
-               commitment challenge responses
+             Reference.protocol_jobs pub ~verifier_key:da_key
+               [ { Batch.owner; commitment; challenge; responses } ]
            in
            single.Protocol.failures = expected
            && single.Protocol.valid = (expected = [])
@@ -493,5 +493,203 @@ let torsion_tests =
           ]);
   ]
 
+(* --- the DA's suspect set -----------------------------------------------
+
+   A DA that keeps one suspect set across a script of storage, compute
+   and §VI batch audits over several servers must answer every step as
+   a fresh DA without one, and as the per-entry reference.  The entries
+   it checks one by one must be exactly those of the servers whose last
+   audit with a checked entry had a bad one (a model set kept here). *)
+
+module Agg = Sc_ibc.Agg
+
+let suspect_ids = [| "cs-1"; "cs-2"; "cs-3" |]
+
+type script_job = { server : int; exec : int; job_samples : (int * int) list }
+
+type audit_step =
+  | Storage_audit of int * (int * int) list
+  | Compute_audit of script_job
+  | Batch_audit of script_job list
+
+(* Mostly honest samples, so servers leave the set as well as enter. *)
+let gen_kind =
+  QCheck2.Gen.(
+    frequency [ 3, return 0; 1, int_bound (Array.length perturbations - 1) ])
+
+let gen_audit_step =
+  let open QCheck2.Gen in
+  let server = int_bound (Array.length suspect_ids - 1) in
+  let samples bound =
+    list_size (int_range 1 4) (pair (int_bound (bound - 1)) gen_kind)
+  in
+  let job =
+    map3
+      (fun server exec job_samples -> { server; exec; job_samples })
+      server (int_bound 3) (samples n_tasks)
+  in
+  oneof
+    [
+      map2 (fun s samples -> Storage_audit (s, samples)) server (samples n_blocks);
+      map (fun j -> Compute_audit j) job;
+      map (fun js -> Batch_audit js) (list_size (int_range 1 3) job);
+    ]
+
+let print_audit_step =
+  let job j =
+    Printf.sprintf "{cs-%d exec %d %s}" (j.server + 1) j.exec
+      (print_samples j.job_samples)
+  in
+  function
+  | Storage_audit (s, samples) ->
+    Printf.sprintf "storage cs-%d %s" (s + 1) (print_samples samples)
+  | Compute_audit j -> "compute " ^ job j
+  | Batch_audit js -> "batch [" ^ String.concat "; " (List.map job js) ^ "]"
+
+(* The commitment of [exec] as served by [server]: a server other than
+   cs-1 presents cs-1's root signature, which fails. *)
+let script_job j =
+  let execution = List.nth (Lazy.force executions) j.exec in
+  let samples = List.sort_uniq (fun (a, _) (b, _) -> compare a b) j.job_samples in
+  {
+    Batch.owner;
+    commitment =
+      {
+        (Protocol.commitment_of_execution execution) with
+        Protocol.cs_id = suspect_ids.(j.server);
+      };
+    challenge =
+      {
+        Protocol.sample_indices = List.map fst samples;
+        warrant = Lazy.force warrant;
+      };
+    responses = responses execution samples;
+  }
+
+(* The designated signatures a step checks, each with its server. *)
+let job_entries (job : Batch.job) =
+  let check =
+    Protocol.sample_checks ~role:`Da ~owner:job.Batch.owner
+      ~commitment:job.Batch.commitment job.Batch.responses
+  in
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun e -> job.Batch.commitment.Protocol.cs_id, e)
+        (snd (check i)))
+    job.Batch.challenge.Protocol.sample_indices
+
+let storage_entries server reads =
+  List.filter_map
+    (fun (i, read) ->
+      match read with
+      | Some { Server.claimed; signed } when claimed.Block.index = i ->
+        Some (server, Signer.agg_entry `Da ~owner claimed signed)
+      | Some _ | None -> None)
+    reads
+
+(* Runs [step] with and without [suspects] and against the reference:
+   the three answers as strings, and the entries checked. *)
+let run_audit_step ~suspects step =
+  let ints = List.map string_of_int in
+  match step with
+  | Storage_audit (s, samples) ->
+    let reads = storage_reads samples and server = suspect_ids.(s) in
+    let invalid ?suspects () =
+      (Seccloud.Agency.check_blocks ?suspects system ~server ~owner reads)
+        .Seccloud.Agency.invalid_indices
+    in
+    ( ints (invalid ~suspects ()),
+      ints (invalid ()),
+      ints (Reference.storage_invalid pub ~verifier_key:da_key ~owner reads),
+      storage_entries server reads )
+  | Compute_audit j ->
+    let job = script_job j in
+    let verify ?suspects () =
+      (Protocol.verify ?suspects pub ~verifier_key:da_key ~role:`Da ~owner
+         job.Batch.commitment job.Batch.challenge job.Batch.responses)
+        .Protocol.failures
+    in
+    ( names (verify ~suspects ()),
+      names (verify ()),
+      names
+        (Reference.protocol_verify pub ~verifier_key:da_key ~owner
+           job.Batch.commitment job.Batch.challenge job.Batch.responses),
+      job_entries job )
+  | Batch_audit js ->
+    let jobs = List.map script_job js in
+    let verify ?suspects () =
+      (Batch.verify_jobs ?suspects pub ~verifier_key:da_key ~role:`Da jobs)
+        .Protocol.failures
+    in
+    ( names (verify ~suspects ()),
+      names (verify ()),
+      names (Reference.protocol_jobs pub ~verifier_key:da_key jobs),
+      List.concat_map job_entries jobs )
+
+let suspect_tests =
+  let open Util in
+  let suspect_sigs () =
+    Sc_telemetry.Telemetry.counter_value "agg.verify_each.suspect_sigs"
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:25
+         ~print:QCheck2.Print.(list print_audit_step)
+         ~name:"a DA with a suspect set answers as a fresh DA and the reference"
+         QCheck2.Gen.(list_size (int_range 2 10) gen_audit_step)
+         (fun script ->
+           let suspects = Agg.Suspects.create () in
+           let model = Hashtbl.create 4 in
+           List.for_all
+             (fun step ->
+               let s0 = suspect_sigs () in
+               let kept, fresh, reference, entries =
+                 run_audit_step ~suspects step
+               in
+               let singles = suspect_sigs () - s0 in
+               let expected_singles =
+                 List.length
+                   (List.filter (fun (server, _) -> Hashtbl.mem model server)
+                      entries)
+               in
+               List.iter
+                 (fun (server, _) ->
+                   if
+                     List.for_all
+                       (fun (s, (e : Agg.entry)) ->
+                         s <> server
+                         || Reference.dvs_ok pub ~verifier_key:da_key
+                              ~signer:e.signer ~msg:e.msg e.dvs)
+                       entries
+                   then Hashtbl.remove model server
+                   else Hashtbl.replace model server ())
+                 entries;
+               (kept = fresh && kept = reference && singles = expected_singles)
+               || QCheck2.Test.fail_reportf
+                    "%s: kept [%s], fresh [%s], reference [%s]; %d entries \
+                     checked one by one, expected %d"
+                    (print_audit_step step) (String.concat "; " kept)
+                    (String.concat "; " fresh)
+                    (String.concat "; " reference)
+                    singles expected_singles)
+             script));
+    case "more caught server ids than the capacity keep the set in bound"
+      (fun () ->
+        let suspects = Agg.Suspects.create () in
+        let reads = storage_reads [ 3, 1 ] in
+        for i = 1 to Agg.Suspects.capacity + 44 do
+          let r =
+            Seccloud.Agency.check_blocks ~suspects system
+              ~server:(Printf.sprintf "caught-%d" i) ~owner reads
+          in
+          check Alcotest.(list int) "answer" [ 3 ] r.Seccloud.Agency.invalid_indices;
+          check Alcotest.bool "within capacity" true
+            (Agg.Suspects.size suspects <= Agg.Suspects.capacity)
+        done;
+        check Alcotest.int "started over when full" 44 (Agg.Suspects.size suspects));
+  ]
+
 let suite =
   storage_tests @ protocol_tests @ dynamic_tests @ memo_tests @ torsion_tests
+  @ suspect_tests

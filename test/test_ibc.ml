@@ -211,6 +211,50 @@ let property_tests =
         let raw = Ibs.sign pub bob ~bytes_source:bs m in
         let d = Dvs.designate pub raw ~verifier:"agency" in
         Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "bob") ~msg:m d);
+    (* Ibs.verify_each blames a rejected batch with one shared
+       inversion for all its verification points: its answers must be
+       Ibs.verify's, entry by entry, with and without a memo that
+       already holds some of the good entries. *)
+    qcheck ~count:12 "Ibs.verify_each = per-entry Ibs.verify, memo hits included"
+      QCheck2.Gen.(
+        pair
+          (string_size ~gen:char (int_range 1 8))
+          (list_size (int_range 1 6) (pair (int_bound 6) bool)))
+      (fun (seed, kinds) ->
+        let bs = fresh_bs ("ibs-each:" ^ seed) in
+        let module Params = Sc_pairing.Params in
+        let curve = prm.Params.curve and fp = prm.Params.fp in
+        let entry i (kind, remembered) =
+          let key = if i mod 2 = 0 then alice else bob in
+          let msg = Printf.sprintf "each-%d:%s" i seed in
+          let s = Ibs.sign pub key ~bytes_source:bs msg in
+          let s, msg =
+            match kind, s.Ibs.u with
+            | 1, _ ->
+              { s with Ibs.v = (Ibs.sign pub key ~bytes_source:bs "other").Ibs.v }, msg
+            | 2, _ -> { s with Ibs.u = Curve.add curve s.Ibs.u prm.Params.g }, msg
+            | 3, _ -> s, msg ^ "'"
+            | 4, Curve.Affine (x, y) ->
+              { s with Ibs.u = Curve.Affine (x, Sc_field.Fp.add fp y Sc_field.Fp.one) }, msg
+            | 5, _ -> { s with Ibs.v = Curve.add curve s.Ibs.v prm.Params.g }, msg
+            | _ -> s, msg
+          in
+          (key.Setup.id, msg, s), remembered
+        in
+        let entries = List.mapi entry kinds in
+        let memo = Ibs.Memo.create "ibs-each-test" in
+        List.iter
+          (fun ((signer, msg, s), remembered) ->
+            if remembered then ignore (Ibs.verify ~memo pub ~signer ~msg s))
+          entries;
+        let slots = List.concat_map (fun (e, _) -> [ Some e; None ]) entries in
+        let expected =
+          List.concat_map
+            (fun ((signer, msg, s), _) -> [ Some (Ibs.verify pub ~signer ~msg s); None ])
+            entries
+        in
+        Ibs.verify_each ~memo pub slots = expected
+        && Ibs.verify_each pub slots = expected);
   ]
 
 (* Agg.verify_batch must accept exactly the batches whose every entry
@@ -412,7 +456,8 @@ let perturbation_tests =
         in
         let expected = List.map textbook batch in
         let got =
-          Agg.verify_each pub ~verifier_key:verifier (List.map Option.some batch)
+          Agg.verify_each pub ~verifier_key:verifier
+            (List.map (fun e -> Some ("cs", e)) batch)
         in
         let all =
           Dvs.verify_all pub ~verifier_key:verifier
