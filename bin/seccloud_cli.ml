@@ -613,88 +613,113 @@ let stats_workload (_, params) seed ~drop ~tamper =
   storage_audit samples;
   storage_audit ~gate:("honest t=8 storage audit pairings", 1) t;
   (* A caught server: t = 8 storage audits of cs-1 serving k bad
-     blocks, by one DA that keeps its suspect set.  The first audit
-     pays the batch and the blame (1 + t pairings).  From then on the
-     server's entries skip the batch (t pairings), until an audit finds
-     all of them good; the audit after that is back on the batch. *)
+     blocks, by one DA that keeps its suspect set.  An audit with a bad
+     block pays the batch and the blame (1 + t pairings).  A server
+     whose every block was bad is suspect: its next audit checks its
+     entries one by one (t pairings, no batch), and so does the audit
+     that finds them all good and clears it; the audit after that is
+     back on the batch.  A server with a good block among its bad ones
+     stays on the batch (DESIGN §4q). *)
   let ledger_reads =
     List.init t (fun i ->
         i, Sc_storage.Server.read (Seccloud.Cloud.storage cloud) ~file:"ledger"
              ~index:i)
   in
+  let corrupt (r : Sc_storage.Server.read_result) =
+    { r with
+      claimed =
+        { r.claimed with
+          Sc_storage.Block.data = r.claimed.Sc_storage.Block.data ^ "!" } }
+  in
   let corrupted k =
     List.map
-      (fun (i, read) ->
-        ( i,
-          if i >= k then read
-          else
-            Option.map
-              (fun (r : Sc_storage.Server.read_result) ->
-                { r with
-                  claimed =
-                    { r.claimed with
-                      Sc_storage.Block.data = r.claimed.Sc_storage.Block.data ^ "!" } })
-              read ))
+      (fun (i, read) -> i, if i >= k then read else Option.map corrupt read)
       ledger_reads
   in
+  let batches () = Telemetry.counter_value "agg.verify_batch" in
   List.iter
     (fun k ->
-      let suspects = Sc_ibc.Agg.Suspects.create () in
-      let audit ?gate ?batch_gate what bad =
-        let b0 = Telemetry.counter_value "agg.verify_batch" in
-        verifier ?gate
-          (Printf.sprintf "caught k=%d/%d, storage audit: %s" k t what)
-          "2t pairings naive" (fun () ->
+      let suspects = Sc_ibc.Digest_set.create () in
+      let audit ?no_batch what bad pairings =
+        let b0 = batches () in
+        let name = Printf.sprintf "caught k=%d/%d, storage audit: %s" k t what in
+        verifier
+          ~gate:(Printf.sprintf "%s pairings" name, pairings)
+          name "2t pairings naive" (fun () ->
             let report =
               Seccloud.Agency.check_blocks ~suspects system ~server:"cs-1"
                 ~owner:"alice" (corrupted bad)
             in
             assert (report.Seccloud.Agency.invalid_indices = List.init bad Fun.id));
-        Option.iter
-          (fun name ->
-            rows :=
-              check name (Telemetry.counter_value "agg.verify_batch" - b0) 0
-              :: !rows)
-          batch_gate
+        if no_batch = Some () then
+          rows := check (name ^ " batches") (batches () - b0) 0 :: !rows
       in
-      let name = Printf.sprintf "caught server, k=%d/%d: %s" k t in
-      audit ~gate:(name "first audit pairings (<= 1+t)", 1 + t) "fresh DA" k;
-      audit
-        ~gate:(name "repeat audit pairings (<= t)", t)
-        ~batch_gate:(name "repeat audit batches")
-        "repeat" k;
-      audit "honest, clears" 0;
-      audit ~gate:(name "next honest audit pairings", 1) "honest again" 0)
-    [ 1; t ];
-  (* Server ids are untrusted, so the set is bounded: more caught
-     servers than its capacity, each with one entry whose U is off the
-     curve (rejected without a pairing), leave it within the bound. *)
-  let suspect_bound =
-    let suspects = Sc_ibc.Agg.Suspects.create () in
-    let e = List.hd dvs_entries in
-    let off_curve =
-      match e.Sc_ibc.Agg.dvs.Sc_ibc.Dvs.u with
-      | Sc_ec.Curve.Affine (x, y) ->
-        Sc_ec.Curve.Affine
-          (x, Sc_field.Fp.add pub.Sc_ibc.Setup.prm.Sc_pairing.Params.fp y
-                Sc_field.Fp.one)
-      | Sc_ec.Curve.Infinity -> invalid_arg "stats: signature U at infinity"
-    in
-    let bad =
-      { e with Sc_ibc.Agg.dvs = { e.Sc_ibc.Agg.dvs with Sc_ibc.Dvs.u = off_curve } }
-    in
-    for i = 1 to Sc_ibc.Agg.Suspects.capacity + 44 do
-      assert (
-        Sc_ibc.Agg.verify_each pub ~verifier_key:da_key ~suspects
-          [ Some (Printf.sprintf "caught-%d" i, bad) ]
-        = [ Some false ])
-    done;
-    check
-      (Printf.sprintf "suspect set entries after %d caught servers"
-         (Sc_ibc.Agg.Suspects.capacity + 44))
-      (Sc_ibc.Agg.Suspects.size suspects)
-      Sc_ibc.Agg.Suspects.capacity
-  in
+      audit "fresh DA" k (if k = 0 then 1 else 1 + t);
+      if k = 0 then audit "repeat" k 1
+      else if k < t then begin
+        audit "repeat" k (1 + t);
+        audit "then honest" 0 1
+      end
+      else begin
+        audit ~no_batch:() "repeat" k t;
+        audit ~no_batch:() "honest, clears" 0 t;
+        audit "honest again" 0 1
+      end)
+    [ 0; 1; 2; t ];
+  (* A partial cheater, the paper's model (§III-B): each sampled read
+     comes back corrupted with probability f, independently.  The same
+     audits of t of the ledger's n blocks are checked by a DA that
+     keeps its suspect set and by one that keeps none (the batch every
+     time); on the sum the set must cost no more pairings. *)
+  let partial_audits = 16 in
+  List.iter
+    (fun percent ->
+      let drbg =
+        Sc_hash.Drbg.create ~seed:(Printf.sprintf "stats-partial-%d" percent)
+      in
+      let audits =
+        List.init partial_audits (fun _ ->
+            List.map
+              (fun i ->
+                let read =
+                  Sc_storage.Server.read (Seccloud.Cloud.storage cloud)
+                    ~file:"ledger" ~index:i
+                in
+                ( i,
+                  if Sc_hash.Drbg.uniform_int drbg 100 < percent then
+                    Option.map corrupt read
+                  else read ))
+              (Array.to_list (Sc_hash.Drbg.sample_prefix drbg ~n ~k:t)))
+      in
+      let run what ?suspects () =
+        let p0 = Sc_pairing.Tate.pairings_performed () in
+        let invalid = ref [] in
+        verifier
+          (Printf.sprintf "%d storage audits (t=%d), %d%% bad reads: %s"
+             partial_audits t percent what)
+          "1 + t per audit with a bad read" (fun () ->
+            invalid :=
+              List.map
+                (fun reads ->
+                  (Seccloud.Agency.check_blocks ?suspects system
+                     ~server:"cs-1" ~owner:"alice" reads)
+                    .Seccloud.Agency.invalid_indices)
+                audits);
+        !invalid, Sc_pairing.Tate.pairings_performed () - p0
+      in
+      let plain, plain_pairings = run "batch only" () in
+      let kept, kept_pairings =
+        run "suspect set" ~suspects:(Sc_ibc.Digest_set.create ()) ()
+      in
+      assert (kept = plain);
+      rows :=
+        check
+          (Printf.sprintf
+             "%d%% bad reads: pairings with the suspect set (<= batch only)"
+             percent)
+          kept_pairings plain_pairings
+        :: !rows)
+    [ 10; 50; 100 ];
   (* Protocol III + Algorithm 1 audit round. *)
   let warrant =
     Seccloud.User.delegate_audit user ~now:0.0 ~lifetime:3600.0
@@ -875,7 +900,6 @@ let stats_workload (_, params) seed ~drop ~tamper =
   in
   ( List.rev_append !rows
       (warm_misses
-      :: suspect_bound
       :: check "identity hashes after warm-up" warm_id_hashes 0
       :: repeat_checks),
     wire_summary )

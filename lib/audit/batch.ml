@@ -21,18 +21,21 @@ let verify_jobs ?memo ?suspects pub ~verifier_key ~role jobs =
   @@ fun () ->
   (* Root commitment signatures across all jobs: one batch over those
      the verifier's memo does not hold, blame only if it rejects. *)
+  let roots_ok =
+    Ibs.verify_each ?memo pub
+      (List.map
+         (fun job ->
+           Some
+             ( job.commitment.Protocol.cs_id,
+               "root:" ^ job.commitment.Protocol.root,
+               job.commitment.Protocol.root_signature ))
+         jobs)
+  in
   let root_failures =
     List.filter_map
       (fun ok ->
         if ok = Some false then Some Protocol.Root_signature_wrong else None)
-      (Ibs.verify_each ?memo pub
-         (List.map
-            (fun job ->
-              Some
-                ( job.commitment.Protocol.cs_id,
-                  "root:" ^ job.commitment.Protocol.root,
-                  job.commitment.Protocol.root_signature ))
-            jobs))
+      roots_ok
   in
   (* Per-job recompute/root/position checks are independent: fan the
      jobs out across the domain pool.  Signature material is only
@@ -41,18 +44,22 @@ let verify_jobs ?memo ?suspects pub ~verifier_key ~role jobs =
      sequential run exactly. *)
   let per_job =
     Sc_parallel.parallel_map
-      (fun job ->
+      (fun (job, root_ok) ->
         let check =
           Protocol.sample_checks ~role ~owner:job.owner
             ~commitment:job.commitment job.responses
         in
-        let server = job.commitment.Protocol.cs_id in
+        (* Only a root signature under [cs_id] names the server. *)
+        let server =
+          if root_ok = Some true then Some job.commitment.Protocol.cs_id
+          else None
+        in
         List.map
           (fun i ->
             let fs, entry = check i in
             i, (fs, Option.map (fun e -> server, e) entry))
           job.challenge.Protocol.sample_indices)
-      jobs
+      (List.combine jobs roots_ok)
   in
   let flat = List.concat per_job in
   let check_failures = List.concat_map (fun (_, (fs, _)) -> fs) flat in

@@ -14,7 +14,7 @@ type job = {
 
 val verify_jobs :
   ?memo:Sc_ibc.Ibs.Memo.t ->
-  ?suspects:Sc_ibc.Agg.Suspects.t ->
+  ?suspects:Sc_ibc.Digest_set.t ->
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
@@ -25,7 +25,8 @@ val verify_jobs :
     root signatures go through one {!Sc_ibc.Ibs.verify_each}, which
     skips those the verifier's [memo] holds; the sampled signatures
     through one {!Sc_ibc.Agg.verify_each}, each as an entry of its
-    job's [commitment.cs_id], so the entries of a server in
+    job's [commitment.cs_id] when that job's root signature verifies
+    (of no server otherwise), so the entries of a server in
     [suspects] are checked one by one and the rest stay in one batch.
     When a batch rejects, the failure list still names the bad jobs
     and indices, in the same order with or without a memo or a

@@ -147,10 +147,8 @@ let verify ?memo ?suspects pub ~verifier_key ~role ~owner commitment chal
     ~attrs:[ "samples", string_of_int (List.length chal.sample_indices) ]
   @@ fun () ->
   (* Root commitment authenticity: Sig_CS(R). *)
-  let root_failures =
-    if root_signature_ok ?memo pub commitment then []
-    else [ Root_signature_wrong ]
-  in
+  let root_ok = root_signature_ok ?memo pub commitment in
+  let root_failures = if root_ok then [] else [ Root_signature_wrong ] in
   (* Per-sample recomputation and path checks are independent: fan
      them out across the domain pool.  Then 1. IsSignatureWrong for
      every sample at once: the designated signature must cover the
@@ -167,11 +165,12 @@ let verify ?memo ?suspects pub ~verifier_key ~role ~owner commitment chal
        (List.filter
           (function _, ([ Missing_response _ ], None) -> false | _ -> true)
           per_sample));
+  (* Only a root signature under [cs_id] names the server. *)
+  let server = if root_ok then Some commitment.cs_id else None in
   let signatures_ok =
     Agg.verify_each pub ~verifier_key ?suspects
       (List.map
-         (fun (_, (_, entry)) ->
-           Option.map (fun e -> commitment.cs_id, e) entry)
+         (fun (_, (_, entry)) -> Option.map (fun e -> server, e) entry)
          per_sample)
   in
   let failures =

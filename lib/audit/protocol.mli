@@ -84,7 +84,7 @@ val sample_checks :
 
 val verify :
   ?memo:Sc_ibc.Ibs.Memo.t ->
-  ?suspects:Sc_ibc.Agg.Suspects.t ->
+  ?suspects:Sc_ibc.Digest_set.t ->
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
@@ -99,8 +99,11 @@ val verify :
     at the first, which the simulator uses for diagnosis.  The root
     signature costs one pairing, or none when the verifier's [memo]
     already holds it (see {!Sc_ibc.Ibs.verify}); the t sampled
-    designated signatures go through one {!Sc_ibc.Agg.verify_each}
-    as entries of the server [commitment.cs_id]: one pairing when all
-    are good, 1 + t when the batch rejects, and t, with no batch, when
-    that server is in the verifier's [suspects] (a caught server).
+    designated signatures go through one {!Sc_ibc.Agg.verify_each}:
+    one pairing when all are good, 1 + t when the batch rejects, and
+    t, with no batch, when [commitment.cs_id] is in the verifier's
+    [suspects] (its last audit found every entry bad).  They count as
+    entries of [commitment.cs_id] only when the root signature under
+    that id verifies; otherwise they name no server, so they neither
+    consult nor move the set.
     Counts each answered index on [audit.samples_checked]. *)

@@ -91,48 +91,30 @@ let verify_all (pub : Setup.public) ~verifier_key entries =
     @@ fun () -> singles pub ~verifier_key entries
   end
 
-module Suspects = struct
-  let capacity = 256
-
-  type t = (string, unit) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-  let size = Hashtbl.length
-
-  (* A server id is untrusted input of any length, so the set holds
-     its SHA-256: a fixed 32 bytes per suspect. *)
-  let key server = Sc_hash.Sha256.digest server
-
-  (* Full: start over, as [Ibs.Memo] does.  A forgotten suspect costs
-     one more batch that fails, never a different answer. *)
-  let add t key =
-    if not (Hashtbl.mem t key) then begin
-      if Hashtbl.length t >= capacity then Hashtbl.reset t;
-      Hashtbl.replace t key ()
-    end
-end
-
 (* A suspect's entries skip the batch they would make fail: they go
    straight to the singles, the rest through [verify_all].  Then a
-   server with a failing entry becomes suspect, and one whose every
-   entry passed stops being one. *)
+   named server all of whose entries failed is suspect, and any other
+   named server is not: one good entry shows a server that may pass
+   the next batch, and the batch is the cheaper bet unless it is almost
+   sure to fail (DESIGN §4q). *)
 let verify_each pub ~verifier_key ?suspects slots =
   let entries = List.filter_map Fun.id slots in
-  (* Each distinct server once: its key, and whether it is suspect. *)
-  let servers =
+  (* Each distinct named server once, with its key. *)
+  let keyed =
     match suspects with
     | None -> []
-    | Some set ->
+    | Some _ ->
       List.map
-        (fun server ->
-          let key = Suspects.key server in
-          server, (key, Hashtbl.mem set key))
-        (List.sort_uniq String.compare (List.map fst entries))
+        (fun server -> server, Digest_set.key server)
+        (List.sort_uniq String.compare (List.filter_map fst entries))
   in
   let tagged =
     List.map
       (fun (server, e) ->
-        e, List.exists (fun (s, (_, flagged)) -> flagged && s = server) servers)
+        ( e,
+          match server, suspects with
+          | Some server, Some set -> Digest_set.mem set (List.assoc server keyed)
+          | None, _ | _, None -> false ))
       entries
   in
   let picked flag =
@@ -161,11 +143,11 @@ let verify_each pub ~verifier_key ?suspects slots =
     (fun set ->
       let answered = List.map2 (fun (server, _) ok -> server, ok) entries oks in
       List.iter
-        (fun (server, (key, _)) ->
-          if List.for_all (fun (s, ok) -> ok || s <> server) answered then
-            Hashtbl.remove set key
-          else Suspects.add set key)
-        servers)
+        (fun (server, key) ->
+          if List.for_all (fun (s, ok) -> s <> Some server || not ok) answered
+          then Digest_set.add set key
+          else Digest_set.remove set key)
+        keyed)
     suspects;
   let rec put_back slots oks =
     match slots, oks with

@@ -40,40 +40,28 @@ val verify_batch :
     one {!Sc_pairing.Tate.gt_multi_exp}.  Counts on [agg.verify_batch]
     and [agg.verify_batch_sigs], under span [agg.verify_batch]. *)
 
-module Suspects : sig
-  type t
-  (** The servers a verifier has caught with a bad entry, by
-      SHA-256 of their id: at most {!capacity} of them, since ids come
-      from untrusted parties.  When full it starts over, as
-      {!Ibs.Memo} does. *)
-
-  val capacity : int
-  (** 256. *)
-
-  val create : unit -> t
-  val size : t -> int
-end
-
 val verify_each :
   Setup.public ->
   verifier_key:Setup.identity_key ->
-  ?suspects:Suspects.t ->
-  (string * entry) option list ->
+  ?suspects:Digest_set.t ->
+  (string option * entry) option list ->
   bool option list
 (** Batch then blame, slot by slot: a [Some (server, entry)] slot holds
-    an entry to check, served by [server], and gets its answer back in
-    place; a [None] slot (nothing to check) stays [None].  The entries
-    of servers in [suspects] are checked one by one with
-    {!Dvs.verify_all} (span [agg.suspect], counted on
-    [agg.verify_each.suspect_sigs]).  One {!verify_batch} runs over
-    the other entries, and only when it rejects one {!Dvs.verify_all}
-    over them (under span [agg.blame], counted on
-    [agg.verify_each.rejects]).  The answers are {!Dvs.verify}'s,
-    entry by entry, except with probability at most 2⁻⁶⁴ per batch
-    that holds a bad entry (see above).  Afterwards a server with a
-    failing entry is in [suspects], and one whose every entry passed
-    is not; without [suspects] no server is suspect.  Costs one
-    pairing when every entry is good and no server is suspect,
-    1 + t when a batch of t entries rejects, and one pairing per
-    entry of a suspect, with no batch for them: t for an audit of a
-    caught server. *)
+    an entry to check, from the server [server] names when the caller
+    has authenticated one, and gets its answer back in place; a [None]
+    slot (nothing to check) stays [None].  [suspects] holds the
+    verifier's suspect servers by {!Digest_set.key} of their id.  The
+    entries of a suspect are checked one by one with {!Dvs.verify_all}
+    (span [agg.suspect], counted on [agg.verify_each.suspect_sigs]).
+    One {!verify_batch} runs over the other entries, and only when it
+    rejects one {!Dvs.verify_all} over them (under span [agg.blame],
+    counted on [agg.verify_each.rejects]).  The answers are
+    {!Dvs.verify}'s, entry by entry, except with probability at most
+    2⁻⁶⁴ per batch that holds a bad entry (see above).  Afterwards a
+    named server is in [suspects] when every one of its entries
+    failed, and out of it otherwise; an entry with no server is never
+    suspect and moves no server in or out, and without [suspects] no
+    server is suspect.  Costs one pairing when every entry is good and
+    no server is suspect, 1 + t when a batch of t entries rejects, and
+    one pairing per entry of a suspect, with no batch for them: t for
+    the audit of a server whose last audit found every entry bad. *)

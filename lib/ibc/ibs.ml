@@ -73,39 +73,35 @@ let to_bytes (pub : Setup.public) { u; v } =
   Printf.sprintf "%04d" (String.length su) ^ su ^ Curve.to_bytes c v
 
 module Memo = struct
-  let capacity = 256
+  let capacity = Digest_set.capacity
 
   type t = {
-    seen : (string, unit) Hashtbl.t;
+    seen : Digest_set.t;
     hit : Telemetry.counter;
     miss : Telemetry.counter;
   }
 
   let create name =
     {
-      seen = Hashtbl.create 16;
+      seen = Digest_set.create ();
       hit = Labels.counter v_memo_hit name;
       miss = Labels.counter v_memo_miss name;
     }
 
-  let size t = Hashtbl.length t.seen
+  let size t = Digest_set.size t.seen
 
-  (* SHA-256 of the canonical (signer, message, signature bytes): a
-     fixed 32 bytes per entry whatever the message length. *)
+  (* The canonical (signer, message, signature bytes). *)
   let key pub ~signer ~msg s =
-    Sc_hash.Sha256.digest
-      (Encode.canonical [ "ibs-memo"; signer; msg; to_bytes pub s ])
+    Digest_set.key (Encode.canonical [ "ibs-memo"; signer; msg; to_bytes pub s ])
 
   let lookup t key =
-    let known = Hashtbl.mem t.seen key in
+    let known = Digest_set.mem t.seen key in
     Telemetry.incr (if known then t.hit else t.miss);
     known
 
-  (* Full: start over rather than track an eviction order.  A party
-     re-verifies at most [capacity] signatures it had already seen. *)
-  let add t key =
-    if Hashtbl.length t.seen >= capacity then Hashtbl.reset t.seen;
-    Hashtbl.replace t.seen key ()
+  (* A party re-verifies at most [capacity] signatures it had already
+     seen. *)
+  let add t key = Digest_set.add t.seen key
 end
 
 (* ê(V, P) = ê(W, P_pub) is checked as ê(V, P)·ê(−W, P_pub) = 1: a

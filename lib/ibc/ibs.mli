@@ -57,10 +57,10 @@ val sign_exponents :
 
 module Memo : sig
   (** Signatures one party has already verified, so that it checks a
-      signature it sees again only once.  A set of SHA-256 digests of
-      the canonical (signer, message, signature bytes): 32 bytes per
-      entry.  It holds at most {!capacity} entries and starts over
-      when full.  Only {!verify} and {!verify_each} add to it, and only
+      signature it sees again only once.  A {!Digest_set} of the
+      canonical (signer, message, signature bytes): 32 bytes per
+      entry, at most {!capacity} entries, started over when full.
+      Only {!verify} and {!verify_each} add to it, and only
       signatures they accepted, so a memo never changes a verdict.
 
       There is no shared instance: each party owns its own.  A

@@ -14,7 +14,7 @@ type t = {
   system : System.t;
   drbg : Sc_hash.Drbg.t;
   roots : Sc_ibc.Ibs.Memo.t;  (* commitment root signatures accepted *)
-  suspects : Agg.Suspects.t;  (* servers caught with a bad entry *)
+  suspects : Sc_ibc.Digest_set.t;  (* servers whose last audit was all bad *)
 }
 
 let create system =
@@ -22,7 +22,7 @@ let create system =
     system;
     drbg = Sc_hash.Drbg.create ~seed:"designated-agency";
     roots = Sc_ibc.Ibs.Memo.create "root";
-    suspects = Agg.Suspects.create ();
+    suspects = Sc_ibc.Digest_set.create ();
   }
 
 type storage_report = {
@@ -66,7 +66,7 @@ let check_blocks ?suspects system ~server ~owner reads =
       (fun (i, read) ->
         match read with
         | Some { Server.claimed; signed } when claimed.Block.index = i ->
-          Some (server, Signer.agg_entry `Da ~owner claimed signed)
+          Some (Some server, Signer.agg_entry `Da ~owner claimed signed)
         | Some _ | None -> None)
       reads
   in

@@ -9,9 +9,9 @@ val create : System.t -> t
     commitment root signatures ({!Sc_ibc.Ibs.Memo}, counted as
     [memo="root"]): a commitment it audits again costs no root
     check, and its own set of suspect servers
-    ({!Sc_ibc.Agg.Suspects}): a server caught with a bad entry has
-    its entries checked one by one until an audit finds all of them
-    good.  Both belong to this one party; callers that want the
+    ({!Sc_ibc.Digest_set}): a server whose audit found every checked
+    entry bad has its entries checked one by one, with no batch,
+    until an audit finds one of them good.  Both belong to this one party; callers that want the
     protocol's cost counts (Table II) call {!Sc_audit.Protocol} and
     {!Sc_audit.Batch} without them. *)
 
@@ -27,7 +27,7 @@ type storage_report = {
 }
 
 val check_blocks :
-  ?suspects:Sc_ibc.Agg.Suspects.t ->
+  ?suspects:Sc_ibc.Digest_set.t ->
   System.t ->
   server:string ->
   owner:string ->
@@ -40,7 +40,8 @@ val check_blocks :
     order.  The signatures of the reads that claim their index are
     checked by {!Sc_ibc.Agg.verify_each}: one pairing when all t are
     good, 1 + t when the batch rejects, and t, with no batch, when
-    [server] is in [suspects] (a caught server). *)
+    [server] is in [suspects] (its last audit found every entry
+    bad).  [server] is the party the caller asked for the reads. *)
 
 val read_samples :
   t ->

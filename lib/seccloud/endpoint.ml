@@ -79,7 +79,7 @@ module Da = struct
     system : System.t;
     drbg : Sc_hash.Drbg.t;
     roots : Sc_ibc.Ibs.Memo.t;  (* commitment root signatures accepted *)
-    suspects : Sc_ibc.Agg.Suspects.t;  (* servers caught with a bad entry *)
+    suspects : Sc_ibc.Digest_set.t;  (* servers whose last audit was all bad *)
   }
 
   let create system =
@@ -87,7 +87,7 @@ module Da = struct
       system;
       drbg = Sc_hash.Drbg.create ~seed:"da-endpoint";
       roots = Sc_ibc.Ibs.Memo.create "root";
-      suspects = Sc_ibc.Agg.Suspects.create ();
+      suspects = Sc_ibc.Digest_set.create ();
     }
 
   let audit_storage_over_wire t ~transport ~owner ~file ~indices =

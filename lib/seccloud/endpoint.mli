@@ -44,7 +44,8 @@ module Da : sig
       accepted commitment root signatures and its own suspect set, as
       {!Agency.create}; the service layer keeps one per shard.  A
       storage audit names the server by {!Transport.peer}, a
-      computation or batch audit by each commitment's [cs_id]. *)
+      computation or batch audit by each commitment's [cs_id] when
+      that commitment's root signature verifies. *)
 
   val audit_storage_over_wire :
     t ->

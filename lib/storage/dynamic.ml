@@ -346,10 +346,8 @@ let audit pub ~verifier_key ~owner ~file ~root_statement server ~drbg ~samples =
             in
             if not path_ok then None
             else
-              (* One server holds [file]; with no suspect set kept
-                 here, the label only groups its entries. *)
               Some
-                ( file,
+                ( None,
                   {
                     Sc_ibc.Agg.signer = owner;
                     msg =

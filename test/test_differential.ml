@@ -497,9 +497,12 @@ let torsion_tests =
 
    A DA that keeps one suspect set across a script of storage, compute
    and §VI batch audits over several servers must answer every step as
-   a fresh DA without one, and as the per-entry reference.  The entries
-   it checks one by one must be exactly those of the servers whose last
-   audit with a checked entry had a bad one (a model set kept here). *)
+   a fresh DA without one, and as the per-entry reference.  The set
+   must hold exactly the servers whose last audit with a checked entry
+   had no good one (a model set kept here), and the entries it checks
+   one by one must be exactly those of the servers in it.  A job whose
+   root signature fails names no server, so it leaves the set as it
+   was. *)
 
 module Agg = Sc_ibc.Agg
 
@@ -547,7 +550,9 @@ let print_audit_step =
   | Batch_audit js -> "batch [" ^ String.concat "; " (List.map job js) ^ "]"
 
 (* The commitment of [exec] as served by [server]: a server other than
-   cs-1 presents cs-1's root signature, which fails. *)
+   cs-1 presents cs-1's root signature under its own id, which fails,
+   so its compute and batch jobs must leave the suspect set as it
+   was. *)
 let script_job j =
   let execution = List.nth (Lazy.force executions) j.exec in
   let samples = List.sort_uniq (fun (a, _) (b, _) -> compare a b) j.job_samples in
@@ -566,17 +571,21 @@ let script_job j =
     responses = responses execution samples;
   }
 
-(* The designated signatures a step checks, each with its server. *)
+(* The designated signatures a step checks, each with its server when
+   the job's root signature authenticates one. *)
 let job_entries (job : Batch.job) =
+  let commitment = job.Batch.commitment in
   let check =
-    Protocol.sample_checks ~role:`Da ~owner:job.Batch.owner
-      ~commitment:job.Batch.commitment job.Batch.responses
+    Protocol.sample_checks ~role:`Da ~owner:job.Batch.owner ~commitment
+      job.Batch.responses
+  in
+  let server =
+    if Reference.root_failures pub commitment = [] then
+      Some commitment.Protocol.cs_id
+    else None
   in
   List.filter_map
-    (fun i ->
-      Option.map
-        (fun e -> job.Batch.commitment.Protocol.cs_id, e)
-        (snd (check i)))
+    (fun i -> Option.map (fun e -> server, e) (snd (check i)))
     job.Batch.challenge.Protocol.sample_indices
 
 let storage_entries server reads =
@@ -584,7 +593,7 @@ let storage_entries server reads =
     (fun (i, read) ->
       match read with
       | Some { Server.claimed; signed } when claimed.Block.index = i ->
-        Some (server, Signer.agg_entry `Da ~owner claimed signed)
+        Some (Some server, Signer.agg_entry `Da ~owner claimed signed)
       | Some _ | None -> None)
     reads
 
@@ -639,7 +648,7 @@ let suspect_tests =
          ~name:"a DA with a suspect set answers as a fresh DA and the reference"
          QCheck2.Gen.(list_size (int_range 2 10) gen_audit_step)
          (fun script ->
-           let suspects = Agg.Suspects.create () in
+           let suspects = Sc_ibc.Digest_set.create () in
            let model = Hashtbl.create 4 in
            List.for_all
              (fun step ->
@@ -650,44 +659,64 @@ let suspect_tests =
                let singles = suspect_sigs () - s0 in
                let expected_singles =
                  List.length
-                   (List.filter (fun (server, _) -> Hashtbl.mem model server)
+                   (List.filter
+                      (fun (server, _) ->
+                        Option.fold ~none:false ~some:(Hashtbl.mem model)
+                          server)
                       entries)
                in
                List.iter
-                 (fun (server, _) ->
-                   if
-                     List.for_all
-                       (fun (s, (e : Agg.entry)) ->
-                         s <> server
-                         || Reference.dvs_ok pub ~verifier_key:da_key
-                              ~signer:e.signer ~msg:e.msg e.dvs)
-                       entries
-                   then Hashtbl.remove model server
-                   else Hashtbl.replace model server ())
+                 (fun (named, _) ->
+                   Option.iter
+                     (fun server ->
+                       if
+                         List.exists
+                           (fun (s, (e : Agg.entry)) ->
+                             s = named
+                             && Reference.dvs_ok pub ~verifier_key:da_key
+                                  ~signer:e.signer ~msg:e.msg e.dvs)
+                           entries
+                       then Hashtbl.remove model server
+                       else Hashtbl.replace model server ())
+                     named)
                  entries;
-               (kept = fresh && kept = reference && singles = expected_singles)
+               let members =
+                 List.filter
+                   (fun id ->
+                     Sc_ibc.Digest_set.mem suspects (Sc_ibc.Digest_set.key id))
+                   (Array.to_list suspect_ids)
+               and expected_members =
+                 List.filter (Hashtbl.mem model) (Array.to_list suspect_ids)
+               in
+               (kept = fresh && kept = reference
+               && singles = expected_singles
+               && members = expected_members)
                || QCheck2.Test.fail_reportf
                     "%s: kept [%s], fresh [%s], reference [%s]; %d entries \
-                     checked one by one, expected %d"
+                     checked one by one, expected %d; suspects [%s], \
+                     expected [%s]"
                     (print_audit_step step) (String.concat "; " kept)
                     (String.concat "; " fresh)
                     (String.concat "; " reference)
-                    singles expected_singles)
+                    singles expected_singles
+                    (String.concat "; " members)
+                    (String.concat "; " expected_members))
              script));
     case "more caught server ids than the capacity keep the set in bound"
       (fun () ->
-        let suspects = Agg.Suspects.create () in
+        let suspects = Sc_ibc.Digest_set.create () in
         let reads = storage_reads [ 3, 1 ] in
-        for i = 1 to Agg.Suspects.capacity + 44 do
+        for i = 1 to Sc_ibc.Digest_set.capacity + 44 do
           let r =
             Seccloud.Agency.check_blocks ~suspects system
               ~server:(Printf.sprintf "caught-%d" i) ~owner reads
           in
           check Alcotest.(list int) "answer" [ 3 ] r.Seccloud.Agency.invalid_indices;
           check Alcotest.bool "within capacity" true
-            (Agg.Suspects.size suspects <= Agg.Suspects.capacity)
+            (Sc_ibc.Digest_set.size suspects <= Sc_ibc.Digest_set.capacity)
         done;
-        check Alcotest.int "started over when full" 44 (Agg.Suspects.size suspects));
+        check Alcotest.int "started over when full" 44
+          (Sc_ibc.Digest_set.size suspects));
   ]
 
 let suite =

@@ -457,7 +457,7 @@ let perturbation_tests =
         let expected = List.map textbook batch in
         let got =
           Agg.verify_each pub ~verifier_key:verifier
-            (List.map (fun e -> Some ("cs", e)) batch)
+            (List.map (fun e -> Some (Some "cs", e)) batch)
         in
         let all =
           Dvs.verify_all pub ~verifier_key:verifier
