@@ -113,7 +113,6 @@ let table2 (preset, params) sizes =
       row "ECDSA" "individual" t "0" "n*T_ECDSA; batch N/A";
       (* BGLS *)
       let bls_sigs = List.map (Sc_bls.Bls.sign prm bls_kp) msgs in
-      Tate.reset_pairing_count ();
       let t =
         time_of ~min_reps:1 (fun () ->
             List.for_all2
@@ -124,7 +123,6 @@ let table2 (preset, params) sizes =
       row "BGLS" "individual" t (string_of_int per_run) "2n pairings";
       let agg = Sc_bls.Bls.aggregate prm bls_sigs in
       let entries = List.map (fun m -> bls_kp.Sc_bls.Bls.pk, m) msgs in
-      Tate.reset_pairing_count ();
       let before = Tate.pairings_performed () in
       assert (Sc_bls.Bls.verify_aggregate prm entries agg);
       let bgls_batch_pairs = Tate.pairings_performed () - before in
@@ -155,7 +153,6 @@ let table2 (preset, params) sizes =
           (fun (m, d) -> { Sc_ibc.Agg.signer = "alice"; msg = m; dvs = d })
           dvs_list
       in
-      Tate.reset_pairing_count ();
       let before = Tate.pairings_performed () in
       assert (Sc_ibc.Agg.verify_batch pub ~verifier_key:da_key entries);
       let ours_batch_pairs = Tate.pairings_performed () - before in

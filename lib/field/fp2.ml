@@ -23,14 +23,7 @@ let sqr ctx a =
   let im = Fp.double ctx (Fp.mul ctx a.re a.im) in
   { re; im }
 
-let conj ctx a = { a with im = Fp.neg ctx a.im }
 let norm ctx a = Fp.add ctx (Fp.sqr ctx a.re) (Fp.sqr ctx a.im)
-
-let inv ctx a =
-  let n = norm ctx a in
-  if Fp.is_zero n then raise Division_by_zero;
-  let ninv = Fp.inv ctx n in
-  { re = Fp.mul ctx a.re ninv; im = Fp.neg ctx (Fp.mul ctx a.im ninv) }
 
 (* Montgomery-resident mirror of the arithmetic above, componentwise
    over Fp.Mont — the pairing layer runs its whole hot path here. *)

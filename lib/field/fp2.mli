@@ -19,19 +19,13 @@ val equal : el -> el -> bool
 val mul : Fp.ctx -> el -> el -> el
 val sqr : Fp.ctx -> el -> el
 
-val conj : Fp.ctx -> el -> el
-(** Complex conjugation, which is also the p-power Frobenius when
-    p ≡ 3 (mod 4). *)
-
 val norm : Fp.ctx -> el -> Fp.el
 (** [re² + im²] — the norm map to F_p. *)
 
-val inv : Fp.ctx -> el -> el
-(** @raise Division_by_zero on zero. *)
-
 (** F_p² arithmetic over Montgomery-resident components
     ({!Fp.Mont.e}) — the representation the pairing hot path lives
-    in.  Semantics mirror the top-level functions exactly. *)
+    in.  Semantics mirror the top-level functions exactly; [conj] and
+    [inv] exist only here. *)
 module Mont : sig
   type e = { re : Fp.Mont.e; im : Fp.Mont.e }
 
@@ -44,7 +38,10 @@ module Mont : sig
 
   val mul : Fp.ctx -> e -> e -> e
   val sqr : Fp.ctx -> e -> e
+
   val conj : Fp.ctx -> e -> e
+  (** Complex conjugation, which is also the p-power Frobenius when
+      p ≡ 3 (mod 4). *)
 
   type table
   (** A lookup table of elements, stored as two {!Fp.Mont.table}s of

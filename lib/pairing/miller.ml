@@ -3,16 +3,19 @@ open Sc_field
 open Sc_ec
 module FpM = Fp.Mont
 
-(* Every line function the projective Miller loop multiplies into f is
-   affine in the distorted evaluation point φ(Q) = (−x_q, i·y_q):
+(* The Miller loop of ê(P, ·), split in two.  [precompute] walks the
+   base point's trajectory T in Jacobian coordinates (x = X/Z²,
+   y = Y/Z³), and scales every line by an F_p* factor (2YZ³ for
+   tangents, V·Z for chords) that the final exponentiation annihilates,
+   so the walk is inversion-free.  Each line, evaluated at the
+   distorted point φ(Q) = (−x_q, i·y_q), is affine in (x_q, y_q):
 
      l = (alpha + beta·x_q) + (gamma·y_q)·i
 
-   and alpha/beta/gamma depend only on the trajectory of the loop's
-   base point — which is fixed by the subgroup order's bit pattern.
-   So for a fixed base the whole Miller loop can be replayed from a
-   table of per-iteration coefficients, replacing all the Jacobian
-   point arithmetic with one F_p multiplication and addition per line.
+   and alpha/beta/gamma depend only on the trajectory, which the
+   subgroup order's bit pattern fixes.  So [Tate] replays the whole
+   loop from a table of per-iteration coefficients: one F_p
+   multiplication and addition per line, no point arithmetic.
 
    From the tangent step (T = (X:Y:Z), M = 3X² + a·Z⁴, line scaled by
    2YZ³):   alpha = M·X − 2Y²,  beta = M·Z²,  gamma = 2YZ·Z².
@@ -24,8 +27,8 @@ type coeffs = { alpha : FpM.e; beta : FpM.e; gamma : FpM.e }
 
 (* One loop iteration: the tangent line, plus the chord line when the
    order's bit is set.  [None] marks an eliminated factor (vertical
-   line) or a step after T reached infinity — the replay skips it,
-   exactly as the live loop skips multiplying. *)
+   line) or a step after T reached infinity: the replay multiplies
+   nothing in for it. *)
 type entry = { dbl : coeffs option; add : coeffs option }
 
 type precomp = { base : Curve.point; entries : entry array; nbits : int }
@@ -37,8 +40,7 @@ type traj = {
   mutable inf : bool;
 }
 
-(* Tangent at T: record the line coefficients and double T in place.
-   Mirrors Tate.dbl_step with the line factored on (x_q, y_q). *)
+(* Tangent at T: record the line coefficients and double T in place. *)
 let tangent fp am st =
   if st.inf then None
   else if FpM.is_zero st.ty then begin
@@ -73,7 +75,7 @@ let tangent fp am st =
   end
 
 (* Chord through T and the affine base: record the line and set
-   T <- T + P.  Mirrors Tate.add_step. *)
+   T <- T + P. *)
 let chord fp am st px py =
   if st.inf then None
   else begin

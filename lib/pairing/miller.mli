@@ -1,8 +1,7 @@
 (** Fixed-base Miller precomputation.
 
-    Every line the projective Miller loop multiplies into its
-    accumulator is affine in the distorted evaluation point
-    φ(Q) = (−x_q, i·y_q):
+    Every line the Miller loop multiplies into its accumulator is
+    affine in the distorted evaluation point φ(Q) = (−x_q, i·y_q):
 
     {v l = (alpha + beta·x_q) + (gamma·y_q)·i v}
 
@@ -13,7 +12,8 @@
     be replayed from a table of Montgomery-resident coefficients,
     replacing all Jacobian point arithmetic with one multiplication
     and one addition per line; {!Tate.pairing_precomp} is the
-    consumer.
+    consumer.  The uncached {!Tate.pairing} builds a table and replays
+    it once.
 
     A table holds [bit_length order − 1] entries of up to two lines
     (three field elements each) — about 1.5·|q| stored points' worth
@@ -29,7 +29,7 @@ type entry = { dbl : coeffs option; add : coeffs option }
 (** One loop iteration, most-significant bit first: the tangent line,
     plus the chord line on set order bits.  [None] marks an eliminated
     (vertical) factor or a step after the trajectory reached infinity
-    — the replay skips it, exactly as the live loop does. *)
+    — the replay multiplies nothing in for it. *)
 
 type precomp = { base : Curve.point; entries : entry array; nbits : int }
 

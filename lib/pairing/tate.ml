@@ -30,33 +30,13 @@ let gt_mul (prm : Params.t) a b = Fp2.mul prm.fp a b
    honest GT element lives after the final exponentiation. *)
 let gt_is_unitary (prm : Params.t) a = Fp.equal (Fp2.norm prm.fp a) Fp.one
 
-(* Conjugation inverts only unitary elements — true of every value
-   that went through the final exponentiation, but not of arbitrary
-   F_p² values (e.g. decoded, possibly mauled wire bytes).  Take the
-   cheap conjugation exactly when the subgroup fast path applies and
-   fall back to a full inversion, so the function is a total inverse
-   either way. *)
-let gt_inv (prm : Params.t) a =
-  if gt_is_unitary prm a then Fp2.conj prm.fp a else Fp2.inv prm.fp a
+(* --- Montgomery-domain arithmetic ----------------------------------
 
-(* --- Montgomery-domain projective Miller machinery ----------------
-
-   The hot path lives entirely on Montgomery-resident elements
+   The hot paths live entirely on Montgomery-resident elements
    ({!Fp.Mont.e} / {!Fp2.Mont.e}): inputs are converted once on entry,
-   every Miller-loop and final-exponentiation multiplication is a
-   single fused REDC, and the result is converted back once at the
-   end.
-
-   T is tracked in Jacobian coordinates (x = X/Z², y = Y/Z³), and
-   every line function is scaled by an F_p* factor (2YZ³ for tangents,
-   V·Z for chords) that the final exponentiation annihilates — so the
-   whole loop is inversion-free.
-
-   Tangent at T evaluated at φ(Q) = (−x_q, i·y_q), scaled by 2YZ³:
-     re = M·(X + x_q·Z²) − 2Y²,   im = 2Y·Z³·y_q,
-   with M = 3X² + a·Z⁴.  Chord through T and the affine P, scaled by
-   V·Z with U = y_p·Z³ − Y, V = x_p·Z² − X:
-     re = U·(x_q + x_p) − V·Z·y_p,   im = V·Z·y_q. *)
+   every Miller-loop, exponentiation and final-exponentiation
+   multiplication is a single fused REDC, and the result is converted
+   back once at the end. *)
 
 module FpM = Fp.Mont
 module F2M = Fp2.Mont
@@ -182,139 +162,6 @@ let gt_multi_exp (prm : Params.t) terms =
   done;
   F2M.leave fp !acc
 
-(* Per-pair Miller state: fixed affine inputs plus the running
-   Jacobian T.  Several states can share one f-squaring chain — that
-   is exactly what {!multi_pairing} does. *)
-type mstate = {
-  px : FpM.e;
-  py : FpM.e;
-  xq : FpM.e;
-  yq : FpM.e;
-  mutable tx : FpM.e;
-  mutable ty : FpM.e;
-  mutable tz : FpM.e;
-  mutable inf : bool;
-}
-
-let mstate fp px py xq yq =
-  let pxm = FpM.enter fp px and pym = FpM.enter fp py in
-  {
-    px = pxm;
-    py = pym;
-    xq = FpM.enter fp xq;
-    yq = FpM.enter fp yq;
-    tx = pxm;
-    ty = pym;
-    tz = FpM.one fp;
-    inf = false;
-  }
-
-(* Tangent step: multiply the line at T into f and double T. *)
-let dbl_step fp am st f =
-  if st.inf then f
-  else if FpM.is_zero st.ty then begin
-    (* Vertical tangent: contributes an eliminated F_p factor only. *)
-    st.inf <- true;
-    f
-  end
-  else begin
-    let x = st.tx and y = st.ty and z = st.tz in
-    let xx = FpM.sqr fp x in
-    let yy = FpM.sqr fp y in
-    let zz = FpM.sqr fp z in
-    (* M = 3X² + aZ⁴ stays lazy (< 4m): it only ever feeds
-       multiplications, which REDC re-canonicalizes. *)
-    let m =
-      FpM.add_lazy fp
-        (FpM.add_lazy fp (FpM.double fp xx) xx)
-        (FpM.mul fp am (FpM.sqr fp zz))
-    in
-    (* Line first (it needs the old X, Y, Z). *)
-    let two_yy = FpM.double fp yy in
-    let re =
-      FpM.sub fp
-        (FpM.mul fp m (FpM.add_lazy fp x (FpM.mul fp st.xq zz)))
-        two_yy
-    in
-    let z3 = FpM.double fp (FpM.mul fp y z) in
-    let im = FpM.mul fp (FpM.mul fp z3 zz) st.yq in
-    let f = F2M.mul fp f (F2M.make re im) in
-    (* dbl: S = 4XY², X3 = M² − 2S, Y3 = M(S − X3) − 8Y⁴. *)
-    let s = FpM.double fp (FpM.double fp (FpM.mul fp x yy)) in
-    let x3 = FpM.sub fp (FpM.sqr fp m) (FpM.double fp s) in
-    let y3 =
-      FpM.sub fp
-        (FpM.mul fp m (FpM.sub fp s x3))
-        (FpM.double fp (FpM.double fp (FpM.double fp (FpM.sqr fp yy))))
-    in
-    st.tx <- x3;
-    st.ty <- y3;
-    st.tz <- z3;
-    f
-  end
-
-(* Chord step: multiply the line through T and P into f, T <- T + P. *)
-let add_step fp am st f =
-  if st.inf then f
-  else begin
-    let x = st.tx and y = st.ty and z = st.tz in
-    let zz = FpM.sqr fp z in
-    let u = FpM.sub fp (FpM.mul fp st.py (FpM.mul fp z zz)) y in
-    let v = FpM.sub fp (FpM.mul fp st.px zz) x in
-    if FpM.is_zero v then begin
-      if FpM.is_zero u then
-        (* T = P: tangent step (cannot happen for a prime-order Miller
-           loop, but stay total). *)
-        dbl_step fp am st f
-      else begin
-        (* Vertical chord: eliminated factor, T becomes O. *)
-        st.inf <- true;
-        f
-      end
-    end
-    else begin
-      let vz = FpM.mul fp v z in
-      let re =
-        FpM.sub fp
-          (FpM.mul fp u (FpM.add_lazy fp st.xq st.px))
-          (FpM.mul fp vz st.py)
-      in
-      let im = FpM.mul fp vz st.yq in
-      let f = F2M.mul fp f (F2M.make re im) in
-      (* madd: X3 = U² − V³ − 2V²X, Y3 = U(V²X − X3) − V³Y, Z3 = VZ. *)
-      let vv = FpM.sqr fp v in
-      let vvv = FpM.mul fp vv v in
-      let vvx = FpM.mul fp vv x in
-      let x3 = FpM.sub fp (FpM.sub fp (FpM.sqr fp u) vvv) (FpM.double fp vvx) in
-      let y3 =
-        FpM.sub fp (FpM.mul fp u (FpM.sub fp vvx x3)) (FpM.mul fp vvv y)
-      in
-      st.tx <- x3;
-      st.ty <- y3;
-      st.tz <- vz;
-      f
-    end
-  end
-
-(* One Miller loop shared by any number of pair states: f is squared
-   once per exponent bit regardless of how many pairs ride along, so a
-   k-term product pays one squaring chain instead of k. *)
-let miller_shared (prm : Params.t) states =
-  let fp = prm.fp in
-  let am = FpM.enter fp (Curve.coeff_a prm.curve) in
-  let f = ref (F2M.one fp) in
-  let nbits = Nat.bit_length prm.q in
-  for i = nbits - 2 downto 0 do
-    f := F2M.sqr fp !f;
-    Array.iter (fun st -> f := dbl_step fp am st !f) states;
-    if Nat.test_bit prm.q i then
-      Array.iter (fun st -> f := add_step fp am st !f) states
-  done;
-  !f
-
-let miller_projective prm px py xq yq =
-  miller_shared prm [| mstate prm.fp px py xq yq |]
-
 (* f^((p² − 1)/q) = (f^(p−1))^c = (conj(f)·f⁻¹)^c, using that
    conjugation is the p-power Frobenius when p ≡ 3 (mod 4). *)
 let final_expo_mont (prm : Params.t) f =
@@ -323,42 +170,7 @@ let final_expo_mont (prm : Params.t) f =
   let g = F2M.mul fp (F2M.conj fp f) (F2M.inv fp f) in
   F2M.pow fp g prm.cofactor
 
-(* Thin shims over the [pairing.count] registry counter, kept so
-   existing callers (tests, repro, bench) need no change. *)
 let pairings_performed () = Telemetry.value c_pairings
-let reset_pairing_count () = Telemetry.reset_counter c_pairings
-
-let pairing prm p q =
-  Telemetry.incr c_pairings;
-  Telemetry.incr c_single;
-  match p, q with
-  | Curve.Infinity, _ | _, Curve.Infinity -> gt_one
-  | Curve.Affine (px, py), Curve.Affine (qx, qy) ->
-    let f = miller_projective prm px py qx qy in
-    if F2M.is_zero f then gt_one
-    else F2M.leave prm.fp (final_expo_mont prm f)
-
-let multi_pairing (prm : Params.t) pairs =
-  let finite =
-    List.filter_map
-      (function
-        | Curve.Infinity, _ | _, Curve.Infinity -> None
-        | Curve.Affine (px, py), Curve.Affine (qx, qy) -> Some (px, py, qx, qy))
-      pairs
-  in
-  match finite with
-  | [] -> gt_one
-  | _ ->
-    Telemetry.incr c_pairings;
-    Telemetry.incr c_multi;
-    Telemetry.add c_multi_terms (List.length finite);
-    let states =
-      Array.of_list
-        (List.map (fun (px, py, qx, qy) -> mstate prm.fp px py qx qy) finite)
-    in
-    let f = miller_shared prm states in
-    if F2M.is_zero f then gt_one
-    else F2M.leave prm.fp (final_expo_mont prm f)
 
 (* --- Fixed-base (precomputed) Miller loops ------------------------
 
@@ -407,8 +219,8 @@ let miller_replay_shared (prm : Params.t) states =
         | Some c -> f := F2M.mul fp !f (line_value fp c st.exq st.eyq)
         | None -> ())
       states;
-    (* Chord entries are [Some] exactly on set exponent bits, so the
-       bit test of the live loop is implicit here. *)
+    (* Chord entries are [Some] exactly on set bits of q, so the
+       replay needs no bit test. *)
     Array.iter
       (fun st ->
         match st.entries.(j).Miller.add with
@@ -476,6 +288,11 @@ let pairing_precomp_equal prm b pc t = reduces_to prm t (miller_single prm b pc)
 
 let multi_pairing_precomp_equal prm terms t =
   reduces_to prm t (miller_multi prm terms)
+
+(* The uncached pairing walks P's trajectory once and replays it at Q.
+   P stays the loop base, so the value is ê(P, Q) off the order-q
+   subgroup too. *)
+let pairing prm p q = pairing_precomp prm q (precompute prm p)
 
 let gt_to_bytes (prm : Params.t) (g : gt) =
   let n = (Nat.bit_length prm.p + 7) / 8 in

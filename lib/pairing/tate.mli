@@ -15,19 +15,12 @@ type gt = Fp2.el
 
 val pairing : Params.t -> Curve.point -> Curve.point -> gt
 (** [pairing prm p q] is ê(P, Q); returns {!gt_one} when either
-    argument is the point at infinity.  Uses the inversion-free
-    projective Miller loop, run entirely in the Montgomery domain
-    (inputs are converted once on entry and the result converted back
-    after the final exponentiation). *)
-
-val multi_pairing : Params.t -> (Curve.point * Curve.point) list -> gt
-(** [multi_pairing prm [(p1, q1); …; (pk, qk)]] is Π ê(P_i, Q_i),
-    computed with a single shared Miller squaring chain and one final
-    exponentiation — so a k-term product costs far less than k
-    separate pairings.  Pairs with an infinity component contribute 1
-    and are skipped; the empty product is {!gt_one}.  Counts as one
-    evaluation in {!pairings_performed} (zero when every pair is
-    skipped). *)
+    argument is the point at infinity.  It is
+    [pairing_precomp prm q (precompute prm p)]: P's line table is
+    built once, uncached, and replayed at Q, so an uncached pairing
+    costs one trajectory walk plus one replay.  P stays the loop base,
+    so the value is ê(P, Q) for points off the order-q subgroup too.
+    Counts one pairing evaluation. *)
 
 type precomp = Miller.precomp
 (** Precomputed Miller line tables for a fixed pairing argument. *)
@@ -41,8 +34,8 @@ val precomp_for : Params.t -> Curve.point -> precomp
 
 val pairing_precomp : Params.t -> Curve.point -> precomp -> gt
 (** [pairing_precomp prm b pc] replays [pc]'s line sequence at [b],
-    computing ê(base, b) without any Jacobian arithmetic — several
-    times faster than {!pairing}.  For points of the order-q subgroup
+    computing ê(base, b) without any Jacobian arithmetic — the table's
+    trajectory walk is paid once, by {!precompute}.  For points of the order-q subgroup
     this equals [pairing prm b pc.base] by symmetry.  ê(base, ·)
     annihilates the cofactor component of [b], which {!pairing} with
     swapped arguments would see: a caller whose verdict must not
@@ -55,8 +48,11 @@ val pairing_precomp : Params.t -> Curve.point -> precomp -> gt
 
 val multi_pairing_precomp : Params.t -> (Curve.point * precomp) list -> gt
 (** Product Π ê(base_i, b_i) over one shared squaring chain and one
-    final exponentiation, like {!multi_pairing}; terms whose point or
-    base is infinity contribute 1 and are skipped. *)
+    final exponentiation, so a k-term product costs far less than k
+    separate pairings.  Terms whose point or base is infinity
+    contribute 1 and are skipped; the empty product is {!gt_one}.
+    Counts as one evaluation in {!pairings_performed} (zero when every
+    term is skipped). *)
 
 val pairing_precomp_equal : Params.t -> Curve.point -> precomp -> gt -> bool
 (** [pairing_precomp_equal prm b pc t] is
@@ -75,15 +71,6 @@ val multi_pairing_precomp_equal :
 val gt_one : gt
 val gt_equal : gt -> gt -> bool
 val gt_mul : Params.t -> gt -> gt -> gt
-
-val gt_inv : Params.t -> gt -> gt
-(** Total inversion on F_p²*.  Conjugation inverts only {e unitary}
-    elements (norm 1) — which every honest GT element is, since the
-    final exponentiation maps into the norm-1 subgroup — so the
-    implementation takes the cheap conjugation path exactly when the
-    norm check passes and falls back to a full field inversion for
-    non-unitary inputs (e.g. decoded, possibly mauled wire bytes).
-    @raise Division_by_zero on zero. *)
 
 val gt_pow : Params.t -> gt -> Nat.t -> gt
 (** [gt_pow prm a e] is a{^e}, by square-and-multiply in the
@@ -134,10 +121,6 @@ val pairings_performed : unit -> int
     Thin shim over the telemetry registry counter [pairing.count]
     (siblings [pairing.single]/[pairing.multi]/[pairing.multi_terms]/
     [pairing.final_expo] break the total down). *)
-
-val reset_pairing_count : unit -> unit
-(** Zeroes [pairing.count] only; the breakdown counters are reset via
-    [Telemetry.reset]. *)
 
 val gt_to_bytes : Params.t -> gt -> string
 (** Fixed-width [re ‖ im] big-endian encoding. *)

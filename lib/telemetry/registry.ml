@@ -98,11 +98,6 @@ let value c =
   Mutex.unlock lock;
   v
 
-let reset_counter c =
-  Mutex.lock lock;
-  c.c <- 0;
-  Mutex.unlock lock
-
 let set g v =
   Mutex.lock lock;
   g.g <- v;

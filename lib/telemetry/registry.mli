@@ -29,7 +29,6 @@ val histogram : ?buckets:float array -> string -> histogram
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val reset_counter : counter -> unit
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -12,7 +12,6 @@ let histogram = Registry.histogram
 let incr = Registry.incr
 let add = Registry.add
 let value = Registry.value
-let reset_counter = Registry.reset_counter
 let set = Registry.set
 let gauge_value = Registry.gauge_value
 let observe = Registry.observe

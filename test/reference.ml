@@ -112,6 +112,17 @@ end
 
 let fp2_zero = Fp2.make Fp.zero Fp.zero
 
+(* Barrett-domain conjugation (the p-power Frobenius, p ≡ 3 mod 4) and
+   inversion through the norm: what [Fp2.Mont.conj] and [Fp2.Mont.inv]
+   are checked against. *)
+let fp2_conj fp (a : Fp2.el) = Fp2.make a.re (Fp.neg fp a.im)
+
+let fp2_inv fp (a : Fp2.el) =
+  let n = Fp2.norm fp a in
+  if Fp.is_zero n then raise Division_by_zero;
+  let ninv = Fp.inv fp n in
+  Fp2.make (Fp.mul fp a.re ninv) (Fp.neg fp (Fp.mul fp a.im ninv))
+
 (* Left-to-right square-and-multiply over [Fp2.mul]: the Barrett-domain
    exponentiation the Montgomery-resident ones are checked against. *)
 let fp2_pow fp a e =
@@ -184,10 +195,11 @@ let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
    Frobenius when p ≡ 3 (mod 4). *)
 let final_expo (prm : Sc_pairing.Params.t) f =
   let fp = prm.fp in
-  fp2_pow fp (Fp2.mul fp (Fp2.conj fp f) (Fp2.inv fp f)) prm.cofactor
+  fp2_pow fp (Fp2.mul fp (fp2_conj fp f) (fp2_inv fp f)) prm.cofactor
 
-(* The modified Tate pairing in the Barrett domain: the oracle for the
-   Montgomery-domain projective [Tate.pairing]. *)
+(* The modified Tate pairing in the Barrett domain: the oracle for
+   [Tate.pairing], which replays a Jacobian line table in the
+   Montgomery domain. *)
 let pairing_affine prm p q =
   match (p, q) with
   | Curve.Infinity, _ | _, Curve.Infinity -> Sc_pairing.Tate.gt_one

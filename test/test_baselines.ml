@@ -111,12 +111,12 @@ let bls_tests =
           Sc_bls.Bls.aggregate prm
             (List.map (fun (k, m) -> Sc_bls.Bls.sign prm k m) entries)
         in
-        Sc_pairing.Tate.reset_pairing_count ();
+        let p0 = Sc_pairing.Tate.pairings_performed () in
         assert
           (Sc_bls.Bls.verify_aggregate prm
              (List.map (fun (k, m) -> k.Sc_bls.Bls.pk, m) entries)
              sigma);
-        check Alcotest.int "n+1" 6 (Sc_pairing.Tate.pairings_performed ()));
+        check Alcotest.int "n+1" 6 (Sc_pairing.Tate.pairings_performed () - p0));
   ]
 
 let pdp_tests =

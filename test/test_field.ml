@@ -8,6 +8,11 @@ let fp = Fp.create p
 let nat = Alcotest.testable Nat.pp Nat.equal
 let fp2_el = Alcotest.testable Util.pp_fp2 Fp2.equal
 
+(* F_p² conjugation and inversion exist only in the Montgomery
+   domain. *)
+let fp2_conj x = Fp2.Mont.leave fp (Fp2.Mont.conj fp (Fp2.Mont.enter fp x))
+let fp2_inv x = Fp2.Mont.leave fp (Fp2.Mont.inv fp (Fp2.Mont.enter fp x))
+
 let gen_el =
   let open QCheck2.Gen in
   let* bytes = string_size ~gen:char (return 8) in
@@ -72,10 +77,10 @@ let unit_tests =
         check fp2_el "i*i" (Fp2.make (Fp.of_int fp (-1)) Fp.zero) (Fp2.mul fp i i));
     case "fp2 inverse" (fun () ->
         let x = Fp2.make (Fp.of_int fp 3) (Fp.of_int fp 4) in
-        check fp2_el "x * x^-1" Fp2.one (Fp2.mul fp x (Fp2.inv fp x)));
+        check fp2_el "x * x^-1" Fp2.one (Fp2.mul fp x (fp2_inv x)));
     case "fp2 inv of zero raises" (fun () ->
         Alcotest.check_raises "div0" Division_by_zero (fun () ->
-            ignore (Fp2.inv fp (Fp2.make Fp.zero Fp.zero))));
+            ignore (fp2_inv (Fp2.make Fp.zero Fp.zero))));
     case "fp2 norm is multiplicative" (fun () ->
         let x = Fp2.make (Fp.of_int fp 3) (Fp.of_int fp 4) in
         let y = Fp2.make (Fp.of_int fp 5) (Fp.of_int fp 12) in
@@ -86,11 +91,11 @@ let unit_tests =
         let x = Fp2.make (Fp.of_int fp 3) (Fp.of_int fp 4) in
         let y = Fp2.make (Fp.of_int fp 7) (Fp.of_int fp 11) in
         check fp2_el "conj(xy) = conj(x)conj(y)"
-          (Fp2.mul fp (Fp2.conj fp x) (Fp2.conj fp y))
-          (Fp2.conj fp (Fp2.mul fp x y)));
+          (Fp2.mul fp (fp2_conj x) (fp2_conj y))
+          (fp2_conj (Fp2.mul fp x y)));
     case "fp2 frobenius: conj(x) = x^p" (fun () ->
         let x = Fp2.make (Fp.of_int fp 3) (Fp.of_int fp 4) in
-        check fp2_el "x^p" (Fp2.conj fp x) (Reference.fp2_pow fp x p));
+        check fp2_el "x^p" (fp2_conj x) (Reference.fp2_pow fp x p));
   ]
 
 (* Batch inversion (Montgomery's trick) against pointwise inversion,
@@ -164,11 +169,11 @@ let property_tests =
     qcheck "fp2 sqr = mul self" gen_el2 (fun x ->
         Fp2.equal (Fp2.sqr fp x) (Fp2.mul fp x x));
     qcheck "fp2 inverse law" gen_el2 (fun x ->
-        Fp2.equal x Reference.fp2_zero || Fp2.equal Fp2.one (Fp2.mul fp x (Fp2.inv fp x)));
+        Fp2.equal x Reference.fp2_zero || Fp2.equal Fp2.one (Fp2.mul fp x (fp2_inv x)));
     qcheck "fp2 norm = x * conj(x)" gen_el2 (fun x ->
         Fp2.equal
           (Fp2.make (Fp2.norm fp x) Fp.zero)
-          (Fp2.mul fp x (Fp2.conj fp x)));
+          (Fp2.mul fp x (fp2_conj x)));
   ]
 
 (* The Montgomery-resident mirrors must agree with the Barrett-domain
@@ -194,12 +199,12 @@ let mont_tests =
         let out = Fp2.Mont.leave fp in
         Fp2.equal (out (Fp2.Mont.mul fp xm ym)) (Fp2.mul fp x y)
         && Fp2.equal (out (Fp2.Mont.sqr fp xm)) (Fp2.sqr fp x)
-        && Fp2.equal (out (Fp2.Mont.conj fp xm)) (Fp2.conj fp x)
+        && Fp2.equal (out (Fp2.Mont.conj fp xm)) (Reference.fp2_conj fp x)
         && Fp2.equal
              (out (Fp2.Mont.pow fp xm (Nat.of_int 13)))
              (Reference.fp2_pow fp x (Nat.of_int 13))
         && (Fp2.equal x Reference.fp2_zero
-           || Fp2.equal (out (Fp2.Mont.inv fp xm)) (Fp2.inv fp x)));
+           || Fp2.equal (out (Fp2.Mont.inv fp xm)) (Reference.fp2_inv fp x)));
     case "fp mont constants and of_int" (fun () ->
         check nat "one" Nat.one (Fp.Mont.leave fp (Fp.Mont.one fp));
         check nat "zero" Nat.zero (Fp.Mont.leave fp (Fp.Mont.zero fp));

@@ -70,7 +70,7 @@ let telemetry_tests =
   [
     case "hammer: N domains x M increments lands exactly N*M" (fun () ->
         let c = Telemetry.counter "test.parallel.hammer" in
-        Telemetry.reset_counter c;
+        let v0 = Telemetry.value c in
         let n_domains = 4 and m = 25_000 in
         let body () =
           for _ = 1 to m do
@@ -82,11 +82,11 @@ let telemetry_tests =
         in
         body ();
         List.iter Domain.join workers;
-        check Alcotest.int "exact count" (n_domains * m) (Telemetry.value c));
+        check Alcotest.int "exact count" (n_domains * m) (Telemetry.value c - v0));
     case "hammer: concurrent add and histogram observe stay exact" (fun () ->
         let c = Telemetry.counter "test.parallel.hammer_add" in
         let h = Telemetry.histogram "test.parallel.hammer_hist" in
-        Telemetry.reset_counter c;
+        let v0 = Telemetry.value c in
         let m = 10_000 in
         let body () =
           for i = 1 to m do
@@ -102,7 +102,7 @@ let telemetry_tests =
         let workers = List.init 3 (fun _ -> Domain.spawn body) in
         body ();
         List.iter Domain.join workers;
-        check Alcotest.int "adds exact" (4 * m * 3) (Telemetry.value c);
+        check Alcotest.int "adds exact" (4 * m * 3) (Telemetry.value c - v0);
         match Telemetry.find "test.parallel.hammer_hist" with
         | Some (Telemetry.Histogram s) ->
           check Alcotest.int "observations exact" (h0 + (4 * m))
@@ -111,11 +111,11 @@ let telemetry_tests =
     case "pool workers increment through the registry exactly" (fun () ->
         with_domains 4 (fun () ->
             let c = Telemetry.counter "test.parallel.pool_incr" in
-            Telemetry.reset_counter c;
+            let v0 = Telemetry.value c in
             Sc_parallel.parallel_iter
               (fun _ -> Telemetry.incr c)
               (List.init 50_000 Fun.id);
-            check Alcotest.int "exact" 50_000 (Telemetry.value c)));
+            check Alcotest.int "exact" 50_000 (Telemetry.value c - v0)));
     case "worker spans join the submitting span's trace" (fun () ->
         with_domains 4 (fun () ->
             let lines = ref [] in
