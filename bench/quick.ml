@@ -75,10 +75,7 @@ let () =
         time_ns ~iters:30 (fun () ->
             Tate.multi_pairing_precomp prm_small
               (List.map (fun (p, q) -> q, Tate.precompute prm_small p) pairs8)) );
-      ( "point_mul",
-        time_ns ~iters:200 (fun () ->
-            Curve.mul prm_small.Params.curve scalar_small gs) );
-      ( "point_mul_wnaf",
+      ( "curve_mul(small)",
         time_ns ~iters:200 (fun () ->
             Curve.mul prm_small.Params.curve scalar_small var_point) );
     ]

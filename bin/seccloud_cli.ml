@@ -404,6 +404,7 @@ let trace_analyze file slo out =
 let columns =
   [|
     "pairing.count", "pairing";
+    "pairing.lines", "lines";
     "hash.sha256.digests", "sha256";
     "wire.tx.bytes", "wire B";
     "pairing.gt_member", "gt_memb";
@@ -447,9 +448,9 @@ let stats_workload (_, params) seed ~drop ~tamper =
   Telemetry.with_span ~name:"stats.workload" @@ fun () ->
   let rows = ref [] in
   (* Runs [f] as one row; [gate] bounds its pairings (column 0) and
-     [wnaf_gate], in a check row of its own, its wNAF multiplications
-     (the last column). *)
-  let measure section ?gate ?wnaf_gate op paper f =
+     [count_gate = (counter, invariant, bound)], in a check row of its
+     own, the column of one other counter. *)
+  let measure section ?gate ?count_gate op paper f =
     (* Minor words are counted per domain: this one's, which is all of
        them when SECCLOUD_DOMAINS=1. *)
     let snapshot () =
@@ -466,13 +467,14 @@ let stats_workload (_, params) seed ~drop ~tamper =
     rows := { section; op; counts = Some (before, after); paper; bound }
             :: !rows;
     Option.iter
-      (fun (name, b) ->
-        rows := check name (delta (Array.length columns - 1)) b :: !rows)
-      wnaf_gate;
+      (fun (counter, name, b) ->
+        let i = Option.get (Array.find_index (fun (c, _) -> c = counter) columns) in
+        rows := check name (delta i) b :: !rows)
+      count_gate;
     result
   in
-  let verifier ?gate ?wnaf_gate op =
-    measure "verifier side" ?gate ?wnaf_gate op
+  let verifier ?gate ?count_gate op =
+    measure "verifier side" ?gate ?count_gate op
   in
   let signer ?gate op = measure "signer side" ?gate op in
   let system =
@@ -524,7 +526,8 @@ let stats_workload (_, params) seed ~drop ~tamper =
   (* Of the signature points only V is subgroup-checked (one wNAF
      multiplication each): torsion on U cannot change a verdict. *)
   verifier ~gate:("Ibs.verify pairings per signature", 1)
-    ~wnaf_gate:("Ibs.verify subgroup multiplications per signature", 1)
+    ~count_gate:
+      ("curve.mul.wnaf", "Ibs.verify subgroup multiplications per signature", 1)
     "Ibs.verify (1 sig)" "2 pairings" probe;
   (* That verification warmed every fixed-base table it needs (Miller
      lines for P and P_pub, comb for the signer's Q_ID), so verifying
@@ -542,10 +545,27 @@ let stats_workload (_, params) seed ~drop ~tamper =
         "alice", m, Sc_ibc.Ibs.sign pub key ~bytes_source:cost_bs m)
   in
   verifier
-    ~wnaf_gate:
-      (Printf.sprintf "Ibs.verify_batch (t=%d) subgroup multiplications" t, t)
+    ~count_gate:
+      ( "curve.mul.wnaf",
+        Printf.sprintf "Ibs.verify_batch (t=%d) subgroup multiplications" t,
+        t )
     (Printf.sprintf "Ibs.verify_batch (t=%d)" t) "2t pairings"
     (fun () -> assert (Sc_ibc.Ibs.verify_batch pub batch));
+  (* One pairing from a cached line table (the generator's, warm since
+     Ibs.verify): the replay multiplies in a tangent per NAF digit of q
+     below the top one and a chord per non-zero digit but the top one
+     and the last, whose chord is vertical. *)
+  let prm = pub.Sc_ibc.Setup.prm in
+  let naf = Sc_bignum.Nat.wnaf ~width:2 prm.q in
+  let weight = Array.fold_left (fun w d -> w + Bool.to_int (d <> 0)) 0 naf in
+  verifier
+    ~count_gate:
+      ( "pairing.lines",
+        "replayed lines per cached pairing",
+        Array.length naf - 1 + weight - 2 )
+    "Tate.pairing_precomp (1 cached table)" "1 pairing"
+    (fun () ->
+      ignore (Tate.pairing_precomp prm prm.g (Tate.precomp_for prm prm.g)));
   (* Table II "Ours": designated-verifier individual vs aggregate. *)
   let dvs_entries =
     List.init t (fun i ->

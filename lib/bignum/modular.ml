@@ -62,19 +62,17 @@ let pow ctx b e =
   in
   if nbits = 0 then reduce ctx Nat.one else go Nat.one (nbits - 1)
 
+(* Iterative extended Euclid: (g, x) with g = gcd(a, b) and
+   a·x ≡ g (mod b), maintaining r ≡ a·x (mod b). *)
 let egcd a b =
-  (* Iterative extended Euclid maintaining r = a*x + b*y. *)
-  let rec go r0 x0 y0 r1 x1 y1 =
-    if Nat.is_zero r1 then r0, x0, y0
+  let rec go r0 x0 r1 x1 =
+    if Nat.is_zero r1 then r0, x0
     else begin
       let q, r2 = Nat.divmod r0 r1 in
-      let qs = Signed.of_nat q in
-      let x2 = Signed.sub x0 (Signed.mul qs x1) in
-      let y2 = Signed.sub y0 (Signed.mul qs y1) in
-      go r1 x1 y1 r2 x2 y2
+      go r1 x1 r2 (Signed.sub x0 (Signed.mul (Signed.of_nat q) x1))
     end
   in
-  go a Signed.one Signed.zero b Signed.zero Signed.one
+  go a Signed.one b Signed.zero
 
 let jacobi a n =
   if Nat.is_zero n || Nat.is_even n then
@@ -110,6 +108,6 @@ let of_signed ctx s =
 let inv ctx a =
   let a = reduce ctx a in
   if Nat.is_zero a then raise Not_found;
-  let g, x, _ = egcd a ctx.m in
+  let g, x = egcd a ctx.m in
   if not (Nat.is_one g) then raise Not_found;
   of_signed ctx x

@@ -24,9 +24,6 @@ val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 (** [pow ctx b e] is [b^e mod m] by left-to-right binary
     exponentiation. *)
 
-val egcd : Nat.t -> Nat.t -> Nat.t * Signed.t * Signed.t
-(** [egcd a b = (g, x, y)] with [a*x + b*y = g = gcd(a, b)]. *)
-
 val jacobi : Nat.t -> Nat.t -> int
 (** [jacobi a n] for odd positive [n]: the Jacobi symbol (a|n) ∈
     {-1, 0, 1} by the binary reciprocity algorithm — for prime [n]

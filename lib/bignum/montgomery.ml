@@ -222,18 +222,6 @@ let sub_lazy ctx (a : mont) (b : mont) =
     out
   end
 
-(* Inversion leaves the domain once: (aR)·B^-k = a, invert with the
-   extended Euclid, then re-enter.  mul (aR) ((a^-1)R) = R = one. *)
-let inv ctx (a : mont) =
-  let v = of_mont ctx a in
-  let g, x, _ = Modular.egcd v ctx.m in
-  if not (Nat.is_one g) then raise Not_found;
-  let xm =
-    let r = Nat.rem (Signed.abs x) ctx.m in
-    if Signed.sign x < 0 && not (Nat.is_zero r) then Nat.sub ctx.m r else r
-  in
-  to_mont ctx xm
-
 (* Montgomery's trick: n inversions for one [inv] and 3(n-1) [mul]s.
    Zero elements are rejected up front so the shared prefix product
    cannot silently absorb them. *)
@@ -261,6 +249,20 @@ let batch_inv ctx ~inv (xs : mont array) =
 let eq_mask i j =
   let d = i lxor j in
   lnot ((d lor (-d)) asr (Sys.int_size - 1))
+
+(* (y, x) when b = 1, (x, y) when b = 0: every limb of both operands
+   goes through the same xor-and-mask, so neither the operation
+   sequence nor the allocation depends on b. *)
+let cswap b (x : mont) (y : mont) =
+  let m = -(b land 1) in
+  let k = Array.length x in
+  let x' = Array.make k 0 and y' = Array.make k 0 in
+  for i = 0 to k - 1 do
+    let t = m land (x.(i) lxor y.(i)) in
+    x'.(i) <- x.(i) lxor t;
+    y'.(i) <- y.(i) lxor t
+  done;
+  x', y'
 
 (* Entry j occupies limbs [j·width, (j+1)·width) of one flat array. *)
 type table = { width : int; limbs : int array }

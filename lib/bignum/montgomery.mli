@@ -60,17 +60,18 @@ val mul : ctx -> mont -> mont -> mont
 val sqr : ctx -> mont -> mont
 (** One product-scanning multiply-reduce; the result is canonical. *)
 
-val inv : ctx -> mont -> mont
-(** [mul ctx a (inv ctx a) = one ctx].
-    @raise Not_found when the argument is not invertible (including
-    zero). *)
-
 val batch_inv : ctx -> inv:(mont -> mont) -> mont array -> mont array
 (** Montgomery's trick: inverts every element with a single call of
-    [inv] (e.g. [inv ctx], or a Fermat ladder when m is prime) and
-    3(n-1) multiplications.
+    [inv] (a Fermat ladder when m is prime) and 3(n-1)
+    multiplications.
     @raise Not_found if any element is zero; otherwise whatever [inv]
     raises on a non-invertible product. *)
+
+val cswap : int -> mont -> mont -> mont * mont
+(** [cswap b x y] is fresh copies of [(y, x)] when [b = 1] and of
+    [(x, y)] when [b = 0], by a masked exchange of every limb: no
+    branch and no memory access depends on [b].  Only the low bit of
+    [b] is read. *)
 
 type table
 (** A lookup table of residues of one context, stored as one flat limb

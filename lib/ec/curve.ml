@@ -6,38 +6,26 @@ let c_mul_wnaf = Sc_telemetry.Telemetry.counter "curve.mul.wnaf"
 let c_msm = Sc_telemetry.Telemetry.counter "curve.msm"
 let c_msm_terms = Sc_telemetry.Telemetry.counter "curve.msm.terms"
 
-type t = {
-  fld : Fp.ctx;
-  a : Fp.el;
-  b : Fp.el;
-  coord_bytes : int;
-  has_mont : bool; (* odd characteristic: the Montgomery fast paths apply *)
-  ma : M.e Lazy.t; (* curve coefficient a in the Montgomery domain *)
-}
+type t = { fld : Fp.ctx; coord_bytes : int }
 
 type point = Infinity | Affine of Fp.el * Fp.el
 
-let create fld ~a ~b =
-  (* Reject singular curves: 4a³ + 27b² ≠ 0. *)
-  let disc =
-    Fp.add fld
-      (Fp.mul fld (Fp.of_int fld 4) (Fp.mul fld a (Fp.sqr fld a)))
-      (Fp.mul fld (Fp.of_int fld 27) (Fp.sqr fld b))
-  in
-  if Fp.is_zero disc then invalid_arg "Curve.create: singular curve";
-  let coord_bytes = (Nat.bit_length (Fp.characteristic fld) + 7) / 8 in
-  let has_mont = not (Nat.is_even (Fp.characteristic fld)) in
-  { fld; a; b; coord_bytes; has_mont; ma = lazy (M.enter fld a) }
+(* The discriminant of y² = x³ + x, −16·(4·1³ + 27·0²) = −64,
+   vanishes in characteristic 2 only, where the Montgomery domain that
+   every fast path runs in does not exist either. *)
+let create fld =
+  if Nat.is_even (Fp.characteristic fld) then
+    invalid_arg "Curve.create: singular curve";
+  { fld; coord_bytes = (Nat.bit_length (Fp.characteristic fld) + 7) / 8 }
 
-let coeff_a c = c.a
 let infinity = Infinity
 
 let is_infinity = function Infinity -> true | Affine _ -> false
 
-(* x³ + ax + b *)
+(* x³ + x *)
 let rhs c x =
   let f = c.fld in
-  Fp.add f (Fp.mul f x (Fp.add f (Fp.sqr f x) c.a)) c.b
+  Fp.mul f x (Fp.add f (Fp.sqr f x) Fp.one)
 
 let on_curve c = function
   | Infinity -> true
@@ -54,8 +42,8 @@ let double c p =
     let f = c.fld in
     if Fp.is_zero y then Infinity
     else begin
-      (* λ = (3x² + a) / 2y *)
-      let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) c.a in
+      (* λ = (3x² + 1) / 2y *)
+      let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) Fp.one in
       let lam = Fp.div f num (Fp.double f y) in
       let x3 = Fp.sub f (Fp.sqr f lam) (Fp.double f x) in
       let y3 = Fp.sub f (Fp.mul f lam (Fp.sub f x x3)) y in
@@ -83,7 +71,7 @@ let add c p q =
    field multiplication is a single fused REDC.  Scalar multiplication
    runs in this form so that the whole ladder needs a single field
    inversion, instead of one per group operation.  The formulas are
-   dbl-2007-bl and madd-2007-bl, valid for any curve coefficient a.
+   dbl-2007-bl and madd-2007-bl, with the curve coefficient a = 1.
    All operations here stay strict (canonical outputs) because the
    group law compares coordinates for the doubling/inverse cases. *)
 
@@ -91,7 +79,7 @@ type mjac = { mx : M.e; my : M.e; mz : M.e }
 
 let mjac_infinity f = { mx = M.one f; my = M.one f; mz = M.zero f }
 
-let mjdouble f ma j =
+let mjdouble f j =
   if M.is_zero j.mz || M.is_zero j.my then mjac_infinity f
   else begin
     let xx = M.sqr f j.mx in
@@ -101,7 +89,7 @@ let mjdouble f ma j =
     let s =
       M.double f (M.sub f (M.sub f (M.sqr f (M.add f j.mx yy)) xx) yyyy)
     in
-    let m = M.add f (M.add f (M.double f xx) xx) (M.mul f ma (M.sqr f zz)) in
+    let m = M.add f (M.add f (M.double f xx) xx) (M.sqr f zz) in
     let t = M.sub f (M.sqr f m) (M.double f s) in
     let y3 =
       M.sub f
@@ -112,14 +100,14 @@ let mjdouble f ma j =
     { mx = t; my = y3; mz = z3 }
   end
 
-let mjadd_mixed f ma j x2 y2 =
+let mjadd_mixed f j x2 y2 =
   if M.is_zero j.mz then { mx = x2; my = y2; mz = M.one f }
   else begin
     let z1z1 = M.sqr f j.mz in
     let u2 = M.mul f x2 z1z1 in
     let s2 = M.mul f y2 (M.mul f j.mz z1z1) in
     if M.equal u2 j.mx then begin
-      if M.equal s2 j.my then mjdouble f ma j else mjac_infinity f
+      if M.equal s2 j.my then mjdouble f j else mjac_infinity f
     end
     else begin
       let h = M.sub f u2 j.mx in
@@ -172,20 +160,19 @@ let mjac_batch_affine f jacs =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Windowed NAF (w = 5): digits in {0, ±1, ±3, …, ±15}, averaging one
-   addition per w+1 doublings versus one per 2 for double-and-add. *)
-
-let wnaf_window = 5
+(* Windowed NAF: digits in {0, ±1, ±3, …, ±(2^(w−1) − 1)}, averaging
+   one addition per w+1 doublings versus one per 2 for
+   double-and-add.  [msm] runs it over several bases at once. *)
 
 (* Odd multiples P, 3P, …, (2^(w−1) − 1)·P of each base, as
    Montgomery-affine points.  Two shared inversions serve every base:
    one normalizes all the 2P, one all the table entries.  An entry is
    None where a small-order base reaches O mid-chain; when 2P = O (a
    2-torsion base) every odd multiple is P itself. *)
-let wnaf_tables f ma ~width bases =
+let wnaf_tables f ~width bases =
   let size = 1 lsl (width - 2) in
   let doubles =
-    Array.map (fun (x, y) -> mjdouble f ma { mx = x; my = y; mz = M.one f }) bases
+    Array.map (fun (x, y) -> mjdouble f { mx = x; my = y; mz = M.one f }) bases
   in
   let doubles = mjac_batch_affine f doubles in
   let njac =
@@ -198,7 +185,7 @@ let wnaf_tables f ma ~width bases =
                | None -> ()
                | Some (tx, ty) ->
                  for i = 1 to size - 1 do
-                   row.(i) <- mjadd_mixed f ma row.(i - 1) tx ty
+                   row.(i) <- mjadd_mixed f row.(i - 1) tx ty
                  done);
               row)
             bases))
@@ -210,16 +197,15 @@ let wnaf_tables f ma ~width bases =
    term, plus a mixed addition per non-zero digit of each scalar. *)
 let straus c ~width terms =
   let f = c.fld in
-  let ma = Lazy.force c.ma in
   let tables =
-    wnaf_tables f ma ~width
+    wnaf_tables f ~width
       (Array.map (fun (_, (x, y)) -> M.enter f x, M.enter f y) terms)
   in
   let digits = Array.map (fun (k, _) -> Nat.wnaf ~width k) terms in
   let len = Array.fold_left (fun m d -> max m (Array.length d)) 0 digits in
   let acc = ref (mjac_infinity f) in
   for i = len - 1 downto 0 do
-    acc := mjdouble f ma !acc;
+    acc := mjdouble f !acc;
     Array.iteri
       (fun b ds ->
         let d = if i < Array.length ds then ds.(i) else 0 in
@@ -228,22 +214,98 @@ let straus c ~width terms =
           | None -> ()
           | Some (tx, ty) ->
             let ty = if d < 0 then M.neg f ty else ty in
-            acc := mjadd_mixed f ma !acc tx ty)
+            acc := mjadd_mixed f !acc tx ty)
       digits
   done;
   !acc
 
-let mul_wnaf c k px py =
-  Sc_telemetry.Telemetry.incr c_mul_wnaf;
-  point_of_mjac c (straus c ~width:wnaf_window [| k, (px, py) |])
+(* ------------------------------------------------------------------ *)
+(* Single-scalar multiplication by Montgomery's x-only ladder.
+   y² = x³ + x is a Montgomery curve B·y² = x³ + A·x² + x with A = 0
+   and B = 1, so on projective x-coordinates (X : Z) each scalar bit
+   costs one differential addition and one doubling, 4 squarings and
+   5 multiplications in all:
+
+     R1 <- R0 + R1 = ((DA + CB)² : x_P·(DA − CB)²)   (R1 − R0 = P)
+     R0 <- 2·R0    = (2·AA·BB : (AA − BB)·(AA + BB))
+
+   with A = X0 + Z0, B = X0 − Z0, C = X1 + Z1, D = X1 − Z1, AA = A²,
+   BB = B².  The doubling is Montgomery's (AA·BB : E·(BB + a24·E)),
+   E = AA − BB, with a24 = (A + 2)/4 = 1/2 absorbed by scaling both
+   coordinates by 2, since E·(BB + E/2) = E·(AA + BB)/2.  Which of
+   R0, R1 is doubled follows the scalar bit through [M.cswap], a
+   masked exchange, so the sequence of field operations and the
+   allocation depend on the scalar's bit length only.
+
+   The differential addition divides by x_P, so a base with y = 0 (of
+   order 2: (0, 0) is the only one when p ≡ 3 mod 4) is handled
+   before the ladder; O and k = 0 are too. *)
+
+(* (k·P, (k+1)·P) as (X : Z) pairs, x_P the base's x in the domain. *)
+let ladder f xp k =
+  let x0 = ref (M.one f) and z0 = ref (M.zero f) in
+  let x1 = ref xp and z1 = ref (M.one f) in
+  let swap = ref 0 in
+  for i = Nat.bit_length k - 1 downto 0 do
+    let bit = Bool.to_int (Nat.test_bit k i) in
+    let x0', x1' = M.cswap (!swap lxor bit) !x0 !x1 in
+    let z0', z1' = M.cswap (!swap lxor bit) !z0 !z1 in
+    swap := bit;
+    let a = M.add_lazy f x0' z0' and b = M.sub_lazy f x0' z0' in
+    let c = M.add_lazy f x1' z1' and d = M.sub_lazy f x1' z1' in
+    let aa = M.sqr f a and bb = M.sqr f b in
+    let da = M.mul f d a and cb = M.mul f c b in
+    x1 := M.sqr f (M.add_lazy f da cb);
+    z1 := M.mul f xp (M.sqr f (M.sub_lazy f da cb));
+    x0 := M.double f (M.mul f aa bb);
+    z0 := M.mul f (M.sub_lazy f aa bb) (M.add_lazy f aa bb)
+  done;
+  let x0, x1 = M.cswap !swap !x0 !x1 in
+  let z0, z1 = M.cswap !swap !z0 !z1 in
+  (x0, z0), (x1, z1)
 
 let mul c k p =
   match p with
   | Infinity -> Infinity
+  | Affine _ when Nat.is_zero k -> Infinity
   | Affine (px, py) ->
-    if Nat.is_zero k then Infinity
-    else if c.has_mont then mul_wnaf c k px py
-    else invalid_arg "Curve.mul: even characteristic"
+    Sc_telemetry.Telemetry.incr c_mul_wnaf;
+    if Fp.is_zero py then if Nat.is_even k then Infinity else p
+    else begin
+      let f = c.fld in
+      let xp = M.enter f px and yp = M.enter f py in
+      let (x, z), (x', z') = ladder f xp k in
+      if M.is_zero z then Infinity
+      else if M.is_zero z' then Affine (px, Fp.neg f py) (* k·P = −P *)
+      else begin
+        (* Okeya–Sakurai: with Q = k·P = (X : Z) and Q + P = (X' : Z'),
+           y_Q = ((x_P·X + Z)(X + x_P·Z)·Z' − (X − x_P·Z)²·X')
+                 / (2·y_P·Z²·Z'),
+           and one inversion of that denominator gives x_Q too. *)
+        let pz = M.mul f xp z in
+        let num =
+          M.sub f
+            (M.mul f
+               (M.mul f (M.add_lazy f (M.mul f xp x) z) (M.add_lazy f x pz))
+               z')
+            (M.mul f (M.sqr f (M.sub_lazy f x pz)) x')
+        in
+        let w = M.mul f (M.double f (M.mul f yp z)) z' in
+        let d = M.inv f (M.mul f w z) in
+        Affine (M.leave f (M.mul f (M.mul f w x) d), M.leave f (M.mul f num d))
+      end
+    end
+
+let mul_is_infinity c k p =
+  match p with
+  | Infinity -> true
+  | Affine _ when Nat.is_zero k -> true
+  | Affine (px, py) ->
+    Sc_telemetry.Telemetry.incr c_mul_wnaf;
+    if Fp.is_zero py then Nat.is_even k
+    else
+      let (_, z), _ = ladder c.fld (M.enter c.fld px) k in
+      M.is_zero z
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-base comb: table.(w).(d) = d·16^w·P in Montgomery affine
@@ -254,9 +316,7 @@ type precomp = { bits : int; tables : (M.e * M.e) option array array }
 
 let precompute c ~bits p =
   if bits <= 0 then invalid_arg "Curve.precompute: bits <= 0";
-  if not c.has_mont then invalid_arg "Curve.precompute: even characteristic";
   let f = c.fld in
-  let ma = Lazy.force c.ma in
   let nwindows = (bits + 3) / 4 in
   let tables = Array.init nwindows (fun _ -> Array.make 16 None) in
   (match p with
@@ -271,11 +331,11 @@ let precompute c ~bits p =
           normalized by one shared batch inversion. *)
        let jentries = Array.make 17 (mjac_infinity f) in
        for d = 1 to 15 do
-         jentries.(d) <- mjadd_mixed f ma jentries.(d - 1) !bx !by
+         jentries.(d) <- mjadd_mixed f jentries.(d - 1) !bx !by
        done;
        let nb = ref jentries.(1) in
        for _ = 1 to 4 do
-         nb := mjdouble f ma !nb
+         nb := mjdouble f !nb
        done;
        jentries.(16) <- !nb;
        let affs = mjac_batch_affine f jentries in
@@ -305,14 +365,14 @@ let check_range pc k =
 (* acc + k·B on a Jacobian accumulator: one mixed addition per
    non-zero window digit.  Starting from a point other than O fuses
    that addition into the comb, with no normalization of its own. *)
-let comb_into f ma pc acc k =
+let comb_into f pc acc k =
   let acc = ref acc in
   for w = 0 to Array.length pc.tables - 1 do
     let d = comb_digit k w in
     if d <> 0 then begin
       match pc.tables.(w).(d) with
       | None -> ()
-      | Some (x, y) -> acc := mjadd_mixed f ma !acc x y
+      | Some (x, y) -> acc := mjadd_mixed f !acc x y
     end
   done;
   !acc
@@ -327,14 +387,13 @@ let mjac_of_point f = function
 let add_mul_precomp_batch c rows =
   Array.iter (fun (_, pc, k) -> check_range pc k) rows;
   let f = c.fld in
-  let ma = Lazy.force c.ma in
   Array.map
     (function
       | None -> Infinity
       | Some (x, y) -> Affine (M.leave f x, M.leave f y))
     (mjac_batch_affine f
        (Array.map
-          (fun (p, pc, k) -> comb_into f ma pc (mjac_of_point f p) k)
+          (fun (p, pc, k) -> comb_into f pc (mjac_of_point f p) k)
           rows))
 
 let mul_precomp_batch c pc ks =
@@ -359,7 +418,6 @@ let msm c ?(fixed = []) terms =
   | [], [] -> Infinity
   | _ ->
     let f = c.fld in
-    let ma = Lazy.force c.ma in
     let acc =
       match live with
       | [] -> mjac_infinity f
@@ -369,7 +427,7 @@ let msm c ?(fixed = []) terms =
         straus c ~width:4 (Array.of_list live)
     in
     point_of_mjac c
-      (List.fold_left (fun acc (pc, k) -> comb_into f ma pc acc k) acc fixed)
+      (List.fold_left (fun acc (pc, k) -> comb_into f pc acc k) acc fixed)
 
 let lift_x c x =
   match Fp.sqrt c.fld (rhs c x) with

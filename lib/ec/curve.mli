@@ -1,21 +1,20 @@
-(** Short-Weierstrass elliptic curves y² = x³ + a·x + b over F_p, with
-    affine group law and windowed scalar multiplication.  This is the
-    group G1 of the pairing layer and the base group of the ECDSA
-    baseline. *)
+(** The elliptic curve y² = x³ + x over F_p, with affine group law,
+    an x-only Montgomery ladder for single scalars and windowed
+    multi-scalar and fixed-base multiplication.  This is the group G1
+    of the pairing layer and the base group of the ECDSA baseline;
+    every pairing parameter set builds this curve and no other. *)
 
 open Sc_bignum
 open Sc_field
 
 type t
-(** A curve: field context plus coefficients. *)
+(** The curve over one field. *)
 
 type point = Infinity | Affine of Fp.el * Fp.el
 
-val create : Fp.ctx -> a:Fp.el -> b:Fp.el -> t
-(** @raise Invalid_argument when the curve is singular
-    (4a³ + 27b² = 0). *)
-
-val coeff_a : t -> Fp.el
+val create : Fp.ctx -> t
+(** @raise Invalid_argument when the curve is singular, which it is
+    in characteristic 2 only. *)
 
 val infinity : point
 val is_infinity : point -> bool
@@ -26,10 +25,19 @@ val neg : t -> point -> point
 val add : t -> point -> point -> point
 
 val mul : t -> Nat.t -> point -> point
-(** Scalar multiplication by a width-5 windowed-NAF ladder in the
-    Montgomery domain (counter [curve.mul.wnaf]).
-    @raise Invalid_argument over an even characteristic, which no
-    parameter set has. *)
+(** Scalar multiplication by Montgomery's x-only ladder: 4 squarings
+    and 5 multiplications per scalar bit, the branch on each bit
+    replaced by a masked swap, then y recovered (Okeya–Sakurai) with
+    one field inversion.  The field operations and allocation depend
+    on the scalar's bit length, not on its bits.  k = 0, O, points of
+    order 2, k·P = O and (k+1)·P = O are handled outside the ladder.
+    Counts one [curve.mul.wnaf] per finite point and non-zero
+    scalar. *)
+
+val mul_is_infinity : t -> Nat.t -> point -> bool
+(** [mul_is_infinity c k p] is [is_infinity (mul c k p)] by the same
+    ladder, without the y recovery and its inversion: the subgroup
+    check of [Params.in_subgroup].  Counts like {!mul}. *)
 
 type precomp
 (** Precomputed window tables for a fixed base point. *)
@@ -38,9 +46,7 @@ val precompute : t -> bits:int -> point -> precomp
 (** Tables covering scalars up to [bits] bits (4-bit fixed windows,
     entries normalized to affine).  Costs ~4·bits point operations
     once; each subsequent {!mul_precomp} then needs only ~bits/4
-    mixed additions and no doublings.
-    @raise Invalid_argument over an even characteristic, like
-    {!mul}. *)
+    mixed additions and no doublings. *)
 
 val mul_precomp : t -> precomp -> Nat.t -> point
 (** Scalar multiplication against the precomputed base: the
@@ -73,8 +79,7 @@ val msm : t -> ?fixed:(precomp * Nat.t) list -> (Nat.t * point) list -> point
     [fixed] term on the same Jacobian accumulator, and one final
     inversion.  Counts one [curve.msm] and its live (non-zero scalar,
     finite point) terms on [curve.msm.terms] when there are any;
-    never [curve.mul.wnaf].  Odd characteristic only, like the
-    Montgomery field it runs in.
+    never [curve.mul.wnaf].
     @raise Invalid_argument if a [fixed] scalar exceeds its table's
     range. *)
 

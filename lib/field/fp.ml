@@ -52,27 +52,6 @@ let pow ctx b e =
 let inv ctx a = if is_zero a then raise Division_by_zero else pow ctx a ctx.inv_exp
 let div ctx a b = mul ctx a (inv ctx b)
 
-(* Montgomery's trick over canonical residues: one [inv] plus 3(n-1)
-   multiplications instead of n inversions. *)
-let batch_inv ctx (xs : el array) =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    Array.iter (fun x -> if is_zero x then raise Division_by_zero) xs;
-    let prefix = Array.make n xs.(0) in
-    for i = 1 to n - 1 do
-      prefix.(i) <- mul ctx prefix.(i - 1) xs.(i)
-    done;
-    let acc = ref (inv ctx prefix.(n - 1)) in
-    let out = Array.make n zero in
-    for i = n - 1 downto 1 do
-      out.(i) <- mul ctx !acc prefix.(i - 1);
-      acc := mul ctx !acc xs.(i)
-    done;
-    out.(0) <- !acc;
-    out
-  end
-
 let sqrt ctx a =
   match ctx.sqrt_exp with
   | None -> invalid_arg "Fp.sqrt: characteristic is not 3 mod 4"
@@ -115,6 +94,7 @@ module Mont = struct
   let sqr ctx a = Montgomery.sqr (mont_exn ctx) a
   let is_zero = Montgomery.is_zero
   let equal = Montgomery.equal
+  let cswap = Montgomery.cswap
 
   type table = Montgomery.table
 

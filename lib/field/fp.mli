@@ -43,11 +43,6 @@ val inv : ctx -> el -> el
 
 val div : ctx -> el -> el -> el
 
-val batch_inv : ctx -> el array -> el array
-(** Montgomery's trick: inverts every element with a single {!inv}
-    and 3(n-1) multiplications.
-    @raise Division_by_zero if any element is zero. *)
-
 val sqrt : ctx -> el -> el option
 (** Square root for p ≡ 3 (mod 4) via the [(p+1)/4] exponent.
     @raise Invalid_argument when p ≢ 3 (mod 4). *)
@@ -95,10 +90,16 @@ module Mont : sig
       @raise Division_by_zero on zero. *)
 
   val batch_inv : ctx -> e array -> e array
-  (** @raise Division_by_zero if any element is zero. *)
+  (** Montgomery's trick: inverts every element with a single {!inv}
+      and 3(n-1) multiplications.
+      @raise Division_by_zero if any element is zero. *)
 
   val is_zero : e -> bool
   val equal : e -> e -> bool
+
+  val cswap : int -> e -> e -> e * e
+  (** Constant-time conditional swap, see
+      {!Sc_bignum.Montgomery.cswap}. *)
 
   type table
 

@@ -5,33 +5,45 @@ module FpM = Fp.Mont
 
 (* The Miller loop of ê(P, ·), split in two.  [precompute] walks the
    base point's trajectory T in Jacobian coordinates (x = X/Z²,
-   y = Y/Z³), and scales every line by an F_p* factor (2YZ³ for
-   tangents, V·Z for chords) that the final exponentiation annihilates,
-   so the walk is inversion-free.  Each line, evaluated at the
-   distorted point φ(Q) = (−x_q, i·y_q), is affine in (x_q, y_q):
+   y = Y/Z³) along the NAF of the subgroup order q: a tangent per
+   digit, then a chord through P on a +1 digit and through −P on a −1
+   digit.  Each line, evaluated at the distorted point
+   φ(Q) = (−x_q, i·y_q), is affine in (x_q, y_q):
 
      l = (alpha + beta·x_q) + (gamma·y_q)·i
 
-   and alpha/beta/gamma depend only on the trajectory, which the
-   subgroup order's bit pattern fixes.  So [Tate] replays the whole
-   loop from a table of per-iteration coefficients: one F_p
-   multiplication and addition per line, no point arithmetic.
+   and alpha/beta/gamma depend only on the trajectory, which the NAF
+   of q fixes.  So [Tate] replays the whole loop from a table of
+   per-digit coefficients, with no point arithmetic.
 
-   From the tangent step (T = (X:Y:Z), M = 3X² + a·Z⁴, line scaled by
+   From the tangent step (T = (X:Y:Z), M = 3X² + Z⁴, line scaled by
    2YZ³):   alpha = M·X − 2Y²,  beta = M·Z²,  gamma = 2YZ·Z².
-   From the chord step through affine P (U = y_p·Z³ − Y,
-   V = x_p·Z² − X, line scaled by V·Z):
-            alpha = U·x_p − VZ·y_p,  beta = U,  gamma = V·Z. *)
+   From the chord step through affine (x, y) = ±P (U = y·Z³ − Y,
+   V = x·Z² − X, line scaled by V·Z):
+            alpha = U·x − VZ·y,  beta = U,  gamma = V·Z.
 
-type coeffs = { alpha : FpM.e; beta : FpM.e; gamma : FpM.e }
+   Every recorded line is then divided by its gamma, one batch
+   inversion for the whole table, so the replay forms a line as
+   (alpha + beta·x_q) + y_q·i at one multiplication.  All these
+   scalings, and the vertical lines the loop leaves out (the chord
+   through −P also drops the vertical at P), are factors in F_p*,
+   which the final exponentiation annihilates: the pairing value is
+   that of the binary loop, bit for bit. *)
 
-(* One loop iteration: the tangent line, plus the chord line when the
-   order's bit is set.  [None] marks an eliminated factor (vertical
-   line) or a step after T reached infinity: the replay multiplies
-   nothing in for it. *)
+type coeffs = { alpha : FpM.e; beta : FpM.e }
+
+(* One NAF digit: the tangent line, plus the chord line when the digit
+   is non-zero.  [None] marks an eliminated factor (vertical line) or
+   a step after T reached infinity: the replay multiplies nothing in
+   for it. *)
 type entry = { dbl : coeffs option; add : coeffs option }
 
-type precomp = { base : Curve.point; entries : entry array; nbits : int }
+type precomp = {
+  base : Curve.point;
+  entries : entry array;
+  nbits : int;
+  lines : int;
+}
 
 type traj = {
   mutable tx : FpM.e;
@@ -40,8 +52,11 @@ type traj = {
   mutable inf : bool;
 }
 
-(* Tangent at T: record the line coefficients and double T in place. *)
-let tangent fp am st =
+(* A recorded line before normalization: alpha, beta, gamma. *)
+type raw = FpM.e * FpM.e * FpM.e
+
+(* Tangent at T: the line's coefficients, and T doubled in place. *)
+let tangent fp st : raw option =
   if st.inf then None
   else if FpM.is_zero st.ty then begin
     st.inf <- true;
@@ -52,10 +67,7 @@ let tangent fp am st =
     let xx = FpM.sqr fp x in
     let yy = FpM.sqr fp y in
     let zz = FpM.sqr fp z in
-    let m =
-      FpM.add fp (FpM.add fp (FpM.double fp xx) xx)
-        (FpM.mul fp am (FpM.sqr fp zz))
-    in
+    let m = FpM.add fp (FpM.add fp (FpM.double fp xx) xx) (FpM.sqr fp zz) in
     let two_yy = FpM.double fp yy in
     let alpha = FpM.sub fp (FpM.mul fp m x) two_yy in
     let beta = FpM.mul fp m zz in
@@ -71,12 +83,12 @@ let tangent fp am st =
     st.tx <- x3;
     st.ty <- y3;
     st.tz <- z3;
-    Some { alpha; beta; gamma }
+    Some (alpha, beta, gamma)
   end
 
-(* Chord through T and the affine base: record the line and set
-   T <- T + P. *)
-let chord fp am st px py =
+(* Chord through T and the affine point (px, py): the line, and
+   T <- T + (px, py). *)
+let chord fp st px py : raw option =
   if st.inf then None
   else begin
     let x = st.tx and y = st.ty and z = st.tz in
@@ -85,9 +97,9 @@ let chord fp am st px py =
     let v = FpM.sub fp (FpM.mul fp px zz) x in
     if FpM.is_zero v then begin
       if FpM.is_zero u then
-        (* T = P: tangent step (cannot happen for a prime-order Miller
-           loop, but stay total). *)
-        tangent fp am st
+        (* T = (px, py): tangent step (cannot happen for a prime-order
+           Miller loop, but stay total). *)
+        tangent fp st
       else begin
         st.inf <- true;
         None
@@ -104,26 +116,54 @@ let chord fp am st px py =
       st.tx <- x3;
       st.ty <- y3;
       st.tz <- vz;
-      Some { alpha; beta = u; gamma = vz }
+      Some (alpha, u, vz)
     end
   end
 
-let precompute ~fp ~curve ~order base =
-  let nbits = Nat.bit_length order in
-  let n = max (nbits - 1) 0 in
-  let entries = Array.make n { dbl = None; add = None } in
+(* Divide every recorded line by its gamma (never zero: 2YZ³ with
+   Y, Z ≠ 0 for a tangent, V·Z with V, Z ≠ 0 for a chord). *)
+let normalize fp (raws : (raw option * raw option) array) =
+  let gammas =
+    Array.of_list
+      (List.concat_map
+         (fun (d, a) -> List.filter_map (Option.map (fun (_, _, g) -> g)) [ d; a ])
+         (Array.to_list raws))
+  in
+  let inv = FpM.batch_inv fp gammas in
+  let next = ref 0 in
+  let scale = function
+    | None -> None
+    | Some (alpha, beta, _) ->
+      let gi = inv.(!next) in
+      incr next;
+      Some { alpha = FpM.mul fp alpha gi; beta = FpM.mul fp beta gi }
+  in
+  Array.map
+    (fun (d, a) ->
+      let dbl = scale d in
+      { dbl; add = scale a })
+    raws,
+  Array.length gammas
+
+let precompute ~fp ~order base =
+  let naf = Nat.wnaf ~width:2 order in
+  let n = max (Array.length naf - 1) 0 in
+  let raws = Array.make n (None, None) in
   (match base with
    | Curve.Infinity -> () (* all entries skip; the replay yields f = 1 *)
    | Curve.Affine (bx, by) ->
-     let am = FpM.enter fp (Curve.coeff_a curve) in
      let px = FpM.enter fp bx and py = FpM.enter fp by in
+     let npy = FpM.neg fp py in
      let st = { tx = px; ty = py; tz = FpM.one fp; inf = false } in
      for j = 0 to n - 1 do
-       let i = nbits - 2 - j in
-       let dbl = tangent fp am st in
+       let d = naf.(n - 1 - j) in
+       let dbl = tangent fp st in
        let add =
-         if Nat.test_bit order i then chord fp am st px py else None
+         if d > 0 then chord fp st px py
+         else if d < 0 then chord fp st px npy
+         else None
        in
-       entries.(j) <- { dbl; add }
+       raws.(j) <- dbl, add
      done);
-  { base; entries; nbits }
+  let entries, lines = normalize fp raws in
+  { base; entries; nbits = Nat.bit_length order; lines }

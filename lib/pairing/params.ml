@@ -45,11 +45,11 @@ let build ~p ~q ~cofactor ~g_of_curve =
   then invalid_arg "Params: p + 1 <> cofactor * q";
   let fp = Fp.create p in
   Fp2.check_ctx fp;
-  let curve = Curve.create fp ~a:Fp.one ~b:Fp.zero in
+  let curve = Curve.create fp in
   let g = g_of_curve curve fp in
   if Curve.is_infinity g then invalid_arg "Params: generator is infinity";
   if not (Curve.on_curve curve g) then invalid_arg "Params: generator off curve";
-  if not (Curve.is_infinity (Curve.mul curve q g))
+  if not (Curve.mul_is_infinity curve q g)
   then invalid_arg "Params: generator order does not divide q";
   let g_precomp = lazy (Curve.precompute curve ~bits:(Nat.bit_length q) g) in
   {
@@ -129,8 +129,7 @@ let mid = preset ~seed:"seccloud-mid-params-v1" ~bits_q:160 ~bits_p:512 ()
 let presets = [ ("toy", toy); ("small", small); ("mid", mid) ]
 
 let in_subgroup t pt =
-  Curve.on_curve t.curve pt
-  && (Curve.is_infinity pt || Curve.is_infinity (Curve.mul t.curve t.q pt))
+  Curve.on_curve t.curve pt && Curve.mul_is_infinity t.curve t.q pt
 
 let random_scalar t ~bytes_source =
   let qm1 = Nat.sub t.q Nat.one in
@@ -178,6 +177,6 @@ let precomp_for t pt =
 
 let miller_precomp_for t pt =
   cache_get t.miller_cache (Curve.to_bytes t.curve pt) (fun () ->
-      Miller.precompute ~fp:t.fp ~curve:t.curve ~order:t.q pt)
+      Miller.precompute ~fp:t.fp ~order:t.q pt)
 
 let id_point t id hash = cache_get t.id_cache id (fun () -> hash id)

@@ -57,7 +57,9 @@ val presets : (string * t lazy_t) list
     [--params] choices of the command-line tools. *)
 
 val in_subgroup : t -> Curve.point -> bool
-(** Membership test for G1 (on curve and q·P = O). *)
+(** Membership test for G1: on the curve and q·P = O, the latter by
+    {!Sc_ec.Curve.mul_is_infinity} (the x-only ladder, no inversion;
+    one [curve.mul.wnaf] count per finite point). *)
 
 val random_scalar : t -> bytes_source:(int -> string) -> Nat.t
 (** Uniform non-zero scalar in [\[1, q)]. *)

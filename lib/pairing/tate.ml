@@ -13,6 +13,7 @@ let c_single = Telemetry.counter "pairing.single"
 let c_multi = Telemetry.counter "pairing.multi"
 let c_multi_terms = Telemetry.counter "pairing.multi_terms"
 let c_final_expo = Telemetry.counter "pairing.final_expo"
+let c_lines = Telemetry.counter "pairing.lines"
 let c_gt_pow = Telemetry.counter "pairing.gt_pow"
 let c_gt_comb_build = Telemetry.counter "pairing.gt_comb_build"
 let c_gt_comb_exp = Telemetry.counter "pairing.gt_comb_exp"
@@ -176,7 +177,8 @@ let pairings_performed () = Telemetry.value c_pairings
 
    A {!Miller.precomp} replays the line sequence of a fixed base point
    A; evaluating it at a variable point B costs one F_p multiplication
-   and one lazy addition per line — no Jacobian arithmetic at all —
+   and one lazy addition per line, plus the F_p² multiplication that
+   takes the line in — no Jacobian arithmetic at all —
    and computes ê(A, B).  By the symmetry of the modified Tate pairing
    on G1 (both sides reduce to ê(G, G)^{ab}) this equals ê(B, A) for
    subgroup points, which is how verification call sites use it: the
@@ -192,25 +194,26 @@ let pairings_performed () = Telemetry.value c_pairings
 type precomp = Miller.precomp
 
 let precompute (prm : Params.t) pt =
-  Miller.precompute ~fp:prm.fp ~curve:prm.curve ~order:prm.q pt
+  Miller.precompute ~fp:prm.fp ~order:prm.q pt
 
 let precomp_for = Params.miller_precomp_for
 
-(* Per-term replay state: the precomp plus the evaluation point in the
-   Montgomery domain. *)
+(* Per-term replay state: the line table plus the evaluation point in
+   the Montgomery domain. *)
 type rstate = { entries : Miller.entry array; exq : FpM.e; eyq : FpM.e }
 
+(* A normalized line at Q: (alpha + beta·x_q) + y_q·i, one
+   multiplication.  The real part is lazy (< 2m): it feeds only the
+   F2M multiplication below. *)
 let line_value fp (c : Miller.coeffs) xq yq =
-  (* alpha + beta·x_q is lazy (< 2m): it feeds only the F2M
-     multiplication below. *)
-  F2M.make
-    (FpM.add_lazy fp c.Miller.alpha (FpM.mul fp c.Miller.beta xq))
-    (FpM.mul fp c.Miller.gamma yq)
+  F2M.make (FpM.add_lazy fp c.Miller.alpha (FpM.mul fp c.Miller.beta xq)) yq
 
 let miller_replay_shared (prm : Params.t) states =
   let fp = prm.fp in
   let f = ref (F2M.one fp) in
-  let n = max (Nat.bit_length prm.q - 1) 0 in
+  let n = Array.length states.(0).entries in
+  if Array.exists (fun st -> Array.length st.entries <> n) states then
+    invalid_arg "Tate.pairing_precomp: precomp from a different parameter set";
   for j = 0 to n - 1 do
     f := F2M.sqr fp !f;
     Array.iter
@@ -219,8 +222,8 @@ let miller_replay_shared (prm : Params.t) states =
         | Some c -> f := F2M.mul fp !f (line_value fp c st.exq st.eyq)
         | None -> ())
       states;
-    (* Chord entries are [Some] exactly on set bits of q, so the
-       replay needs no bit test. *)
+    (* Chord entries are [Some] exactly on the non-zero NAF digits of
+       q, so the replay needs no digit test. *)
     Array.iter
       (fun st ->
         match st.entries.(j).Miller.add with
@@ -233,6 +236,8 @@ let miller_replay_shared (prm : Params.t) states =
 let rstate (prm : Params.t) (pc : Miller.precomp) bx by =
   if pc.Miller.nbits <> Nat.bit_length prm.q then
     invalid_arg "Tate.pairing_precomp: precomp from a different parameter set";
+  (* Every term a replay evaluates adds its table's line count. *)
+  Telemetry.add c_lines pc.Miller.lines;
   {
     entries = pc.Miller.entries;
     exq = FpM.enter prm.fp bx;

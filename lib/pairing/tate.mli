@@ -120,7 +120,8 @@ val pairings_performed : unit -> int
     compares schemes by pairing counts, so the library keeps a tally.
     Thin shim over the telemetry registry counter [pairing.count]
     (siblings [pairing.single]/[pairing.multi]/[pairing.multi_terms]/
-    [pairing.final_expo] break the total down). *)
+    [pairing.final_expo] break the total down, and [pairing.lines]
+    adds each replayed table's {!Miller.precomp} [lines]). *)
 
 val gt_to_bytes : Params.t -> gt -> string
 (** Fixed-width [re ‖ im] big-endian encoding. *)

@@ -154,9 +154,8 @@ let line_eval fp ~lam ~xt ~yt ~xq ~yq =
 let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
   let fp = prm.fp in
   let three = Fp.of_int fp 3 in
-  let a = Curve.coeff_a prm.curve in
   let tangent x y =
-    Fp.div fp (Fp.add fp (Fp.mul fp three (Fp.sqr fp x)) a) (Fp.double fp y)
+    Fp.div fp (Fp.add fp (Fp.mul fp three (Fp.sqr fp x)) Fp.one) (Fp.double fp y)
   in
   let f = ref Fp2.one in
   let tx = ref px and ty = ref py in

@@ -5,7 +5,7 @@ open Sc_ec
 (* Small curve with known structure: y² = x³ + x over F_23 (23 = 3 mod
    4, supersingular, #E = 24), plus the toy pairing curve for scale. *)
 let p23 = Fp.create (Nat.of_int 23)
-let c23 = Curve.create p23 ~a:Fp.one ~b:Fp.zero
+let c23 = Curve.create p23
 
 let point = Util.point
 
@@ -24,9 +24,11 @@ let unit_tests =
   let open Util in
   [
     case "create rejects singular curve" (fun () ->
+        (* y² = x³ + x has discriminant −64: singular in characteristic
+           2 only. *)
         Alcotest.check_raises "singular"
           (Invalid_argument "Curve.create: singular curve") (fun () ->
-            ignore (Curve.create p23 ~a:Fp.zero ~b:Fp.zero)));
+            ignore (Curve.create (Fp.create Nat.two))));
     case "group order of y^2 = x^3 + x over F_23 is 24" (fun () ->
         Alcotest.(check int) "order" 24 (List.length (all_points c23 p23 23)));
     case "every point has order dividing 24" (fun () ->
@@ -262,11 +264,17 @@ let precomp_tests =
         done);
   ]
 
-(* The wNAF path behind Curve.mul and the comb behind Curve.mul_precomp
+(* The ladder behind Curve.mul and the comb behind Curve.mul_precomp
    against the double-and-add reference, including scalars past the
-   group order and the small-order points of the F_23 curve that force
-   the 2-torsion / mid-chain-infinity fallbacks. *)
-let wnaf_tests =
+   group order, points off the order-q subgroup, and the small-order
+   points of the F_23 curve: (0, 0), points of order 4 and 8, and the
+   scalars where k·P = O or (k+1)·P = O, which the ladder's y recovery
+   cannot divide by. *)
+let scalar_of_bits bs bits =
+  if bits = 1 then Nat.one
+  else Nat.add (Nat.shift_left Nat.one (bits - 1)) (Nat.random ~bytes_source:bs ~bits:(bits - 1))
+
+let ladder_tests =
   let open Util in
   let equiv name prm n =
     case name (fun () ->
@@ -284,7 +292,53 @@ let wnaf_tests =
           then Alcotest.failf "mismatch at sample %d" i
         done)
   in
+  let off_subgroup name prm n =
+    case name (fun () ->
+        let curve = prm.Sc_pairing.Params.curve in
+        let bs = Util.fresh_bs ("ladder-off-" ^ name) in
+        for i = 0 to n - 1 do
+          let pt = Curve.random curve ~bytes_source:bs in
+          let bits = 1 + (i * 37 mod 160) in
+          let s = scalar_of_bits bs bits in
+          if
+            not
+              (Util.point_equal (Curve.mul curve s pt) (Reference.mul_naive curve s pt))
+          then Alcotest.failf "mismatch at a %d-bit scalar" bits
+        done)
+  in
+  let subgroup_oracle name prm n =
+    case name (fun () ->
+        let curve = prm.Sc_pairing.Params.curve in
+        let q = prm.Sc_pairing.Params.q in
+        let bs = Util.fresh_bs ("in-subgroup-" ^ name) in
+        let naive pt =
+          Curve.on_curve curve pt && Curve.is_infinity (Reference.mul_naive curve q pt)
+        in
+        let cases =
+          Curve.infinity :: Curve.Affine (Fp.zero, Fp.zero)
+          :: List.concat
+               (List.init n (fun _ ->
+                    let r = Curve.random curve ~bytes_source:bs in
+                    let p =
+                      Sc_pairing.Params.mul_g prm
+                        (Sc_pairing.Params.random_scalar prm ~bytes_source:bs)
+                    in
+                    (* q·R has order dividing the cofactor: a torsion
+                       shift that leaves p's subgroup component alone. *)
+                    [ r; p; Curve.add curve p (Curve.mul curve q r) ]))
+        in
+        let members = List.filter naive cases in
+        if List.length members < n + 1 then Alcotest.fail "too few subgroup points";
+        List.iteri
+          (fun i pt ->
+            Alcotest.(check bool) (Printf.sprintf "case %d" i) (naive pt)
+              (Sc_pairing.Params.in_subgroup prm pt))
+          cases)
+  in
   [
+    (* The three "wNAF" names predate the ladder, which replaced the
+       windowed-NAF path behind Curve.mul; the cases are unchanged
+       apart from k <= 48 on F_23. *)
     equiv "wNAF mul = double-and-add, scalars past q (toy)"
       (Lazy.force Util.toy_params) 25;
     equiv "wNAF mul = double-and-add (small)"
@@ -293,13 +347,44 @@ let wnaf_tests =
       (fun () ->
         List.iter
           (fun pt ->
-            for k = 0 to 30 do
+            for k = 0 to 48 do
               Alcotest.(check point)
                 (Printf.sprintf "%dP" k)
                 (Reference.mul_naive c23 (Nat.of_int k) pt)
                 (Curve.mul c23 (Nat.of_int k) pt)
             done)
           (all_points c23 p23 23));
+    off_subgroup "ladder mul = double-and-add off the subgroup, 1-160 bits (toy)"
+      (Lazy.force Util.toy_params) 24;
+    off_subgroup "ladder mul = double-and-add off the subgroup, 1-160 bits (small)"
+      (Lazy.force Sc_pairing.Params.small) 10;
+    subgroup_oracle "in_subgroup = (q·P = O), torsion-shifted points (toy)"
+      (Lazy.force Util.toy_params) 8;
+    subgroup_oracle "in_subgroup = (q·P = O), torsion-shifted points (small)"
+      (Lazy.force Sc_pairing.Params.small) 4;
+    case "ladder allocation depends on the scalar's bit length only" (fun () ->
+        (* Three 112-bit scalars: 2^111, whose ladder swaps twice;
+           alternating bits, which swap at every step; and all ones.
+           A branch on the bits or on the swaps would allocate
+           differently.  The outputs' coordinates are full-width, so
+           their decoding allocates alike too. *)
+        let prm = Lazy.force Sc_pairing.Params.small in
+        let curve = prm.Sc_pairing.Params.curve in
+        let pt = Curve.random curve ~bytes_source:(Util.fresh_bs "ladder-words") in
+        let words k =
+          ignore (Curve.mul curve k pt);
+          let before = Gc.minor_words () in
+          ignore (Curve.mul curve k pt);
+          Gc.minor_words () -. before
+        in
+        let sparse = Nat.shift_left Nat.one 111 in
+        let alternating = Nat.of_hex (String.make 28 'a') in
+        let dense = Nat.sub (Nat.shift_left Nat.one 112) Nat.one in
+        Alcotest.(check (float 0.)) "minor words, alternating" (words sparse)
+          (words alternating);
+        Alcotest.(check (float 0.)) "minor words, all ones" (words sparse) (words dense);
+        Alcotest.(check bool) "longer scalars cost more" true
+          (words (Nat.shift_left Nat.one 140) > words dense));
     case "msm = sum of double-and-add terms on every point of F_23"
       (fun () ->
         let pts = Array.of_list (all_points c23 p23 23) in
@@ -386,4 +471,4 @@ let property_tests =
         | None -> false);
   ]
 
-let suite = unit_tests @ precomp_tests @ wnaf_tests @ property_tests
+let suite = unit_tests @ precomp_tests @ ladder_tests @ property_tests

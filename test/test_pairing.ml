@@ -132,18 +132,10 @@ let cross_validation_tests =
           then Alcotest.failf "mismatch at sample %d" i
         done)
   in
-  [
-    cross_check "replayed line tables = affine oracle, 50 pairs (toy)" prm 50;
-    cross_check "replayed line tables = affine oracle, 50 pairs (small)"
-      (Lazy.force Params.small) 50;
-    (* A point of E(F_p) off the order-q subgroup makes ê(P, Q) and
-       ê(Q, P) differ, so this case fails if the replay takes the wrong
-       argument as its loop base; on the subgroup ê is symmetric and
-       no other case can tell. *)
-    case "off-subgroup points = affine oracle, both orders (small)" (fun () ->
-        let prm = Lazy.force Params.small in
-        let bs = fresh_bs "cross-off-subgroup" in
-        for i = 1 to 8 do
+  let off_subgroup name prm n =
+    case name (fun () ->
+        let bs = fresh_bs ("cross-off-subgroup" ^ name) in
+        for i = 1 to n do
           let x = Curve.random prm.Params.curve ~bytes_source:bs in
           let y =
             Curve.mul prm.Params.curve
@@ -158,7 +150,40 @@ let cross_validation_tests =
                      (Reference.pairing_affine prm p q))
               then Alcotest.failf "mismatch at sample %d" i)
             [ x, y; y, x ]
-        done);
+        done)
+  in
+  [
+    cross_check "replayed line tables = affine oracle, 50 pairs (toy)" prm 50;
+    cross_check "replayed line tables = affine oracle, 50 pairs (small)"
+      (Lazy.force Params.small) 50;
+    (* A point of E(F_p) off the order-q subgroup makes ê(P, Q) and
+       ê(Q, P) differ, so these cases fail if the replay takes the
+       wrong argument as its loop base; on the subgroup ê is symmetric
+       and no other case can tell.  Small's NAF of q ends in −1 (the
+       loop's last chord runs through −P), toy's in +1. *)
+    off_subgroup "off-subgroup points = affine oracle, both orders (small)"
+      (Lazy.force Params.small) 8;
+    off_subgroup "off-subgroup points = affine oracle, both orders (toy)" prm 16;
+    case "line tables: one line per NAF digit, bar the vertical ones" (fun () ->
+        (* (NAF length − 1) tangents and (NAF weight − 2) chords: the
+           top digit starts the loop and the last chord is vertical. *)
+        List.iter
+          (fun (name, prm, last) ->
+            let prm = Lazy.force prm in
+            let naf = Nat.wnaf ~width:2 prm.Params.q in
+            let len = Array.length naf in
+            let weight = Array.fold_left (fun w d -> if d <> 0 then w + 1 else w) 0 naf in
+            check Alcotest.int (name ^ ": last NAF digit") last naf.(0);
+            let pc = Tate.precompute prm prm.Params.g in
+            check Alcotest.int (name ^ ": lines") (len - 1 + weight - 2)
+              pc.Sc_pairing.Miller.lines;
+            check Alcotest.int (name ^ ": entries") (len - 1)
+              (Array.length pc.Sc_pairing.Miller.entries);
+            let l0 = Sc_telemetry.Telemetry.counter_value "pairing.lines" in
+            ignore (Tate.pairing_precomp prm prm.Params.g pc);
+            check Alcotest.int (name ^ ": replayed lines") pc.Sc_pairing.Miller.lines
+              (Sc_telemetry.Telemetry.counter_value "pairing.lines" - l0))
+          [ "toy", Util.toy_params, 1; "small", Params.small, -1; "mid", Params.mid, 1 ]);
   ]
 
 (* The uncached multi-pairing: Π ê(P_i, Q_i) over fresh P_i tables. *)

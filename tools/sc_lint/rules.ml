@@ -14,7 +14,7 @@
                         neither use the exception nor re-raise
      naive-scalar-mul   (informational) hand-rolled double-and-add scalar
                         multiplication outside lib/ec — a Nat.test_bit
-                        loop driving Curve.double; Curve.mul (wNAF) or a
+                        loop driving Curve.double; Curve.mul (ladder) or a
                         cached Curve.mul_precomp comb is faster
      dynamic-metric-name (informational) non-literal name argument to
                         Telemetry./Registry. counter/gauge/histogram or
@@ -419,7 +419,7 @@ let rule_domain_safety ctx ~name vb =
 (* The signature of a hand-rolled double-and-add ladder is a scalar
    bit scan ([test_bit]) in the same binding as a direct
    [Curve.double] call: well-behaved callers never touch
-   [Curve.double] — they go through [Curve.mul] (wNAF) or a cached
+   [Curve.double] — they go through [Curve.mul] (ladder) or a cached
    [Curve.mul_precomp] comb.  Informational: a bespoke ladder can be
    deliberate (e.g. a constant-time variant), so it never fails the
    build and is not meant to be waived away. *)
@@ -449,7 +449,7 @@ let rule_naive_scalar_mul ctx ~name vb =
         ~loc:vb.pvb_loc ~key:name
         (Printf.sprintf
            "%S scans scalar bits and calls Curve.double directly — a naive \
-            double-and-add ladder; use Curve.mul (wNAF) or a cached \
+            double-and-add ladder; use Curve.mul (x-only ladder) or a cached \
             Curve.mul_precomp comb (informational)"
            name)
   end
