@@ -515,5 +515,5 @@ let select_tests =
 
 let suite =
   unit_tests @ property_tests @ montgomery_tests @ montgomery_arith_tests
-  @ montgomery_lazy_tests @ montgomery_property_tests @ jacobi_tests
-  @ kernel_edge_tests @ fermat_inversion_tests @ select_tests
+  @ montgomery_lazy_tests @ montgomery_property_tests @ kernel_edge_tests
+  @ jacobi_tests @ fermat_inversion_tests @ select_tests
