@@ -11,8 +11,8 @@ build:
 # self-lint test runs under `dune runtest`.  The dead-export rule also
 # reads the cmts of bench/, perfbench/ and examples/ as callers of
 # lib/.  `dune build @check` first, over the whole tree, so every file
-# has the .cmt the typed rules read; a file without one, linted or
-# caller, is a no-cmt error.  Fails on any unwaived finding or on a
+# has the .cmt every rule reads (there is one pass, over the
+# Typedtree); a file without one, linted or caller, is a no-cmt error.  Fails on any unwaived finding or on a
 # waiver that no longer matches anything (--stale-waivers), so the
 # baseline can only shrink.
 lint:

@@ -10,12 +10,10 @@
    pairing produces (a trailing odd node promotes unchanged), so a
    build-once commitment is just the degenerate case, and
 
-   - [modify] / [append] copy one root-to-leaf path: O(log n) hashes,
-     everything else is shared between versions;
-   - [insert] / [delete] at position [i] share every node left of [i]
-     and rebuild only the suffix whose pairing shifts (O(log n) at the
-     tail, O(n - i) hashes in the middle -- re-pairing a shifted suffix
-     is a lower bound for any shape-canonical Merkle tree).
+   [modify] and [append] copy one root-to-leaf path: O(log n) hashes,
+   everything else is shared between versions.  There is no structural
+   insert or delete: dynamic storage deletes with a tombstone [modify]
+   and grows with [append], so leaf positions never shift.
 
    Every node carries its leaf count (rank).  Because the shape is a
    function of the leaf count alone, a proof is just the claimed
@@ -35,8 +33,6 @@ let c_builds = Telemetry.counter "merkle.builds"
 let c_leaves = Telemetry.counter "merkle.leaves_built"
 let c_proof_checks = Telemetry.counter "merkle.proof_checks"
 let c_modify = Telemetry.counter "merkle.dynamic.update"
-let c_insert = Telemetry.counter "merkle.dynamic.insert"
-let c_delete = Telemetry.counter "merkle.dynamic.delete"
 let c_append = Telemetry.counter "merkle.dynamic.append"
 let c_rank_checks = Telemetry.counter "merkle.dynamic.rank_checks"
 
@@ -110,113 +106,14 @@ let modify t i h =
 (* Canonical append: if [n] is a power of two the whole old tree
    becomes the (perfect) left child; otherwise the left child is
    untouched and the append recurses down the right spine. *)
-let append_leaf t h =
+let append t h =
+  Telemetry.incr c_append;
   let rec go t =
     match t with
     | Leaf _ -> mk t (Leaf h)
     | Node { n; l; r; _ } -> if is_pow2 n then mk t (Leaf h) else mk l (go r)
   in
   go t
-
-let append t h =
-  Telemetry.incr c_append;
-  append_leaf t h
-
-(* --- structural insert / delete ------------------------------------ *)
-
-(* Perfect, node-aligned subtrees covering leaves [0, i): the binary
-   representation of [i], in decreasing size order.  In a canonical
-   tree every left child is perfect, so this is O(log n) pieces found
-   in O(log n) time; each piece's offset is a multiple of its size. *)
-let prefix_pieces t i =
-  let rec go t i off acc =
-    if i = 0 then acc
-    else
-      match t with
-      | Leaf _ -> (off, t) :: acc
-      | Node { l; r; n; _ } ->
-        let sl = size l in
-        if i >= n then (off, t) :: acc
-        else if i >= sl then go r (i - sl) (off + sl) ((off, l) :: acc)
-        else go l i off acc
-  in
-  List.rev (go t i 0 [])
-
-let suffix_leaf_hashes t i =
-  let rec go t i acc =
-    match t with
-    | Leaf h -> if i = 0 then h :: acc else acc
-    | Node { l; r; _ } ->
-      let sl = size l in
-      if i >= sl then go r (i - sl) acc else go l i (go r 0 acc)
-  in
-  go t i []
-
-(* Rebuild a canonical tree over [pieces @ tail], reusing any piece
-   whose span coincides with a node of the new shape (alignment is
-   preserved for the untouched prefix, so in practice every piece is
-   reused whole). *)
-let rebuild ~pieces ~tail_off ~tail =
-  let tail = Array.of_list tail in
-  let total = tail_off + Array.length tail in
-  let rec leaf_of lo =
-    if lo >= tail_off then tail.(lo - tail_off)
-    else
-      let rec find = function
-        | (off, p) :: rest ->
-          if lo >= off && lo < off + size p then leaf p (lo - off) else find rest
-        | [] -> invalid_arg "Dynamic_tree.rebuild: uncovered leaf"
-      in
-      find pieces
-  and build lo n =
-    match
-      List.find_opt (fun (off, p) -> off = lo && size p = n) pieces
-    with
-    | Some (_, p) -> p
-    | None ->
-      if n = 1 then Leaf (leaf_of lo)
-      else
-        let s = split n in
-        mk (build lo s) (build (lo + s) (n - s))
-  in
-  if total = 0 then invalid_arg "Dynamic_tree.rebuild: empty"
-  else build 0 total
-
-let insert t ~at h =
-  let n = size t in
-  if at < 0 || at > n then invalid_arg "Dynamic_tree.insert: out of bounds";
-  Telemetry.incr c_insert;
-  if at = n then append_leaf t h
-  else
-    rebuild ~pieces:(prefix_pieces t at) ~tail_off:at
-      ~tail:(h :: suffix_leaf_hashes t at)
-
-let delete t ~at =
-  let n = size t in
-  if at < 0 || at >= n then invalid_arg "Dynamic_tree.delete: out of bounds";
-  if n = 1 then invalid_arg "Dynamic_tree.delete: last leaf";
-  Telemetry.incr c_delete;
-  rebuild ~pieces:(prefix_pieces t at) ~tail_off:at
-    ~tail:(suffix_leaf_hashes t (at + 1))
-
-(* --- batched root transitions -------------------------------------- *)
-
-type op =
-  | Modify of { index : int; leaf : string }
-  | Insert of { index : int; leaf : string }
-  | Append of { leaf : string }
-  | Delete of { index : int }
-
-let apply_op t = function
-  | Modify { index; leaf } -> modify t index leaf
-  | Insert { index; leaf } -> insert t ~at:index leaf
-  | Append { leaf } -> append t leaf
-  | Delete { index } -> delete t ~at:index
-
-(* Apply [ops] in order and return the final version: k updates, one
-   root transition — the caller signs a single root statement for the
-   batch instead of one per mutation. *)
-let apply t ops = List.fold_left apply_op t ops
 
 (* --- proofs ----------------------------------------------------------- *)
 

@@ -12,20 +12,15 @@
     instead of rebuilding every level:
 
     - {!modify} and {!append} are O(log n) hashes, all untouched nodes
-      shared between versions;
-    - {!insert}/{!delete} at position [i] share every node covering
-      leaves left of [i] and rebuild the suffix whose pairing shifts:
-      O(log n) at the tail, O(n - i) in the middle (a lower bound for
-      any shape-canonical Merkle tree, since inserting shifts every
-      later pairing);
+      shared between versions.  There is no structural insert or
+      delete: a deletion is a tombstone {!modify}, so leaf positions
+      never shift;
     - a {!proof} is the claimed (index, total) plus the sibling hashes
       -- the "sibling sets" the cloud server returns in the Audit
       Response step.  {!verify} derives every sibling's side from the
       claim, so position is bound as strongly as content: the data
       dynamics of Wang-style public auditing (arXiv:1405.6263,
       arXiv:1612.08029) on SecCloud's tree;
-    - {!apply} folds a batch of ops into one root transition, so a
-      client signs one root statement for k updates;
     - {!Frontier} is the O(log n) owner-side digest state that makes
       appends local (no fetch-all-leaf-hashes round trip). *)
 
@@ -40,13 +35,6 @@ type proof = {
   total : int;  (** leaf count at proof time *)
   path : string list;  (** sibling hashes, bottom-up *)
 }
-
-type op =
-  | Modify of { index : int; leaf : string }
-  | Insert of { index : int; leaf : string }
-  | Append of { leaf : string }
-  | Delete of { index : int }
-(** [leaf] fields are leaf {e hashes} (see {!leaf_hash}). *)
 
 val leaf_hash : string -> string
 (** Domain-separated hash of a leaf payload. *)
@@ -71,18 +59,6 @@ val modify : t -> int -> string -> t
 
 val append : t -> string -> t
 (** Add a leaf hash at the end: O(log n). *)
-
-val insert : t -> at:int -> string -> t
-(** Insert a leaf hash so it lands at index [at] (0 <= at <= size).
-    Shares the prefix; rebuilds the shifted suffix. *)
-
-val delete : t -> at:int -> t
-(** Structurally remove leaf [at] (later leaves shift down).
-    @raise Invalid_argument out of bounds or on a 1-leaf tree. *)
-
-val apply : t -> op list -> t
-(** Batched root transition: apply the ops in order, return the final
-    version — one signed root statement for k mutations. *)
 
 val proof : t -> int -> proof
 (** Authentication path for leaf [i]: O(log n).

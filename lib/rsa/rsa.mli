@@ -10,14 +10,8 @@ type secret = { pub : public; d : Nat.t }
 val generate : bytes_source:(int -> string) -> bits:int -> secret
 (** [bits] is the modulus size; e = 65537. *)
 
-val fdh : public -> string -> Nat.t
-(** Full-domain hash of a message into Z_n. *)
-
 val sign : secret -> string -> Nat.t
+(** s = FDH(m)^d mod n, the full-domain hash taken into Z_n. *)
+
 val verify : public -> string -> Nat.t -> bool
-
-val raw_sign : secret -> Nat.t -> Nat.t
-(** s = m^d mod n on an already-encoded representative. *)
-
-val raw_verify : public -> Nat.t -> Nat.t
-(** s^e mod n. *)
+(** s^e mod n = FDH(m). *)

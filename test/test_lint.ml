@@ -1,46 +1,56 @@
 (* sc_lint rule fixtures: one positive and one negative case per rule,
-   waiver round-trips, and a self-lint pass over the real tree.  The
-   Parsetree fixtures are fed as in-memory strings through
-   Engine.lint_source, the typed ones are typechecked in-process, so
-   the tests pin the rules' behaviour without touching the file
-   system. *)
+   waiver round-trips, and a self-lint pass over the real tree.  Each
+   fixture is typechecked in-process and run through the same rules
+   as the real tree, so the tests pin the rules' behaviour without
+   touching the file system. *)
 
 module Finding = Sc_lint_core.Finding
 module Waiver = Sc_lint_core.Waiver
 module Engine = Sc_lint_core.Engine
+module Typed_load = Sc_lint_core.Typed_load
+module Flow_graph = Sc_lint_core.Flow_graph
+module Typed_rules = Sc_lint_core.Typed_rules
 
 open Util
 
-(* Lint [content] as if it lived at lib/<name> (lib/ enables the
-   no-mli rule). *)
-let lint_lib ?(has_mli = true) ?(name = "fixture.ml") content =
-  Engine.lint_source { Engine.rel = "lib/" ^ name; content; has_mli }
+(* Each source is typechecked with no extra include dirs: the rules
+   match suffix names ("Setup.sio", "Sha256.digest", "Curve.double"),
+   so stub modules defined inside the fixture stand in for the repo's
+   and the tests stay hermetic. *)
+let typed_lint ?(waivers = []) ?(rel = "lib/fixture.ml") content =
+  match
+    Typed_load.typecheck ~include_dirs:[] ~modname:"Fixture" ~rel content
+  with
+  | Error e -> Alcotest.failf "fixture did not typecheck:\n%s" e
+  | Ok entry ->
+    let graph = Flow_graph.build [ entry ] in
+    let pass = Typed_rules.prepare graph ~waivers in
+    Typed_rules.lint pass entry
 
-let lint_bin ?(name = "fixture.ml") content =
-  Engine.lint_source { Engine.rel = "bin/" ^ name; content; has_mli = true }
-
-let rules fs = List.map (fun f -> f.Finding.rule) fs
-let has_rule r fs = List.mem r (rules fs)
-
-let no_findings name content =
+let no_typed_findings ?rel name content =
   case name (fun () ->
-      match lint_lib content with
+      match typed_lint ?rel content with
       | [] -> ()
       | fs ->
         Alcotest.failf "expected no findings, got:\n%s"
           (String.concat "\n" (List.map Finding.to_string fs)))
 
+let find_rule r fs = List.find (fun f -> f.Finding.rule = r) fs
+
+let rules fs = List.map (fun f -> f.Finding.rule) fs
+let has_rule r fs = List.mem r (rules fs)
+
 let domain_safety =
   [
     case "toplevel ref is flagged" (fun () ->
-        let fs = lint_lib "let counter = ref 0\n" in
+        let fs = typed_lint "let counter = ref 0\n" in
         check Alcotest.bool "flagged" true (has_rule "domain-safety" fs);
         let f = List.hd fs in
         check Alcotest.string "key is the binding name" "counter" f.Finding.key;
         check Alcotest.int "line" 1 f.Finding.line);
     case "toplevel Hashtbl and mutable record literal are flagged" (fun () ->
         let fs =
-          lint_lib
+          typed_lint
             "type t = { mutable n : int }\n\
              let cache = Hashtbl.create 16\n\
              let state = { n = 0 }\n"
@@ -48,158 +58,207 @@ let domain_safety =
         check Alcotest.int "two findings" 2 (List.length fs);
         check Alcotest.bool "all domain-safety" true
           (List.for_all (fun f -> f.Finding.rule = "domain-safety") fs));
-    no_findings "ref inside a function body is fine"
+    case "Hashtbl.create reached through open Hashtbl is flagged" (fun () ->
+        let fs = typed_lint "open Hashtbl\nlet cache = create 16\n" in
+        let f = find_rule "domain-safety" fs in
+        check Alcotest.string "key" "cache" f.Finding.key;
+        check Alcotest.int "line" 2 f.Finding.line);
+    case "record literal of a mutable type from another module is flagged"
+      (fun () ->
+        (* [ref]'s record type is declared in Stdlib, not in this file *)
+        let fs = typed_lint "let cell = { contents = 0 }\n" in
+        let f = find_rule "domain-safety" fs in
+        check Alcotest.string "key" "cell" f.Finding.key);
+    no_typed_findings "ref inside a function body is fine"
       "let f () =\n  let acc = ref 0 in\n  incr acc;\n  !acc\n";
-    no_findings "Atomic/Mutex toplevel state is the sanctioned idiom"
+    no_typed_findings "Atomic/Mutex toplevel state is the sanctioned idiom"
       "let hits = Atomic.make 0\nlet lock = Mutex.create ()\n";
   ]
+
+let hash_stubs =
+  "module Sha256 = struct let digest (_ : string) = \"\" end\n\
+   module Hmac = struct let mac_prepared () (_ : string list) = \"\" end\n\
+   module Ibs = struct let sign () () (_ : string) = \"\" end\n\
+   module Sc_hash = struct\n\
+  \  module Encode = struct\n\
+  \    let frame (l : string list) = l\n\
+  \    let canonical (l : string list) = String.concat \"\" l\n\
+  \  end\n\
+   end\n"
 
 let signing_encode =
   [
     case "sprintf flowing into a hash sink is flagged" (fun () ->
         let fs =
-          lint_lib
-            "let h a b = Sha256.digest (Printf.sprintf \"%s|%s\" a b)\n"
+          typed_lint
+            (hash_stubs
+            ^ "let h a b = Sha256.digest (Printf.sprintf \"%s|%s\" a b)\n")
         in
         check Alcotest.bool "flagged" true (has_rule "signing-encode" fs));
     case "two-fragment concat into Ibs.sign is flagged" (fun () ->
         let fs =
-          lint_lib "let s pub key a b = Ibs.sign pub key (a ^ \"|\" ^ b)\n"
+          typed_lint
+            (hash_stubs ^ "let s pub key a b = Ibs.sign pub key (a ^ \"|\" ^ b)\n")
         in
-        check Alcotest.bool "flagged" true (has_rule "signing-encode" fs);
-        let f = List.find (fun f -> f.Finding.rule = "signing-encode") fs in
+        let f = find_rule "signing-encode" fs in
         check Alcotest.string "key names fn and sink" "s:Ibs.sign"
           f.Finding.key);
     case "local producer of a tainted concat is traced to the sink" (fun () ->
         let fs =
-          lint_lib
-            "let encode a b = a ^ \":\" ^ b\n\
-             let h a b = Sha256.digest (encode a b)\n"
+          typed_lint
+            (hash_stubs
+            ^ "let encode a b = a ^ \":\" ^ b\n\
+               let h a b = Sha256.digest (encode a b)\n")
         in
         check Alcotest.bool "flagged" true (has_rule "signing-encode" fs));
     case "literal raw-fragment list into Hmac.mac_prepared is flagged"
       (fun () ->
-        let fs = lint_lib "let t key a b = Hmac.mac_prepared key [ a; b ]\n" in
-        let f = List.find (fun f -> f.Finding.rule = "signing-encode") fs in
+        let fs =
+          typed_lint (hash_stubs ^ "let t key a b = Hmac.mac_prepared key [ a; b ]\n")
+        in
+        let f = find_rule "signing-encode" fs in
         check Alcotest.string "key names fn and sink" "t:Hmac.mac_prepared"
           f.Finding.key);
-    no_findings "Encode.frame into Hmac.mac_prepared is the sanctioned path"
-      "let t key a b = Hmac.mac_prepared key (Sc_hash.Encode.frame [ a; b ])\n";
-    no_findings "single dynamic fragment with a literal prefix is injective"
-      "let h id = Sha256.digest (\"id:\" ^ id)\n";
-    no_findings "Encode.canonical framing is the sanctioned path"
-      "let h a b = Sha256.digest (Sc_hash.Encode.canonical [ \"tag\"; a; b ])\n";
-    no_findings "numeric-only sprintf cannot collide"
-      "let h n = Sha256.digest (Printf.sprintf \"blk-%d\" n)\n";
+    no_typed_findings "Encode.frame into Hmac.mac_prepared is the sanctioned path"
+      (hash_stubs
+      ^ "let t key a b = Hmac.mac_prepared key (Sc_hash.Encode.frame [ a; b ])\n"
+      );
+    no_typed_findings "single dynamic fragment with a literal prefix is injective"
+      (hash_stubs ^ "let h id = Sha256.digest (\"id:\" ^ id)\n");
+    no_typed_findings "Encode.canonical framing is the sanctioned path"
+      (hash_stubs
+      ^ "let h a b = Sha256.digest (Sc_hash.Encode.canonical [ \"tag\"; a; b ])\n"
+      );
+    no_typed_findings "numeric-only sprintf cannot collide"
+      (hash_stubs ^ "let h n = Sha256.digest (Printf.sprintf \"blk-%d\" n)\n");
   ]
 
 let exception_discipline =
   [
     case "silent catch-all is flagged" (fun () ->
         let fs =
-          lint_lib "let parse s = try int_of_string s with _ -> 0\n"
+          typed_lint "let parse s = try int_of_string s with _ -> 0\n"
         in
         check Alcotest.bool "flagged" true (has_rule "exception-swallow" fs));
-    no_findings "catch-all that re-raises is fine"
-      "let f g = try g () with e -> cleanup (); raise e\n";
-    no_findings "catch-all whose body uses the exception is fine"
-      "let f g = try g () with e -> log (Printexc.to_string e); None\n";
-    no_findings "typed handler is fine"
+    no_typed_findings "catch-all that re-raises is fine"
+      "let cleanup () = ()\n\
+       let f g = try g () with e -> cleanup (); raise e\n";
+    no_typed_findings "catch-all whose body uses the exception is fine"
+      "let log (_ : string) = ()\n\
+       let f g = try g () with e -> log (Printexc.to_string e); None\n";
+    no_typed_findings "typed handler is fine"
       "let parse s = try int_of_string s with Failure _ -> 0\n";
-    no_findings "option-returning stdlib idiom is the sanctioned fix"
+    no_typed_findings "option-returning stdlib idiom is the sanctioned fix"
       "let parse s = Option.value ~default:0 (int_of_string_opt s)\n";
   ]
 
+let ec_stubs =
+  "module Curve = struct\n\
+  \  let infinity = 0\n\
+  \  let double () p = 2 * p\n\
+  \  let add () p q = p + q\n\
+  \  let mul () k p = k * p\n\
+   end\n\
+   module Nat = struct\n\
+  \  let bit_length k = k\n\
+  \  let test_bit k i = k land (1 lsl i) <> 0\n\
+   end\n"
+
 let naive_ladder_src =
-  "let slow_mul c k p =\n\
-  \  let acc = ref Curve.infinity in\n\
-  \  for i = Nat.bit_length k - 1 downto 0 do\n\
-  \    acc := Curve.double c !acc;\n\
-  \    if Nat.test_bit k i then acc := Curve.add c !acc p\n\
-  \  done;\n\
-  \  !acc\n"
+  ec_stubs
+  ^ "let slow_mul c k p =\n\
+    \  let acc = ref Curve.infinity in\n\
+    \  for i = Nat.bit_length k - 1 downto 0 do\n\
+    \    acc := Curve.double c !acc;\n\
+    \    if Nat.test_bit k i then acc := Curve.add c !acc p\n\
+    \  done;\n\
+    \  !acc\n"
 
 let naive_scalar_mul =
   [
     case "double-and-add ladder outside lib/ec is flagged informational"
       (fun () ->
-        let fs = lint_bin naive_ladder_src in
-        let f = List.find (fun f -> f.Finding.rule = "naive-scalar-mul") fs in
+        let fs = typed_lint ~rel:"bin/fixture.ml" naive_ladder_src in
+        let f = find_rule "naive-scalar-mul" fs in
         check Alcotest.bool "info severity" true
           (f.Finding.severity = Finding.Info);
         check Alcotest.string "key is the binding name" "slow_mul"
           f.Finding.key);
     case "the same ladder inside lib/ec is the implementation, not a finding"
       (fun () ->
-        let fs =
-          Engine.lint_source
-            { Engine.rel = "lib/ec/fixture.ml"; content = naive_ladder_src;
-              has_mli = true }
-        in
+        let fs = typed_lint ~rel:"lib/ec/fixture.ml" naive_ladder_src in
         check Alcotest.bool "not flagged" false
           (has_rule "naive-scalar-mul" fs));
-    no_findings "going through Curve.mul is the sanctioned path"
-      "let scale c k p = Curve.mul c k p\n";
-    no_findings "bit scans without point doubling (serialization) are fine"
-      "let bits k = List.init (Nat.bit_length k) (Nat.test_bit k)\n";
+    no_typed_findings "going through Curve.mul is the sanctioned path"
+      (ec_stubs ^ "let scale c k p = Curve.mul c k p\n");
+    no_typed_findings "bit scans without point doubling (serialization) are fine"
+      (ec_stubs ^ "let bits k = List.init (Nat.bit_length k) (Nat.test_bit k)\n");
   ]
+
+let telemetry_stubs =
+  "module Telemetry = struct\n\
+  \  let counter (_ : string) = ()\n\
+  \  let with_span ~name f = ignore (name : string); f ()\n\
+   end\n\
+   module Registry = struct let histogram (_ : string) = () end\n\
+   module Labels = struct\n\
+  \  let counter_vec ~label (_ : string) = ignore (label : string)\n\
+  \  let counter () (_ : string) = ()\n\
+   end\n"
 
 let dynamic_metric_name =
   [
     case "computed counter name is flagged informational" (fun () ->
         let fs =
-          lint_lib
-            "let c_for peer = Telemetry.counter (\"rpc.\" ^ peer ^ \".calls\")\n"
+          typed_lint
+            (telemetry_stubs
+            ^ "let c_for peer = Telemetry.counter (\"rpc.\" ^ peer ^ \".calls\")\n"
+            )
         in
-        let f =
-          List.find (fun f -> f.Finding.rule = "dynamic-metric-name") fs
-        in
+        let f = find_rule "dynamic-metric-name" fs in
         check Alcotest.bool "info severity" true
           (f.Finding.severity = Finding.Info));
     case "computed with_span ~name: is flagged" (fun () ->
         let fs =
-          lint_lib
-            "let traced n f = Telemetry.with_span ~name:(\"op.\" ^ n) f\n"
+          typed_lint
+            (telemetry_stubs
+            ^ "let traced n f = Telemetry.with_span ~name:(\"op.\" ^ n) f\n")
         in
         check Alcotest.bool "flagged" true (has_rule "dynamic-metric-name" fs));
     case "lib/telemetry itself is exempt" (fun () ->
         let fs =
-          Engine.lint_source
-            {
-              Engine.rel = "lib/telemetry/fixture.ml";
-              content =
-                "let h_for sp = Registry.histogram (\"span.\" ^ sp.name)\n";
-              has_mli = true;
-            }
+          typed_lint ~rel:"lib/telemetry/fixture.ml"
+            (telemetry_stubs
+            ^ "type span = { name : string }\n\
+               let h_for sp = Registry.histogram (\"span.\" ^ sp.name)\n")
         in
         check Alcotest.bool "not flagged" false
           (has_rule "dynamic-metric-name" fs));
-    no_findings "literal metric names are the sanctioned shape"
-      "let c = Telemetry.counter \"audit.rounds\"\n\
-       let traced f = Telemetry.with_span ~name:\"audit.verify\" f\n";
-    no_findings "per-key fan-out through a labeled family is sanctioned"
-      "let v = Labels.counter_vec ~label:\"kind\" \"wire.tx.msgs\"\n\
-       let cell k = Labels.counter v k\n";
+    no_typed_findings "literal metric names are the sanctioned shape"
+      (telemetry_stubs
+      ^ "let c = Telemetry.counter \"audit.rounds\"\n\
+         let traced f = Telemetry.with_span ~name:\"audit.verify\" f\n");
+    no_typed_findings "per-key fan-out through a labeled family is sanctioned"
+      (telemetry_stubs
+      ^ "let v = Labels.counter_vec ~label:\"kind\" \"wire.tx.msgs\"\n\
+         let cell k = Labels.counter v k\n");
   ]
+
+(* no-mli is a file-level check: it needs no cmt, so a missing build
+   directory leaves it beside the no-cmt error. *)
+let file_findings rel ~has_mli =
+  Engine.lint_all ~build_dir:"/nonexistent-cmt-dir" ~waivers:[] ~callers:[]
+    [ { Engine.rel; has_mli } ]
 
 let infra =
   [
     case "lib module without .mli yields an informational finding" (fun () ->
-        let fs = lint_lib ~has_mli:false "let x = 1\n" in
-        let f = List.find (fun f -> f.Finding.rule = "no-mli") fs in
+        let f = find_rule "no-mli" (file_findings "lib/fixture.ml" ~has_mli:false) in
         check Alcotest.bool "info severity" true
           (f.Finding.severity = Finding.Info));
     case "bin module without .mli is not reported" (fun () ->
-        let fs =
-          Engine.lint_source
-            { Engine.rel = "bin/fixture.ml"; content = "let x = 1\n";
-              has_mli = false }
-        in
-        check Alcotest.(list string) "no findings" [] (rules fs));
-    case "syntax error becomes a parse-error finding, not an exception"
-      (fun () ->
-        let fs = lint_lib "let = in +++\n" in
-        check Alcotest.bool "parse-error" true (has_rule "parse-error" fs));
+        check Alcotest.(list string) "only no-cmt" [ "no-cmt" ]
+          (rules (file_findings "bin/fixture.ml" ~has_mli:false)));
   ]
 
 let waiver_text =
@@ -211,7 +270,7 @@ let waiver_text =
 let waivers =
   [
     case "waiver round-trip suppresses the matching finding" (fun () ->
-        let fs = lint_lib "let counter = ref 0\nlet other = ref 1\n" in
+        let fs = typed_lint "let counter = ref 0\nlet other = ref 1\n" in
         check Alcotest.int "two raw findings" 2 (List.length fs);
         match Waiver.parse waiver_text with
         | Error e -> Alcotest.failf "parse failed: %s" e
@@ -240,37 +299,6 @@ let waivers =
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected parse error");
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Typed-pass fixtures.  Each source is typechecked in-process with no
-   extra include dirs: the typed rules match suffix names
-   ("Setup.sio", "Sc_parallel.parallel_iter", "Service.error"), so
-   stub modules defined inside the fixture stand in for the repo's
-   and the tests stay hermetic. *)
-
-module Typed_load = Sc_lint_core.Typed_load
-module Flow_graph = Sc_lint_core.Flow_graph
-module Typed_rules = Sc_lint_core.Typed_rules
-
-let typed_lint ?(waivers = []) ?(rel = "lib/fixture.ml") content =
-  match
-    Typed_load.typecheck ~include_dirs:[] ~modname:"Fixture" ~rel content
-  with
-  | Error e -> Alcotest.failf "fixture did not typecheck:\n%s" e
-  | Ok entry ->
-    let graph = Flow_graph.build [ entry ] in
-    let pass = Typed_rules.prepare graph ~waivers in
-    Typed_rules.lint pass entry
-
-let no_typed_findings ?rel name content =
-  case name (fun () ->
-      match typed_lint ?rel content with
-      | [] -> ()
-      | fs ->
-        Alcotest.failf "expected no typed findings, got:\n%s"
-          (String.concat "\n" (List.map Finding.to_string fs)))
-
-let find_rule r fs = List.find (fun f -> f.Finding.rule = r) fs
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -540,15 +568,7 @@ let typed_determinism =
 let typed_fallback =
   [
     case "a source without a cmt yields no-cmt" (fun () ->
-        let src =
-          { Engine.rel = "lib/fixture.ml"; content = "let x = 1\n"; has_mli = true }
-        in
-        let f =
-          find_rule "no-cmt"
-            (Engine.lint_all ~build_dir:"/nonexistent-cmt-dir" ~waivers:[]
-               ~callers:[]
-               [ src ])
-        in
+        let f = find_rule "no-cmt" (file_findings "lib/fixture.ml" ~has_mli:true) in
         check Alcotest.bool "error severity" true
           (f.Finding.severity = Finding.Error);
         check Alcotest.string "key is the file" "lib/fixture.ml" f.Finding.key);

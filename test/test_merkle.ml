@@ -214,50 +214,6 @@ let dynamic_unit_tests =
           end
         in
         go (T.build [ "app-0" ]) [ "app-0" ] 1);
-    case "dynamic: insert at every position equals rebuild" (fun () ->
-        List.iter
-          (fun n ->
-            let ps = payloads "ins" n in
-            let t = T.build ps in
-            for at = 0 to n do
-              let ps' =
-                List.filteri (fun j _ -> j < at) ps
-                @ [ "inserted" ]
-                @ List.filteri (fun j _ -> j >= at) ps
-              in
-              if not (same_root ps' (T.insert t ~at (T.leaf_hash "inserted")))
-              then Alcotest.failf "size %d at %d" n at
-            done)
-          [ 1; 2; 3; 5; 8; 9; 16; 17 ]);
-    case "dynamic: delete at every position equals rebuild" (fun () ->
-        List.iter
-          (fun n ->
-            let ps = payloads "del" n in
-            let t = T.build ps in
-            for at = 0 to n - 1 do
-              let ps' = List.filteri (fun j _ -> j <> at) ps in
-              if not (same_root ps' (T.delete t ~at)) then
-                Alcotest.failf "size %d at %d" n at
-            done)
-          [ 2; 3; 5; 8; 9; 16; 17 ]);
-    case "dynamic: delete of the last leaf raises" (fun () ->
-        Alcotest.check_raises "last leaf"
-          (Invalid_argument "Dynamic_tree.delete: last leaf") (fun () ->
-            ignore (T.delete (T.build [ "x" ]) ~at:0)));
-    case "dynamic: batched apply equals one-by-one" (fun () ->
-        let t = T.build (payloads "batch" 9) in
-        let ops =
-          [
-            T.Modify { index = 2; leaf = T.leaf_hash "m2" };
-            T.Append { leaf = T.leaf_hash "a9" };
-            T.Insert { index = 4; leaf = T.leaf_hash "i4" };
-            T.Delete { index = 0 };
-            T.Modify { index = 7; leaf = T.leaf_hash "m7" };
-          ]
-        in
-        let batched = T.apply t ops in
-        let stepped = List.fold_left (fun t op -> T.apply t [ op ]) t ops in
-        check Alcotest.bool "same root" true (String.equal (T.root batched) (T.root stepped)));
     case "dynamic: frontier tracks every root" (fun () ->
         List.iter
           (fun n ->
@@ -290,33 +246,19 @@ let dynamic_property_tests =
      must equal the naive reference root of the model. *)
   let gen_script =
     QCheck2.Gen.(
-      pair gen_leaves (list_size (int_range 1 24) (pair (int_bound 3) nat)))
+      pair gen_leaves (list_size (int_range 1 24) (pair bool nat)))
   in
   let run_script (leaves, script) =
-    let step (model, t) (kind, r) =
+    let step (model, t) (modify, r) =
       let n = List.length model in
-      match kind with
-      | 0 ->
+      if modify then
         let i = r mod n in
         let p = Printf.sprintf "m%d" r in
         ( List.mapi (fun j x -> if j = i then p else x) model,
-          T.apply t [ T.Modify { index = i; leaf = T.leaf_hash p } ] )
-      | 1 ->
+          T.modify t i (T.leaf_hash p) )
+      else
         let p = Printf.sprintf "a%d" r in
-        (model @ [ p ], T.apply t [ T.Append { leaf = T.leaf_hash p } ])
-      | 2 ->
-        let at = r mod (n + 1) in
-        let p = Printf.sprintf "i%d" r in
-        ( List.filteri (fun j _ -> j < at) model
-          @ [ p ]
-          @ List.filteri (fun j _ -> j >= at) model,
-          T.apply t [ T.Insert { index = at; leaf = T.leaf_hash p } ] )
-      | _ ->
-        if n = 1 then (model, t)
-        else
-          let at = r mod n in
-          ( List.filteri (fun j _ -> j <> at) model,
-            T.apply t [ T.Delete { index = at } ] )
+        (model @ [ p ], T.append t (T.leaf_hash p))
     in
     let check_state (model, t) =
       same_root model t && List.length (T.leaf_hashes t) = List.length model

@@ -1,65 +1,33 @@
-(* Parsing, file discovery, the informational no-mli rule, and the
-   lint gate.  The AST rules live in [Rules], the typed ones in
-   [Typed_rules]; [gate] is the one entry point the CLI and the
-   self-lint test share, so the two cannot drift apart. *)
+(* File discovery, the informational no-mli rule, and the lint gate.
+   Every rule runs on the Typedtree ([Typed_rules]); [gate] is the one
+   entry point the CLI and the self-lint test share, so the two cannot
+   drift apart. *)
 
 type source = {
   rel : string; (* root-relative, '/'-separated *)
-  content : string;
   has_mli : bool;
 }
 
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
+let in_lib rel = String.starts_with ~prefix:"lib/" rel
 
-let parse_error ~rel ~line msg =
-  {
-    Finding.rule = "parse-error";
-    file = rel;
-    line;
-    severity = Finding.Error;
-    key = rel;
-    msg;
-  }
+let no_mli (src : source) =
+  if in_lib src.rel && not src.has_mli then
+    [
+      {
+        Finding.rule = "no-mli";
+        file = src.rel;
+        line = 1;
+        severity = Finding.Info;
+        key = src.rel;
+        msg =
+          "library module has no .mli; its public surface is implicit \
+           (informational)";
+      };
+    ]
+  else []
 
-let lint_source (src : source) : Finding.t list =
-  let structure =
-    let lexbuf = Lexing.from_string src.content in
-    Location.init lexbuf src.rel;
-    match Parse.implementation lexbuf with
-    | str -> Ok str
-    | exception Syntaxerr.Error err ->
-      let loc = Syntaxerr.location_of_error err in
-      Error
-        (parse_error ~rel:src.rel ~line:loc.loc_start.Lexing.pos_lnum
-           "syntax error")
-    | exception exn ->
-      Error (parse_error ~rel:src.rel ~line:1 (Printexc.to_string exn))
-  in
-  let ast_findings =
-    match structure with
-    | Ok str -> Rules.lint ~path:src.rel str
-    | Error f -> [ f ]
-  in
-  let no_mli =
-    if in_lib src.rel && not src.has_mli then
-      [
-        {
-          Finding.rule = "no-mli";
-          file = src.rel;
-          line = 1;
-          severity = Finding.Info;
-          key = src.rel;
-          msg =
-            "library module has no .mli; its public surface is implicit \
-             (informational)";
-        };
-      ]
-    else []
-  in
-  ast_findings @ no_mli
-
-(* Every source must have a cmt: a file the typed rules cannot see is
-   an error, the same way a file the parser cannot read is. *)
+(* Every source must have a cmt: a file the rules cannot see is an
+   error.  A file that does not parse has none either. *)
 let no_cmt ~build_dir rel =
   {
     Finding.rule = "no-cmt";
@@ -69,12 +37,12 @@ let no_cmt ~build_dir rel =
     key = rel;
     msg =
       Printf.sprintf
-        "no .cmt for this file under %s, so the typed rules cannot run on \
+        "no .cmt for this file under %s, so the lint rules cannot run on \
          it; build the cmts first (dune build @check)"
         build_dir;
   }
 
-(* The typed pass reads three kinds of cmt: the linted sources', the
+(* The pass reads three kinds of cmt: the linted sources', the
    .cmti of each linted lib/ interface, and those of the callers
    dead-export counts.  Any of them missing is a no-cmt error, so an
    unbuilt caller cannot make an export look dead or alive. *)
@@ -104,7 +72,7 @@ let lint_all ~build_dir ~waivers ~callers srcs =
       (rels @ intf_rels @ caller_rels)
   in
   List.sort_uniq Finding.compare
-    (List.concat_map lint_source srcs
+    (List.concat_map no_mli srcs
     @ List.concat_map (Typed_rules.lint pass) linted
     @ Typed_rules.dead_exports intfs ~callers:entries
     @ missing)
@@ -161,11 +129,7 @@ let collect_files ~root dirs : source list =
               in
               strip rel
             in
-            {
-              rel;
-              content = read_file path;
-              has_mli = Sys.file_exists (path ^ "i");
-            })
+            { rel; has_mli = Sys.file_exists (path ^ "i") })
           (walk abs))
     dirs
 

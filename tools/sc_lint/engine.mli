@@ -1,15 +1,11 @@
-(** Lint driver: parse sources, run the AST and typed rules plus the
-    informational no-mli check, discover files on disk, and apply the
+(** Lint driver: discover files on disk, run the rules ({!Typed_rules})
+    over their cmts plus the informational no-mli check, and apply the
     waiver baseline. *)
 
 type source = {
   rel : string;  (** root-relative path recorded in findings *)
-  content : string;
   has_mli : bool;
 }
-
-val lint_source : source -> Finding.t list
-(** The Parsetree rules and no-mli for one source. *)
 
 val lint_all :
   build_dir:string ->
@@ -17,14 +13,14 @@ val lint_all :
   callers:string list ->
   source list ->
   Finding.t list
-(** Parse rules plus the typed pass ({!Typed_rules}) over the cmts
-    under [build_dir], sorted.  [callers] are the root-relative [.ml]
+(** The rules ({!Typed_rules}) over the cmts under [build_dir] plus
+    no-mli, sorted.  [callers] are the root-relative [.ml]
     paths whose cmts dead-export counts as references.  A source, a
     lib/ interface or a caller without its cmt yields an Error finding
     [no-cmt]. *)
 
 val collect_files : root:string -> string list -> source list
-(** [collect_files ~root dirs] reads every [.ml] under [root/dir] for
+(** [collect_files ~root dirs] finds every [.ml] under [root/dir] for
     each [dir], skipping [_build] and dot-directories. *)
 
 type report = {

@@ -39,7 +39,7 @@ let compare a b =
   | c -> c
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering for --json (schema documented in DESIGN.md §4l)     *)
+(* JSON rendering for --json (schema documented in DESIGN.md §4g)     *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -23,4 +23,4 @@ val compare : t -> t -> int
 
 val to_json : ?waived:bool -> t -> string
 (** One finding as a JSON object (stable field order; schema in
-    DESIGN.md §4l). *)
+    DESIGN.md §4g). *)

@@ -2,15 +2,14 @@
                 [--no-waivers] [--json] [DIR ...]
 
    Lints every .ml under the given directories (default: lib bin test,
-   relative to --root) with the Parsetree and typed rules, applies the
-   waiver baseline, and prints the remaining findings as
-   "file:line rule severity message".  The typed rules read the cmts
-   under <root>/_build/default (or <root> itself when it is a build
-   tree); a file without one is a no-cmt error, so build with
-   `dune build @check` first.
+   relative to --root), applies the waiver baseline, and prints the
+   remaining findings as "file:line rule severity message".  The rules
+   read the cmts under <root>/_build/default (or <root> itself when it
+   is a build tree); a file without one is a no-cmt error, so build
+   with `dune build @check` first.
 
    --json emits every finding (waived ones flagged) as a JSON array on
-   stdout — stable order, schema in DESIGN.md §4l — with the usual
+   stdout — stable order, schema in DESIGN.md §4g — with the usual
    summary on stderr.
 
    Exit status: 0 clean, 1 unwaived error findings (or, with

@@ -1,4 +1,4 @@
-(* The five typed rules over loaded cmts:
+(* Every sc_lint rule over loaded cmts.  Five typed rules:
 
    - typed-secret-flow: taint by *type* (IBC setup secrets, identity
      keys, DRBG states) plus keystream sources, propagated through
@@ -20,6 +20,29 @@
      graph, reporting the full chain at each lib/ entry point.
      Waivers block propagation: an accepted direct use (telemetry
      clock) does not contaminate its callers.
+
+   Five syntactic rules, on the same trees, so a called name is its
+   resolved path ([open Hashtbl] ... [create] is [Hashtbl.create]):
+
+   - domain-safety: toplevel mutable state (ref, Hashtbl/Buffer/
+     Queue/Stack.create, a record literal of a type with a mutable
+     field, wherever the type is declared) outside functor bodies.
+   - signing-encode: a concatenation ((^), sprintf, String.concat or
+     a call to a function returning one) with >= 2 unvalidated
+     fragments reaching a hash / sign / KDF sink instead of
+     Sc_hash.Encode.
+   - exception-swallow: a catch-all handler that neither uses the
+     exception nor re-raises.
+   - naive-scalar-mul (informational): a binding outside lib/ec that
+     scans scalar bits (test_bit) and calls Curve.double itself — a
+     hand-rolled double-and-add; Curve.mul (ladder) or a cached
+     Curve.mul_precomp comb is faster.
+   - dynamic-metric-name (informational): a computed name given to a
+     Telemetry/Registry counter/gauge/histogram or to [with_span
+     ~name] outside lib/telemetry.  A registry cell lives forever, so
+     a computed name grows it without bound; per-key fan-out belongs
+     in Labels.counter_vec / Labels.histogram_vec under a literal
+     family.
 
    All keys are line-free and chain-stable so the waiver baseline
    survives reformatting. *)
@@ -59,6 +82,17 @@ let qualified_last2 ~current segs =
 
 let tokens_of name = String.split_on_char '_' (String.lowercase_ascii name)
 
+let in_lib rel = String.starts_with ~prefix:"lib/" rel
+
+(* The arguments an application supplies, in order. *)
+let applied args = List.filter_map snd args
+
+(* A called function's resolved path, Stdlib prefix dropped. *)
+let callee_segs (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> Some (strip_stdlib (Flow_graph.path_segs p))
+  | _ -> None
+
 let iter_exprs f body =
   let it =
     {
@@ -70,6 +104,16 @@ let iter_exprs f body =
     }
   in
   it.expr it body
+
+let mentions pred body =
+  let found = ref false in
+  iter_exprs
+    (fun e ->
+      match e.exp_desc with
+      | Texp_ident (p, _, _) when pred p -> found := true
+      | _ -> ())
+    body;
+  !found
 
 (* ------------------------------------------------------------------ *)
 (* Type predicates                                                    *)
@@ -182,14 +226,17 @@ let sink_name segs =
     | _ -> None
   else None
 
-(* Digest/MAC outputs are public by design (they go on the wire); a
-   hash is where taint stops. *)
-let sanitizers =
+(* Hash / MAC sinks.  Their outputs are public by design (they go on
+   the wire), so a hash is where secret taint stops; their string
+   inputs must be canonically framed (signing-encode).  Matched on the
+   last two path segments. *)
+let hash_sinks =
   SSet.of_list
     [
       "Sha256.digest";
       "Sha256.digest_hex";
       "Sha256.digest_concat";
+      "Sha256.feed";
       "Hmac.mac";
       "Hmac.mac_hex";
       "Hmac.mac_concat";
@@ -198,10 +245,10 @@ let sanitizers =
       "Hash_g1.hash_to_scalar";
     ]
 
-let is_sanitizer segs =
+let hash_sink segs =
   match last2 (strip_stdlib segs) with
-  | Some n -> SSet.mem n sanitizers
-  | None -> false
+  | Some n when SSet.mem n hash_sinks -> Some n
+  | _ -> None
 
 (* Calls whose *result* is secret even though its type is a plain
    string: the DRBG keystream. *)
@@ -236,6 +283,9 @@ type pass = {
   summaries : (string, summary) Hashtbl.t;
   nondet : (string, string list * int * bool) Hashtbl.t;
       (* fn qname -> (chain ending in prim, line, propagate) *)
+  producers : (string, int option) Hashtbl.t;
+      (* fn qname -> fragment taint of the concatenation it returns
+         (signing-encode), filled on first call *)
 }
 
 type sctx = {
@@ -439,7 +489,7 @@ and scan_apply ctx e head args =
         pairs;
       None
     | None -> (
-      if is_sanitizer segs then None
+      if hash_sink segs <> None then None
       else
         match secret_source segs with
         | Some src -> Some (Secret (src ^ " output"))
@@ -550,8 +600,6 @@ let waived pass ~rule ~file ~key =
   List.exists
     (fun (w : Waiver.t) -> w.rule = rule && w.file = file && w.key = key)
     pass.waivers
-
-let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 
 (* Forbidden sources of nondeterminism: Random (randomness belongs to
    Sc_hash.Drbg) and the wall clocks (time to the simulated clock). *)
@@ -729,9 +777,6 @@ let analyze_closure pass (entry : Typed_load.entry) ~enclosing closure =
     info.safe <- info.safe + 1;
     Option.iter (fun i -> info.idxs <- i :: info.idxs) idx
   in
-  let positional args =
-    List.filter_map (fun (_, ao) -> ao) args
-  in
   let note_pat : type k. k general_pattern -> unit =
    fun p ->
     match p.pat_desc with
@@ -757,7 +802,7 @@ let analyze_closure pass (entry : Typed_load.entry) ~enclosing closure =
                position-addressed access; the generic Texp_ident case
                still counts it in [total] when the children are
                visited below *)
-            match (last2 (strip_stdlib (Flow_graph.path_segs p)), positional args)
+            match (last2 (strip_stdlib (Flow_graph.path_segs p)), applied args)
             with
             | ( Some
                   ( "Array.get" | "Array.set" | "Bytes.get" | "Bytes.set"
@@ -777,17 +822,10 @@ let analyze_closure pass (entry : Typed_load.entry) ~enclosing closure =
   in
   (* bind the closure's own parameters, then walk *)
   it.expr it closure;
-  let mentions_bound idx =
-    let found = ref false in
-    iter_exprs
-      (fun e ->
-        match e.exp_desc with
-        | Texp_ident (Path.Pident id, _, _)
-          when Hashtbl.mem bound (Ident.unique_name id) ->
-          found := true
-        | _ -> ())
-      idx;
-    !found
+  let mentions_bound =
+    mentions (function
+      | Path.Pident id -> Hashtbl.mem bound (Ident.unique_name id)
+      | _ -> false)
   in
   let findings = ref [] in
   Hashtbl.iter
@@ -822,10 +860,7 @@ let analyze_closure pass (entry : Typed_load.entry) ~enclosing closure =
   !findings
 
 let domain_capture pass (entry : Typed_load.entry) =
-  if
-    String.length entry.rel >= 13
-    && String.sub entry.rel 0 13 = "lib/parallel/"
-  then []
+  if String.starts_with ~prefix:"lib/parallel/" entry.rel then []
   else
     let findings = ref [] in
     List.iter
@@ -1175,11 +1210,456 @@ let dead_exports (intfs : Typed_load.intf list) ~(callers : Typed_load.entry lis
     lib_intfs
 
 (* ------------------------------------------------------------------ *)
+(* Syntactic rules                                                    *)
+
+(* Constructors of shared mutable state, named.  Atomic.make,
+   Mutex.create, Condition.create and Domain.DLS.new_key are
+   deliberately absent: those are the domain-safe alternatives
+   domain-safety pushes toward. *)
+let mutable_ctor segs =
+  match (segs, last2 segs) with
+  | [ "ref" ], _
+  | ( _,
+      Some ("Hashtbl.create" | "Buffer.create" | "Queue.create" | "Stack.create")
+    ) ->
+    Some (String.concat "." segs)
+  | _ -> None
+
+(* Sinks whose string arguments must be canonically framed: the hash
+   and MAC sinks plus signing and DRBG seeding. *)
+let encode_sink segs =
+  match hash_sink segs with
+  | Some n -> Some n
+  | None -> (
+    match last2 segs with
+    | Some ("Ibs.sign" | "Drbg.create") as n -> n
+    | _ -> None)
+
+(* digest_concat / mac_concat / mac_prepared take fragment *lists*: a
+   literal list of raw fragments is exactly the ambiguity Encode.frame
+   exists for. *)
+let concat_sinks =
+  SSet.of_list
+    [ "Sha256.digest_concat"; "Hmac.mac_concat"; "Hmac.mac_prepared" ]
+
+(* Fragment producers that cannot introduce framing ambiguity: decimal
+   renderings of scalars contain no attacker bytes, and Encode output
+   is already canonical. *)
+let safe_fragment_fn segs =
+  (match last1 segs with
+  | Some ("string_of_int" | "string_of_float" | "string_of_bool") -> true
+  | _ -> false)
+  ||
+  match last2 segs with
+  | Some
+      ( "Int.to_string" | "Float.to_string" | "Bool.to_string"
+      | "Encode.canonical" | "Encode.digest" ) ->
+    true
+  | _ -> false
+
+(* A printf conversion consumes arguments; only %s/%S (and %a, whose
+   printed form we cannot bound) produce attacker-shaped fragments. *)
+let conversions fmt =
+  let out = ref [] in
+  let n = String.length fmt in
+  let i = ref 0 in
+  while !i < n do
+    if fmt.[!i] = '%' && !i + 1 < n then begin
+      incr i;
+      if fmt.[!i] = '%' then incr i
+      else begin
+        (* skip flags / width / precision *)
+        while
+          !i < n
+          && (match fmt.[!i] with
+             | '0' .. '9' | '-' | '+' | ' ' | '#' | '.' | '*' -> true
+             | _ -> false)
+        do
+          incr i
+        done;
+        (* skip length modifiers *)
+        while !i < n && (match fmt.[!i] with 'l' | 'L' | 'n' -> true | _ -> false)
+        do
+          incr i
+        done;
+        if !i < n then begin
+          out := fmt.[!i] :: !out;
+          incr i
+        end
+      end
+    end
+    else incr i
+  done;
+  List.rev !out
+
+(* The typechecker turns a format literal into
+   [CamlinternalFormatBasics.Format (_, "...")]; the string is the
+   literal as written. *)
+let format_literal (e : expression) =
+  match e.exp_desc with
+  | Texp_construct
+      ( _,
+        { cstr_name = "Format"; _ },
+        [ _; { exp_desc = Texp_constant (Const_string (fmt, _, _)); _ } ] ) ->
+    Some fmt
+  | _ -> None
+
+let rec literal_list (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_name = "[]"; _ }, []) -> Some []
+  | Texp_construct (_, { cstr_name = "::"; _ }, [ hd; tl ]) ->
+    Option.map (fun rest -> hd :: rest) (literal_list tl)
+  | _ -> None
+
+let rec peel_params (e : expression) =
+  match e.exp_desc with
+  | Texp_function { cases = [ c ]; _ } when c.c_guard = None ->
+    peel_params c.c_rhs
+  | _ -> e
+
+type concat_ctx = {
+  cpass : pass;
+  crel : string;
+  cmod : string;
+  lets : (string, int) Hashtbl.t; (* let-bound concatenations' taint *)
+}
+
+(* [concat_taint ctx e] is [Some n] when [e] is concatenation-shaped
+   ((^) chain, sprintf, String.concat, a call to a function whose body
+   is one of those, or a let-bound variable holding one) with [n]
+   unvalidated fragments; [None] when [e] is not a concatenation. *)
+let rec concat_taint ctx (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (Path.Pident id, _, _) ->
+    Hashtbl.find_opt ctx.lets (Ident.unique_name id)
+  | Texp_apply ({ exp_desc = Texp_ident (path, _, _); _ }, args) -> (
+    let segs = strip_stdlib (Flow_graph.path_segs path) in
+    let sum es = List.fold_left (fun acc x -> acc + fragment ctx x) 0 es in
+    match (segs, applied args) with
+    | [ "^" ], [ a; b ] -> Some (sum [ a; b ])
+    | _, args when last1 segs = Some "sprintf" || last1 segs = Some "asprintf"
+      -> (
+      match List.map format_literal args with
+      | Some fmt :: _ ->
+        let remaining = ref (List.tl args) in
+        let pop () =
+          match !remaining with
+          | x :: tl ->
+            remaining := tl;
+            Some x
+          | [] -> None
+        in
+        Some
+          (List.fold_left
+             (fun t conv ->
+               match conv with
+               | 's' | 'S' -> (
+                 match pop () with
+                 | Some arg -> t + max 1 (fragment ctx arg)
+                 | None -> t + 1 (* partial application: assume tainted *))
+               | 'a' ->
+                 ignore (pop ());
+                 ignore (pop ());
+                 t + 1
+               | _ ->
+                 ignore (pop ());
+                 t)
+             0 (conversions fmt))
+      | _ -> Some 2 (* dynamic format string: assume ambiguous *))
+    | _, [ _sep; lst ] when last2 segs = Some "String.concat" -> (
+      match literal_list lst with
+      | Some elems -> Some (sum elems)
+      | None -> Some 2 (* unknown fragment list: assume ambiguous *))
+    | _ when last2 segs = Some "String.concat" -> Some 2
+    | _ when safe_fragment_fn segs -> None
+    | _ -> producer ctx.cpass ~rel:ctx.crel ~current:ctx.cmod path)
+  | _ -> None
+
+(* Taint of a single fragment inside a concatenation. *)
+and fragment ctx (e : expression) =
+  match concat_taint ctx e with
+  | Some n -> n
+  | None -> (
+    match e.exp_desc with
+    | Texp_constant _ -> 0
+    | Texp_apply (head, _) -> (
+      match callee_segs head with
+      | Some segs when safe_fragment_fn segs -> 0
+      | _ -> 1)
+    | _ -> 1)
+
+(* A resolved callee whose body (under its parameters) is a tainted
+   concatenation, such as an [encode a b = a ^ ":" ^ b] helper. *)
+and producer pass ~rel ~current path =
+  match Flow_graph.resolve_path pass.graph ~rel ~current path with
+  | None -> None
+  | Some fn -> (
+    match Hashtbl.find_opt pass.producers fn.qname with
+    | Some t -> t
+    | None ->
+      Hashtbl.replace pass.producers fn.qname None (* recursion guard *);
+      let ctx =
+        {
+          cpass = pass;
+          crel = fn.rel;
+          cmod = prefix_of fn.qname;
+          lets = Hashtbl.create 1;
+        }
+      in
+      let t =
+        match concat_taint ctx (peel_params fn.body) with
+        | Some n when n >= 1 -> Some n
+        | _ -> None
+      in
+      Hashtbl.replace pass.producers fn.qname t;
+      t)
+
+let rec catch_all (p : pattern) =
+  match p.pat_desc with
+  | Tpat_any | Tpat_var _ -> true
+  | Tpat_alias (p, _, _) -> catch_all p
+  | Tpat_or (a, b, _) -> catch_all a || catch_all b
+  | _ -> false
+
+let bound_ident (p : pattern) =
+  match p.pat_desc with
+  | Tpat_var (id, _) | Tpat_alias (_, id, _) -> Some id
+  | _ -> None
+
+let raises path =
+  match last1 (Flow_graph.path_segs path) with
+  | Some ("raise" | "raise_notrace" | "reraise") -> true
+  | _ -> false
+
+let metric_ctors =
+  SSet.of_list
+    [
+      "Telemetry.counter";
+      "Telemetry.gauge";
+      "Telemetry.histogram";
+      "Registry.counter";
+      "Registry.gauge";
+      "Registry.histogram";
+    ]
+
+let syntactic pass (entry : Typed_load.entry) =
+  let rel = entry.rel in
+  let findings = ref [] in
+  let emit ?(severity = Finding.Error) ~rule ~line ~key msg =
+    findings :=
+      { Finding.rule; file = rel; line; severity; key; msg } :: !findings
+  in
+  let enclosing = ref "<toplevel>" in
+  let ctx =
+    { cpass = pass; crel = rel; cmod = entry.modname; lets = Hashtbl.create 16 }
+  in
+  let check_handler (p : pattern) rhs =
+    let uses =
+      match bound_ident p with
+      | Some id -> (
+        function
+        | Path.Pident i when Ident.same i id -> true
+        | path -> raises path)
+      | None -> raises
+    in
+    if catch_all p && not (mentions uses rhs) then
+      emit ~rule:"exception-swallow" ~line:(line_of_pat p) ~key:!enclosing
+        "catch-all handler silently swallows the exception; match specific \
+         exceptions, use the bound exception, or re-raise"
+  in
+  let check_sink sink (a : expression) =
+    let fragment_list = SSet.mem sink concat_sinks in
+    let taint =
+      match (literal_list a, a.exp_desc) with
+      | Some elems, _ when fragment_list ->
+        Some (List.fold_left (fun acc x -> acc + fragment ctx x) 0 elems)
+      | _, Texp_apply (head, _)
+        when fragment_list
+             && Option.bind (callee_segs head) last2 = Some "Encode.frame" ->
+        None
+      | _ -> concat_taint ctx a
+    in
+    match taint with
+    | Some n when n >= 2 ->
+      emit ~rule:"signing-encode" ~line:(line_of_expr a)
+        ~key:(!enclosing ^ ":" ^ sink)
+        (Printf.sprintf
+           "%d unvalidated fragments concatenated into %s; build the message \
+            with Sc_hash.Encode (length-prefixed, domain-tagged) instead"
+           n sink)
+    | _ -> ()
+  in
+  let check_metric_name segs (e : expression) args =
+    let flag what =
+      Option.iter (fun (a : expression) ->
+          match a.exp_desc with
+          | Texp_constant (Const_string _) -> ()
+          | _ ->
+            emit ~severity:Finding.Info ~rule:"dynamic-metric-name"
+              ~line:(line_of_expr e) ~key:(!enclosing ^ ":" ^ what)
+              (Printf.sprintf
+                 "%s in %S takes a computed name — dynamic names grow the \
+                  registry without bound; use a literal family with \
+                  Labels.counter_vec / Labels.histogram_vec for per-key \
+                  fan-out (informational)"
+                 what !enclosing))
+    in
+    let arg l =
+      List.find_map (fun (l', ao) -> if l' = l then ao else None) args
+    in
+    (match last2 segs with
+    | Some callee when SSet.mem callee metric_ctors ->
+      flag callee (arg Asttypes.Nolabel)
+    | _ -> ());
+    if last1 segs = Some "with_span" then
+      flag "with_span ~name" (arg (Asttypes.Labelled "name"))
+  in
+  let default = Tast_iterator.default_iterator in
+  let walker =
+    {
+      default with
+      expr =
+        (fun it e ->
+          match e.exp_desc with
+          | Texp_let (_, vbs, body) ->
+            List.iter
+              (fun (vb : value_binding) ->
+                let saved = !enclosing in
+                let id = bound_ident vb.vb_pat in
+                Option.iter (fun id -> enclosing := Ident.name id) id;
+                it.expr it vb.vb_expr;
+                enclosing := saved;
+                match (id, concat_taint ctx vb.vb_expr) with
+                | Some id, Some t ->
+                  Hashtbl.replace ctx.lets (Ident.unique_name id) t
+                | _ -> ())
+              vbs;
+            it.expr it body
+          | Texp_apply (head, args) ->
+            Option.iter
+              (fun segs ->
+                Option.iter
+                  (fun sink -> List.iter (check_sink sink) (applied args))
+                  (encode_sink segs);
+                if not (String.starts_with ~prefix:"lib/telemetry/" rel) then
+                  check_metric_name segs e args)
+              (callee_segs head);
+            default.expr it e
+          | Texp_try (_, cases) ->
+            List.iter (fun c -> check_handler c.c_lhs c.c_rhs) cases;
+            default.expr it e
+          | Texp_match (_, cases, _) ->
+            List.iter
+              (fun c ->
+                match c.c_lhs.pat_desc with
+                | Tpat_exception p -> check_handler p c.c_rhs
+                | _ -> ())
+              cases;
+            default.expr it e
+          | _ -> default.expr it e);
+    }
+  in
+  let domain_safety name (vb : value_binding) =
+    let found = ref None in
+    let it =
+      {
+        default with
+        expr =
+          (fun it e ->
+            let state =
+              match e.exp_desc with
+              | Texp_apply (head, _) ->
+                Option.bind (callee_segs head) mutable_ctor
+              | Texp_record { fields; _ }
+                when Array.exists
+                       (fun ((ld : Types.label_description), _) ->
+                         ld.lbl_mut = Asttypes.Mutable)
+                       fields ->
+                Some "record literal with mutable fields"
+              | _ -> None
+            in
+            match (e.exp_desc, state) with
+            | _ when !found <> None -> ()
+            | Texp_function _, _ -> () (* per-call state, not shared *)
+            | _, Some what -> found := Some (e, what)
+            | _ -> default.expr it e);
+      }
+    in
+    it.expr it vb.vb_expr;
+    Option.iter
+      (fun (e, what) ->
+        emit ~rule:"domain-safety" ~line:(line_of_expr e) ~key:name
+          (Printf.sprintf
+             "toplevel binding %S holds shared mutable state (%s); guard it \
+              with a mutex / make it Atomic / move it into Domain.DLS, or \
+              waive it with a justification"
+             name what))
+      !found
+  in
+  let naive_scalar_mul name (vb : value_binding) =
+    let calls last callee =
+      mentions (fun p -> last (Flow_graph.path_segs p) = Some callee)
+    in
+    if
+      (not (String.starts_with ~prefix:"lib/ec/" rel))
+      && calls last1 "test_bit" vb.vb_expr
+      && calls last2 "Curve.double" vb.vb_expr
+    then
+      emit ~severity:Finding.Info ~rule:"naive-scalar-mul"
+        ~line:vb.vb_loc.Location.loc_start.Lexing.pos_lnum ~key:name
+        (Printf.sprintf
+           "%S scans scalar bits and calls Curve.double directly — a naive \
+            double-and-add ladder; use Curve.mul (x-only ladder) or a cached \
+            Curve.mul_precomp comb (informational)"
+           name)
+  in
+  (* A functor body is instantiated per application: its bindings are
+     not process-global state. *)
+  let rec items ~toplevel (str : structure) =
+    List.iter
+      (fun (si : structure_item) ->
+        match si.str_desc with
+        | Tstr_value (_, vbs) ->
+          List.iter
+            (fun (vb : value_binding) ->
+              let name =
+                Option.fold ~none:"_" ~some:Ident.name (bound_ident vb.vb_pat)
+              in
+              if toplevel then domain_safety name vb;
+              naive_scalar_mul name vb;
+              enclosing := name;
+              walker.expr walker vb.vb_expr;
+              enclosing := "<toplevel>")
+            vbs
+        | Tstr_eval (e, _) -> walker.expr walker e
+        | Tstr_module mb -> module_expr ~toplevel mb.mb_expr
+        | Tstr_recmodule mbs ->
+          List.iter (fun (mb : module_binding) -> module_expr ~toplevel mb.mb_expr) mbs
+        | Tstr_include incl -> module_expr ~toplevel incl.incl_mod
+        | _ -> ())
+      str.str_items
+  and module_expr ~toplevel (me : module_expr) =
+    match me.mod_desc with
+    | Tmod_structure str -> items ~toplevel str
+    | Tmod_constraint (me, _, _, _) -> module_expr ~toplevel me
+    | Tmod_functor (_, me) -> module_expr ~toplevel:false me
+    | _ -> ()
+  in
+  items ~toplevel:true entry.structure;
+  !findings
+
+(* ------------------------------------------------------------------ *)
 (* Entry points                                                       *)
 
 let prepare graph ~waivers =
   let pass =
-    { graph; waivers; summaries = Hashtbl.create 256; nondet = Hashtbl.create 64 }
+    {
+      graph;
+      waivers;
+      summaries = Hashtbl.create 256;
+      nondet = Hashtbl.create 64;
+      producers = Hashtbl.create 64;
+    }
   in
   compute_summaries pass;
   compute_nondet pass;
@@ -1187,7 +1667,7 @@ let prepare graph ~waivers =
 
 let lint pass (entry : Typed_load.entry) =
   let fs =
-    secret_flow pass entry @ domain_capture pass entry
+    syntactic pass entry @ secret_flow pass entry @ domain_capture pass entry
     @ discarded_error pass entry
     @
     if in_lib entry.rel then

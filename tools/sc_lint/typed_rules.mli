@@ -1,17 +1,22 @@
-(** The typed rules (typed-secret-flow, domain-capture,
-    discarded-error, determinism, transitive-determinism) over a built
-    {!Flow_graph}, and dead-export over interfaces and their callers. *)
+(** Every lint rule over a built {!Flow_graph}: the syntactic rules
+    (domain-safety, signing-encode, exception-swallow,
+    naive-scalar-mul, dynamic-metric-name), the typed ones
+    (typed-secret-flow, domain-capture, discarded-error, determinism,
+    transitive-determinism), and dead-export over interfaces and their
+    callers. *)
 
 type pass
 
 val prepare : Flow_graph.t -> waivers:Waiver.t list -> pass
 (** Whole-graph precomputation: secret-flow leak summaries
-    (fixpointed) and the transitive-nondeterminism closure.  Waivers
+    (fixpointed) and the transitive-nondeterminism closure; the
+    signing-encode producer table fills on demand.  Waivers
     participate: a waived determinism source or a waived transitive
     chain does not propagate to its callers. *)
 
 val lint : pass -> Typed_load.entry -> Finding.t list
-(** All typed findings for one file, sorted and deduplicated. *)
+(** All findings for one file (dead-export aside), sorted and
+    deduplicated. *)
 
 val caller_roots : string list
 (** The roots whose cmts count as callers for {!dead_exports}:
