@@ -1,6 +1,6 @@
 (* Generates fresh supersingular pairing parameters and prints them as
-   hex constants suitable for Params.of_hex, together with how long the
-   search took.  Used once to pick the embedded preset seeds. *)
+   hex constants, together with how long the search took.  Used once to
+   pick the embedded preset seeds. *)
 
 module Params = Sc_pairing.Params
 module Nat = Sc_bignum.Nat

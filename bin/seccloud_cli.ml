@@ -413,6 +413,7 @@ let columns =
     "pairing.gt_pow", "gt_pow";
     "pairing.gt_comb_exp", "comb_exp";
     "curve.mul.wnaf", "wnaf";
+    "curve.inv", "inv";
   |]
 
 type row = {
@@ -448,9 +449,9 @@ let stats_workload (_, params) seed ~drop ~tamper =
   Telemetry.with_span ~name:"stats.workload" @@ fun () ->
   let rows = ref [] in
   (* Runs [f] as one row; [gate] bounds its pairings (column 0) and
-     [count_gate = (counter, invariant, bound)], in a check row of its
-     own, the column of one other counter. *)
-  let measure section ?gate ?count_gate op paper f =
+     each of [count_gates = [(counter, invariant, bound); …]], in a
+     check row of its own, the column of one other counter. *)
+  let measure section ?gate ?(count_gates = []) op paper f =
     (* Minor words are counted per domain: this one's, which is all of
        them when SECCLOUD_DOMAINS=1. *)
     let snapshot () =
@@ -466,17 +467,21 @@ let stats_workload (_, params) seed ~drop ~tamper =
     let bound = Option.map (fun (name, b) -> name, delta 0, b) gate in
     rows := { section; op; counts = Some (before, after); paper; bound }
             :: !rows;
-    Option.iter
+    List.iter
       (fun (counter, name, b) ->
         let i = Option.get (Array.find_index (fun (c, _) -> c = counter) columns) in
         rows := check name (delta i) b :: !rows)
-      count_gate;
+      count_gates;
     result
   in
-  let verifier ?gate ?count_gate op =
-    measure "verifier side" ?gate ?count_gate op
+  let verifier ?gate ?count_gates op =
+    measure "verifier side" ?gate ?count_gates op
   in
-  let signer ?gate op = measure "signer side" ?gate op in
+  let signer ?gate ?count_gates op = measure "signer side" ?gate ?count_gates op in
+  (* A count gate on [curve.inv], for rows whose inversions follow from
+     their structure: one per normalized point or batch of points, three
+     per MSM (its two table batches and its result). *)
+  let inversions what b = "curve.inv", what ^ " inversions", b in
   let system =
     Seccloud.System.create ~params ~seed ~cs_ids:[ "cs-1"; "cs-2" ]
       ~da_id:"da" ()
@@ -514,6 +519,7 @@ let stats_workload (_, params) seed ~drop ~tamper =
   ignore (Seccloud.Wire.encode pub (Seccloud.Wire.Upload upload));
   measure "verifier side, batched"
     ~gate:("upload verification pairings per upload", 1)
+    ~count_gates:[ inversions "upload verification (1 MSM)" 3 ]
     (Printf.sprintf "Cloud.accept_upload (%d blocks)" n)
     "n pairings (1 per block)"
     (fun () -> assert (Seccloud.Cloud.accept_upload cloud upload));
@@ -526,8 +532,11 @@ let stats_workload (_, params) seed ~drop ~tamper =
   (* Of the signature points only V is subgroup-checked (one wNAF
      multiplication each): torsion on U cannot change a verdict. *)
   verifier ~gate:("Ibs.verify pairings per signature", 1)
-    ~count_gate:
-      ("curve.mul.wnaf", "Ibs.verify subgroup multiplications per signature", 1)
+    ~count_gates:
+      [
+        "curve.mul.wnaf", "Ibs.verify subgroup multiplications per signature", 1;
+        inversions "Ibs.verify (W)" 1;
+      ]
     "Ibs.verify (1 sig)" "2 pairings" probe;
   (* That verification warmed every fixed-base table it needs (Miller
      lines for P and P_pub, comb for the signer's Q_ID), so verifying
@@ -545,10 +554,13 @@ let stats_workload (_, params) seed ~drop ~tamper =
         "alice", m, Sc_ibc.Ibs.sign pub key ~bytes_source:cost_bs m)
   in
   verifier
-    ~count_gate:
-      ( "curve.mul.wnaf",
-        Printf.sprintf "Ibs.verify_batch (t=%d) subgroup multiplications" t,
-        t )
+    ~count_gates:
+      [
+        ( "curve.mul.wnaf",
+          Printf.sprintf "Ibs.verify_batch (t=%d) subgroup multiplications" t,
+          t );
+        inversions (Printf.sprintf "Ibs.verify_batch (t=%d, 2 MSMs)" t) 6;
+      ]
     (Printf.sprintf "Ibs.verify_batch (t=%d)" t) "2t pairings"
     (fun () -> assert (Sc_ibc.Ibs.verify_batch pub batch));
   (* One pairing from a cached line table (the generator's, warm since
@@ -559,10 +571,10 @@ let stats_workload (_, params) seed ~drop ~tamper =
   let naf = Sc_bignum.Nat.wnaf ~width:2 prm.q in
   let weight = Array.fold_left (fun w d -> w + Bool.to_int (d <> 0)) 0 naf in
   verifier
-    ~count_gate:
-      ( "pairing.lines",
-        "replayed lines per cached pairing",
-        Array.length naf - 1 + weight - 2 )
+    ~count_gates:
+      [ ( "pairing.lines",
+          "replayed lines per cached pairing",
+          Array.length naf - 1 + weight - 2 ) ]
     "Tate.pairing_precomp (1 cached table)" "1 pairing"
     (fun () ->
       ignore (Tate.pairing_precomp prm prm.g (Tate.precomp_for prm prm.g)));
@@ -577,7 +589,10 @@ let stats_workload (_, params) seed ~drop ~tamper =
           dvs = Sc_ibc.Dvs.designate pub raw ~verifier:"da";
         })
   in
-  verifier (Printf.sprintf "Dvs.verify x%d (individual)" t) "2n pairings"
+  verifier
+    ~count_gates:
+      [ inversions (Printf.sprintf "Dvs.verify x%d (1 per W)" t) t ]
+    (Printf.sprintf "Dvs.verify x%d (individual)" t) "2n pairings"
     (fun () ->
       List.iter
         (fun (e : Sc_ibc.Agg.entry) ->
@@ -585,14 +600,27 @@ let stats_workload (_, params) seed ~drop ~tamper =
             (Sc_ibc.Dvs.verify pub ~verifier_key:da_key
                ~q_id:(Sc_ibc.Setup.q_of_id pub e.signer) ~msg:e.msg e.dvs))
         dvs_entries);
-  verifier (Printf.sprintf "Agg.verify_batch (n=%d)" t) "2 pairings"
+  verifier
+    ~count_gates:[ inversions (Printf.sprintf "Agg.verify_batch (n=%d, 1 MSM)" t) 3 ]
+    (Printf.sprintf "Agg.verify_batch (n=%d)" t) "2 pairings"
     (fun () ->
       assert (Sc_ibc.Agg.verify_batch pub ~verifier_key:da_key dvs_entries));
+  (* A new owner's first signature, or the first verification of it,
+     builds the comb for its Q_ID (DESIGN §4h): one batch inversion
+     normalizes the window bases 16^w·Q_ID, one their multiples.  The
+     identity is hashed before the row, so the row is the build alone. *)
+  let fresh_q_id = Sc_ibc.Setup.q_of_id pub "comb-probe" in
+  signer
+    ~count_gates:[ inversions "Params.precomp_for (1 new identity)" 2 ]
+    "Params.precomp_for (1 new identity)" "-"
+    (fun () -> ignore (Sc_pairing.Params.precomp_for prm fresh_q_id));
   (* Signer side: Σ_B = ê(sk_ID, Q_B)^(r+h) by bilinearity, so signing
      pays two pairings per owner and server (the bases, each kept as a
      fixed-base GT comb) and two comb exponentiations per block, where
      the paper pairs V_i with Q_CS and Q_DA per block. *)
-  signer (Printf.sprintf "Signer.sign_file (%d blocks)" n) "2n pairings"
+  signer
+    ~count_gates:[ inversions "Signer.sign_file (every U_i at once)" 1 ]
+    (Printf.sprintf "Signer.sign_file (%d blocks)" n) "2n pairings"
     (fun () ->
       ignore
         (Sc_storage.Signer.sign_file pub key ~bytes_source:cost_bs
@@ -602,7 +630,8 @@ let stats_workload (_, params) seed ~drop ~tamper =
     Sc_storage.Dynamic.init pub key ~bytes_source:cost_bs ~cs_id:"cs-1"
       ~da_id:"da" ~file:"dyn" payloads
   in
-  signer "Dynamic update (1 block)" "2 pairings (re-sign 1 block)"
+  signer ~count_gates:[ inversions "Dynamic update (U)" 1 ]
+    "Dynamic update (1 block)" "2 pairings (re-sign 1 block)"
     (fun () ->
       assert (Sc_storage.Dynamic.update client server ~index:3 "rewritten"
               = Ok ()));
@@ -765,6 +794,7 @@ let stats_workload (_, params) seed ~drop ~tamper =
      designation bases for cs-1. *)
   let upload =
     signer ~gate:("signer pairings for a returning owner's upload", 0)
+      ~count_gates:[ inversions "returning owner's User.sign_file" 1 ]
       (Printf.sprintf "User.sign_file, returning owner (%d blocks)" n)
       "2n pairings"
       (fun () ->

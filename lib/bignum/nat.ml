@@ -358,26 +358,6 @@ let pow a k =
   in
   go one a k
 
-let hex_digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> invalid_arg "Nat.of_hex: invalid character"
-
-let of_hex s =
-  let s =
-    if String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X')
-    then String.sub s 2 (String.length s - 2)
-    else s
-  in
-  let acc = ref zero in
-  String.iter
-    (fun c ->
-      if c <> '_' then acc := add_int (shift_left !acc 4) (hex_digit c))
-    s;
-  !acc
-
 let to_hex a =
   if is_zero a then "0"
   else begin

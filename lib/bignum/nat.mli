@@ -82,11 +82,6 @@ val of_limbs : int array -> t
     normalized.  @raise Invalid_argument if any limb is out of
     range. *)
 
-val of_hex : string -> t
-(** Parses an optionally [0x]-prefixed, case-insensitive hex string
-    which may contain underscores.
-    @raise Invalid_argument on other characters. *)
-
 val to_hex : t -> string
 
 val of_bytes_be : string -> t

@@ -5,6 +5,12 @@ module M = Fp.Mont
 let c_mul_wnaf = Sc_telemetry.Telemetry.counter "curve.mul.wnaf"
 let c_msm = Sc_telemetry.Telemetry.counter "curve.msm"
 let c_msm_terms = Sc_telemetry.Telemetry.counter "curve.msm.terms"
+let c_inv = Sc_telemetry.Telemetry.counter "curve.inv"
+
+(* [x] after counting the field inversion that computed it. *)
+let inverted x =
+  Sc_telemetry.Telemetry.incr c_inv;
+  x
 
 type t = { fld : Fp.ctx; coord_bytes : int }
 
@@ -44,7 +50,7 @@ let double c p =
     else begin
       (* λ = (3x² + 1) / 2y *)
       let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) Fp.one in
-      let lam = Fp.div f num (Fp.double f y) in
+      let lam = inverted (Fp.div f num (Fp.double f y)) in
       let x3 = Fp.sub f (Fp.sqr f lam) (Fp.double f x) in
       let y3 = Fp.sub f (Fp.mul f lam (Fp.sub f x x3)) y in
       Affine (x3, y3)
@@ -59,7 +65,7 @@ let add c p q =
       if Fp.equal y1 y2 then double c p else Infinity
     end
     else begin
-      let lam = Fp.div f (Fp.sub f y2 y1) (Fp.sub f x2 x1) in
+      let lam = inverted (Fp.div f (Fp.sub f y2 y1) (Fp.sub f x2 x1)) in
       let x3 = Fp.sub f (Fp.sub f (Fp.sqr f lam) x1) x2 in
       let y3 = Fp.sub f (Fp.mul f lam (Fp.sub f x1 x3)) y1 in
       Affine (x3, y3)
@@ -100,25 +106,33 @@ let mjdouble f j =
     { mx = t; my = y3; mz = z3 }
   end
 
-let mjadd_mixed f j x2 y2 =
-  if M.is_zero j.mz then { mx = x2; my = y2; mz = M.one f }
+(* j + (x2, y2), or j + (x2, −y2) when [neg], without computing −y2:
+   negating y2 negates s2, so r = 2·(−s2 − Y1) = −2·(s2 + Y1), which
+   squares to the same x3, and y3 = r·(V − x3) − 2·Y1·J takes the sign
+   as 2·(s2 + Y1)·(x3 − V). *)
+let mjadd_mixed f j x2 y2 ~neg =
+  if M.is_zero j.mz then
+    { mx = x2; my = (if neg then M.neg f y2 else y2); mz = M.one f }
   else begin
     let z1z1 = M.sqr f j.mz in
     let u2 = M.mul f x2 z1z1 in
     let s2 = M.mul f y2 (M.mul f j.mz z1z1) in
     if M.equal u2 j.mx then begin
-      if M.equal s2 j.my then mjdouble f j else mjac_infinity f
+      if M.equal (if neg then M.neg f s2 else s2) j.my then mjdouble f j
+      else mjac_infinity f
     end
     else begin
       let h = M.sub f u2 j.mx in
       let hh = M.sqr f h in
       let i = M.double f (M.double f hh) in
       let jj = M.mul f h i in
-      let r = M.double f (M.sub f s2 j.my) in
+      let r = M.double f (if neg then M.add f s2 j.my else M.sub f s2 j.my) in
       let v = M.mul f j.mx i in
       let x3 = M.sub f (M.sub f (M.sqr f r) jj) (M.double f v) in
       let y3 =
-        M.sub f (M.mul f r (M.sub f v x3)) (M.double f (M.mul f j.my jj))
+        M.sub f
+          (M.mul f r (if neg then M.sub f x3 v else M.sub f v x3))
+          (M.double f (M.mul f j.my jj))
       in
       let z3 = M.sub f (M.sub f (M.sqr f (M.add f j.mz h)) z1z1) hh in
       { mx = x3; my = y3; mz = z3 }
@@ -129,7 +143,7 @@ let point_of_mjac c j =
   let f = c.fld in
   if M.is_zero j.mz then Infinity
   else begin
-    let zi = M.inv f j.mz in
+    let zi = inverted (M.inv f j.mz) in
     let zi2 = M.sqr f zi in
     Affine
       ( M.leave f (M.mul f j.mx zi2),
@@ -146,7 +160,9 @@ let mjac_batch_affine f jacs =
   done;
   let live = Array.of_list !live in
   let zs = Array.map (fun i -> jacs.(i).mz) live in
-  let zinvs = if Array.length zs = 0 then [||] else M.batch_inv f zs in
+  let zinvs =
+    if Array.length zs = 0 then [||] else inverted (M.batch_inv f zs)
+  in
   let out = Array.make n None in
   Array.iteri
     (fun li i ->
@@ -185,7 +201,7 @@ let wnaf_tables f ~width bases =
                | None -> ()
                | Some (tx, ty) ->
                  for i = 1 to size - 1 do
-                   row.(i) <- mjadd_mixed f row.(i - 1) tx ty
+                   row.(i) <- mjadd_mixed f row.(i - 1) tx ty ~neg:false
                  done);
               row)
             bases))
@@ -212,9 +228,7 @@ let straus c ~width terms =
         if d <> 0 then
           match tables.(b).((abs d - 1) / 2) with
           | None -> ()
-          | Some (tx, ty) ->
-            let ty = if d < 0 then M.neg f ty else ty in
-            acc := mjadd_mixed f !acc tx ty)
+          | Some (tx, ty) -> acc := mjadd_mixed f !acc tx ty ~neg:(d < 0))
       digits
   done;
   !acc
@@ -291,7 +305,7 @@ let mul c k p =
             (M.mul f (M.sqr f (M.sub_lazy f x pz)) x')
         in
         let w = M.mul f (M.double f (M.mul f yp z)) z' in
-        let d = M.inv f (M.mul f w z) in
+        let d = inverted (M.inv f (M.mul f w z)) in
         Affine (M.leave f (M.mul f (M.mul f w x) d), M.leave f (M.mul f num d))
       end
     end
@@ -308,71 +322,95 @@ let mul_is_infinity c k p =
       M.is_zero z
 
 (* ------------------------------------------------------------------ *)
-(* Fixed-base comb: table.(w).(d) = d·16^w·P in Montgomery affine
-   form, so a b-bit scalar costs ⌈b/4⌉ mixed additions and zero
-   doublings.  Each window's entries are built with one batched
-   inversion (instead of one inversion per affine addition). *)
+(* Fixed-base comb over signed 4-bit digits.  A scalar below 2^bits is
+   recoded as k = Σ d_w·16^w with d_w ∈ [−8, 7], over ⌈bits/4⌉
+   windows and one more that takes the last carry (its digit is 0 or
+   1).  table.(w).(|d| − 1) = |d|·16^w·P in Montgomery affine form, 8
+   entries per window and 1 in the carry window, so a b-bit scalar
+   costs at most ⌈b/4⌉ + 1 mixed additions, a negative digit negating
+   y, and zero doublings. *)
 type precomp = { bits : int; tables : (M.e * M.e) option array array }
 
 let precompute c ~bits p =
   if bits <= 0 then invalid_arg "Curve.precompute: bits <= 0";
   let f = c.fld in
-  let nwindows = (bits + 3) / 4 in
-  let tables = Array.init nwindows (fun _ -> Array.make 16 None) in
-  (match p with
-   | Infinity -> ()
-   | Affine (x, y) ->
-     let bx = ref (M.enter f x) and by = ref (M.enter f y) in
-     let exhausted = ref false in
-     let w = ref 0 in
-     while (not !exhausted) && !w < nwindows do
-       (* Window entries d·B in Jacobian via mixed additions of the
-          affine base, plus the advanced base 16·B as a 17th entry, all
-          normalized by one shared batch inversion. *)
-       let jentries = Array.make 17 (mjac_infinity f) in
-       for d = 1 to 15 do
-         jentries.(d) <- mjadd_mixed f jentries.(d - 1) !bx !by
-       done;
-       let nb = ref jentries.(1) in
-       for _ = 1 to 4 do
-         nb := mjdouble f !nb
-       done;
-       jentries.(16) <- !nb;
-       let affs = mjac_batch_affine f jentries in
-       for d = 1 to 15 do
-         tables.(!w).(d) <- affs.(d)
-       done;
-       (match affs.(16) with
-        | Some (nx, ny) ->
-          bx := nx;
-          by := ny
-        | None -> exhausted := true (* 16·B = O: all later windows are O *));
-       incr w
-     done);
-  { bits; tables }
+  match p with
+  | Infinity -> { bits; tables = [||] } (* k·O = O: no window adds *)
+  | Affine (x, y) ->
+    let nwindows = ((bits + 3) / 4) + 1 in
+    (* d·B_w for d = 2…8, every window but the carry window's. *)
+    let jmults = Array.make ((nwindows - 1) * 7) (mjac_infinity f) in
+    let slot w d = (w * 7) + d - 2 in
+    (* The window bases B_w = 16^w·P: one Jacobian doubling chain,
+       which passes 2·B_w, 4·B_w and 8·B_w on its way to B_(w+1),
+       normalized by one batch inversion.  Once a small-order base
+       reaches O, every later B_w is O too, and None. *)
+    let jbases =
+      Array.make nwindows { mx = M.enter f x; my = M.enter f y; mz = M.one f }
+    in
+    for w = 0 to nwindows - 2 do
+      let b = ref jbases.(w) in
+      for e = 1 to 3 do
+        b := mjdouble f !b;
+        jmults.(slot w (1 lsl e)) <- !b
+      done;
+      jbases.(w + 1) <- mjdouble f !b
+    done;
+    let bases = mjac_batch_affine f jbases in
+    (* 3·B_w, 5·B_w, 6·B_w and 7·B_w by mixed additions of the affine
+       B_w to 2·B_w, 4·B_w, 5·B_w and (negated) 8·B_w, then every
+       multiple normalized by a second batch inversion; one that is O
+       (small-order B_w) comes back None. *)
+    for w = 0 to nwindows - 2 do
+      match bases.(w) with
+      | None -> ()
+      | Some (bx, by) ->
+        let add d e ~neg =
+          jmults.(slot w d) <- mjadd_mixed f jmults.(slot w e) bx by ~neg
+        in
+        add 3 2 ~neg:false;
+        add 5 4 ~neg:false;
+        add 6 5 ~neg:false;
+        add 7 8 ~neg:true
+    done;
+    let mults = mjac_batch_affine f jmults in
+    {
+      bits;
+      tables =
+        Array.init nwindows (fun w ->
+            if w = nwindows - 1 then [| bases.(w) |]
+            else
+              Array.init 8 (fun i ->
+                  if i = 0 then bases.(w) else mults.(slot w (i + 1))));
+    }
 
-let comb_digit k w =
-  let bit i = if Nat.test_bit k i then 1 else 0 in
-  (bit ((4 * w) + 3) lsl 3)
-  lor (bit ((4 * w) + 2) lsl 2)
-  lor (bit ((4 * w) + 1) lsl 1)
-  lor bit (4 * w)
+(* The unsigned nibble of window w. *)
+let nibble k w =
+  let i = 4 * w in
+  Bool.to_int (Nat.test_bit k i)
+  lor (Bool.to_int (Nat.test_bit k (i + 1)) lsl 1)
+  lor (Bool.to_int (Nat.test_bit k (i + 2)) lsl 2)
+  lor (Bool.to_int (Nat.test_bit k (i + 3)) lsl 3)
 
 let check_range pc k =
   if Nat.bit_length k > pc.bits then
     invalid_arg "Curve.mul_precomp: scalar exceeds precomputed range"
 
 (* acc + k·B on a Jacobian accumulator: one mixed addition per
-   non-zero window digit.  Starting from a point other than O fuses
-   that addition into the comb, with no normalization of its own. *)
+   non-zero signed digit, recoded on the fly: nibble plus carry, in
+   [0, 16], is a digit in [−8, 7] and a carry of 0 or 1 into the next
+   window.  Starting from a point other than O fuses that addition
+   into the comb, with no normalization of its own. *)
 let comb_into f pc acc k =
-  let acc = ref acc in
+  let acc = ref acc and carry = ref 0 in
   for w = 0 to Array.length pc.tables - 1 do
-    let d = comb_digit k w in
+    let u = nibble k w + !carry in
+    carry := if u >= 8 then 1 else 0;
+    let d = u - (!carry * 16) in
     if d <> 0 then begin
-      match pc.tables.(w).(d) with
+      match pc.tables.(w).(abs d - 1) with
       | None -> ()
-      | Some (x, y) -> acc := mjadd_mixed f !acc x y
+      | Some (x, y) -> acc := mjadd_mixed f !acc x y ~neg:(d < 0)
     end
   done;
   !acc

@@ -2,7 +2,9 @@
     an x-only Montgomery ladder for single scalars and windowed
     multi-scalar and fixed-base multiplication.  This is the group G1
     of the pairing layer and the base group of the ECDSA baseline;
-    every pairing parameter set builds this curve and no other. *)
+    every pairing parameter set builds this curve and no other.  Each
+    field inversion it performs, batched or not, counts one
+    [curve.inv]. *)
 
 open Sc_bignum
 open Sc_field
@@ -43,10 +45,12 @@ type precomp
 (** Precomputed window tables for a fixed base point. *)
 
 val precompute : t -> bits:int -> point -> precomp
-(** Tables covering scalars up to [bits] bits (4-bit fixed windows,
-    entries normalized to affine).  Costs ~4·bits point operations
-    once; each subsequent {!mul_precomp} then needs only ~bits/4
-    mixed additions and no doublings. *)
+(** Tables covering scalars up to [bits] bits: signed 4-bit digits in
+    [−8, 7] over ⌈bits/4⌉ windows plus one for the last carry, 8
+    affine entries per window.  Costs bits doublings, 4 mixed additions
+    per window and two field inversions once; each subsequent
+    {!mul_precomp} then needs at most ⌈bits/4⌉ + 1 mixed additions and
+    no doublings. *)
 
 val mul_precomp : t -> precomp -> Nat.t -> point
 (** Scalar multiplication against the precomputed base: the

@@ -107,14 +107,6 @@ let generate ?bits_p ~bytes_source ~bits_q () =
   build ~p ~q ~cofactor ~g_of_curve:(fun curve fp ->
       find_generator curve cofactor ~bytes_source fp)
 
-let of_hex ~p ~q ~cofactor ~gx ~gy =
-  let p = Nat.of_hex p and q = Nat.of_hex q and cofactor = Nat.of_hex cofactor in
-  let gx = Nat.of_hex gx and gy = Nat.of_hex gy in
-  build ~p ~q ~cofactor ~g_of_curve:(fun curve _fp ->
-      let g = Curve.Affine (gx, gy) in
-      if not (Curve.on_curve curve g) then invalid_arg "Params.of_hex: bad generator";
-      g)
-
 (* Embedded presets produced by `dune exec bin/paramgen.exe` with the
    seeds recorded below; see bin/paramgen.ml. *)
 

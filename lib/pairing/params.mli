@@ -35,11 +35,6 @@ val generate :
     or one sized so that p has [bits_p] bits when given), and a random
     generator. *)
 
-val of_hex : p:string -> q:string -> cofactor:string -> gx:string -> gy:string -> t
-(** Rebuilds a parameter set from hex constants, re-validating every
-    invariant (primality is trusted for speed; structure is checked).
-    @raise Invalid_argument on inconsistent values. *)
-
 val toy : t lazy_t
 (** 64-bit q / 71-bit p (cofactor 96): fast, for unit tests only. *)
 

@@ -264,6 +264,96 @@ let precomp_tests =
         done);
   ]
 
+(* The signed comb recodes each nibble plus the carry from below into
+   a digit in [−8, 7], and the last carry into one extra window.  These
+   scalars put the carry everywhere: all nibbles 0xF (2^bits − 1
+   carries into the extra window), all 0x8 (every digit −8), 0x7 and
+   0x8 alternating (the carry flips a 7 into −8 and back), and q − 1,
+   1 and 0.  Every entry point of the comb against the ladder. *)
+let signed_comb_tests =
+  let open Util in
+  let carry_heavy name prm =
+    case (Printf.sprintf "signed comb, %s: carry-heavy scalars = ladder" name)
+      (fun () ->
+        let curve = prm.Sc_pairing.Params.curve in
+        let q = prm.Sc_pairing.Params.q in
+        let bits = Nat.bit_length q in
+        let n = bits / 4 in
+        let bs = Util.fresh_bs ("signed-comb-" ^ name) in
+        (* A base off the order-q subgroup, so no multiple wraps to a
+           shorter scalar. *)
+        let base = Curve.random curve ~bytes_source:bs in
+        let pc = Curve.precompute curve ~bits base in
+        let repeat unit len =
+          Util.nat_of_hex
+            (String.init len (fun i -> unit.[i mod String.length unit]))
+        in
+        let ks =
+          Array.of_list
+            (Nat.sub (Nat.shift_left Nat.one bits) Nat.one
+            :: Nat.sub q Nat.one :: Nat.one :: Nat.zero
+            :: List.concat_map
+                 (fun unit -> List.map (repeat unit) [ 1; 2; n - 1; n ])
+                 [ "f"; "8"; "78"; "87" ])
+        in
+        let expected = Array.map (fun k -> Curve.mul curve k base) ks in
+        Array.iteri
+          (fun i k ->
+            Alcotest.(check point) (Printf.sprintf "mul_precomp %d" i)
+              expected.(i) (Curve.mul_precomp curve pc k))
+          ks;
+        Array.iteri
+          (fun i r ->
+            Alcotest.(check point) (Printf.sprintf "mul_precomp_batch %d" i)
+              expected.(i) r)
+          (Curve.mul_precomp_batch curve pc ks);
+        (* Start points met by the first, negative digit: U = ±B with
+           k = 0xF (digit −1) and U = ±8·B with k = 8 (digit −8) make
+           that mixed addition a doubling or O. *)
+        let rows =
+          Array.append
+            (Array.map (fun k -> Curve.random curve ~bytes_source:bs, k) ks)
+            (Array.of_list
+               (List.concat_map
+                  (fun d ->
+                    let db = Curve.mul curve (Nat.of_int d) base in
+                    let k = Nat.of_int (16 - d) in
+                    [ db, k; Curve.neg curve db, k ])
+                  [ 1; 8 ]))
+        in
+        Array.iteri
+          (fun i r ->
+            let u, k = rows.(i) in
+            Alcotest.(check point) (Printf.sprintf "add_mul_precomp_batch %d" i)
+              (Curve.add curve u (Curve.mul curve k base)) r)
+          (Curve.add_mul_precomp_batch curve
+             (Array.map (fun (u, k) -> u, pc, k) rows));
+        let k2 = Nat.of_bytes_be (bs 8) and p2 = Curve.random curve ~bytes_source:bs in
+        Array.iteri
+          (fun i k ->
+            Alcotest.(check point) (Printf.sprintf "msm ~fixed %d" i)
+              (Curve.add curve expected.(i) (Curve.mul curve k2 p2))
+              (Curve.msm curve ~fixed:[ pc, k ] [ k2, p2 ]);
+            Alcotest.(check point) (Printf.sprintf "msm ~fixed only %d" i)
+              expected.(i) (Curve.msm curve ~fixed:[ pc, k ] []))
+          ks)
+  in
+  [
+    carry_heavy "toy" (Lazy.force Util.toy_params);
+    carry_heavy "small" (Lazy.force Sc_pairing.Params.small);
+    case "a small comb table holds fewer than 5,000 words" (fun () ->
+        (* 8 signed entries per window, not 15 unsigned ones: about
+           4,100 words on small, 7,648 with the unsigned table. *)
+        let prm = Lazy.force Sc_pairing.Params.small in
+        let pc =
+          Curve.precompute prm.Sc_pairing.Params.curve
+            ~bits:(Nat.bit_length prm.Sc_pairing.Params.q)
+            prm.Sc_pairing.Params.g
+        in
+        let words = Obj.reachable_words (Obj.repr pc) in
+        if words >= 5000 then Alcotest.failf "%d reachable words" words);
+  ]
+
 (* The ladder behind Curve.mul and the comb behind Curve.mul_precomp
    against the double-and-add reference, including scalars past the
    group order, points off the order-q subgroup, and the small-order
@@ -378,7 +468,7 @@ let ladder_tests =
           Gc.minor_words () -. before
         in
         let sparse = Nat.shift_left Nat.one 111 in
-        let alternating = Nat.of_hex (String.make 28 'a') in
+        let alternating = Util.nat_of_hex (String.make 28 'a') in
         let dense = Nat.sub (Nat.shift_left Nat.one 112) Nat.one in
         Alcotest.(check (float 0.)) "minor words, alternating" (words sparse)
           (words alternating);
@@ -471,4 +561,4 @@ let property_tests =
         | None -> false);
   ]
 
-let suite = unit_tests @ precomp_tests @ ladder_tests @ property_tests
+let suite = unit_tests @ precomp_tests @ ladder_tests @ property_tests @ signed_comb_tests

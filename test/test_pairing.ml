@@ -104,12 +104,6 @@ let unit_tests =
         done;
         check gt "also at the generator" (Tate.pairing prm g g)
           (Reference.pairing_affine prm g g));
-    case "of_hex validates structure" (fun () ->
-        Alcotest.check_raises "bad cofactor"
-          (Invalid_argument "Params: p + 1 <> cofactor * q") (fun () ->
-            ignore
-              (Params.of_hex ~p:(Nat.to_hex prm.Params.p)
-                 ~q:(Nat.to_hex prm.Params.q) ~cofactor:"5" ~gx:"1" ~gy:"1")));
   ]
 
 (* The replayed line tables against the affine Barrett-domain oracle,

@@ -21,6 +21,20 @@ let nat_of_decimal s =
 
 let nat_to_decimal = Format.asprintf "%a" Sc_bignum.Nat.pp
 
+(* Hex literals, optionally 0x-prefixed; [Nat.to_hex] prints them. *)
+let nat_of_hex s =
+  let digits =
+    if String.starts_with ~prefix:"0x" s then
+      String.sub s 2 (String.length s - 2)
+    else s
+  in
+  String.fold_left
+    (fun acc c ->
+      Sc_bignum.Nat.add
+        (Sc_bignum.Nat.shift_left acc 4)
+        (Sc_bignum.Nat.of_int (int_of_string ("0x" ^ String.make 1 c))))
+    Sc_bignum.Nat.zero digits
+
 (* Curve points and F_p² elements, compared and printed coordinate by
    coordinate. *)
 let point_equal (p : Sc_ec.Curve.point) (q : Sc_ec.Curve.point) =
