@@ -80,28 +80,35 @@ let () =
             Curve.mul prm_small.Params.curve scalar_small var_point) );
     ]
   in
-  (* The kernel under every row above: one Montgomery multiply-reduce
-     (k = 5 limbs on small, 20 on mid; ns/op over an inner loop, as a
-     single call is below timer resolution) and one Fermat inversion. *)
+  (* The kernel under every row above: one field multiplication, a
+     Montgomery multiply-reduce (k = 5 limbs on small, 20 on mid; ns/op
+     over an inner loop, as a single call is below timer resolution),
+     one Fermat inversion, and the two boundary conversions a decoded
+     or encoded coordinate pays. *)
   let module Fp = Sc_field.Fp in
   let mont_mul_ns (prm : Params.t) =
     let fp = prm.Params.fp in
-    let a = Fp.Mont.enter fp (Fp.random fp ~bytes_source:bs) in
-    let b = Fp.Mont.enter fp (Fp.random fp ~bytes_source:bs) in
+    let a = Fp.random fp ~bytes_source:bs in
+    let b = Fp.random fp ~bytes_source:bs in
     time_ns ~iters:100 (fun () ->
         for _ = 1 to 1000 do
-          ignore (Fp.Mont.mul fp a b)
+          ignore (Fp.mul fp a b)
         done)
     /. 1000.
   in
   let fp_small = prm_small.Params.fp in
   let x_small = Fp.random fp_small ~bytes_source:bs in
+  let n_small = Fp.to_nat fp_small x_small in
   let results =
     results
     @ [
         "fp_mont_mul(small)", mont_mul_ns prm_small;
         "fp_mont_mul(mid)", mont_mul_ns (Lazy.force Params.mid);
         "fp_inv(small)", time_ns ~iters:500 (fun () -> Fp.inv fp_small x_small);
+        ( "fp_of_nat(small)",
+          time_ns ~iters:20_000 (fun () -> Fp.of_nat fp_small n_small) );
+        ( "fp_to_nat(small)",
+          time_ns ~iters:20_000 (fun () -> Fp.to_nat fp_small x_small) );
       ]
   in
   (* The signer's GT work: one comb build per designation base, then

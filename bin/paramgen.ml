@@ -19,7 +19,9 @@ let generate seed bits_q bits_p =
   let dt = Unix.gettimeofday () -. t0 in
   let gx, gy =
     match prm.Params.g with
-    | Sc_ec.Curve.Affine (x, y) -> Nat.to_hex x, Nat.to_hex y
+    | Sc_ec.Curve.Affine (x, y) ->
+      let hex v = Nat.to_hex (Sc_field.Fp.to_nat prm.Params.fp v) in
+      hex x, hex y
     | Sc_ec.Curve.Infinity -> assert false
   in
   Printf.printf "(* generated in %.2fs from seed %S *)\n" dt seed;

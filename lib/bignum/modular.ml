@@ -42,25 +42,9 @@ let add ctx a b =
   let s = Nat.add a b in
   if Nat.compare s ctx.m >= 0 then Nat.sub s ctx.m else s
 
-let sub ctx a b =
-  if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a ctx.m) b
-
 let neg ctx a = if Nat.is_zero a then a else Nat.sub ctx.m a
 let mul ctx a b = reduce ctx (Nat.mul a b)
 let sqr ctx a = reduce ctx (Nat.sqr a)
-
-let pow ctx b e =
-  let b = reduce ctx b in
-  let nbits = Nat.bit_length e in
-  let rec go acc i =
-    if i < 0 then acc
-    else begin
-      let acc = sqr ctx acc in
-      let acc = if Nat.test_bit e i then mul ctx acc b else acc in
-      go acc (i - 1)
-    end
-  in
-  if nbits = 0 then reduce ctx Nat.one else go Nat.one (nbits - 1)
 
 (* Iterative extended Euclid: (g, x) with g = gcd(a, b) and
    a·x ≡ g (mod b), maintaining r ≡ a·x (mod b). *)

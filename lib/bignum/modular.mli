@@ -3,7 +3,10 @@
     A {!ctx} caches the reciprocal [mu = floor(B^2k / m)] so that
     reductions of products cost two multiplications instead of a full
     division.  All functions expect canonical residues (values below
-    the modulus) unless stated otherwise. *)
+    the modulus) unless stated otherwise.  F_p and F_p² run on
+    {!Montgomery} residues instead; this serves the scalar arithmetic
+    mod the subgroup order q (ECDSA, the Wang-style auditor) and the
+    Miller–Rabin squarings of {!Prime}. *)
 
 type ctx
 
@@ -15,14 +18,8 @@ val reduce : ctx -> Nat.t -> Nat.t
     argument exceeds the Barrett range [B^2k]). *)
 
 val add : ctx -> Nat.t -> Nat.t -> Nat.t
-val sub : ctx -> Nat.t -> Nat.t -> Nat.t
-val neg : ctx -> Nat.t -> Nat.t
 val mul : ctx -> Nat.t -> Nat.t -> Nat.t
 val sqr : ctx -> Nat.t -> Nat.t
-
-val pow : ctx -> Nat.t -> Nat.t -> Nat.t
-(** [pow ctx b e] is [b^e mod m] by left-to-right binary
-    exponentiation. *)
 
 val jacobi : Nat.t -> Nat.t -> int
 (** [jacobi a n] for odd positive [n]: the Jacobi symbol (a|n) ∈

@@ -4,16 +4,25 @@ let limb_bits = 26
 let base = 1 lsl limb_bits
 let mask = base - 1
 
+type mont = int array (* exactly k limbs, value < m *)
+
 type ctx = {
   m : Nat.t;
   m_limbs : int array; (* k limbs, k >= 1 *)
   k : int;
   m' : int; (* -m[0]^-1 mod B *)
-  r_mod_m : Nat.t; (* B^k mod m, the domain image of 1 *)
+  one : mont; (* B^k mod m, the domain image of 1 *)
+  r2 : mont; (* B^2k mod m: REDC(a·r2) = a·B^k, the domain image of a *)
+  unit : mont; (* the plain integer 1: REDC(a·unit) = a·B^-k *)
   lazy_ok : bool; (* 16m <= B^k: redundant operands stay inside REDC's bound *)
 }
 
-type mont = int array (* exactly k limbs, value < m *)
+(* Every entry point below checks that its operands have exactly k
+   limbs, once per call; the limb loops then index 0 … k−1 only, so
+   their reads need no bounds check of their own. *)
+external ( .%() ) : int array -> int -> int = "%array_unsafe_get"
+
+let width_error () = invalid_arg "Montgomery: operand of another context's width"
 
 (* Inverse of an odd limb modulo B by Newton iteration: for odd a,
    a·a ≡ 1 (mod 8), and each step doubles the number of correct
@@ -33,6 +42,12 @@ let inv_limb a =
    largest value is 2^62 - 1: k <= 256 keeps each column below 2^61. *)
 let max_limbs = 256
 
+(* A k-limb copy of limbs that fit in k. *)
+let pad k limbs =
+  let out = Array.make k 0 in
+  Array.blit limbs 0 out 0 (Array.length limbs);
+  out
+
 let create m =
   assert (limb_bits = Nat.base_bits);
   if Nat.compare m (Nat.of_int 3) < 0 || Nat.is_even m
@@ -42,20 +57,32 @@ let create m =
   if k > max_limbs
   then invalid_arg "Montgomery.create: modulus wider than 256 limbs";
   let m' = (base - inv_limb m_limbs.(0)) land mask in
-  let r_mod_m = Nat.rem (Nat.shift_left Nat.one (k * limb_bits)) m in
+  let r = Nat.shift_left Nat.one (k * limb_bits) in
+  let residue n = pad k (Nat.to_limbs (Nat.rem n m)) in
   (* Lazy (redundant) operands are only sound when 16m <= B^k: then a
      sum of two once-lazy values stays < 4m, and a product of two such
      operands is < 16m^2 <= m*B^k, REDC's input bound. *)
   let lazy_ok = Nat.bit_length m + 4 <= k * limb_bits in
-  { m; m_limbs; k; m'; r_mod_m; lazy_ok }
+  {
+    m;
+    m_limbs;
+    k;
+    m';
+    one = residue r;
+    r2 = residue (Nat.mul r r);
+    unit = pad k [| 1 |];
+    lazy_ok;
+  }
 
-(* a >= m, comparing the k-limb arrays from the top. *)
+(* a >= m, comparing the k-limb arrays from the top.  A loop, not a
+   local recursive function, which would allocate a closure per call. *)
 let ge_mod ctx (a : mont) =
   let m = ctx.m_limbs in
-  let rec cmp i =
-    if i < 0 then true else if a.(i) <> m.(i) then a.(i) > m.(i) else cmp (i - 1)
-  in
-  cmp (ctx.k - 1)
+  let i = ref (ctx.k - 1) in
+  while !i >= 0 && a.%(!i) = m.%(!i) do
+    decr i
+  done;
+  !i < 0 || a.%(!i) > m.%(!i)
 
 (* In-place a <- a - m mod B^k.  The caller ensures a >= m, or that a
    carry it dropped out of the top limb absorbs the final borrow. *)
@@ -63,7 +90,7 @@ let sub_mod_inplace ctx (a : mont) =
   let m = ctx.m_limbs in
   let borrow = ref 0 in
   for i = 0 to ctx.k - 1 do
-    let d = a.(i) - m.(i) - !borrow in
+    let d = a.%(i) - m.%(i) - !borrow in
     if d < 0 then begin
       a.(i) <- d + base;
       borrow := 1
@@ -84,22 +111,23 @@ let sub_mod_inplace ctx (a : mont) =
    2m whenever a·b < m·B^k (canonical operands, or lazy ones under
    [lazy_ok]), so one conditional subtraction leaves it canonical. *)
 let mul ctx (a : mont) (b : mont) =
+  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
   let k = ctx.k and m = ctx.m_limbs in
   let out = Array.make k 0 in
   let acc = ref 0 in
   for i = 0 to k - 1 do
-    let s = ref (!acc + (a.(i) * b.(0))) in
+    let s = ref (!acc + (a.%(i) * b.%(0))) in
     for j = 0 to i - 1 do
-      s := !s + (a.(j) * b.(i - j)) + (out.(j) * m.(i - j))
+      s := !s + (a.%(j) * b.%(i - j)) + (out.%(j) * m.%(i - j))
     done;
     let u = (!s land mask) * ctx.m' land mask in
     out.(i) <- u;
-    acc := (!s + (u * m.(0))) lsr limb_bits
+    acc := (!s + (u * m.%(0))) lsr limb_bits
   done;
   for i = k to (2 * k) - 1 do
     let s = ref !acc in
     for j = i - k + 1 to k - 1 do
-      s := !s + (a.(j) * b.(i - j)) + (out.(j) * m.(i - j))
+      s := !s + (a.%(j) * b.%(i - j)) + (out.%(j) * m.%(i - j))
     done;
     out.(i - k) <- !s land mask;
     acc := !s lsr limb_bits
@@ -110,24 +138,18 @@ let mul ctx (a : mont) (b : mont) =
 
 let sqr ctx a = mul ctx a a
 
-let pad ctx limbs =
-  if Array.length limbs = ctx.k then limbs
-  else begin
-    let out = Array.make ctx.k 0 in
-    Array.blit limbs 0 out 0 (Array.length limbs);
-    out
-  end
-
+(* Entering the domain is one multiplication by R² mod m:
+   a·R²·R^-1 = aR.  Only an argument of m or more costs a division
+   first. *)
 let to_mont ctx a =
-  let reduced = Nat.rem a ctx.m in
-  let shifted = Nat.rem (Nat.shift_left reduced (ctx.k * limb_bits)) ctx.m in
-  pad ctx (Nat.to_limbs shifted)
+  let a = if Nat.compare a ctx.m < 0 then a else Nat.rem a ctx.m in
+  mul ctx (pad ctx.k (Nat.to_limbs a)) ctx.r2
 
 (* Leaving the domain is one multiplication by the plain integer 1:
    (aR)·1·R^-1 = a. *)
-let of_mont ctx (a : mont) = Nat.of_limbs (mul ctx a (pad ctx [| 1 |]))
+let of_mont ctx (a : mont) = Nat.of_limbs (mul ctx a ctx.unit)
 
-let one ctx = pad ctx (Nat.to_limbs ctx.r_mod_m)
+let one ctx = ctx.one
 let zero ctx = Array.make ctx.k 0
 let of_int ctx n = to_mont ctx (Nat.of_int n)
 
@@ -143,11 +165,12 @@ let equal (a : mont) (b : mont) =
 (* The Montgomery map is additive (aR + bR = (a+b)R), so modular
    add/sub/neg work directly on domain representatives. *)
 let add ctx (a : mont) (b : mont) =
+  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
   let k = ctx.k in
   let out = Array.make k 0 in
   let carry = ref 0 in
   for i = 0 to k - 1 do
-    let x = a.(i) + b.(i) + !carry in
+    let x = a.%(i) + b.%(i) + !carry in
     out.(i) <- x land mask;
     carry := x lsr limb_bits
   done;
@@ -155,11 +178,12 @@ let add ctx (a : mont) (b : mont) =
   out
 
 let sub ctx (a : mont) (b : mont) =
+  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
   let k = ctx.k and m = ctx.m_limbs in
   let out = Array.make k 0 in
   let borrow = ref 0 in
   for i = 0 to k - 1 do
-    let d = a.(i) - b.(i) - !borrow in
+    let d = a.%(i) - b.%(i) - !borrow in
     if d < 0 then begin
       out.(i) <- d + base;
       borrow := 1
@@ -172,14 +196,15 @@ let sub ctx (a : mont) (b : mont) =
   if !borrow > 0 then begin
     let carry = ref 0 in
     for i = 0 to k - 1 do
-      let x = out.(i) + m.(i) + !carry in
+      let x = out.%(i) + m.%(i) + !carry in
       out.(i) <- x land mask;
       carry := x lsr limb_bits
     done
   end;
   out
 
-let neg ctx (a : mont) = if is_zero a then Array.copy a else sub ctx (zero ctx) a
+(* 0 − a: m − a for a ≠ 0, and 0 with no borrow for a = 0. *)
+let neg ctx (a : mont) = sub ctx (zero ctx) a
 let double ctx (a : mont) = add ctx a a
 
 (* Redundant-representation add: skips the conditional subtraction, so
@@ -192,11 +217,12 @@ let double ctx (a : mont) = add ctx a a
 let add_lazy ctx (a : mont) (b : mont) =
   if not ctx.lazy_ok then add ctx a b
   else begin
+    if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
     let k = ctx.k in
     let out = Array.make k 0 in
     let carry = ref 0 in
     for i = 0 to k - 1 do
-      let x = a.(i) + b.(i) + !carry in
+      let x = a.%(i) + b.%(i) + !carry in
       out.(i) <- x land mask;
       carry := x lsr limb_bits
     done;
@@ -209,13 +235,14 @@ let add_lazy ctx (a : mont) (b : mont) =
 let sub_lazy ctx (a : mont) (b : mont) =
   if not ctx.lazy_ok then sub ctx a b
   else begin
+    if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
     let k = ctx.k and m = ctx.m_limbs in
     let out = Array.make k 0 in
     let carry = ref 0 in
     for i = 0 to k - 1 do
       (* Offset by B so the limb stays non-negative; the -1 in the
          carry update cancels the offset. *)
-      let x = a.(i) + (2 * m.(i)) - b.(i) + !carry + base in
+      let x = a.%(i) + (2 * m.%(i)) - b.%(i) + !carry + base in
       out.(i) <- x land mask;
       carry := (x lsr limb_bits) - 1
     done;

@@ -3,9 +3,13 @@
     Operands are kept in the Montgomery domain (a·R mod m with
     R = B^k, B = 2^26, k the limb count of m), where a modular
     multiplication costs one fused multiply-reduce instead of a
-    multiplication plus a Barrett reduction.  Used by
-    {!Modular.pow}-style exponentiation ladders; see {!pow} for a
-    drop-in entry point. *)
+    multiplication plus a Barrett reduction.  Every F_p and F_p²
+    element ({!Sc_field.Fp.el}) is one of these residues; {!pow} is a
+    drop-in exponentiation for callers that hold naturals.
+
+    Every operation checks once that its operands have the context's
+    limb count and raises [Invalid_argument] otherwise; its limb loops
+    then read without bounds checks. *)
 
 type ctx
 
@@ -14,16 +18,20 @@ val create : Nat.t -> ctx
     it has more than 256 limbs (6656 bits), past which a column sum of
     {!mul} could overflow its [int] accumulator. *)
 
-type mont
-(** A residue in the Montgomery domain. *)
+type mont = private int array
+(** A residue in the Montgomery domain: a·R mod m, canonical, as
+    exactly k base-2{^26} limbs, least significant first.  The limbs
+    can be read but not built outside this module. *)
 
 val to_mont : ctx -> Nat.t -> mont
-(** Reduces its argument modulo m first, so any natural is accepted. *)
+(** One multiplication by R² mod m for an argument below m; a larger
+    one is reduced modulo m by a division first, so any natural is
+    accepted. *)
 
 val of_mont : ctx -> mont -> Nat.t
 
 val one : ctx -> mont
-(** R mod m, the domain image of 1. *)
+(** R mod m, the domain image of 1: one value shared by every call. *)
 
 val zero : ctx -> mont
 
@@ -91,5 +99,5 @@ val pow_mont : ctx -> mont -> Nat.t -> mont
     on the bits of [e] only, never on [a]. *)
 
 val pow : ctx -> Nat.t -> Nat.t -> Nat.t
-(** [pow ctx b e] = b^e mod m, entirely inside the Montgomery domain.
-    Functionally identical to {!Modular.pow} for odd moduli. *)
+(** [pow ctx b e] = b^e mod m for naturals: one conversion each way
+    around {!pow_mont}. *)

@@ -39,6 +39,6 @@ let verify_aggregate (prm : Params.t) entries sigma =
         Tate.gt_mul prm acc
           (Tate.pairing_precomp prm (hash_msg prm msg)
              (Tate.precomp_for prm pk)))
-      Tate.gt_one entries
+      (Tate.gt_one prm) entries
   in
   Tate.gt_equal lhs rhs

@@ -1,6 +1,5 @@
 open Sc_bignum
 open Sc_field
-module M = Fp.Mont
 
 let c_mul_wnaf = Sc_telemetry.Telemetry.counter "curve.mul.wnaf"
 let c_msm = Sc_telemetry.Telemetry.counter "curve.msm"
@@ -17,11 +16,8 @@ type t = { fld : Fp.ctx; coord_bytes : int }
 type point = Infinity | Affine of Fp.el * Fp.el
 
 (* The discriminant of y² = x³ + x, −16·(4·1³ + 27·0²) = −64,
-   vanishes in characteristic 2 only, where the Montgomery domain that
-   every fast path runs in does not exist either. *)
+   vanishes in characteristic 2 only, which {!Fp.create} rejects. *)
 let create fld =
-  if Nat.is_even (Fp.characteristic fld) then
-    invalid_arg "Curve.create: singular curve";
   { fld; coord_bytes = (Nat.bit_length (Fp.characteristic fld) + 7) / 8 }
 
 let infinity = Infinity
@@ -31,7 +27,7 @@ let is_infinity = function Infinity -> true | Affine _ -> false
 (* x³ + x *)
 let rhs c x =
   let f = c.fld in
-  Fp.mul f x (Fp.add f (Fp.sqr f x) Fp.one)
+  Fp.mul f x (Fp.add f (Fp.sqr f x) (Fp.one f))
 
 let on_curve c = function
   | Infinity -> true
@@ -49,7 +45,7 @@ let double c p =
     if Fp.is_zero y then Infinity
     else begin
       (* λ = (3x² + 1) / 2y *)
-      let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) Fp.one in
+      let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) (Fp.one f) in
       let lam = inverted (Fp.div f num (Fp.double f y)) in
       let x3 = Fp.sub f (Fp.sqr f lam) (Fp.double f x) in
       let y3 = Fp.sub f (Fp.mul f lam (Fp.sub f x x3)) y in
@@ -73,36 +69,35 @@ let add c p q =
 
 (* ------------------------------------------------------------------ *)
 (* Jacobian coordinates (X : Y : Z) with x = X/Z², y = Y/Z³; Z = 0
-   encodes the point at infinity, in the Montgomery domain so every
-   field multiplication is a single fused REDC.  Scalar multiplication
+   encodes the point at infinity.  Scalar multiplication
    runs in this form so that the whole ladder needs a single field
    inversion, instead of one per group operation.  The formulas are
    dbl-2007-bl and madd-2007-bl, with the curve coefficient a = 1.
    All operations here stay strict (canonical outputs) because the
    group law compares coordinates for the doubling/inverse cases. *)
 
-type mjac = { mx : M.e; my : M.e; mz : M.e }
+type mjac = { mx : Fp.el; my : Fp.el; mz : Fp.el }
 
-let mjac_infinity f = { mx = M.one f; my = M.one f; mz = M.zero f }
+let mjac_infinity f = { mx = Fp.one f; my = Fp.one f; mz = Fp.zero f }
 
 let mjdouble f j =
-  if M.is_zero j.mz || M.is_zero j.my then mjac_infinity f
+  if Fp.is_zero j.mz || Fp.is_zero j.my then mjac_infinity f
   else begin
-    let xx = M.sqr f j.mx in
-    let yy = M.sqr f j.my in
-    let yyyy = M.sqr f yy in
-    let zz = M.sqr f j.mz in
+    let xx = Fp.sqr f j.mx in
+    let yy = Fp.sqr f j.my in
+    let yyyy = Fp.sqr f yy in
+    let zz = Fp.sqr f j.mz in
     let s =
-      M.double f (M.sub f (M.sub f (M.sqr f (M.add f j.mx yy)) xx) yyyy)
+      Fp.double f (Fp.sub f (Fp.sub f (Fp.sqr f (Fp.add f j.mx yy)) xx) yyyy)
     in
-    let m = M.add f (M.add f (M.double f xx) xx) (M.sqr f zz) in
-    let t = M.sub f (M.sqr f m) (M.double f s) in
+    let m = Fp.add f (Fp.add f (Fp.double f xx) xx) (Fp.sqr f zz) in
+    let t = Fp.sub f (Fp.sqr f m) (Fp.double f s) in
     let y3 =
-      M.sub f
-        (M.mul f m (M.sub f s t))
-        (M.double f (M.double f (M.double f yyyy)))
+      Fp.sub f
+        (Fp.mul f m (Fp.sub f s t))
+        (Fp.double f (Fp.double f (Fp.double f yyyy)))
     in
-    let z3 = M.sub f (M.sub f (M.sqr f (M.add f j.my j.mz)) yy) zz in
+    let z3 = Fp.sub f (Fp.sub f (Fp.sqr f (Fp.add f j.my j.mz)) yy) zz in
     { mx = t; my = y3; mz = z3 }
   end
 
@@ -111,67 +106,65 @@ let mjdouble f j =
    squares to the same x3, and y3 = r·(V − x3) − 2·Y1·J takes the sign
    as 2·(s2 + Y1)·(x3 − V). *)
 let mjadd_mixed f j x2 y2 ~neg =
-  if M.is_zero j.mz then
-    { mx = x2; my = (if neg then M.neg f y2 else y2); mz = M.one f }
+  if Fp.is_zero j.mz then
+    { mx = x2; my = (if neg then Fp.neg f y2 else y2); mz = Fp.one f }
   else begin
-    let z1z1 = M.sqr f j.mz in
-    let u2 = M.mul f x2 z1z1 in
-    let s2 = M.mul f y2 (M.mul f j.mz z1z1) in
-    if M.equal u2 j.mx then begin
-      if M.equal (if neg then M.neg f s2 else s2) j.my then mjdouble f j
+    let z1z1 = Fp.sqr f j.mz in
+    let u2 = Fp.mul f x2 z1z1 in
+    let s2 = Fp.mul f y2 (Fp.mul f j.mz z1z1) in
+    if Fp.equal u2 j.mx then begin
+      if Fp.equal (if neg then Fp.neg f s2 else s2) j.my then mjdouble f j
       else mjac_infinity f
     end
     else begin
-      let h = M.sub f u2 j.mx in
-      let hh = M.sqr f h in
-      let i = M.double f (M.double f hh) in
-      let jj = M.mul f h i in
-      let r = M.double f (if neg then M.add f s2 j.my else M.sub f s2 j.my) in
-      let v = M.mul f j.mx i in
-      let x3 = M.sub f (M.sub f (M.sqr f r) jj) (M.double f v) in
+      let h = Fp.sub f u2 j.mx in
+      let hh = Fp.sqr f h in
+      let i = Fp.double f (Fp.double f hh) in
+      let jj = Fp.mul f h i in
+      let r = Fp.double f (if neg then Fp.add f s2 j.my else Fp.sub f s2 j.my) in
+      let v = Fp.mul f j.mx i in
+      let x3 = Fp.sub f (Fp.sub f (Fp.sqr f r) jj) (Fp.double f v) in
       let y3 =
-        M.sub f
-          (M.mul f r (if neg then M.sub f x3 v else M.sub f v x3))
-          (M.double f (M.mul f j.my jj))
+        Fp.sub f
+          (Fp.mul f r (if neg then Fp.sub f x3 v else Fp.sub f v x3))
+          (Fp.double f (Fp.mul f j.my jj))
       in
-      let z3 = M.sub f (M.sub f (M.sqr f (M.add f j.mz h)) z1z1) hh in
+      let z3 = Fp.sub f (Fp.sub f (Fp.sqr f (Fp.add f j.mz h)) z1z1) hh in
       { mx = x3; my = y3; mz = z3 }
     end
   end
 
 let point_of_mjac c j =
   let f = c.fld in
-  if M.is_zero j.mz then Infinity
+  if Fp.is_zero j.mz then Infinity
   else begin
-    let zi = inverted (M.inv f j.mz) in
-    let zi2 = M.sqr f zi in
-    Affine
-      ( M.leave f (M.mul f j.mx zi2),
-        M.leave f (M.mul f j.my (M.mul f zi2 zi)) )
+    let zi = inverted (Fp.inv f j.mz) in
+    let zi2 = Fp.sqr f zi in
+    Affine (Fp.mul f j.mx zi2, Fp.mul f j.my (Fp.mul f zi2 zi))
   end
 
-(* Normalize a batch of Jacobian points to Montgomery affine with one
-   shared inversion; infinity entries come back as None. *)
+(* Normalize a batch of Jacobian points to affine with one shared
+   inversion; infinity entries come back as None. *)
 let mjac_batch_affine f jacs =
   let n = Array.length jacs in
   let live = ref [] in
   for i = n - 1 downto 0 do
-    if not (M.is_zero jacs.(i).mz) then live := i :: !live
+    if not (Fp.is_zero jacs.(i).mz) then live := i :: !live
   done;
   let live = Array.of_list !live in
   let zs = Array.map (fun i -> jacs.(i).mz) live in
   let zinvs =
-    if Array.length zs = 0 then [||] else inverted (M.batch_inv f zs)
+    if Array.length zs = 0 then [||] else inverted (Fp.batch_inv f zs)
   in
   let out = Array.make n None in
   Array.iteri
     (fun li i ->
       let zi = zinvs.(li) in
-      let zi2 = M.sqr f zi in
+      let zi2 = Fp.sqr f zi in
       out.(i) <-
         Some
-          ( M.mul f jacs.(i).mx zi2,
-            M.mul f jacs.(i).my (M.mul f zi2 zi) ))
+          ( Fp.mul f jacs.(i).mx zi2,
+            Fp.mul f jacs.(i).my (Fp.mul f zi2 zi) ))
     live;
   out
 
@@ -180,15 +173,15 @@ let mjac_batch_affine f jacs =
    one addition per w+1 doublings versus one per 2 for
    double-and-add.  [msm] runs it over several bases at once. *)
 
-(* Odd multiples P, 3P, …, (2^(w−1) − 1)·P of each base, as
-   Montgomery-affine points.  Two shared inversions serve every base:
+(* Odd multiples P, 3P, …, (2^(w−1) − 1)·P of each base, as affine
+   points.  Two shared inversions serve every base:
    one normalizes all the 2P, one all the table entries.  An entry is
    None where a small-order base reaches O mid-chain; when 2P = O (a
    2-torsion base) every odd multiple is P itself. *)
 let wnaf_tables f ~width bases =
   let size = 1 lsl (width - 2) in
   let doubles =
-    Array.map (fun (x, y) -> mjdouble f { mx = x; my = y; mz = M.one f }) bases
+    Array.map (fun (x, y) -> mjdouble f { mx = x; my = y; mz = Fp.one f }) bases
   in
   let doubles = mjac_batch_affine f doubles in
   let njac =
@@ -196,7 +189,7 @@ let wnaf_tables f ~width bases =
       (Array.to_list
          (Array.mapi
             (fun b (x, y) ->
-              let row = Array.make size { mx = x; my = y; mz = M.one f } in
+              let row = Array.make size { mx = x; my = y; mz = Fp.one f } in
               (match doubles.(b) with
                | None -> ()
                | Some (tx, ty) ->
@@ -213,10 +206,7 @@ let wnaf_tables f ~width bases =
    term, plus a mixed addition per non-zero digit of each scalar. *)
 let straus c ~width terms =
   let f = c.fld in
-  let tables =
-    wnaf_tables f ~width
-      (Array.map (fun (_, (x, y)) -> M.enter f x, M.enter f y) terms)
-  in
+  let tables = wnaf_tables f ~width (Array.map snd terms) in
   let digits = Array.map (fun (k, _) -> Nat.wnaf ~width k) terms in
   let len = Array.fold_left (fun m d -> max m (Array.length d)) 0 digits in
   let acc = ref (mjac_infinity f) in
@@ -247,7 +237,7 @@ let straus c ~width terms =
    BB = B².  The doubling is Montgomery's (AA·BB : E·(BB + a24·E)),
    E = AA − BB, with a24 = (A + 2)/4 = 1/2 absorbed by scaling both
    coordinates by 2, since E·(BB + E/2) = E·(AA + BB)/2.  Which of
-   R0, R1 is doubled follows the scalar bit through [M.cswap], a
+   R0, R1 is doubled follows the scalar bit through [Fp.cswap], a
    masked exchange, so the sequence of field operations and the
    allocation depend on the scalar's bit length only.
 
@@ -255,27 +245,27 @@ let straus c ~width terms =
    order 2: (0, 0) is the only one when p ≡ 3 mod 4) is handled
    before the ladder; O and k = 0 are too. *)
 
-(* (k·P, (k+1)·P) as (X : Z) pairs, x_P the base's x in the domain. *)
+(* (k·P, (k+1)·P) as (X : Z) pairs, x_P the base's x. *)
 let ladder f xp k =
-  let x0 = ref (M.one f) and z0 = ref (M.zero f) in
-  let x1 = ref xp and z1 = ref (M.one f) in
+  let x0 = ref (Fp.one f) and z0 = ref (Fp.zero f) in
+  let x1 = ref xp and z1 = ref (Fp.one f) in
   let swap = ref 0 in
   for i = Nat.bit_length k - 1 downto 0 do
     let bit = Bool.to_int (Nat.test_bit k i) in
-    let x0', x1' = M.cswap (!swap lxor bit) !x0 !x1 in
-    let z0', z1' = M.cswap (!swap lxor bit) !z0 !z1 in
+    let x0', x1' = Fp.cswap (!swap lxor bit) !x0 !x1 in
+    let z0', z1' = Fp.cswap (!swap lxor bit) !z0 !z1 in
     swap := bit;
-    let a = M.add_lazy f x0' z0' and b = M.sub_lazy f x0' z0' in
-    let c = M.add_lazy f x1' z1' and d = M.sub_lazy f x1' z1' in
-    let aa = M.sqr f a and bb = M.sqr f b in
-    let da = M.mul f d a and cb = M.mul f c b in
-    x1 := M.sqr f (M.add_lazy f da cb);
-    z1 := M.mul f xp (M.sqr f (M.sub_lazy f da cb));
-    x0 := M.double f (M.mul f aa bb);
-    z0 := M.mul f (M.sub_lazy f aa bb) (M.add_lazy f aa bb)
+    let a = Fp.add_lazy f x0' z0' and b = Fp.sub_lazy f x0' z0' in
+    let c = Fp.add_lazy f x1' z1' and d = Fp.sub_lazy f x1' z1' in
+    let aa = Fp.sqr f a and bb = Fp.sqr f b in
+    let da = Fp.mul f d a and cb = Fp.mul f c b in
+    x1 := Fp.sqr f (Fp.add_lazy f da cb);
+    z1 := Fp.mul f xp (Fp.sqr f (Fp.sub_lazy f da cb));
+    x0 := Fp.double f (Fp.mul f aa bb);
+    z0 := Fp.mul f (Fp.sub_lazy f aa bb) (Fp.add_lazy f aa bb)
   done;
-  let x0, x1 = M.cswap !swap !x0 !x1 in
-  let z0, z1 = M.cswap !swap !z0 !z1 in
+  let x0, x1 = Fp.cswap !swap !x0 !x1 in
+  let z0, z1 = Fp.cswap !swap !z0 !z1 in
   (x0, z0), (x1, z1)
 
 let mul c k p =
@@ -287,26 +277,25 @@ let mul c k p =
     if Fp.is_zero py then if Nat.is_even k then Infinity else p
     else begin
       let f = c.fld in
-      let xp = M.enter f px and yp = M.enter f py in
-      let (x, z), (x', z') = ladder f xp k in
-      if M.is_zero z then Infinity
-      else if M.is_zero z' then Affine (px, Fp.neg f py) (* k·P = −P *)
+      let (x, z), (x', z') = ladder f px k in
+      if Fp.is_zero z then Infinity
+      else if Fp.is_zero z' then Affine (px, Fp.neg f py) (* k·P = −P *)
       else begin
         (* Okeya–Sakurai: with Q = k·P = (X : Z) and Q + P = (X' : Z'),
            y_Q = ((x_P·X + Z)(X + x_P·Z)·Z' − (X − x_P·Z)²·X')
                  / (2·y_P·Z²·Z'),
            and one inversion of that denominator gives x_Q too. *)
-        let pz = M.mul f xp z in
+        let pz = Fp.mul f px z in
         let num =
-          M.sub f
-            (M.mul f
-               (M.mul f (M.add_lazy f (M.mul f xp x) z) (M.add_lazy f x pz))
+          Fp.sub f
+            (Fp.mul f
+               (Fp.mul f (Fp.add_lazy f (Fp.mul f px x) z) (Fp.add_lazy f x pz))
                z')
-            (M.mul f (M.sqr f (M.sub_lazy f x pz)) x')
+            (Fp.mul f (Fp.sqr f (Fp.sub_lazy f x pz)) x')
         in
-        let w = M.mul f (M.double f (M.mul f yp z)) z' in
-        let d = inverted (M.inv f (M.mul f w z)) in
-        Affine (M.leave f (M.mul f (M.mul f w x) d), M.leave f (M.mul f num d))
+        let w = Fp.mul f (Fp.double f (Fp.mul f py z)) z' in
+        let d = inverted (Fp.inv f (Fp.mul f w z)) in
+        Affine (Fp.mul f (Fp.mul f w x) d, Fp.mul f num d)
       end
     end
 
@@ -318,18 +307,18 @@ let mul_is_infinity c k p =
     Sc_telemetry.Telemetry.incr c_mul_wnaf;
     if Fp.is_zero py then Nat.is_even k
     else
-      let (_, z), _ = ladder c.fld (M.enter c.fld px) k in
-      M.is_zero z
+      let (_, z), _ = ladder c.fld px k in
+      Fp.is_zero z
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-base comb over signed 4-bit digits.  A scalar below 2^bits is
    recoded as k = Σ d_w·16^w with d_w ∈ [−8, 7], over ⌈bits/4⌉
    windows and one more that takes the last carry (its digit is 0 or
-   1).  table.(w).(|d| − 1) = |d|·16^w·P in Montgomery affine form, 8
+   1).  table.(w).(|d| − 1) = |d|·16^w·P in affine form, 8
    entries per window and 1 in the carry window, so a b-bit scalar
    costs at most ⌈b/4⌉ + 1 mixed additions, a negative digit negating
    y, and zero doublings. *)
-type precomp = { bits : int; tables : (M.e * M.e) option array array }
+type precomp = { bits : int; tables : (Fp.el * Fp.el) option array array }
 
 let precompute c ~bits p =
   if bits <= 0 then invalid_arg "Curve.precompute: bits <= 0";
@@ -346,7 +335,7 @@ let precompute c ~bits p =
        normalized by one batch inversion.  Once a small-order base
        reaches O, every later B_w is O too, and None. *)
     let jbases =
-      Array.make nwindows { mx = M.enter f x; my = M.enter f y; mz = M.one f }
+      Array.make nwindows { mx = x; my = y; mz = Fp.one f }
     in
     for w = 0 to nwindows - 2 do
       let b = ref jbases.(w) in
@@ -417,7 +406,7 @@ let comb_into f pc acc k =
 
 let mjac_of_point f = function
   | Infinity -> mjac_infinity f
-  | Affine (x, y) -> { mx = M.enter f x; my = M.enter f y; mz = M.one f }
+  | Affine (x, y) -> { mx = x; my = y; mz = Fp.one f }
 
 (* Every row runs its own Jacobian comb from its start point; the
    results are then normalized together, so n rows cost one field
@@ -426,9 +415,7 @@ let add_mul_precomp_batch c rows =
   Array.iter (fun (_, pc, k) -> check_range pc k) rows;
   let f = c.fld in
   Array.map
-    (function
-      | None -> Infinity
-      | Some (x, y) -> Affine (M.leave f x, M.leave f y))
+    (function None -> Infinity | Some (x, y) -> Affine (x, y))
     (mjac_batch_affine f
        (Array.map
           (fun (p, pc, k) -> comb_into f pc (mjac_of_point f p) k)
@@ -472,7 +459,7 @@ let lift_x c x =
   | None -> None
   | Some y ->
     (* Pick the root with even least-significant bit for determinism. *)
-    let y = if Nat.test_bit (Fp.to_nat y) 0 then Fp.neg c.fld y else y in
+    let y = if Nat.test_bit (Fp.to_nat c.fld y) 0 then Fp.neg c.fld y else y in
     Some (Affine (x, y))
 
 let random c ~bytes_source =
@@ -492,8 +479,8 @@ let to_bytes c = function
   | Affine (x, y) ->
     let n = c.coord_bytes in
     "\x04"
-    ^ Nat.to_bytes_be ~len:n (Fp.to_nat x)
-    ^ Nat.to_bytes_be ~len:n (Fp.to_nat y)
+    ^ Nat.to_bytes_be ~len:n (Fp.to_nat c.fld x)
+    ^ Nat.to_bytes_be ~len:n (Fp.to_nat c.fld y)
 
 let of_bytes c s =
   let n = c.coord_bytes in
@@ -504,7 +491,7 @@ let of_bytes c s =
     let p = Fp.characteristic c.fld in
     if Nat.compare x p >= 0 || Nat.compare y p >= 0 then None
     else begin
-      let pt = Affine (x, y) in
+      let pt = Affine (Fp.of_nat c.fld x, Fp.of_nat c.fld y) in
       if on_curve c pt then Some pt else None
     end
   end

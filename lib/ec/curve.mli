@@ -13,10 +13,12 @@ type t
 (** The curve over one field. *)
 
 type point = Infinity | Affine of Fp.el * Fp.el
+(** Coordinates are Montgomery residues of the curve's field; only
+    {!to_bytes} and {!of_bytes} convert them. *)
 
 val create : Fp.ctx -> t
-(** @raise Invalid_argument when the curve is singular, which it is
-    in characteristic 2 only. *)
+(** The curve is singular in characteristic 2 only, which
+    {!Fp.create} rejects. *)
 
 val infinity : point
 val is_infinity : point -> bool

@@ -12,6 +12,9 @@ let generate (prm : Params.t) ~bytes_source =
 
 let hash_msg prm msg = Hash_g1.hash_to_scalar prm ("ecdsa:" ^ msg)
 
+(* r is the x-coordinate of a point, as an integer, mod q. *)
+let x_mod_q (prm : Params.t) qmod x = Modular.reduce qmod (Sc_field.Fp.to_nat prm.fp x)
+
 let sign (prm : Params.t) kp ~bytes_source msg =
   let qmod = Modular.create prm.q in
   let h = hash_msg prm msg in
@@ -20,7 +23,7 @@ let sign (prm : Params.t) kp ~bytes_source msg =
     match Params.mul_g prm k with
     | Curve.Infinity -> attempt ()
     | Curve.Affine (x, _) ->
-      let r = Nat.rem x prm.q in
+      let r = x_mod_q prm qmod x in
       if Nat.is_zero r then attempt ()
       else begin
         let kinv = Modular.inv qmod k in
@@ -47,4 +50,4 @@ let verify (prm : Params.t) pubkey msg { r; s } =
          (Curve.mul prm.curve u2 pubkey)
      with
     | Curve.Infinity -> false
-    | Curve.Affine (x, _) -> Nat.equal (Nat.rem x prm.q) r)
+    | Curve.Affine (x, _) -> Nat.equal (x_mod_q prm qmod x) r)

@@ -1,40 +1,57 @@
-(** The prime field F_p.  Elements are canonical {!Sc_bignum.Nat.t}
-    residues below the characteristic; a {!ctx} carries the modulus
-    and its Barrett reciprocal. *)
+(** The prime field F_p.  Elements are Montgomery residues
+    ({!Sc_bignum.Montgomery.mont}: a·R mod p, canonical, in the fixed
+    limb count of p), so every multiplication is one fused
+    multiply-reduce.  Naturals cross in and out only through {!of_nat}
+    and {!to_nat}; every other operation stays in the domain.  A
+    {!ctx} carries the modulus and its Montgomery constants. *)
 
 open Sc_bignum
 
 type ctx
 
-type el = Nat.t
-(** Always a canonical residue in [\[0, p)]. *)
+type el = Montgomery.mont
+(** Always canonical, so {!equal} is equality of the represented
+    residues.  Operations raise [Invalid_argument] on an element of
+    another limb count than the context's. *)
 
 val create : Nat.t -> ctx
-(** @raise Invalid_argument if the modulus is < 2.  Primality is the
-    caller's responsibility (checked by parameter generation). *)
+(** @raise Invalid_argument unless the modulus is odd and ≥ 3 (see
+    {!Sc_bignum.Montgomery.create}).  Primality is the caller's
+    responsibility (checked by parameter generation). *)
 
 val characteristic : ctx -> Nat.t
 
-val zero : el
-val one : el
+val zero : ctx -> el
+val one : ctx -> el
 
 val of_nat : ctx -> Nat.t -> el
-(** Reduces modulo p. *)
+(** Reduces modulo p: one Montgomery multiplication by R² mod p, after
+    a division only when the argument is p or more. *)
 
 val of_int : ctx -> int -> el
 (** Accepts negative integers (reduced into the canonical range). *)
 
-val to_nat : el -> Nat.t
+val to_nat : ctx -> el -> Nat.t
+(** The canonical residue in [\[0, p)]: one Montgomery
+    multiplication. *)
 
 val equal : el -> el -> bool
 val is_zero : el -> bool
 
 val add : ctx -> el -> el -> el
 val sub : ctx -> el -> el -> el
+
+val add_lazy : ctx -> el -> el -> el
+val sub_lazy : ctx -> el -> el -> el
+(** Redundant-representation add/sub (see
+    {!Sc_bignum.Montgomery.add_lazy}): results may be non-canonical
+    and must only feed {!mul}/{!sqr}, never {!equal}/{!is_zero}/
+    {!to_nat}. *)
+
 val neg : ctx -> el -> el
+val double : ctx -> el -> el
 val mul : ctx -> el -> el -> el
 val sqr : ctx -> el -> el
-val double : ctx -> el -> el
 
 val inv : ctx -> el -> el
 (** Fermat's a^(p-2): one ladder whose branches depend on the public
@@ -43,69 +60,25 @@ val inv : ctx -> el -> el
 
 val div : ctx -> el -> el -> el
 
+val batch_inv : ctx -> el array -> el array
+(** Montgomery's trick: inverts every element with a single {!inv}
+    and 3(n-1) multiplications.
+    @raise Division_by_zero if any element is zero. *)
+
 val sqrt : ctx -> el -> el option
 (** Square root for p ≡ 3 (mod 4) via the [(p+1)/4] exponent.
     @raise Invalid_argument when p ≢ 3 (mod 4). *)
 
 val random : ctx -> bytes_source:(int -> string) -> el
 
-(** Montgomery-resident field elements.
+val cswap : int -> el -> el -> el * el
+(** Constant-time conditional swap, see
+    {!Sc_bignum.Montgomery.cswap}. *)
 
-    The pairing hot path converts its inputs into the Montgomery
-    domain once ({!Mont.enter}), runs the whole Miller loop and final
-    exponentiation on {!Mont.e} values — where a multiplication is one
-    fused REDC instead of a {!Sc_bignum.Nat.mul} plus a Barrett
-    reduction — and converts back once at the end ({!Mont.leave}).
-    Only odd characteristics have a Montgomery form; every operation
-    raises [Invalid_argument] on a characteristic-2 context. *)
-module Mont : sig
-  type e
+type table
 
-  val enter : ctx -> el -> e
-  val leave : ctx -> e -> el
+val table : el array -> table
+(** @raise Invalid_argument on an empty array. *)
 
-  val zero : ctx -> e
-  val one : ctx -> e
-
-  val of_int : ctx -> int -> e
-  (** Accepts negative integers, like {!of_int}. *)
-
-  val add : ctx -> e -> e -> e
-  val sub : ctx -> e -> e -> e
-
-  val add_lazy : ctx -> e -> e -> e
-  val sub_lazy : ctx -> e -> e -> e
-  (** Redundant-representation add/sub (see
-      {!Sc_bignum.Montgomery.add_lazy}): results may be non-canonical
-      and must only feed {!mul}/{!sqr}, never
-      {!equal}/{!is_zero}/{!leave}. *)
-
-  val neg : ctx -> e -> e
-  val double : ctx -> e -> e
-  val mul : ctx -> e -> e -> e
-  val sqr : ctx -> e -> e
-
-  val inv : ctx -> e -> e
-  (** Fermat's a^(p-2) without leaving the domain, like {!Fp.inv}.
-      @raise Division_by_zero on zero. *)
-
-  val batch_inv : ctx -> e array -> e array
-  (** Montgomery's trick: inverts every element with a single {!inv}
-      and 3(n-1) multiplications.
-      @raise Division_by_zero if any element is zero. *)
-
-  val is_zero : e -> bool
-  val equal : e -> e -> bool
-
-  val cswap : int -> e -> e -> e * e
-  (** Constant-time conditional swap, see
-      {!Sc_bignum.Montgomery.cswap}. *)
-
-  type table
-
-  val table : e array -> table
-  (** @raise Invalid_argument on an empty array. *)
-
-  val select : table -> int -> e
-  (** Constant-time table read, see {!Sc_bignum.Montgomery.select}. *)
-end
+val select : table -> int -> el
+(** Constant-time table read, see {!Sc_bignum.Montgomery.select}. *)

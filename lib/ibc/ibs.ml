@@ -140,7 +140,7 @@ let verify_all (pub : Setup.public) entries =
           s.v, Tate.precomp_for prm prm.g;
           Curve.neg prm.curve w, Tate.precomp_for prm pub.p_pub;
         ]
-        Tate.gt_one
+        (Tate.gt_one prm)
       :: answer checked ws
     | (_, false) :: checked, ws -> false :: answer checked ws
     | [], _ | (_, true) :: _, [] -> []
@@ -252,7 +252,7 @@ let verify_batch (pub : Setup.public) entries =
        v_sum, Tate.precomp_for prm prm.g;
        Curve.neg prm.curve w_sum, Tate.precomp_for prm pub.p_pub;
      ]
-     Tate.gt_one)
+     (Tate.gt_one prm))
 
 (* Batch then blame, as [Agg.verify_each]: memo hits are answered
    without a check, the rest go through one {!verify_batch}, and only a

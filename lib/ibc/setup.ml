@@ -21,9 +21,3 @@ let q_of_id pub id =
 let extract sio id =
   let q_id = q_of_id sio.pub id in
   { id; q_id; sk = Curve.mul sio.pub.prm.curve sio.s q_id }
-
-(* ê(sk, P) = ê(Q_ID, P_pub), checked as a one-Miller-loop 2-term
-   multi-pairing ê(sk, P)·ê(−Q_ID, P_pub) = 1, replayed from the
-   cached line tables of the fixed P / P_pub.  The replayed product
-   relies on pairing symmetry, so the untrusted sk is checked into the
-   subgroup first (Q_ID is in it by construction). *)

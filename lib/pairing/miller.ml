@@ -1,7 +1,6 @@
 open Sc_bignum
 open Sc_field
 open Sc_ec
-module FpM = Fp.Mont
 
 (* The Miller loop of ê(P, ·), split in two.  [precompute] walks the
    base point's trajectory T in Jacobian coordinates (x = X/Z²,
@@ -30,7 +29,7 @@ module FpM = Fp.Mont
    which the final exponentiation annihilates: the pairing value is
    that of the binary loop, bit for bit. *)
 
-type coeffs = { alpha : FpM.e; beta : FpM.e }
+type coeffs = { alpha : Fp.el; beta : Fp.el }
 
 (* One NAF digit: the tangent line, plus the chord line when the digit
    is non-zero.  [None] marks an eliminated factor (vertical line) or
@@ -46,39 +45,39 @@ type precomp = {
 }
 
 type traj = {
-  mutable tx : FpM.e;
-  mutable ty : FpM.e;
-  mutable tz : FpM.e;
+  mutable tx : Fp.el;
+  mutable ty : Fp.el;
+  mutable tz : Fp.el;
   mutable inf : bool;
 }
 
 (* A recorded line before normalization: alpha, beta, gamma. *)
-type raw = FpM.e * FpM.e * FpM.e
+type raw = Fp.el * Fp.el * Fp.el
 
 (* Tangent at T: the line's coefficients, and T doubled in place. *)
 let tangent fp st : raw option =
   if st.inf then None
-  else if FpM.is_zero st.ty then begin
+  else if Fp.is_zero st.ty then begin
     st.inf <- true;
     None
   end
   else begin
     let x = st.tx and y = st.ty and z = st.tz in
-    let xx = FpM.sqr fp x in
-    let yy = FpM.sqr fp y in
-    let zz = FpM.sqr fp z in
-    let m = FpM.add fp (FpM.add fp (FpM.double fp xx) xx) (FpM.sqr fp zz) in
-    let two_yy = FpM.double fp yy in
-    let alpha = FpM.sub fp (FpM.mul fp m x) two_yy in
-    let beta = FpM.mul fp m zz in
-    let z3 = FpM.double fp (FpM.mul fp y z) in
-    let gamma = FpM.mul fp z3 zz in
-    let s = FpM.double fp (FpM.double fp (FpM.mul fp x yy)) in
-    let x3 = FpM.sub fp (FpM.sqr fp m) (FpM.double fp s) in
+    let xx = Fp.sqr fp x in
+    let yy = Fp.sqr fp y in
+    let zz = Fp.sqr fp z in
+    let m = Fp.add fp (Fp.add fp (Fp.double fp xx) xx) (Fp.sqr fp zz) in
+    let two_yy = Fp.double fp yy in
+    let alpha = Fp.sub fp (Fp.mul fp m x) two_yy in
+    let beta = Fp.mul fp m zz in
+    let z3 = Fp.double fp (Fp.mul fp y z) in
+    let gamma = Fp.mul fp z3 zz in
+    let s = Fp.double fp (Fp.double fp (Fp.mul fp x yy)) in
+    let x3 = Fp.sub fp (Fp.sqr fp m) (Fp.double fp s) in
     let y3 =
-      FpM.sub fp
-        (FpM.mul fp m (FpM.sub fp s x3))
-        (FpM.double fp (FpM.double fp (FpM.double fp (FpM.sqr fp yy))))
+      Fp.sub fp
+        (Fp.mul fp m (Fp.sub fp s x3))
+        (Fp.double fp (Fp.double fp (Fp.double fp (Fp.sqr fp yy))))
     in
     st.tx <- x3;
     st.ty <- y3;
@@ -92,11 +91,11 @@ let chord fp st px py : raw option =
   if st.inf then None
   else begin
     let x = st.tx and y = st.ty and z = st.tz in
-    let zz = FpM.sqr fp z in
-    let u = FpM.sub fp (FpM.mul fp py (FpM.mul fp z zz)) y in
-    let v = FpM.sub fp (FpM.mul fp px zz) x in
-    if FpM.is_zero v then begin
-      if FpM.is_zero u then
+    let zz = Fp.sqr fp z in
+    let u = Fp.sub fp (Fp.mul fp py (Fp.mul fp z zz)) y in
+    let v = Fp.sub fp (Fp.mul fp px zz) x in
+    if Fp.is_zero v then begin
+      if Fp.is_zero u then
         (* T = (px, py): tangent step (cannot happen for a prime-order
            Miller loop, but stay total). *)
         tangent fp st
@@ -106,13 +105,13 @@ let chord fp st px py : raw option =
       end
     end
     else begin
-      let vz = FpM.mul fp v z in
-      let alpha = FpM.sub fp (FpM.mul fp u px) (FpM.mul fp vz py) in
-      let vv = FpM.sqr fp v in
-      let vvv = FpM.mul fp vv v in
-      let vvx = FpM.mul fp vv x in
-      let x3 = FpM.sub fp (FpM.sub fp (FpM.sqr fp u) vvv) (FpM.double fp vvx) in
-      let y3 = FpM.sub fp (FpM.mul fp u (FpM.sub fp vvx x3)) (FpM.mul fp vvv y) in
+      let vz = Fp.mul fp v z in
+      let alpha = Fp.sub fp (Fp.mul fp u px) (Fp.mul fp vz py) in
+      let vv = Fp.sqr fp v in
+      let vvv = Fp.mul fp vv v in
+      let vvx = Fp.mul fp vv x in
+      let x3 = Fp.sub fp (Fp.sub fp (Fp.sqr fp u) vvv) (Fp.double fp vvx) in
+      let y3 = Fp.sub fp (Fp.mul fp u (Fp.sub fp vvx x3)) (Fp.mul fp vvv y) in
       st.tx <- x3;
       st.ty <- y3;
       st.tz <- vz;
@@ -129,14 +128,14 @@ let normalize fp (raws : (raw option * raw option) array) =
          (fun (d, a) -> List.filter_map (Option.map (fun (_, _, g) -> g)) [ d; a ])
          (Array.to_list raws))
   in
-  let inv = FpM.batch_inv fp gammas in
+  let inv = Fp.batch_inv fp gammas in
   let next = ref 0 in
   let scale = function
     | None -> None
     | Some (alpha, beta, _) ->
       let gi = inv.(!next) in
       incr next;
-      Some { alpha = FpM.mul fp alpha gi; beta = FpM.mul fp beta gi }
+      Some { alpha = Fp.mul fp alpha gi; beta = Fp.mul fp beta gi }
   in
   Array.map
     (fun (d, a) ->
@@ -151,10 +150,9 @@ let precompute ~fp ~order base =
   let raws = Array.make n (None, None) in
   (match base with
    | Curve.Infinity -> () (* all entries skip; the replay yields f = 1 *)
-   | Curve.Affine (bx, by) ->
-     let px = FpM.enter fp bx and py = FpM.enter fp by in
-     let npy = FpM.neg fp py in
-     let st = { tx = px; ty = py; tz = FpM.one fp; inf = false } in
+   | Curve.Affine (px, py) ->
+     let npy = Fp.neg fp py in
+     let st = { tx = px; ty = py; tz = Fp.one fp; inf = false } in
      for j = 0 to n - 1 do
        let d = naf.(n - 1 - j) in
        let dbl = tangent fp st in

@@ -11,7 +11,7 @@
     trajectory — fixed once the base and the subgroup order are.  For
     a pairing argument that never changes (the generator, the system
     public key, a designated verifier's key) the whole loop can thus
-    be replayed from a table of Montgomery-resident coefficients,
+    be replayed from a table of coefficients,
     replacing all Jacobian point arithmetic with one multiplication
     and one addition per line; {!Tate.pairing_precomp} is the
     consumer.  The uncached {!Tate.pairing} builds a table and replays
@@ -28,7 +28,7 @@ open Sc_bignum
 open Sc_field
 open Sc_ec
 
-type coeffs = { alpha : Fp.Mont.e; beta : Fp.Mont.e }
+type coeffs = { alpha : Fp.el; beta : Fp.el }
 (** A line divided by its [y_q] coefficient. *)
 
 type entry = { dbl : coeffs option; add : coeffs option }

@@ -23,32 +23,18 @@ let c_gt_multi_exp_terms = Telemetry.counter "pairing.gt_multi_exp_terms"
 
 type gt = Fp2.el
 
-let gt_one = Fp2.one
+let gt_one (prm : Params.t) = Fp2.one prm.fp
 let gt_equal = Fp2.equal
 let gt_mul (prm : Params.t) a b = Fp2.mul prm.fp a b
 
 (* Membership in the unitary (norm-1) subgroup of F_p²* — where every
    honest GT element lives after the final exponentiation. *)
-let gt_is_unitary (prm : Params.t) a = Fp.equal (Fp2.norm prm.fp a) Fp.one
+let gt_is_unitary (prm : Params.t) a =
+  Fp.equal (Fp2.norm prm.fp a) (Fp.one prm.fp)
 
-(* --- Montgomery-domain arithmetic ----------------------------------
-
-   The hot paths live entirely on Montgomery-resident elements
-   ({!Fp.Mont.e} / {!Fp2.Mont.e}): inputs are converted once on entry,
-   every Miller-loop, exponentiation and final-exponentiation
-   multiplication is a single fused REDC, and the result is converted
-   back once at the end. *)
-
-module FpM = Fp.Mont
-module F2M = Fp2.Mont
-
-(* GT exponentiation runs in the Montgomery domain like the Miller
-   loop: one conversion each way around a square-and-multiply whose
-   every product is a single fused REDC — several times faster than
-   [Fp2.pow]'s Barrett reductions, with the same result. *)
 let gt_pow (prm : Params.t) a e =
   Telemetry.incr c_gt_pow;
-  F2M.leave prm.fp (F2M.pow prm.fp (F2M.enter prm.fp a) e)
+  Fp2.pow prm.fp a e
 
 (* Fixed-base Lim–Lee comb of height h = 4.  An exponent of at most
    h·d bits, d = ⌈bit_length q / h⌉, is read as h rows of d bits:
@@ -58,45 +44,45 @@ let gt_pow (prm : Params.t) a e =
    a^e = Π_c T[j_c]^(2^c) costs d squarings and d multiplications —
    against bit_length q squarings for square-and-multiply.  Every
    column squares and multiplies, including by T[0] = 1, and reads the
-   table by a full masked scan ({!Fp2.Mont.select}), so neither the
+   table by a full masked scan ({!Fp2.select}), so neither the
    operation sequence nor the memory trace depends on the exponent. *)
 let comb_height = 4
 
-type gt_comb = { cols : int; table : F2M.table }
+type gt_comb = { cols : int; table : Fp2.table }
 
 let gt_comb (prm : Params.t) a =
   Telemetry.incr c_gt_comb_build;
   let fp = prm.fp in
   let cols = (Nat.bit_length prm.q + comb_height - 1) / comb_height in
-  let table = Array.make (1 lsl comb_height) (F2M.one fp) in
-  let row = ref (F2M.enter fp a) in
+  let table = Array.make (1 lsl comb_height) (Fp2.one fp) in
+  let row = ref a in
   for k = 0 to comb_height - 1 do
     if k > 0 then
       for _ = 1 to cols do
-        row := F2M.sqr fp !row
+        row := Fp2.sqr fp !row
       done;
     let bit = 1 lsl k in
     table.(bit) <- !row;
     for j = 1 to bit - 1 do
-      table.(bit lor j) <- F2M.mul fp table.(j) !row
+      table.(bit lor j) <- Fp2.mul fp table.(j) !row
     done
   done;
-  { cols; table = F2M.table table }
+  { cols; table = Fp2.table table }
 
 let gt_comb_exp (prm : Params.t) { cols; table } e =
   if Nat.bit_length e > comb_height * cols then
     invalid_arg "Tate.gt_comb_exp: exponent wider than the comb";
   Telemetry.incr c_gt_comb_exp;
   let fp = prm.fp in
-  let acc = ref (F2M.one fp) in
+  let acc = ref (Fp2.one fp) in
   for c = cols - 1 downto 0 do
     let j = ref 0 in
     for k = comb_height - 1 downto 0 do
       j := (!j lsl 1) lor Bool.to_int (Nat.test_bit e ((k * cols) + c))
     done;
-    acc := F2M.mul fp (F2M.sqr fp !acc) (F2M.select table !j)
+    acc := Fp2.mul fp (Fp2.sqr fp !acc) (Fp2.select table !j)
   done;
-  F2M.leave fp !acc
+  !acc
 
 (* GT is the order-q subgroup of the unitary group, whose order is
    p + 1 = c·q.  A unitary a is a root of x² − t·x + 1 with trace
@@ -110,21 +96,21 @@ let gt_in_group (prm : Params.t) a =
   gt_is_unitary prm a
   &&
   let fp = prm.fp in
-  let two = FpM.of_int fp 2 in
-  let t = FpM.enter fp (Fp.double fp a.Fp2.re) in
+  let two = Fp.of_int fp 2 in
+  let t = Fp.double fp a.Fp2.re in
   let v0 = ref two and v1 = ref t in
   for i = Nat.bit_length prm.q - 1 downto 0 do
-    let mid = FpM.sub fp (FpM.mul fp !v0 !v1) t in
+    let mid = Fp.sub fp (Fp.mul fp !v0 !v1) t in
     if Nat.test_bit prm.q i then begin
       v0 := mid;
-      v1 := FpM.sub fp (FpM.sqr fp !v1) two
+      v1 := Fp.sub fp (Fp.sqr fp !v1) two
     end
     else begin
-      v0 := FpM.sub fp (FpM.sqr fp !v0) two;
+      v0 := Fp.sub fp (Fp.sqr fp !v0) two;
       v1 := mid
     end
   done;
-  FpM.equal !v0 two
+  Fp.equal !v0 two
 
 (* Simultaneous width-4 wNAF exponentiation: one squaring chain as long
    as the widest exponent, and per base the odd powers a, a³, a⁵, a⁷.
@@ -141,35 +127,34 @@ let gt_multi_exp (prm : Params.t) terms =
     Array.of_list
       (List.map
          (fun (a, e) ->
-           let a = F2M.enter fp a in
-           let a2 = F2M.sqr fp a in
+           let a2 = Fp2.sqr fp a in
            let odd = Array.make (1 lsl (width - 2)) a in
            for i = 1 to Array.length odd - 1 do
-             odd.(i) <- F2M.mul fp odd.(i - 1) a2
+             odd.(i) <- Fp2.mul fp odd.(i - 1) a2
            done;
-           odd, Array.map (F2M.conj fp) odd, Nat.wnaf ~width e)
+           odd, Array.map (Fp2.conj fp) odd, Nat.wnaf ~width e)
          terms)
   in
   let len = Array.fold_left (fun m (_, _, d) -> max m (Array.length d)) 0 powers in
-  let acc = ref (F2M.one fp) in
+  let acc = ref (Fp2.one fp) in
   for i = len - 1 downto 0 do
-    acc := F2M.sqr fp !acc;
+    acc := Fp2.sqr fp !acc;
     Array.iter
       (fun (odd, inv, ds) ->
         let d = if i < Array.length ds then ds.(i) else 0 in
-        if d > 0 then acc := F2M.mul fp !acc odd.((d - 1) / 2)
-        else if d < 0 then acc := F2M.mul fp !acc inv.((-d - 1) / 2))
+        if d > 0 then acc := Fp2.mul fp !acc odd.((d - 1) / 2)
+        else if d < 0 then acc := Fp2.mul fp !acc inv.((-d - 1) / 2))
       powers
   done;
-  F2M.leave fp !acc
+  !acc
 
 (* f^((p² − 1)/q) = (f^(p−1))^c = (conj(f)·f⁻¹)^c, using that
    conjugation is the p-power Frobenius when p ≡ 3 (mod 4). *)
-let final_expo_mont (prm : Params.t) f =
+let final_expo (prm : Params.t) f =
   Telemetry.incr c_final_expo;
   let fp = prm.fp in
-  let g = F2M.mul fp (F2M.conj fp f) (F2M.inv fp f) in
-  F2M.pow fp g prm.cofactor
+  let g = Fp2.mul fp (Fp2.conj fp f) (Fp2.inv fp f) in
+  Fp2.pow fp g prm.cofactor
 
 let pairings_performed () = Telemetry.value c_pairings
 
@@ -198,28 +183,27 @@ let precompute (prm : Params.t) pt =
 
 let precomp_for = Params.miller_precomp_for
 
-(* Per-term replay state: the line table plus the evaluation point in
-   the Montgomery domain. *)
-type rstate = { entries : Miller.entry array; exq : FpM.e; eyq : FpM.e }
+(* Per-term replay state: the line table plus the evaluation point. *)
+type rstate = { entries : Miller.entry array; exq : Fp.el; eyq : Fp.el }
 
 (* A normalized line at Q: (alpha + beta·x_q) + y_q·i, one
    multiplication.  The real part is lazy (< 2m): it feeds only the
-   F2M multiplication below. *)
+   F_p² multiplication below. *)
 let line_value fp (c : Miller.coeffs) xq yq =
-  F2M.make (FpM.add_lazy fp c.Miller.alpha (FpM.mul fp c.Miller.beta xq)) yq
+  Fp2.make (Fp.add_lazy fp c.Miller.alpha (Fp.mul fp c.Miller.beta xq)) yq
 
 let miller_replay_shared (prm : Params.t) states =
   let fp = prm.fp in
-  let f = ref (F2M.one fp) in
+  let f = ref (Fp2.one fp) in
   let n = Array.length states.(0).entries in
   if Array.exists (fun st -> Array.length st.entries <> n) states then
     invalid_arg "Tate.pairing_precomp: precomp from a different parameter set";
   for j = 0 to n - 1 do
-    f := F2M.sqr fp !f;
+    f := Fp2.sqr fp !f;
     Array.iter
       (fun st ->
         match st.entries.(j).Miller.dbl with
-        | Some c -> f := F2M.mul fp !f (line_value fp c st.exq st.eyq)
+        | Some c -> f := Fp2.mul fp !f (line_value fp c st.exq st.eyq)
         | None -> ())
       states;
     (* Chord entries are [Some] exactly on the non-zero NAF digits of
@@ -227,7 +211,7 @@ let miller_replay_shared (prm : Params.t) states =
     Array.iter
       (fun st ->
         match st.entries.(j).Miller.add with
-        | Some c -> f := F2M.mul fp !f (line_value fp c st.exq st.eyq)
+        | Some c -> f := Fp2.mul fp !f (line_value fp c st.exq st.eyq)
         | None -> ())
       states
   done;
@@ -238,11 +222,7 @@ let rstate (prm : Params.t) (pc : Miller.precomp) bx by =
     invalid_arg "Tate.pairing_precomp: precomp from a different parameter set";
   (* Every term a replay evaluates adds its table's line count. *)
   Telemetry.add c_lines pc.Miller.lines;
-  {
-    entries = pc.Miller.entries;
-    exq = FpM.enter prm.fp bx;
-    eyq = FpM.enter prm.fp by;
-  }
+  { entries = pc.Miller.entries; exq = bx; eyq = by }
 
 (* The Miller value of one replayed term, or [None] when the pairing
    is 1 without a loop (an infinity argument). *)
@@ -272,20 +252,19 @@ let miller_multi (prm : Params.t) terms =
     Some (miller_replay_shared prm (Array.of_list finite))
 
 let reduce (prm : Params.t) = function
-  | Some f when not (F2M.is_zero f) -> F2M.leave prm.fp (final_expo_mont prm f)
-  | Some _ | None -> gt_one
+  | Some f when not (Fp2.is_zero f) -> final_expo prm f
+  | Some _ | None -> gt_one prm
 
 (* Whether the reduced value equals [t], without the inversion of
-   {!final_expo_mont}: with g = f^c, f^((p² − 1)/q) = conj(g)/g, so
+   {!final_expo}: with g = f^c, f^((p² − 1)/q) = conj(g)/g, so
    the value is t exactly when conj(g) = t·g (g ≠ 0 since f ≠ 0). *)
 let reduces_to (prm : Params.t) t = function
-  | Some f when not (F2M.is_zero f) ->
+  | Some f when not (Fp2.is_zero f) ->
     Telemetry.incr c_final_expo;
     let fp = prm.fp in
-    let g = F2M.pow fp f prm.cofactor in
-    let lhs = F2M.conj fp g and rhs = F2M.mul fp (F2M.enter fp t) g in
-    FpM.equal lhs.F2M.re rhs.F2M.re && FpM.equal lhs.F2M.im rhs.F2M.im
-  | Some _ | None -> gt_equal t gt_one
+    let g = Fp2.pow fp f prm.cofactor in
+    gt_equal (Fp2.conj fp g) (Fp2.mul fp t g)
+  | Some _ | None -> gt_equal t (gt_one prm)
 
 let pairing_precomp prm b pc = reduce prm (miller_single prm b pc)
 let multi_pairing_precomp prm terms = reduce prm (miller_multi prm terms)
@@ -301,7 +280,8 @@ let pairing prm p q = pairing_precomp prm q (precompute prm p)
 
 let gt_to_bytes (prm : Params.t) (g : gt) =
   let n = (Nat.bit_length prm.p + 7) / 8 in
-  Nat.to_bytes_be ~len:n (Fp.to_nat g.Fp2.re) ^ Nat.to_bytes_be ~len:n (Fp.to_nat g.Fp2.im)
+  Nat.to_bytes_be ~len:n (Fp.to_nat prm.fp g.Fp2.re)
+  ^ Nat.to_bytes_be ~len:n (Fp.to_nat prm.fp g.Fp2.im)
 
 let gt_of_bytes (prm : Params.t) s =
   let n = (Nat.bit_length prm.p + 7) / 8 in
@@ -310,5 +290,5 @@ let gt_of_bytes (prm : Params.t) s =
     let re = Nat.of_bytes_be (String.sub s 0 n) in
     let im = Nat.of_bytes_be (String.sub s n n) in
     if Nat.compare re prm.p >= 0 || Nat.compare im prm.p >= 0 then None
-    else Some (Fp2.make re im)
+    else Some (Fp2.make (Fp.of_nat prm.fp re) (Fp.of_nat prm.fp im))
   end

@@ -11,7 +11,9 @@ open Sc_field
 open Sc_ec
 
 type gt = Fp2.el
-(** Element of GT, the order-q subgroup of F_p²*. *)
+(** Element of GT, the order-q subgroup of F_p²*, with Montgomery
+    components like every {!Fp2.el}; only {!gt_to_bytes} and
+    {!gt_of_bytes} convert them. *)
 
 val pairing : Params.t -> Curve.point -> Curve.point -> gt
 (** [pairing prm p q] is ê(P, Q); returns {!gt_one} when either
@@ -68,21 +70,20 @@ val multi_pairing_precomp_equal :
     [gt_equal (multi_pairing_precomp prm terms) t], checked and counted
     as {!pairing_precomp_equal} for {!multi_pairing_precomp}. *)
 
-val gt_one : gt
+val gt_one : Params.t -> gt
 val gt_equal : gt -> gt -> bool
 val gt_mul : Params.t -> gt -> gt -> gt
 
 val gt_pow : Params.t -> gt -> Nat.t -> gt
-(** [gt_pow prm a e] is a{^e}, by square-and-multiply in the
-    Montgomery domain (equal to [Fp2.pow] on any F_p² element).  Counts
+(** [gt_pow prm a e] is a{^e}, by square-and-multiply ([Fp2.pow], on
+    any F_p² element).  Counts
     on the registry counter [pairing.gt_pow]; not a pairing, so
     {!pairings_performed} does not move.  Variable-time in [e].  A
     base raised to many exponents is cheaper through {!gt_comb}. *)
 
 type gt_comb
 (** A regular fixed-base comb for one GT base: the 16 entries of a
-    Lim–Lee table of height 4 over [bit_length q] bits, in the
-    Montgomery domain.  It holds 14 powers of the base beyond 1 and the
+    Lim–Lee table of height 4 over [bit_length q] bits.  It holds 14 powers of the base beyond 1 and the
     base itself, so it is as secret as the base. *)
 
 val gt_comb : Params.t -> gt -> gt_comb
@@ -95,7 +96,7 @@ val gt_comb_exp : Params.t -> gt_comb -> Nat.t -> gt
     a third of [gt_pow]'s F_p² operations at full-width exponents, and
     about half its time once the masked table reads are counted.
     Regular: every column squares, reads one table entry by a full
-    masked scan ({!Sc_field.Fp2.Mont.select}) and multiplies, whatever
+    masked scan ({!Sc_field.Fp2.select}) and multiplies, whatever
     the exponent.  The exponent's bits are still extracted with
     {!Sc_bignum.Nat.test_bit}, which is not constant-time.  Counts on
     [pairing.gt_comb_exp], not on [pairing.gt_pow].

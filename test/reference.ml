@@ -110,29 +110,73 @@ end
 
 (* --- Field, scalar multiplication and the pairing ---------------------- *)
 
-let fp2_zero = Fp2.make Fp.zero Fp.zero
+(* Subtraction, negation and exponentiation on a Barrett context,
+   which lib/ no longer needs once F_p runs on Montgomery residues: the
+   oracle operations of the modular and Montgomery tests, built on
+   [Modular.of_signed], [mul] and [sqr]. *)
+module Barrett = struct
+  let sub ctx a b =
+    Modular.of_signed ctx (Signed.sub (Signed.of_nat a) (Signed.of_nat b))
 
-(* Barrett-domain conjugation (the p-power Frobenius, p ≡ 3 mod 4) and
-   inversion through the norm: what [Fp2.Mont.conj] and [Fp2.Mont.inv]
-   are checked against. *)
-let fp2_conj fp (a : Fp2.el) = Fp2.make a.re (Fp.neg fp a.im)
+  let neg ctx a = sub ctx Nat.zero a
 
-let fp2_inv fp (a : Fp2.el) =
-  let n = Fp2.norm fp a in
-  if Fp.is_zero n then raise Division_by_zero;
-  let ninv = Fp.inv fp n in
-  Fp2.make (Fp.mul fp a.re ninv) (Fp.neg fp (Fp.mul fp a.im ninv))
+  (* Left-to-right square-and-multiply. *)
+  let pow ctx b e =
+    let b = Modular.reduce ctx b in
+    let rec go acc i =
+      if i < 0 then acc
+      else
+        let acc = Modular.sqr ctx acc in
+        go (if Nat.test_bit e i then Modular.mul ctx acc b else acc) (i - 1)
+    in
+    go (Modular.reduce ctx Nat.one) (Nat.bit_length e - 1)
+end
 
-(* Left-to-right square-and-multiply over [Fp2.mul]: the Barrett-domain
-   exponentiation the Montgomery-resident ones are checked against. *)
-let fp2_pow fp a e =
-  let rec go acc i =
-    if i < 0 then acc
-    else
-      let acc = Fp2.mul fp acc acc in
-      go (if Nat.test_bit e i then Fp2.mul fp acc a else acc) (i - 1)
-  in
-  go Fp2.one (Nat.bit_length e - 1)
+(* F_p² over canonical naturals, products reduced by Barrett
+   ([Modular.mul]) and multiplied schoolbook: the arithmetic lib/field
+   ran before its elements became Montgomery residues, kept as the
+   oracle for the Karatsuba-over-REDC [Fp2]. *)
+module Nat2 = struct
+  type t = { re : Nat.t; im : Nat.t }
+
+  let of_fp2 fp (a : Fp2.el) = { re = Fp.to_nat fp a.re; im = Fp.to_nat fp a.im }
+  let to_fp2 fp a = Fp2.make (Fp.of_nat fp a.re) (Fp.of_nat fp a.im)
+  let one = { re = Nat.one; im = Nat.zero }
+  let is_zero a = Nat.is_zero a.re && Nat.is_zero a.im
+
+  (* (a + bi)(c + di) = (ac − bd) + (ad + bc)i *)
+  let mul m a b =
+    let ac = Modular.mul m a.re b.re and bd = Modular.mul m a.im b.im in
+    let ad = Modular.mul m a.re b.im and bc = Modular.mul m a.im b.re in
+    { re = Barrett.sub m ac bd; im = Modular.add m ad bc }
+
+  let conj m a = { a with im = Barrett.neg m a.im }
+
+  let inv m a =
+    let n = Modular.add m (Modular.sqr m a.re) (Modular.sqr m a.im) in
+    if Nat.is_zero n then raise Division_by_zero;
+    let ninv = Modular.inv m n in
+    { re = Modular.mul m a.re ninv; im = Barrett.neg m (Modular.mul m a.im ninv) }
+
+  (* Left-to-right square-and-multiply. *)
+  let pow m a e =
+    let rec go acc i =
+      if i < 0 then acc
+      else
+        let acc = mul m acc acc in
+        go (if Nat.test_bit e i then mul m acc a else acc) (i - 1)
+    in
+    go one (Nat.bit_length e - 1)
+end
+
+(* [Nat2] on [Fp2.el] arguments: conjugation (the p-power Frobenius,
+   p ≡ 3 mod 4), inversion through the norm, and exponentiation. *)
+let nat2 fp f a =
+  Nat2.to_fp2 fp (f (Modular.create (Fp.characteristic fp)) (Nat2.of_fp2 fp a))
+
+let fp2_conj fp a = nat2 fp Nat2.conj a
+let fp2_inv fp a = nat2 fp Nat2.inv a
+let fp2_pow fp a e = nat2 fp (fun m x -> Nat2.pow m x e) a
 
 (* Affine left-to-right double-and-add over the curve's own group law:
    what [Curve.mul] and [Curve.msm] are checked against. *)
@@ -148,26 +192,29 @@ let mul_naive c k p =
 (* Evaluate the line through T (slope lam) at the distorted point
    φ(Q) = (−x_q, i·y_q): (lam·(x_q + x_t) − y_t) + i·y_q. *)
 let line_eval fp ~lam ~xt ~yt ~xq ~yq =
-  Fp2.make (Fp.sub fp (Fp.mul fp lam (Fp.add fp xq xt)) yt) yq
+  Nat2.of_fp2 fp (Fp2.make (Fp.sub fp (Fp.mul fp lam (Fp.add fp xq xt)) yt) yq)
 
-(* Affine Miller loop, one field inversion per step. *)
-let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
+(* Affine Miller loop, one field inversion per step; the value
+   accumulates in [Nat2]. *)
+let miller_affine (prm : Sc_pairing.Params.t) m px py xq yq =
   let fp = prm.fp in
   let three = Fp.of_int fp 3 in
   let tangent x y =
-    Fp.div fp (Fp.add fp (Fp.mul fp three (Fp.sqr fp x)) Fp.one) (Fp.double fp y)
+    Fp.div fp
+      (Fp.add fp (Fp.mul fp three (Fp.sqr fp x)) (Fp.one fp))
+      (Fp.double fp y)
   in
-  let f = ref Fp2.one in
+  let f = ref Nat2.one in
   let tx = ref px and ty = ref py in
   let t_inf = ref false in
   let step lam ~x3 =
-    f := Fp2.mul fp !f (line_eval fp ~lam ~xt:!tx ~yt:!ty ~xq ~yq);
+    f := Nat2.mul m !f (line_eval fp ~lam ~xt:!tx ~yt:!ty ~xq ~yq);
     let y3 = Fp.sub fp (Fp.mul fp lam (Fp.sub fp !tx x3)) !ty in
     tx := x3;
     ty := y3
   in
   for i = Nat.bit_length prm.q - 2 downto 0 do
-    f := Fp2.sqr fp !f;
+    f := Nat2.mul m !f !f;
     (* Doubling; a vertical tangent contributes an F_p factor only. *)
     if not !t_inf then begin
       if Fp.is_zero !ty then t_inf := true
@@ -192,24 +239,31 @@ let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
 
 (* f^((p² − 1)/q) = (conj(f)·f⁻¹)^c, conjugation being the p-power
    Frobenius when p ≡ 3 (mod 4). *)
-let final_expo (prm : Sc_pairing.Params.t) f =
-  let fp = prm.fp in
-  fp2_pow fp (Fp2.mul fp (fp2_conj fp f) (fp2_inv fp f)) prm.cofactor
+let final_expo m (prm : Sc_pairing.Params.t) f =
+  Nat2.pow m (Nat2.mul m (Nat2.conj m f) (Nat2.inv m f)) prm.cofactor
 
-(* The modified Tate pairing in the Barrett domain: the oracle for
-   [Tate.pairing], which replays a Jacobian line table in the
-   Montgomery domain. *)
-let pairing_affine prm p q =
+(* The modified Tate pairing by an affine Miller loop and Barrett
+   F_p²: the oracle for [Tate.pairing], which replays a Jacobian line
+   table over Montgomery F_p². *)
+let pairing_affine (prm : Sc_pairing.Params.t) p q =
   match (p, q) with
-  | Curve.Infinity, _ | _, Curve.Infinity -> Sc_pairing.Tate.gt_one
+  | Curve.Infinity, _ | _, Curve.Infinity -> Sc_pairing.Tate.gt_one prm
   | Curve.Affine (px, py), Curve.Affine (qx, qy) ->
-    let f = miller_affine prm px py qx qy in
-    if Fp2.equal f fp2_zero then Sc_pairing.Tate.gt_one else final_expo prm f
+    let m = Modular.create prm.p in
+    let f = miller_affine prm m px py qx qy in
+    if Nat2.is_zero f then Sc_pairing.Tate.gt_one prm
+    else Nat2.to_fp2 prm.fp (final_expo m prm f)
 
 (* --- Identity keys --------------------------------------------------- *)
 
 (* sk_ID = s·Q_ID exactly when ê(sk_ID, P) = ê(Q_ID, P_pub), for a
-   subgroup point: two plain pairings. *)
+   subgroup point: two plain pairings.  The library's key check, which
+   this replaced, read: ê(sk, P) = ê(Q_ID, P_pub), checked as a
+   one-Miller-loop 2-term multi-pairing ê(sk, P)·ê(−Q_ID, P_pub) = 1,
+   replayed from the cached line tables of the fixed P / P_pub.  The
+   replayed product relies on pairing symmetry, so the untrusted sk is
+   checked into the subgroup first (Q_ID is in it by construction);
+   the subgroup check here is that one. *)
 let valid_key (pub : Sc_ibc.Setup.public) (key : Sc_ibc.Setup.identity_key) =
   let prm = pub.prm in
   Sc_pairing.Params.in_subgroup prm key.sk

@@ -23,12 +23,15 @@ let all_points c fp pmax =
 let unit_tests =
   let open Util in
   [
-    case "create rejects singular curve" (fun () ->
+    case "Fp.create rejects an even modulus" (fun () ->
         (* y² = x³ + x has discriminant −64: singular in characteristic
-           2 only. *)
-        Alcotest.check_raises "singular"
-          (Invalid_argument "Curve.create: singular curve") (fun () ->
-            ignore (Curve.create (Fp.create Nat.two))));
+           2 only, whose field has no Montgomery form and so no [Fp]. *)
+        List.iter
+          (fun m ->
+            Alcotest.check_raises (Printf.sprintf "F_%d" m)
+              (Invalid_argument "Montgomery.create: modulus must be odd and >= 3")
+              (fun () -> ignore (Fp.create (Nat.of_int m))))
+          [ 2; 4; 24 ]);
     case "group order of y^2 = x^3 + x over F_23 is 24" (fun () ->
         Alcotest.(check int) "order" 24 (List.length (all_points c23 p23 23)));
     case "every point has order dividing 24" (fun () ->
@@ -45,7 +48,7 @@ let unit_tests =
           (Curve.add c23 pt (Curve.neg c23 pt)));
     case "doubling point with y=0 gives infinity" (fun () ->
         (* (0,0) is a 2-torsion point of y² = x³ + x. *)
-        let two_torsion = Curve.Affine (Fp.zero, Fp.zero) in
+        let two_torsion = Curve.Affine (Fp.zero p23, Fp.zero p23) in
         Alcotest.(check bool) "on curve" true (Curve.on_curve c23 two_torsion);
         Alcotest.(check point) "2P = O" Curve.infinity
           (Curve.add c23 two_torsion two_torsion));
@@ -405,7 +408,8 @@ let ladder_tests =
           Curve.on_curve curve pt && Curve.is_infinity (Reference.mul_naive curve q pt)
         in
         let cases =
-          Curve.infinity :: Curve.Affine (Fp.zero, Fp.zero)
+          Curve.infinity
+          :: Curve.Affine (Fp.zero prm.Sc_pairing.Params.fp, Fp.zero prm.Sc_pairing.Params.fp)
           :: List.concat
                (List.init n (fun _ ->
                     let r = Curve.random curve ~bytes_source:bs in
@@ -456,8 +460,7 @@ let ladder_tests =
         (* Three 112-bit scalars: 2^111, whose ladder swaps twice;
            alternating bits, which swap at every step; and all ones.
            A branch on the bits or on the swaps would allocate
-           differently.  The outputs' coordinates are full-width, so
-           their decoding allocates alike too. *)
+           differently. *)
         let prm = Lazy.force Sc_pairing.Params.small in
         let curve = prm.Sc_pairing.Params.curve in
         let pt = Curve.random curve ~bytes_source:(Util.fresh_bs "ladder-words") in

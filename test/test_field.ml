@@ -6,12 +6,11 @@ let p = Util.nat_of_decimal "2147483647" (* 2^31 - 1, = 3 mod 4 *)
 let fp = Fp.create p
 
 let nat = Alcotest.testable Nat.pp Nat.equal
+let fp_el = Alcotest.testable Util.pp_el Fp.equal
 let fp2_el = Alcotest.testable Util.pp_fp2 Fp2.equal
-
-(* F_p² conjugation and inversion exist only in the Montgomery
-   domain. *)
-let fp2_conj x = Fp2.Mont.leave fp (Fp2.Mont.conj fp (Fp2.Mont.enter fp x))
-let fp2_inv x = Fp2.Mont.leave fp (Fp2.Mont.inv fp (Fp2.Mont.enter fp x))
+let to_nat = Fp.to_nat fp
+let fp2_conj = Fp2.conj fp
+let fp2_inv = Fp2.inv fp
 
 let gen_el =
   let open QCheck2.Gen in
@@ -25,14 +24,14 @@ let unit_tests =
   [
     case "characteristic" (fun () -> check nat "p" p (Fp.characteristic fp));
     case "of_int handles negatives" (fun () ->
-        check nat "-1" (Nat.sub p Nat.one) (Fp.of_int fp (-1));
-        check nat "-p = 0" Nat.zero (Fp.of_int fp (-2147483647)));
+        check nat "-1" (Nat.sub p Nat.one) (to_nat (Fp.of_int fp (-1)));
+        check nat "-p = 0" Nat.zero (to_nat (Fp.of_int fp (-2147483647))));
     case "inv of zero raises" (fun () ->
         Alcotest.check_raises "div0" Division_by_zero (fun () ->
-            ignore (Fp.inv fp Fp.zero)));
+            ignore (Fp.inv fp (Fp.zero fp))));
     case "legendre of squares" (fun () ->
         for i = 2 to 20 do
-          let sq = Fp.sqr fp (Fp.of_int fp i) in
+          let sq = to_nat (Fp.sqr fp (Fp.of_int fp i)) in
           Alcotest.(check int) (Printf.sprintf "%d^2 is QR" i) 1 (Modular.jacobi sq p)
         done);
     case "legendre multiplicativity" (fun () ->
@@ -40,9 +39,10 @@ let unit_tests =
         let pairs = [ 2, 3; 5, 7; 11, 13; 6, 35 ] in
         List.iter
           (fun (a, b) ->
-            let la = Modular.jacobi (Fp.of_int fp a) p in
-            let lb = Modular.jacobi (Fp.of_int fp b) p in
-            let lab = Modular.jacobi (Fp.of_int fp (a * b)) p in
+            let la = Modular.jacobi (Nat.of_int a) p in
+            let lb = Modular.jacobi (Nat.of_int b) p in
+            let ab = Fp.mul fp (Fp.of_int fp a) (Fp.of_int fp b) in
+            let lab = Modular.jacobi (to_nat ab) p in
             Alcotest.(check int) "multiplicative" (la * lb) lab)
           pairs);
     case "sqrt recovers squares" (fun () ->
@@ -58,7 +58,7 @@ let unit_tests =
     case "sqrt of non-residue is None" (fun () ->
         (* Find a non-residue and check. *)
         let rec find i =
-          if Modular.jacobi (Fp.of_int fp i) p = -1 then i else find (i + 1)
+          if Modular.jacobi (Nat.of_int i) p = -1 then i else find (i + 1)
         in
         let nr = find 2 in
         check Alcotest.bool "none" true (Fp.sqrt fp (Fp.of_int fp nr) = None));
@@ -73,18 +73,18 @@ let unit_tests =
           (Invalid_argument "Fp2: characteristic must be 3 mod 4 for i^2 = -1")
           (fun () -> Fp2.check_ctx bad));
     case "fp2 i^2 = -1" (fun () ->
-        let i = Fp2.make Fp.zero Fp.one in
-        check fp2_el "i*i" (Fp2.make (Fp.of_int fp (-1)) Fp.zero) (Fp2.mul fp i i));
+        let i = Fp2.make (Fp.zero fp) (Fp.one fp) in
+        check fp2_el "i*i" (Fp2.make (Fp.of_int fp (-1)) (Fp.zero fp)) (Fp2.mul fp i i));
     case "fp2 inverse" (fun () ->
         let x = Fp2.make (Fp.of_int fp 3) (Fp.of_int fp 4) in
-        check fp2_el "x * x^-1" Fp2.one (Fp2.mul fp x (fp2_inv x)));
+        check fp2_el "x * x^-1" (Fp2.one fp) (Fp2.mul fp x (fp2_inv x)));
     case "fp2 inv of zero raises" (fun () ->
         Alcotest.check_raises "div0" Division_by_zero (fun () ->
-            ignore (fp2_inv (Fp2.make Fp.zero Fp.zero))));
+            ignore (fp2_inv (Fp2.make (Fp.zero fp) (Fp.zero fp)))));
     case "fp2 norm is multiplicative" (fun () ->
         let x = Fp2.make (Fp.of_int fp 3) (Fp.of_int fp 4) in
         let y = Fp2.make (Fp.of_int fp 5) (Fp.of_int fp 12) in
-        check nat "N(xy) = N(x)N(y)"
+        check fp_el "N(xy) = N(x)N(y)"
           (Fp.mul fp (Fp2.norm fp x) (Fp2.norm fp y))
           (Fp2.norm fp (Fp2.mul fp x y)));
     case "fp2 conj is field automorphism" (fun () ->
@@ -99,12 +99,10 @@ let unit_tests =
   ]
 
 (* Batch inversion (Montgomery's trick) against pointwise inversion,
-   in both representations (the "fp" cases run the Montgomery-domain
-   batch through enter/leave against the Barrett-domain inverse), plus
-   the lazy-reduction adds/subs that the Karatsuba Fp2 multiplier feeds
-   into mul. *)
-let mont_batch_inv xs =
-  Array.map (Fp.Mont.leave fp) (Fp.Mont.batch_inv fp (Array.map (Fp.Mont.enter fp) xs))
+   by Fermat ("fp" cases) and by the extended Euclidean
+   [Modular.inv] on naturals ("mont" cases), plus the lazy-reduction
+   adds/subs that the Karatsuba Fp2 multiplier feeds into mul. *)
+let modular = Modular.create p
 
 let batch_and_lazy_tests =
   let open Util in
@@ -115,42 +113,33 @@ let batch_and_lazy_tests =
         let xs = Array.of_list xs in
         if Array.exists Fp.is_zero xs then true
         else
-          let ys = mont_batch_inv xs in
+          let ys = Fp.batch_inv fp xs in
           Array.for_all2 (fun x y -> Fp.equal (Fp.inv fp x) y) xs ys);
     case "fp batch_inv rejects a zero element" (fun () ->
         Alcotest.check_raises "div0" Division_by_zero (fun () ->
-            ignore (mont_batch_inv [| Fp.one; Fp.zero; Fp.of_int fp 7 |])));
+            ignore (Fp.batch_inv fp [| Fp.one fp; Fp.zero fp; Fp.of_int fp 7 |])));
     case "fp batch_inv of the empty array" (fun () ->
-        check Alcotest.int "empty" 0 (Array.length (mont_batch_inv [||])));
+        check Alcotest.int "empty" 0 (Array.length (Fp.batch_inv fp [||])));
     qcheck ~count:50 "mont batch_inv = pointwise inv"
       QCheck2.Gen.(list_size (int_range 1 8) gen_el)
       (fun xs ->
-        let xs = List.filter (fun x -> not (Fp.is_zero x)) xs in
-        let ms = Array.of_list (List.map (Fp.Mont.enter fp) xs) in
-        let ys = Fp.Mont.batch_inv fp ms in
+        let xs = Array.of_list (List.filter (fun x -> not (Fp.is_zero x)) xs) in
         Array.for_all2
-          (fun m y -> Fp.Mont.equal (Fp.Mont.inv fp m) y)
-          ms ys);
+          (fun x y -> Nat.equal (Modular.inv modular (to_nat x)) (to_nat y))
+          xs (Fp.batch_inv fp xs));
     case "mont batch_inv rejects a zero element" (fun () ->
         Alcotest.check_raises "div0" Division_by_zero (fun () ->
-            ignore (Fp.Mont.batch_inv fp [| Fp.Mont.zero fp |])));
+            ignore (Fp.batch_inv fp [| Fp.zero fp |])));
     qcheck ~count:60 "lazy add/sub feed mul like strict add/sub"
       (QCheck2.Gen.quad gen_el gen_el gen_el gen_el)
       (fun (a, b, c, d) ->
-        let m = Fp.Mont.enter fp in
-        let ma = m a and mb = m b and mc = m c and md = m d in
         (* Lazy sums are only ever consumed by mul/sqr; compare that
            whole pattern against the strict path. *)
-        let lazy_prod =
-          Fp.Mont.mul fp (Fp.Mont.add_lazy fp ma mb) (Fp.Mont.sub_lazy fp mc md)
-        in
-        let strict_prod =
-          Fp.Mont.mul fp (Fp.Mont.add fp ma mb) (Fp.Mont.sub fp mc md)
-        in
-        let lazy_sqr = Fp.Mont.sqr fp (Fp.Mont.add_lazy fp ma mb) in
-        let strict_sqr = Fp.Mont.sqr fp (Fp.Mont.add fp ma mb) in
-        Fp.Mont.equal lazy_prod strict_prod
-        && Fp.Mont.equal lazy_sqr strict_sqr);
+        let lazy_prod = Fp.mul fp (Fp.add_lazy fp a b) (Fp.sub_lazy fp c d) in
+        let strict_prod = Fp.mul fp (Fp.add fp a b) (Fp.sub fp c d) in
+        let lazy_sqr = Fp.sqr fp (Fp.add_lazy fp a b) in
+        let strict_sqr = Fp.sqr fp (Fp.add fp a b) in
+        Fp.equal lazy_prod strict_prod && Fp.equal lazy_sqr strict_sqr);
   ]
 
 let property_tests =
@@ -161,7 +150,7 @@ let property_tests =
         Fp.equal (Fp.mul fp a (Fp.add fp b c))
           (Fp.add fp (Fp.mul fp a b) (Fp.mul fp a c)));
     qcheck "fp inverse law" gen_el (fun a ->
-        Fp.is_zero a || Fp.equal Fp.one (Fp.mul fp a (Fp.inv fp a)));
+        Fp.is_zero a || Fp.equal (Fp.one fp) (Fp.mul fp a (Fp.inv fp a)));
     qcheck "fp sqrt of square exists" gen_el (fun a ->
         match Fp.sqrt fp (Fp.sqr fp a) with
         | Some y -> Fp.equal y a || Fp.equal y (Fp.neg fp a)
@@ -174,50 +163,84 @@ let property_tests =
     qcheck "fp2 sqr = mul self" gen_el2 (fun x ->
         Fp2.equal (Fp2.sqr fp x) (Fp2.mul fp x x));
     qcheck "fp2 inverse law" gen_el2 (fun x ->
-        Fp2.equal x Reference.fp2_zero || Fp2.equal Fp2.one (Fp2.mul fp x (fp2_inv x)));
+        Fp2.is_zero x || Fp2.equal (Fp2.one fp) (Fp2.mul fp x (fp2_inv x)));
     qcheck "fp2 norm = x * conj(x)" gen_el2 (fun x ->
         Fp2.equal
-          (Fp2.make (Fp2.norm fp x) Fp.zero)
+          (Fp2.make (Fp2.norm fp x) (Fp.zero fp))
           (Fp2.mul fp x (fp2_conj x)));
   ]
 
-(* The Montgomery-resident mirrors must agree with the Barrett-domain
-   reference arithmetic on every operation. *)
+(* The Montgomery-resident field against the arithmetic it replaced:
+   F_p on canonical naturals by Barrett ([Modular]), and schoolbook
+   Barrett F_p² ([Reference.Nat2]).  [of_nat] enters the Montgomery
+   domain and [to_nat] leaves it. *)
 let mont_tests =
   let open Util in
   [
-    qcheck "fp mont enter/leave round trip" gen_el (fun a ->
-        Fp.equal a (Fp.Mont.leave fp (Fp.Mont.enter fp a)));
-    qcheck "fp mont mul/add/sub/inv mirror Fp"
+    qcheck "fp mont enter/leave round trip"
+      QCheck2.Gen.(string_size ~gen:char (int_range 0 12))
+      (fun bytes ->
+        let x = Nat.of_bytes_be bytes in
+        Nat.equal (to_nat (Fp.of_nat fp x)) (Nat.rem x p));
+    qcheck "fp mul/add/sub/sqr/inv = Modular"
       (QCheck2.Gen.pair gen_el gen_el) (fun (a, b) ->
-        let am = Fp.Mont.enter fp a and bm = Fp.Mont.enter fp b in
-        let out = Fp.Mont.leave fp in
-        Fp.equal (out (Fp.Mont.mul fp am bm)) (Fp.mul fp a b)
-        && Fp.equal (out (Fp.Mont.add fp am bm)) (Fp.add fp a b)
-        && Fp.equal (out (Fp.Mont.sub fp am bm)) (Fp.sub fp a b)
-        && Fp.equal (out (Fp.Mont.sqr fp am)) (Fp.sqr fp a)
-        && (Fp.is_zero a
-           || Fp.equal (out (Fp.Mont.inv fp am)) (Fp.inv fp a)));
-    qcheck "fp2 mont mul/sqr/conj/inv/pow mirror Fp2"
+        let an = to_nat a and bn = to_nat b in
+        let mirrors op nat_op = Nat.equal (to_nat op) nat_op in
+        mirrors (Fp.mul fp a b) (Modular.mul modular an bn)
+        && mirrors (Fp.add fp a b) (Modular.add modular an bn)
+        && mirrors (Fp.sub fp a b) (Reference.Barrett.sub modular an bn)
+        && mirrors (Fp.sqr fp a) (Modular.sqr modular an)
+        && (Fp.is_zero a || mirrors (Fp.inv fp a) (Modular.inv modular an)));
+    qcheck "fp2 mul/sqr/conj/inv/pow = Nat2"
       (QCheck2.Gen.pair gen_el2 gen_el2) (fun (x, y) ->
-        let xm = Fp2.Mont.enter fp x and ym = Fp2.Mont.enter fp y in
-        let out = Fp2.Mont.leave fp in
-        Fp2.equal (out (Fp2.Mont.mul fp xm ym)) (Fp2.mul fp x y)
-        && Fp2.equal (out (Fp2.Mont.sqr fp xm)) (Fp2.sqr fp x)
-        && Fp2.equal (out (Fp2.Mont.conj fp xm)) (Reference.fp2_conj fp x)
-        && Fp2.equal
-             (out (Fp2.Mont.pow fp xm (Nat.of_int 13)))
-             (Reference.fp2_pow fp x (Nat.of_int 13))
-        && (Fp2.equal x Reference.fp2_zero
-           || Fp2.equal (out (Fp2.Mont.inv fp xm)) (Reference.fp2_inv fp x)));
+        let module N = Reference.Nat2 in
+        let xn = N.of_fp2 fp x and yn = N.of_fp2 fp y in
+        let mirrors op nat_op = Fp2.equal op (N.to_fp2 fp nat_op) in
+        mirrors (Fp2.mul fp x y) (N.mul modular xn yn)
+        && mirrors (Fp2.sqr fp x) (N.mul modular xn xn)
+        && mirrors (Fp2.conj fp x) (N.conj modular xn)
+        && mirrors (Fp2.pow fp x (Nat.of_int 13)) (N.pow modular xn (Nat.of_int 13))
+        && (Fp2.is_zero x || mirrors (Fp2.inv fp x) (N.inv modular xn)));
     case "fp mont constants and of_int" (fun () ->
-        check nat "one" Nat.one (Fp.Mont.leave fp (Fp.Mont.one fp));
-        check nat "zero" Nat.zero (Fp.Mont.leave fp (Fp.Mont.zero fp));
-        check nat "of_int -1" (Nat.sub p Nat.one)
-          (Fp.Mont.leave fp (Fp.Mont.of_int fp (-1)));
-        check Alcotest.bool "is_zero" true (Fp.Mont.is_zero (Fp.Mont.zero fp));
-        check Alcotest.bool "equal" true
-          (Fp.Mont.equal (Fp.Mont.one fp) (Fp.Mont.of_int fp 1)));
+        check nat "one" Nat.one (to_nat (Fp.one fp));
+        check nat "zero" Nat.zero (to_nat (Fp.zero fp));
+        check nat "of_int -1" (Nat.sub p Nat.one) (to_nat (Fp.of_int fp (-1)));
+        check Alcotest.bool "is_zero" true (Fp.is_zero (Fp.zero fp));
+        check Alcotest.bool "equal" true (Fp.equal (Fp.one fp) (Fp.of_int fp 1)));
   ]
 
-let suite = unit_tests @ batch_and_lazy_tests @ property_tests @ mont_tests
+(* The Nat boundary on the pairing primes.  [of_nat] of a value below
+   p is one REDC by R² mod p; it must give the image a·R mod p that two
+   divisions gave before, limb for limb. *)
+let boundary_tests =
+  let open Util in
+  [
+    case "of_nat = double-Nat.rem image, to_nat = x mod p (toy, small, mid)"
+      (fun () ->
+        List.iter
+          (fun (name, prm) ->
+            let p = (Lazy.force prm).Sc_pairing.Params.p in
+            let fp = Fp.create p in
+            let r_bits = Nat.num_limbs p * Nat.base_bits in
+            let image x = Nat.rem (Nat.shift_left (Nat.rem x p) r_bits) p in
+            let bs = fresh_bs ("fp-boundary/" ^ name) in
+            let values =
+              [ Nat.zero; Nat.one; Nat.sub p Nat.one; p;
+                Nat.add (Nat.mul Nat.two p) (Nat.of_int 3) ]
+              @ List.init 4 (fun _ -> Nat.random_below ~bytes_source:bs p)
+              @ List.init 4 (fun _ -> Nat.random_below ~bytes_source:bs (Nat.mul p p))
+            in
+            List.iter
+              (fun x ->
+                let e = Fp.of_nat fp x in
+                let limbs = (e :> int array) in
+                check Alcotest.int (name ^ " width") (Nat.num_limbs p)
+                  (Array.length limbs);
+                check nat (name ^ " aR mod p") (image x) (Nat.of_limbs limbs);
+                check nat (name ^ " round trip") (Nat.rem x p) (Fp.to_nat fp e))
+              values)
+          Sc_pairing.Params.presets);
+  ]
+
+let suite =
+  unit_tests @ batch_and_lazy_tests @ property_tests @ mont_tests @ boundary_tests

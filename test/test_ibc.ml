@@ -235,7 +235,7 @@ let property_tests =
             | 2, _ -> { s with Ibs.u = Curve.add curve s.Ibs.u prm.Params.g }, msg
             | 3, _ -> s, msg ^ "'"
             | 4, Curve.Affine (x, y) ->
-              { s with Ibs.u = Curve.Affine (x, Sc_field.Fp.add fp y Sc_field.Fp.one) }, msg
+              { s with Ibs.u = Curve.Affine (x, Sc_field.Fp.add fp y (Sc_field.Fp.one fp)) }, msg
             | 5, _ -> { s with Ibs.v = Curve.add curve s.Ibs.v prm.Params.g }, msg
             | _ -> s, msg
           in
@@ -284,10 +284,10 @@ let perturbation_tests =
   let order = Nat.add prm.Params.p Nat.one in
   let rec unitary_of_order l bs =
     let a = Fp2.make (Fp.random fp ~bytes_source:bs) (Fp.random fp ~bytes_source:bs) in
-    if Fp2.equal a Reference.fp2_zero then unitary_of_order l bs
+    if Fp2.is_zero a then unitary_of_order l bs
     else
       let z = Tate.gt_pow prm (Fp2.mul fp (Reference.fp2_conj fp a) (Reference.fp2_inv fp a)) (Nat.div order (Nat.of_int l)) in
-      if Fp2.equal z Fp2.one then unitary_of_order l bs else z
+      if Fp2.equal z (Fp2.one fp) then unitary_of_order l bs else z
   in
   let dvs_ok (e : Agg.entry) =
     Dvs.verify pub ~verifier_key:verifier ~q_id:(Setup.q_of_id pub e.Agg.signer)
@@ -319,7 +319,7 @@ let perturbation_tests =
         let sigma i = (e i).Agg.dvs.Dvs.sigma in
         let x = Tate.gt_pow prm (sigma 0) (Params.random_scalar prm ~bytes_source:bs) in
         let x_inv = Reference.fp2_inv fp x in
-        let minus_one = Fp2.make (Fp.neg fp Fp.one) Fp.zero in
+        let minus_one = Fp2.make (Fp.neg fp (Fp.one fp)) (Fp.zero fp) in
         let z7 = unitary_of_order 7 bs in
         let t = torsion_point prm bs in
         (* A signer may pick U = r·Q_ID + T itself: h is then taken over
@@ -437,9 +437,9 @@ let perturbation_tests =
                   ~verifier:"verifier" }
           | 4 -> (
             match u with
-            | Curve.Affine (x, y) -> with_u e (Curve.Affine (x, Fp.add fp y Fp.one))
+            | Curve.Affine (x, y) -> with_u e (Curve.Affine (x, Fp.add fp y (Fp.one fp)))
             | Curve.Infinity -> e)
-          | 5 -> times e (Fp2.make (Fp.neg fp Fp.one) Fp.zero)
+          | 5 -> times e (Fp2.make (Fp.neg fp (Fp.one fp)) (Fp.zero fp))
           | _ -> e
         in
         let batch =

@@ -45,7 +45,7 @@ let unit_tests =
             check nat
               (Printf.sprintf "%d^%d" b e)
               (naive (Nat.of_int b) e)
-              (Modular.pow ctx (Nat.of_int b) (Nat.of_int e)))
+              (Reference.Barrett.pow ctx (Nat.of_int b) (Nat.of_int e)))
           [ 2, 10; 3, 100; 1008, 57; 17, 0; 0, 5 ]);
     case "fermat little theorem" (fun () ->
         (* a^(p-1) = 1 mod p for prime p. *)
@@ -54,7 +54,7 @@ let unit_tests =
         List.iter
           (fun a ->
             check nat "fermat" Nat.one
-              (Modular.pow ctx (Nat.of_int a) (Nat.sub p Nat.one)))
+              (Reference.Barrett.pow ctx (Nat.of_int a) (Nat.sub p Nat.one)))
           [ 2; 3; 65537; 999999999 ]);
     case "inverse times value is one" (fun () ->
         let p = Util.nat_of_decimal "32416190071" in
@@ -84,12 +84,12 @@ let property_tests =
     qcheck "add/sub inverse" with_ctx (fun (m, (a, b)) ->
         let ctx = Modular.create m in
         let a = Modular.reduce ctx a and b = Modular.reduce ctx b in
-        Nat.equal a (Modular.sub ctx (Modular.add ctx a b) b));
+        Nat.equal a (Reference.Barrett.sub ctx (Modular.add ctx a b) b));
     qcheck "neg is additive inverse" (QCheck2.Gen.pair gen_mod gen_nat_small)
       (fun (m, a) ->
         let ctx = Modular.create m in
         let a = Modular.reduce ctx a in
-        Nat.is_zero (Modular.add ctx a (Modular.neg ctx a)));
+        Nat.is_zero (Modular.add ctx a (Reference.Barrett.neg ctx a)));
     qcheck "mul homomorphic to Nat.mul" with_ctx (fun (m, (a, b)) ->
         let ctx = Modular.create m in
         Nat.equal
@@ -102,9 +102,9 @@ let property_tests =
         let b = Modular.reduce ctx b in
         Nat.equal
           (Modular.mul ctx
-             (Modular.pow ctx b (Nat.of_int e1))
-             (Modular.pow ctx b (Nat.of_int e2)))
-          (Modular.pow ctx b (Nat.of_int (e1 + e2))));
+             (Reference.Barrett.pow ctx b (Nat.of_int e1))
+             (Reference.Barrett.pow ctx b (Nat.of_int e2)))
+          (Reference.Barrett.pow ctx b (Nat.of_int (e1 + e2))));
   ]
 
 let gen_odd_mod =
@@ -185,14 +185,14 @@ let montgomery_arith_tests =
         let p = Util.nat_of_decimal "32416190071" in
         let pm1 = Nat.sub p Nat.one in
         let fp = Fp.create p in
-        let m v = Fp.Mont.enter fp v in
-        let inv v = Fp.Mont.leave fp (Fp.Mont.inv fp (m v)) in
+        let m v = Fp.of_nat fp v in
+        let inv v = Fp.to_nat fp (Fp.inv fp (m v)) in
         check nat "inv 1 = 1" Nat.one (inv Nat.one);
         (* p-1 is its own inverse: (p-1)^2 = 1 mod p. *)
         check nat "inv (p-1) = p-1" pm1 (inv pm1);
         let a = m (Util.nat_of_decimal "31415926535") in
         check nat "a * inv a = 1" Nat.one
-          (Fp.Mont.leave fp (Fp.Mont.mul fp a (Fp.Mont.inv fp a)));
+          (Fp.to_nat fp (Fp.mul fp a (Fp.inv fp a)));
         Alcotest.check_raises "inv 0" Division_by_zero (fun () ->
             ignore (inv Nat.zero)));
   ]
@@ -214,7 +214,7 @@ let montgomery_property_tests =
       (fun (m, b, e) ->
         let mc = Montgomery.create m and mo = Modular.create m in
         Nat.equal (Montgomery.pow mc b (Nat.of_int e))
-          (Modular.pow mo b (Nat.of_int e)));
+          (Reference.Barrett.pow mo b (Nat.of_int e)));
     qcheck ~count:80 "montgomery add/sub/neg/double == barrett"
       (QCheck2.Gen.triple gen_odd_mod gen_nat_small gen_nat_small)
       (fun (m, a, b) ->
@@ -223,8 +223,8 @@ let montgomery_property_tests =
         let ar = Modular.reduce mo a and br = Modular.reduce mo b in
         let out = Montgomery.of_mont mc in
         Nat.equal (out (Montgomery.add mc am bm)) (Modular.add mo ar br)
-        && Nat.equal (out (Montgomery.sub mc am bm)) (Modular.sub mo ar br)
-        && Nat.equal (out (Montgomery.neg mc am)) (Modular.neg mo ar)
+        && Nat.equal (out (Montgomery.sub mc am bm)) (Reference.Barrett.sub mo ar br)
+        && Nat.equal (out (Montgomery.neg mc am)) (Reference.Barrett.neg mo ar)
         && Nat.equal (out (Montgomery.double mc am)) (Modular.add mo ar ar));
   ]
 
@@ -255,7 +255,7 @@ let jacobi_tests =
           let a = Nat.random_below ~bytes_source:bs p in
           let euler =
             if Nat.is_zero a then 0
-            else if Nat.is_one (Modular.pow ctx a e) then 1
+            else if Nat.is_one (Reference.Barrett.pow ctx a e) then 1
             else -1
           in
           if Modular.jacobi a p <> euler then
@@ -465,25 +465,23 @@ let fermat_inversion_tests =
                   Nat.add Nat.one (Nat.random_below ~bytes_source:bs (Nat.sub p Nat.one)))
           in
           let expected = List.map (Modular.inv mo) xs in
+          (* The kernel's own Fermat ladder, under [Fp.inv]. *)
+          let mont = Montgomery.create p in
+          let pm2 = Nat.sub p Nat.two in
           List.iter2
             (fun x e ->
-              check nat "Fp.inv" e (Fp.inv fp x);
-              check nat "Fp.Mont.inv" e
-                (Fp.Mont.leave fp (Fp.Mont.inv fp (Fp.Mont.enter fp x))))
+              check nat "Fp.inv" e (Fp.to_nat fp (Fp.inv fp (Fp.of_nat fp x)));
+              check nat "Montgomery.pow_mont x (p-2)" e
+                (Montgomery.of_mont mont
+                   (Montgomery.pow_mont mont (Montgomery.to_mont mont x) pm2)))
             xs expected;
-          let xa = Array.of_list xs in
-          check (Alcotest.list nat) "Fp.Mont.batch_inv" expected
-            (Array.to_list
-               (Array.map (Fp.Mont.leave fp)
-                  (Fp.Mont.batch_inv fp (Array.map (Fp.Mont.enter fp) xa))));
+          let xa = Array.map (Fp.of_nat fp) (Array.of_list xs) in
+          check (Alcotest.list nat) "Fp.batch_inv" expected
+            (Array.to_list (Array.map (Fp.to_nat fp) (Fp.batch_inv fp xa)));
           Alcotest.check_raises "Fp.inv 0" Division_by_zero (fun () ->
-              ignore (Fp.inv fp Fp.zero));
-          Alcotest.check_raises "Fp.Mont.inv 0" Division_by_zero (fun () ->
-              ignore (Fp.Mont.inv fp (Fp.Mont.zero fp)));
-          Alcotest.check_raises "Fp.Mont.batch_inv with 0" Division_by_zero
-            (fun () ->
-              ignore
-                (Fp.Mont.batch_inv fp [| Fp.Mont.one fp; Fp.Mont.zero fp |]))))
+              ignore (Fp.inv fp (Fp.zero fp)));
+          Alcotest.check_raises "Fp.batch_inv with 0" Division_by_zero
+            (fun () -> ignore (Fp.batch_inv fp [| Fp.one fp; Fp.zero fp |]))))
     [ "toy", Params.toy; "small", Params.small; "mid", Params.mid ]
 
 (* The comb's constant-time table read against a plain index, on the
@@ -513,7 +511,65 @@ let select_tests =
           [ 1; 2; 16 ]);
   ]
 
+(* The kernel on the three pairing primes: k = 3, 5 and 20 limbs. *)
+let pairing_primes =
+  List.map
+    (fun (name, prm) -> name, (Lazy.force prm).Sc_pairing.Params.p)
+    Sc_pairing.Params.presets
+
+let kernel_shape_tests =
+  let open Util in
+  [
+    case "montgomery mul/add/double allocate only their result (toy, small, mid)"
+      (fun () ->
+        List.iter
+          (fun (name, p) ->
+            let ctx = Montgomery.create p in
+            let bs = fresh_bs ("montgomery-words/" ^ name) in
+            let el () = Montgomery.to_mont ctx (Nat.random_below ~bytes_source:bs p) in
+            let a = el () and b = el () in
+            let words f =
+              ignore (f ());
+              let before = Gc.minor_words () in
+              ignore (f ());
+              Gc.minor_words () -. before
+            in
+            let k1 = float_of_int (Nat.num_limbs p + 1) in
+            List.iter
+              (fun (op, f) ->
+                check (Alcotest.float 0.) (Printf.sprintf "%s words, %s" op name) k1
+                  (words f))
+              [
+                "mul", (fun () -> Montgomery.mul ctx a b);
+                "add", (fun () -> Montgomery.add ctx a b);
+                "double", (fun () -> Montgomery.double ctx a);
+              ])
+          pairing_primes);
+    case "montgomery rejects an operand of another context's width" (fun () ->
+        let ctx name = Montgomery.create (List.assoc name pairing_primes) in
+        let small = ctx "small" and mid = ctx "mid" in
+        let width_error =
+          Invalid_argument "Montgomery: operand of another context's width"
+        in
+        List.iter
+          (fun (c, c') ->
+            let a = Montgomery.one c and foreign = Montgomery.one c' in
+            List.iter
+              (fun (op, f) ->
+                Alcotest.check_raises op width_error (fun () -> ignore (f ())))
+              [
+                "mul, first", (fun () -> Montgomery.mul c foreign a);
+                "mul, second", (fun () -> Montgomery.mul c a foreign);
+                "sqr", (fun () -> Montgomery.sqr c foreign);
+                "add, first", (fun () -> Montgomery.add c foreign a);
+                "add, second", (fun () -> Montgomery.add c a foreign);
+                "sub, first", (fun () -> Montgomery.sub c foreign a);
+                "sub, second", (fun () -> Montgomery.sub c a foreign);
+              ])
+          [ mid, small; small, mid ]);
+  ]
+
 let suite =
   unit_tests @ property_tests @ montgomery_tests @ montgomery_arith_tests
   @ montgomery_lazy_tests @ montgomery_property_tests @ kernel_edge_tests
-  @ jacobi_tests @ fermat_inversion_tests @ select_tests
+  @ jacobi_tests @ fermat_inversion_tests @ select_tests @ kernel_shape_tests

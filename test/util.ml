@@ -44,14 +44,20 @@ let point_equal (p : Sc_ec.Curve.point) (q : Sc_ec.Curve.point) =
     Sc_field.Fp.equal x1 x2 && Sc_field.Fp.equal y1 y2
   | Infinity, Affine _ | Affine _, Infinity -> false
 
+(* Field elements print as their Montgomery representation aR mod p,
+   which needs no context to read. *)
+let pp_el fmt (e : Sc_field.Fp.el) =
+  Format.fprintf fmt "R*%a" Sc_bignum.Nat.pp
+    (Sc_bignum.Nat.of_limbs (e :> int array))
+
 let pp_point fmt : Sc_ec.Curve.point -> unit = function
   | Infinity -> Format.pp_print_string fmt "O"
-  | Affine (x, y) -> Format.fprintf fmt "(%a, %a)" Sc_bignum.Nat.pp x Sc_bignum.Nat.pp y
+  | Affine (x, y) -> Format.fprintf fmt "(%a, %a)" pp_el x pp_el y
 
 let point = Alcotest.testable pp_point point_equal
 
 let pp_fp2 fmt (e : Sc_field.Fp2.el) =
-  Format.fprintf fmt "%a + %a*i" Sc_bignum.Nat.pp e.re Sc_bignum.Nat.pp e.im
+  Format.fprintf fmt "%a + %a*i" pp_el e.re pp_el e.im
 
 
 let shared_system =

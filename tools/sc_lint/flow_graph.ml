@@ -120,7 +120,7 @@ let sync_exempt segs =
      key/point/commitment/params type racy. *)
   | Some
       ( "Nat.t" | "Curve.precomp" | "Miller.precomp" | "Montgomery.ctx"
-      | "Montgomery.mont" | "Mont.e" ) ->
+      | "Montgomery.mont" ) ->
     true
   | _ -> List.mem "Semaphore" segs
 
