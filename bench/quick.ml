@@ -262,7 +262,6 @@ let () =
 module Merkle = Sc_merkle.Dynamic_tree
 module Mc = Sc_sim.Montecarlo
 module Protocol = Sc_audit.Protocol
-module Batch = Sc_audit.Batch
 module Executor = Sc_compute.Executor
 module Task = Sc_compute.Task
 
@@ -340,10 +339,10 @@ let () =
     let responses =
       Option.get (Protocol.respond pub ~now:1.0 execution challenge)
     in
-    { Batch.owner = "alice"; commitment; challenge; responses }
+    { Protocol.owner = "alice"; commitment; challenge; responses }
   in
   let jobs = List.map make_job [ "a"; "b"; "c"; "d" ] in
-  let batch () = Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs in
+  let batch () = Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs in
   (* Monte-Carlo workload; fresh same-seed DRBG per run so both domain
      counts consume an identical trial stream. *)
   let mc () =

@@ -391,7 +391,7 @@ let trace_analyze file slo out =
     close_out oc;
     Printf.printf "\nreport written to %s\n" path);
   match slos with
-  | Some slos when List.exists (fun (s : A.slo) -> not s.A.pass) slos ->
+  | Some slos when not (Sc_telemetry.Slo.all_pass slos) ->
     prerr_endline "SLO violations detected";
     exit 1
   | Some _ | None -> ()
@@ -788,7 +788,7 @@ let stats_workload (_, params) seed ~drop ~tamper =
     | None -> invalid_arg "stats: warrant rejected"
     | Some responses ->
       ( execution,
-        { Sc_audit.Batch.owner = "alice"; commitment; challenge; responses } )
+        { Sc_audit.Protocol.owner = "alice"; commitment; challenge; responses } )
   in
   (* alice uploaded "ledger" to cs-1 above, so this upload reuses her
      designation bases for cs-1. *)
@@ -802,10 +802,14 @@ let stats_workload (_, params) seed ~drop ~tamper =
   in
   assert (Seccloud.Cloud.accept_upload cloud upload);
   let execution, job = audit_round cloud "ledger" in
+  (* The root signature alone costs one inversion (its W), as in
+     Ibs.verify, and the designated batch three (one MSM); a lone root
+     going through Ibs.verify_batch would cost six. *)
   verifier ~gate:("honest Algorithm 1 round pairings (batch + root)", 2)
+    ~count_gates:[ inversions "Algorithm 1 round (root W + 1 MSM)" 4 ]
     (Printf.sprintf "computation audit, Algorithm 1 (t=%d)" samples)
     "t+1 pairings (root sig + t sampled sigs)" (fun () ->
-      let { Sc_audit.Batch.commitment; challenge; responses; _ } = job in
+      let { Sc_audit.Protocol.commitment; challenge; responses; _ } = job in
       let results = Sc_compute.Executor.results execution in
       List.iter
         (fun m -> ignore (Seccloud.Wire.encode pub m))
@@ -816,8 +820,7 @@ let stats_workload (_, params) seed ~drop ~tamper =
           Seccloud.Wire.Audit_response responses;
         ];
       let verdict =
-        Sc_audit.Protocol.verify pub ~verifier_key:da_key ~role:`Da
-          ~owner:"alice" commitment challenge responses
+        Sc_audit.Protocol.verify pub ~verifier_key:da_key ~role:`Da [ job ]
       in
       assert verdict.Sc_audit.Protocol.valid);
   let warm_id_hashes = Telemetry.counter_value "pairing.id_hash" - h0 in
@@ -828,11 +831,13 @@ let stats_workload (_, params) seed ~drop ~tamper =
   verifier
     ~gate:
       (Printf.sprintf "batched audit pairings for k=%d jobs (<= k+1)" k, k + 1)
+    ~count_gates:
+      [ inversions (Printf.sprintf "batched audit, k=%d (3 MSMs)" k) 9 ]
     (Printf.sprintf "batched audit, k=%d jobs" k)
     "<= k+1 pairings (2 aggregate eqs. here)"
     (fun () ->
       let verdict =
-        Sc_audit.Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs
+        Sc_audit.Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs
       in
       assert verdict.Sc_audit.Protocol.valid);
   (* The same conversation once more, this time as encoded Wire bytes

@@ -76,11 +76,6 @@ let respond ?memo pub ~now execution chal =
   if not (Warrant.verify ?memo pub ~now chal.warrant) then None
   else Some (List.map (Executor.respond execution) chal.sample_indices)
 
-let root_signature_ok ?memo pub commitment =
-  Ibs.verify ?memo pub ~signer:commitment.cs_id
-    ~msg:("root:" ^ commitment.root)
-    commitment.root_signature
-
 (* Everything in Algorithm 1 but the designated signature, which is
    checked in one batch over all samples instead. *)
 let non_signature_checks ~commitment (resp : Executor.response) =
@@ -124,6 +119,9 @@ let non_signature_checks ~commitment (resp : Executor.response) =
   in
   root_failures @ read_failures
 
+(* Algorithm 1 for challenged index [i] of one job, minus the
+   signature equation: its failures, and the designated signature the
+   server returned, if any, for the one batch over all samples. *)
 let sample_checks ~role ~owner ~commitment responses =
   let by_index =
     List.fold_left
@@ -140,45 +138,97 @@ let sample_checks ~role ~owner ~commitment responses =
             Signer.agg_entry role ~owner claimed signed)
           resp.Executor.read )
 
-let verify ?memo ?suspects pub ~verifier_key ~role ~owner commitment chal
-    responses =
-  Telemetry.incr c_rounds;
-  Telemetry.with_span ~name:"audit.verify"
-    ~attrs:[ "samples", string_of_int (List.length chal.sample_indices) ]
-  @@ fun () ->
-  (* Root commitment authenticity: Sig_CS(R). *)
-  let root_ok = root_signature_ok ?memo pub commitment in
-  let root_failures = if root_ok then [] else [ Root_signature_wrong ] in
-  (* Per-sample recomputation and path checks are independent: fan
-     them out across the domain pool.  Then 1. IsSignatureWrong for
-     every sample at once: the designated signature must cover the
-     claimed (file, position, data).  Each sample's signature failure
-     follows its other failures, in the sample order of the challenge,
-     so verdicts are identical at any domain count. *)
-  let check = sample_checks ~role ~owner ~commitment responses in
-  let per_sample =
-    Sc_parallel.parallel_map (fun i -> i, check i) chal.sample_indices
-  in
-  (* [Missing_response] comes only from an unanswered index. *)
-  Telemetry.add c_samples_checked
-    (List.length
-       (List.filter
-          (function _, ([ Missing_response _ ], None) -> false | _ -> true)
-          per_sample));
-  (* Only a root signature under [cs_id] names the server. *)
-  let server = if root_ok then Some commitment.cs_id else None in
-  let signatures_ok =
-    Agg.verify_each pub ~verifier_key ?suspects
-      (List.map
-         (fun (_, (_, entry)) -> Option.map (fun e -> server, e) entry)
-         per_sample)
-  in
-  let failures =
-    root_failures
-    @ List.concat
+type job = {
+  owner : string;
+  commitment : commitment;
+  challenge : challenge;
+  responses : Executor.response list;
+}
+
+(* The first [n] elements of [xs], and the rest. *)
+let rec take n xs =
+  match xs with
+  | x :: rest when n > 0 ->
+    let first, rest = take (n - 1) rest in
+    x :: first, rest
+  | _ -> [], xs
+
+let verify ?memo ?suspects pub ~verifier_key ~role jobs =
+  match jobs with
+  | [] -> { valid = true; failures = [] }
+  | _ ->
+    let samples job = job.challenge.sample_indices in
+    Telemetry.incr c_rounds;
+    Telemetry.with_span ~name:"audit.verify"
+      ~attrs:
+        [
+          "jobs", string_of_int (List.length jobs);
+          ( "samples",
+            string_of_int
+              (List.fold_left (fun n job -> n + List.length (samples job)) 0 jobs)
+          );
+        ]
+    @@ fun () ->
+    (* Root commitment authenticity, Sig_CS(R), of every job at once. *)
+    let roots_ok =
+      Ibs.verify_each ?memo pub
+        (List.map
+           (fun { commitment = c; _ } ->
+             Some (c.cs_id, "root:" ^ c.root, c.root_signature))
+           jobs)
+    in
+    (* Per-sample recomputation and path checks are independent: fan
+       the samples of every job out across the domain pool together.
+       Only a root signature under [cs_id] names the server of a job's
+       designated signatures. *)
+    let checks =
+      List.concat
         (List.map2
-           (fun (i, (fs, _)) ok ->
-             if ok = Some false then fs @ [ Signature_wrong i ] else fs)
-           per_sample signatures_ok)
-  in
-  { valid = failures = []; failures }
+           (fun job root_ok ->
+             let check =
+               sample_checks ~role ~owner:job.owner ~commitment:job.commitment
+                 job.responses
+             in
+             let server =
+               if root_ok = Some true then Some job.commitment.cs_id else None
+             in
+             List.map (fun i -> check, server, i) (samples job))
+           jobs roots_ok)
+    in
+    let checked =
+      Sc_parallel.parallel_map
+        (fun (check, server, i) ->
+          let fs, entry = check i in
+          i, fs, Option.map (fun e -> server, e) entry)
+        checks
+    in
+    (* [Missing_response] comes only from an unanswered index. *)
+    Telemetry.add c_samples_checked
+      (List.length
+         (List.filter
+            (function _, [ Missing_response _ ], None -> false | _ -> true)
+            checked));
+    (* 1. IsSignatureWrong for every sample at once: the designated
+       signature must cover the claimed (file, position, data).  Each
+       sample's signature failure follows its other failures. *)
+    let per_sample =
+      List.map2
+        (fun (i, fs, _) ok ->
+          if ok = Some false then fs @ [ Signature_wrong i ] else fs)
+        checked
+        (Agg.verify_each pub ~verifier_key ?suspects
+           (List.map (fun (_, _, entry) -> entry) checked))
+    in
+    (* Job by job: its root failure, then its samples in the order of
+       its challenge, so verdicts are identical at any domain count. *)
+    let _, per_job =
+      List.fold_left_map
+        (fun rest (job, root_ok) ->
+          let own, rest = take (List.length (samples job)) rest in
+          ( rest,
+            (if root_ok = Some false then [ Root_signature_wrong ] else [])
+            @ List.concat own ))
+        per_sample (List.combine jobs roots_ok)
+    in
+    let failures = List.concat per_job in
+    { valid = failures = []; failures }

@@ -65,22 +65,12 @@ val respond :
     {!Sc_ibc.Warrant.verify}).  Whose warrant it is, and for whom, is
     the caller's check ([Cloud.respond_to_audit]). *)
 
-val sample_checks :
-  role:[ `Cs | `Da ] ->
-  owner:string ->
-  commitment:commitment ->
-  Sc_compute.Executor.response list ->
-  int ->
-  failure list * Sc_ibc.Agg.entry option
-(** [sample_checks ~role ~owner ~commitment responses i] runs Algorithm
-    1 for challenged index [i], minus the signature equation.  The
-    failures are [Missing_response i] when no response has that index.
-    Otherwise they come from the recomputation, the block's claimed
-    position and the Merkle path.  The path must open slot [i] of an
-    [n_tasks]-leaf tree and fold to the committed root; any other
-    slot's path, however honest, is reported as [Root_wrong i].  The
-    entry is the designated signature the server returned, if any,
-    left for one {!Sc_ibc.Agg.verify_each} over all samples. *)
+type job = {
+  owner : string;  (** whose data the execution reads *)
+  commitment : commitment;
+  challenge : challenge;
+  responses : Sc_compute.Executor.response list;
+}
 
 val verify :
   ?memo:Sc_ibc.Ibs.Memo.t ->
@@ -88,22 +78,33 @@ val verify :
   Sc_ibc.Setup.public ->
   verifier_key:Sc_ibc.Setup.identity_key ->
   role:[ `Cs | `Da ] ->
-  owner:string ->
-  commitment ->
-  challenge ->
-  Sc_compute.Executor.response list ->
+  job list ->
   verdict
-(** Algorithm 1.  [role] selects which designated signature component
-    the verifier can open (the DA uses [`Da]).  All sampled checks are
-    run — the verdict accumulates every failure rather than stopping
-    at the first, which the simulator uses for diagnosis.  The root
-    signature costs one pairing, or none when the verifier's [memo]
-    already holds it (see {!Sc_ibc.Ibs.verify}); the t sampled
-    designated signatures go through one {!Sc_ibc.Agg.verify_each}:
-    one pairing when all are good, 1 + t when the batch rejects, and
-    t, with no batch, when [commitment.cs_id] is in the verifier's
-    [suspects] (its last audit found every entry bad).  They count as
-    entries of [commitment.cs_id] only when the root signature under
-    that id verifies; otherwise they name no server, so they neither
-    consult nor move the set.
-    Counts each answered index on [audit.samples_checked]. *)
+(** Algorithm 1 over k jobs, with the §VI batch verification: one
+    audit is the batch of one job.  [role] selects which designated
+    signature component the verifier can open (the DA uses [`Da]).
+    All sampled checks are run — the verdict accumulates every failure
+    rather than stopping at the first, which the simulator uses for
+    diagnosis.  The failures come job by job: the job's
+    [Root_signature_wrong], then, sample by sample in the order of its
+    challenge, the sample's other failures followed by its
+    [Signature_wrong]; the verdict of k jobs is the concatenation of
+    their one-job verdicts.
+
+    The root signatures go through one {!Sc_ibc.Ibs.verify_each}: a
+    lone fresh one costs one {!Sc_ibc.Ibs.verify}, none when the
+    verifier's [memo] holds it.  The recomputation and path checks of
+    every sample of every job fan out across the domain pool together.
+    Every sampled designated signature goes through one
+    {!Sc_ibc.Agg.verify_each}, in job-then-sample order: one pairing
+    when all are good, 1 + t when the batch of t rejects, and one per
+    entry, with no batch, of a server in the verifier's [suspects]
+    (its last audit found every entry bad).  A job's entries count as
+    entries of its [commitment.cs_id] only when its root signature
+    under that id verifies; otherwise they name no server, so they
+    neither consult nor move the set.
+
+    The empty list gives a valid verdict and counts nothing.  Otherwise
+    counts one [audit.rounds], and each answered index on
+    [audit.samples_checked], under span [audit.verify] (attributes
+    [jobs] and [samples]). *)

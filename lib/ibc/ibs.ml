@@ -163,19 +163,21 @@ let verify ?memo pub ~signer ~msg s =
     if ok then Memo.add m key;
     ok
 
+(* The length of U is exactly the four decimal digits [to_bytes]
+   writes; any other prefix (a sign, [0x], [_]) is not an encoding. *)
 let of_bytes (pub : Setup.public) s =
   let c = pub.prm.curve in
-  if String.length s < 4 then None
+  let digit i = String.length s > i && s.[i] >= '0' && s.[i] <= '9' in
+  if not (digit 0 && digit 1 && digit 2 && digit 3) then None
   else
-    match int_of_string_opt (String.sub s 0 4) with
-    | None -> None
-    | Some n when String.length s < 4 + n -> None
-    | Some n ->
+    let n = int_of_string (String.sub s 0 4) in
+    if String.length s < 4 + n then None
+    else
       let su = String.sub s 4 n in
       let sv = String.sub s (4 + n) (String.length s - 4 - n) in
-      (match Curve.of_bytes c su, Curve.of_bytes c sv with
+      match Curve.of_bytes c su, Curve.of_bytes c sv with
       | Some u, Some v -> Some { u; v }
-      | None, _ | _, None -> None)
+      | None, _ | _, None -> None
 
 module SMap = Map.Make (String)
 
@@ -255,9 +257,9 @@ let verify_batch (pub : Setup.public) entries =
      (Tate.gt_one prm))
 
 (* Batch then blame, as [Agg.verify_each]: memo hits are answered
-   without a check, the rest go through one {!verify_batch}, and only a
-   rejected batch pays one {!verify_all} over them.  Every accepted
-   entry is remembered. *)
+   without a check, a lone fresh entry gets the single check, and two
+   or more go through one {!verify_batch}; only a rejected batch pays
+   one {!verify_all} over them.  Every accepted entry is remembered. *)
 let verify_each ?memo pub slots =
   let tagged =
     List.map
@@ -275,14 +277,15 @@ let verify_each ?memo pub slots =
       tagged
   in
   let oks =
-    if verify_batch pub fresh then List.map (fun _ -> true) fresh
-    else begin
+    match fresh with
+    | [ (signer, msg, s) ] -> [ verify_full pub ~signer ~msg s ]
+    | _ when verify_batch pub fresh -> List.map (fun _ -> true) fresh
+    | _ ->
       Telemetry.incr c_verify_each_rejects;
       Telemetry.add c_verify (List.length fresh);
       Telemetry.with_span ~name:"ibs.blame"
         ~attrs:[ "sigs", string_of_int (List.length fresh) ]
       @@ fun () -> verify_all pub fresh
-    end
   in
   let rec put_back tagged oks =
     match tagged, oks with

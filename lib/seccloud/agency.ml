@@ -1,7 +1,6 @@
 module Server = Sc_storage.Server
 module Signer = Sc_storage.Signer
 module Protocol = Sc_audit.Protocol
-module Batch = Sc_audit.Batch
 module Sampling = Sc_audit.Sampling
 module Agg = Sc_ibc.Agg
 module Block = Sc_storage.Block
@@ -99,28 +98,6 @@ let choose_sample_size ?(eps = 1e-4) ?(range = infinity) ~csc ~ssc () =
   | Some tt -> tt
   | None -> max_int
 
-let audit_computation t cloud ~owner ~execution ~warrant ~now ~samples =
-  let pub = System.public t.system in
-  let da_key = System.da_key t.system in
-  let commitment = Protocol.commitment_of_execution execution in
-  let challenge =
-    Protocol.make_challenge ~drbg:t.drbg ~n_tasks:commitment.Protocol.n_tasks
-      ~samples ~warrant
-  in
-  match Cloud.respond_to_audit cloud ~now execution challenge with
-  | None ->
-    { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
-  | Some responses ->
-    let verdict =
-      Protocol.verify ~memo:t.roots ~suspects:t.suspects pub
-        ~verifier_key:da_key ~role:`Da ~owner commitment challenge responses
-    in
-    Log.info (fun m ->
-        m "computation audit %s (t=%d): valid=%b, %d failures" owner samples
-          verdict.Protocol.valid
-          (List.length verdict.Protocol.failures));
-    verdict
-
 let audit_computation_batched t jobs ~now ~samples =
   let pub = System.public t.system in
   let da_key = System.da_key t.system in
@@ -137,11 +114,23 @@ let audit_computation_batched t jobs ~now ~samples =
         with
         | None -> None
         | Some responses ->
-          Some { Batch.owner; commitment; challenge; responses })
+          Some { Protocol.owner; commitment; challenge; responses })
       jobs
   in
   if List.length prepared < List.length jobs then
     { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
-  else
-    Batch.verify_jobs ~memo:t.roots ~suspects:t.suspects pub
-      ~verifier_key:da_key ~role:`Da prepared
+  else begin
+    let verdict =
+      Protocol.verify ~memo:t.roots ~suspects:t.suspects pub
+        ~verifier_key:da_key ~role:`Da prepared
+    in
+    Log.info (fun m ->
+        m "computation audit of %s (t=%d): valid=%b, %d failures"
+          (String.concat ", " (List.map (fun (_, owner, _, _) -> owner) jobs))
+          samples verdict.Protocol.valid
+          (List.length verdict.Protocol.failures));
+    verdict
+  end
+
+let audit_computation t cloud ~owner ~execution ~warrant ~now ~samples =
+  audit_computation_batched t [ cloud, owner, execution, warrant ] ~now ~samples

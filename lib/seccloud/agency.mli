@@ -72,10 +72,11 @@ val audit_computation :
   samples:int ->
   Sc_audit.Protocol.verdict
 (** Protocol III auditing: challenge, collect responses, run
-    Algorithm 1.  [Warrant_invalid] when the server refuses the
-    challenge ({!Cloud.respond_to_audit}): the warrant is not from
-    the owner [execution] was run for, not delegated to this system's
-    DA, expired, or forged. *)
+    Algorithm 1; {!audit_computation_batched} of one job.
+    [Warrant_invalid] when the server refuses the challenge
+    ({!Cloud.respond_to_audit}): the warrant is not from the owner
+    [execution] was run for, not delegated to this system's DA,
+    expired, or forged. *)
 
 val audit_computation_batched :
   t ->
@@ -84,4 +85,6 @@ val audit_computation_batched :
   samples:int ->
   Sc_audit.Protocol.verdict
 (** Concurrent multi-user auditing with batched verification (§VI):
-    one aggregated signature equation across all jobs. *)
+    one {!Sc_audit.Protocol.verify} over every job, its sampled
+    signatures in one aggregated equation.  A single [Warrant_invalid]
+    when any server refuses its challenge. *)

@@ -1,5 +1,4 @@
 module Protocol = Sc_audit.Protocol
-module Batch = Sc_audit.Batch
 module Server_impl = Sc_storage.Server
 module Telemetry = Sc_telemetry.Telemetry
 
@@ -127,27 +126,6 @@ module Da = struct
     | Ok (Wire.Audit_response responses) -> challenge, Ok responses
     | Ok _ -> challenge, Error `Refused
 
-  let transport_failure transport = function
-    | Transport.Timeout -> Protocol.Transport_timeout (Transport.peer transport)
-    | Transport.Tampered ->
-      Protocol.Transport_tampered (Transport.peer transport)
-
-  let audit_computation_over_wire t ~transport ~owner ~file ~commitment
-      ~warrant ~now:_ ~samples =
-    let pub = System.public t.system in
-    let da_key = System.da_key t.system in
-    match
-      challenge_over_wire t ~transport ~owner ~file ~commitment ~warrant
-        ~samples
-    with
-    | _, Error (`Channel e) ->
-      { Protocol.valid = false; failures = [ transport_failure transport e ] }
-    | _, Error `Refused ->
-      { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
-    | challenge, Ok responses ->
-      Protocol.verify ~memo:t.roots ~suspects:t.suspects pub
-        ~verifier_key:da_key ~role:`Da ~owner commitment challenge responses
-
   type batch_target = {
     transport : Transport.t;
     owner : string;
@@ -157,8 +135,6 @@ module Da = struct
   }
 
   let audit_batch_over_wire t ~targets ~samples =
-    let pub = System.public t.system in
-    let da_key = System.da_key t.system in
     let jobs = ref [] in
     let timed_out = ref [] in
     let tampered = ref [] in
@@ -172,7 +148,7 @@ module Da = struct
         with
         | challenge, Ok responses ->
           jobs :=
-            { Batch.owner = tg.owner; commitment = tg.commitment; challenge;
+            { Protocol.owner = tg.owner; commitment = tg.commitment; challenge;
               responses }
             :: !jobs
         | _, Error (`Channel Transport.Timeout) ->
@@ -182,21 +158,26 @@ module Da = struct
         | _, Error `Refused -> incr refused)
       targets;
     let verdict =
-      Batch.verify_jobs ~memo:t.roots ~suspects:t.suspects pub
-        ~verifier_key:da_key ~role:`Da (List.rev !jobs)
+      Protocol.verify ~memo:t.roots ~suspects:t.suspects
+        (System.public t.system) ~verifier_key:(System.da_key t.system)
+        ~role:`Da (List.rev !jobs)
     in
-    let verdict =
-      (* Servers that answered but refused the challenge fail the
-         audit for protocol (not channel) reasons. *)
-      if !refused = 0 then verdict
-      else
-        {
-          Protocol.valid = false;
-          failures =
-            List.init !refused (fun _ -> Protocol.Warrant_invalid)
-            @ verdict.Protocol.failures;
-        }
+    (* Servers that answered but refused the challenge fail the audit
+       for protocol reasons, and servers that never produced a usable
+       round for channel reasons, each blamed like a failed
+       verification so the caller's decision logic does not change. *)
+    let blames =
+      List.rev_map (fun id -> Protocol.Transport_timeout id) !timed_out
+      @ List.rev_map (fun id -> Protocol.Transport_tampered id) !tampered
+      @ List.init !refused (fun _ -> Protocol.Warrant_invalid)
     in
-    Batch.flag_unresponsive verdict ~timed_out:(List.rev !timed_out)
-      ~tampered:(List.rev !tampered)
+    if blames = [] then verdict
+    else
+      { Protocol.valid = false; failures = blames @ verdict.Protocol.failures }
+
+  let audit_computation_over_wire t ~transport ~owner ~file ~commitment
+      ~warrant ~now:_ ~samples =
+    audit_batch_over_wire t
+      ~targets:[ { transport; owner; file; commitment; warrant } ]
+      ~samples
 end

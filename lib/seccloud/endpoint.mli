@@ -71,10 +71,10 @@ module Da : sig
     now:float ->
     samples:int ->
     Sc_audit.Protocol.verdict
-  (** Runs the full Algorithm-1 conversation over the transport.  On
-      channel failure the verdict carries a typed
-      [Transport_timeout] / [Transport_tampered] blame naming
-      {!Transport.peer}. *)
+  (** Runs the full Algorithm-1 conversation over the transport:
+      {!audit_batch_over_wire} of one target.  On channel failure the
+      verdict carries a typed [Transport_timeout] /
+      [Transport_tampered] blame naming {!Transport.peer}. *)
 
   type batch_target = {
     transport : Transport.t;
@@ -90,9 +90,12 @@ module Da : sig
     samples:int ->
     Sc_audit.Protocol.verdict
   (** §VI batched auditing over the wire: every responsive target
-      contributes a job to one {!Sc_audit.Batch.verify_jobs} round
-      (batch equations with per-job fallback for blame); servers
-      whose round exhausted retries are folded in as typed
-      [Transport_*] failures via
-      {!Sc_audit.Batch.flag_unresponsive}. *)
+      contributes a job to one {!Sc_audit.Protocol.verify} (batch
+      equations with per-entry fallback for blame).  The failures
+      start with one typed [Transport_timeout], then one
+      [Transport_tampered], per target whose round exhausted its
+      retries, each kind in target order, then one [Warrant_invalid] per target that refused its
+      challenge, then the verification's; any of them invalidates the
+      verdict, so unresponsive servers are flagged exactly like failed
+      verifications. *)
 end

@@ -363,14 +363,6 @@ let analyze ?(skipped_lines = 0) spans =
      audits_per_sec
    OP ∈ { <= >= = < > };  '#' starts a comment. *)
 
-type slo = {
-  expr : string;
-  actual : float;
-  bound : float;
-  cmp : string;
-  pass : bool;
-}
-
 let split_call s =
   (* "p99(transport.rpc)" -> Some ("p99", "transport.rpc") *)
   match String.index_opt s '(' with
@@ -435,20 +427,7 @@ let eval_metric report spans m =
 (* The METRIC OP VALUE grammar lives in {!Slo}; this wires its lookup
    to the trace report's metric namespace. *)
 let check_slos report spans content =
-  match Slo.check ~lookup:(eval_metric report spans) content with
-  | Error e -> Error e
-  | Ok checks ->
-    Ok
-      (List.map
-         (fun c ->
-           {
-             expr = c.Slo.expr;
-             actual = c.Slo.actual;
-             bound = c.Slo.bound;
-             cmp = c.Slo.cmp;
-             pass = c.Slo.pass;
-           })
-         checks)
+  Slo.check ~lookup:(eval_metric report spans) content
 
 (* --- export ------------------------------------------------------- *)
 
@@ -504,19 +483,8 @@ let report_json ?(slos = []) r =
     if slos = [] then []
     else
       [
-        ( "slo",
-          Json.arr
-            (List.map
-               (fun s ->
-                 Json.obj
-                   [
-                     "expr", Json.str s.expr;
-                     "actual", Json.float s.actual;
-                     "pass", (if s.pass then "true" else "false");
-                   ])
-               slos) );
-        ( "slo_pass",
-          if List.for_all (fun s -> s.pass) slos then "true" else "false" );
+        "slo", Slo.json slos;
+        "slo_pass", (if Slo.all_pass slos then "true" else "false");
       ])
 
 let print_report oc ?(slos = []) r =
@@ -556,7 +524,7 @@ let print_report oc ?(slos = []) r =
   if slos <> [] then begin
     Printf.fprintf oc "\nSLOs:\n";
     List.iter
-      (fun s ->
+      (fun (s : Slo.check) ->
         Printf.fprintf oc "  [%s] %-44s actual %.3f\n"
           (if s.pass then "ok" else "FAIL")
           s.expr s.actual)

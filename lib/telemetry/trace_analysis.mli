@@ -91,21 +91,14 @@ val analyze : ?skipped_lines:int -> span list -> report
 
 (** {2 SLOs} *)
 
-type slo = {
-  expr : string;
-  actual : float;
-  bound : float;
-  cmp : string;
-  pass : bool;
-}
-
-val check_slos : report -> span list -> string -> (slo list, string) result
+val check_slos :
+  report -> span list -> string -> (Slo.check list, string) result
 (** [check_slos report spans content] evaluates every assertion in the
     SLO file [content]; [Error] collects unparseable lines / unknown
     metrics.  A NaN actual (e.g. quantile of an absent span name)
     fails its assertion. *)
 
-val report_json : ?slos:slo list -> report -> string
+val report_json : ?slos:Slo.check list -> report -> string
 (** The [BENCH_trace.json] payload. *)
 
-val print_report : out_channel -> ?slos:slo list -> report -> unit
+val print_report : out_channel -> ?slos:Slo.check list -> report -> unit

@@ -373,51 +373,64 @@ let root_failures pub (commitment : Protocol.commitment) =
   then []
   else [ Protocol.Root_signature_wrong ]
 
-(* Per sample of Algorithm 1: its non-signature failures, and whether
-   its designated signature fails on its own. *)
-let protocol_samples pub ~verifier_key ~owner commitment
+(* The response Algorithm 1 checks for index [i]: the last one. *)
+let response_at responses i =
+  List.find_opt
+    (fun (r : Sc_compute.Executor.response) -> r.task_index = i)
+    (List.rev responses)
+
+(* Per sample of Algorithm 1: the failures of its Merkle path (which
+   must open its own slot of the committed tree), its block's claimed
+   position and its recomputation, and whether its designated signature
+   fails on its own. *)
+let protocol_samples pub ~verifier_key ~owner (commitment : Protocol.commitment)
     (challenge : Protocol.challenge) responses =
-  let check = Protocol.sample_checks ~role:`Da ~owner ~commitment responses in
+  let module Executor = Sc_compute.Executor in
   List.map
     (fun i ->
-      let fs, entry = check i in
-      ( i,
-        fs,
-        match entry with
-        | Some (e : Sc_ibc.Agg.entry) ->
-          not (dvs_ok pub ~verifier_key ~signer:e.signer ~msg:e.msg e.dvs)
-        | None -> false ))
+      match response_at responses i with
+      | None -> i, [ Protocol.Missing_response i ], false
+      | Some { request; result; proof; read; _ } ->
+        let path_ok =
+          proof.T.index = i
+          && proof.T.total = commitment.n_tasks
+          && T.verify ~root:commitment.root
+               ~leaf_hash:
+                 (T.leaf_hash
+                    (Executor.leaf_payload ~result
+                       ~position:request.Sc_compute.Task.position))
+               proof
+        in
+        let read_failures, signature_bad =
+          match read with
+          | None -> [ Protocol.Signature_wrong i ], false
+          | Some { Server.claimed; signed } ->
+            ( (if claimed.Block.index = request.position then []
+               else [ Protocol.Signature_wrong i ])
+              @ (match Sc_compute.Task.eval request.func claimed with
+                | Some y when y = result -> []
+                | Some _ | None -> [ Protocol.Computing_wrong i ]),
+              not
+                (verify_block pub ~verifier_key ~role:`Da
+                   ~q_id:(Sc_ibc.Setup.q_of_id pub owner) claimed signed) )
+        in
+        ( i,
+          (if path_ok then [] else [ Protocol.Root_wrong i ]) @ read_failures,
+          signature_bad ))
     challenge.sample_indices
 
-(* [Protocol.verify]'s order: a sample's signature failure follows its
-   other failures. *)
-let protocol_verify pub ~verifier_key ~owner commitment challenge responses =
-  root_failures pub commitment
-  @ List.concat_map
-      (fun (i, fs, bad) ->
-        if bad then fs @ [ Protocol.Signature_wrong i ] else fs)
-      (protocol_samples pub ~verifier_key ~owner commitment challenge responses)
-
-(* [Batch.verify_jobs]' order: every job's root failure, every
-   non-signature failure, then the signature failures of all jobs in
-   reverse sample order. *)
-let protocol_jobs pub ~verifier_key (jobs : Sc_audit.Batch.job list) =
-  let samples =
-    List.concat_map
-      (fun (j : Sc_audit.Batch.job) ->
-        protocol_samples pub ~verifier_key ~owner:j.owner j.commitment
-          j.challenge j.responses)
-      jobs
-  in
+(* [Protocol.verify]'s order, job by job: the job's root failure, then
+   each sample's other failures followed by its signature failure. *)
+let protocol_verify pub ~verifier_key (jobs : Protocol.job list) =
   List.concat_map
-    (fun (j : Sc_audit.Batch.job) -> root_failures pub j.commitment)
+    (fun (j : Protocol.job) ->
+      root_failures pub j.commitment
+      @ List.concat_map
+          (fun (i, fs, bad) ->
+            if bad then fs @ [ Protocol.Signature_wrong i ] else fs)
+          (protocol_samples pub ~verifier_key ~owner:j.owner j.commitment
+             j.challenge j.responses))
     jobs
-  @ List.concat_map (fun (_, fs, _) -> fs) samples
-  @ List.rev
-      (List.filter_map
-         (fun (i, _, bad) ->
-           if bad then Some (Protocol.Signature_wrong i) else None)
-         samples)
 
 (* [Dynamic.audit] for a statement that holds the client's current
    root: a sample is good when its path opens its own slot of that root

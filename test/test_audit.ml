@@ -1,7 +1,6 @@
 module Sampling = Sc_audit.Sampling
 module Optimal = Sc_audit.Optimal
 module Protocol = Sc_audit.Protocol
-module Batch = Sc_audit.Batch
 module Executor = Sc_compute.Executor
 module Task = Sc_compute.Task
 module Server = Sc_storage.Server
@@ -173,8 +172,8 @@ let audit ?(samples = 8) execution =
   match Protocol.respond pub ~now:1.0 execution challenge with
   | None -> { Protocol.valid = false; failures = [ Protocol.Warrant_invalid ] }
   | Some responses ->
-    Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice" commitment
-      challenge responses
+    Protocol.verify pub ~verifier_key:da_key ~role:`Da
+      [ { Protocol.owner = "alice"; commitment; challenge; responses } ]
 
 let protocol_tests =
   let open Util in
@@ -224,8 +223,10 @@ let protocol_tests =
         in
         let responses = Option.get (Protocol.respond pub ~now:1.0 execution challenge) in
         let v =
-          Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            forged challenge responses
+          Protocol.verify pub ~verifier_key:da_key ~role:`Da
+            [
+              { Protocol.owner = "alice"; commitment = forged; challenge; responses };
+            ]
         in
         check Alcotest.bool "invalid" false v.Protocol.valid;
         check Alcotest.bool "root sig flagged" true
@@ -255,8 +256,8 @@ let protocol_tests =
           | [] -> []
         in
         let v =
-          Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            commitment challenge responses
+          Protocol.verify pub ~verifier_key:da_key ~role:`Da
+            [ { Protocol.owner = "alice"; commitment; challenge; responses } ]
         in
         check Alcotest.bool "invalid" false v.Protocol.valid;
         check Alcotest.bool "missing flagged" true
@@ -291,12 +292,12 @@ let batch_tests =
         ~samples:6 ~warrant:(warrant ())
     in
     let responses = Option.get (Protocol.respond pub ~now:1.0 execution challenge) in
-    { Batch.owner = "alice"; commitment; challenge; responses }
+    { Protocol.owner = "alice"; commitment; challenge; responses }
   in
   [
     case "batched verification accepts honest jobs" (fun () ->
         let jobs = [ make_job "a"; make_job "b"; make_job "c" ] in
-        let v = Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs in
+        let v = Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs in
         check Alcotest.bool "valid" true v.Protocol.valid);
     case "batched verification pairing count is constant" (fun () ->
         (* One multi-pairing for every root signature together + one
@@ -305,7 +306,7 @@ let batch_tests =
            2 per job + 1). *)
         let jobs = [ make_job "p1"; make_job "p2" ] in
         let before = Sc_pairing.Tate.pairings_performed () in
-        let v = Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs in
+        let v = Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs in
         check Alcotest.int "2 jobs" 2
           (Sc_pairing.Tate.pairings_performed () - before);
         check Alcotest.bool "valid" true v.Protocol.valid);
@@ -316,34 +317,24 @@ let batch_tests =
             make_job ~behaviour:(Executor.Wrong_position_fraction 1.0) "evil";
           ]
         in
-        let v = Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da jobs in
+        let v = Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs in
         check Alcotest.bool "invalid" false v.Protocol.valid;
         check Alcotest.bool "blame assigned" true
           (List.exists
              (function Protocol.Signature_wrong _ -> true | _ -> false)
              v.Protocol.failures));
     case "batched and individual verdicts agree" (fun () ->
+        (* A job's verdict beside an honest job is its verdict alone. *)
+        let honest = make_job "agree-honest" in
+        let verify jobs = Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs in
         List.iter
           (fun behaviour ->
-            let execution = setup_execution ~behaviour () in
-            let commitment = Protocol.commitment_of_execution execution in
-            let drbg = Sc_hash.Drbg.create ~seed:"agree" in
-            let challenge =
-              Protocol.make_challenge ~drbg ~n_tasks:16 ~samples:10
-                ~warrant:(warrant ())
-            in
-            let responses =
-              Option.get (Protocol.respond pub ~now:1.0 execution challenge)
-            in
-            let individual =
-              (Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-                 commitment challenge responses).Protocol.valid
-            in
-            let batched =
-              (Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
-                 [ { Batch.owner = "alice"; commitment; challenge; responses } ]).Protocol.valid
-            in
-            check Alcotest.bool "agree" individual batched)
+            let job = make_job ~behaviour "agree" in
+            let individual = verify [ job ] and batched = verify [ honest; job ] in
+            check Alcotest.bool "agree" individual.Protocol.valid
+              batched.Protocol.valid;
+            check Alcotest.bool "same failures" true
+              (individual.Protocol.failures = batched.Protocol.failures))
           [
             Executor.Honest;
             Executor.Guess_fraction (1.0, 1 lsl 30);
@@ -428,10 +419,10 @@ let batch_blame_tests =
             responses
         in
         let v =
-          Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
+          Protocol.verify pub ~verifier_key:da_key ~role:`Da
             [
               {
-                Batch.owner = "alice";
+                Protocol.owner = "alice";
                 commitment;
                 challenge;
                 responses = tampered;
@@ -458,10 +449,15 @@ let relocation_tests =
        let warrant = warrant () in
        (* A slot whose own single-sample audit passes is honest. *)
        let honest i =
-         (Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            commitment
-            { Protocol.sample_indices = [ i ]; warrant }
-            [ Executor.respond execution i ])
+         (Protocol.verify pub ~verifier_key:da_key ~role:`Da
+            [
+              {
+                Protocol.owner = "alice";
+                commitment;
+                challenge = { Protocol.sample_indices = [ i ]; warrant };
+                responses = [ Executor.respond execution i ];
+              };
+            ])
            .Protocol.valid
        in
        let src = List.find honest (List.init 16 Fun.id) in
@@ -487,8 +483,8 @@ let relocation_tests =
           { Protocol.sample_indices = List.init 16 Fun.id; warrant }
         in
         let verify responses =
-          Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner:"alice"
-            commitment challenge responses
+          Protocol.verify pub ~verifier_key:da_key ~role:`Da
+            [ { Protocol.owner = "alice"; commitment; challenge; responses } ]
         in
         check Alcotest.bool "honest answers are caught" false
           (verify (List.map (Executor.respond execution) (List.init 16 Fun.id)))
@@ -498,15 +494,24 @@ let relocation_tests =
         check Alcotest.(list string) "Root_wrong at every other slot"
           (expected src challenge.Protocol.sample_indices)
           (names v.Protocol.failures));
-    case "relocated answers fail Batch.verify_jobs" (fun () ->
-        let _, commitment, warrant, src, relocate = Lazy.force fixture in
+    case "relocated answers fail a two-job batch" (fun () ->
+        let execution, commitment, warrant, src, relocate = Lazy.force fixture in
         let challenge =
           { Protocol.sample_indices = List.init 16 Fun.id; warrant }
         in
+        (* The source slot's own honest answer, as a job of its own. *)
+        let first =
+          {
+            Protocol.owner = "alice";
+            commitment;
+            challenge = { challenge with Protocol.sample_indices = [ src ] };
+            responses = [ Executor.respond execution src ];
+          }
+        in
         let responses = List.map relocate challenge.Protocol.sample_indices in
         let v =
-          Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
-            [ { Batch.owner = "alice"; commitment; challenge; responses } ]
+          Protocol.verify pub ~verifier_key:da_key ~role:`Da
+            [ first; { Protocol.owner = "alice"; commitment; challenge; responses } ]
         in
         check Alcotest.bool "invalid" false v.Protocol.valid;
         check Alcotest.(list string) "Root_wrong at every other slot"
@@ -557,17 +562,14 @@ let memo_tests =
     in
     commitment, challenge, Option.get (Protocol.respond pub ~now:1.0 execution challenge)
   in
-  (* Algorithm 1 and the batch over the round's answers, under
-     commitment [c] and the DA memo [memo]. *)
-  let da_verdicts memo (_, challenge, responses) c =
-    ( Protocol.verify ~memo pub ~verifier_key:da_key ~role:`Da ~owner:"alice" c
-        challenge responses,
-      Batch.verify_jobs ~memo pub ~verifier_key:da_key ~role:`Da
-        [ { Batch.owner = "alice"; commitment = c; challenge; responses } ] )
+  (* Algorithm 1 over the round's answers, under commitment [c] and
+     the DA memo [memo]. *)
+  let da_verdict memo (_, challenge, responses) c =
+    Protocol.verify ~memo pub ~verifier_key:da_key ~role:`Da
+      [ { Protocol.owner = "alice"; commitment = c; challenge; responses } ]
   in
-  let root_refused (single, batch) =
-    List.mem Protocol.Root_signature_wrong single.Protocol.failures
-    && List.mem Protocol.Root_signature_wrong batch.Protocol.failures
+  let root_refused v =
+    List.mem Protocol.Root_signature_wrong v.Protocol.failures
   in
   [
     case "server refuses another owner's warrant and one for another delegatee"
@@ -614,12 +616,12 @@ let memo_tests =
       (fun () ->
         let ((commitment, _, _) as r) = round () in
         let memo = Sc_ibc.Ibs.Memo.create "test-root" in
-        let single, batch = da_verdicts memo r commitment in
         check Alcotest.bool "honest round valid" true
-          (single.Protocol.valid && batch.Protocol.valid);
+          (da_verdict memo r commitment).Protocol.valid;
         let h0 = memo_count "hit" "test-root" in
-        ignore (da_verdicts memo r commitment);
-        check Alcotest.int "root answered from the memo" (h0 + 2)
+        check Alcotest.bool "valid again" true
+          (da_verdict memo r commitment).Protocol.valid;
+        check Alcotest.int "root answered from the memo" (h0 + 1)
           (memo_count "hit" "test-root");
         let other_signature =
           {
@@ -630,17 +632,17 @@ let memo_tests =
           }
         in
         check Alcotest.bool "another server's signature" true
-          (root_refused (da_verdicts memo r other_signature));
+          (root_refused (da_verdict memo r other_signature));
         check Alcotest.bool "another cs_id" true
           (root_refused
-             (da_verdicts memo r { commitment with Protocol.cs_id = "cs-2" })));
+             (da_verdict memo r { commitment with Protocol.cs_id = "cs-2" })));
     case "a rejected root signature never enters the memo" (fun () ->
         let ((commitment, _, _) as r) = round () in
         let memo = Sc_ibc.Ibs.Memo.create "test-root" in
         let forged = { commitment with Protocol.cs_id = "cs-2" } in
-        check Alcotest.bool "refused" true (root_refused (da_verdicts memo r forged));
+        check Alcotest.bool "refused" true (root_refused (da_verdict memo r forged));
         check Alcotest.bool "refused again" true
-          (root_refused (da_verdicts memo r forged));
+          (root_refused (da_verdict memo r forged));
         check Alcotest.int "memo empty" 0 (Sc_ibc.Ibs.Memo.size memo));
     case "past capacity the memo stays bounded and verdicts unchanged" (fun () ->
         let memo = Sc_ibc.Ibs.Memo.create "test-bound" in
@@ -665,6 +667,21 @@ let memo_tests =
         pass ());
   ]
 
+let empty_tests =
+  let open Util in
+  [
+    case "an empty job list verifies, uncounted" (fun () ->
+        let counters =
+          [ "audit.rounds"; "audit.samples_checked"; "ibs.verify"; "pairing.count" ]
+        in
+        let read () = List.map Sc_telemetry.Telemetry.counter_value counters in
+        let before = read () in
+        let v = Protocol.verify pub ~verifier_key:da_key ~role:`Da [] in
+        check Alcotest.bool "valid" true v.Protocol.valid;
+        check Alcotest.int "no failures" 0 (List.length v.Protocol.failures);
+        check Alcotest.(list int) "counters unmoved" before (read ()));
+  ]
+
 let suite =
   sampling_tests @ optimal_tests @ protocol_tests @ batch_tests
-  @ batch_blame_tests @ relocation_tests @ memo_tests
+  @ batch_blame_tests @ relocation_tests @ memo_tests @ empty_tests

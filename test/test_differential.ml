@@ -1,8 +1,9 @@
 (* Batch-then-blame against per-sample references.
 
    Storage audits ([Agency.check_blocks]), Algorithm 1
-   ([Protocol.verify], [Batch.verify_jobs]) and [Dynamic.audit] check
-   their sampled designated signatures with one [Agg.verify_each].
+   ([Protocol.verify], over one job or several) and [Dynamic.audit]
+   check their sampled designated signatures with one
+   [Agg.verify_each].
    Each reference ([Reference], test/reference.ml) is the per-sample
    loop the batch replaces: one [Dvs.verify] per sample, in sample
    order.  The answers are fed
@@ -19,7 +20,6 @@ module Block = Sc_storage.Block
 module Executor = Sc_compute.Executor
 module Task = Sc_compute.Task
 module Protocol = Sc_audit.Protocol
-module Batch = Sc_audit.Batch
 module Dynamic = Sc_storage.Dynamic
 
 let system = Lazy.force Util.shared_system
@@ -194,8 +194,25 @@ let responses execution samples =
 
 let names = List.map (Format.asprintf "%a" Protocol.pp_failure)
 
+(* A job over execution [e], its challenged samples perturbed. *)
+let protocol_job (e, samples) =
+  let execution = List.nth (Lazy.force executions) e in
+  (* Duplicate indices would be answered twice; a challenge never
+     holds them. *)
+  let samples = List.sort_uniq (fun (a, _) (b, _) -> compare a b) samples in
+  {
+    Protocol.owner;
+    commitment = Protocol.commitment_of_execution execution;
+    challenge =
+      {
+        Protocol.sample_indices = List.map fst samples;
+        warrant = Lazy.force warrant;
+      };
+    responses = responses execution samples;
+  }
+
 let protocol_tests =
-  let gen =
+  let gen_job =
     QCheck2.Gen.(
       pair (int_bound 3)
         (list_size (int_range 1 8)
@@ -204,60 +221,41 @@ let protocol_tests =
   in
   [
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:40
-         ~print:QCheck2.Print.(pair int print_samples)
-         ~name:"Protocol.verify and Batch.verify_jobs match per-sample references"
-         gen (fun (e, samples) ->
-           let execution = List.nth (Lazy.force executions) e in
-           let commitment = Protocol.commitment_of_execution execution in
-           (* Duplicate indices would be answered twice; a challenge
-              never holds them. *)
-           let samples =
-             List.sort_uniq (fun (a, _) (b, _) -> compare a b) samples
+      (QCheck2.Test.make ~count:30
+         ~print:QCheck2.Print.(list (pair int print_samples))
+         ~name:"k jobs verify as their one-job verdicts"
+         QCheck2.Gen.(list_size (int_range 1 3) gen_job)
+         (fun spec ->
+           let jobs = List.map protocol_job spec in
+           let verify jobs =
+             Protocol.verify pub ~verifier_key:da_key ~role:`Da jobs
            in
-           let challenge =
-             {
-               Protocol.sample_indices = List.map fst samples;
-               warrant = Lazy.force warrant;
-             }
-           in
-           let responses = responses execution samples in
            let checked () =
              Sc_telemetry.Telemetry.counter_value "audit.samples_checked"
            in
            let c0 = checked () in
-           let single =
-             Protocol.verify pub ~verifier_key:da_key ~role:`Da ~owner commitment
-               challenge responses
+           let batch = verify jobs in
+           (* Each answered sample of every job counts once. *)
+           let counted = checked () - c0 in
+           let singles =
+             List.concat_map (fun job -> (verify [ job ]).Protocol.failures) jobs
            in
-           let c1 = checked () in
-           let batch =
-             Batch.verify_jobs pub ~verifier_key:da_key ~role:`Da
-               [ { Batch.owner; commitment; challenge; responses } ]
+           let expected = Reference.protocol_verify pub ~verifier_key:da_key jobs in
+           let answered =
+             List.fold_left
+               (fun n (job : Protocol.job) -> n + List.length job.responses)
+               0 jobs
            in
-           (* Protocol.verify counts each answered sample once; the
-              multi-job batch counts none. *)
-           let counted = c1 - c0, checked () - c1 in
-           let expected =
-             Reference.protocol_verify pub ~verifier_key:da_key ~owner
-               commitment challenge responses
-           in
-           let expected_batch =
-             Reference.protocol_jobs pub ~verifier_key:da_key
-               [ { Batch.owner; commitment; challenge; responses } ]
-           in
-           single.Protocol.failures = expected
-           && single.Protocol.valid = (expected = [])
-           && batch.Protocol.failures = expected_batch
-           && batch.Protocol.valid = (expected_batch = [])
-           && counted = (List.length responses, 0)
+           batch.Protocol.failures = expected
+           && batch.Protocol.valid = (expected = [])
+           && singles = expected && counted = answered
            || QCheck2.Test.fail_reportf
-                "verify [%s] vs [%s]; batch [%s] vs [%s]; counted (%d, %d)"
-                (String.concat "; " (names single.Protocol.failures))
-                (String.concat "; " (names expected))
+                "verify [%s]; one job at a time [%s]; reference [%s]; counted \
+                 %d of %d"
                 (String.concat "; " (names batch.Protocol.failures))
-                (String.concat "; " (names expected_batch))
-                (fst counted) (snd counted)));
+                (String.concat "; " (names singles))
+                (String.concat "; " (names expected))
+                counted answered));
   ]
 
 (* --- Dynamic.audit ------------------------------------------------- *)
@@ -398,16 +396,14 @@ let memo_tests =
                in
                let fresh = Seccloud.Cloud.create system ~id:"cs-1" () in
                let responses = responses execution samples in
-               let jobs =
-                 { Batch.owner; commitment; challenge; responses } :: !previous
-               in
-               previous := [ List.hd jobs ];
+               let job = { Protocol.owner; commitment; challenge; responses } in
+               let jobs = job :: !previous in
+               previous := [ job ];
                let single ?memo () =
-                 Protocol.verify ?memo pub ~verifier_key:da_key ~role:`Da ~owner
-                   commitment challenge responses
+                 Protocol.verify ?memo pub ~verifier_key:da_key ~role:`Da [ job ]
                in
                let batch ?memo () =
-                 Batch.verify_jobs ?memo pub ~verifier_key:da_key ~role:`Da jobs
+                 Protocol.verify ?memo pub ~verifier_key:da_key ~role:`Da jobs
                in
                let served = answered server and reference = answered fresh in
                let s = single ~memo () and s_ref = single () in
@@ -426,9 +422,11 @@ let memo_tests =
 (* --- torsion on the commitment root signature ------------------------
 
    The IBS verifiers subgroup-check V only.  A third party's torsion on
-   U (which changes h) or on V must still fail both Algorithm 1
-   verifiers and stay out of the DA's root memo; the server's own
-   signature with U = r·Q_ID + T is a valid signature and passes. *)
+   U (which changes h) or on V must still fail Algorithm 1, whether its
+   root is checked alone ({!Sc_ibc.Ibs.verify}'s check) or beside
+   another job's ({!Sc_ibc.Ibs.verify_batch}), and stay out of the
+   DA's root memo; the server's own signature with U = r·Q_ID + T is a
+   valid signature and passes. *)
 
 let torsion_tests =
   let open Util in
@@ -449,35 +447,43 @@ let torsion_tests =
           }
         in
         let responses = responses execution samples in
+        (* An honest job with no samples: its root shares the batch. *)
+        let beside =
+          {
+            Protocol.owner;
+            commitment =
+              Protocol.commitment_of_execution
+                (List.nth (Lazy.force executions) 1);
+            challenge = { challenge with Protocol.sample_indices = [] };
+            responses = [];
+          }
+        in
         List.iter
           (fun (name, signature, accepted) ->
-            let commitment =
-              { commitment with Protocol.root_signature = signature }
-            in
-            let memo = Sc_ibc.Ibs.Memo.create "diff-torsion" in
-            let batch_memo = Sc_ibc.Ibs.Memo.create "diff-torsion-batch" in
-            let single =
-              Protocol.verify ~memo pub ~verifier_key:da_key ~role:`Da ~owner
-                commitment challenge responses
-            in
-            let batch =
-              Batch.verify_jobs ~memo:batch_memo pub ~verifier_key:da_key
-                ~role:`Da
-                [ { Batch.owner; commitment; challenge; responses } ]
+            let job =
+              {
+                Protocol.owner;
+                commitment =
+                  { commitment with Protocol.root_signature = signature };
+                challenge;
+                responses;
+              }
             in
             let expected =
               names (if accepted then [] else [ Protocol.Root_signature_wrong ])
             in
-            check Alcotest.(list string) (name ^ ": Protocol.verify") expected
-              (names single.Protocol.failures);
-            check Alcotest.(list string) (name ^ ": Batch.verify_jobs") expected
-              (names batch.Protocol.failures);
             List.iter
-              (fun m ->
-                check Alcotest.int (name ^ ": root memo entries")
-                  (if accepted then 1 else 0)
-                  (Sc_ibc.Ibs.Memo.size m))
-              [ memo; batch_memo ])
+              (fun (how, jobs, honest_roots) ->
+                let memo = Sc_ibc.Ibs.Memo.create "diff-torsion" in
+                let v =
+                  Protocol.verify ~memo pub ~verifier_key:da_key ~role:`Da jobs
+                in
+                check Alcotest.(list string) (name ^ ": " ^ how) expected
+                  (names v.Protocol.failures);
+                check Alcotest.int (name ^ ": " ^ how ^ ": root memo entries")
+                  (honest_roots + if accepted then 1 else 0)
+                  (Sc_ibc.Ibs.Memo.size memo))
+              [ "alone", [ job ], 0; "beside another job", [ beside; job ], 1 ])
           [
             "honest", s, true;
             "third party's U + T",
@@ -512,8 +518,7 @@ type script_job = { server : int; exec : int; job_samples : (int * int) list }
 
 type audit_step =
   | Storage_audit of int * (int * int) list
-  | Compute_audit of script_job
-  | Batch_audit of script_job list
+  | Compute_audit of script_job list
 
 (* Mostly honest samples, so servers leave the set as well as enter. *)
 let gen_kind =
@@ -534,8 +539,8 @@ let gen_audit_step =
   oneof
     [
       map2 (fun s samples -> Storage_audit (s, samples)) server (samples n_blocks);
-      map (fun j -> Compute_audit j) job;
-      map (fun js -> Batch_audit js) (list_size (int_range 1 3) job);
+      map (fun j -> Compute_audit [ j ]) job;
+      map (fun js -> Compute_audit js) (list_size (int_range 1 3) job);
     ]
 
 let print_audit_step =
@@ -546,8 +551,8 @@ let print_audit_step =
   function
   | Storage_audit (s, samples) ->
     Printf.sprintf "storage cs-%d %s" (s + 1) (print_samples samples)
-  | Compute_audit j -> "compute " ^ job j
-  | Batch_audit js -> "batch [" ^ String.concat "; " (List.map job js) ^ "]"
+  | Compute_audit js ->
+    "compute [" ^ String.concat "; " (List.map job js) ^ "]"
 
 (* The commitment of [exec] as served by [server]: a server other than
    cs-1 presents cs-1's root signature under its own id, which fails,
@@ -557,7 +562,7 @@ let script_job j =
   let execution = List.nth (Lazy.force executions) j.exec in
   let samples = List.sort_uniq (fun (a, _) (b, _) -> compare a b) j.job_samples in
   {
-    Batch.owner;
+    Protocol.owner;
     commitment =
       {
         (Protocol.commitment_of_execution execution) with
@@ -573,20 +578,19 @@ let script_job j =
 
 (* The designated signatures a step checks, each with its server when
    the job's root signature authenticates one. *)
-let job_entries (job : Batch.job) =
-  let commitment = job.Batch.commitment in
-  let check =
-    Protocol.sample_checks ~role:`Da ~owner:job.Batch.owner ~commitment
-      job.Batch.responses
-  in
+let job_entries (job : Protocol.job) =
   let server =
-    if Reference.root_failures pub commitment = [] then
-      Some commitment.Protocol.cs_id
+    if Reference.root_failures pub job.commitment = [] then
+      Some job.commitment.Protocol.cs_id
     else None
   in
   List.filter_map
-    (fun i -> Option.map (fun e -> server, e) (snd (check i)))
-    job.Batch.challenge.Protocol.sample_indices
+    (fun i ->
+      match Reference.response_at job.responses i with
+      | Some { Executor.read = Some { Server.claimed; signed }; _ } ->
+        Some (server, Signer.agg_entry `Da ~owner:job.owner claimed signed)
+      | Some _ | None -> None)
+    job.challenge.Protocol.sample_indices
 
 let storage_entries server reads =
   List.filter_map
@@ -612,28 +616,15 @@ let run_audit_step ~suspects step =
       ints (invalid ()),
       ints (Reference.storage_invalid pub ~verifier_key:da_key ~owner reads),
       storage_entries server reads )
-  | Compute_audit j ->
-    let job = script_job j in
-    let verify ?suspects () =
-      (Protocol.verify ?suspects pub ~verifier_key:da_key ~role:`Da ~owner
-         job.Batch.commitment job.Batch.challenge job.Batch.responses)
-        .Protocol.failures
-    in
-    ( names (verify ~suspects ()),
-      names (verify ()),
-      names
-        (Reference.protocol_verify pub ~verifier_key:da_key ~owner
-           job.Batch.commitment job.Batch.challenge job.Batch.responses),
-      job_entries job )
-  | Batch_audit js ->
+  | Compute_audit js ->
     let jobs = List.map script_job js in
     let verify ?suspects () =
-      (Batch.verify_jobs ?suspects pub ~verifier_key:da_key ~role:`Da jobs)
+      (Protocol.verify ?suspects pub ~verifier_key:da_key ~role:`Da jobs)
         .Protocol.failures
     in
     ( names (verify ~suspects ()),
       names (verify ()),
-      names (Reference.protocol_jobs pub ~verifier_key:da_key jobs),
+      names (Reference.protocol_verify pub ~verifier_key:da_key jobs),
       List.concat_map job_entries jobs )
 
 let suspect_tests =

@@ -561,5 +561,49 @@ let designation_tests =
         && not (verify (Sc_pairing.Tate.gt_pow prm base flipped)));
   ]
 
+(* A lone fresh signature is what every computation audit's root is:
+   Ibs.verify_each must check it as Ibs.verify does, not as a batch of
+   one (which costs more inversions, two MSMs and the batch
+   transcript's hash), whether it passes or fails. *)
+let lone_entry_tests =
+  let open Util in
+  let module Telemetry = Sc_telemetry.Telemetry in
+  let counters =
+    [
+      "pairing.count"; "curve.msm.terms"; "curve.inv"; "hash.sha256.digests";
+      "ibs.verify";
+    ]
+  in
+  let moved f =
+    let before = List.map Telemetry.counter_value counters in
+    f ();
+    List.map2 (fun c b -> c, Telemetry.counter_value c - b) counters before
+  in
+  [
+    case "Ibs.verify_each on one fresh entry costs what Ibs.verify does"
+      (fun () ->
+        let s = Ibs.sign pub alice ~bytes_source:bs "lone" in
+        (* Warm the signer's comb and the pairing tables first. *)
+        ignore (Ibs.verify pub ~signer:"alice" ~msg:"lone" s);
+        List.iter
+          (fun (msg, ok) ->
+            let single =
+              moved (fun () ->
+                  check Alcotest.bool "verify" ok
+                    (Ibs.verify pub ~signer:"alice" ~msg s))
+            in
+            let each =
+              moved (fun () ->
+                  check
+                    Alcotest.(list (option bool))
+                    "verify_each" [ None; Some ok ]
+                    (Ibs.verify_each pub [ None; Some ("alice", msg, s) ]))
+            in
+            check Alcotest.(list (pair string int)) (msg ^ ": counters") single
+              each)
+          [ "lone", true; "lone'", false ]);
+  ]
+
 let suite =
   unit_tests @ property_tests @ perturbation_tests @ designation_tests
+  @ lone_entry_tests

@@ -5,6 +5,7 @@ module Wire = Seccloud.Wire
 module Codec = Seccloud.Codec
 module Task = Sc_compute.Task
 module Protocol = Sc_audit.Protocol
+module Ibs = Sc_ibc.Ibs
 
 let system = Lazy.force Util.shared_system
 let pub = Seccloud.System.public system
@@ -173,7 +174,15 @@ let message_tests =
         in
         let verdict =
           Protocol.verify pub ~verifier_key:(Seccloud.System.da_key system)
-            ~role:`Da ~owner:"alice" commitment' challenge' responses'
+            ~role:`Da
+            [
+              {
+                Protocol.owner = "alice";
+                commitment = commitment';
+                challenge = challenge';
+                responses = responses';
+              };
+            ]
         in
         check Alcotest.bool "valid after round trip" true verdict.Protocol.valid);
     case "tampering with wire bytes is caught" (fun () ->
@@ -205,7 +214,15 @@ let message_tests =
             let commitment = Protocol.commitment_of_execution execution in
             let verdict =
               Protocol.verify pub ~verifier_key:(Seccloud.System.da_key system)
-                ~role:`Da ~owner:"alice" commitment challenge rs
+                ~role:`Da
+                [
+                  {
+                    Protocol.owner = "alice";
+                    commitment;
+                    challenge;
+                    responses = rs;
+                  };
+                ]
             in
             if not verdict.Protocol.valid then incr detected
           | _ -> incr detected
@@ -424,4 +441,44 @@ let endpoint_tests =
         check Alcotest.bool "invalid" false verdict.Protocol.valid);
   ]
 
-let suite = codec_tests @ message_tests @ endpoint_tests
+(* --- hostile signature encodings ------------------------------------ *)
+
+let decode_tests =
+  let open Util in
+  [
+    case "a malformed IBS length prefix is a decode error" (fun () ->
+        let execution = make_execution () in
+        let commitment = Protocol.commitment_of_execution execution in
+        let sig_bytes = Ibs.to_bytes pub commitment.Protocol.root_signature in
+        let n = int_of_string (String.sub sig_bytes 0 4) in
+        let tail = String.sub sig_bytes 4 (String.length sig_bytes - 4) in
+        (* The same length written three non-canonical ways, and a
+           negative one. *)
+        assert (n < 100);
+        List.iter
+          (fun prefix ->
+            check Alcotest.bool prefix true (Ibs.of_bytes pub (prefix ^ tail) = None))
+          [
+            Printf.sprintf "0x%02x" n; Printf.sprintf "0_%02d" n;
+            Printf.sprintf "+%03d" n; "-001";
+          ];
+        let encoded =
+          Wire.encode pub
+            (Wire.Compute_commitment
+               { results = Sc_compute.Executor.results execution; commitment })
+        in
+        let rec find i =
+          if String.sub encoded i (String.length sig_bytes) = sig_bytes then i
+          else find (i + 1)
+        in
+        let at = find 0 in
+        let mauled =
+          String.sub encoded 0 at ^ "-001"
+          ^ String.sub encoded (at + 4) (String.length encoded - at - 4)
+        in
+        Alcotest.check_raises "root signature length -001"
+          (Wire.Decode_error "invalid IBS signature") (fun () ->
+            ignore (Wire.decode pub mauled)));
+  ]
+
+let suite = codec_tests @ message_tests @ endpoint_tests @ decode_tests
