@@ -605,6 +605,23 @@ let stats_workload (_, params) seed ~drop ~tamper =
     (Printf.sprintf "Agg.verify_batch (n=%d)" t) "2 pairings"
     (fun () ->
       assert (Sc_ibc.Agg.verify_batch pub ~verifier_key:da_key dvs_entries));
+  (* A lone fresh entry (a one-sample audit, or the one entry beside a
+     suspect server's) costs what Dvs.verify does: a batch of one would
+     add a GT membership test, an MSM and its inversions. *)
+  let lone = "Agg.verify_each (1 fresh entry)" in
+  verifier ~gate:(lone ^ " pairings", 1)
+    ~count_gates:
+      [
+        "pairing.gt_member", lone ^ " GT membership tests", 0;
+        "curve.msm.terms", lone ^ " MSM terms", 0;
+        inversions lone 1;
+      ]
+    lone "2 pairings"
+    (fun () ->
+      assert (
+        Sc_ibc.Agg.verify_each pub ~verifier_key:da_key
+          [ Some (None, List.hd dvs_entries) ]
+        = [ Some true ]));
   (* A new owner's first signature, or the first verification of it,
      builds the comb for its Q_ID (DESIGN §4h): one batch inversion
      normalizes the window bases 16^w·Q_ID, one their multiples.  The

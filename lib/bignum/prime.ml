@@ -69,14 +69,6 @@ let is_probably_prime ?(rounds = 32) ~bytes_source n =
     rounds_left rounds
   end
 
-let next_prime ~bytes_source n =
-  let n = if Nat.compare n Nat.two < 0 then Nat.two else n in
-  let n = if Nat.is_even n && not (Nat.equal n Nat.two) then Nat.add n Nat.one else n in
-  let rec go n =
-    if is_probably_prime ~bytes_source n then n else go (Nat.add n Nat.two)
-  in
-  if Nat.equal n Nat.two then n else go n
-
 let random_prime ~bytes_source ~bits =
   if bits < 2 then invalid_arg "Prime.random_prime: bits < 2";
   let top_bit = Nat.shift_left Nat.one (bits - 1) in

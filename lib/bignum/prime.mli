@@ -12,9 +12,6 @@ val is_probably_prime :
 (** Miller–Rabin with [rounds] random bases (default 32) after trial
     division by {!small_primes}. *)
 
-val next_prime : bytes_source:(int -> string) -> Nat.t -> Nat.t
-(** Smallest probable prime greater than or equal to the argument. *)
-
 val random_prime : bytes_source:(int -> string) -> bits:int -> Nat.t
 (** A random probable prime with exactly [bits] bits (top bit set).
     @raise Invalid_argument when [bits < 2]. *)

@@ -20,8 +20,6 @@ let create ~seed =
   update t seed;
   t
 
-let reseed t entropy = update t entropy
-
 let generate t n =
   if n < 0 then invalid_arg "Drbg.generate: negative length";
   let buf = Buffer.create n in

@@ -16,8 +16,6 @@ val create : seed:string -> t
 val generate : t -> int -> string
 (** [generate t n] returns [n] fresh pseudo-random bytes. *)
 
-val reseed : t -> string -> unit
-
 val bytes_source : t -> int -> string
 (** The same as {!generate}, shaped for APIs that take an
     [int -> string] byte source. *)

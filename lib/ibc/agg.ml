@@ -1,6 +1,7 @@
 open Sc_bignum
 open Sc_ec
 module Tate = Sc_pairing.Tate
+module Equation = Sc_pairing.Equation
 module Encode = Sc_hash.Encode
 module Hmac = Sc_hash.Hmac
 module Telemetry = Sc_telemetry.Telemetry
@@ -63,42 +64,29 @@ let verify_batch (pub : Setup.public) ~verifier_key entries =
        && Tate.gt_in_group prm e.dvs.Dvs.sigma)
      entries
    &&
-   let deltas = coefficients pub ~verifier_key entries in
-   let w =
-     Ibs.combined_verification_point pub
-       (List.map2 (fun d e -> d, e.signer, e.msg, e.dvs.Dvs.u) deltas entries)
-   in
-   (* Same orientation as Dvs.verify, ê(sk_B, ·) replayed from the
-      verifier key's cached line tables. *)
-   Tate.multi_pairing_precomp_equal prm
-     [ w, Tate.precomp_for prm verifier_key.Setup.sk ]
-     (Tate.gt_multi_exp prm
-        (List.map2 (fun d e -> e.dvs.Dvs.sigma, d) deltas entries)))
+   let table = Tate.precomp_for prm verifier_key.Setup.sk in
+   Equation.holds prm
+     (Equation.combine prm
+        (List.map2
+           (fun d e ->
+             ( d,
+               Dvs.equation pub table ~q_id:(Setup.q_of_id pub e.signer)
+                 ~msg:e.msg e.dvs ))
+           (coefficients pub ~verifier_key entries)
+           entries)))
 
+(* Each of [(server, entry); …] checked alone, one inversion for all. *)
 let singles (pub : Setup.public) ~verifier_key entries =
   Dvs.verify_all pub ~verifier_key
-    (List.map (fun e -> Setup.q_of_id pub e.signer, e.msg, e.dvs) entries)
-
-(* A batch that accepts vouches for every entry; only a rejected one
-   pays for the singles that say which entries are bad, whose
-   verification points share one inversion. *)
-let verify_all (pub : Setup.public) ~verifier_key entries =
-  if verify_batch pub ~verifier_key entries then List.map (fun _ -> true) entries
-  else begin
-    Telemetry.incr c_verify_each_rejects;
-    Telemetry.with_span ~name:"agg.blame"
-      ~attrs:[ "sigs", string_of_int (List.length entries) ]
-    @@ fun () -> singles pub ~verifier_key entries
-  end
+    (List.map (fun (_, e) -> Setup.q_of_id pub e.signer, e.msg, e.dvs) entries)
 
 (* A suspect's entries skip the batch they would make fail: they go
-   straight to the singles, the rest through [verify_all].  Then a
-   named server all of whose entries failed is suspect, and any other
-   named server is not: one good entry shows a server that may pass
-   the next batch, and the batch is the cheaper bet unless it is almost
-   sure to fail (DESIGN §4q). *)
+   straight to the singles, the rest through {!Equation.verify_each}'s
+   batch then blame.  Then a named server all of whose entries failed
+   is suspect, and any other named server is not: one good entry shows
+   a server that may pass the next batch, and the batch is the cheaper
+   bet unless it is almost sure to fail (DESIGN §4q). *)
 let verify_each pub ~verifier_key ?suspects slots =
-  let entries = List.filter_map Fun.id slots in
   (* Each distinct named server once, with its key. *)
   let keyed =
     match suspects with
@@ -106,53 +94,41 @@ let verify_each pub ~verifier_key ?suspects slots =
     | Some _ ->
       List.map
         (fun server -> server, Digest_set.key server)
-        (List.sort_uniq String.compare (List.filter_map fst entries))
+        (List.sort_uniq String.compare
+           (List.filter_map (fun slot -> Option.bind slot fst) slots))
   in
-  let tagged =
-    List.map
-      (fun (server, e) ->
-        ( e,
-          match server, suspects with
-          | Some server, Some set -> Digest_set.mem set (List.assoc server keyed)
-          | None, _ | _, None -> false ))
-      entries
-  in
-  let picked flag =
-    List.filter_map (fun (e, s) -> if s = flag then Some e else None) tagged
-  in
-  let suspect_oks =
-    match picked true with
-    | [] -> []
-    | es ->
-      Telemetry.add c_verify_each_suspect_sigs (List.length es);
-      Telemetry.with_span ~name:"agg.suspect"
-        ~attrs:[ "sigs", string_of_int (List.length es) ]
-      @@ fun () -> singles pub ~verifier_key es
-  in
-  let rec merge tagged suspect_oks other_oks =
-    match tagged, suspect_oks, other_oks with
-    | (_, true) :: tagged, ok :: suspect_oks, other_oks
-    | (_, false) :: tagged, suspect_oks, ok :: other_oks ->
-      ok :: merge tagged suspect_oks other_oks
-    | _ -> []
+  let suspect (server, _) =
+    match server, suspects with
+    | Some server, Some set -> Digest_set.mem set (List.assoc server keyed)
+    | None, _ | _, None -> false
   in
   let oks =
-    merge tagged suspect_oks (verify_all pub ~verifier_key (picked false))
+    Equation.verify_each slots
+      ~aside:
+        ( suspect,
+          fun es ->
+            Telemetry.add c_verify_each_suspect_sigs (List.length es);
+            Telemetry.with_span ~name:"agg.suspect"
+              ~attrs:[ "sigs", string_of_int (List.length es) ]
+            @@ fun () -> singles pub ~verifier_key es )
+      ~single:(fun x -> List.hd (singles pub ~verifier_key [ x ]))
+      ~batch:(fun es -> verify_batch pub ~verifier_key (List.map snd es))
+      ~blame:(fun es ->
+        Telemetry.incr c_verify_each_rejects;
+        Telemetry.with_span ~name:"agg.blame"
+          ~attrs:[ "sigs", string_of_int (List.length es) ]
+        @@ fun () -> singles pub ~verifier_key es)
+  in
+  let passed server =
+    List.exists2
+      (fun slot ok -> ok = Some true && Option.map fst slot = Some (Some server))
+      slots oks
   in
   Option.iter
     (fun set ->
-      let answered = List.map2 (fun (server, _) ok -> server, ok) entries oks in
       List.iter
         (fun (server, key) ->
-          if List.for_all (fun (s, ok) -> s <> Some server || not ok) answered
-          then Digest_set.add set key
-          else Digest_set.remove set key)
+          if passed server then Digest_set.remove set key else Digest_set.add set key)
         keyed)
     suspects;
-  let rec put_back slots oks =
-    match slots, oks with
-    | None :: slots, oks -> None :: put_back slots oks
-    | Some _ :: slots, ok :: oks -> Some ok :: put_back slots oks
-    | [], _ | Some _ :: _, [] -> []
-  in
-  put_back slots oks
+  oks

@@ -1,6 +1,7 @@
 open Sc_ec
 module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate
+module Equation = Sc_pairing.Equation
 module Telemetry = Sc_telemetry.Telemetry
 
 type t = { u : Curve.point; sigma : Tate.gt }
@@ -35,37 +36,33 @@ let sign_batch (pub : Setup.public) key ~bytes_source (b_cs, b_da) msgs =
       u, Tate.gt_comb_exp prm b_cs e, Tate.gt_comb_exp prm b_da e)
     (Ibs.sign_exponents pub key ~bytes_source msgs)
 
-(* The points of the entries whose U is on the curve come out of one
-   {!Ibs.verification_points}, so n entries share one inversion. *)
+(* Σ = ê(U + h·Q_ID, sk_B), replayed from the verifier key's table. *)
+let equation (pub : Setup.public) table ~q_id ~msg s =
+  {
+    Equation.terms = [ Shift { u = s.u; h = Ibs.h2 pub ~u:s.u ~msg; base = q_id }, table ];
+    target = Gt s.sigma;
+  }
+
 let verify_all (pub : Setup.public) ~verifier_key entries =
   let prm = pub.prm in
-  let on_curve s = Curve.on_curve prm.curve s.u in
-  let ws =
-    Ibs.verification_points pub
-      (List.filter_map
-         (fun (q_id, msg, s) ->
-           if on_curve s then Some (q_id, msg, s.u) else None)
-         entries)
-  in
-  let pc = Tate.precomp_for prm verifier_key.Setup.sk in
-  let rec answer entries ws =
-    match entries, ws with
-    | (_, _, s) :: entries, w :: ws when on_curve s ->
-      Tate.pairing_precomp_equal prm w pc s.sigma :: answer entries ws
-    | _ :: entries, ws -> false :: answer entries ws
-    | [], _ -> []
-  in
-  answer entries ws
+  let table = Tate.precomp_for prm verifier_key.Setup.sk in
+  Equation.holds_each prm
+    (List.map
+       (fun (q_id, msg, s) ->
+         if Curve.on_curve prm.curve s.u then Some (equation pub table ~q_id ~msg s)
+         else None)
+       entries)
 
 let verify pub ~verifier_key ~q_id ~msg s =
   List.hd (verify_all pub ~verifier_key [ q_id, msg, s ])
 
 let simulate (pub : Setup.public) ~verifier_key ~signer ~msg ~bytes_source =
   let prm = pub.prm in
-  let q_id = Setup.q_of_id pub signer in
+  let comb = Params.precomp_for prm (Setup.q_of_id pub signer) in
   let r = Params.random_scalar prm ~bytes_source in
-  let u = Curve.mul_precomp prm.curve (Params.precomp_for prm q_id) r in
-  let w = Ibs.verification_point pub ~q_id ~msg ~u in
+  let u = Curve.mul_precomp prm.curve comb r in
+  (* W = U + h·Q_ID = (r + h)·Q_ID. *)
+  let w = Curve.mul_precomp prm.curve comb Sc_bignum.Nat.(rem (add r (Ibs.h2 pub ~u ~msg)) prm.q) in
   {
     u;
     sigma =

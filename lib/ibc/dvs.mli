@@ -52,6 +52,12 @@ val sign_batch :
     message.  Protocol II always designates to two verifiers: the
     cloud server and the agency. *)
 
+val equation :
+  Setup.public -> Sc_pairing.Tate.precomp -> q_id:Curve.point -> msg:string -> t ->
+  Sc_pairing.Equation.t
+(** Σ = ê(U + H2(U‖m)·Q_ID, sk_B) against sk_B's cached Miller table,
+    as {!verify} checks it and [Agg.verify_batch] combines it. *)
+
 val verify :
   Setup.public ->
   verifier_key:Setup.identity_key ->
@@ -59,9 +65,9 @@ val verify :
   msg:string ->
   t ->
   bool
-(** [q_id] is the signer's {!Setup.q_of_id}.  One pairing, checked
-    by {!Sc_pairing.Tate.pairing_precomp_equal}; a caller checking
-    many signatures at once uses {!Agg.verify_each}. *)
+(** [q_id] is the signer's {!Setup.q_of_id}.  One pairing, checked by
+    {!Sc_pairing.Equation.holds}; a caller checking many signatures at
+    once uses {!Agg.verify_each}. *)
 
 val verify_all :
   Setup.public ->
@@ -72,7 +78,7 @@ val verify_all :
     answer for each entry, the entries free to have different signers:
     one pairing per entry whose U is on the curve, and one shared field
     inversion for all their verification points
-    ({!Ibs.verification_points}).  The blame step of
+    ({!Sc_pairing.Equation.holds_each}).  The blame step of
     {!Agg.verify_each}, and its check of a suspect server's
     entries. *)
 

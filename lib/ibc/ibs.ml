@@ -3,6 +3,7 @@ open Sc_ec
 module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate
 module Hash_g1 = Sc_pairing.Hash_g1
+module Equation = Sc_pairing.Equation
 module Encode = Sc_hash.Encode
 module Telemetry = Sc_telemetry.Telemetry
 module Labels = Sc_telemetry.Labels
@@ -50,23 +51,6 @@ let sign (pub : Setup.public) (key : Setup.identity_key) ~bytes_source msg =
   let u, e = sign_exponent pub key ~bytes_source msg in
   { u; v = Curve.mul pub.prm.curve e key.sk }
 
-(* U + h·Q_ID, the G1 element every verification flavour pairs
-   against.  Q_ID is a fixed base per identity, so h·Q_ID runs over
-   its cached comb tables, started at U: one normalization per point,
-   shared by all the points of one call. *)
-let verification_points (pub : Setup.public) rows =
-  let prm = pub.prm in
-  Array.to_list
-    (Curve.add_mul_precomp_batch prm.curve
-       (Array.of_list
-          (List.map
-             (fun (q_id, msg, u) ->
-               u, Params.precomp_for prm q_id, h2 pub ~u ~msg)
-             rows)))
-
-let verification_point pub ~q_id ~msg ~u =
-  List.hd (verification_points pub [ q_id, msg, u ])
-
 let to_bytes (pub : Setup.public) { u; v } =
   let c = pub.prm.curve in
   let su = Curve.to_bytes c u in
@@ -104,64 +88,40 @@ module Memo = struct
   let add t key = Digest_set.add t.seen key
 end
 
-(* ê(V, P) = ê(W, P_pub) is checked as ê(V, P)·ê(−W, P_pub) = 1: a
-   single 2-term multi-pairing (one shared Miller chain, one final
-   exponentiation) instead of two full pairings, replayed from the
-   precomputed line tables of the fixed arguments P and P_pub.  The
-   precomputed form evaluates ê(P, V)·ê(P_pub, −W), equal by pairing
+(* ê(V, P) = ê(W, P_pub), W = U + h·Q_ID, is checked as
+   ê(−V, P)·ê(W, P_pub) = 1: one 2-term equation (one shared Miller
+   chain, one final exponentiation) instead of two full pairings,
+   replayed from the cached line tables of the fixed arguments P and
+   P_pub.  The replay evaluates ê(P, −V)·ê(P_pub, W), equal by pairing
    symmetry on the order-q subgroup and blind to cofactor torsion on V
    and W.  Torsion on V would let anyone turn an accepted (U, V) into
    an accepted (U, V + T), so V is subgroup-checked.  Torsion on U is
    harmless: a third party's U + T changes h = H2(U‖m) and fails, and
    a signer who picks U = r·Q_ID + T signs validly, as it could with
-   T = O.  So U is only checked to be on the curve.  The entries whose
-   points pass get their W from one {!verification_points}, so n
-   entries share one inversion. *)
-let verify_all (pub : Setup.public) entries =
-  let prm = pub.prm in
-  let checked =
-    List.map
-      (fun ((_, _, { u; v }) as entry) ->
-        entry, Curve.on_curve prm.curve u && Params.in_subgroup prm v)
-      entries
-  in
-  let ws =
-    verification_points pub
-      (List.filter_map
-         (fun ((signer, msg, s), ok) ->
-           if ok then Some (Setup.q_of_id pub signer, msg, s.u) else None)
-         checked)
-  in
-  let rec answer checked ws =
-    match checked, ws with
-    | ((_, _, s), true) :: checked, w :: ws ->
-      Tate.multi_pairing_precomp_equal prm
-        [
-          s.v, Tate.precomp_for prm prm.g;
-          Curve.neg prm.curve w, Tate.precomp_for prm pub.p_pub;
-        ]
-        (Tate.gt_one prm)
-      :: answer checked ws
-    | (_, false) :: checked, ws -> false :: answer checked ws
-    | [], _ | (_, true) :: _, [] -> []
-  in
-  answer checked ws
+   T = O.  So U is only checked to be on the curve. *)
+let precheck (pub : Setup.public) { u; v } =
+  Curve.on_curve pub.prm.curve u && Params.in_subgroup pub.prm v
 
-let verify_full pub ~signer ~msg s =
-  Telemetry.incr c_verify;
-  Telemetry.with_span ~name:"ibs.verify" (fun () ->
-      List.hd (verify_all pub [ signer, msg, s ]))
+let tables (pub : Setup.public) =
+  Tate.precomp_for pub.prm pub.prm.g, Tate.precomp_for pub.prm pub.p_pub
 
-let verify ?memo pub ~signer ~msg s =
-  match memo with
-  | None -> verify_full pub ~signer ~msg s
-  | Some m ->
-    let key = Memo.key pub ~signer ~msg s in
-    Memo.lookup m key
-    ||
-    let ok = verify_full pub ~signer ~msg s in
-    if ok then Memo.add m key;
-    ok
+let equation (pub : Setup.public) (on_g, on_p_pub) (signer, msg, { u; v }) =
+  {
+    Equation.terms =
+      [
+        Point (Curve.neg pub.prm.curve v), on_g;
+        Shift { u; h = h2 pub ~u ~msg; base = Setup.q_of_id pub signer }, on_p_pub;
+      ];
+    target = One;
+  }
+
+let verify_all pub entries =
+  let tables = tables pub in
+  Equation.holds_each pub.Setup.prm
+    (List.map
+       (fun ((_, _, s) as entry) ->
+         if precheck pub s then Some (equation pub tables entry) else None)
+       entries)
 
 (* The length of U is exactly the four decimal digits [to_bytes]
    writes; any other prefix (a sign, [0x], [_]) is not an encoding. *)
@@ -179,39 +139,12 @@ let of_bytes (pub : Setup.public) s =
       | Some u, Some v -> Some { u; v }
       | None, _ | _, None -> None
 
-module SMap = Map.Make (String)
-
-(* Σ c_i·(U_i + h_i·Q_IDi) as one multi-scalar multiplication over the
-   U_i plus one fixed-base comb per distinct signer for
-   (Σ c_i·h_i mod q)·Q_ID — exact because Q_ID has order q — all on
-   one Jacobian accumulator, normalized once. *)
-let combined_verification_point (pub : Setup.public) terms =
-  let prm = pub.prm in
-  let ch_sums =
-    List.fold_left
-      (fun sums (c, signer, msg, u) ->
-        let ch = Nat.mul c (h2 pub ~u ~msg) in
-        SMap.update signer
-          (fun s -> Some (Nat.add ch (Option.value s ~default:Nat.zero)))
-          sums)
-      SMap.empty terms
-  in
-  Curve.msm prm.curve
-    ~fixed:
-      (List.map
-         (fun (signer, ch) ->
-           Params.precomp_for prm (Setup.q_of_id pub signer), Nat.rem ch prm.q)
-         (SMap.bindings ch_sums))
-    (List.map (fun (c, _, _, u) -> c, u) terms)
-
-(* Batched public verification of t signatures with one 2-term
-   multi-pairing: since every signature pairs against the same fixed
-   points P and P_pub, Π ê(c_i·V_i, P)·ê(−c_i·W_i, P_pub) collapses to
-   ê(Σ c_i·V_i, P)·ê(−Σ c_i·W_i, P_pub).  The combining coefficients
-   c_i are derived by hashing the whole batch transcript (a
-   derandomized small-exponent test), so an adversary cannot arrange
-   cross-signature cancellation without already controlling the
-   hash. *)
+(* Batched public verification of t signatures: every signature pairs
+   against the same fixed points P and P_pub, so the combined equation
+   is still one 2-term multi-pairing.  The combining coefficients c_i
+   are derived by hashing the whole batch transcript (a derandomized
+   small-exponent test), so an adversary cannot arrange cross-signature
+   cancellation without already controlling the hash. *)
 let verify_batch (pub : Setup.public) entries =
   entries = []
   ||
@@ -220,80 +153,65 @@ let verify_batch (pub : Setup.public) entries =
    Telemetry.with_span ~name:"ibs.verify_batch"
      ~attrs:[ "sigs", string_of_int (List.length entries) ]
    @@ fun () ->
+   List.for_all (fun (_, _, s) -> precheck pub s) entries
+   &&
    let prm = pub.prm in
-   (* The checks of {!verify_full}: V in the subgroup, U on the curve. *)
-   List.for_all
-    (fun (_, _, { u; v }) ->
-      Curve.on_curve prm.curve u && Params.in_subgroup prm v)
-    entries
-  &&
-  (* Flat canonical encoding: each entry contributes exactly three
-     parts, so the triple grouping is unambiguous. *)
-  let transcript =
-    Encode.canonical
-      (List.concat_map
-         (fun (signer, msg, s) -> [ signer; msg; to_bytes pub s ])
-         entries)
-  in
-  let coeffs =
-    List.mapi
-      (fun i _ ->
-        Hash_g1.hash_to_scalar prm
-          (Encode.canonical [ "ibs-batch"; string_of_int i; transcript ]))
-      entries
-  in
-  let v_sum =
-    Curve.msm prm.curve (List.map2 (fun c (_, _, s) -> c, s.v) coeffs entries)
-  in
-  let w_sum =
-    combined_verification_point pub
-      (List.map2 (fun c (signer, msg, s) -> c, signer, msg, s.u) coeffs entries)
-  in
-   Tate.multi_pairing_precomp_equal prm
-     [
-       v_sum, Tate.precomp_for prm prm.g;
-       Curve.neg prm.curve w_sum, Tate.precomp_for prm pub.p_pub;
-     ]
-     (Tate.gt_one prm))
+   (* Flat canonical encoding: each entry contributes exactly three
+      parts, so the triple grouping is unambiguous. *)
+   let transcript =
+     Encode.canonical
+       (List.concat_map
+          (fun (signer, msg, s) -> [ signer; msg; to_bytes pub s ])
+          entries)
+   in
+   let tables = tables pub in
+   Equation.holds prm
+     (Equation.combine prm
+        (List.mapi
+           (fun i entry ->
+             ( Hash_g1.hash_to_scalar prm
+                 (Encode.canonical [ "ibs-batch"; string_of_int i; transcript ]),
+               equation pub tables entry ))
+           entries)))
 
-(* Batch then blame, as [Agg.verify_each]: memo hits are answered
-   without a check, a lone fresh entry gets the single check, and two
-   or more go through one {!verify_batch}; only a rejected batch pays
-   one {!verify_all} over them.  Every accepted entry is remembered. *)
+(* Memo hits are answered without a check; the other entries go through
+   {!Equation.verify_each}'s batch then blame, and every accepted one is
+   remembered. *)
 let verify_each ?memo pub slots =
-  let tagged =
+  let keyed =
     List.map
       (Option.map (fun ((signer, msg, s) as entry) ->
-           match memo with
-           | None -> entry, false, ignore
-           | Some m ->
-             let key = Memo.key pub ~signer ~msg s in
-             entry, Memo.lookup m key, fun () -> Memo.add m key))
+           ( entry,
+             Option.map
+               (fun m ->
+                 let key = Memo.key pub ~signer ~msg s in
+                 m, key, Memo.lookup m key)
+               memo )))
       slots
   in
-  let fresh =
-    List.filter_map
-      (function Some (entry, false, _) -> Some entry | Some _ | None -> None)
-      tagged
-  in
+  let entries = List.map fst in
   let oks =
-    match fresh with
-    | [ (signer, msg, s) ] -> [ verify_full pub ~signer ~msg s ]
-    | _ when verify_batch pub fresh -> List.map (fun _ -> true) fresh
-    | _ ->
-      Telemetry.incr c_verify_each_rejects;
-      Telemetry.add c_verify (List.length fresh);
-      Telemetry.with_span ~name:"ibs.blame"
-        ~attrs:[ "sigs", string_of_int (List.length fresh) ]
-      @@ fun () -> verify_all pub fresh
+    Equation.verify_each keyed
+      ~aside:((function _, Some (_, _, hit) -> hit | _, None -> false),
+              List.map (fun _ -> true))
+      ~single:(fun (entry, _) ->
+        Telemetry.incr c_verify;
+        Telemetry.with_span ~name:"ibs.verify" (fun () -> List.hd (verify_all pub [ entry ])))
+      ~batch:(fun fresh -> verify_batch pub (entries fresh))
+      ~blame:(fun fresh ->
+        Telemetry.incr c_verify_each_rejects;
+        Telemetry.add c_verify (List.length fresh);
+        Telemetry.with_span ~name:"ibs.blame"
+          ~attrs:[ "sigs", string_of_int (List.length fresh) ]
+        @@ fun () -> verify_all pub (entries fresh))
   in
-  let rec put_back tagged oks =
-    match tagged, oks with
-    | None :: tagged, oks -> None :: put_back tagged oks
-    | Some (_, true, _) :: tagged, oks -> Some true :: put_back tagged oks
-    | Some (_, false, remember) :: tagged, ok :: oks ->
-      if ok then remember ();
-      Some ok :: put_back tagged oks
-    | [], _ | Some (_, false, _) :: _, [] -> []
-  in
-  put_back tagged oks
+  List.iter2
+    (fun slot ok ->
+      match slot, ok with
+      | Some (_, Some (m, key, false)), Some true -> Memo.add m key
+      | _ -> ())
+    keyed oks;
+  oks
+
+let verify ?memo pub ~signer ~msg s =
+  List.hd (verify_each ?memo pub [ Some (signer, msg, s) ]) = Some true

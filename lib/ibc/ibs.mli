@@ -83,63 +83,39 @@ end
 
 val verify :
   ?memo:Memo.t -> Setup.public -> signer:string -> msg:string -> t -> bool
-(** Checks ê(V, P)·ê(−W, P_pub) = 1 as one 2-term
-    {!Sc_pairing.Tate.multi_pairing_precomp_equal} — a single shared
-    Miller loop instead of the two pairings of the textbook equation —
-    after one subgroup multiplication on V.  With a [memo], a
-    signature it holds is accepted without the check (and without
+(** Checks ê(−V, P)·ê(W, P_pub) = 1, W = U + H2(U‖m)·Q_ID, as one
+    2-term {!Sc_pairing.Equation} — a single shared Miller loop instead
+    of the two pairings of the textbook equation — after one subgroup
+    multiplication on V and one field inversion for W.  With a [memo],
+    a signature it holds is accepted without the check (and without
     counting [ibs.verify]); one that passes the check is added. *)
 
 val verify_batch : Setup.public -> (string * string * t) list -> bool
 (** [verify_batch pub [(signer, msg, sig); …]] verifies every
-    signature with one 2-term multi-pairing total (plus one subgroup
-    multiplication per V and two multi-scalar multiplications, see
-    {!combined_verification_point}), using batch-transcript-derived
-    combining coefficients to prevent cross-signature cancellation.
-    Accepts the empty batch.  A [true] verdict is overwhelmingly (not
-    absolutely) sound, as usual for small-exponent batch tests; on
-    [false], {!verify_each} re-checks individually to attribute
-    blame. *)
+    signature with one 2-term multi-pairing total, plus one subgroup
+    multiplication per V: the per-signature equations combined by
+    {!Sc_pairing.Equation.combine} (two multi-scalar multiplications,
+    one fixed-base comb per distinct signer), with
+    batch-transcript-derived coefficients to prevent cross-signature
+    cancellation.  Accepts the empty batch.  A [true] verdict is
+    overwhelmingly (not absolutely) sound, as usual for small-exponent
+    batch tests; on [false], {!verify_each} re-checks individually to
+    attribute blame. *)
 
 val verify_each :
   ?memo:Memo.t ->
   Setup.public ->
   (string * string * t) option list ->
   bool option list
-(** Batch then blame, slot by slot, as {!Agg.verify_each}: a [Some
-    (signer, msg, sig)] slot gets its answer back in place, a [None]
-    slot stays [None].  Entries the [memo] holds are answered [true]
-    unchecked.  A lone fresh entry gets {!verify}'s single check, at
-    {!verify}'s cost.  Two or more go through one {!verify_batch}, and
-    only when it rejects one {!verify}'s check each, all their
-    verification points formed with one shared inversion (under span [ibs.blame],
-    counted on [ibs.verify_each.rejects]; each entry also counts on
-    [ibs.verify]).  Every accepted entry is added to the
-    [memo].  The answers are {!verify}'s, entry by entry, up to the
-    soundness bound of {!verify_batch}. *)
-
-val verification_point :
-  Setup.public -> q_id:Curve.point -> msg:string -> u:Curve.point -> Curve.point
-(** [U + H2(U‖m)·Q_ID] — the G1 element all verification flavours
-    (public, designated, aggregated) pair against.  The comb over Q_ID's
-    cached tables starts at U ({!Sc_ec.Curve.add_mul_precomp_batch}),
-    so the point costs one field inversion. *)
-
-val verification_points :
-  Setup.public -> (Curve.point * string * Curve.point) list -> Curve.point list
-(** [verification_points pub [(q_id, msg, u); …]] is
-    [verification_point pub ~q_id ~msg ~u] for each row, the rows free
-    to have different signers, normalized with one shared field
-    inversion. *)
-
-val combined_verification_point :
-  Setup.public -> (Nat.t * string * string * Curve.point) list -> Curve.point
-(** [combined_verification_point pub [(c, signer, msg, u); …]] is
-    Σ c·(U + H2(U‖m)·Q_signer): one {!Curve.msm} over the U, with one
-    fixed-base comb per distinct signer on the same accumulator and one
-    field inversion in all, instead of one {!verification_point} per
-    entry.  The combine step of both batch verifiers ({!verify_batch}
-    and [Agg.verify_batch]). *)
+(** Batch then blame, slot by slot ({!Sc_pairing.Equation.verify_each},
+    as [Agg.verify_each]): a [Some (signer, msg, sig)] slot gets
+    {!verify}'s answer in place, up to the soundness bound of
+    {!verify_batch}; a [None] slot stays [None].  Entries the [memo]
+    holds are answered [true] unchecked, and every accepted one is
+    added to it.  A lone fresh entry costs one {!verify}, two or more
+    one {!verify_batch}, and only when it rejects one {!verify} each,
+    their points sharing one inversion (span [ibs.blame], counted on
+    [ibs.verify_each.rejects] and, per entry, [ibs.verify]). *)
 
 val to_bytes : Setup.public -> t -> string
 val of_bytes : Setup.public -> string -> t option

@@ -268,7 +268,6 @@ let reduces_to (prm : Params.t) t = function
 
 let pairing_precomp prm b pc = reduce prm (miller_single prm b pc)
 let multi_pairing_precomp prm terms = reduce prm (miller_multi prm terms)
-let pairing_precomp_equal prm b pc t = reduces_to prm t (miller_single prm b pc)
 
 let multi_pairing_precomp_equal prm terms t =
   reduces_to prm t (miller_multi prm terms)

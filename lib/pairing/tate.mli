@@ -56,19 +56,14 @@ val multi_pairing_precomp : Params.t -> (Curve.point * precomp) list -> gt
     Counts as one evaluation in {!pairings_performed} (zero when every
     term is skipped). *)
 
-val pairing_precomp_equal : Params.t -> Curve.point -> precomp -> gt -> bool
-(** [pairing_precomp_equal prm b pc t] is
-    [gt_equal (pairing_precomp prm b pc) t] for every [t] in F_p²,
-    unitary or not, and counts exactly as {!pairing_precomp} does.  It
-    never forms the pairing value: the final exponentiation stops at
-    g = f{^c} and tests conj(g) = t·g, which saves its field
-    inversion. *)
-
 val multi_pairing_precomp_equal :
   Params.t -> (Curve.point * precomp) list -> gt -> bool
 (** [multi_pairing_precomp_equal prm terms t] is
-    [gt_equal (multi_pairing_precomp prm terms) t], checked and counted
-    as {!pairing_precomp_equal} for {!multi_pairing_precomp}. *)
+    [gt_equal (multi_pairing_precomp prm terms) t] for every [t] in
+    F_p², unitary or not, and counts exactly as {!multi_pairing_precomp}
+    does.  It never forms the pairing value: the final exponentiation
+    stops at g = f{^c} and tests conj(g) = t·g, which saves its field
+    inversion.  The one equality form, behind {!Equation.holds}. *)
 
 val gt_one : Params.t -> gt
 val gt_equal : gt -> gt -> bool

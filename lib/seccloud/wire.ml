@@ -30,8 +30,8 @@ type msg =
   | Ack of { ok : bool; detail : string }
 
 (* Per-message-kind byte accounting: [wire.tx.*] counts every encode
-   (including [size] probes — exactly what the simulator charges the
-   network for), [wire.rx.*] every successful decode. *)
+   (exactly what the simulator charges the network for), [wire.rx.*]
+   every successful decode. *)
 
 let kind_name = function
   | Upload _ -> "upload"
@@ -328,5 +328,3 @@ let decode pub data =
   Codec.expect_end r;
   account rx_by_kind c_rx_bytes (kind_name msg) (String.length data);
   msg
-
-let size pub msg = String.length (encode pub msg)

@@ -45,15 +45,12 @@ val decode : Sc_ibc.Setup.public -> string -> msg
 (** @raise Decode_error on malformed input (including trailing
     bytes). *)
 
-val size : Sc_ibc.Setup.public -> msg -> int
-(** [String.length (encode pub msg)]. *)
-
 val kind_name : msg -> string
 (** Lowercase constructor tag, e.g. ["audit_response"] — the label
     under which telemetry counters [wire.tx.<kind>.{msgs,bytes}] and
-    [wire.rx.<kind>.{msgs,bytes}] account every encode/decode
-    (encodes include {!size} probes: exactly what the simulator
-    charges its network model). *)
+    [wire.rx.<kind>.{msgs,bytes}] account every encode/decode (every
+    encode is charged: exactly what the simulator charges its network
+    model). *)
 
 val kinds : string list
 (** Every kind label, in tag order. *)

@@ -22,5 +22,3 @@ val record_transfer : t -> bytes:int -> float
 (** Accounts the transfer and returns its duration. *)
 
 val total_bytes : t -> int
-val transfers : t -> int
-val reset : t -> unit

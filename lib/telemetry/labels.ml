@@ -81,7 +81,6 @@ let cell t v =
 
 let counter (t : counter_vec) v = cell t v
 let incr t v = Registry.incr (cell t v)
-let add t v n = Registry.add (cell t v) n
 
 let cardinality t =
   Mutex.lock t.lock;

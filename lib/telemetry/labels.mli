@@ -12,7 +12,7 @@
     are sanitized to [[A-Za-z0-9_.:/-]] and truncated to 48 bytes.
 
     Hot paths should resolve their cell once with {!counter} /
-    {!histogram} and hold it; {!incr}/{!add}/{!observe} pay one small
+    {!histogram} and hold it; {!incr}/{!observe} pay one small
     assoc lookup per event. *)
 
 type 'a vec
@@ -30,7 +30,6 @@ val counter : counter_vec -> string -> Registry.counter
     cardinality bound is hit). *)
 
 val incr : counter_vec -> string -> unit
-val add : counter_vec -> string -> int -> unit
 
 val cardinality : 'a vec -> int
 (** Distinct non-overflow label values seen so far. *)

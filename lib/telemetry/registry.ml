@@ -136,13 +136,6 @@ let observe h v =
   h.n <- h.n + 1;
   Mutex.unlock lock
 
-let reset_histogram h =
-  Mutex.lock lock;
-  Array.fill h.counts 0 (Array.length h.counts) 0;
-  h.sum <- 0.0;
-  h.n <- 0;
-  Mutex.unlock lock
-
 (* --- snapshots ---------------------------------------------------- *)
 
 type hist_snapshot = {

@@ -34,8 +34,6 @@ val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
-val reset_histogram : histogram -> unit
-(** Zero one histogram's buckets/sum/count (the registration stays). *)
 
 (** {2 Snapshots} — deep copies, isolated from later updates. *)
 

@@ -394,8 +394,41 @@ let perturbation_tests =
               else Some (Printf.sprintf "%s (verify %b, batch %b)" name single batched))
             ibs_cases
         in
-        wrong @ ibs_wrong = []
-        || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " (wrong @ ibs_wrong)));
+        (* Cross-signature cancellation in the IBS batch: each case
+           leaves Σ V_i, or Σ V_i and Σ W_i, unchanged, so an unweighted
+           sum accepts it, while every case has a bad entry. *)
+        let ibs_entry i = List.nth ibs i in
+        let with_v i v = let signer, msg, s = ibs_entry i in signer, msg, { s with Ibs.v } in
+        let v i = let _, _, s = ibs_entry i in s.Ibs.v in
+        let g1_x = Sc_pairing.Params.mul_g prm (Params.random_scalar prm ~bytes_source:bs) in
+        let shift i j =
+          set i (with_v i (Curve.add curve (v i) g1_x))
+            (set j (with_v j (Curve.add curve (v j) (Curve.neg curve g1_x))) ibs)
+        in
+        let swap i j = set i (with_v i (v j)) (set j (with_v j (v i)) ibs) in
+        let ibs_batch_wrong =
+          List.filter_map
+            (fun (name, batch) ->
+              let individual =
+                List.for_all
+                  (fun (signer, msg, s) -> Ibs.verify pub ~signer ~msg s)
+                  batch
+              in
+              let batched = Ibs.verify_batch pub batch in
+              if not (individual || batched) then None
+              else
+                Some (Printf.sprintf "%s (batch %b, entries %b)" name batched individual))
+            [
+              "IBS V + X / V - X, one signer", shift 0 2;
+              "IBS V + X / V - X, two signers", shift 0 1;
+              "IBS swap V, one signer", swap 0 2;
+              "IBS swap V, two signers", swap 0 1;
+              "IBS -V", set 0 (with_v 0 (Curve.neg curve (v 0))) ibs;
+            ]
+        in
+        let all_wrong = wrong @ ibs_wrong @ ibs_batch_wrong in
+        all_wrong = []
+        || QCheck2.Test.fail_reportf "n=%d: %s" n (String.concat "; " all_wrong));
     (* Blame forms every verification point of a rejected batch with
        one shared inversion, across signers: its answers must be the
        per-entry ones, against the textbook check (affine U + h·Q_ID,
@@ -561,17 +594,21 @@ let designation_tests =
         && not (verify (Sc_pairing.Tate.gt_pow prm base flipped)));
   ]
 
-(* A lone fresh signature is what every computation audit's root is:
-   Ibs.verify_each must check it as Ibs.verify does, not as a batch of
-   one (which costs more inversions, two MSMs and the batch
-   transcript's hash), whether it passes or fails. *)
+(* A lone fresh signature is what every computation audit's root is,
+   and a lone designated signature what a one-sample audit checks:
+   each verify_each must check it as its scheme's single verifier does,
+   not as a batch of one (which costs more inversions, an MSM, the
+   coefficients' hashes and, for Agg, a GT membership test and a
+   multi-exponentiation), whether it passes or fails. *)
 let lone_entry_tests =
   let open Util in
   let module Telemetry = Sc_telemetry.Telemetry in
   let counters =
     [
-      "pairing.count"; "curve.msm.terms"; "curve.inv"; "hash.sha256.digests";
-      "ibs.verify";
+      "pairing.count"; "pairing.lines"; "pairing.gt_member";
+      "pairing.gt_multi_exp"; "curve.msm"; "curve.msm.terms"; "curve.inv";
+      "hash.sha256.digests"; "ibs.verify"; "ibs.verify_batch";
+      "agg.verify_batch";
     ]
   in
   let moved f =
@@ -579,30 +616,42 @@ let lone_entry_tests =
     f ();
     List.map2 (fun c b -> c, Telemetry.counter_value c - b) counters before
   in
-  [
-    case "Ibs.verify_each on one fresh entry costs what Ibs.verify does"
-      (fun () ->
-        let s = Ibs.sign pub alice ~bytes_source:bs "lone" in
-        (* Warm the signer's comb and the pairing tables first. *)
-        ignore (Ibs.verify pub ~signer:"alice" ~msg:"lone" s);
-        List.iter
-          (fun (msg, ok) ->
-            let single =
-              moved (fun () ->
-                  check Alcotest.bool "verify" ok
-                    (Ibs.verify pub ~signer:"alice" ~msg s))
-            in
-            let each =
-              moved (fun () ->
-                  check
-                    Alcotest.(list (option bool))
-                    "verify_each" [ None; Some ok ]
-                    (Ibs.verify_each pub [ None; Some ("alice", msg, s) ]))
-            in
-            check Alcotest.(list (pair string int)) (msg ^ ": counters") single
-              each)
-          [ "lone", true; "lone'", false ]);
-  ]
+  let s = Ibs.sign pub alice ~bytes_source:bs "lone" in
+  let d = Dvs.designate pub s ~verifier:"agency" in
+  let schemes =
+    [
+      ( "Ibs.verify_each on one fresh entry costs what Ibs.verify does",
+        (fun msg -> Ibs.verify pub ~signer:"alice" ~msg s),
+        fun msg -> Ibs.verify_each pub [ None; Some ("alice", msg, s) ] );
+      ( "Agg.verify_each on one fresh entry costs what Dvs.verify does",
+        (fun msg ->
+          Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "alice")
+            ~msg d),
+        fun msg ->
+          Agg.verify_each pub ~verifier_key:da
+            [ None; Some (None, { Agg.signer = "alice"; msg; dvs = d }) ] );
+    ]
+  in
+  List.map
+    (fun (name, single, each) ->
+      case name (fun () ->
+          (* Warm the signer's comb and the pairing tables first. *)
+          ignore (single "lone");
+          List.iter
+            (fun (msg, ok) ->
+              let single =
+                moved (fun () -> check Alcotest.bool "single" ok (single msg))
+              in
+              let each =
+                moved (fun () ->
+                    check
+                      Alcotest.(list (option bool))
+                      "verify_each" [ None; Some ok ] (each msg))
+              in
+              check Alcotest.(list (pair string int)) (msg ^ ": counters") single
+                each)
+            [ "lone", true; "lone'", false ]))
+    schemes
 
 let suite =
   unit_tests @ property_tests @ perturbation_tests @ designation_tests

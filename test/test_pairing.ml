@@ -422,18 +422,6 @@ let precomp_tests =
                 (Printf.sprintf "%d terms, %s counters" n name)
                 c_value c_ok)
             (targets value);
-          let b, pc = List.hd terms in
-          let value, c_value = counted (fun () -> Tate.pairing_precomp prm b pc) in
-          List.iter
-            (fun (name, t) ->
-              let ok, c_ok =
-                counted (fun () -> Tate.pairing_precomp_equal prm b pc t)
-              in
-              check Alcotest.bool ("single, " ^ name) (Tate.gt_equal value t) ok;
-              check Alcotest.(list int)
-                ("single, " ^ name ^ " counters")
-                c_value c_ok)
-            (targets value)
         done);
     case "precomp caches count one miss then hits" (fun () ->
         let bs = fresh_bs "precomp-counters" in

@@ -40,12 +40,6 @@ let unit_tests =
           (Prime.is_probably_prime ~bytes_source:bs Nat.zero);
         check Alcotest.bool "1" false
           (Prime.is_probably_prime ~bytes_source:bs Nat.one));
-    case "next_prime" (fun () ->
-        let np n = Nat.to_int_exn (Prime.next_prime ~bytes_source:bs (Nat.of_int n)) in
-        check Alcotest.int "next from 0" 2 (np 0);
-        check Alcotest.int "next from 8" 11 (np 8);
-        check Alcotest.int "next from 7919" 7919 (np 7919);
-        check Alcotest.int "next from 7920" 7927 (np 7920));
     case "random_prime has requested size and is odd" (fun () ->
         List.iter
           (fun bits ->

@@ -80,7 +80,6 @@ let network_tests =
         let t = Net.record_transfer net ~bytes:1_000_000 in
         check Alcotest.bool "latency + serialization" true (t > 0.02);
         check Alcotest.int "bytes" 1_000_000 (Net.total_bytes net);
-        check Alcotest.int "count" 1 (Net.transfers net);
         ignore (Net.record_transfer net ~bytes:500);
         check Alcotest.int "accumulates" 1_000_500 (Net.total_bytes net));
     case "cost proportional to bytes" (fun () ->
@@ -88,11 +87,17 @@ let network_tests =
         let c1 = Net.transfer_cost net ~bytes:100 in
         let c2 = Net.transfer_cost net ~bytes:200 in
         check (Alcotest.float 1e-12) "double" (2.0 *. c1) c2);
-    case "reset" (fun () ->
-        let net = Net.create Net.default_config in
-        ignore (Net.record_transfer net ~bytes:42);
-        Net.reset net;
-        check Alcotest.int "zeroed" 0 (Net.total_bytes net));
+    case "transfer time is latency plus bytes over bandwidth" (fun () ->
+        let net =
+          Net.create
+            { Net.latency_s = 0.5; bandwidth_bytes_per_s = 1000.0;
+              cost_per_byte = 1e-8 }
+        in
+        check (Alcotest.float 1e-12) "empty transfer pays latency only" 0.5
+          (Net.record_transfer net ~bytes:0);
+        check (Alcotest.float 1e-12) "2000 bytes at 1000 B/s" 2.5
+          (Net.record_transfer net ~bytes:2000);
+        check Alcotest.int "bytes" 2000 (Net.total_bytes net));
   ]
 
 let adversary_tests =

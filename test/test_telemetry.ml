@@ -252,7 +252,7 @@ let quantiles =
   in
   [
     case "quantile of an empty histogram is NaN-free zero count" (fun () ->
-        Registry.reset_histogram h;
+        Telemetry.reset ();
         match Telemetry.find "test.hdr" with
         | Some (Telemetry.Histogram s) ->
           check Alcotest.int "empty" 0 s.Telemetry.count
@@ -261,7 +261,7 @@ let quantiles =
       "hdr quantile is within 5% of the exact nearest-rank quantile"
       QCheck2.Gen.(pair gen_samples (float_range 0.01 0.999))
       (fun (samples, p) ->
-        Registry.reset_histogram h;
+        Telemetry.reset ();
         List.iter (Telemetry.observe h) samples;
         let sorted = Array.of_list samples in
         Array.sort compare sorted;
@@ -285,7 +285,8 @@ let labels =
     case "cells intern under family{label=\"value\"}" (fun () ->
         let v = Labels.counter_vec ~label:"kind" "test.labels.basic" in
         Labels.incr v "upload";
-        Labels.add v "upload" 2;
+        Labels.incr v "upload";
+        Labels.incr v "upload";
         Labels.incr v "ack";
         check Alcotest.int "upload cell" 3
           (Telemetry.counter_value "test.labels.basic{kind=\"upload\"}");

@@ -241,10 +241,6 @@ let message_tests =
             ignore (Wire.decode pub "\xFF"));
         Alcotest.check_raises "empty" (Wire.Decode_error "truncated input")
           (fun () -> ignore (Wire.decode pub "")));
-    case "size reports the encoded length" (fun () ->
-        let msg = Wire.Storage_challenge { file = "abc"; indices = [ 1; 2; 3 ] } in
-        check Alcotest.int "size" (String.length (Wire.encode pub msg))
-          (Wire.size pub msg));
   ]
 
 (* --- endpoint conversations over the wire --------------------------- *)
