@@ -15,7 +15,6 @@ let two : t = [| 2 |]
 let is_zero a = Array.length a = 0
 let is_one a = Array.length a = 1 && a.(0) = 1
 let is_even a = Array.length a = 0 || a.(0) land 1 = 0
-let num_limbs = Array.length
 
 (* Strip high zero limbs; every constructor must return through here. *)
 let normalize (a : int array) : t =
@@ -339,7 +338,6 @@ let divmod a b =
   end
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 let rem_int a d =
@@ -347,16 +345,23 @@ let rem_int a d =
   if d < base then snd (divmod_limb a d)
   else to_int_exn (rem a (of_int d))
 
-let pow a k =
-  if k < 0 then invalid_arg "Nat.pow: negative exponent";
-  let rec go acc b k =
-    if k = 0 then acc
+(* Extended Euclid on (m, a mod m).  The coefficients of a beside
+   consecutive remainders alternate in sign and stay below m, so only
+   their magnitudes are kept: [pos] says whether the one beside [r1]
+   is positive, and a negative one ends as m minus its magnitude. *)
+let inv_mod a m =
+  if compare m two < 0 then invalid_arg "Nat.inv_mod: modulus < 2";
+  let rec go r0 u0 r1 u1 pos =
+    if is_zero r1 then begin
+      if not (is_one r0) then raise Not_found;
+      if pos then sub m u0 else u0
+    end
     else begin
-      let acc = if k land 1 = 1 then mul acc b else acc in
-      go acc (sqr b) (k lsr 1)
+      let q, r2 = divmod r0 r1 in
+      go r1 u1 r2 (add u0 (mul q u1)) (not pos)
     end
   in
-  go one a k
+  go m zero (rem a m) one true
 
 let to_hex a =
   if is_zero a then "0"

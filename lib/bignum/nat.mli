@@ -24,7 +24,6 @@ val to_int_exn : t -> int
 (** @raise Failure when the value exceeds native [int] range. *)
 
 val is_zero : t -> bool
-val is_one : t -> bool
 val is_even : t -> bool
 
 val equal : t -> t -> bool
@@ -42,16 +41,17 @@ val mul : t -> t -> t
 
 val sqr : t -> t
 
-val divmod : t -> t -> t * t
-(** [divmod a b] is [(a / b, a mod b)] (Knuth Algorithm D).
+val rem : t -> t -> t
+(** [rem a b] is [a mod b] (Knuth Algorithm D).
     @raise Division_by_zero if [b] is zero. *)
 
-val div : t -> t -> t
-val rem : t -> t -> t
 val rem_int : t -> int -> int
 
-val pow : t -> int -> t
-(** [pow a k] with small non-negative exponent [k] (no modulus). *)
+val inv_mod : t -> t -> t
+(** [inv_mod a m] is the inverse of [a mod m] in [\[1, m)], by the
+    extended Euclidean algorithm.
+    @raise Not_found when [a] is not invertible mod [m].
+    @raise Invalid_argument when [m < 2]. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
@@ -69,8 +69,6 @@ val wnaf : width:int -> t -> int array
     most one longer than {!bit_length}.  Reads the bits with no
     bignum arithmetic.
     @raise Invalid_argument unless [2 <= width <= 20]. *)
-
-val num_limbs : t -> int
 
 val to_limbs : t -> int array
 (** Low-level: a copy of the little-endian 26-bit limb array

@@ -29,20 +29,13 @@ let divisible_by_small_prime n =
   go 0
 
 (* One Miller-Rabin round for witness [a]: n - 1 = d * 2^s with d odd.
-   The dominant a^d runs in the Montgomery domain (n is odd here). *)
-let mr_round ctx mont n_minus_1 d s a =
-  let x = Montgomery.pow mont a d in
-  if Nat.is_one x || Nat.equal x n_minus_1 then true
-  else begin
-    let rec squares x i =
-      if i >= s - 1 then false
-      else begin
-        let x = Modular.sqr ctx x in
-        if Nat.equal x n_minus_1 then true else squares x (i + 1)
-      end
-    in
-    squares x 0
-  end
+   a^d and its squarings stay in the Montgomery domain (n is odd
+   here); [minus_one] is the domain image of n - 1. *)
+let mr_round mont minus_one d s a =
+  let module M = Montgomery in
+  let rec squares x i = M.equal x minus_one || (i < s - 1 && squares (M.sqr mont x) (i + 1)) in
+  let x = M.pow_mont mont (M.to_mont mont a) d in
+  M.equal x (M.one mont) || squares x 0
 
 let is_probably_prime ?(rounds = 32) ~bytes_source n =
   if Nat.compare n Nat.two < 0 then false
@@ -53,9 +46,9 @@ let is_probably_prime ?(rounds = 32) ~bytes_source n =
     (* Below 10^8 trial division by the sieve is a complete test. *)
     true
   else begin
-    let ctx = Modular.create n in
     let mont = Montgomery.create n in
     let n_minus_1 = Nat.sub n Nat.one in
+    let minus_one = Montgomery.to_mont mont n_minus_1 in
     let rec split d s = if Nat.is_even d then split (Nat.shift_right d 1) (s + 1) else d, s in
     let d, s = split n_minus_1 0 in
     let n_minus_3 = Nat.sub n (Nat.of_int 3) in
@@ -63,7 +56,7 @@ let is_probably_prime ?(rounds = 32) ~bytes_source n =
       if k = 0 then true
       else begin
         let a = Nat.add Nat.two (Nat.random_below ~bytes_source n_minus_3) in
-        if mr_round ctx mont n_minus_1 d s a then rounds_left (k - 1) else false
+        if mr_round mont minus_one d s a then rounds_left (k - 1) else false
       end
     in
     rounds_left rounds

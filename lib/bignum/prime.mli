@@ -4,13 +4,10 @@
     string] function (e.g. an HMAC-DRBG), keeping this library free of
     entropy dependencies and making generation reproducible. *)
 
-val small_primes : int array
-(** The primes below 10_000, used for trial-division prefiltering. *)
-
 val is_probably_prime :
   ?rounds:int -> bytes_source:(int -> string) -> Nat.t -> bool
 (** Miller–Rabin with [rounds] random bases (default 32) after trial
-    division by {!small_primes}. *)
+    division by the primes below 10_000. *)
 
 val random_prime : bytes_source:(int -> string) -> bits:int -> Nat.t
 (** A random probable prime with exactly [bits] bits (top bit set).

@@ -34,14 +34,6 @@ type execution = {
   owner : string; (* whose stored file the execution read *)
 }
 
-let computing_confidence = function
-  | Honest -> 1.0
-  | Guess_fraction (f, _)
-  | Skip_fraction f
-  | Wrong_position_fraction f
-  | Commit_garbage_fraction f ->
-    1.0 -. max 0.0 (min 1.0 f)
-
 let leaf_payload ~result ~position = Printf.sprintf "%d|%d" result position
 
 let cheat_decision ~drbg fraction = Sc_hash.Drbg.float drbg < fraction

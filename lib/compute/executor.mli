@@ -31,9 +31,6 @@ type response = {
 
 type execution
 
-val computing_confidence : behaviour -> float
-(** The CSC this behaviour induces. *)
-
 val run :
   Sc_ibc.Setup.public ->
   cs_key:Sc_ibc.Setup.identity_key ->

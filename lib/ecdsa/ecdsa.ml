@@ -12,42 +12,43 @@ let generate (prm : Params.t) ~bytes_source =
 
 let hash_msg prm msg = Hash_g1.hash_to_scalar prm ("ecdsa:" ^ msg)
 
+(* Scalar arithmetic mod q is a handful of products per signature, so
+   it reduces each one by division. *)
+let mul_q (prm : Params.t) a b = Nat.rem (Nat.mul a b) prm.q
+
 (* r is the x-coordinate of a point, as an integer, mod q. *)
-let x_mod_q (prm : Params.t) qmod x = Modular.reduce qmod (Sc_field.Fp.to_nat prm.fp x)
+let x_mod_q (prm : Params.t) x = Nat.rem (Sc_field.Fp.to_nat prm.fp x) prm.q
 
 let sign (prm : Params.t) kp ~bytes_source msg =
-  let qmod = Modular.create prm.q in
   let h = hash_msg prm msg in
   let rec attempt () =
     let k = Params.random_scalar prm ~bytes_source in
     match Params.mul_g prm k with
     | Curve.Infinity -> attempt ()
     | Curve.Affine (x, _) ->
-      let r = x_mod_q prm qmod x in
+      let r = x_mod_q prm x in
       if Nat.is_zero r then attempt ()
       else begin
-        let kinv = Modular.inv qmod k in
-        let s = Modular.mul qmod kinv (Modular.add qmod h (Modular.mul qmod r kp.d)) in
+        let s = mul_q prm (Nat.inv_mod k prm.q) (Nat.add h (Nat.mul r kp.d)) in
         if Nat.is_zero s then attempt () else { r; s }
       end
   in
   attempt ()
 
 let verify (prm : Params.t) pubkey msg { r; s } =
-  let qmod = Modular.create prm.q in
   let in_range v = (not (Nat.is_zero v)) && Nat.compare v prm.q < 0 in
   in_range r && in_range s
   && Curve.on_curve prm.curve pubkey
   && (not (Curve.is_infinity pubkey))
   &&
   let h = hash_msg prm msg in
-  match Modular.inv qmod s with
+  match Nat.inv_mod s prm.q with
   | exception Not_found -> false
   | sinv ->
-    let u1 = Modular.mul qmod h sinv and u2 = Modular.mul qmod r sinv in
+    let u1 = mul_q prm h sinv and u2 = mul_q prm r sinv in
     (match
        Curve.add prm.curve (Params.mul_g prm u1)
          (Curve.mul prm.curve u2 pubkey)
      with
     | Curve.Infinity -> false
-    | Curve.Affine (x, _) -> Nat.equal (x_mod_q prm qmod x) r)
+    | Curve.Affine (x, _) -> Nat.equal (x_mod_q prm x) r)

@@ -54,10 +54,9 @@ let make_challenge (prm : Params.t) ~bytes_source ~n_blocks ~samples =
   List.init samples (fun i -> idx.(i), Params.random_scalar prm ~bytes_source)
 
 let prove (prm : Params.t) file chal =
-  let qmod = Modular.create prm.q in
   let mu =
     List.fold_left
-      (fun acc (i, nu) -> Modular.add qmod acc (Modular.mul qmod nu file.blocks.(i)))
+      (fun acc (i, nu) -> Nat.add acc (Nat.mul nu file.blocks.(i)))
       Nat.zero chal
   in
   let sigma =
@@ -65,7 +64,7 @@ let prove (prm : Params.t) file chal =
       (fun acc (i, nu) -> Curve.add prm.curve acc (Curve.mul prm.curve nu file.tags.(i)))
       Curve.infinity chal
   in
-  { mu; sigma }
+  { mu = Nat.rem mu prm.q; sigma }
 
 let verify (prm : Params.t) keys ~name chal { mu; sigma } =
   (* Subgroup-check the prover-supplied σ: the precomputed pairings

@@ -15,7 +15,7 @@ let generate ~bytes_source ~bits =
     else begin
       let n = Nat.mul p q in
       let phi = Nat.mul (Nat.sub p Nat.one) (Nat.sub q Nat.one) in
-      match Modular.inv (Modular.create phi) e_default with
+      match Nat.inv_mod e_default phi with
       | exception Not_found -> keygen ()
       | d -> { pub = { n; e = e_default }; d }
     end

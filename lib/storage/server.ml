@@ -21,12 +21,6 @@ type t = {
 
 let create behaviour ~drbg = { behaviour; drbg; files = Hashtbl.create 8 }
 
-let storage_confidence t =
-  match t.behaviour with
-  | Honest -> 1.0
-  | Delete_fraction f | Corrupt_fraction f | Substitute_fraction f ->
-    1.0 -. (max 0.0 (min 1.0 f))
-
 let store t (upload : Signer.upload) =
   Telemetry.incr c_stores;
   Telemetry.add c_blocks_stored (Array.length upload.blocks);

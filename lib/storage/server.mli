@@ -4,9 +4,7 @@
     The honest fraction of reads follows the protocol; the cheating
     fraction realizes the attacks the paper lists: silently deleted
     blocks answered with random bytes, corrupted payloads, and data
-    served from a different position than requested.  The
-    [storage_confidence] (SSC) of a behaviour is the probability that
-    a given read is served honestly. *)
+    served from a different position than requested. *)
 
 type behaviour =
   | Honest
@@ -27,9 +25,6 @@ type read_result = {
 }
 
 val create : behaviour -> drbg:Sc_hash.Drbg.t -> t
-
-val storage_confidence : t -> float
-(** The SSC this behaviour induces. *)
 
 val store : t -> Signer.upload -> unit
 

@@ -1,8 +1,8 @@
 (* Bounded-cardinality labeled metrics.  A vec is a family of registry
    metrics distinguished by one label, e.g. wire.tx.msgs by message
    kind.  Cells are interned under the canonical registry name
-   [family{label="value"}], so snapshots, dump_json and the
-   OpenMetrics exporter can recover the label structurally.
+   [family{label="value"}], so snapshots and the OpenMetrics
+   exporter can recover the label structurally.
 
    Cardinality is bounded per vec (default 32 cells): once the bound
    is reached, unseen label values share one [family{label="other"}]

@@ -3,8 +3,8 @@
     A vec groups registry metrics that differ only in one label value
     (e.g. [wire.tx.msgs] by message kind).  Cells live in the ordinary
     registry under the canonical name [family{label="value"}] — they
-    show up in snapshots, [dump_json] and the OpenMetrics exporter
-    like any other metric.
+    show up in snapshots and the OpenMetrics exporter like any other
+    metric.
 
     Cardinality policy: at most [max_cells] distinct label values per
     vec (default 32); further values share the [family{label="other"}]

@@ -231,35 +231,6 @@ let reset () =
 
 (* --- export ------------------------------------------------------- *)
 
-let json_of_value = function
-  | Counter c -> Json.int c
-  | Gauge g -> Json.float g
-  | Histogram h ->
-    let buckets =
-      List.init (Array.length h.counts) (fun i ->
-          let le =
-            if i < Array.length h.bounds then Json.float h.bounds.(i)
-            else Json.str "inf"
-          in
-          Json.obj [ "le", le; "n", Json.int h.counts.(i) ])
-    in
-    let quantiles =
-      if h.count = 0 then []
-      else
-        [ "p50", Json.float (quantile h 0.50);
-          "p90", Json.float (quantile h 0.90);
-          "p99", Json.float (quantile h 0.99);
-          "p999", Json.float (quantile h 0.999) ]
-    in
-    Json.obj
-      ([ "count", Json.int h.count; "sum", Json.float h.sum ]
-      @ quantiles
-      @ [ "buckets", Json.arr buckets ])
-
-let dump_json () =
-  Json.obj
-    (List.map (fun (name, v) -> name, json_of_value v) (snapshot ()))
-
 (* Tree renderer for the CLI: dotted names become an indented
    hierarchy, values are right-aligned on the leaf lines. *)
 let pp_value = function

@@ -67,8 +67,5 @@ val counter_value : string -> int
 val reset : unit -> unit
 (** Zero every metric (registrations survive). *)
 
-val dump_json : unit -> string
-(** One JSON object mapping metric name to value. *)
-
 val print_tree : out_channel -> unit
 (** Render the dotted metric namespace as an indented tree. *)

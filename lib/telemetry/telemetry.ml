@@ -32,7 +32,6 @@ let snapshot = Registry.snapshot
 let find = Registry.find
 let counter_value = Registry.counter_value
 let reset = Registry.reset
-let dump_json = Registry.dump_json
 let print_tree = Registry.print_tree
 
 let quantile = Registry.quantile

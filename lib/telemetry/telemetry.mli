@@ -49,7 +49,6 @@ val snapshot : unit -> (string * value_snapshot) list
 val find : string -> value_snapshot option
 val counter_value : string -> int
 val reset : unit -> unit
-val dump_json : unit -> string
 val print_tree : out_channel -> unit
 
 val quantile : hist_snapshot -> float -> float

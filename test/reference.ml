@@ -110,32 +110,33 @@ end
 
 (* --- Field, scalar multiplication and the pairing ---------------------- *)
 
-(* Subtraction, negation and exponentiation on a Barrett context,
-   which lib/ no longer needs once F_p runs on Montgomery residues: the
-   oracle operations of the modular and Montgomery tests, built on
-   [Modular.of_signed], [mul] and [sqr]. *)
-module Barrett = struct
-  let sub ctx a b =
-    Modular.of_signed ctx (Signed.sub (Signed.of_nat a) (Signed.of_nat b))
+(* Binary long division, one quotient bit per step: the oracle for
+   the Knuth division under [Nat.rem], and a quotient for the tests
+   that need one. *)
+let divmod a b =
+  if Nat.is_zero b then raise Division_by_zero;
+  let rec go q r i =
+    if i < 0 then q, r
+    else
+      let r = Nat.shift_left r 1 in
+      let r = if Nat.test_bit a i then Nat.add r Nat.one else r in
+      let q = Nat.shift_left q 1 in
+      if Nat.compare r b >= 0 then go (Nat.add q Nat.one) (Nat.sub r b) (i - 1)
+      else go q r (i - 1)
+  in
+  go Nat.zero Nat.zero (Nat.bit_length a - 1)
 
-  let neg ctx a = sub ctx Nat.zero a
-
-  (* Left-to-right square-and-multiply. *)
-  let pow ctx b e =
-    let b = Modular.reduce ctx b in
-    let rec go acc i =
-      if i < 0 then acc
-      else
-        let acc = Modular.sqr ctx acc in
-        go (if Nat.test_bit e i then Modular.mul ctx acc b else acc) (i - 1)
-    in
-    go (Modular.reduce ctx Nat.one) (Nat.bit_length e - 1)
+(* Arithmetic mod m on canonical naturals, every result reduced by a
+   division: the oracle for the Montgomery kernel and for F_p. *)
+module Nat_mod = struct
+  let mul m a b = Nat.rem (Nat.mul a b) m
+  let add m a b = Nat.rem (Nat.add a b) m
+  let sub m a b = Nat.rem (Nat.sub (Nat.add a m) b) m
+  let neg m a = sub m Nat.zero a
 end
 
-(* F_p² over canonical naturals, products reduced by Barrett
-   ([Modular.mul]) and multiplied schoolbook: the arithmetic lib/field
-   ran before its elements became Montgomery residues, kept as the
-   oracle for the Karatsuba-over-REDC [Fp2]. *)
+(* F_p² over canonical naturals mod p, multiplied schoolbook through
+   [Nat_mod]: the oracle for the Karatsuba-over-REDC [Fp2]. *)
 module Nat2 = struct
   type t = { re : Nat.t; im : Nat.t }
 
@@ -146,17 +147,18 @@ module Nat2 = struct
 
   (* (a + bi)(c + di) = (ac − bd) + (ad + bc)i *)
   let mul m a b =
-    let ac = Modular.mul m a.re b.re and bd = Modular.mul m a.im b.im in
-    let ad = Modular.mul m a.re b.im and bc = Modular.mul m a.im b.re in
-    { re = Barrett.sub m ac bd; im = Modular.add m ad bc }
+    let ( * ) = Nat_mod.mul m in
+    { re = Nat_mod.sub m (a.re * b.re) (a.im * b.im);
+      im = Nat_mod.add m (a.re * b.im) (a.im * b.re) }
 
-  let conj m a = { a with im = Barrett.neg m a.im }
+  let conj m a = { a with im = Nat_mod.neg m a.im }
 
   let inv m a =
-    let n = Modular.add m (Modular.sqr m a.re) (Modular.sqr m a.im) in
+    let ( * ) = Nat_mod.mul m in
+    let n = Nat_mod.add m (a.re * a.re) (a.im * a.im) in
     if Nat.is_zero n then raise Division_by_zero;
-    let ninv = Modular.inv m n in
-    { re = Modular.mul m a.re ninv; im = Barrett.neg m (Modular.mul m a.im ninv) }
+    let ninv = Nat.inv_mod n m in
+    { re = a.re * ninv; im = Nat_mod.neg m (a.im * ninv) }
 
   (* Left-to-right square-and-multiply. *)
   let pow m a e =
@@ -172,7 +174,7 @@ end
 (* [Nat2] on [Fp2.el] arguments: conjugation (the p-power Frobenius,
    p ≡ 3 mod 4), inversion through the norm, and exponentiation. *)
 let nat2 fp f a =
-  Nat2.to_fp2 fp (f (Modular.create (Fp.characteristic fp)) (Nat2.of_fp2 fp a))
+  Nat2.to_fp2 fp (f (Fp.characteristic fp) (Nat2.of_fp2 fp a))
 
 let fp2_conj fp a = nat2 fp Nat2.conj a
 let fp2_inv fp a = nat2 fp Nat2.inv a
@@ -196,8 +198,8 @@ let line_eval fp ~lam ~xt ~yt ~xq ~yq =
 
 (* Affine Miller loop, one field inversion per step; the value
    accumulates in [Nat2]. *)
-let miller_affine (prm : Sc_pairing.Params.t) m px py xq yq =
-  let fp = prm.fp in
+let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
+  let fp = prm.fp and m = prm.p in
   let three = Fp.of_int fp 3 in
   let tangent x y =
     Fp.div fp
@@ -239,20 +241,20 @@ let miller_affine (prm : Sc_pairing.Params.t) m px py xq yq =
 
 (* f^((p² − 1)/q) = (conj(f)·f⁻¹)^c, conjugation being the p-power
    Frobenius when p ≡ 3 (mod 4). *)
-let final_expo m (prm : Sc_pairing.Params.t) f =
+let final_expo (prm : Sc_pairing.Params.t) f =
+  let m = prm.p in
   Nat2.pow m (Nat2.mul m (Nat2.conj m f) (Nat2.inv m f)) prm.cofactor
 
-(* The modified Tate pairing by an affine Miller loop and Barrett
+(* The modified Tate pairing by an affine Miller loop and [Nat2]
    F_p²: the oracle for [Tate.pairing], which replays a Jacobian line
    table over Montgomery F_p². *)
 let pairing_affine (prm : Sc_pairing.Params.t) p q =
   match (p, q) with
   | Curve.Infinity, _ | _, Curve.Infinity -> Sc_pairing.Tate.gt_one prm
   | Curve.Affine (px, py), Curve.Affine (qx, qy) ->
-    let m = Modular.create prm.p in
-    let f = miller_affine prm m px py qx qy in
+    let f = miller_affine prm px py qx qy in
     if Nat2.is_zero f then Sc_pairing.Tate.gt_one prm
-    else Nat2.to_fp2 prm.fp (final_expo m prm f)
+    else Nat2.to_fp2 prm.fp (final_expo prm f)
 
 (* --- Identity keys --------------------------------------------------- *)
 

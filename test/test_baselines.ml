@@ -4,9 +4,13 @@
 let prm = Lazy.force Util.toy_params
 let bs = Util.fresh_bs "baseline-tests"
 
+(* The first draw from [bs]: every module-level key below is drawn in
+   this order. *)
+let rsa_key = Sc_rsa.Rsa.generate ~bytes_source:bs ~bits:512
+
 let rsa_tests =
   let open Util in
-  let key = Sc_rsa.Rsa.generate ~bytes_source:bs ~bits:512 in
+  let key = rsa_key in
   [
     case "rsa sign/verify" (fun () ->
         let s = Sc_rsa.Rsa.sign key "attack at dawn" in
@@ -173,4 +177,46 @@ let pdp_tests =
                  ~n_blocks:4 ~samples:5)));
   ]
 
-let suite = rsa_tests @ ecdsa_tests @ bls_tests @ pdp_tests
+(* Known answers for the exact integer arithmetic under the baselines
+   and the presets: Miller–Rabin (through the presets' p and q), the
+   mod-q steps of ECDSA and of the Wang auditor's μ, and RSA's
+   private exponent.  Each input comes from a DRBG of its own, so the
+   values do not depend on the order the other cases run in. *)
+let known_answer_tests =
+  let open Util in
+  let check_hex what expected v = check Alcotest.string what expected (Sc_bignum.Nat.to_hex v) in
+  [
+    case "presets, ecdsa, wang mu and rsa d match their known answers"
+      (fun () ->
+        List.iter
+          (fun (name, prm, p, q) ->
+            let prm = Lazy.force prm in
+            check_hex (name ^ " p") p prm.Sc_pairing.Params.p;
+            check_hex (name ^ " q") q prm.Sc_pairing.Params.q)
+          [
+            "toy", Sc_pairing.Params.toy, "5d5260f8dd5dc5ce5f", "f8dbad424e4f64d1";
+            "small", Sc_pairing.Params.small, "62e33520b4013078665d7391b2d55b",
+            "8128c2c772f1e14470cda69ef407";
+          ];
+        let bs = fresh_bs "baseline-known-answers" in
+        let kp = Sc_ecdsa.Ecdsa.generate prm ~bytes_source:bs in
+        let { Sc_ecdsa.Ecdsa.r; s } = Sc_ecdsa.Ecdsa.sign prm kp ~bytes_source:bs "pinned" in
+        check_hex "ecdsa r" "f6aedbbd33295102" r;
+        check_hex "ecdsa s" "b7d059dfe6a856cc" s;
+        let wang = Sc_pdp.Bls_auditor.generate_keys prm ~bytes_source:bs in
+        let file =
+          Sc_pdp.Bls_auditor.tag_file prm wang ~name:"pinned"
+            (List.init 8 (Printf.sprintf "pinned-block-%d"))
+        in
+        let chal =
+          Sc_pdp.Bls_auditor.make_challenge prm ~bytes_source:bs ~n_blocks:8 ~samples:5
+        in
+        let proof = Sc_pdp.Bls_auditor.prove prm file chal in
+        check_hex "wang mu" "5ce0daeff6e2194d" proof.Sc_pdp.Bls_auditor.mu;
+        check_hex "rsa d"
+          ("1243fbaa71bf8c95f987b0be695831d94ffbddf71a60c32b6b5d4462452e7c24"
+         ^ "65a5a43cd6388a96fe86d1b0cef4da4ad2ebf36dc591b61bf79c7893185b1315")
+          rsa_key.Sc_rsa.Rsa.d);
+  ]
+
+let suite = rsa_tests @ ecdsa_tests @ bls_tests @ pdp_tests @ known_answer_tests

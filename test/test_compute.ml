@@ -165,14 +165,6 @@ let executor_tests =
         check Alcotest.bool "root mismatch" false
           (Merkle.verify ~root:(Executor.root exec)
              ~leaf_hash:(Merkle.leaf_hash leaf) r.Executor.proof));
-    case "computing_confidence mapping" (fun () ->
-        let close a b = Float.abs (a -. b) < 1e-9 in
-        check Alcotest.bool "honest" true
-          (close 1.0 (Executor.computing_confidence Executor.Honest));
-        check Alcotest.bool "guess" true
-          (close 0.6 (Executor.computing_confidence (Executor.Guess_fraction (0.4, 10))));
-        check Alcotest.bool "clamped" true
-          (close 0.0 (Executor.computing_confidence (Executor.Skip_fraction 1.5))));
   ]
 
 let suite = task_tests @ executor_tests

@@ -12,6 +12,11 @@ let to_nat = Fp.to_nat fp
 let fp2_conj = Fp2.conj fp
 let fp2_inv = Fp2.inv fp
 
+(* The Legendre symbol (a|p) by Euler's criterion, a^((p-1)/2) mod p. *)
+let legendre a =
+  let r = Montgomery.pow (Montgomery.create p) a (Nat.shift_right p 1) in
+  if Nat.is_zero r then 0 else if Nat.equal r Nat.one then 1 else -1
+
 let gen_el =
   let open QCheck2.Gen in
   let* bytes = string_size ~gen:char (return 8) in
@@ -32,17 +37,17 @@ let unit_tests =
     case "legendre of squares" (fun () ->
         for i = 2 to 20 do
           let sq = to_nat (Fp.sqr fp (Fp.of_int fp i)) in
-          Alcotest.(check int) (Printf.sprintf "%d^2 is QR" i) 1 (Modular.jacobi sq p)
+          Alcotest.(check int) (Printf.sprintf "%d^2 is QR" i) 1 (legendre sq)
         done);
     case "legendre multiplicativity" (fun () ->
         (* (ab|p) = (a|p)(b|p) *)
         let pairs = [ 2, 3; 5, 7; 11, 13; 6, 35 ] in
         List.iter
           (fun (a, b) ->
-            let la = Modular.jacobi (Nat.of_int a) p in
-            let lb = Modular.jacobi (Nat.of_int b) p in
+            let la = legendre (Nat.of_int a) in
+            let lb = legendre (Nat.of_int b) in
             let ab = Fp.mul fp (Fp.of_int fp a) (Fp.of_int fp b) in
-            let lab = Modular.jacobi (to_nat ab) p in
+            let lab = legendre (to_nat ab) in
             Alcotest.(check int) "multiplicative" (la * lb) lab)
           pairs);
     case "sqrt recovers squares" (fun () ->
@@ -58,7 +63,7 @@ let unit_tests =
     case "sqrt of non-residue is None" (fun () ->
         (* Find a non-residue and check. *)
         let rec find i =
-          if Modular.jacobi (Nat.of_int i) p = -1 then i else find (i + 1)
+          if legendre (Nat.of_int i) = -1 then i else find (i + 1)
         in
         let nr = find 2 in
         check Alcotest.bool "none" true (Fp.sqrt fp (Fp.of_int fp nr) = None));
@@ -100,10 +105,8 @@ let unit_tests =
 
 (* Batch inversion (Montgomery's trick) against pointwise inversion,
    by Fermat ("fp" cases) and by the extended Euclidean
-   [Modular.inv] on naturals ("mont" cases), plus the lazy-reduction
+   [Nat.inv_mod] on naturals ("mont" cases), plus the lazy-reduction
    adds/subs that the Karatsuba Fp2 multiplier feeds into mul. *)
-let modular = Modular.create p
-
 let batch_and_lazy_tests =
   let open Util in
   [
@@ -125,7 +128,7 @@ let batch_and_lazy_tests =
       (fun xs ->
         let xs = Array.of_list (List.filter (fun x -> not (Fp.is_zero x)) xs) in
         Array.for_all2
-          (fun x y -> Nat.equal (Modular.inv modular (to_nat x)) (to_nat y))
+          (fun x y -> Nat.equal (Nat.inv_mod (to_nat x) p) (to_nat y))
           xs (Fp.batch_inv fp xs));
     case "mont batch_inv rejects a zero element" (fun () ->
         Alcotest.check_raises "div0" Division_by_zero (fun () ->
@@ -170,10 +173,11 @@ let property_tests =
           (Fp2.mul fp x (fp2_conj x)));
   ]
 
-(* The Montgomery-resident field against the arithmetic it replaced:
-   F_p on canonical naturals by Barrett ([Modular]), and schoolbook
-   Barrett F_p² ([Reference.Nat2]).  [of_nat] enters the Montgomery
-   domain and [to_nat] leaves it. *)
+(* The Montgomery-resident field against canonical naturals reduced
+   by division: F_p through [Reference.Nat_mod] and [Nat.inv_mod], and
+   schoolbook F_p² through [Reference.Nat2].  [of_nat] enters the
+   Montgomery domain and [to_nat] leaves it.  "= Modular" names the
+   Barrett oracle the case was written against. *)
 let mont_tests =
   let open Util in
   [
@@ -186,21 +190,22 @@ let mont_tests =
       (QCheck2.Gen.pair gen_el gen_el) (fun (a, b) ->
         let an = to_nat a and bn = to_nat b in
         let mirrors op nat_op = Nat.equal (to_nat op) nat_op in
-        mirrors (Fp.mul fp a b) (Modular.mul modular an bn)
-        && mirrors (Fp.add fp a b) (Modular.add modular an bn)
-        && mirrors (Fp.sub fp a b) (Reference.Barrett.sub modular an bn)
-        && mirrors (Fp.sqr fp a) (Modular.sqr modular an)
-        && (Fp.is_zero a || mirrors (Fp.inv fp a) (Modular.inv modular an)));
+        let module N = Reference.Nat_mod in
+        mirrors (Fp.mul fp a b) (N.mul p an bn)
+        && mirrors (Fp.add fp a b) (N.add p an bn)
+        && mirrors (Fp.sub fp a b) (N.sub p an bn)
+        && mirrors (Fp.sqr fp a) (N.mul p an an)
+        && (Fp.is_zero a || mirrors (Fp.inv fp a) (Nat.inv_mod an p)));
     qcheck "fp2 mul/sqr/conj/inv/pow = Nat2"
       (QCheck2.Gen.pair gen_el2 gen_el2) (fun (x, y) ->
         let module N = Reference.Nat2 in
         let xn = N.of_fp2 fp x and yn = N.of_fp2 fp y in
         let mirrors op nat_op = Fp2.equal op (N.to_fp2 fp nat_op) in
-        mirrors (Fp2.mul fp x y) (N.mul modular xn yn)
-        && mirrors (Fp2.sqr fp x) (N.mul modular xn xn)
-        && mirrors (Fp2.conj fp x) (N.conj modular xn)
-        && mirrors (Fp2.pow fp x (Nat.of_int 13)) (N.pow modular xn (Nat.of_int 13))
-        && (Fp2.is_zero x || mirrors (Fp2.inv fp x) (N.inv modular xn)));
+        mirrors (Fp2.mul fp x y) (N.mul p xn yn)
+        && mirrors (Fp2.sqr fp x) (N.mul p xn xn)
+        && mirrors (Fp2.conj fp x) (N.conj p xn)
+        && mirrors (Fp2.pow fp x (Nat.of_int 13)) (N.pow p xn (Nat.of_int 13))
+        && (Fp2.is_zero x || mirrors (Fp2.inv fp x) (N.inv p xn)));
     case "fp mont constants and of_int" (fun () ->
         check nat "one" Nat.one (to_nat (Fp.one fp));
         check nat "zero" Nat.zero (to_nat (Fp.zero fp));
@@ -221,7 +226,7 @@ let boundary_tests =
           (fun (name, prm) ->
             let p = (Lazy.force prm).Sc_pairing.Params.p in
             let fp = Fp.create p in
-            let r_bits = Nat.num_limbs p * Nat.base_bits in
+            let r_bits = Array.length (Nat.to_limbs p) * Nat.base_bits in
             let image x = Nat.rem (Nat.shift_left (Nat.rem x p) r_bits) p in
             let bs = fresh_bs ("fp-boundary/" ^ name) in
             let values =
@@ -234,7 +239,7 @@ let boundary_tests =
               (fun x ->
                 let e = Fp.of_nat fp x in
                 let limbs = (e :> int array) in
-                check Alcotest.int (name ^ " width") (Nat.num_limbs p)
+                check Alcotest.int (name ^ " width") (Array.length (Nat.to_limbs p))
                   (Array.length limbs);
                 check nat (name ^ " aR mod p") (image x) (Nat.of_limbs limbs);
                 check nat (name ^ " round trip") (Nat.rem x p) (Fp.to_nat fp e))

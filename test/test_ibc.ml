@@ -286,7 +286,7 @@ let perturbation_tests =
     let a = Fp2.make (Fp.random fp ~bytes_source:bs) (Fp.random fp ~bytes_source:bs) in
     if Fp2.is_zero a then unitary_of_order l bs
     else
-      let z = Tate.gt_pow prm (Fp2.mul fp (Reference.fp2_conj fp a) (Reference.fp2_inv fp a)) (Nat.div order (Nat.of_int l)) in
+      let z = Tate.gt_pow prm (Fp2.mul fp (Reference.fp2_conj fp a) (Reference.fp2_inv fp a)) (fst (Reference.divmod order (Nat.of_int l))) in
       if Fp2.equal z (Fp2.one fp) then unitary_of_order l bs else z
   in
   let dvs_ok (e : Agg.entry) =

@@ -82,16 +82,15 @@ let network_tests =
         check Alcotest.int "bytes" 1_000_000 (Net.total_bytes net);
         ignore (Net.record_transfer net ~bytes:500);
         check Alcotest.int "accumulates" 1_000_500 (Net.total_bytes net));
-    case "cost proportional to bytes" (fun () ->
+    case "default link is 20 ms latency and 100 MB/s" (fun () ->
         let net = Net.create Net.default_config in
-        let c1 = Net.transfer_cost net ~bytes:100 in
-        let c2 = Net.transfer_cost net ~bytes:200 in
-        check (Alcotest.float 1e-12) "double" (2.0 *. c1) c2);
+        check (Alcotest.float 1e-12) "empty transfer" 0.02 (Net.record_transfer net ~bytes:0);
+        check (Alcotest.float 1e-12) "100 MB" 1.02
+          (Net.record_transfer net ~bytes:100_000_000));
     case "transfer time is latency plus bytes over bandwidth" (fun () ->
         let net =
           Net.create
-            { Net.latency_s = 0.5; bandwidth_bytes_per_s = 1000.0;
-              cost_per_byte = 1e-8 }
+            { Net.latency_s = 0.5; bandwidth_bytes_per_s = 1000.0 }
         in
         check (Alcotest.float 1e-12) "empty transfer pays latency only" 0.5
           (Net.record_transfer net ~bytes:0);

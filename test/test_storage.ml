@@ -174,14 +174,6 @@ let server_tests =
               (Reference.verify_block pub ~verifier_key:da_key ~role:`Da
                  ~q_id:(Sc_ibc.Setup.q_of_id pub "alice") claimed signed)
         done);
-    case "storage_confidence reflects behaviour" (fun () ->
-        let eps = 1e-9 in
-        let close a b = Float.abs (a -. b) < eps in
-        check Alcotest.bool "honest" true
-          (close 1.0 (Server.storage_confidence (fresh_server Server.Honest)));
-        check Alcotest.bool "delete 0.3" true
-          (close 0.7
-             (Server.storage_confidence (fresh_server (Server.Delete_fraction 0.3)))));
     case "file listing and size" (fun () ->
         let server = fresh_server Server.Honest in
         check Alcotest.(list string) "files" [ "doc" ] (Server.files server);

@@ -107,20 +107,22 @@ let histograms =
         match List.assoc_opt "test.counter.snap" snap with
         | Some (Telemetry.Counter v) -> check Alcotest.int "frozen" (v0 + 3) v
         | _ -> Alcotest.fail "counter missing from snapshot");
-    case "dump_json mentions registered metrics" (fun () ->
-        ignore (Telemetry.counter "test.counter.dumped");
-        let js = Telemetry.dump_json () in
-        check Alcotest.bool "object" true (String.length js > 0 && js.[0] = '{');
-        let contains s sub =
-          let n = String.length sub in
-          let rec go i =
-            i + n <= String.length s
-            && (String.sub s i n = sub || go (i + 1))
-          in
-          go 0
+    case "print_tree nests dotted names under their groups" (fun () ->
+        let c = Telemetry.counter "test.tree.leaf" in
+        Telemetry.add c 7;
+        let file = Filename.temp_file "telemetry" ".tree" in
+        let lines =
+          Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+              Out_channel.with_open_text file Telemetry.print_tree;
+              In_channel.with_open_text file In_channel.input_all)
+          |> String.split_on_char '\n'
         in
-        check Alcotest.bool "has name" true
-          (contains js "\"test.counter.dumped\""));
+        check Alcotest.bool "group line" true (List.mem "  tree" lines);
+        match List.find_opt (String.starts_with ~prefix:"    leaf ") lines with
+        | Some line ->
+          check Alcotest.string "value" (string_of_int (Telemetry.value c))
+            (List.hd (List.rev (String.split_on_char ' ' line)))
+        | None -> Alcotest.fail "leaf line missing");
   ]
 
 let spans =
