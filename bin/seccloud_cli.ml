@@ -453,7 +453,9 @@ let stats_workload (_, params) seed ~drop ~tamper =
      check row of its own, the column of one other counter. *)
   let measure section ?gate ?(count_gates = []) op paper f =
     (* Minor words are counted per domain: this one's, which is all of
-       them when SECCLOUD_DOMAINS=1. *)
+       them when SECCLOUD_DOMAINS=1.  Unlike the counter columns they do
+       not repeat: between runs of one binary a row moves by up to ~8
+       words, so no gate reads them. *)
     let snapshot () =
       let words = Gc.minor_words () in
       Array.append

@@ -20,8 +20,6 @@ type point = Infinity | Affine of Fp.el * Fp.el
 let create fld =
   { fld; coord_bytes = (Nat.bit_length (Fp.characteristic fld) + 7) / 8 }
 
-let infinity = Infinity
-
 let is_infinity = function Infinity -> true | Affine _ -> false
 
 (* x³ + x *)
@@ -37,41 +35,11 @@ let neg c = function
   | Infinity -> Infinity
   | Affine (x, y) -> Affine (x, Fp.neg c.fld y)
 
-let double c p =
-  match p with
-  | Infinity -> Infinity
-  | Affine (x, y) ->
-    let f = c.fld in
-    if Fp.is_zero y then Infinity
-    else begin
-      (* λ = (3x² + 1) / 2y *)
-      let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) (Fp.one f) in
-      let lam = inverted (Fp.div f num (Fp.double f y)) in
-      let x3 = Fp.sub f (Fp.sqr f lam) (Fp.double f x) in
-      let y3 = Fp.sub f (Fp.mul f lam (Fp.sub f x x3)) y in
-      Affine (x3, y3)
-    end
-
-let add c p q =
-  match p, q with
-  | Infinity, r | r, Infinity -> r
-  | Affine (x1, y1), Affine (x2, y2) ->
-    let f = c.fld in
-    if Fp.equal x1 x2 then begin
-      if Fp.equal y1 y2 then double c p else Infinity
-    end
-    else begin
-      let lam = inverted (Fp.div f (Fp.sub f y2 y1) (Fp.sub f x2 x1)) in
-      let x3 = Fp.sub f (Fp.sub f (Fp.sqr f lam) x1) x2 in
-      let y3 = Fp.sub f (Fp.mul f lam (Fp.sub f x1 x3)) y1 in
-      Affine (x3, y3)
-    end
-
 (* ------------------------------------------------------------------ *)
-(* Jacobian coordinates (X : Y : Z) with x = X/Z², y = Y/Z³; Z = 0
-   encodes the point at infinity.  Scalar multiplication
-   runs in this form so that the whole ladder needs a single field
-   inversion, instead of one per group operation.  The formulas are
+(* The group law, in Jacobian coordinates (X : Y : Z) with x = X/Z²,
+   y = Y/Z³; Z = 0 encodes the point at infinity.  Every sum of points
+   runs in this form and is normalized once, or in one batch, so it
+   pays one field inversion, not one per group operation.  The formulas are
    dbl-2007-bl and madd-2007-bl, with the curve coefficient a = 1.
    All operations here stay strict (canonical outputs) because the
    group law compares coordinates for the doubling/inverse cases. *)

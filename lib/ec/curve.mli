@@ -1,6 +1,8 @@
-(** The elliptic curve y² = x³ + x over F_p, with affine group law,
-    an x-only Montgomery ladder for single scalars and windowed
-    multi-scalar and fixed-base multiplication.  This is the group G1
+(** The elliptic curve y² = x³ + x over F_p: an x-only Montgomery
+    ladder for single scalars, and windowed multi-scalar and fixed-base
+    multiplication on one Jacobian group law with batched
+    normalization.  A sum of points is an {!msm} (unit scalars for a
+    plain sum) or an {!add_mul_precomp_batch} row.  This is the group G1
     of the pairing layer and the base group of the ECDSA baseline;
     every pairing parameter set builds this curve and no other.  Each
     field inversion it performs, batched or not, counts one
@@ -20,13 +22,11 @@ val create : Fp.ctx -> t
 (** The curve is singular in characteristic 2 only, which
     {!Fp.create} rejects. *)
 
-val infinity : point
 val is_infinity : point -> bool
 
 val on_curve : t -> point -> bool
 
 val neg : t -> point -> point
-val add : t -> point -> point -> point
 
 val mul : t -> Nat.t -> point -> point
 (** Scalar multiplication by Montgomery's x-only ladder: 4 squarings
@@ -69,7 +69,7 @@ val mul_precomp_batch : t -> precomp -> Nat.t array -> point array
 
 val add_mul_precomp_batch : t -> (point * precomp * Nat.t) array -> point array
 (** [add_mul_precomp_batch c [|(P, pc, k); …|]] is
-    [add c P (mul_precomp c pc k)] for each row, the rows free to use
+    P + k·B for each row, B the base of [pc], the rows free to use
     different bases.  Each comb starts from its P in Jacobian form, so
     the addition costs one mixed addition and no inversion of its own,
     and one shared batch inversion normalizes every result.

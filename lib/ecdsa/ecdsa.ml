@@ -46,9 +46,11 @@ let verify (prm : Params.t) pubkey msg { r; s } =
   | exception Not_found -> false
   | sinv ->
     let u1 = mul_q prm h sinv and u2 = mul_q prm r sinv in
+    (* u2·Q by the ladder, then u1·G on G's comb from it: two
+       inversions in all. *)
     (match
-       Curve.add prm.curve (Params.mul_g prm u1)
-         (Curve.mul prm.curve u2 pubkey)
+       Curve.add_mul_precomp_batch prm.curve
+         [| Curve.mul prm.curve u2 pubkey, Params.g_comb prm, u1 |]
      with
-    | Curve.Infinity -> false
-    | Curve.Affine (x, _) -> Nat.equal (x_mod_q prm x) r)
+    | [| Curve.Affine (x, _) |] -> Nat.equal (x_mod_q prm x) r
+    | _ -> false)

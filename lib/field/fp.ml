@@ -47,8 +47,6 @@ let sqr ctx a = M.sqr ctx.mont a
 let inv ctx a =
   if is_zero a then raise Division_by_zero else M.pow_mont ctx.mont a ctx.inv_exp
 
-let div ctx a b = mul ctx a (inv ctx b)
-
 let batch_inv ctx xs =
   match M.batch_inv ctx.mont ~inv:(inv ctx) xs with
   | exception Not_found -> raise Division_by_zero

@@ -58,8 +58,6 @@ val inv : ctx -> el -> el
     characteristic only.  Correct only when p is prime.
     @raise Division_by_zero on zero. *)
 
-val div : ctx -> el -> el -> el
-
 val batch_inv : ctx -> el array -> el array
 (** Montgomery's trick: inverts every element with a single {!inv}
     and 3(n-1) multiplications.

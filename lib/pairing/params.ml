@@ -13,7 +13,7 @@ module SMap = Map.Make (String)
 (* Per-parameter-set precomputation caches, keyed by point encoding.
    Reads are lock-free (an immutable map behind an [Atomic]); misses
    take the lock, re-check, compute, and publish — the same
-   double-check shape as {!force_precomp} below.  A plain [Hashtbl]
+   double-check shape as {!g_comb} below.  A plain [Hashtbl]
    would not do: concurrent reads during a resize are undefined.  Each
    cache counts its own hits and misses. *)
 type 'a cache = {
@@ -138,11 +138,11 @@ let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let force_precomp t =
+let g_comb t =
   if Lazy.is_val t.g_precomp then Lazy.force t.g_precomp
   else locked precomp_lock (fun () -> Lazy.force t.g_precomp)
 
-let mul_g t k = Curve.mul_precomp t.curve (force_precomp t) (Nat.rem k t.q)
+let mul_g t k = Curve.mul_precomp t.curve (g_comb t) (Nat.rem k t.q)
 
 let cache_get cache key compute =
   match SMap.find_opt key (Atomic.get cache.map) with

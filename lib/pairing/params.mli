@@ -59,6 +59,9 @@ val in_subgroup : t -> Curve.point -> bool
 val random_scalar : t -> bytes_source:(int -> string) -> Nat.t
 (** Uniform non-zero scalar in [\[1, q)]. *)
 
+val g_comb : t -> Curve.precomp
+(** [g_precomp], forced at most once across domains. *)
+
 val mul_g : t -> Nat.t -> Curve.point
 (** [k·G] via the fixed-base tables — several times faster than
     [Curve.mul] for the generator (the scalar is reduced mod q). *)

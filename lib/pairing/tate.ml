@@ -24,8 +24,6 @@ let c_gt_multi_exp_terms = Telemetry.counter "pairing.gt_multi_exp_terms"
 type gt = Fp2.el
 
 let gt_one (prm : Params.t) = Fp2.one prm.fp
-let gt_equal = Fp2.equal
-let gt_mul (prm : Params.t) a b = Fp2.mul prm.fp a b
 
 (* Membership in the unitary (norm-1) subgroup of F_p²* — where every
    honest GT element lives after the final exponentiation. *)
@@ -263,8 +261,8 @@ let reduces_to (prm : Params.t) t = function
     Telemetry.incr c_final_expo;
     let fp = prm.fp in
     let g = Fp2.pow fp f prm.cofactor in
-    gt_equal (Fp2.conj fp g) (Fp2.mul fp t g)
-  | Some _ | None -> gt_equal t (gt_one prm)
+    Fp2.equal (Fp2.conj fp g) (Fp2.mul fp t g)
+  | Some _ | None -> Fp2.equal t (gt_one prm)
 
 let pairing_precomp prm b pc = reduce prm (miller_single prm b pc)
 let multi_pairing_precomp prm terms = reduce prm (miller_multi prm terms)

@@ -59,15 +59,13 @@ val multi_pairing_precomp : Params.t -> (Curve.point * precomp) list -> gt
 val multi_pairing_precomp_equal :
   Params.t -> (Curve.point * precomp) list -> gt -> bool
 (** [multi_pairing_precomp_equal prm terms t] is
-    [gt_equal (multi_pairing_precomp prm terms) t] for every [t] in
+    [Fp2.equal (multi_pairing_precomp prm terms) t] for every [t] in
     F_p², unitary or not, and counts exactly as {!multi_pairing_precomp}
     does.  It never forms the pairing value: the final exponentiation
     stops at g = f{^c} and tests conj(g) = t·g, which saves its field
     inversion.  The one equality form, behind {!Equation.holds}. *)
 
 val gt_one : Params.t -> gt
-val gt_equal : gt -> gt -> bool
-val gt_mul : Params.t -> gt -> gt -> gt
 
 val gt_pow : Params.t -> gt -> Nat.t -> gt
 (** [gt_pow prm a e] is a{^e}, by square-and-multiply ([Fp2.pow], on

@@ -171,13 +171,3 @@ let map_array ?min_chunk f arr =
 let parallel_map ?min_chunk f xs =
   if domain_count () <= 1 then List.map f xs
   else Array.to_list (map_array ?min_chunk f (Array.of_list xs))
-
-let parallel_iter ?min_chunk f xs =
-  if domain_count () <= 1 then List.iter f xs
-  else begin
-    let arr = Array.of_list xs in
-    iter_ranges ?min_chunk (Array.length arr) (fun lo hi ->
-        for i = lo to hi - 1 do
-          f arr.(i)
-        done)
-  end

@@ -29,10 +29,6 @@ val parallel_map : ?min_chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     count.  [min_chunk] (default 1) is the minimum number of elements
     per task — raise it when [f] is cheap. *)
 
-val parallel_iter : ?min_chunk:int -> ('a -> unit) -> 'a list -> unit
-(** Effect-only fan-out; per-element effects must be independent (or
-    synchronized by the callee, as telemetry counters are). *)
-
 val iter_ranges : ?min_chunk:int -> int -> (int -> int -> unit) -> unit
 (** [iter_ranges n body] partitions [0, n) into contiguous chunks of
     at least [min_chunk] indices and calls [body lo hi] (hi exclusive)

@@ -1,7 +1,6 @@
 open Sc_bignum
 open Sc_ec
 module Params = Sc_pairing.Params
-module Tate = Sc_pairing.Tate
 module Hash_g1 = Sc_pairing.Hash_g1
 
 type keys = { x : Nat.t; pk : Curve.point; u : Curve.point }
@@ -26,19 +25,17 @@ let block_to_scalar prm block = Hash_g1.hash_to_scalar prm ("blk:" ^ block)
 let index_point prm ~name i =
   Hash_g1.hash_to_point prm (Printf.sprintf "wtag:%s:%d" name i)
 
+(* σ_i = x·(H(name‖i) + m_i·u): every H(name‖i) + m_i·u runs on u's
+   cached comb, all normalized with one inversion, then one ladder by
+   x each. *)
 let tag_file (prm : Params.t) keys ~name raw_blocks =
   let blocks = Array.of_list (List.map (block_to_scalar prm) raw_blocks) in
-  let tags =
-    Array.mapi
-      (fun i m ->
-        let base =
-          Curve.add prm.curve (index_point prm ~name i)
-            (Curve.mul prm.curve m keys.u)
-        in
-        Curve.mul prm.curve keys.x base)
-      blocks
+  let u_comb = Params.precomp_for prm keys.u in
+  let bases =
+    Curve.add_mul_precomp_batch prm.curve
+      (Array.mapi (fun i m -> index_point prm ~name i, u_comb, m) blocks)
   in
-  { name; blocks; tags }
+  { name; blocks; tags = Array.map (Curve.mul prm.curve keys.x) bases }
 
 let make_challenge (prm : Params.t) ~bytes_source ~n_blocks ~samples =
   if samples > n_blocks then invalid_arg "Bls_auditor.make_challenge: too many samples";
@@ -59,26 +56,14 @@ let prove (prm : Params.t) file chal =
       (fun acc (i, nu) -> Nat.add acc (Nat.mul nu file.blocks.(i)))
       Nat.zero chal
   in
-  let sigma =
-    List.fold_left
-      (fun acc (i, nu) -> Curve.add prm.curve acc (Curve.mul prm.curve nu file.tags.(i)))
-      Curve.infinity chal
-  in
+  let sigma = Curve.msm prm.curve (List.map (fun (i, nu) -> nu, file.tags.(i)) chal) in
   { mu = Nat.rem mu prm.q; sigma }
 
+(* ê(σ, P) = ê(Σ ν_i·H(name‖i) + μ·u, pk), its right side one MSM. *)
 let verify (prm : Params.t) keys ~name chal { mu; sigma } =
-  (* Subgroup-check the prover-supplied σ: the precomputed pairings
-     below rely on symmetry, which only holds on the order-q
-     subgroup. *)
-  Sc_pairing.Params.in_subgroup prm sigma
-  &&
-  let h_combined =
-    List.fold_left
-      (fun acc (i, nu) ->
-        Curve.add prm.curve acc (Curve.mul prm.curve nu (index_point prm ~name i)))
-      Curve.infinity chal
-  in
-  let rhs_point = Curve.add prm.curve h_combined (Curve.mul prm.curve mu keys.u) in
-  Tate.gt_equal
-    (Tate.pairing_precomp prm sigma (Tate.precomp_for prm prm.g))
-    (Tate.pairing_precomp prm rhs_point (Tate.precomp_for prm keys.pk))
+  Sc_bls.Bls.holds prm sigma
+    [
+      Curve.msm prm.curve
+        ((mu, keys.u) :: List.map (fun (i, nu) -> nu, index_point prm ~name i) chal),
+      keys.pk;
+    ]

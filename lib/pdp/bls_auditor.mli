@@ -8,8 +8,10 @@
     - proof:     μ = Σ ν_i·m_i  (mod q),  σ = Σ ν_i·σ_i
     - verify:    ê(σ, P) = ê(Σ ν_i·H(name‖i) + μ·u, pk)
 
-    Verification costs 2 pairings *per user*, hence grows linearly
-    with the number of audited users. *)
+    Verification is one two-term pairing equation *per user* (2
+    Miller-loop terms, 1 final exponentiation, through
+    {!Sc_bls.Bls.holds}), hence grows linearly with the number of
+    audited users. *)
 
 open Sc_bignum
 open Sc_ec

@@ -180,14 +180,40 @@ let fp2_conj fp a = nat2 fp Nat2.conj a
 let fp2_inv fp a = nat2 fp Nat2.inv a
 let fp2_pow fp a e = nat2 fp (fun m x -> Nat2.pow m x e) a
 
-(* Affine left-to-right double-and-add over the curve's own group law:
-   what [Curve.mul] and [Curve.msm] are checked against. *)
-let mul_naive c k p =
+(* The affine group law of y² = x³ + x over [f], one field inversion
+   per operation: the chord-and-tangent formulas the library's
+   Jacobian arithmetic is checked against. *)
+let double f = function
+  | Curve.Infinity -> Curve.Infinity
+  | Curve.Affine (x, y) ->
+    if Fp.is_zero y then Curve.Infinity
+    else begin
+      (* λ = (3x² + 1) / 2y *)
+      let num = Fp.add f (Fp.mul f (Fp.of_int f 3) (Fp.sqr f x)) (Fp.one f) in
+      let lam = Fp.mul f num (Fp.inv f (Fp.double f y)) in
+      let x3 = Fp.sub f (Fp.sqr f lam) (Fp.double f x) in
+      Curve.Affine (x3, Fp.sub f (Fp.mul f lam (Fp.sub f x x3)) y)
+    end
+
+let add f p q =
+  match p, q with
+  | Curve.Infinity, r | r, Curve.Infinity -> r
+  | Curve.Affine (x1, y1), Curve.Affine (x2, y2) ->
+    if Fp.equal x1 x2 then if Fp.equal y1 y2 then double f p else Curve.Infinity
+    else begin
+      let lam = Fp.mul f (Fp.sub f y2 y1) (Fp.inv f (Fp.sub f x2 x1)) in
+      let x3 = Fp.sub f (Fp.sub f (Fp.sqr f lam) x1) x2 in
+      Curve.Affine (x3, Fp.sub f (Fp.mul f lam (Fp.sub f x1 x3)) y1)
+    end
+
+(* Affine left-to-right double-and-add over [add]: what [Curve.mul]
+   and [Curve.msm] are checked against. *)
+let mul_naive f k p =
   let rec go acc i =
     if i < 0 then acc
     else
-      let acc = Curve.add c acc acc in
-      go (if Nat.test_bit k i then Curve.add c acc p else acc) (i - 1)
+      let acc = double f acc in
+      go (if Nat.test_bit k i then add f acc p else acc) (i - 1)
   in
   go Curve.Infinity (Nat.bit_length k - 1)
 
@@ -202,9 +228,9 @@ let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
   let fp = prm.fp and m = prm.p in
   let three = Fp.of_int fp 3 in
   let tangent x y =
-    Fp.div fp
+    Fp.mul fp
       (Fp.add fp (Fp.mul fp three (Fp.sqr fp x)) (Fp.one fp))
-      (Fp.double fp y)
+      (Fp.inv fp (Fp.double fp y))
   in
   let f = ref Nat2.one in
   let tx = ref px and ty = ref py in
@@ -233,7 +259,7 @@ let miller_affine (prm : Sc_pairing.Params.t) px py xq yq =
         else t_inf := true
       end
       else
-        let lam = Fp.div fp (Fp.sub fp !ty py) (Fp.sub fp !tx px) in
+        let lam = Fp.mul fp (Fp.sub fp !ty py) (Fp.inv fp (Fp.sub fp !tx px)) in
         step lam ~x3:(Fp.sub fp (Fp.sub fp (Fp.sqr fp lam) !tx) px)
     end
   done;
@@ -269,7 +295,7 @@ let pairing_affine (prm : Sc_pairing.Params.t) p q =
 let valid_key (pub : Sc_ibc.Setup.public) (key : Sc_ibc.Setup.identity_key) =
   let prm = pub.prm in
   Sc_pairing.Params.in_subgroup prm key.sk
-  && Sc_pairing.Tate.gt_equal
+  && Fp2.equal
        (Sc_pairing.Tate.pairing prm key.sk prm.g)
        (Sc_pairing.Tate.pairing prm key.q_id pub.p_pub)
 

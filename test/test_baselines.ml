@@ -114,17 +114,20 @@ let bls_tests =
         check Alcotest.bool "bad agg" false
           (Sc_bls.Bls.verify_aggregate prm [ kp.Sc_bls.Bls.pk, "b" ] sigma));
     case "bgls pairing count is n+1" (fun () ->
+        (* n+1 Miller-loop terms on one chain, one final exponentiation *)
         let entries = List.init 5 (fun i -> kp, Printf.sprintf "pc-%d" i) in
         let sigma =
           Sc_bls.Bls.aggregate prm
             (List.map (fun (k, m) -> Sc_bls.Bls.sign prm k m) entries)
         in
-        let p0 = Sc_pairing.Tate.pairings_performed () in
+        let v = Sc_telemetry.Telemetry.counter_value in
+        let p0 = v "pairing.count" and t0 = v "pairing.multi_terms" in
         assert
           (Sc_bls.Bls.verify_aggregate prm
              (List.map (fun (k, m) -> k.Sc_bls.Bls.pk, m) entries)
              sigma);
-        check Alcotest.int "n+1" 6 (Sc_pairing.Tate.pairings_performed () - p0));
+        check Alcotest.int "1 final exponentiation" 1 (v "pairing.count" - p0);
+        check Alcotest.int "n+1 terms" 6 (v "pairing.multi_terms" - t0));
   ]
 
 let pdp_tests =
@@ -213,10 +216,69 @@ let known_answer_tests =
         in
         let proof = Sc_pdp.Bls_auditor.prove prm file chal in
         check_hex "wang mu" "5ce0daeff6e2194d" proof.Sc_pdp.Bls_auditor.mu;
+        (* the points the baselines sum by MSM and comb, as the affine
+           group law summed them *)
+        let check_point what expected p =
+          check Alcotest.string what expected
+            (Sc_hash.Sha256.hex_of_digest (Sc_ec.Curve.to_bytes prm.Sc_pairing.Params.curve p))
+        in
+        check_point "wang tag" "04473d05a58ed287c4ec1395ff18e179152952" file.Sc_pdp.Bls_auditor.tags.(0);
+        check_point "wang sigma" "04244d725c51e083f27d2101fee6ced3d787e7" proof.Sc_pdp.Bls_auditor.sigma;
+        let bls = Sc_bls.Bls.generate prm ~bytes_source:bs in
+        check_point "bgls aggregate" "04050af71d979301ae8010e2fbeee80539fde4"
+          (Sc_bls.Bls.aggregate prm
+             (List.init 3 (fun i -> Sc_bls.Bls.sign prm bls (Printf.sprintf "pinned-%d" i))));
         check_hex "rsa d"
           ("1243fbaa71bf8c95f987b0be695831d94ffbddf71a60c32b6b5d4462452e7c24"
          ^ "65a5a43cd6388a96fe86d1b0cef4da4ad2ebf36dc591b61bf79c7893185b1315")
           rsa_key.Sc_rsa.Rsa.d);
   ]
 
-let suite = rsa_tests @ ecdsa_tests @ bls_tests @ pdp_tests @ known_answer_tests
+(* Each baseline's work per call, caches warm: final exponentiations
+   ([pairing.count]), Miller-loop terms ([pairing.single] +
+   [pairing.multi_terms]), [curve.inv] and [curve.mul.wnaf].  A hash to
+   G1 pays a ladder and an inversion, a subgroup check a ladder, an MSM
+   three inversions. *)
+let counted_work_tests =
+  let open Util in
+  [
+    case "baselines' counted work is pinned at toy" (fun () ->
+        let module A = Sc_pdp.Bls_auditor in
+        let module Bls = Sc_bls.Bls in
+        let v = Sc_telemetry.Telemetry.counter_value in
+        let work () =
+          [ v "pairing.count"; v "pairing.single" + v "pairing.multi_terms"; v "curve.inv"; v "curve.mul.wnaf" ]
+        in
+        let pinned what expected f =
+          ignore (f ());
+          let before = work () in
+          ignore (f ());
+          check Alcotest.(list int) what expected (List.map2 ( - ) (work ()) before)
+        in
+        let bs = fresh_bs "baseline-counts" in
+        let ecdsa = Sc_ecdsa.Ecdsa.generate prm ~bytes_source:bs in
+        let ecdsa_sig = Sc_ecdsa.Ecdsa.sign prm ecdsa ~bytes_source:bs "m" in
+        pinned "Ecdsa.verify" [ 0; 0; 2; 1 ] (fun () ->
+            assert (Sc_ecdsa.Ecdsa.verify prm ecdsa.Sc_ecdsa.Ecdsa.q "m" ecdsa_sig));
+        let kp = Bls.generate prm ~bytes_source:bs in
+        let msgs = List.init 8 (Printf.sprintf "agg-%d") in
+        let sigs = List.map (Bls.sign prm kp) msgs in
+        pinned "Bls.verify" [ 1; 2; 1; 2 ] (fun () ->
+            assert (Bls.verify prm kp.Bls.pk "agg-0" (List.hd sigs)));
+        pinned "Bls.aggregate (n = 8)" [ 0; 0; 3; 0 ] (fun () -> Bls.aggregate prm sigs);
+        let entries = List.map (fun m -> kp.Bls.pk, m) msgs and agg = Bls.aggregate prm sigs in
+        pinned "Bls.verify_aggregate (n = 8)" [ 1; 9; 8; 9 ] (fun () ->
+            assert (Bls.verify_aggregate prm entries agg));
+        let wang = A.generate_keys prm ~bytes_source:bs in
+        let blocks = List.init 16 (Printf.sprintf "b-%d") in
+        pinned "tag_file (16 blocks)" [ 0; 0; 33; 32 ] (fun () -> A.tag_file prm wang ~name:"f" blocks);
+        let file = A.tag_file prm wang ~name:"f" blocks in
+        let chal = A.make_challenge prm ~bytes_source:bs ~n_blocks:16 ~samples:8 in
+        pinned "Bls_auditor.prove (t = 8)" [ 0; 0; 3; 0 ] (fun () -> A.prove prm file chal);
+        let proof = A.prove prm file chal in
+        pinned "Bls_auditor.verify (t = 8)" [ 1; 2; 11; 9 ] (fun () ->
+            assert (A.verify prm wang ~name:"f" chal proof)));
+  ]
+
+let suite =
+  rsa_tests @ ecdsa_tests @ bls_tests @ pdp_tests @ known_answer_tests @ counted_work_tests

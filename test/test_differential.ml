@@ -78,7 +78,7 @@ let perturb kind ~i (read : Server.read_result) (donor : Server.read_result) =
       {
         read with
         Server.signed =
-          { signed with Signer.u = Sc_ec.Curve.add prm.curve signed.Signer.u prm.g };
+          { signed with Signer.u = Reference.add prm.fp signed.Signer.u prm.g };
       }
   | Missing -> None
   | Relocated -> Some donor
@@ -438,7 +438,7 @@ let torsion_tests =
         let commitment = Protocol.commitment_of_execution execution in
         let t = torsion_point prm bs in
         let s = commitment.Protocol.root_signature in
-        let curve = prm.Sc_pairing.Params.curve in
+        let fp = prm.Sc_pairing.Params.fp in
         let samples = [ 0, 0; 5, 0; 9, 0 ] in
         let challenge =
           {
@@ -487,10 +487,10 @@ let torsion_tests =
           [
             "honest", s, true;
             "third party's U + T",
-            { s with Sc_ibc.Ibs.u = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.u t },
+            { s with Sc_ibc.Ibs.u = Reference.add fp s.Sc_ibc.Ibs.u t },
             false;
             "V + T",
-            { s with Sc_ibc.Ibs.v = Sc_ec.Curve.add curve s.Sc_ibc.Ibs.v t },
+            { s with Sc_ibc.Ibs.v = Reference.add fp s.Sc_ibc.Ibs.v t },
             false;
             "signer-made U + T",
             torsion_signature pub cs_key ~bytes_source:bs t

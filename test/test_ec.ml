@@ -11,7 +11,7 @@ let point = Util.point
 
 let all_points c fp pmax =
   (* Brute-force enumeration of an affine curve over a tiny field. *)
-  let pts = ref [ Curve.infinity ] in
+  let pts = ref [ Curve.Infinity ] in
   for x = 0 to pmax - 1 do
     for y = 0 to pmax - 1 do
       let pt = Curve.Affine (Fp.of_int fp x, Fp.of_int fp y) in
@@ -36,29 +36,29 @@ let unit_tests =
         Alcotest.(check int) "order" 24 (List.length (all_points c23 p23 23)));
     case "every point has order dividing 24" (fun () ->
         List.iter
-          (fun pt -> Alcotest.(check point) "24P = O" Curve.infinity
+          (fun pt -> Alcotest.(check point) "24P = O" Curve.Infinity
               (Curve.mul c23 (Nat.of_int 24) pt))
           (all_points c23 p23 23));
     case "identity laws" (fun () ->
         let pt = Curve.Affine (Fp.of_int p23 9, Fp.of_int p23 5) in
         Alcotest.(check bool) "on curve" true (Curve.on_curve c23 pt);
-        Alcotest.(check point) "P + O" pt (Curve.add c23 pt Curve.infinity);
-        Alcotest.(check point) "O + P" pt (Curve.add c23 Curve.infinity pt);
-        Alcotest.(check point) "P - P" Curve.infinity
-          (Curve.add c23 pt (Curve.neg c23 pt)));
+        Alcotest.(check point) "P + O" pt (Reference.add p23 pt Curve.Infinity);
+        Alcotest.(check point) "O + P" pt (Reference.add p23 Curve.Infinity pt);
+        Alcotest.(check point) "P - P" Curve.Infinity
+          (Reference.add p23 pt (Curve.neg c23 pt)));
     case "doubling point with y=0 gives infinity" (fun () ->
         (* (0,0) is a 2-torsion point of y² = x³ + x. *)
         let two_torsion = Curve.Affine (Fp.zero p23, Fp.zero p23) in
         Alcotest.(check bool) "on curve" true (Curve.on_curve c23 two_torsion);
-        Alcotest.(check point) "2P = O" Curve.infinity
-          (Curve.add c23 two_torsion two_torsion));
+        Alcotest.(check point) "2P = O" Curve.Infinity
+          (Reference.add p23 two_torsion two_torsion));
     case "scalar multiplication matches repeated addition" (fun () ->
         let pt = Curve.Affine (Fp.of_int p23 9, Fp.of_int p23 5) in
-        let rec rep k acc = if k = 0 then acc else rep (k - 1) (Curve.add c23 acc pt) in
+        let rec rep k acc = if k = 0 then acc else rep (k - 1) (Reference.add p23 acc pt) in
         for k = 0 to 30 do
           Alcotest.(check point)
             (Printf.sprintf "%dP" k)
-            (rep k Curve.infinity)
+            (rep k Curve.Infinity)
             (Curve.mul c23 (Nat.of_int k) pt)
         done);
     case "negative scalar" (fun () ->
@@ -73,8 +73,8 @@ let unit_tests =
         let c = prm.Sc_pairing.Params.curve in
         Alcotest.(check (option point)) "g" (Some g)
           (Curve.of_bytes c (Curve.to_bytes c g));
-        Alcotest.(check (option point)) "infinity" (Some Curve.infinity)
-          (Curve.of_bytes c (Curve.to_bytes c Curve.infinity)));
+        Alcotest.(check (option point)) "infinity" (Some Curve.Infinity)
+          (Curve.of_bytes c (Curve.to_bytes c Curve.Infinity)));
     case "of_bytes rejects off-curve point" (fun () ->
         let prm = Lazy.force Util.toy_params in
         let c = prm.Sc_pairing.Params.curve in
@@ -108,7 +108,7 @@ let unit_tests =
 let precomp_tests =
   let open Util in
   let prm = Lazy.force Util.toy_params in
-  let curve = prm.Sc_pairing.Params.curve in
+  let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
   let g = prm.Sc_pairing.Params.g in
   let q = prm.Sc_pairing.Params.q in
   [
@@ -120,7 +120,7 @@ let precomp_tests =
           if not (Util.point_equal (Curve.mul curve s g) (Curve.mul_precomp curve pc s))
           then Alcotest.fail "mismatch"
         done;
-        Alcotest.(check point) "zero scalar" Curve.infinity
+        Alcotest.(check point) "zero scalar" Curve.Infinity
           (Curve.mul_precomp curve pc Nat.zero));
     case "precomp rejects out-of-range scalars" (fun () ->
         let pc = Curve.precompute curve ~bits:8 g in
@@ -143,7 +143,7 @@ let precomp_tests =
             Alcotest.(check point) (Printf.sprintf "scalar %d" i)
               (Curve.mul curve k g) got.(i))
           ks;
-        Alcotest.(check point) "q·G" Curve.infinity got.(2);
+        Alcotest.(check point) "q·G" Curve.Infinity got.(2);
         Alcotest.(check int) "empty batch" 0
           (Array.length (Curve.mul_precomp_batch curve pc [||]));
         Alcotest.check_raises "one scalar out of range"
@@ -162,7 +162,7 @@ let precomp_tests =
             Array.iteri
               (fun k r ->
                 Alcotest.(check point) (Printf.sprintf "%dP" k)
-                  (Reference.mul_naive c23 (Nat.of_int k) pt) r)
+                  (Reference.mul_naive p23 (Nat.of_int k) pt) r)
               (Curve.mul_precomp_batch c23 pc ks))
           (all_points c23 p23 23));
     case "fused U + k·B = Curve.add U (mul_precomp k), O and doubling included"
@@ -187,7 +187,7 @@ let precomp_tests =
                    Curve.mul curve (Nat.of_bytes_be (bs 8)) g, b, k;
                    Curve.neg curve kb, b, k;
                    kb, b, k;
-                   Curve.infinity, b, k;
+                   Curve.Infinity, b, k;
                    Curve.random curve ~bytes_source:bs, b, Nat.zero;
                  ]))
           (* A one-window scalar: the comb's only addition meets U
@@ -203,10 +203,10 @@ let precomp_tests =
         List.iteri
           (fun i (u, b, k) ->
             Alcotest.(check point) (Printf.sprintf "row %d" i)
-              (Curve.add curve u (Curve.mul_precomp curve pcs.(b) k))
+              (Reference.add fp u (Curve.mul_precomp curve pcs.(b) k))
               got.(i))
           rows;
-        Alcotest.(check point) "U = -k·B gives O" Curve.infinity got.(2);
+        Alcotest.(check point) "U = -k·B gives O" Curve.Infinity got.(2);
         Alcotest.check_raises "one scalar out of range"
           (Invalid_argument "Curve.mul_precomp: scalar exceeds precomputed range")
           (fun () ->
@@ -228,7 +228,7 @@ let precomp_tests =
               (fun i r ->
                 let u, _, k = rows.(i) in
                 Alcotest.(check point) (Printf.sprintf "row %d" i)
-                  (Curve.add c23 u (Reference.mul_naive c23 k base)) r)
+                  (Reference.add p23 u (Reference.mul_naive p23 k base)) r)
               (Curve.add_mul_precomp_batch c23 rows))
           pts);
     case "msm ~fixed = msm plus the fixed-base multiples" (fun () ->
@@ -239,7 +239,7 @@ let precomp_tests =
         let scalar () = Sc_pairing.Params.random_scalar prm ~bytes_source:bs in
         let sum terms fixed =
           List.fold_left
-            (fun acc (pc, k) -> Curve.add curve acc (Curve.mul_precomp curve pc k))
+            (fun acc (pc, k) -> Reference.add fp acc (Curve.mul_precomp curve pc k))
             (Curve.msm curve terms) fixed
         in
         for i = 0 to 5 do
@@ -253,7 +253,7 @@ let precomp_tests =
         done;
         (* The fixed part cancels the ladder's: the sum is O. *)
         let k = scalar () in
-        Alcotest.(check point) "cancelling" Curve.infinity
+        Alcotest.(check point) "cancelling" Curve.Infinity
           (Curve.msm curve ~fixed:[ pc_g, k ]
              [ Nat.sub q Nat.one, Curve.mul curve k g ]);
         Alcotest.(check point) "fixed only" (Curve.mul curve k g)
@@ -278,7 +278,7 @@ let signed_comb_tests =
   let carry_heavy name prm =
     case (Printf.sprintf "signed comb, %s: carry-heavy scalars = ladder" name)
       (fun () ->
-        let curve = prm.Sc_pairing.Params.curve in
+        let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
         let q = prm.Sc_pairing.Params.q in
         let bits = Nat.bit_length q in
         let n = bits / 4 in
@@ -328,14 +328,14 @@ let signed_comb_tests =
           (fun i r ->
             let u, k = rows.(i) in
             Alcotest.(check point) (Printf.sprintf "add_mul_precomp_batch %d" i)
-              (Curve.add curve u (Curve.mul curve k base)) r)
+              (Reference.add fp u (Curve.mul curve k base)) r)
           (Curve.add_mul_precomp_batch curve
              (Array.map (fun (u, k) -> u, pc, k) rows));
         let k2 = Nat.of_bytes_be (bs 8) and p2 = Curve.random curve ~bytes_source:bs in
         Array.iteri
           (fun i k ->
             Alcotest.(check point) (Printf.sprintf "msm ~fixed %d" i)
-              (Curve.add curve expected.(i) (Curve.mul curve k2 p2))
+              (Reference.add fp expected.(i) (Curve.mul curve k2 p2))
               (Curve.msm curve ~fixed:[ pc, k ] [ k2, p2 ]);
             Alcotest.(check point) (Printf.sprintf "msm ~fixed only %d" i)
               expected.(i) (Curve.msm curve ~fixed:[ pc, k ] []))
@@ -371,23 +371,23 @@ let ladder_tests =
   let open Util in
   let equiv name prm n =
     case name (fun () ->
-        let curve = prm.Sc_pairing.Params.curve in
+        let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
         let g = prm.Sc_pairing.Params.g in
         let bs = Util.fresh_bs ("wnaf-" ^ name) in
         for i = 1 to n do
           let a = Sc_pairing.Params.random_scalar prm ~bytes_source:bs in
-          let pt = Reference.mul_naive curve a g in
+          let pt = Reference.mul_naive fp a g in
           (* 20 raw bytes: exercises scalars well past q. *)
           let s = Nat.of_bytes_be (bs 20) in
           if
             not
-              (Util.point_equal (Curve.mul curve s pt) (Reference.mul_naive curve s pt))
+              (Util.point_equal (Curve.mul curve s pt) (Reference.mul_naive fp s pt))
           then Alcotest.failf "mismatch at sample %d" i
         done)
   in
   let off_subgroup name prm n =
     case name (fun () ->
-        let curve = prm.Sc_pairing.Params.curve in
+        let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
         let bs = Util.fresh_bs ("ladder-off-" ^ name) in
         for i = 0 to n - 1 do
           let pt = Curve.random curve ~bytes_source:bs in
@@ -395,21 +395,21 @@ let ladder_tests =
           let s = scalar_of_bits bs bits in
           if
             not
-              (Util.point_equal (Curve.mul curve s pt) (Reference.mul_naive curve s pt))
+              (Util.point_equal (Curve.mul curve s pt) (Reference.mul_naive fp s pt))
           then Alcotest.failf "mismatch at a %d-bit scalar" bits
         done)
   in
   let subgroup_oracle name prm n =
     case name (fun () ->
-        let curve = prm.Sc_pairing.Params.curve in
+        let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
         let q = prm.Sc_pairing.Params.q in
         let bs = Util.fresh_bs ("in-subgroup-" ^ name) in
         let naive pt =
-          Curve.on_curve curve pt && Curve.is_infinity (Reference.mul_naive curve q pt)
+          Curve.on_curve curve pt && Curve.is_infinity (Reference.mul_naive fp q pt)
         in
         let cases =
-          Curve.infinity
-          :: Curve.Affine (Fp.zero prm.Sc_pairing.Params.fp, Fp.zero prm.Sc_pairing.Params.fp)
+          Curve.Infinity
+          :: Curve.Affine (Fp.zero fp, Fp.zero fp)
           :: List.concat
                (List.init n (fun _ ->
                     let r = Curve.random curve ~bytes_source:bs in
@@ -419,7 +419,7 @@ let ladder_tests =
                     in
                     (* q·R has order dividing the cofactor: a torsion
                        shift that leaves p's subgroup component alone. *)
-                    [ r; p; Curve.add curve p (Curve.mul curve q r) ]))
+                    [ r; p; Reference.add fp p (Curve.mul curve q r) ]))
         in
         let members = List.filter naive cases in
         if List.length members < n + 1 then Alcotest.fail "too few subgroup points";
@@ -444,7 +444,7 @@ let ladder_tests =
             for k = 0 to 48 do
               Alcotest.(check point)
                 (Printf.sprintf "%dP" k)
-                (Reference.mul_naive c23 (Nat.of_int k) pt)
+                (Reference.mul_naive p23 (Nat.of_int k) pt)
                 (Curve.mul c23 (Nat.of_int k) pt)
             done)
           (all_points c23 p23 23));
@@ -490,32 +490,32 @@ let ladder_tests =
           Alcotest.(check point)
             (Printf.sprintf "case %d" i)
             (List.fold_left
-               (fun acc (k, pt) -> Curve.add c23 acc (Reference.mul_naive c23 k pt))
-               Curve.infinity terms)
+               (fun acc (k, pt) -> Reference.add p23 acc (Reference.mul_naive p23 k pt))
+               Curve.Infinity terms)
             (Curve.msm c23 terms)
         done);
     case "msm of wide scalars = sum of double-and-add (toy)" (fun () ->
         let prm = Lazy.force Util.toy_params in
-        let curve = prm.Sc_pairing.Params.curve in
+        let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
         let bs = Util.fresh_bs "msm-toy" in
         for i = 1 to 10 do
           let terms =
             List.init i (fun _ ->
                 Nat.of_bytes_be (bs 12), Curve.random curve ~bytes_source:bs)
           in
-          let terms = (Nat.zero, Curve.random curve ~bytes_source:bs) :: (Nat.one, Curve.infinity) :: terms in
+          let terms = (Nat.zero, Curve.random curve ~bytes_source:bs) :: (Nat.one, Curve.Infinity) :: terms in
           if
             not
               (Util.point_equal (Curve.msm curve terms)
                  (List.fold_left
-                    (fun acc (k, pt) -> Curve.add curve acc (Reference.mul_naive curve k pt))
-                    Curve.infinity terms))
+                    (fun acc (k, pt) -> Reference.add fp acc (Reference.mul_naive fp k pt))
+                    Curve.Infinity terms))
           then Alcotest.failf "mismatch at %d terms" i
         done;
-        Alcotest.(check point) "empty" Curve.infinity (Curve.msm curve []));
+        Alcotest.(check point) "empty" Curve.Infinity (Curve.msm curve []));
     case "comb precomp = double-and-add on the generator" (fun () ->
         let prm = Lazy.force Util.toy_params in
-        let curve = prm.Sc_pairing.Params.curve in
+        let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
         let g = prm.Sc_pairing.Params.g in
         let q = prm.Sc_pairing.Params.q in
         let pc = Curve.precompute curve ~bits:(Nat.bit_length q) g in
@@ -526,7 +526,7 @@ let ladder_tests =
             not
               (Util.point_equal
                  (Curve.mul_precomp curve pc s)
-                 (Reference.mul_naive curve s g))
+                 (Reference.mul_naive fp s g))
           then Alcotest.fail "mismatch"
         done);
   ]
@@ -534,7 +534,7 @@ let ladder_tests =
 let property_tests =
   let open Util in
   let prm = Lazy.force Util.toy_params in
-  let curve = prm.Sc_pairing.Params.curve in
+  let curve = prm.Sc_pairing.Params.curve and fp = prm.Sc_pairing.Params.fp in
   let g = prm.Sc_pairing.Params.g in
   let q = prm.Sc_pairing.Params.q in
   let gen_scalar =
@@ -547,7 +547,7 @@ let property_tests =
       (fun (a, b) ->
         Util.point_equal
           (Curve.mul curve (Nat.rem (Nat.add a b) q) g)
-          (Curve.add curve (Curve.mul curve a g) (Curve.mul curve b g)));
+          (Reference.add fp (Curve.mul curve a g) (Curve.mul curve b g)));
     qcheck ~count:20 "(ab)G = a(bG)" (QCheck2.Gen.pair gen_scalar gen_scalar)
       (fun (a, b) ->
         Util.point_equal

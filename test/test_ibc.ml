@@ -223,7 +223,7 @@ let property_tests =
       (fun (seed, kinds) ->
         let bs = fresh_bs ("ibs-each:" ^ seed) in
         let module Params = Sc_pairing.Params in
-        let curve = prm.Params.curve and fp = prm.Params.fp in
+        let fp = prm.Params.fp in
         let entry i (kind, remembered) =
           let key = if i mod 2 = 0 then alice else bob in
           let msg = Printf.sprintf "each-%d:%s" i seed in
@@ -232,11 +232,11 @@ let property_tests =
             match kind, s.Ibs.u with
             | 1, _ ->
               { s with Ibs.v = (Ibs.sign pub key ~bytes_source:bs "other").Ibs.v }, msg
-            | 2, _ -> { s with Ibs.u = Curve.add curve s.Ibs.u prm.Params.g }, msg
+            | 2, _ -> { s with Ibs.u = Reference.add fp s.Ibs.u prm.Params.g }, msg
             | 3, _ -> s, msg ^ "'"
             | 4, Curve.Affine (x, y) ->
               { s with Ibs.u = Curve.Affine (x, Sc_field.Fp.add fp y (Sc_field.Fp.one fp)) }, msg
-            | 5, _ -> { s with Ibs.v = Curve.add curve s.Ibs.v prm.Params.g }, msg
+            | 5, _ -> { s with Ibs.v = Reference.add fp s.Ibs.v prm.Params.g }, msg
             | _ -> s, msg
           in
           (key.Setup.id, msg, s), remembered
@@ -294,7 +294,7 @@ let perturbation_tests =
       ~msg:e.Agg.msg e.Agg.dvs
   in
   let with_sigma (e : Agg.entry) sigma = { e with Agg.dvs = { e.Agg.dvs with Dvs.sigma } } in
-  let times (e : Agg.entry) x = with_sigma e (Tate.gt_mul prm e.Agg.dvs.Dvs.sigma x) in
+  let times (e : Agg.entry) x = with_sigma e (Fp2.mul fp e.Agg.dvs.Dvs.sigma x) in
   let with_u (e : Agg.entry) u = { e with Agg.dvs = { e.Agg.dvs with Dvs.u } } in
   let set i x es = List.mapi (fun j e -> if j = i then x else e) es in
   let gen = QCheck2.Gen.(pair (string_size ~gen:char (int_range 1 16)) (int_range 3 5)) in
@@ -349,7 +349,7 @@ let perturbation_tests =
             "U of another entry", false, set 0 (with_u (e 0) (e 1).Agg.dvs.Dvs.u) es;
             "(U, sigma) of another entry", false, set 0 { (e 0) with Agg.dvs = (e 1).Agg.dvs } es;
             "third party adds torsion to U", false,
-            set 0 (with_u (e 0) (Curve.add curve (e 0).Agg.dvs.Dvs.u t)) es;
+            set 0 (with_u (e 0) (Reference.add fp (e 0).Agg.dvs.Dvs.u t)) es;
             "signer-made U + T", true, set 0 signer_torsion es;
           ]
         in
@@ -376,9 +376,9 @@ let perturbation_tests =
         let ibs_cases =
           [
             "IBS honest", true, s0;
-            "IBS V + T", false, { s0 with Ibs.v = Curve.add curve s0.Ibs.v t };
+            "IBS V + T", false, { s0 with Ibs.v = Reference.add fp s0.Ibs.v t };
             "IBS third party adds torsion to U", false,
-            { s0 with Ibs.u = Curve.add curve s0.Ibs.u t };
+            { s0 with Ibs.u = Reference.add fp s0.Ibs.u t };
             "IBS signer-made U + T", true, torsion_sig;
           ]
         in
@@ -402,8 +402,8 @@ let perturbation_tests =
         let v i = let _, _, s = ibs_entry i in s.Ibs.v in
         let g1_x = Sc_pairing.Params.mul_g prm (Params.random_scalar prm ~bytes_source:bs) in
         let shift i j =
-          set i (with_v i (Curve.add curve (v i) g1_x))
-            (set j (with_v j (Curve.add curve (v j) (Curve.neg curve g1_x))) ibs)
+          set i (with_v i (Reference.add fp (v i) g1_x))
+            (set j (with_v j (Reference.add fp (v j) (Curve.neg curve g1_x))) ibs)
         in
         let swap i j = set i (with_v i (v j)) (set j (with_v j (v i)) ibs) in
         let ibs_batch_wrong =
@@ -459,8 +459,8 @@ let perturbation_tests =
           let u = e.Agg.dvs.Dvs.u in
           match kind with
           | 0 -> with_sigma e (List.nth es ((i + 1) mod n)).Agg.dvs.Dvs.sigma
-          | 1 -> with_u e (Curve.add curve u prm.Params.g)
-          | 2 -> with_u e (Curve.add curve u t)
+          | 1 -> with_u e (Reference.add fp u prm.Params.g)
+          | 2 -> with_u e (Reference.add fp u t)
           | 3 ->
             let k = List.nth keys (i mod 2) in
             { e with
@@ -484,8 +484,8 @@ let perturbation_tests =
           &&
           let q_id = Setup.q_of_id pub e.Agg.signer in
           let h = Ibs.h2 pub ~u ~msg:e.Agg.msg in
-          let w = Curve.add curve u (Curve.mul curve h q_id) in
-          Tate.gt_equal e.Agg.dvs.Dvs.sigma (Tate.pairing_precomp prm w pc_sk)
+          let w = Reference.add fp u (Curve.mul curve h q_id) in
+          Fp2.equal e.Agg.dvs.Dvs.sigma (Tate.pairing_precomp prm w pc_sk)
         in
         let expected = List.map textbook batch in
         let got =
@@ -589,7 +589,7 @@ let designation_tests =
         let verify sigma =
           Dvs.verify pub ~verifier_key:da ~q_id:(Setup.q_of_id pub "alice") ~msg { Dvs.u; sigma }
         in
-        Sc_pairing.Tate.gt_equal sigma (Sc_pairing.Tate.gt_pow prm base e)
+        Sc_field.Fp2.equal sigma (Sc_pairing.Tate.gt_pow prm base e)
         && verify sigma
         && not (verify (Sc_pairing.Tate.gt_pow prm base flipped)));
   ]

@@ -390,14 +390,15 @@ let typed_secret_flow =
 
 let pool_stub =
   "module Sc_parallel = struct\n\
-  \  let parallel_iter f n = for i = 0 to n - 1 do f i done\n\
+  \  let iter_ranges n body = body 0 n\n\
    end\n"
 
 let captured_ref_src =
   pool_stub
   ^ "let races n =\n\
     \  let acc = ref 0 in\n\
-    \  Sc_parallel.parallel_iter (fun i -> acc := !acc + i) n;\n\
+    \  Sc_parallel.iter_ranges n (fun lo hi ->\n\
+    \    for i = lo to hi - 1 do acc := !acc + i done);\n\
     \  !acc\n"
 
 let typed_domain_capture =
@@ -412,13 +413,15 @@ let typed_domain_capture =
       (pool_stub
       ^ "let counts n =\n\
         \  let acc = Atomic.make 0 in\n\
-        \  Sc_parallel.parallel_iter (fun _ -> Atomic.incr acc) n;\n\
+        \  Sc_parallel.iter_ranges n (fun lo hi ->\n\
+        \    for _ = lo to hi - 1 do Atomic.incr acc done);\n\
         \  Atomic.get acc\n");
     no_typed_findings "per-index writes into a shared array are disjoint"
       (pool_stub
       ^ "let table n =\n\
         \  let out = Array.make n 0 in\n\
-        \  Sc_parallel.parallel_iter (fun i -> out.(i) <- i * i) n;\n\
+        \  Sc_parallel.iter_ranges n (fun lo hi ->\n\
+        \    for i = lo to hi - 1 do out.(i) <- i * i done);\n\
         \  out\n");
     case "a waiver suppresses the capture finding without going stale"
       (fun () ->

@@ -3,11 +3,12 @@ open Sc_ec
 module Params = Sc_pairing.Params
 module Tate = Sc_pairing.Tate
 module Hash_g1 = Sc_pairing.Hash_g1
+module Fp2 = Sc_field.Fp2
 
 let prm = Lazy.force Util.toy_params
 let g = prm.Params.g
 let bs = Util.fresh_bs "pairing-tests"
-let gt = Alcotest.testable Util.pp_fp2 Tate.gt_equal
+let gt = Alcotest.testable Util.pp_fp2 Fp2.equal
 
 let gen_scalar =
   let open QCheck2.Gen in
@@ -26,16 +27,16 @@ let unit_tests =
           (Params.in_subgroup prm g));
     case "non-degeneracy: e(G,G) != 1" (fun () ->
         check Alcotest.bool "nondegen" false
-          (Tate.gt_equal (Tate.gt_one prm) (Tate.pairing prm g g)));
+          (Fp2.equal (Tate.gt_one prm) (Tate.pairing prm g g)));
     case "pairing with infinity is 1" (fun () ->
-        check gt "e(O,G)" (Tate.gt_one prm) (Tate.pairing prm Curve.infinity g);
-        check gt "e(G,O)" (Tate.gt_one prm) (Tate.pairing prm g Curve.infinity));
+        check gt "e(O,G)" (Tate.gt_one prm) (Tate.pairing prm Curve.Infinity g);
+        check gt "e(G,O)" (Tate.gt_one prm) (Tate.pairing prm g Curve.Infinity));
     case "gt element has order q" (fun () ->
         let e = Tate.pairing prm g g in
         check gt "e^q = 1" (Tate.gt_one prm) (Tate.gt_pow prm e prm.Params.q);
         (* and not smaller obvious order *)
         check Alcotest.bool "e^2 != 1" false
-          (Tate.gt_equal (Tate.gt_one prm) (Tate.gt_pow prm e Nat.two)));
+          (Fp2.equal (Tate.gt_one prm) (Tate.gt_pow prm e Nat.two)));
     case "symmetry: e(aG, bG) = e(bG, aG)" (fun () ->
         let a = Params.random_scalar prm ~bytes_source:bs in
         let b = Params.random_scalar prm ~bytes_source:bs in
@@ -74,7 +75,7 @@ let unit_tests =
         let h1 = Hash_g1.hash_to_point prm "a" in
         let h2 = Hash_g1.hash_to_point prm "b" in
         check Alcotest.bool "nontrivial" false
-          (Tate.gt_equal (Tate.gt_one prm) (Tate.pairing prm h1 h2)));
+          (Fp2.equal (Tate.gt_one prm) (Tate.pairing prm h1 h2)));
     case "pairing counter increments" (fun () ->
         let p0 = Tate.pairings_performed () in
         ignore (Tate.pairing prm g g);
@@ -89,7 +90,7 @@ let unit_tests =
         check Alcotest.int "p bits" 96 (Nat.bit_length p.Params.p);
         check Alcotest.int "q bits" 48 (Nat.bit_length p.Params.q);
         check Alcotest.bool "pairing works" false
-          (Tate.gt_equal (Tate.gt_one p) (Tate.pairing p p.Params.g p.Params.g)));
+          (Fp2.equal (Tate.gt_one p) (Tate.pairing p p.Params.g p.Params.g)));
     case "projective Miller loop matches affine reference" (fun () ->
         for i = 1 to 8 do
           let a = Params.random_scalar prm ~bytes_source:bs in
@@ -98,7 +99,7 @@ let unit_tests =
           let pb = Curve.mul prm.Params.curve b g in
           if
             not
-              (Tate.gt_equal (Tate.pairing prm pa pb)
+              (Fp2.equal (Tate.pairing prm pa pb)
                  (Reference.pairing_affine prm pa pb))
           then Alcotest.failf "mismatch at sample %d" i
         done;
@@ -121,7 +122,7 @@ let cross_validation_tests =
           let pb = Curve.mul prm.Params.curve b g in
           if
             not
-              (Tate.gt_equal (Tate.pairing prm pa pb)
+              (Fp2.equal (Tate.pairing prm pa pb)
                  (Reference.pairing_affine prm pa pb))
           then Alcotest.failf "mismatch at sample %d" i
         done)
@@ -140,7 +141,7 @@ let cross_validation_tests =
             (fun (p, q) ->
               if
                 not
-                  (Tate.gt_equal (Tate.pairing prm p q)
+                  (Fp2.equal (Tate.pairing prm p q)
                      (Reference.pairing_affine prm p q))
               then Alcotest.failf "mismatch at sample %d" i)
             [ x, y; y, x ]
@@ -198,7 +199,7 @@ let multi_pairing_tests =
         in
         let product =
           List.fold_left
-            (fun acc (p, q) -> Tate.gt_mul prm acc (Tate.pairing prm p q))
+            (fun acc (p, q) -> Fp2.mul prm.Params.fp acc (Tate.pairing prm p q))
             (Tate.gt_one prm) pairs
         in
         check gt "product" product (multi_pairing prm pairs));
@@ -219,13 +220,13 @@ let multi_pairing_tests =
         check gt "with infinity"
           (Tate.pairing prm g g)
           (multi_pairing prm
-             [ g, g; Curve.infinity, g; g, Curve.infinity ]));
+             [ g, g; Curve.Infinity, g; g, Curve.Infinity ]));
     case "multi_pairing counts as one pairing" (fun () ->
         let p0 = Tate.pairings_performed () in
         ignore (multi_pairing prm [ g, g; g, g; g, g ]);
         check Alcotest.int "one" 1 (Tate.pairings_performed () - p0);
         let p0 = Tate.pairings_performed () in
-        ignore (multi_pairing prm [ Curve.infinity, g ]);
+        ignore (multi_pairing prm [ Curve.Infinity, g ]);
         check Alcotest.int "all-skipped counts zero" 0
           (Tate.pairings_performed () - p0));
     case "gt_pow counts on pairing.gt_pow, not as a pairing" (fun () ->
@@ -238,7 +239,7 @@ let multi_pairing_tests =
           (Sc_telemetry.Telemetry.counter_value "pairing.gt_pow" - c0);
         check Alcotest.int "no pairing" p0 (Tate.pairings_performed ()));
     case "gt_multi_exp rejects a non-unitary base" (fun () ->
-        let two = Sc_field.Fp2.make (Sc_field.Fp.of_int prm.Params.fp 2) (Sc_field.Fp.zero prm.Params.fp) in
+        let two = Fp2.make (Sc_field.Fp.of_int prm.Params.fp 2) (Sc_field.Fp.zero prm.Params.fp) in
         Alcotest.check_raises "raises"
           (Invalid_argument "Tate.gt_multi_exp: base not unitary") (fun () ->
             ignore (Tate.gt_multi_exp prm [ two, Nat.one ])));
@@ -256,11 +257,11 @@ let property_tests =
           Tate.gt_pow prm (Tate.pairing prm g g)
             (Nat.rem (Nat.mul a b) prm.Params.q)
         in
-        Tate.gt_equal lhs rhs);
+        Fp2.equal lhs rhs);
     qcheck ~count:15 "left linearity e(aG,Q) = e(G,Q)^a" gen_scalar (fun a ->
         let pa = Curve.mul prm.Params.curve a g in
         let h = Hash_g1.hash_to_point prm "fixed" in
-        Tate.gt_equal (Tate.pairing prm pa h)
+        Fp2.equal (Tate.pairing prm pa h)
           (Tate.gt_pow prm (Tate.pairing prm g h) a));
     qcheck ~count:40 "gt_pow (Montgomery) = Fp2.pow (Barrett), any F_p2 element"
       QCheck2.Gen.(
@@ -269,12 +270,11 @@ let property_tests =
           (string_size ~gen:char (int_range 0 40)))
       (fun (re, im, e) ->
         let module Fp = Sc_field.Fp in
-        let module Fp2 = Sc_field.Fp2 in
         let fp = prm.Params.fp in
         let el s = Fp.of_nat fp (Nat.rem (Nat.of_bytes_be s) prm.Params.p) in
         let a = Fp2.make (el re) (el im) in
         let e = Nat.of_bytes_be e in
-        Tate.gt_equal (Tate.gt_pow prm a e) (Reference.fp2_pow fp a e));
+        Fp2.equal (Tate.gt_pow prm a e) (Reference.fp2_pow fp a e));
     qcheck ~count:40 "gt_in_group = unitary and a^q = 1, any F_p2 element"
       QCheck2.Gen.(
         triple (string_size ~gen:char (return 32))
@@ -282,7 +282,6 @@ let property_tests =
           (int_range 0 3))
       (fun (re, im, shape) ->
         let module Fp = Sc_field.Fp in
-        let module Fp2 = Sc_field.Fp2 in
         let fp = prm.Params.fp in
         let el s = Fp.of_nat fp (Nat.rem (Nat.of_bytes_be s) prm.Params.p) in
         let a = Fp2.make (el re) (el im) in
@@ -301,7 +300,7 @@ let property_tests =
         in
         Tate.gt_in_group prm a
         = (Fp.equal (Fp2.norm fp a) (Fp.one fp)
-          && Tate.gt_equal (Tate.gt_one prm) (Tate.gt_pow prm a prm.Params.q)));
+          && Fp2.equal (Tate.gt_one prm) (Tate.gt_pow prm a prm.Params.q)));
     qcheck ~count:15 "gt_multi_exp = product of gt_pow"
       QCheck2.Gen.(list_size (int_range 0 6) (pair gen_scalar (string_size ~gen:char (int_range 0 20))))
       (fun terms ->
@@ -309,15 +308,15 @@ let property_tests =
         let terms =
           List.map (fun (a, x) -> Tate.gt_pow prm e a, Nat.of_bytes_be x) terms
         in
-        Tate.gt_equal (Tate.gt_multi_exp prm terms)
+        Fp2.equal (Tate.gt_multi_exp prm terms)
           (List.fold_left
-             (fun acc (b, x) -> Tate.gt_mul prm acc (Tate.gt_pow prm b x))
+             (fun acc (b, x) -> Fp2.mul prm.Params.fp acc (Tate.gt_pow prm b x))
              (Tate.gt_one prm) terms));
     qcheck ~count:15 "gt_pow additive in exponent"
       (QCheck2.Gen.pair gen_scalar gen_scalar) (fun (a, b) ->
         let e = Tate.pairing prm g g in
-        Tate.gt_equal
-          (Tate.gt_mul prm (Tate.gt_pow prm e a) (Tate.gt_pow prm e b))
+        Fp2.equal
+          (Fp2.mul prm.Params.fp (Tate.gt_pow prm e a) (Tate.gt_pow prm e b))
           (Tate.gt_pow prm e (Nat.rem (Nat.add a b) prm.Params.q)));
   ]
 
@@ -338,7 +337,7 @@ let precomp_tests =
           let pa = Curve.mul prm.Params.curve a g in
           if
             not
-              (Tate.gt_equal
+              (Fp2.equal
                  (Tate.pairing_precomp prm pa pc)
                  (Tate.pairing prm pa g))
           then Alcotest.failf "mismatch at sample %d" i
@@ -351,7 +350,7 @@ let precomp_tests =
     case "pairing_precomp with infinity argument is 1" (fun () ->
         let pc = Tate.precompute prm g in
         check gt "e(O, g)" (Tate.gt_one prm)
-          (Tate.pairing_precomp prm Curve.infinity pc));
+          (Tate.pairing_precomp prm Curve.Infinity pc));
     case "multi_pairing_precomp equals multi_pairing" (fun () ->
         let terms =
           List.init 4 (fun _ ->
@@ -372,7 +371,6 @@ let precomp_tests =
            and the product off by the order-2 unitary element −1. *)
         let module Telemetry = Sc_telemetry.Telemetry in
         let module Fp = Sc_field.Fp in
-        let module Fp2 = Sc_field.Fp2 in
         let bs = fresh_bs "pairing-equal" in
         let fp = prm.Params.fp and curve = prm.Params.curve in
         let counters =
@@ -384,11 +382,11 @@ let precomp_tests =
           let r = f () in
           r, List.map2 (fun c b -> Telemetry.counter_value c - b) counters before
         in
-        let pc_inf = Tate.precompute prm Curve.infinity in
+        let pc_inf = Tate.precompute prm Curve.Infinity in
         let term k =
           let pt () = Curve.random curve ~bytes_source:bs in
           match k mod 4 with
-          | 0 -> Curve.infinity, Tate.precompute prm (pt ())
+          | 0 -> Curve.Infinity, Tate.precompute prm (pt ())
           | 1 -> pt (), pc_inf
           | _ -> pt (), Tate.precompute prm (pt ())
         in
@@ -417,7 +415,7 @@ let precomp_tests =
                 counted (fun () -> Tate.multi_pairing_precomp_equal prm terms t)
               in
               check Alcotest.bool (Printf.sprintf "%d terms, %s" n name)
-                (Tate.gt_equal value t) ok;
+                (Fp2.equal value t) ok;
               check Alcotest.(list int)
                 (Printf.sprintf "%d terms, %s counters" n name)
                 c_value c_ok)
@@ -496,7 +494,7 @@ let comb_tests =
       let cols = (Nat.bit_length q + 3) / 4 in
       let pow2 i = Nat.shift_left Nat.one i in
       let agrees a e =
-        Tate.gt_equal (Tate.gt_comb_exp prm (Tate.gt_comb prm a) e) (Tate.gt_pow prm a e)
+        Fp2.equal (Tate.gt_comb_exp prm (Tate.gt_comb prm a) e) (Tate.gt_pow prm a e)
       in
       let base = Tate.pairing prm prm.Params.g (Hash_g1.hash_to_point prm "comb") in
       [

@@ -112,9 +112,10 @@ let telemetry_tests =
         with_domains 4 (fun () ->
             let c = Telemetry.counter "test.parallel.pool_incr" in
             let v0 = Telemetry.value c in
-            Sc_parallel.parallel_iter
-              (fun _ -> Telemetry.incr c)
-              (List.init 50_000 Fun.id);
+            Sc_parallel.iter_ranges 50_000 (fun lo hi ->
+                for _ = lo to hi - 1 do
+                  Telemetry.incr c
+                done);
             check Alcotest.int "exact" 50_000 (Telemetry.value c - v0)));
     case "worker spans join the submitting span's trace" (fun () ->
         with_domains 4 (fun () ->
@@ -130,10 +131,10 @@ let telemetry_tests =
               ~finally:(fun () -> Telemetry.set_sink None)
               (fun () ->
                 Telemetry.with_span ~name:"fanout.root" (fun () ->
-                    Sc_parallel.parallel_iter ~min_chunk:1
-                      (fun _ ->
-                        Telemetry.with_span ~name:"fanout.task" Fun.id)
-                      (List.init 64 Fun.id)));
+                    Sc_parallel.iter_ranges ~min_chunk:1 64 (fun lo hi ->
+                        for _ = lo to hi - 1 do
+                          Telemetry.with_span ~name:"fanout.task" Fun.id
+                        done)));
             let spans =
               List.filter_map Sc_telemetry.Trace_analysis.span_of_line !lines
             in

@@ -76,7 +76,7 @@ let maul (pub : Sc_ibc.Setup.public) (w : Sc_ibc.Warrant.signed) =
       {
         s with
         Sc_ibc.Ibs.v =
-          Sc_ec.Curve.add prm.Sc_pairing.Params.curve s.Sc_ibc.Ibs.v
+          Reference.add prm.Sc_pairing.Params.fp s.Sc_ibc.Ibs.v
             prm.Sc_pairing.Params.g;
       };
   }
@@ -98,7 +98,9 @@ let torsion_signature (pub : Sc_ibc.Setup.public) (key : Sc_ibc.Setup.identity_k
   let prm = pub.Sc_ibc.Setup.prm in
   let curve = prm.Sc_pairing.Params.curve in
   let r = Sc_pairing.Params.random_scalar prm ~bytes_source in
-  let u = Sc_ec.Curve.add curve (Sc_ec.Curve.mul curve r key.Sc_ibc.Setup.q_id) t in
+  let u =
+    Reference.add prm.Sc_pairing.Params.fp (Sc_ec.Curve.mul curve r key.Sc_ibc.Setup.q_id) t
+  in
   let e =
     Sc_bignum.Nat.rem
       (Sc_bignum.Nat.add r (Sc_ibc.Ibs.h2 pub ~u ~msg))

@@ -729,9 +729,8 @@ let transitive_determinism pass (entry : Typed_load.entry) =
 let pool_entry segs =
   match last2 (strip_stdlib segs) with
   | Some
-      ( "Sc_parallel.parallel_map" | "Sc_parallel.parallel_iter"
-      | "Sc_parallel.map_array" | "Sc_parallel.iter_ranges"
-      | "Sc_parallel.run_tasks" ) ->
+      ( "Sc_parallel.parallel_map" | "Sc_parallel.map_array"
+      | "Sc_parallel.iter_ranges" | "Sc_parallel.run_tasks" ) ->
     true
   | _ -> false
 
