@@ -81,29 +81,35 @@ let () =
     ]
   in
   (* The kernel under every row above: one field multiplication, a
-     Montgomery multiply-reduce (k = 5 limbs on small, 20 on mid; ns/op
-     over an inner loop, as a single call is below timer resolution),
-     one Fermat inversion, and the two boundary conversions a decoded
-     or encoded coordinate pays. *)
+     Montgomery multiply-reduce (k = 3 limbs on toy, 5 on small, 20 on
+     mid; ns/op over an inner loop, as a single call is below timer
+     resolution), the dedicated squaring, one modular addition, one
+     Fermat inversion, and the two boundary conversions a decoded or
+     encoded coordinate pays. *)
   let module Fp = Sc_field.Fp in
-  let mont_mul_ns (prm : Params.t) =
+  let kernel_ns op (prm : Params.t) =
     let fp = prm.Params.fp in
     let a = Fp.random fp ~bytes_source:bs in
     let b = Fp.random fp ~bytes_source:bs in
     time_ns ~iters:100 (fun () ->
         for _ = 1 to 1000 do
-          ignore (Fp.mul fp a b)
+          ignore (op fp a b)
         done)
     /. 1000.
   in
+  let mid = Lazy.force Params.mid in
   let fp_small = prm_small.Params.fp in
   let x_small = Fp.random fp_small ~bytes_source:bs in
   let n_small = Fp.to_nat fp_small x_small in
   let results =
     results
     @ [
-        "fp_mont_mul(small)", mont_mul_ns prm_small;
-        "fp_mont_mul(mid)", mont_mul_ns (Lazy.force Params.mid);
+        "fp_mont_mul(toy)", kernel_ns Fp.mul prm;
+        "fp_mont_mul(small)", kernel_ns Fp.mul prm_small;
+        "fp_mont_mul(mid)", kernel_ns Fp.mul mid;
+        "fp_mont_sqr(small)", kernel_ns (fun fp a _ -> Fp.sqr fp a) prm_small;
+        "fp_mont_sqr(mid)", kernel_ns (fun fp a _ -> Fp.sqr fp a) mid;
+        "fp_add(small)", kernel_ns Fp.add prm_small;
         "fp_inv(small)", time_ns ~iters:500 (fun () -> Fp.inv fp_small x_small);
         ( "fp_of_nat(small)",
           time_ns ~iters:20_000 (fun () -> Fp.of_nat fp_small n_small) );

@@ -110,8 +110,7 @@ let sub_mod_inplace ctx (a : mont) =
    and column j+k writes result limb j over it.  The result is below
    2m whenever a·b < m·B^k (canonical operands, or lazy ones under
    [lazy_ok]), so one conditional subtraction leaves it canonical. *)
-let mul ctx (a : mont) (b : mont) =
-  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
+let mul_loop ctx (a : mont) (b : mont) =
   let k = ctx.k and m = ctx.m_limbs in
   let out = Array.make k 0 in
   let acc = ref 0 in
@@ -136,7 +135,26 @@ let mul ctx (a : mont) (b : mont) =
   if !acc > 0 || ge_mod ctx out then sub_mod_inplace ctx out;
   out
 
-let sqr ctx a = mul ctx a a
+(* The straight-line kernels of Mont_kernels (generated by
+   tools/mont_gen) compute what the loops here compute, bit for bit,
+   at the presets' limb counts; every other width takes the loop. *)
+module K = Mont_kernels
+
+let mul ctx (a : mont) (b : mont) =
+  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
+  match ctx.k with
+  | 3 -> K.mul3 ctx.m_limbs ctx.m' a b
+  | 5 -> K.mul5 ctx.m_limbs ctx.m' a b
+  | 20 -> K.mul20 ctx.m_limbs ctx.m' a b
+  | _ -> mul_loop ctx a b
+
+let sqr ctx (a : mont) =
+  if Array.length a <> ctx.k then width_error ();
+  match ctx.k with
+  | 3 -> K.sqr3 ctx.m_limbs ctx.m' a
+  | 5 -> K.sqr5 ctx.m_limbs ctx.m' a
+  | 20 -> K.sqr20 ctx.m_limbs ctx.m' a
+  | _ -> mul_loop ctx a a
 
 (* Entering the domain is one multiplication by R² mod m:
    a·R²·R^-1 = aR.  Only an argument of m or more costs a division
@@ -153,19 +171,28 @@ let one ctx = ctx.one
 let zero ctx = Array.make ctx.k 0
 let of_int ctx n = to_mont ctx (Nat.of_int n)
 
+(* Loops, like [ge_mod]: a local recursive function closing over its
+   operands would allocate a closure per call. *)
 let is_zero (a : mont) =
-  let rec go i = i < 0 || (a.(i) = 0 && go (i - 1)) in
-  go (Array.length a - 1)
+  let i = ref (Array.length a - 1) in
+  while !i >= 0 && a.%(!i) = 0 do
+    decr i
+  done;
+  !i < 0
 
 (* Values are canonical (< m), so domain equality is limb equality. *)
 let equal (a : mont) (b : mont) =
-  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-  Array.length a = Array.length b && go (Array.length a - 1)
+  Array.length a = Array.length b
+  &&
+  let i = ref (Array.length a - 1) in
+  while !i >= 0 && a.%(!i) = b.%(!i) do
+    decr i
+  done;
+  !i < 0
 
 (* The Montgomery map is additive (aR + bR = (a+b)R), so modular
    add/sub/neg work directly on domain representatives. *)
-let add ctx (a : mont) (b : mont) =
-  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
+let add_loop ctx (a : mont) (b : mont) =
   let k = ctx.k in
   let out = Array.make k 0 in
   let carry = ref 0 in
@@ -177,8 +204,7 @@ let add ctx (a : mont) (b : mont) =
   if !carry > 0 || ge_mod ctx out then sub_mod_inplace ctx out;
   out
 
-let sub ctx (a : mont) (b : mont) =
-  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
+let sub_loop ctx (a : mont) (b : mont) =
   let k = ctx.k and m = ctx.m_limbs in
   let out = Array.make k 0 in
   let borrow = ref 0 in
@@ -203,6 +229,22 @@ let sub ctx (a : mont) (b : mont) =
   end;
   out
 
+let add ctx (a : mont) (b : mont) =
+  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
+  match ctx.k with
+  | 3 -> K.add3 ctx.m_limbs a b
+  | 5 -> K.add5 ctx.m_limbs a b
+  | 20 -> K.add20 ctx.m_limbs a b
+  | _ -> add_loop ctx a b
+
+let sub ctx (a : mont) (b : mont) =
+  if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
+  match ctx.k with
+  | 3 -> K.sub3 ctx.m_limbs a b
+  | 5 -> K.sub5 ctx.m_limbs a b
+  | 20 -> K.sub20 ctx.m_limbs a b
+  | _ -> sub_loop ctx a b
+
 (* 0 − a: m − a for a ≠ 0, and 0 with no borrow for a = 0. *)
 let neg ctx (a : mont) = sub ctx (zero ctx) a
 let double ctx (a : mont) = add ctx a a
@@ -214,39 +256,53 @@ let double ctx (a : mont) = add ctx a a
    < 16m^2 <= m·B^k — still inside REDC's input bound.  Lazy values
    must only ever flow into [mul]/[sqr] (whose REDC output is again
    canonical), never into [equal]/[is_zero]/[of_mont]. *)
+let add_lazy_loop ctx (a : mont) (b : mont) =
+  let k = ctx.k in
+  let out = Array.make k 0 in
+  let carry = ref 0 in
+  for i = 0 to k - 1 do
+    let x = a.%(i) + b.%(i) + !carry in
+    out.(i) <- x land mask;
+    carry := x lsr limb_bits
+  done;
+  (* a + b < 8m <= B^k/2: no carry out of the top limb. *)
+  out
+
+(* Lazy subtract as a + 2m - b, valid for operands < 2m; the result is
+   < 4m and non-negative without any branch on the borrow. *)
+let sub_lazy_loop ctx (a : mont) (b : mont) =
+  let k = ctx.k and m = ctx.m_limbs in
+  let out = Array.make k 0 in
+  let carry = ref 0 in
+  for i = 0 to k - 1 do
+    (* Offset by B so the limb stays non-negative; the -1 in the
+       carry update cancels the offset. *)
+    let x = a.%(i) + (2 * m.%(i)) - b.%(i) + !carry + base in
+    out.(i) <- x land mask;
+    carry := (x lsr limb_bits) - 1
+  done;
+  out
+
 let add_lazy ctx (a : mont) (b : mont) =
   if not ctx.lazy_ok then add ctx a b
   else begin
     if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
-    let k = ctx.k in
-    let out = Array.make k 0 in
-    let carry = ref 0 in
-    for i = 0 to k - 1 do
-      let x = a.%(i) + b.%(i) + !carry in
-      out.(i) <- x land mask;
-      carry := x lsr limb_bits
-    done;
-    (* a + b < 8m <= B^k/2: no carry out of the top limb. *)
-    out
+    match ctx.k with
+    | 3 -> K.add_lazy3 a b
+    | 5 -> K.add_lazy5 a b
+    | 20 -> K.add_lazy20 a b
+    | _ -> add_lazy_loop ctx a b
   end
 
-(* Lazy subtract as a + 2m - b, valid for operands < 2m; the result is
-   < 4m and non-negative without any branch on the borrow. *)
 let sub_lazy ctx (a : mont) (b : mont) =
   if not ctx.lazy_ok then sub ctx a b
   else begin
     if Array.length a <> ctx.k || Array.length b <> ctx.k then width_error ();
-    let k = ctx.k and m = ctx.m_limbs in
-    let out = Array.make k 0 in
-    let carry = ref 0 in
-    for i = 0 to k - 1 do
-      (* Offset by B so the limb stays non-negative; the -1 in the
-         carry update cancels the offset. *)
-      let x = a.%(i) + (2 * m.%(i)) - b.%(i) + !carry + base in
-      out.(i) <- x land mask;
-      carry := (x lsr limb_bits) - 1
-    done;
-    out
+    match ctx.k with
+    | 3 -> K.sub_lazy3 ctx.m_limbs a b
+    | 5 -> K.sub_lazy5 ctx.m_limbs a b
+    | 20 -> K.sub_lazy20 ctx.m_limbs a b
+    | _ -> sub_lazy_loop ctx a b
   end
 
 (* Montgomery's trick: n inversions for one [inv] and 3(n-1) [mul]s.

@@ -66,7 +66,11 @@ val sub_lazy : ctx -> mont -> mont -> mont
 
 val mul : ctx -> mont -> mont -> mont
 val sqr : ctx -> mont -> mont
-(** One product-scanning multiply-reduce; the result is canonical. *)
+(** One product-scanning multiply-reduce; the result is canonical.  At
+    the presets' limb counts (3, 5 and 20) these, {!add}, {!sub} and
+    the lazy forms run straight-line kernels generated by
+    [tools/mont_gen], [sqr] forming each cross product once; every
+    kernel returns the limbs the loop would. *)
 
 val batch_inv : ctx -> inv:(mont -> mont) -> mont array -> mont array
 (** Montgomery's trick: inverts every element with a single call of

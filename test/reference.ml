@@ -135,6 +135,13 @@ module Nat_mod = struct
   let neg m a = sub m Nat.zero a
 end
 
+(* Montgomery's REDC by its definition: x·y·R⁻¹ mod m, R = B^k for
+   the k-limb modulus m, on naturals: the oracle for the limbs that
+   [Montgomery.mul] and [sqr] return, read as naturals. *)
+let redc m x y =
+  let r = Nat.shift_left Nat.one (Array.length (Nat.to_limbs m) * Nat.base_bits) in
+  Nat_mod.mul m (Nat.rem (Nat.mul x y) m) (Nat.inv_mod r m)
+
 (* F_p² over canonical naturals mod p, multiplied schoolbook through
    [Nat_mod]: the oracle for the Karatsuba-over-REDC [Fp2]. *)
 module Nat2 = struct

@@ -152,49 +152,6 @@ let exception_discipline =
       "let parse s = Option.value ~default:0 (int_of_string_opt s)\n";
   ]
 
-let ec_stubs =
-  "module Curve = struct\n\
-  \  let infinity = 0\n\
-  \  let double () p = 2 * p\n\
-  \  let add () p q = p + q\n\
-  \  let mul () k p = k * p\n\
-   end\n\
-   module Nat = struct\n\
-  \  let bit_length k = k\n\
-  \  let test_bit k i = k land (1 lsl i) <> 0\n\
-   end\n"
-
-let naive_ladder_src =
-  ec_stubs
-  ^ "let slow_mul c k p =\n\
-    \  let acc = ref Curve.infinity in\n\
-    \  for i = Nat.bit_length k - 1 downto 0 do\n\
-    \    acc := Curve.double c !acc;\n\
-    \    if Nat.test_bit k i then acc := Curve.add c !acc p\n\
-    \  done;\n\
-    \  !acc\n"
-
-let naive_scalar_mul =
-  [
-    case "double-and-add ladder outside lib/ec is flagged informational"
-      (fun () ->
-        let fs = typed_lint ~rel:"bin/fixture.ml" naive_ladder_src in
-        let f = find_rule "naive-scalar-mul" fs in
-        check Alcotest.bool "info severity" true
-          (f.Finding.severity = Finding.Info);
-        check Alcotest.string "key is the binding name" "slow_mul"
-          f.Finding.key);
-    case "the same ladder inside lib/ec is the implementation, not a finding"
-      (fun () ->
-        let fs = typed_lint ~rel:"lib/ec/fixture.ml" naive_ladder_src in
-        check Alcotest.bool "not flagged" false
-          (has_rule "naive-scalar-mul" fs));
-    no_typed_findings "going through Curve.mul is the sanctioned path"
-      (ec_stubs ^ "let scale c k p = Curve.mul c k p\n");
-    no_typed_findings "bit scans without point doubling (serialization) are fine"
-      (ec_stubs ^ "let bits k = List.init (Nat.bit_length k) (Nat.test_bit k)\n");
-  ]
-
 let telemetry_stubs =
   "module Telemetry = struct\n\
   \  let counter (_ : string) = ()\n\
@@ -741,7 +698,7 @@ let self_lint =
   ]
 
 let suite =
-  domain_safety @ signing_encode @ exception_discipline @ naive_scalar_mul
+  domain_safety @ signing_encode @ exception_discipline
   @ dynamic_metric_name @ infra @ waivers @ typed_secret_flow
   @ typed_domain_capture @ typed_discarded_error @ typed_determinism
   @ typed_transitive_determinism @ typed_dead_export @ typed_fallback

@@ -405,6 +405,126 @@ let kernel_edge_tests =
                  (Nat.sub (Nat.shift_left Nat.one 7000) Nat.one))));
   ]
 
+(* Every kernel against the Nat oracle, on the raw limb values it
+   reads and returns: [mul] and [sqr] are REDC ([Reference.redc]),
+   [add]/[sub] the residue of the sum or difference, and
+   [add_lazy]/[sub_lazy] the unreduced a + b and a + 2m − b wherever
+   the modulus leaves lazy headroom (16m <= B^k), else [add]/[sub].
+   Residues are random or the edges 0, 1 and m − 1; an operand is a
+   residue a, a once-lazy sum a + b below 2m, or the lazy difference
+   (a + a) − (b + b) + 2m below 4m, the most a multiplication may be
+   given.  Each preset width runs an odd modulus of its prime's bit
+   length, the all-(B−1) modulus B^k − 1 (whose sums carry out of the
+   top limb) and 2^(26k−4) − 1, the widest with headroom; 7 limbs has
+   no generated kernel and takes the loop. *)
+type residue = Edge of int | Random of string
+
+type operand = residue * residue * int (* a, b and the shape 0, 1 or 2 *)
+
+let gen_operand =
+  let open QCheck2.Gen in
+  let residue =
+    oneof
+      [
+        map (fun e -> Edge e) (int_range 0 2);
+        map (fun s -> Random s) (string_size ~gen:char (return 90));
+      ]
+  in
+  triple residue residue (int_range 0 2)
+
+let kernels = [ "mul"; "sqr"; "add"; "sub"; "add_lazy"; "sub_lazy" ]
+
+let kernel_holds kernel m ((x : operand), (y : operand)) =
+  let module N = Reference.Nat_mod in
+  let ctx = Montgomery.create m in
+  let r_inv = Nat.inv_mod (domain_r m) m in
+  let lazy_ok = Nat.bit_length m + 4 <= Array.length (Nat.to_limbs m) * Nat.base_bits in
+  let residue = function
+    | Edge 0 -> Nat.zero
+    | Edge 1 -> Nat.one
+    | Edge _ -> Nat.sub m Nat.one
+    | Random s -> Nat.rem (Nat.of_bytes_be s) m
+  in
+  let enter v = Montgomery.to_mont ctx (N.mul m v r_inv) in
+  let raw (z : Montgomery.mont) = Nat.of_limbs (z :> int array) in
+  (* A shape above [bound] is capped at it. *)
+  let operand ~bound (a, b, shape) =
+    let a = enter (residue a) and b = enter (residue b) in
+    match min shape bound with
+    | 0 -> a
+    | 1 -> Montgomery.add_lazy ctx a b
+    | _ -> Montgomery.sub_lazy ctx (Montgomery.add_lazy ctx a a) (Montgomery.add_lazy ctx b b)
+  in
+  let bound = match kernel with "mul" | "sqr" -> 2 | "add_lazy" | "sub_lazy" -> 1 | _ -> 0 in
+  let x = operand ~bound x and y = operand ~bound y in
+  let xv = raw x and yv = raw y in
+  let got, want =
+    match kernel with
+    | "mul" -> Montgomery.mul ctx x y, Reference.redc m xv yv
+    | "sqr" -> Montgomery.sqr ctx x, Reference.redc m xv xv
+    | "add" -> Montgomery.add ctx x y, N.add m xv yv
+    | "sub" -> Montgomery.sub ctx x y, N.sub m xv yv
+    | "add_lazy" ->
+      Montgomery.add_lazy ctx x y, if lazy_ok then Nat.add xv yv else N.add m xv yv
+    | _ ->
+      ( Montgomery.sub_lazy ctx x y,
+        if lazy_ok then Nat.sub (Nat.add xv (Nat.add m m)) yv else N.sub m xv yv )
+  in
+  Nat.equal (raw got) want
+
+let kernel_tests =
+  let open Util in
+  (* A fixed odd modulus of the given bit length, the all-(B−1) one
+     and the widest with headroom, at the width that length needs.
+     Not the presets' primes: finding those runs Miller–Rabin on the
+     kernels under test, which never ends when they are wrong. *)
+  let moduli bits =
+    let k = (bits + Nat.base_bits - 1) / Nat.base_bits in
+    let bs = fresh_bs (Printf.sprintf "kernel-modulus/%d" bits) in
+    let top = Nat.shift_left Nat.one (bits - 1) in
+    let low = Nat.shift_left (Nat.random ~bytes_source:bs ~bits:(bits - 2)) 1 in
+    [
+      Nat.add (Nat.add top low) Nat.one;
+      Nat.sub (Nat.shift_left Nat.one (k * Nat.base_bits)) Nat.one;
+      edge_modulus ~lazy_headroom:true k;
+    ]
+  in
+  (* No shrinking: a 90-byte residue shrinks for minutes; the printer
+     names the failing case instead. *)
+  let gen = QCheck2.Gen.(no_shrink (triple (int_range 0 2) gen_operand gen_operand)) in
+  let print (i, x, y) =
+    let residue = function
+      | Edge e -> Printf.sprintf "edge %d" e
+      | Random s -> Printf.sprintf "%S" s
+    in
+    let operand (a, b, shape) =
+      Printf.sprintf "(%s, %s, shape %d)" (residue a) (residue b) shape
+    in
+    Printf.sprintf "modulus %d, x = %s, y = %s" i (operand x) (operand y)
+  in
+  let qcheck name prop =
+    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:100 ~print ~name gen prop)
+  in
+  (* The presets' p: 71 bits (toy, k = 3), 119 (small, k = 5), 512
+     (mid, k = 20). *)
+  List.concat_map
+    (fun (name, bits) ->
+      let moduli = lazy (moduli bits) in
+      List.map
+        (fun kernel ->
+          qcheck
+            (Printf.sprintf "kernel %s = Nat oracle, %s widths" kernel name)
+            (fun (i, x, y) -> kernel_holds kernel (List.nth (Lazy.force moduli) i) (x, y)))
+        kernels)
+    [ "toy", 71; "small", 119; "mid", 512 ]
+  @ [
+      (let moduli = lazy (moduli 181) in
+       qcheck "kernels = Nat oracle at 7 limbs (the loop)" (fun (i, x, y) ->
+           List.for_all
+             (fun kernel -> kernel_holds kernel (List.nth (Lazy.force moduli) i) (x, y))
+             kernels));
+    ]
+
 (* Fermat inversion on the pairing primes against the extended Euclid. *)
 let fermat_inversion_tests =
   let open Util in
@@ -531,4 +651,4 @@ let kernel_shape_tests =
 let suite =
   unit_tests @ property_tests @ montgomery_tests @ montgomery_arith_tests
   @ montgomery_lazy_tests @ montgomery_property_tests @ kernel_edge_tests
-  @ fermat_inversion_tests @ select_tests @ kernel_shape_tests
+  @ kernel_tests @ fermat_inversion_tests @ select_tests @ kernel_shape_tests

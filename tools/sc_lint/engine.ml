@@ -151,6 +151,17 @@ let build_dir_of root =
   let dir = Filename.concat root "_build/default" in
   if Sys.file_exists dir && Sys.is_directory dir then dir else root
 
+(* A module that a dune rule writes (lib/bignum's kernels) exists only
+   under the build dir; it is linted from its cmt like the sources
+   beside it.  Inside _build the walk of [root] already finds it. *)
+let generated ~root dirs =
+  let build_dir = build_dir_of root in
+  if build_dir = root then []
+  else
+    List.filter
+      (fun (s : source) -> not (Sys.file_exists (Filename.concat root s.rel)))
+      (collect_files ~root:build_dir dirs)
+
 let gate ~root ~waivers dirs =
   let baseline =
     match waivers with
@@ -163,7 +174,7 @@ let gate ~root ~waivers dirs =
   in
   Result.map
     (fun ws ->
-      let srcs = collect_files ~root dirs in
+      let srcs = collect_files ~root dirs @ generated ~root dirs in
       let callers =
         List.map
           (fun (s : source) -> s.rel)

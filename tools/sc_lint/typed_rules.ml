@@ -21,7 +21,7 @@
      Waivers block propagation: an accepted direct use (telemetry
      clock) does not contaminate its callers.
 
-   Five syntactic rules, on the same trees, so a called name is its
+   Four syntactic rules, on the same trees, so a called name is its
    resolved path ([open Hashtbl] ... [create] is [Hashtbl.create]):
 
    - domain-safety: toplevel mutable state (ref, Hashtbl/Buffer/
@@ -33,10 +33,6 @@
      Sc_hash.Encode.
    - exception-swallow: a catch-all handler that neither uses the
      exception nor re-raises.
-   - naive-scalar-mul (informational): a binding outside lib/ec that
-     scans scalar bits (test_bit) and calls Curve.double itself — a
-     hand-rolled double-and-add; Curve.mul (ladder) or a cached
-     Curve.mul_precomp comb is faster.
    - dynamic-metric-name (informational): a computed name given to a
      Telemetry/Registry counter/gauge/histogram or to [with_span
      ~name] outside lib/telemetry.  A registry cell lives forever, so
@@ -1595,23 +1591,6 @@ let syntactic pass (entry : Typed_load.entry) =
              name what))
       !found
   in
-  let naive_scalar_mul name (vb : value_binding) =
-    let calls last callee =
-      mentions (fun p -> last (Flow_graph.path_segs p) = Some callee)
-    in
-    if
-      (not (String.starts_with ~prefix:"lib/ec/" rel))
-      && calls last1 "test_bit" vb.vb_expr
-      && calls last2 "Curve.double" vb.vb_expr
-    then
-      emit ~severity:Finding.Info ~rule:"naive-scalar-mul"
-        ~line:vb.vb_loc.Location.loc_start.Lexing.pos_lnum ~key:name
-        (Printf.sprintf
-           "%S scans scalar bits and calls Curve.double directly — a naive \
-            double-and-add ladder; use Curve.mul (x-only ladder) or a cached \
-            Curve.mul_precomp comb (informational)"
-           name)
-  in
   (* A functor body is instantiated per application: its bindings are
      not process-global state. *)
   let rec items ~toplevel (str : structure) =
@@ -1625,7 +1604,6 @@ let syntactic pass (entry : Typed_load.entry) =
                 Option.fold ~none:"_" ~some:Ident.name (bound_ident vb.vb_pat)
               in
               if toplevel then domain_safety name vb;
-              naive_scalar_mul name vb;
               enclosing := name;
               walker.expr walker vb.vb_expr;
               enclosing := "<toplevel>")

@@ -1,6 +1,6 @@
 (** Every lint rule over a built {!Flow_graph}: the syntactic rules
     (domain-safety, signing-encode, exception-swallow,
-    naive-scalar-mul, dynamic-metric-name), the typed ones
+    dynamic-metric-name), the typed ones
     (typed-secret-flow, domain-capture, discarded-error, determinism,
     transitive-determinism), and dead-export over interfaces and their
     callers. *)
